@@ -224,15 +224,21 @@ def _chunk_ranges(samples: int, jobs: int) -> list[tuple[int, int]]:
 def _init_worker(instance_text: str, params_key: tuple) -> None:
     inst = parse_instance(instance_text)
     params = ChargingParams(*(Fraction(p) if p else None for p in params_key))
-    prepared = prepare_instance(inst, params=params)
+    _adopt(prepare_instance(inst, params=params))
+
+
+def _adopt(prepared) -> None:
     _WORKER_STATE["prepared"] = prepared
     _WORKER_STATE["joins"] = JoinCalculator(prepared.metric)
+    # Report order of the per-cut loads, fixed once per instance.
+    _WORKER_STATE["cut_keys"] = sorted((_side_key(s), s) for s in prepared.cut_sides)
 
 
 def _run_chunk(task: tuple[int, int, int, bool]) -> list[tuple]:
     seed, start, end, check_vectors = task
     prepared = _WORKER_STATE["prepared"]
     joins = _WORKER_STATE["joins"]
+    cut_keys = _WORKER_STATE["cut_keys"]
     records = []
     for idx in range(start, end):
         out = run_sample(
@@ -251,32 +257,33 @@ def _run_chunk(task: tuple[int, int, int, bool]) -> list[tuple]:
                 out.reduced_count,
                 out.join_exact,
                 out.feasible,
-                tuple(sorted((_side_key(s), v) for s, v in out.cut_loads.items())),
+                tuple((key, out.cut_loads[side]) for key, side in cut_keys),
             )
         )
     return records
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    if args.samples <= 0:
+        sys.stderr.write(f"invalid arguments: --samples must be positive, got {args.samples}\n")
+        return EXIT_INVALID
     inst = load_instance(args)
     params = charging_params(args)
     prepared = prepare_instance(inst, params=params)
     lp = inst.lp_cost()
     samples = args.samples
     chunks = _chunk_ranges(samples, args.jobs)
-    params_key = (args.alpha, args.beta, args.tau)
-    instance_text = serialize_instance(inst)
     tasks = [(args.seed, start, end, args.check_vectors) for start, end in chunks]
 
     if len(chunks) == 1:
-        _init_worker(instance_text, params_key)
+        _adopt(prepared)
         chunk_results = [_run_chunk(tasks[0])]
         _WORKER_STATE.clear()
     else:
         with ProcessPoolExecutor(
             max_workers=len(chunks),
             initializer=_init_worker,
-            initargs=(instance_text, params_key),
+            initargs=(serialize_instance(inst), (args.alpha, args.beta, args.tau)),
         ) as pool:
             chunk_results = list(pool.map(_run_chunk, tasks))
 

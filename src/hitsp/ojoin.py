@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -152,15 +153,18 @@ class JoinVector:
     edges whose Bernoulli fired while both their last cuts were even;
     ``deficits`` maps canonical min-cut sides to the shortfall repaired in the
     increase step; ``increases[e]`` is the amount added to edge ``e``.
+    ``values[e] == Fraction(numerators[e], scale)``.
     """
 
     values: tuple[Fraction, ...]
     reduced: frozenset[int]
     deficits: dict
     increases: tuple[Fraction, ...]
+    numerators: tuple[int, ...]
+    scale: int
 
     def total(self) -> Fraction:
-        return sum(self.values, Fraction(0))
+        return Fraction(sum(self.numerators), self.scale)
 
 
 @dataclass(frozen=True)
@@ -273,30 +277,6 @@ def sample_hierarchical_tree(plan: SamplingPlan, rng: np.random.Generator) -> Tr
             edges.append(cls[int(rng.integers(len(cls)))])
     uniforms = {key: float(rng.random()) for key in bernoulli_unit_keys(plan)}
     return TreeSample(edges=tuple(sorted(edges)), bernoulli_uniforms=uniforms)
-
-
-def tree_cut_parity(
-    support: SupportGraph, vertices: frozenset[int], tree_edges: Iterable[int]
-) -> int:
-    """Parity of the number of tree edges crossing the vertex set."""
-    parity = 0
-    for e in tree_edges:
-        u, v = support.endpoints(e)
-        if (u in vertices) != (v in vertices):
-            parity ^= 1
-    return parity
-
-
-def even_at_last(
-    hierarchy: CutHierarchy, edge_id: int, tree_edges: Iterable[int]
-) -> bool:
-    """Whether both recorded last cuts of the edge are even in the tree."""
-    tree = tuple(tree_edges)
-    left, right = hierarchy.last_cuts(edge_id)
-    return (
-        tree_cut_parity(hierarchy.support, left, tree) == 0
-        and tree_cut_parity(hierarchy.support, right, tree) == 0
-    )
 
 
 def _xor_convolve(
@@ -435,25 +415,59 @@ def compute_even_at_last_probs(
         raise ValueError(f"unknown mode {mode!r}")
     if samples <= 0:
         raise ValueError("monte_carlo mode needs samples > 0")
+    crossing, last = cut_masks(hierarchy)
     hits = [0] * m
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     for _ in range(samples):
-        tree = sample_hierarchical_tree(plan, rng).edges
-        parities: dict[frozenset[int], int] = {}
+        parity = 0
+        for e in sample_hierarchical_tree(plan, rng).edges:
+            parity ^= crossing[e]
         for e in range(m):
-            for side in hierarchy.last_cuts(e):
-                if side not in parities:
-                    parities[side] = tree_cut_parity(plan.support, side, tree)
-        for e in range(m):
-            left, right = hierarchy.last_cuts(e)
-            if parities[left] == 0 and parities[right] == 0:
+            if not parity & last[e]:
                 hits[e] += 1
     return {e: Fraction(hits[e], samples) for e in range(m)}
 
 
+def cut_masks(hierarchy: CutHierarchy) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Per support edge: the bitmask of minimum cuts it crosses, and the
+    bitmask of its two last cuts.
+
+    Bit ``i`` stands for ``hierarchy.min_cuts[i]``, so the XOR of a
+    connector's crossing masks has bit ``i`` set exactly when the connector
+    crosses that cut an odd number of times.
+    """
+    n = hierarchy.support.n
+    m = len(hierarchy.support.edges)
+    index = {cut.vertices: i for i, cut in enumerate(hierarchy.min_cuts)}
+    crossing = [0] * m
+    for i, cut in enumerate(hierarchy.min_cuts):
+        for e in cut.boundary:
+            crossing[e] |= 1 << i
+    last = []
+    for e in range(m):
+        mask = 0
+        for side in hierarchy.last_cuts(e):
+            i = index.get(canonical_side(side, n))
+            if i is None:
+                raise PlanError(f"last cut {sorted(side)} of edge {e} is not a minimum cut")
+            mask |= 1 << i
+        last.append(mask)
+    return tuple(crossing), tuple(last)
+
+
 @dataclass(frozen=True)
 class PreparedInstance:
-    """Everything the per-sample pipeline needs, precomputed once."""
+    """Everything the per-sample pipeline needs, precomputed once.
+
+    The last five fields are the integer tables of ``build_join_vector``.
+    Cut ``i`` is ``cut_sides[i]``; ``edge_cut_mask[e]`` has bit ``i`` set when
+    edge ``e`` crosses cut ``i`` and ``last_cut_mask[e]`` marks the edge's two
+    last cuts.  Every vector entry, deficit and increase is an integer
+    multiple of ``1 / scale``.  ``unit_edges`` maps each Bernoulli unit to the
+    edges it may reduce (those with a positive even-at-last probability), and
+    ``cut_charges[i]`` lists ``(edge, share * scale)`` for every edge charging
+    to cut ``i`` with a positive share.
+    """
 
     instance: HalfIntegralInstance
     support: SupportGraph
@@ -469,6 +483,11 @@ class PreparedInstance:
     cut_boundary: dict
     metric: Metric
     base_value: Fraction
+    edge_cut_mask: tuple
+    last_cut_mask: tuple
+    scale: int
+    unit_edges: dict
+    cut_charges: tuple
 
 
 def prepare_instance(
@@ -485,20 +504,21 @@ def prepare_instance(
     hierarchy = build_hierarchy(support)
     plan = build_sampling_plan(hierarchy)
     probs = compute_even_at_last_probs(plan, mode=eal_mode, samples=eal_samples, seed=seed)
+    m = len(support.edges)
 
     for e in hierarchy.final_edges():
         if eal_mode == "exact" and probs[e] != 1:
             raise PlanError(f"final edge {e} has even-at-last probability {probs[e]} != 1")
 
     truncated: dict[int, Fraction] = {}
-    for e in range(len(support.edges)):
+    for e in range(m):
         kind = hierarchy.edge_level[e][0]
         cap = params.top_truncation if kind == "top" else params.bottom_truncation
         truncated[e] = min(cap, Fraction(probs[e]))
 
     unit_threshold: dict[tuple, Fraction] = {}
-    unit_of = tuple(unit_key_for_edge(plan, e) for e in range(len(support.edges)))
-    for e in range(len(support.edges)):
+    unit_of = tuple(unit_key_for_edge(plan, e) for e in range(m))
+    for e in range(m):
         key = unit_of[e]
         p = Fraction(probs[e])
         thr = Fraction(0) if p == 0 else truncated[e] / p
@@ -522,14 +542,27 @@ def prepare_instance(
         else:
             edge_share[side] = {f: Fraction(0) for f in members}
 
-    n = support.n
     cut_sides = tuple(cut.vertices for cut in hierarchy.min_cuts)
     cut_boundary = {cut.vertices: cut.boundary for cut in hierarchy.min_cuts}
-    known = set(cut_sides)
-    for e in range(len(support.edges)):
-        for side in hierarchy.last_cuts(e):
-            if canonical_side(side, n) not in known:
-                raise PlanError(f"last cut {sorted(side)} of edge {e} is not a minimum cut")
+    edge_cut_mask, last_cut_mask = cut_masks(hierarchy)
+
+    # Before increases every entry is base - reduction * {0, 1}, so deficits
+    # are multiples of 1 / lcm(den(base), den(reduction)); one more factor of
+    # every share denominator makes each share * deficit an integer over L.
+    base_value = Fraction(1, 4)
+    scale = lcm(base_value.denominator, params.reduction.denominator) * lcm(
+        *(s.denominator for shares in edge_share.values() for s in shares.values())
+    )
+    unit_edges = {
+        key: tuple(e for e in range(m) if unit_of[e] == key and probs[e] != 0)
+        for key in unit_threshold
+    }
+    cut_index = {side: i for i, side in enumerate(cut_sides)}
+    cut_charges: list[list[tuple[int, int]]] = [[] for _ in cut_sides]
+    for side, shares in edge_share.items():
+        cut_charges[cut_index[canonical_side(side, support.n)]].extend(
+            (f, (share * scale).numerator) for f, share in shares.items() if share
+        )
 
     return PreparedInstance(
         instance=inst,
@@ -545,15 +578,26 @@ def prepare_instance(
         cut_sides=cut_sides,
         cut_boundary=cut_boundary,
         metric=metric_closure(inst),
-        base_value=Fraction(1, 4),
+        base_value=base_value,
+        edge_cut_mask=edge_cut_mask,
+        last_cut_mask=last_cut_mask,
+        scale=scale,
+        unit_edges=unit_edges,
+        cut_charges=tuple(tuple(c) for c in cut_charges),
     )
 
 
 def resolve_bernoulli_units(prepared: PreparedInstance, sample: TreeSample) -> dict:
-    """Each unit fires when its uniform falls below the truncation ratio."""
+    """Each unit fires when its uniform falls below the truncation ratio.
+
+    ``u.as_integer_ratio()`` is exact, so cross-multiplying decides
+    ``Fraction(u) < threshold`` without building a ``Fraction``.
+    """
     out = {}
     for key, u in sample.bernoulli_uniforms.items():
-        out[key] = 1 if Fraction(u) < prepared.unit_threshold[key] else 0
+        a, b = u.as_integer_ratio()
+        t = prepared.unit_threshold[key]
+        out[key] = 1 if a * t.denominator < t.numerator * b else 0
     return out
 
 
@@ -565,62 +609,56 @@ def build_join_vector(prepared: PreparedInstance, sample: TreeSample) -> JoinVec
     Bernoulli unit fired.  Step 3 measures each minimum cut's shortfall below
     1 (only where the connector crosses it an odd number of times) and adds to
     every non-ring edge the larger of its two proportional repair shares.
+
+    All three steps run on integer numerators over ``prepared.scale``; the
+    cut parities are the bits of the XOR of the tree edges' crossing masks.
     """
-    support = prepared.support
-    hierarchy = prepared.hierarchy
-    params = prepared.params
-    n = support.n
-    m = len(support.edges)
-    tree = set(sample.edges)
-    units = resolve_bernoulli_units(prepared, sample)
+    scale = prepared.scale
+    m = len(prepared.support.edges)
+    crossing = prepared.edge_cut_mask
+    parity = 0
+    for e in sample.edges:
+        parity ^= crossing[e]
 
-    parity: dict[frozenset[int], int] = {}
-    for side in prepared.cut_sides:
-        parity[side] = sum(1 for e in prepared.cut_boundary[side] if e in tree) & 1
+    base = (prepared.base_value * scale).numerator
+    values = [base] * m
+    last = prepared.last_cut_mask
+    reduced = []
+    for key, fired in resolve_bernoulli_units(prepared, sample).items():
+        if fired:
+            reduced.extend(e for e in prepared.unit_edges[key] if not parity & last[e])
+    reduction = (prepared.params.reduction * scale).numerator
+    for e in reduced:
+        values[e] -= reduction
 
-    def side_parity(side: frozenset[int]) -> int:
-        return parity[canonical_side(side, n)]
+    deficits: dict[int, int] = {}
+    # ``cut_boundary`` is in ``cut_sides`` order; every minimum cut has
+    # exactly four boundary edges.
+    for i, (a, b, c, d) in enumerate(prepared.cut_boundary.values()):
+        if parity >> i & 1:
+            shortfall = scale - values[a] - values[b] - values[c] - values[d]
+            if shortfall > 0:
+                deficits[i] = shortfall
 
-    values = [prepared.base_value] * m
-    reduced = set()
-    for e in range(m):
-        if prepared.eal_probability[e] == 0:
-            continue
-        left, right = hierarchy.last_cuts(e)
-        if side_parity(left) == 0 and side_parity(right) == 0 and units[prepared.unit_of[e]]:
-            values[e] -= params.reduction
-            reduced.add(e)
+    increases: dict[int, int] = {}
+    for i, deficit in deficits.items():
+        for f, share in prepared.cut_charges[i]:
+            amount = share * deficit // scale
+            if amount > increases.get(f, 0):
+                increases[f] = amount
+    for f, amount in increases.items():
+        values[f] += amount
 
-    deficits: dict[frozenset[int], Fraction] = {}
-    for side in prepared.cut_sides:
-        if parity[side] == 0:
-            deficits[side] = Fraction(0)
-            continue
-        total = sum((values[e] for e in prepared.cut_boundary[side]), Fraction(0))
-        deficits[side] = max(Fraction(0), 1 - total)
-
-    increases = [Fraction(0)] * m
-    final_edges = set(hierarchy.final_edges())
-    for e in range(m):
-        if e in final_edges:
-            continue
-        best = Fraction(0)
-        for side in hierarchy.last_cuts(e):
-            deficit = deficits[canonical_side(side, n)]
-            if deficit == 0:
-                continue
-            share = prepared.edge_share.get(side, {}).get(e, Fraction(0))
-            if share * deficit > best:
-                best = share * deficit
-        if best > 0:
-            values[e] += best
-            increases[e] = best
-
+    exact = {x: Fraction(x, scale) for x in {0, *values, *deficits.values(), *increases.values()}}
     return JoinVector(
-        values=tuple(values),
+        values=tuple(exact[x] for x in values),
         reduced=frozenset(reduced),
-        deficits=deficits,
-        increases=tuple(increases),
+        deficits={
+            side: exact[deficits.get(i, 0)] for i, side in enumerate(prepared.cut_sides)
+        },
+        increases=tuple(exact[increases.get(e, 0)] for e in range(m)),
+        numerators=tuple(values),
+        scale=scale,
     )
 
 
@@ -905,15 +943,16 @@ def run_sample(
     cut_loads = None
     if build_vector:
         vector = build_join_vector(prepared, sample)
+        nums, scale = vector.numerators, vector.scale
         vector_total = vector.total()
         reduced_count = len(vector.reduced)
-        min_edge_value = min(vector.values)
-        cut_loads = {
-            side: sum(
-                (vector.values[e] for e in prepared.cut_boundary[side]), Fraction(0)
-            )
-            for side in prepared.cut_sides
+        min_edge_value = Fraction(min(nums), scale)
+        loads = {
+            side: nums[a] + nums[b] + nums[c] + nums[d]
+            for side, (a, b, c, d) in prepared.cut_boundary.items()
         }
+        exact = {x: Fraction(x, scale) for x in set(loads.values())}
+        cut_loads = {side: exact[x] for side, x in loads.items()}
         if check_vector:
             result = check_feasible(
                 prepared.support,

@@ -6,6 +6,7 @@ import pytest
 
 from hitsp.cli import main
 from hitsp.instance import parse_instance
+from hitsp.ojoin import prepare_instance
 
 
 def read_json(path):
@@ -107,6 +108,33 @@ def test_run_results_do_not_depend_on_chunking(chain_file, tmp_path):
         data = read_json(str(out))
         reports.append((data["results"], data["seeds"]["sample_states"]))
     assert reports[0] == reports[1]
+
+
+def test_run_prepares_the_instance_once_at_one_job(chain_file, tmp_path, monkeypatch):
+    import hitsp.cli
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return prepare_instance(*args, **kwargs)
+
+    monkeypatch.setattr(hitsp.cli, "prepare_instance", counting)
+    assert main(["run", "--instance", chain_file, "--samples", "12",
+                 "--jobs", "1", "--out", str(tmp_path / "r.json")]) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_run_rejects_non_positive_samples(samples, monkeypatch, capsys):
+    import hitsp.cli
+
+    def no_prepare(*args, **kwargs):
+        raise AssertionError("prepared an instance for an invalid run")
+
+    monkeypatch.setattr(hitsp.cli, "prepare_instance", no_prepare)
+    assert main(["run", "--gen", "envelope:2", "--samples", samples]) == 2
+    assert "--samples must be positive" in capsys.readouterr().err
 
 
 def test_run_float_mode_and_csv(chain_file, tmp_path):

@@ -1,12 +1,13 @@
 """Hierarchical sampling, correction vectors, feasibility, joins, and tours."""
 
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 import pytest
 
-from hitsp.cuts import boundary_edges, build_hierarchy
+from hitsp.cuts import boundary_edges, build_hierarchy, canonical_side
 from hitsp.instance import (
     GADGET_BUILDERS,
     build_support_graph,
@@ -18,6 +19,7 @@ from hitsp.ojoin import (
     ChargingParams,
     DEFAULT_TOP_TRUNCATION,
     JoinCalculator,
+    TreeSample,
     bernoulli_unit_keys,
     build_join_vector,
     build_sampling_plan,
@@ -26,6 +28,7 @@ from hitsp.ojoin import (
     compute_even_at_last_probs,
     odd_vertices,
     prepare_instance,
+    resolve_bernoulli_units,
     run_sample,
     sample_hierarchical_tree,
     sample_rng,
@@ -322,3 +325,97 @@ def test_run_sample_populates_cut_loads(chain2):
         assert out.cut_loads[side] == sum(
             (vector.values[e] for e in chain2.cut_boundary[side]), Fraction(0)
         )
+
+
+def reference_join_vector(prepared, sample):
+    """The all-``Fraction`` construction, kept as the reference for the
+    integer kernel: per-cut parities from boundary counts, per-cut sums."""
+    support = prepared.support
+    hierarchy = prepared.hierarchy
+    n = support.n
+    m = len(support.edges)
+    tree = set(sample.edges)
+    units = {
+        key: Fraction(u) < prepared.unit_threshold[key]
+        for key, u in sample.bernoulli_uniforms.items()
+    }
+    parity = {
+        side: sum(1 for e in prepared.cut_boundary[side] if e in tree) & 1
+        for side in prepared.cut_sides
+    }
+    values = [prepared.base_value] * m
+    reduced = set()
+    for e in range(m):
+        if prepared.eal_probability[e] == 0:
+            continue
+        left, right = hierarchy.last_cuts(e)
+        if (
+            parity[canonical_side(left, n)] == 0
+            and parity[canonical_side(right, n)] == 0
+            and units[prepared.unit_of[e]]
+        ):
+            values[e] -= prepared.params.reduction
+            reduced.add(e)
+    deficits = {}
+    for side in prepared.cut_sides:
+        if parity[side] == 0:
+            deficits[side] = Fraction(0)
+            continue
+        total = sum((values[e] for e in prepared.cut_boundary[side]), Fraction(0))
+        deficits[side] = max(Fraction(0), 1 - total)
+    increases = [Fraction(0)] * m
+    final_edges = set(hierarchy.final_edges())
+    for e in range(m):
+        if e in final_edges:
+            continue
+        best = Fraction(0)
+        for side in hierarchy.last_cuts(e):
+            deficit = deficits[canonical_side(side, n)]
+            share = prepared.edge_share.get(side, {}).get(e, Fraction(0))
+            best = max(best, share * deficit)
+        values[e] += best
+        increases[e] = best
+    return values, frozenset(reduced), deficits, increases
+
+
+# random_half_integral:10 has top edges and non-dyadic unit thresholds;
+# four_blob is where an edge's two last cuts offer different positive repairs.
+@pytest.mark.parametrize(
+    "spec", ["envelope:3", "cycle_chain:10", "random_half_integral:10", "four_blob"]
+)
+def test_integer_kernel_matches_fraction_reference(spec):
+    family, _, size = spec.partition(":")
+    inst = generate_instance(family, int(size)) if size else GADGET_BUILDERS[spec]()
+    prepared = prepare_instance(inst)
+    joins = JoinCalculator(prepared.metric)
+    for seed in range(200):
+        sample = sample_hierarchical_tree(prepared.plan, sample_rng(seed, 0))
+        values, reduced, deficits, increases = reference_join_vector(prepared, sample)
+        vector = build_join_vector(prepared, sample)
+        assert vector.values == tuple(values)
+        assert vector.reduced == reduced
+        assert vector.deficits == deficits
+        assert vector.increases == tuple(increases)
+        out = run_sample(prepared, sample_rng(seed, 0), joins)
+        assert out.tree_edges == sample.edges
+        assert out.vector_total == sum(values, Fraction(0))
+        assert out.min_edge_value == min(values)
+        assert out.cut_loads == {
+            side: sum((values[e] for e in prepared.cut_boundary[side]), Fraction(0))
+            for side in prepared.cut_sides
+        }
+
+
+def test_unit_fires_exactly_below_its_threshold(chain2):
+    key = bernoulli_unit_keys(chain2.plan)[0]
+    for threshold in (Fraction(1, 2), Fraction(3, 8), Fraction(1, 3), DEFAULT_TOP_TRUNCATION):
+        prepared = replace(chain2, unit_threshold={**chain2.unit_threshold, key: threshold})
+        at = float(threshold)
+        for u in (at, np.nextafter(at, 0.0), np.nextafter(at, 1.0)):
+            sample = TreeSample(edges=(), bernoulli_uniforms={key: float(u)})
+            fired = resolve_bernoulli_units(prepared, sample)[key]
+            assert fired == (Fraction(float(u)) < threshold)
+        if threshold.denominator & (threshold.denominator - 1) == 0:
+            # a dyadic threshold is a float: equality must not fire
+            sample = TreeSample(edges=(), bernoulli_uniforms={key: at})
+            assert resolve_bernoulli_units(prepared, sample)[key] == 0
