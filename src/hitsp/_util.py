@@ -14,6 +14,10 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 
+class ResourceCapError(RuntimeError):
+    """A request exceeds a configured size or outcome budget."""
+
+
 def parse_rational(value: object) -> Fraction:
     """Parse an exact rational from an int, a Fraction, or a ``"p/q"`` string.
 

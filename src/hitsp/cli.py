@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
@@ -20,7 +21,7 @@ from math import sqrt
 
 import numpy as np
 
-from ._util import canonical_json, format_rational, parse_rational
+from ._util import ResourceCapError, canonical_json, format_rational, parse_rational
 from .cuts import InternalHierarchyError, build_hierarchy
 from .degreecut import (
     DegreeCutError,
@@ -45,6 +46,7 @@ from .instance import (
     split_vertex_for_eplus,
 )
 from .ojoin import (
+    FEASIBILITY_CHECK_LIMIT,
     ChargingParams,
     JoinCalculator,
     PlanError,
@@ -54,7 +56,6 @@ from .ojoin import (
 )
 from .oracle import (
     LemmaCheck,
-    ResourceCapError,
     exact_pipeline_expectations,
     run_lemma_battery,
 )
@@ -129,12 +130,19 @@ def load_instance(args: argparse.Namespace) -> HalfIntegralInstance:
     raise InstanceError("provide --instance PATH or --gen FAMILY:SIZE")
 
 
+class ArgumentError(ValueError):
+    """A command-line value is malformed or out of range."""
+
+
 def charging_params(args: argparse.Namespace) -> ChargingParams:
-    return ChargingParams(
-        alpha=parse_rational(args.alpha) if args.alpha else None,
-        beta=parse_rational(args.beta) if args.beta else None,
-        tau=parse_rational(args.tau) if args.tau else None,
-    )
+    try:
+        return ChargingParams(
+            alpha=parse_rational(args.alpha) if args.alpha else None,
+            beta=parse_rational(args.beta) if args.beta else None,
+            tau=parse_rational(args.tau) if args.tau else None,
+        )
+    except ValueError as exc:
+        raise ArgumentError(f"--alpha/--beta/--tau: {exc}") from exc
 
 
 def _config_dict(args: argparse.Namespace, fields: tuple[str, ...]) -> dict:
@@ -210,7 +218,9 @@ _WORKER_STATE: dict = {}
 
 
 def _chunk_ranges(samples: int, jobs: int) -> list[tuple[int, int]]:
-    jobs = max(1, min(jobs, samples))
+    """Contiguous sample ranges, one per worker; never more workers than
+    samples or than the machine has CPUs."""
+    jobs = max(1, min(jobs, samples, os.cpu_count() or 1))
     base, extra = divmod(samples, jobs)
     ranges = []
     start = 0
@@ -270,6 +280,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     inst = load_instance(args)
     params = charging_params(args)
     prepared = prepare_instance(inst, params=params)
+    if args.check_vectors and prepared.support.n > FEASIBILITY_CHECK_LIMIT:
+        raise ResourceCapError(
+            f"--check-vectors needs support n <= {FEASIBILITY_CHECK_LIMIT}, "
+            f"got n = {prepared.support.n}"
+        )
     lp = inst.lp_cost()
     samples = args.samples
     chunks = _chunk_ranges(samples, args.jobs)
@@ -801,6 +816,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INVALID
     except (PlanError, InternalHierarchyError) as exc:
         sys.stderr.write(f"structure error: {exc}\n")
+        return EXIT_INVALID
+    except ArgumentError as exc:
+        sys.stderr.write(f"invalid arguments: {exc}\n")
         return EXIT_INVALID
     except ResourceCapError as exc:
         sys.stderr.write(f"resource cap: {exc}\n")

@@ -233,9 +233,6 @@ class CutHierarchy:
     def degree_nodes(self) -> tuple[CutNode, ...]:
         return tuple(nd for nd in self.nodes if nd.kind == "degree" and nd.children)
 
-    def node_by_vertexset(self) -> dict[frozenset[int], CutNode]:
-        return {nd.vertices: nd for nd in self.nodes}
-
     def last_cuts(self, edge_id: int) -> tuple[frozenset[int], frozenset[int]]:
         return self.edge_last_cuts[edge_id]
 

@@ -33,14 +33,8 @@ from .instance import (
     build_support_graph,
     metric_closure,
 )
-from .maxent import (
-    fit_lambda,
-    joint_distribution,
-    parity_pair_distribution,
-    sample_tree,
-    tree_marginals,
-)
-from .ojoin import JoinCalculator, build_tour, check_feasible, odd_vertices
+from .maxent import TreeKernel, fit_lambda, sample_tree, tree_marginals
+from .ojoin import JoinCalculator, _xor_convolve, build_tour, check_feasible, odd_vertices
 
 
 class DegreeCutError(ValueError):
@@ -514,6 +508,14 @@ def _always_in_tree(context: MatchingContext) -> set[int]:
     return set(context.pinned) | {context.forced_edge}
 
 
+def _level_kernel(kernels: dict[int, TreeKernel], context: MatchingContext, i: int) -> TreeKernel:
+    """The exact kernel of ``context.levels[i]``, built on first use."""
+    if i not in kernels:
+        level = context.levels[i]
+        kernels[i] = TreeKernel(level.vertex_count, level.level_edges, level.lam_exact)
+    return kernels[i]
+
+
 def normal_even_probability(
     instance: HalfIntegralInstance, context: MatchingContext, edge: int
 ) -> Fraction:
@@ -523,6 +525,15 @@ def normal_even_probability(
     when an odd number of its three other edges enter; those live in the
     independent levels, whose parity laws convolve.
     """
+    return _normal_even(instance, context, edge, {})
+
+
+def _normal_even(
+    instance: HalfIntegralInstance,
+    context: MatchingContext,
+    edge: int,
+    kernels: dict[int, TreeKernel],
+) -> Fraction:
     e = instance.edges[edge]
     certain = _always_in_tree(context)
 
@@ -534,7 +545,7 @@ def normal_even_probability(
         )
 
     law = {(0, 0): Fraction(1)}
-    for level in context.levels:
+    for i, level in enumerate(context.levels):
         focus_u = [
             pos
             for pos, idx in enumerate(level.edge_ids)
@@ -547,21 +558,8 @@ def normal_even_probability(
         ]
         if not focus_u and not focus_v:
             continue
-        level_law = parity_pair_distribution(
-            level.vertex_count,
-            list(level.level_edges),
-            list(level.lam_exact),
-            focus_u,
-            focus_v,
-        )
-        nxt: dict[tuple[int, int], Fraction] = {}
-        for (p1, q1), w1 in law.items():
-            for (p2, q2), w2 in level_law.items():
-                if w2 == 0:
-                    continue
-                key = (p1 ^ p2, q1 ^ q2)
-                nxt[key] = nxt.get(key, Fraction(0)) + w1 * w2
-        law = nxt
+        level_law = _level_kernel(kernels, context, i).parity_pair(focus_u, focus_v)
+        law = _xor_convolve(law, level_law)
     want_u = certain_degree(e.u) % 2
     want_v = certain_degree(e.v) % 2
     return law.get((want_u, want_v), Fraction(0))
@@ -590,7 +588,8 @@ def exactly_one_each_probability(
     base_u = sum(1 for i in side_u if i in certain)
     base_v = sum(1 for i in side_v if i in certain)
     law = {(base_u, base_v): Fraction(1)}
-    for level in context.levels:
+    kernels: dict[int, TreeKernel] = {}
+    for i, level in enumerate(context.levels):
         focus = [
             pos
             for pos, idx in enumerate(level.edge_ids)
@@ -598,12 +597,7 @@ def exactly_one_each_probability(
         ]
         if not focus:
             continue
-        joint = joint_distribution(
-            level.vertex_count,
-            list(level.level_edges),
-            list(level.lam_exact),
-            focus,
-        )
+        joint = _level_kernel(kernels, context, i).joint(focus)
         level_law: dict[tuple[int, int], Fraction] = {}
         for pattern, prob in joint.probabilities.items():
             cu = sum(
@@ -632,8 +626,9 @@ def expected_edge_vector(
 ) -> list[Fraction]:
     """E[y_e] for one matching: base values minus the reduction mass."""
     values = base_correction_values(instance, context)
+    kernels: dict[int, TreeKernel] = {}
     for e in context.normal_edges:
-        values[e] -= Fraction(1, 3) * normal_even_probability(instance, context, e)
+        values[e] -= Fraction(1, 3) * _normal_even(instance, context, e, kernels)
     return values
 
 

@@ -131,13 +131,6 @@ class SupportGraph:
         e = self.edges[edge_id]
         return (e.u, e.v)
 
-    def lp_value(self, edge_id: int) -> Fraction:
-        """Per-copy LP value: every support copy carries weight 1/2."""
-        return HALF
-
-    def edge_array(self) -> np.ndarray:
-        return np.array([(e.u, e.v) for e in self.edges], dtype=np.int64)
-
 
 @dataclass(frozen=True)
 class Metric:
@@ -145,9 +138,6 @@ class Metric:
 
     n: int
     dist: tuple[tuple[Fraction, ...], ...]
-
-    def distance(self, u: int, v: int) -> Fraction:
-        return self.dist[u][v]
 
 
 def _validate(

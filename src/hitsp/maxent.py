@@ -3,7 +3,8 @@
 A distribution over spanning trees of a multigraph is described by one weight
 per edge; a tree's probability is proportional to the product of its edge
 weights.  This module provides exact (rational-arithmetic) and float routines
-for tree counts, single-edge marginals, small joint laws and parity laws, a
+for tree counts and single-edge marginals, an exact kernel (one inverse of
+the grounded Laplacian) for marginals, small joint laws and parity laws, a
 multiplicative fixed-point fitter that finds weights realizing prescribed
 marginals, and a loop-erased random-walk sampler.
 
@@ -17,19 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class LambdaWeights:
-    """Per-edge tree weights, aligned with the graph's edge list."""
-
-    values: tuple
-
-    def __len__(self) -> int:
-        return len(self.values)
 
 
 @dataclass(frozen=True)
@@ -183,23 +174,168 @@ def _contract(
     return (len(roots), remapped, had_cycle)
 
 
+def _rationalized(lam: Sequence) -> list[Fraction]:
+    """Exact weights as given; float weights rounded to denominators <= 10^12."""
+    if _is_exact(lam):
+        return [Fraction(v) for v in lam]
+    return [Fraction(v).limit_denominator(10**12) for v in lam]
+
+
+def _psd_inverse(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Exact inverse of a symmetric positive semidefinite matrix, via L D L^T.
+
+    Elimination needs no pivoting: a zero pivot of a PSD matrix zeroes its
+    whole row, so the matrix is singular (ValueError).  By symmetry only the
+    upper triangle is updated; afterwards row i holds d_i on the diagonal and
+    d_i * L[k][i] at k > i, and the inverse X follows from L^T X = D^-1 L^-1
+    row by row from the bottom.
+    """
+    size = len(matrix)
+    zero = Fraction(0)
+    rows = [row[:] for row in matrix]
+    for c in range(size):
+        top = rows[c]
+        pivot = top[c]
+        if pivot == 0:
+            raise ValueError("matrix is singular")
+        for r in range(c + 1, size):
+            if top[r] != 0:
+                factor = top[r] / pivot
+                row = rows[r]
+                row[r:] = [a - factor * b for a, b in zip(row[r:], top[r:])]
+    inverse = [[zero] * size for _ in range(size)]
+    for i in reversed(range(size)):
+        d = rows[i][i]
+        ell = [(k, x / d) for k, x in enumerate(rows[i]) if k > i and x != 0]
+        for j in range(i + 1, size):
+            inverse[i][j] = inverse[j][i] = -sum((l * inverse[k][j] for k, l in ell), zero)
+        inverse[i][i] = 1 / d - sum((l * inverse[k][i] for k, l in ell), zero)
+    return inverse
+
+
+class TreeKernel:
+    """Exact transfer-current kernel of one weighted multigraph's tree law.
+
+    The grounded Laplacian L (vertex 0's row and column removed) is inverted
+    once, in Fractions.  With b_e the signed incidence vector of edge e and
+    y(e, f) = b_e^T L^-1 b_f, tree membership is a determinantal process with
+    kernel K(e, f) = lam_e * y(e, f) (Burton-Pemantle), so each exact query is
+    a determinant no larger than its focus set:
+
+    - the marginal of e is K(e, e) (Kirchhoff);
+    - E[(-1)^|T & F|] = det(L - 2 B_F W_F B_F^T) / det L = det(I - 2 K_F)
+      (matrix determinant lemma);
+    - P[T & F = S] is det K_F with every row outside S replaced by I - K.
+
+    Float weights are rounded to denominators <= 10^12 first.  Weights must
+    be non-negative, which makes L positive semidefinite.  Raises ValueError
+    when the graph has no spanning tree.
+    """
+
+    def __init__(self, n: int, edges: Sequence[tuple[int, int]], lam: Sequence):
+        self.edges = tuple(edges)
+        self.lam = tuple(_rationalized(lam))
+        if any(w < 0 for w in self.lam):
+            raise ValueError("tree weights must be non-negative")
+        zero = Fraction(0)
+        lap = [[zero] * n for _ in range(n)]
+        for (u, v), w in zip(self.edges, self.lam):
+            if u != v:
+                lap[u][u] += w
+                lap[v][v] += w
+                lap[u][v] -= w
+                lap[v][u] -= w
+        try:
+            inverse = _psd_inverse([row[1:] for row in lap[1:]])
+        except ValueError:
+            raise ValueError("graph has no spanning tree") from None
+        # L^-1 padded with a zero row and column for the grounded vertex.
+        self._rows = [[zero] * n] + [[zero] + row for row in inverse]
+        self._potentials: dict[int, list[Fraction]] = {}
+        # Cuts recur across the pairs a caller asks about, so flip sets do too.
+        self._signs: dict[frozenset[int], Fraction] = {}
+
+    def _potential(self, f: int) -> list[Fraction]:
+        """L^-1 b_f: the vertex potentials of a unit current through edge f."""
+        pot = self._potentials.get(f)
+        if pot is None:
+            u, v = self.edges[f]
+            pot = [a - b for a, b in zip(self._rows[u], self._rows[v])]
+            self._potentials[f] = pot
+        return pot
+
+    def transfer(self, e: int, f: int) -> Fraction:
+        """K(e, f) = lam_e * b_e^T L^-1 b_f."""
+        u, v = self.edges[e]
+        pot = self._potential(f)
+        return self.lam[e] * (pot[u] - pot[v])
+
+    def marginals(self) -> tuple[Fraction, ...]:
+        """Per-edge membership probabilities lam_e * R_eff(e); loops get 0."""
+        rows = self._rows
+        return tuple(
+            w * (rows[u][u] - 2 * rows[u][v] + rows[v][v])
+            for (u, v), w in zip(self.edges, self.lam)
+        )
+
+    def sign_expectation(self, flips: Iterable[int]) -> Fraction:
+        """E[(-1)^|T & flips|] = det(I - 2 K_F)."""
+        key = frozenset(flips)
+        if key not in self._signs:
+            order = sorted(key)
+            matrix = [
+                [int(i == j) - 2 * self.transfer(e, f) for j, f in enumerate(order)]
+                for i, e in enumerate(order)
+            ]
+            self._signs[key] = _determinant(matrix, exact=True)
+        return self._signs[key]
+
+    def parity_pair(
+        self, focus_a: Iterable[int], focus_b: Iterable[int]
+    ) -> dict[tuple[int, int], Fraction]:
+        """Joint law of (|T & A| mod 2, |T & B| mod 2) from four characters."""
+        set_a, set_b = set(focus_a), set(focus_b)
+        char = {
+            (0, 0): Fraction(1),
+            (1, 0): self.sign_expectation(set_a),
+            (0, 1): self.sign_expectation(set_b),
+            (1, 1): self.sign_expectation(set_a ^ set_b),
+        }
+        law: dict[tuple[int, int], Fraction] = {}
+        for p in (0, 1):
+            for q in (0, 1):
+                acc = Fraction(0)
+                for (a_bit, b_bit), value in char.items():
+                    acc += -value if (a_bit * p + b_bit * q) % 2 else value
+                law[(p, q)] = acc / 4
+        return law
+
+    def joint(self, focus: Sequence[int]) -> JointDistribution:
+        """Exact joint membership law over the focus edges, zero patterns omitted."""
+        focus = tuple(focus)
+        kernel = [[self.transfer(e, f) for f in focus] for e in focus]
+        probabilities: dict[tuple[int, ...], Fraction] = {}
+        for r in range(len(focus) + 1):
+            for inside in combinations(range(len(focus)), r):
+                pattern = tuple(1 if i in inside else 0 for i in range(len(focus)))
+                matrix = [
+                    row if bit else [int(i == j) - x for j, x in enumerate(row)]
+                    for i, (row, bit) in enumerate(zip(kernel, pattern))
+                ]
+                prob = _determinant(matrix, exact=True)
+                if prob != 0:
+                    probabilities[pattern] = prob
+        return JointDistribution(edges=focus, probabilities=probabilities)
+
+
 def tree_marginals(n: int, edges: Sequence[tuple[int, int]], lam: Sequence) -> MarginalVector:
-    """Per-edge membership probabilities under the weighted tree distribution."""
-    exact = _is_exact(lam)
-    if exact:
-        total = count_weighted_trees(n, edges, lam)
-        if total == 0:
-            raise ValueError("graph has no spanning tree")
-        out = []
-        for idx, (u, v) in enumerate(edges):
-            if u == v:
-                out.append(Fraction(0))
-                continue
-            cn, cedges, _ = _contract(n, edges, [(u, v)])
-            rest = [e for i, e in enumerate(cedges) if i != idx]
-            rest_lam = [w for i, w in enumerate(lam) if i != idx]
-            out.append(Fraction(lam[idx]) * count_weighted_trees(cn, rest, rest_lam) / total)
-        return MarginalVector(values=tuple(out))
+    """Per-edge membership probabilities under the weighted tree distribution.
+
+    Exact through :class:`TreeKernel` when all weights are ints/Fractions;
+    float effective resistances otherwise.
+    """
+    if _is_exact(lam):
+        return MarginalVector(values=TreeKernel(n, edges, lam).marginals())
     return MarginalVector(values=tuple(_float_marginals(n, edges, [float(v) for v in lam])))
 
 
@@ -378,41 +514,13 @@ def joint_distribution(
 ) -> JointDistribution:
     """Exact joint membership law over up to 10 focus edges.
 
-    Each pattern's probability is a contraction/deletion tree count: focus
-    edges marked 1 are contracted (weight factored out), marked 0 deleted.
+    Each pattern's probability is one transfer-current determinant of
+    :class:`TreeKernel`; patterns with probability zero are omitted.
     """
     focus = tuple(focus)
     if len(focus) > 10:
         raise ValueError("joint_distribution supports at most 10 focus edges")
-    if not _is_exact(lam):
-        lam = [Fraction(v).limit_denominator(10**12) for v in lam]
-    total = count_weighted_trees(n, edges, lam)
-    if total == 0:
-        raise ValueError("graph has no spanning tree")
-    focus_set = set(focus)
-    probabilities: dict[tuple[int, ...], Fraction] = {}
-    for r in range(len(focus) + 1):
-        for inside in combinations(range(len(focus)), r):
-            member = [focus[i] for i in inside]
-            pattern = tuple(1 if i in inside else 0 for i in range(len(focus)))
-            cn, cedges, had_cycle = _contract(n, edges, [edges[e] for e in member])
-            if had_cycle:
-                continue
-            keep = [
-                i
-                for i in range(len(edges))
-                if i not in focus_set and cedges[i][0] != cedges[i][1]
-            ]
-            weight = Fraction(1)
-            for e in member:
-                weight *= Fraction(lam[e])
-            count = count_weighted_trees(
-                cn, [cedges[i] for i in keep], [lam[i] for i in keep]
-            )
-            prob = weight * count / total
-            if prob != 0:
-                probabilities[pattern] = prob
-    return JointDistribution(edges=focus, probabilities=probabilities)
+    return TreeKernel(n, edges, lam).joint(focus)
 
 
 def parity_distribution(
@@ -420,21 +528,14 @@ def parity_distribution(
     edges: Sequence[tuple[int, int]],
     lam: Sequence,
     focus: Sequence[int],
-):
+) -> Fraction:
     """P[|T ∩ focus| is even], exactly, via the signed-weight tree count.
 
     Flipping the sign of the focus edges' weights turns the tree sum into the
-    expectation of (-1)^{|T ∩ focus|}; no enumeration over patterns needed.
+    expectation of (-1)^{|T ∩ focus|}, an |focus| x |focus| determinant of
+    :class:`TreeKernel`; no enumeration over patterns needed.
     """
-    if not _is_exact(lam):
-        lam = [Fraction(v).limit_denominator(10**12) for v in lam]
-    total = count_weighted_trees(n, edges, lam)
-    if total == 0:
-        raise ValueError("graph has no spanning tree")
-    focus_set = set(focus)
-    signed = [(-Fraction(v) if i in focus_set else Fraction(v)) for i, v in enumerate(lam)]
-    ratio = count_weighted_trees(n, edges, signed) / total
-    return (1 + ratio) / 2
+    return (1 + TreeKernel(n, edges, lam).sign_expectation(focus)) / 2
 
 
 def parity_pair_distribution(
@@ -447,36 +548,10 @@ def parity_pair_distribution(
     """Exact joint law of (|T∩A| mod 2, |T∩B| mod 2) via four signed counts.
 
     The characters of Z2 x Z2 diagonalize the parity law, so four signed
-    tree counts recover all four probabilities.
+    tree counts (three small determinants of :class:`TreeKernel`) recover all
+    four probabilities.
     """
-    if not _is_exact(lam):
-        lam = [Fraction(v).limit_denominator(10**12) for v in lam]
-    total = count_weighted_trees(n, edges, lam)
-    if total == 0:
-        raise ValueError("graph has no spanning tree")
-    set_a, set_b = set(focus_a), set(focus_b)
-    char: dict[tuple[int, int], Fraction] = {}
-    for a_bit in (0, 1):
-        for b_bit in (0, 1):
-            signed = []
-            for i, v in enumerate(lam):
-                sign = 1
-                if a_bit and i in set_a:
-                    sign = -sign
-                if b_bit and i in set_b:
-                    sign = -sign
-                signed.append(sign * Fraction(v))
-            char[(a_bit, b_bit)] = count_weighted_trees(n, edges, signed) / total
-    law: dict[tuple[int, int], Fraction] = {}
-    for p in (0, 1):
-        for q in (0, 1):
-            acc = Fraction(0)
-            for a_bit in (0, 1):
-                for b_bit in (0, 1):
-                    sign = -1 if (a_bit * p + b_bit * q) % 2 else 1
-                    acc += sign * char[(a_bit, b_bit)]
-            law[(p, q)] = acc / 4
-    return law
+    return TreeKernel(n, edges, lam).parity_pair(focus_a, focus_b)
 
 
 def enumerate_spanning_trees(

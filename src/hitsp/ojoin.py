@@ -22,6 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from ._util import ResourceCapError
 from .cuts import (
     CutHierarchy,
     InternalHierarchyError,
@@ -37,17 +38,13 @@ from .instance import (
     metric_closure,
     split_vertex_for_eplus,
 )
-from .maxent import (
-    count_weighted_trees,
-    fit_lambda,
-    parity_pair_distribution,
-    sample_tree,
-    tree_marginals,
-)
+from .maxent import TreeKernel, fit_lambda, sample_tree, tree_marginals
 
 DEFAULT_TOP_TRUNCATION = Fraction(1_129_032, 10**7)
 DEFAULT_BOTTOM_TRUNCATION = Fraction(1, 4)
 DEFAULT_REDUCTION = Fraction(1, 12)
+# check_feasible scans all 2^(n-1) vertex-set sides of the support graph.
+FEASIBILITY_CHECK_LIMIT = 26
 
 
 @dataclass(frozen=True)
@@ -335,8 +332,12 @@ def _level_parity_law(
     level,
     side_a: frozenset[int],
     side_b: frozenset[int],
+    kernels: dict[int, TreeKernel],
 ) -> dict[tuple[int, int], Fraction]:
-    """Exact joint law of the level's parity contributions to two cuts."""
+    """Exact joint law of the level's parity contributions to two cuts.
+
+    ``kernels`` maps each cut-free level's node id to its exact kernel.
+    """
     support = plan.support
     if isinstance(level, CycleLevel):
         law = {(0, 0): Fraction(1)}
@@ -354,13 +355,7 @@ def _level_parity_law(
         focus_b = [i for i, b in enumerate(bits) if b[1]]
         if not focus_a and not focus_b:
             return {(0, 0): Fraction(1)}
-        return parity_pair_distribution(
-            level.vertex_count,
-            list(level.level_edges),
-            list(level.lam_exact),
-            focus_a,
-            focus_b,
-        )
+        return kernels[level.node_id].parity_pair(focus_a, focus_b)
     law = {(0, 0): Fraction(1)}
     for idx, cls in enumerate(level.classes):
         if idx == level.forced_class:
@@ -377,13 +372,24 @@ def _all_levels(plan: SamplingPlan):
     return list(plan.cycle_levels) + list(plan.degree_levels) + [plan.final_level]
 
 
-def joint_even_probability(
-    plan: SamplingPlan, side_a: frozenset[int], side_b: frozenset[int]
+def level_kernels(plan: SamplingPlan) -> dict[int, TreeKernel]:
+    """One exact kernel per cut-free level, keyed by node id."""
+    return {
+        level.node_id: TreeKernel(level.vertex_count, level.level_edges, level.lam_exact)
+        for level in plan.degree_levels
+    }
+
+
+def _joint_even(
+    plan: SamplingPlan,
+    side_a: frozenset[int],
+    side_b: frozenset[int],
+    kernels: dict[int, TreeKernel],
 ) -> Fraction:
     """P[both cuts crossed evenly], via per-level parity laws convolved."""
     law = {(0, 0): Fraction(1)}
     for level in _all_levels(plan):
-        law = _xor_convolve(law, _level_parity_law(plan, level, side_a, side_b))
+        law = _xor_convolve(law, _level_parity_law(plan, level, side_a, side_b, kernels))
     return law.get((0, 0), Fraction(0))
 
 
@@ -396,19 +402,21 @@ def compute_even_at_last_probs(
     """Per-edge probability that both last cuts are even in the sampled tree.
 
     ``exact`` multiplies independent level parity laws (chain and ring levels
-    enumerated, cut-free levels via signed tree counts).  ``monte_carlo``
-    estimates the same quantities from ``samples`` sampled trees.
+    enumerated, cut-free levels via signed tree counts from one exact kernel
+    per level, built once per call).  ``monte_carlo`` estimates the same
+    quantities from ``samples`` sampled trees.
     """
     hierarchy = plan.hierarchy
     m = len(plan.support.edges)
     if mode == "exact":
+        kernels = level_kernels(plan)
         out: dict[int, Fraction] = {}
         cache: dict[tuple[frozenset[int], frozenset[int]], Fraction] = {}
         for e in range(m):
             left, right = hierarchy.last_cuts(e)
             key = (left, right)
             if key not in cache:
-                cache[key] = joint_even_probability(plan, left, right)
+                cache[key] = _joint_even(plan, left, right, kernels)
             out[e] = cache[key]
         return out
     if mode != "monte_carlo":
@@ -691,10 +699,14 @@ def check_feasible(
     Scans all 2^(n-1) vertex-set sides with vectorized float arithmetic and
     re-checks anything within 1e-6 of the threshold in exact arithmetic.
     Also reports whether every entry clears ``floor`` (componentwise).
+    Raises ResourceCapError above ``FEASIBILITY_CHECK_LIMIT`` vertices.
     """
     n = support.n
-    if n > 26:
-        raise ValueError("exhaustive feasibility check limited to n <= 26")
+    if n > FEASIBILITY_CHECK_LIMIT:
+        raise ResourceCapError(
+            f"exhaustive feasibility check limited to support n <= "
+            f"{FEASIBILITY_CHECK_LIMIT}, got n = {n}"
+        )
     tree = tuple(tree_edges)
     odd = odd_vertices(support, tree)
     # |S ∩ O| and |complement ∩ O| have equal parity (|O| is even), so sides

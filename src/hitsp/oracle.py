@@ -19,6 +19,7 @@ from typing import Iterator
 
 import numpy as np
 
+from ._util import ResourceCapError
 from .cuts import CutHierarchy, boundary_edges, canonical_side, level_tree_problem
 from .instance import HalfIntegralInstance, metric_closure
 from .maxent import enumerate_spanning_trees
@@ -34,10 +35,6 @@ from .ojoin import (
 )
 
 DEFAULT_OUTCOME_CAP = 10**7
-
-
-class ResourceCapError(RuntimeError):
-    """The requested enumeration exceeds the configured outcome budget."""
 
 
 @dataclass(frozen=True)

@@ -137,6 +137,42 @@ def test_run_rejects_non_positive_samples(samples, monkeypatch, capsys):
     assert "--samples must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    ("flag", "value", "message"),
+    [("--tau", "0.1", "not a rational"), ("--alpha", "3/2", "must lie in [0, 1]")],
+)
+def test_run_rejects_bad_charging_params(flag, value, message, capsys):
+    assert main(["run", "--gen", "envelope:2", "--samples", "5", flag, value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid arguments:")
+    assert message in err
+
+
+def test_run_check_vectors_over_the_cap_exits_4(monkeypatch, capsys):
+    import hitsp.cli
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before checking the feasibility cap")
+
+    monkeypatch.setattr(hitsp.cli, "_run_chunk", no_sampling)
+    code = main(["run", "--gen", "random_half_integral:26", "--samples", "2",
+                 "--check-vectors"])
+    assert code == 4
+    assert "--check-vectors needs support n <= 26, got n = 27" in capsys.readouterr().err
+
+
+def test_chunk_ranges_never_exceed_the_cpu_count(monkeypatch):
+    # Only the arithmetic is exercised: starting that many workers is the hazard.
+    import hitsp.cli
+
+    monkeypatch.setattr(hitsp.cli.os, "cpu_count", lambda: 2)
+    assert hitsp.cli._chunk_ranges(5000, 5000) == [(0, 2500), (2500, 5000)]
+    assert hitsp.cli._chunk_ranges(5, 1) == [(0, 5)]
+    assert hitsp.cli._chunk_ranges(1, 8) == [(0, 1)]
+    monkeypatch.setattr(hitsp.cli.os, "cpu_count", lambda: None)
+    assert hitsp.cli._chunk_ranges(7, 3) == [(0, 7)]
+
+
 def test_run_float_mode_and_csv(chain_file, tmp_path):
     out, csv_path = tmp_path / "r.json", tmp_path / "r.csv"
     assert main(["run", "--instance", chain_file, "--samples", "30",

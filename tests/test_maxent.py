@@ -8,6 +8,7 @@ import pytest
 
 from hitsp.maxent import (
     FitConvergenceError,
+    TreeKernel,
     count_weighted_trees,
     enumerate_spanning_trees,
     fit_lambda,
@@ -189,3 +190,82 @@ def test_parity_laws_match_enumeration():
         key = (len(set(t) & set(focus_a)) % 2, len(set(t) & set(focus_b)) % 2)
         brute[key] += w / total
     assert law == brute
+
+
+def random_multigraph(rng):
+    """A connected multigraph on 3-6 vertices with a parallel edge, a self-loop
+    and random Fraction weights in [1/9, 9]."""
+    n = int(rng.integers(3, 7))
+    edges = [(int(rng.integers(v)), v) for v in range(1, n)]  # a spanning tree
+    for _ in range(int(rng.integers(1, n + 2))):
+        u, v = (int(x) for x in rng.choice(n, size=2, replace=False))
+        edges.append((u, v))
+    edges.append(edges[int(rng.integers(len(edges)))])
+    edges.append((int(rng.integers(n)),) * 2)
+    order = rng.permutation(len(edges))
+    edges = [edges[i] for i in order]
+    lam = [Fraction(int(rng.integers(1, 10)), int(rng.integers(1, 10))) for _ in edges]
+    return n, edges, lam
+
+
+def tree_weights(n, edges, lam):
+    out = []
+    for tree in enumerate_spanning_trees(n, edges):
+        w = Fraction(1)
+        for e in tree:
+            w *= lam[e]
+        out.append((set(tree), w))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_kernel_queries_match_enumeration(seed):
+    rng = np.random.default_rng(seed)
+    n, edges, lam = random_multigraph(rng)
+    m = len(edges)
+    trees = tree_weights(n, edges, lam)
+    total = sum(w for _, w in trees)
+    assert total == count_weighted_trees(n, edges, lam)
+
+    marg = tree_marginals(n, edges, lam).values
+    assert marg == tuple(sum(w for t, w in trees if e in t) / total for e in range(m))
+    assert sum(marg) == n - 1
+
+    focus_a = [int(e) for e in rng.choice(m, size=int(rng.integers(1, 4)), replace=False)]
+    focus_b = [int(e) for e in rng.choice(m, size=int(rng.integers(0, 4)), replace=False)]
+    even_a = sum(w for t, w in trees if len(t & set(focus_a)) % 2 == 0) / total
+    assert parity_distribution(n, edges, lam, focus_a) == even_a
+    signed = [-w if i in focus_a else w for i, w in enumerate(lam)]
+    assert 2 * even_a - 1 == count_weighted_trees(n, edges, signed) / total
+
+    law = parity_pair_distribution(n, edges, lam, focus_a, focus_b)
+    brute = {(p, q): Fraction(0) for p in (0, 1) for q in (0, 1)}
+    for t, w in trees:
+        brute[(len(t & set(focus_a)) % 2, len(t & set(focus_b)) % 2)] += w / total
+    assert law == brute
+
+    focus = focus_a + [e for e in focus_b if e not in focus_a]
+    joint = joint_distribution(n, edges, lam, focus)
+    patterns: dict[tuple[int, ...], Fraction] = {}
+    for t, w in trees:
+        key = tuple(1 if e in t else 0 for e in focus)
+        patterns[key] = patterns.get(key, Fraction(0)) + w / total
+    assert joint.probabilities == patterns
+    assert joint.edges == tuple(focus)
+
+
+def test_kernel_handles_loops_and_disconnected_graphs():
+    # A loop never enters a tree; its marginal is exactly 0.
+    kernel = TreeKernel(2, [(0, 0), (0, 1), (1, 1)], [Fraction(5), Fraction(2), Fraction(3)])
+    assert kernel.marginals() == (0, 1, 0)
+    assert kernel.joint([0, 1]).probabilities == {(0, 1): 1}
+    assert TreeKernel(1, [(0, 0)], [Fraction(1)]).marginals() == (0,)
+    for n, edges, lam in [
+        (3, [(0, 1), (0, 1)], [Fraction(1), Fraction(1)]),  # vertex 2 is isolated
+        (3, [(0, 2), (2, 0)], [Fraction(1), Fraction(2)]),  # vertex 1 is isolated
+        (2, [(0, 1)], [Fraction(0)]),  # the only edge has weight 0
+    ]:
+        with pytest.raises(ValueError, match="no spanning tree"):
+            TreeKernel(n, edges, lam)
+    with pytest.raises(ValueError, match="non-negative"):
+        TreeKernel(2, [(0, 1), (0, 1)], [Fraction(2), Fraction(-1)])

@@ -7,6 +7,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+import hitsp.ojoin
+from hitsp.cli import HIERARCHY_CORPUS, corpus_instance
 from hitsp.cuts import boundary_edges, build_hierarchy, canonical_side
 from hitsp.instance import (
     GADGET_BUILDERS,
@@ -35,6 +37,7 @@ from hitsp.ojoin import (
     tree_cost,
     unit_key_for_edge,
 )
+from hitsp.maxent import count_weighted_trees
 
 HALF = Fraction(1, 2)
 
@@ -419,3 +422,66 @@ def test_unit_fires_exactly_below_its_threshold(chain2):
             # a dyadic threshold is a float: equality must not fire
             sample = TreeSample(edges=(), bernoulli_uniforms={key: at})
             assert resolve_bernoulli_units(prepared, sample)[key] == 0
+
+
+def reference_parity_pair(n, edges, lam, focus_a, focus_b):
+    """The law of (|T∩A| mod 2, |T∩B| mod 2) from four full signed tree
+    counts, one Laplacian determinant each (the pre-kernel routine)."""
+    total = count_weighted_trees(n, edges, lam)
+    set_a, set_b = set(focus_a), set(focus_b)
+    char = {}
+    for a_bit in (0, 1):
+        for b_bit in (0, 1):
+            signed = []
+            for i, v in enumerate(lam):
+                sign = 1
+                if a_bit and i in set_a:
+                    sign = -sign
+                if b_bit and i in set_b:
+                    sign = -sign
+                signed.append(sign * Fraction(v))
+            char[(a_bit, b_bit)] = count_weighted_trees(n, edges, signed) / total
+    law = {}
+    for p in (0, 1):
+        for q in (0, 1):
+            acc = Fraction(0)
+            for a_bit in (0, 1):
+                for b_bit in (0, 1):
+                    sign = -1 if (a_bit * p + b_bit * q) % 2 else 1
+                    acc += sign * char[(a_bit, b_bit)]
+            law[(p, q)] = acc / 4
+    return law
+
+
+class DeterminantLevel:
+    """Stands in for a level's kernel, answering through the reference."""
+
+    def __init__(self, level):
+        self.level = level
+
+    def parity_pair(self, focus_a, focus_b):
+        lv = self.level
+        return reference_parity_pair(
+            lv.vertex_count, list(lv.level_edges), list(lv.lam_exact), focus_a, focus_b
+        )
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [label for label, _ in HIERARCHY_CORPUS]
+    + ["random_half_integral:10", "random_half_integral:14"],
+)
+def test_even_at_last_table_matches_determinant_reference(spec, monkeypatch):
+    if spec.startswith("random_half_integral"):
+        inst = generate_instance("random_half_integral", int(spec.partition(":")[2]))
+    else:
+        inst = corpus_instance(dict(HIERARCHY_CORPUS)[spec])
+    prepared = prepare_instance(inst)
+    monkeypatch.setattr(
+        hitsp.ojoin,
+        "level_kernels",
+        lambda plan: {lv.node_id: DeterminantLevel(lv) for lv in plan.degree_levels},
+    )
+    reference = compute_even_at_last_probs(prepared.plan)
+    assert prepared.eal_probability == reference
+    assert all(type(p) is Fraction for p in prepared.eal_probability.values())
