@@ -18,7 +18,7 @@ which drive the parity-correction charging downstream.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -556,20 +556,7 @@ def build_hierarchy(support: SupportGraph) -> CutHierarchy:
             child_order = None
 
         for c in child_ids:
-            nodes[c] = CutNode(
-                id=nodes[c].id,
-                vertices=nodes[c].vertices,
-                kind=nodes[c].kind,
-                parent=new_id,
-                children=nodes[c].children,
-                boundary=nodes[c].boundary,
-                internal_edges=nodes[c].internal_edges,
-                up_edges=nodes[c].up_edges,
-                across_edges=nodes[c].across_edges,
-                child_order=nodes[c].child_order,
-                companion_classes=nodes[c].companion_classes,
-                end_pairs=nodes[c].end_pairs,
-            )
+            nodes[c] = replace(nodes[c], parent=new_id)
         nodes.append(
             CutNode(
                 id=new_id,
@@ -678,22 +665,7 @@ def build_hierarchy(support: SupportGraph) -> CutHierarchy:
             raise InternalHierarchyError(
                 f"child {nd.id} of a cycle node has {len(up)} rising boundary edges"
             )
-        finished.append(
-            CutNode(
-                id=nd.id,
-                vertices=nd.vertices,
-                kind=nd.kind,
-                parent=nd.parent,
-                children=nd.children,
-                boundary=nd.boundary,
-                internal_edges=nd.internal_edges,
-                up_edges=up,
-                across_edges=across,
-                child_order=nd.child_order,
-                companion_classes=nd.companion_classes,
-                end_pairs=nd.end_pairs,
-            )
-        )
+        finished.append(replace(nd, up_edges=up, across_edges=across))
 
     hierarchy = CutHierarchy(
         support=support,

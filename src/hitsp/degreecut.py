@@ -34,7 +34,14 @@ from .instance import (
     metric_closure,
 )
 from .maxent import TreeKernel, fit_lambda, sample_tree, tree_marginals
-from .ojoin import JoinCalculator, _xor_convolve, build_tour, check_feasible, odd_vertices
+from .ojoin import (
+    JoinCalculator,
+    _xor_convolve,
+    build_tour,
+    check_feasible,
+    odd_vertices,
+    sample_rng,
+)
 
 
 class DegreeCutError(ValueError):
@@ -776,10 +783,9 @@ def run_degree_cut(
     normal_draws = 0
     failures = 0
     for i in range(samples):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
         out = sample_degree_cut(
-            instance, decomposition, contexts, rng, joins, support, metric,
-            check_vector=check_vectors,
+            instance, decomposition, contexts, sample_rng(seed, i), joins,
+            support, metric, check_vector=check_vectors,
         )
         ratios.append(float(out.tour_cost / lp))
         totals.append(float(out.vector_total))

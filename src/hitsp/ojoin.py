@@ -393,47 +393,24 @@ def _joint_even(
     return law.get((0, 0), Fraction(0))
 
 
-def compute_even_at_last_probs(
-    plan: SamplingPlan,
-    mode: str = "exact",
-    samples: int = 0,
-    seed: int = 0,
-) -> dict[int, Fraction]:
+def compute_even_at_last_probs(plan: SamplingPlan) -> dict[int, Fraction]:
     """Per-edge probability that both last cuts are even in the sampled tree.
 
-    ``exact`` multiplies independent level parity laws (chain and ring levels
+    Multiplies independent level parity laws (chain and ring levels
     enumerated, cut-free levels via signed tree counts from one exact kernel
-    per level, built once per call).  ``monte_carlo`` estimates the same
-    quantities from ``samples`` sampled trees.
+    per level, built once per call).
     """
     hierarchy = plan.hierarchy
-    m = len(plan.support.edges)
-    if mode == "exact":
-        kernels = level_kernels(plan)
-        out: dict[int, Fraction] = {}
-        cache: dict[tuple[frozenset[int], frozenset[int]], Fraction] = {}
-        for e in range(m):
-            left, right = hierarchy.last_cuts(e)
-            key = (left, right)
-            if key not in cache:
-                cache[key] = _joint_even(plan, left, right, kernels)
-            out[e] = cache[key]
-        return out
-    if mode != "monte_carlo":
-        raise ValueError(f"unknown mode {mode!r}")
-    if samples <= 0:
-        raise ValueError("monte_carlo mode needs samples > 0")
-    crossing, last = cut_masks(hierarchy)
-    hits = [0] * m
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    for _ in range(samples):
-        parity = 0
-        for e in sample_hierarchical_tree(plan, rng).edges:
-            parity ^= crossing[e]
-        for e in range(m):
-            if not parity & last[e]:
-                hits[e] += 1
-    return {e: Fraction(hits[e], samples) for e in range(m)}
+    kernels = level_kernels(plan)
+    out: dict[int, Fraction] = {}
+    cache: dict[tuple[frozenset[int], frozenset[int]], Fraction] = {}
+    for e in range(len(plan.support.edges)):
+        left, right = hierarchy.last_cuts(e)
+        key = (left, right)
+        if key not in cache:
+            cache[key] = _joint_even(plan, left, right, kernels)
+        out[e] = cache[key]
+    return out
 
 
 def cut_masks(hierarchy: CutHierarchy) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -501,9 +478,6 @@ class PreparedInstance:
 def prepare_instance(
     instance: HalfIntegralInstance,
     params: ChargingParams | None = None,
-    eal_mode: str = "exact",
-    eal_samples: int = 0,
-    seed: int = 0,
 ) -> PreparedInstance:
     """Validate, split if needed, build hierarchy + plan + probability table."""
     params = params or ChargingParams()
@@ -511,24 +485,24 @@ def prepare_instance(
     support = build_support_graph(inst)
     hierarchy = build_hierarchy(support)
     plan = build_sampling_plan(hierarchy)
-    probs = compute_even_at_last_probs(plan, mode=eal_mode, samples=eal_samples, seed=seed)
+    probs = compute_even_at_last_probs(plan)
     m = len(support.edges)
 
     for e in hierarchy.final_edges():
-        if eal_mode == "exact" and probs[e] != 1:
+        if probs[e] != 1:
             raise PlanError(f"final edge {e} has even-at-last probability {probs[e]} != 1")
 
     truncated: dict[int, Fraction] = {}
     for e in range(m):
         kind = hierarchy.edge_level[e][0]
         cap = params.top_truncation if kind == "top" else params.bottom_truncation
-        truncated[e] = min(cap, Fraction(probs[e]))
+        truncated[e] = min(cap, probs[e])
 
     unit_threshold: dict[tuple, Fraction] = {}
     unit_of = tuple(unit_key_for_edge(plan, e) for e in range(m))
     for e in range(m):
         key = unit_of[e]
-        p = Fraction(probs[e])
+        p = probs[e]
         thr = Fraction(0) if p == 0 else truncated[e] / p
         if key in unit_threshold:
             if unit_threshold[key] != thr:

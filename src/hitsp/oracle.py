@@ -1,12 +1,14 @@
 """Exhaustive ground truth for the sampling pipeline.
 
-Everything here recomputes pipeline quantities by direct enumeration of the
-sampler's outcome space — per-level choice lists multiplied out, Bernoulli
-units folded exactly — with no determinant identities or parity
-convolutions, so the fast analytic paths can be compared against these
-numbers at zero tolerance.  The module also houses the probability-bound
-battery, the extremal Bernoulli-configuration search, and a small
-dynamic-programming tour solver.
+Everything here recomputes pipeline quantities from the sampler's explicit
+outcome lists — each independent factor's choices (chain class picks,
+listed spanning trees, ring class picks) collapsed onto cut-parity and
+odd-vertex masks and XOR-convolved, Bernoulli units folded exactly per
+state — with no determinant identities or analytic parity laws, so the
+fast paths can be compared against these numbers at zero tolerance.  The
+module also houses the probability-bound battery, the extremal
+Bernoulli-configuration search, and a small dynamic-programming tour
+solver.
 """
 
 from __future__ import annotations
@@ -15,12 +17,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import prod
-from typing import Iterator
 
 import numpy as np
 
 from ._util import ResourceCapError
-from .cuts import CutHierarchy, boundary_edges, canonical_side, level_tree_problem
+from .cuts import boundary_edges, canonical_side, level_tree_problem
 from .instance import HalfIntegralInstance, metric_closure
 from .maxent import enumerate_spanning_trees
 from .ojoin import (
@@ -30,8 +31,6 @@ from .ojoin import (
     TreeSample,
     bernoulli_unit_keys,
     build_join_vector,
-    build_tour,
-    tree_cost,
 )
 
 DEFAULT_OUTCOME_CAP = 10**7
@@ -74,27 +73,26 @@ def enumerate_trees(
 
 @dataclass(frozen=True)
 class LevelOutcomes:
-    """One independent sampling level flattened into explicit choices."""
+    """One independent sampling factor flattened into explicit choices."""
 
     label: tuple
     choices: tuple[tuple[tuple[int, ...], Fraction], ...]
 
 
 def level_outcome_table(plan: SamplingPlan) -> tuple[LevelOutcomes, ...]:
-    """Flatten every sampling level into (edge set, probability) choices.
+    """Flatten the sampler into independent (edge set, probability) factors.
 
-    Chain levels multiply out their per-class picks, cut-free levels list
-    their spanning trees weighted by the level's exact weights, and the ring
-    level multiplies its free classes around the forced edge.
+    Each chain class is one uniform pick, each cut-free level lists its
+    spanning trees weighted by the level's exact weights, and each ring class
+    is one uniform pick (the forced class has the single forced edge).  The
+    sampled connector is the union of one choice per factor.
     """
     out: list[LevelOutcomes] = []
     for level in plan.cycle_levels:
-        denom = prod(len(cls) for cls in level.classes)
-        choices = tuple(
-            (tuple(sorted(combo)), Fraction(1, denom))
-            for combo in product(*level.classes)
-        )
-        out.append(LevelOutcomes(("cycle", level.node_id), choices))
+        for idx, cls in enumerate(level.classes):
+            share = Fraction(1, len(cls))
+            choices = tuple(((e,), share) for e in cls)
+            out.append(LevelOutcomes(("cycle", level.node_id, idx), choices))
     for level in plan.degree_levels:
         enum = enumerate_trees(
             level.vertex_count, list(level.level_edges), list(level.lam_exact)
@@ -105,18 +103,12 @@ def level_outcome_table(plan: SamplingPlan) -> tuple[LevelOutcomes, ...]:
         )
         out.append(LevelOutcomes(("degree", level.node_id), choices))
     final = plan.final_level
-    pools: list[tuple[tuple[int, ...], ...]] = []
     for idx, cls in enumerate(final.classes):
         if idx == final.forced_class:
-            pools.append(((final.forced_edge,),))
+            choices = (((final.forced_edge,), Fraction(1)),)
         else:
-            pools.append(tuple((e,) for e in cls))
-    denom = prod(len(pool) for pool in pools)
-    choices = tuple(
-        (tuple(sorted(e for part in combo for e in part)), Fraction(1, denom))
-        for combo in product(*pools)
-    )
-    out.append(LevelOutcomes(("final",), choices))
+            choices = tuple(((e,), Fraction(1, len(cls))) for e in cls)
+        out.append(LevelOutcomes(("final", idx), choices))
     return tuple(out)
 
 
@@ -129,7 +121,7 @@ def outcome_space_size(plan: SamplingPlan) -> tuple[int, int]:
 def subset_joint_distribution(
     levels: tuple[LevelOutcomes, ...], edge_ids: tuple[int, ...]
 ) -> dict[tuple[int, ...], Fraction]:
-    """Exact joint membership law of a few edges, by per-level convolution."""
+    """Exact joint membership law of a few edges, by per-factor convolution."""
     law: dict[tuple[int, ...], Fraction] = {(0,) * len(edge_ids): Fraction(1)}
     positions = {e: i for i, e in enumerate(edge_ids)}
     for level in levels:
@@ -176,32 +168,34 @@ class PipelineExpectations:
     cut_load: dict[frozenset, Fraction]
     expected_tree_cost: Fraction
     expected_join_cost: Fraction | None
-    expected_tour_cost: Fraction | None
 
 
-def _iterate_outcomes(
-    levels: tuple[LevelOutcomes, ...],
-    cut_bound: list[tuple[int, ...]],
-    edge_count: int,
-    edge_cut_indices: list[tuple[int, ...]],
-) -> Iterator[tuple[Fraction, tuple[int, ...], int, int]]:
-    """Yield (weight, tree, cut-parity bitmask, even-at-last bitmask)."""
-    for combo in product(*(lv.choices for lv in levels)):
-        weight = prod((p for _, p in combo), start=Fraction(1))
-        tree = tuple(sorted(e for chosen, _ in combo for e in chosen))
-        in_tree = set(tree)
-        parity_mask = 0
-        for i, bound in enumerate(cut_bound):
-            if sum(1 for f in bound if f in in_tree) % 2 == 1:
-                parity_mask |= 1 << i
-        eal_mask = 0
-        for e in range(edge_count):
-            for idx in edge_cut_indices[e]:
-                if (parity_mask >> idx) & 1:
-                    break
-            else:
-                eal_mask |= 1 << e
-        yield (weight, tree, parity_mask, eal_mask)
+def _state_law(
+    levels: tuple[LevelOutcomes, ...], edge_state: list[int]
+) -> dict[int, Fraction]:
+    """Law of the XOR of the chosen edges' state masks over all factors.
+
+    Each factor's choices are collapsed onto their masks first.  XOR equals
+    the parity of the union only because no edge belongs to two factors.
+    """
+    owner: dict[int, int] = {}
+    law = {0: Fraction(1)}
+    for idx, level in enumerate(levels):
+        collapsed: dict[int, Fraction] = {}
+        for chosen, p in level.choices:
+            mask = 0
+            for e in chosen:
+                if owner.setdefault(e, idx) != idx:
+                    raise ValueError(f"edge {e} appears in two sampling factors")
+                mask ^= edge_state[e]
+            collapsed[mask] = collapsed.get(mask, Fraction(0)) + p
+        nxt: dict[int, Fraction] = {}
+        for state, w in law.items():
+            for mask, p in collapsed.items():
+                key = state ^ mask
+                nxt[key] = nxt.get(key, Fraction(0)) + w * p
+        law = nxt
+    return law
 
 
 def exact_pipeline_expectations(
@@ -209,12 +203,17 @@ def exact_pipeline_expectations(
     cap: int = DEFAULT_OUTCOME_CAP,
     include_costs: bool = True,
 ) -> PipelineExpectations:
-    """Enumerate the sampler's outcome space and average the construction.
+    """Average the construction over the sampler's outcome space, exactly.
 
-    Trees come from the product of per-level choice lists; the Bernoulli
-    units are folded exactly per tree (they are independent of it).  Join and
-    tour costs are averaged when every odd set stays within the exact
-    matching range, otherwise reported as None.
+    The factors of ``level_outcome_table`` are independent and share no
+    edge, so the connector's cut parities and odd vertex set are the XOR of
+    one choice's masks per factor.  The oracle XOR-convolves the factors'
+    explicit choice lists into the law of (cut-parity mask, odd-vertex mask)
+    and does all non-linear work once per distinct state: even-at-last
+    masks, the exact fold of the Bernoulli units (independent of the tree)
+    and the optimal join cost of the odd set.  Marginals and the tree cost
+    are linear, so they come from per-factor sums.  The join cost is None
+    when some odd set exceeds the exact matching range.
     """
     plan = prepared.plan
     support = prepared.support
@@ -235,49 +234,70 @@ def exact_pipeline_expectations(
     cut_list = list(prepared.cut_sides)
     cut_index = {side: i for i, side in enumerate(cut_list)}
     cut_bound = [prepared.cut_boundary[side] for side in cut_list]
+    # Bit i of a state is the parity of cut i; with costs, bit shift + v is
+    # the degree parity of vertex v.
+    shift = len(cut_list)
+    edge_state = [0] * m
+    for i, bound in enumerate(cut_bound):
+        for f in bound:
+            edge_state[f] ^= 1 << i
+    if include_costs:
+        for e in range(m):
+            u, v = support.endpoints(e)
+            edge_state[e] ^= ((1 << u) ^ (1 << v)) << shift
     edge_sides = []
-    edge_cut_indices = []
+    last_mask = []
     for e in range(m):
         raw = hierarchy.last_cuts(e)
         pairs = tuple((side, cut_index[canonical_side(side, n)]) for side in raw)
         edge_sides.append(pairs)
-        edge_cut_indices.append(tuple(idx for _, idx in pairs))
+        last_mask.append(sum({1 << idx for _, idx in pairs}))
     groups = hierarchy.charge_groups()
+
+    marginal = [Fraction(0)] * m
+    for level in levels:
+        for chosen, p in level.choices:
+            for e in chosen:
+                marginal[e] += p
+    tree_cost_total = sum(
+        (
+            prepared.instance.edges[support.edges[e].instance_edge].cost * marginal[e]
+            for e in range(m)
+        ),
+        Fraction(0),
+    )
+
+    state_law = _state_law(levels, edge_state)
+    parity_law: dict[int, Fraction] = {}
+    join_total: Fraction | None = None
+    if include_costs:
+        joins = JoinCalculator(prepared.metric)
+        parity_bits = (1 << shift) - 1
+        join_total = Fraction(0)
+        for state, weight in state_law.items():
+            parity = state & parity_bits
+            parity_law[parity] = parity_law.get(parity, Fraction(0)) + weight
+            odd = tuple(v for v in range(n) if (state >> (shift + v)) & 1)
+            if len(odd) > 16:
+                join_total = None
+            if join_total is not None:
+                join_total += weight * joins.exact_cost(odd)
+    else:
+        parity_law = state_law
 
     even_weight = [Fraction(0)] * len(cut_list)
     eal_weight = [Fraction(0)] * m
-    marginal = [Fraction(0)] * m
-    tree_cost_total = Fraction(0)
-    joins = JoinCalculator(prepared.metric) if include_costs else None
-    join_total: Fraction | None = Fraction(0) if include_costs else None
-    tour_total: Fraction | None = Fraction(0) if include_costs else None
-
-    for weight, tree, parity_mask, eal_mask in _iterate_outcomes(
-        levels, cut_bound, m, edge_cut_indices
-    ):
-        for e in tree:
-            marginal[e] += weight
+    eal_masks = {}
+    for parity_mask, weight in parity_law.items():
         for i in range(len(cut_list)):
             if not (parity_mask >> i) & 1:
                 even_weight[i] += weight
+        eal_mask = 0
         for e in range(m):
-            if (eal_mask >> e) & 1:
+            if not parity_mask & last_mask[e]:
+                eal_mask |= 1 << e
                 eal_weight[e] += weight
-        tree_cost_total += weight * tree_cost(prepared.instance, support, tree)
-        if join_total is not None:
-            degree = [0] * n
-            for e in tree:
-                u, v = support.endpoints(e)
-                degree[u] += 1
-                degree[v] += 1
-            odd = tuple(v for v in range(n) if degree[v] % 2 == 1)
-            if len(odd) > 16:
-                join_total = tour_total = None
-            else:
-                join_total += weight * joins.exact_cost(odd)
-                pairs, _ = joins.matching(odd)
-                _, cost = build_tour(support, tree, pairs, prepared.metric)
-                tour_total += weight * cost
+        eal_masks[parity_mask] = eal_mask
 
     # Truncations, unit thresholds, and responsibilities recomputed from the
     # enumerated probabilities, independently of the analytic pipeline.
@@ -343,9 +363,8 @@ def exact_pipeline_expectations(
 
     edge_value = [Fraction(1, 4) - tau * trunc[e] for e in range(m)]
     final_set = set(hierarchy.final_edges())
-    for weight, tree, parity_mask, eal_mask in _iterate_outcomes(
-        levels, cut_bound, m, edge_cut_indices
-    ):
+    for parity_mask, weight in parity_law.items():
+        eal_mask = eal_masks[parity_mask]
         # A cut's shortfall counts the reduced edges across its whole
         # boundary, ring edges included.
         cut_items: dict[int, tuple[tuple[tuple, int], ...]] = {}
@@ -390,7 +409,6 @@ def exact_pipeline_expectations(
         cut_load=cut_load,
         expected_tree_cost=tree_cost_total,
         expected_join_cost=join_total,
-        expected_tour_cost=tour_total,
     )
 
 

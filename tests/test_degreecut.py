@@ -23,6 +23,7 @@ from hitsp.degreecut import (
     sample_degree_cut,
 )
 from hitsp.instance import GADGET_BUILDERS, generate_instance, make_instance
+from hitsp.ojoin import sample_rng
 
 HALF = Fraction(1, 2)
 
@@ -179,3 +180,17 @@ def test_run_degree_cut_report():
 def test_run_degree_cut_rejects_bad_instances():
     with pytest.raises(DegreeCutError):
         run_degree_cut(GADGET_BUILDERS["four_blob"](), samples=5, seed=0)
+
+
+def test_degree_cut_samples_use_the_shared_seeding_scheme():
+    # run_degree_cut draws sample i from sample_rng(seed, i); the reports
+    # were made with SeedSequence(seed, spawn_key=(i,)) streams, so both must
+    # yield the same numbers.
+    for seed in (0, 7, 2**40 + 3):
+        for i in (0, 1, 999):
+            inline = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+            shared = sample_rng(seed, i)
+            assert inline.random(16).tolist() == shared.random(16).tolist()
+            assert inline.integers(1000, size=16).tolist() == shared.integers(
+                1000, size=16
+            ).tolist()

@@ -2,14 +2,26 @@
 
 import math
 from fractions import Fraction
+from itertools import product
+from typing import Iterator
 
 import pytest
 
+from hitsp.cli import HIERARCHY_CORPUS, corpus_instance
+from hitsp.cuts import canonical_side
 from hitsp.instance import GADGET_BUILDERS, generate_instance
-from hitsp.ojoin import prepare_instance
+from hitsp.ojoin import (
+    JoinCalculator,
+    PreparedInstance,
+    bernoulli_unit_keys,
+    prepare_instance,
+    tree_cost,
+)
 from hitsp.oracle import (
     BernoulliConfig,
     HOEFFDING_FUNCTIONALS,
+    LevelOutcomes,
+    PipelineExpectations,
     ResourceCapError,
     enumerate_trees,
     evaluate_functional,
@@ -27,6 +39,218 @@ from hitsp.oracle import (
 )
 
 K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+
+# Every corpus instance below envelope:4 (whose tree-by-tree reference takes
+# seconds), plus a long chain.
+COLLAPSE_SPECS = [
+    spec for label, spec in HIERARCHY_CORPUS if label not in ("envelope:4", "envelope:5")
+] + [("cycle_chain", 10)]
+
+
+def _iterate_outcomes(
+    levels: tuple[LevelOutcomes, ...],
+    cut_bound: list[tuple[int, ...]],
+    edge_count: int,
+    edge_cut_indices: list[tuple[int, ...]],
+) -> Iterator[tuple[Fraction, tuple[int, ...], int, int]]:
+    """Yield (weight, tree, cut-parity bitmask, even-at-last bitmask)."""
+    for combo in product(*(lv.choices for lv in levels)):
+        weight = math.prod((p for _, p in combo), start=Fraction(1))
+        tree = tuple(sorted(e for chosen, _ in combo for e in chosen))
+        in_tree = set(tree)
+        parity_mask = 0
+        for i, bound in enumerate(cut_bound):
+            if sum(1 for f in bound if f in in_tree) % 2 == 1:
+                parity_mask |= 1 << i
+        eal_mask = 0
+        for e in range(edge_count):
+            for idx in edge_cut_indices[e]:
+                if (parity_mask >> idx) & 1:
+                    break
+            else:
+                eal_mask |= 1 << e
+        yield (weight, tree, parity_mask, eal_mask)
+
+
+def reference_pipeline_expectations(
+    prepared: PreparedInstance,
+    include_costs: bool = True,
+) -> PipelineExpectations:
+    """The oracle's tree-by-tree route, kept as a reference.
+
+    Trees come from the product of the factors' choice lists, one outcome at
+    a time; the Bernoulli units are folded exactly per tree.  The join cost
+    is averaged when every odd set stays within the exact matching range,
+    otherwise reported as None.
+    """
+    plan = prepared.plan
+    support = prepared.support
+    hierarchy = prepared.hierarchy
+    params = prepared.params
+    tau = params.reduction
+    m = len(support.edges)
+    n = support.n
+
+    levels = level_outcome_table(plan)
+    tree_total = math.prod(len(lv.choices) for lv in levels)
+    units = bernoulli_unit_keys(plan)
+
+    cut_list = list(prepared.cut_sides)
+    cut_index = {side: i for i, side in enumerate(cut_list)}
+    cut_bound = [prepared.cut_boundary[side] for side in cut_list]
+    edge_sides = []
+    edge_cut_indices = []
+    for e in range(m):
+        raw = hierarchy.last_cuts(e)
+        pairs = tuple((side, cut_index[canonical_side(side, n)]) for side in raw)
+        edge_sides.append(pairs)
+        edge_cut_indices.append(tuple(idx for _, idx in pairs))
+    groups = hierarchy.charge_groups()
+
+    even_weight = [Fraction(0)] * len(cut_list)
+    eal_weight = [Fraction(0)] * m
+    marginal = [Fraction(0)] * m
+    tree_cost_total = Fraction(0)
+    joins = JoinCalculator(prepared.metric) if include_costs else None
+    join_total: Fraction | None = Fraction(0) if include_costs else None
+
+    for weight, tree, parity_mask, eal_mask in _iterate_outcomes(
+        levels, cut_bound, m, edge_cut_indices
+    ):
+        for e in tree:
+            marginal[e] += weight
+        for i in range(len(cut_list)):
+            if not (parity_mask >> i) & 1:
+                even_weight[i] += weight
+        for e in range(m):
+            if (eal_mask >> e) & 1:
+                eal_weight[e] += weight
+        tree_cost_total += weight * tree_cost(prepared.instance, support, tree)
+        if join_total is not None:
+            degree = [0] * n
+            for e in tree:
+                u, v = support.endpoints(e)
+                degree[u] += 1
+                degree[v] += 1
+            odd = tuple(v for v in range(n) if degree[v] % 2 == 1)
+            if len(odd) > 16:
+                join_total = None
+            else:
+                join_total += weight * joins.exact_cost(odd)
+
+    # Truncations, unit thresholds, and responsibilities recomputed from the
+    # enumerated probabilities, independently of the analytic pipeline.
+    trunc = []
+    for e in range(m):
+        kind = hierarchy.edge_level[e][0]
+        hi = params.top_truncation if kind == "top" else params.bottom_truncation
+        trunc.append(min(hi, eal_weight[e]))
+    theta = [
+        Fraction(0) if eal_weight[e] == 0 else trunc[e] / eal_weight[e]
+        for e in range(m)
+    ]
+    share: dict[frozenset, dict[int, Fraction]] = {}
+    for side, members in groups.items():
+        denom = sum((trunc[f] for f in members), Fraction(0))
+        if denom > 0:
+            share[side] = {f: trunc[f] / denom for f in members}
+        else:
+            share[side] = {f: Fraction(0) for f in members}
+
+    unit_theta: dict[tuple, Fraction] = {}
+    for e in range(m):
+        key = prepared.unit_of[e]
+        if key in unit_theta and unit_theta[key] != theta[e]:
+            raise ValueError(f"edges sharing unit {key} disagree on threshold")
+        unit_theta[key] = theta[e]
+
+    fold_memo: dict[tuple, Fraction] = {}
+
+    def fold_expected_increase(
+        items_a: tuple[tuple[tuple, int], ...],
+        items_b: tuple[tuple[tuple, int], ...],
+        share_a: Fraction,
+        share_b: Fraction,
+        odd_a: int,
+        odd_b: int,
+    ) -> Fraction:
+        key = (items_a, items_b, share_a, share_b, odd_a, odd_b)
+        if key in fold_memo:
+            return fold_memo[key]
+        involved = sorted({u for u, _ in items_a} | {u for u, _ in items_b})
+        count_a = dict(items_a)
+        count_b = dict(items_b)
+        total = Fraction(0)
+        for pattern in product((0, 1), repeat=len(involved)):
+            p = Fraction(1)
+            hits_a = 0
+            hits_b = 0
+            for u, bit in zip(involved, pattern):
+                th = unit_theta.get(u, Fraction(0))
+                p *= th if bit else 1 - th
+                if bit:
+                    hits_a += count_a.get(u, 0)
+                    hits_b += count_b.get(u, 0)
+            if p == 0:
+                continue
+            total += p * max(
+                share_a * tau * hits_a * odd_a,
+                share_b * tau * hits_b * odd_b,
+            )
+        fold_memo[key] = total
+        return total
+
+    edge_value = [Fraction(1, 4) - tau * trunc[e] for e in range(m)]
+    final_set = set(hierarchy.final_edges())
+    for weight, tree, parity_mask, eal_mask in _iterate_outcomes(
+        levels, cut_bound, m, edge_cut_indices
+    ):
+        # A cut's shortfall counts the reduced edges across its whole
+        # boundary, ring edges included.
+        cut_items: dict[int, tuple[tuple[tuple, int], ...]] = {}
+        for e in range(m):
+            if e in final_set:
+                continue
+            parts = []
+            for side, idx in edge_sides[e]:
+                my_share = share.get(side, {}).get(e, Fraction(0))
+                odd = (parity_mask >> idx) & 1
+                items: tuple[tuple[tuple, int], ...] = ()
+                if odd and my_share > 0:
+                    if idx not in cut_items:
+                        counts: dict[tuple, int] = {}
+                        for f in cut_bound[idx]:
+                            if (eal_mask >> f) & 1:
+                                u = prepared.unit_of[f]
+                                counts[u] = counts.get(u, 0) + 1
+                        cut_items[idx] = tuple(sorted(counts.items()))
+                    items = cut_items[idx]
+                parts.append((items, my_share, odd))
+            (items_a, share_a, odd_a), (items_b, share_b, odd_b) = parts
+            if (odd_a and share_a > 0 and items_a) or (
+                odd_b and share_b > 0 and items_b
+            ):
+                edge_value[e] += weight * fold_expected_increase(
+                    items_a, items_b, share_a, share_b, odd_a, odd_b
+                )
+
+    cut_even = {side: even_weight[i] for i, side in enumerate(cut_list)}
+    cut_load = {
+        side: sum((edge_value[e] for e in cut_bound[i]), Fraction(0))
+        for i, side in enumerate(cut_list)
+    }
+    return PipelineExpectations(
+        tree_outcomes=tree_total,
+        unit_count=len(units),
+        per_edge_marginal=tuple(marginal),
+        per_edge_even=tuple(eal_weight),
+        per_edge_value=tuple(edge_value),
+        cut_even=cut_even,
+        cut_load=cut_load,
+        expected_tree_cost=tree_cost_total,
+        expected_join_cost=join_total,
+    )
+
 
 
 @pytest.fixture(scope="module")
@@ -109,6 +333,26 @@ def test_expectations_match_full_enumeration_chain(chain2):
     assert exp.cut_load == loads
 
 
+@pytest.mark.parametrize("include_costs", [False, True])
+@pytest.mark.parametrize("spec", COLLAPSE_SPECS, ids=str)
+def test_state_collapse_matches_tree_by_tree_reference(spec, include_costs):
+    prepared = prepare_instance(corpus_instance(spec))
+    got = exact_pipeline_expectations(prepared, include_costs=include_costs)
+    want = reference_pipeline_expectations(prepared, include_costs=include_costs)
+    assert got == want
+
+
+def test_state_collapse_rejects_an_edge_in_two_factors(chain2, monkeypatch):
+    import hitsp.oracle
+
+    levels = level_outcome_table(chain2.plan)
+    monkeypatch.setattr(
+        hitsp.oracle, "level_outcome_table", lambda plan: levels + levels[:1]
+    )
+    with pytest.raises(ValueError, match="two sampling factors"):
+        exact_pipeline_expectations(chain2)
+
+
 def test_triangle_ring_loads_are_eleven_twelfths(triangle):
     exp = exact_pipeline_expectations(triangle)
     assert set(exp.cut_load.values()) == {Fraction(11, 12)}
@@ -122,7 +366,6 @@ def test_expected_costs_triangle(triangle):
     assert exp.tree_outcomes == 4
     assert exp.expected_tree_cost is not None
     assert exp.expected_join_cost is not None
-    assert exp.expected_tour_cost <= exp.expected_tree_cost + exp.expected_join_cost
 
 
 def test_battery_passes_on_small_instances(triangle, chain2):
