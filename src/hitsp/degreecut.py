@@ -44,6 +44,11 @@ from .ojoin import (
 )
 
 
+# Proportional fitting budget before the exact simplex takes over.
+IPF_MAX_ITERATIONS = 20_000
+IPF_TOLERANCE = 1e-12
+
+
 class DegreeCutError(ValueError):
     """The instance does not qualify for the variant pipeline."""
 
@@ -146,16 +151,15 @@ def enumerate_maximum_matchings(instance: HalfIntegralInstance) -> list[frozense
     return sorted(out, key=lambda m: tuple(sorted(m)))
 
 
-def decompose_matching(
-    instance: HalfIntegralInstance,
-    max_iterations: int = 20_000,
-    tolerance: float = 1e-12,
-) -> MatchingDecomposition:
-    """Write the fractional matching target as a convex matching combination.
+def decompose_matching(instance: HalfIntegralInstance) -> MatchingDecomposition:
+    """Write the fractional matching target as an exact convex matching combination.
 
     Proportional fitting over all maximum matchings, snapped to small exact
-    rationals and verified; if the snap misses, an exact simplex solve over
-    the same matchings provides the decomposition.
+    rationals; if the snap misses, the integer-preserving exact simplex of
+    ``_simplex`` solves the same system over the same matchings.  Either
+    result is verified in ``Fraction`` arithmetic (nonnegative weights summing
+    to 1 whose marginals equal the target), and ``DegreeCutError`` is raised
+    if it fails.
     """
     target = fractional_matching_target(instance)
     matchings = enumerate_maximum_matchings(instance)
@@ -169,9 +173,9 @@ def decompose_matching(
             member[e, j] = 1.0
     weights = np.full(k, 1.0 / k)
     target_f = np.array([float(t) for t in target])
-    for _ in range(max_iterations):
+    for _ in range(IPF_MAX_ITERATIONS):
         marg = member @ weights
-        if np.max(np.abs(marg - target_f)) < tolerance:
+        if np.max(np.abs(marg - target_f)) < IPF_TOLERANCE:
             break
         for e in range(m):
             if marg[e] <= 0:
@@ -189,12 +193,14 @@ def decompose_matching(
         )
         return MatchingDecomposition(weights=pairs, method="ipf")
 
-    rows = [[Fraction(int(e in matching)) for matching in matchings] for e in range(m)]
-    rows.append([Fraction(1)] * k)
+    rows = [[int(e in matching) for matching in matchings] for e in range(m)]
+    rows.append([1] * k)
     rhs = list(target) + [Fraction(1)]
     solution = solve_equalities_nonneg(rows, rhs)
     if solution is None:
         raise DegreeCutError("matching decomposition infeasible")
+    if not _verify_decomposition(solution, matchings, target, m):
+        raise DegreeCutError("simplex decomposition misses the matching target")
     pairs = tuple((w, matching) for w, matching in zip(solution, matchings) if w > 0)
     return MatchingDecomposition(weights=pairs, method="simplex")
 
@@ -663,23 +669,11 @@ def expected_edge_values(
     returns to every tree), and it equals exactly 1/2 everywhere whenever the
     decomposition hits the target.
     """
-    m = len(instance.edges)
-    out = [Fraction(0)] * m
+    out = [Fraction(0)] * len(instance.edges)
     for w, matching in decomposition.weights:
-        covered = set()
-        for e in matching:
-            covered.add(instance.edges[e].u)
-            covered.add(instance.edges[e].v)
-        root = None
-        if instance.n % 2 == 1:
-            root = next(v for v in range(instance.n) if v not in covered)
-        for idx, edge in enumerate(instance.edges):
-            if idx in matching:
-                out[idx] += w
-            elif root is not None and root in (edge.u, edge.v):
-                out[idx] += w * Fraction(5, 12)
-            else:
-                out[idx] += w * Fraction(1, 3)
+        values, dropped, _ = tree_target_vector(instance, matching)
+        for idx, value in enumerate(values):
+            out[idx] += w * (1 if idx == dropped else value)
     return out
 
 

@@ -5,6 +5,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from test_simplex import reference_solve_equalities_nonneg
 
 from hitsp.degreecut import (
     DegreeCutError,
@@ -194,3 +195,27 @@ def test_degree_cut_samples_use_the_shared_seeding_scheme():
             assert inline.integers(1000, size=16).tolist() == shared.integers(
                 1000, size=16
             ).tolist()
+
+
+@pytest.mark.parametrize(
+    "family,n", [("k5_degree", 7), ("k5_degree", 9), ("random_half_integral", 14)]
+)
+def test_decomposition_equals_the_fraction_tableau_route(family, n, monkeypatch):
+    inst = generate_instance(family, n)
+    dec = decompose_matching(inst)
+    assert dec.method == "simplex"
+    monkeypatch.setattr(
+        "hitsp.degreecut.solve_equalities_nonneg", reference_solve_equalities_nonneg
+    )
+    reference = decompose_matching(inst)
+    assert dec.weights == reference.weights
+    assert dec.method == reference.method
+
+
+def test_simplex_decomposition_is_verified(monkeypatch):
+    def first_matching_only(rows, rhs):
+        return [Fraction(1)] + [Fraction(0)] * (len(rows[0]) - 1)
+
+    monkeypatch.setattr("hitsp.degreecut.solve_equalities_nonneg", first_matching_only)
+    with pytest.raises(DegreeCutError, match="misses the matching target"):
+        decompose_matching(generate_instance("k5_degree", 7))
