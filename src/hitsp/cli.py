@@ -46,7 +46,6 @@ from .instance import (
     split_vertex_for_eplus,
 )
 from .ojoin import (
-    FEASIBILITY_CHECK_LIMIT,
     ChargingParams,
     JoinCalculator,
     PlanError,
@@ -280,11 +279,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     inst = load_instance(args)
     params = charging_params(args)
     prepared = prepare_instance(inst, params=params)
-    if args.check_vectors and prepared.support.n > FEASIBILITY_CHECK_LIMIT:
-        raise ResourceCapError(
-            f"--check-vectors needs support n <= {FEASIBILITY_CHECK_LIMIT}, "
-            f"got n = {prepared.support.n}"
-        )
     lp = inst.lp_cost()
     samples = args.samples
     chunks = _chunk_ranges(samples, args.jobs)

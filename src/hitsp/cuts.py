@@ -17,15 +17,15 @@ which drive the parity-correction charging downstream.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
+from ._flow import all_min_cuts
 from .instance import SupportGraph
 
+# Unused by the library: perfbench/tracing.py imports it to count "Karger"
+# instances (support n above it).  It goes with the next benchmark change.
 EXHAUSTIVE_CUT_LIMIT = 20
 
 
@@ -73,72 +73,13 @@ def boundary_edges(support: SupportGraph, vertices: frozenset[int]) -> tuple[int
     )
 
 
-def _exhaustive_min_cuts(support: SupportGraph) -> list[frozenset[int]]:
-    n = support.n
-    masks = np.arange(1, 1 << (n - 1), dtype=np.uint32)
-    counts = np.zeros(masks.shape, dtype=np.int16)
-    for e in support.edges:
-        bu = (masks >> (e.u - 1)) & 1 if e.u > 0 else np.zeros_like(masks)
-        bv = (masks >> (e.v - 1)) & 1 if e.v > 0 else np.zeros_like(masks)
-        counts += (bu ^ bv).astype(np.int16)
-    hits = masks[counts == 4]
-    out = []
-    for mask in hits.tolist():
-        out.append(frozenset(i + 1 for i in range(n - 1) if (mask >> i) & 1))
-    return out
-
-
-def _karger_min_cuts(support: SupportGraph) -> list[frozenset[int]]:
-    """Randomized contraction search with a graph-derived fixed seed.
-
-    Every returned candidate is verified to have a 4-edge boundary, so false
-    positives are impossible; the iteration count makes missing any minimum
-    cut overwhelmingly unlikely.
-    """
-    n = support.n
-    digest = hashlib.sha256(
-        repr((n, tuple((e.u, e.v) for e in support.edges))).encode()
-    ).digest()
-    rng = np.random.default_rng(int.from_bytes(digest[:8], "big"))
-    edge_pairs = [(e.u, e.v) for e in support.edges]
-    iterations = int(3 * n * n * np.log(n)) + 1
-    found: set[frozenset[int]] = set()
-    for _ in range(iterations):
-        parent = list(range(n))
-
-        def find(a: int) -> int:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        alive = n
-        order = rng.permutation(len(edge_pairs))
-        for idx in order:
-            if alive <= 2:
-                break
-            u, v = edge_pairs[idx]
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
-                alive -= 1
-        side = frozenset(v for v in range(n) if find(v) == find(0))
-        candidate = canonical_side(side, n)
-        if 0 < len(candidate) < n and len(boundary_edges(support, candidate)) == 4:
-            found.add(candidate)
-    return sorted(found, key=lambda s: (min(s), len(s), sorted(s)))
-
-
 def enumerate_min_cuts(support: SupportGraph) -> tuple[MinCut, ...]:
-    """All minimum (4-edge) cuts, exhaustively up to 20 vertices.
+    """All minimum (4-edge) cuts, exactly, from the residual graphs of n - 1 flows.
 
-    Beyond that a verified randomized contraction search is used.  Results are
-    sorted by (min vertex, size, vertex tuple) of the canonical side.
+    Results are sorted by (min vertex, size, vertex tuple) of the canonical
+    side.
     """
-    if support.n <= EXHAUSTIVE_CUT_LIMIT:
-        sides = _exhaustive_min_cuts(support)
-    else:
-        sides = _karger_min_cuts(support)
+    _, sides = all_min_cuts(support.n, ((e.u, e.v) for e in support.edges))
     cuts = [
         MinCut(vertices=s, boundary=boundary_edges(support, s), n=support.n)
         for s in sides
@@ -412,43 +353,23 @@ def _assert_cut_free(
     support: SupportGraph,
     children: Sequence[int],
     part_vertices: Mapping[int, frozenset[int]],
-    inside: frozenset[int],
 ) -> None:
     """Check the contracted graph around a degree node has no proper min cuts.
 
-    The contracted graph has one vertex per child plus one for the outside.
-    Any proper subset with a 4-edge boundary contradicts the selection rule.
+    The contracted graph has one vertex per child plus one for the outside,
+    each of degree 4.  Its minimum cuts come from the exact cut engine at any
+    child count.  A cut below 4 edges, or a 4-edge cut with at least two
+    contracted vertices on each side, contradicts the selection rule.
     """
-    ids = list(children)
-    index = {c: i for i, c in enumerate(ids)}
-    outside_index = len(ids)
-    k = len(ids) + 1
-
-    def vertex_index(v: int) -> int:
-        for c in ids:
-            if v in part_vertices[c]:
-                return index[c]
-        return outside_index
-
-    pairs = []
-    for e in support.edges:
-        a, b = vertex_index(e.u), vertex_index(e.v)
-        if a != b:
-            pairs.append((a, b))
-    if k > 16:
-        return
-    for mask in range(1, 1 << k):
-        size = mask.bit_count()
-        if size < 2 or size > k - 2:
-            continue
-        count = 0
-        for a, b in pairs:
-            if ((mask >> a) & 1) != ((mask >> b) & 1):
-                count += 1
-        if count <= 4:
-            raise InternalHierarchyError(
-                "degree node's contracted graph has a proper minimum cut"
-            )
+    index = {v: i for i, c in enumerate(children) for v in part_vertices[c]}
+    k = len(children) + 1
+    outside = k - 1
+    pairs = [(index.get(e.u, outside), index.get(e.v, outside)) for e in support.edges]
+    lam, sides = all_min_cuts(k, pairs)
+    if lam < 4 or any(2 <= len(side) <= k - 2 for side in sides):
+        raise InternalHierarchyError(
+            "degree node's contracted graph has a proper minimum cut"
+        )
 
 
 def build_hierarchy(support: SupportGraph) -> CutHierarchy:
@@ -550,7 +471,7 @@ def build_hierarchy(support: SupportGraph) -> CutHierarchy:
             child_order = tuple(order)
         else:
             kind = "degree"
-            _assert_cut_free(support, child_ids, part_vertices, chosen)
+            _assert_cut_free(support, child_ids, part_vertices)
             companion_classes = None
             end_pairs = None
             child_order = None

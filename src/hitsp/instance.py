@@ -21,13 +21,8 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from ._util import (
-    canonical_json,
-    edge_connectivity_at_least,
-    format_rational,
-    parse_rational,
-    small_edge_cut_witness,
-)
+from ._flow import small_edge_cut_witness
+from ._util import canonical_json, format_rational, parse_rational
 
 HALF = Fraction(1, 2)
 ONE = Fraction(1)
@@ -515,7 +510,7 @@ def generate_random_half_integral(n: int, seed: int | None) -> HalfIntegralInsta
         if not ok:
             continue
         edge_list = sorted(seen)
-        if not edge_connectivity_at_least(n, edge_list, 4):
+        if small_edge_cut_witness(n, edge_list, 4) is not None:
             continue
         return make_instance(
             name=f"random_half_integral_{n}_{0 if seed is None else seed}",

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._util import ResourceCapError
+from ._flow import min_odd_cut
 from .cuts import (
     CutHierarchy,
     InternalHierarchyError,
@@ -43,8 +43,6 @@ from .maxent import TreeKernel, fit_lambda, sample_tree, tree_marginals
 DEFAULT_TOP_TRUNCATION = Fraction(1_129_032, 10**7)
 DEFAULT_BOTTOM_TRUNCATION = Fraction(1, 4)
 DEFAULT_REDUCTION = Fraction(1, 12)
-# check_feasible scans all 2^(n-1) vertex-set sides of the support graph.
-FEASIBILITY_CHECK_LIMIT = 26
 
 
 @dataclass(frozen=True)
@@ -653,75 +651,31 @@ def odd_vertices(support: SupportGraph, tree_edges: Iterable[int]) -> tuple[int,
     return tuple(v for v in range(support.n) if degree[v] % 2 == 1)
 
 
-def _popcount_parity(values: np.ndarray) -> np.ndarray:
-    out = values.copy()
-    shift = 1
-    while shift < 32:
-        out ^= out >> shift
-        shift <<= 1
-    return out & 1
-
-
 def check_feasible(
     support: SupportGraph,
     tree_edges: Iterable[int],
     values: Sequence[Fraction],
     floor: Fraction | None = None,
 ) -> FeasibilityResult:
-    """Verify the vector covers every cut with odd tree-degree, exhaustively.
+    """Verify the vector covers every cut with odd tree-degree, exactly, at any n.
 
-    Scans all 2^(n-1) vertex-set sides with vectorized float arithmetic and
-    re-checks anything within 1e-6 of the threshold in exact arithmetic.
-    Also reports whether every entry clears ``floor`` (componentwise).
-    Raises ResourceCapError above ``FEASIBILITY_CHECK_LIMIT`` vertices.
+    The values are scaled to integers by the lcm of their denominators, and
+    the minimum odd cut comes from a Gomory-Hu tree of the support weighted by
+    them (Padberg-Rao).  ``minimum`` is that cut's exact value (10^9 when no
+    vertex is odd) and ``witness`` a minimizing side without vertex 0, given
+    only when the vector is infeasible.  Also reports whether every entry
+    clears ``floor`` (componentwise).
     """
-    n = support.n
-    if n > FEASIBILITY_CHECK_LIMIT:
-        raise ResourceCapError(
-            f"exhaustive feasibility check limited to support n <= "
-            f"{FEASIBILITY_CHECK_LIMIT}, got n = {n}"
-        )
-    tree = tuple(tree_edges)
-    odd = odd_vertices(support, tree)
-    # |S ∩ O| and |complement ∩ O| have equal parity (|O| is even), so sides
-    # excluding vertex 0 cover every cut and vertex 0's own parity is moot.
-    odd_mask = 0
-    for v in odd:
-        if v > 0:
-            odd_mask |= 1 << (v - 1)
-
-    masks = np.arange(1 << (n - 1), dtype=np.uint64)
-    cross_total = np.zeros(masks.shape, dtype=np.float64)
-    for e, edge in enumerate(support.edges):
-        u, v = edge.u, edge.v
-        bu = (masks >> np.uint64(u - 1)) & np.uint64(1) if u > 0 else np.zeros_like(masks)
-        bv = (masks >> np.uint64(v - 1)) & np.uint64(1) if v > 0 else np.zeros_like(masks)
-        cross_total += (bu ^ bv).astype(np.float64) * float(values[e])
-    odd_overlap = _popcount_parity(masks & np.uint64(odd_mask)).astype(np.int8)
-
-    relevant = odd_overlap == 1
-    minimum = Fraction(10**9)
-    witness = None
-    if relevant.any():
-        vals = np.where(relevant, cross_total, np.inf)
-        order = np.argsort(vals)
-        threshold = float(vals[order[0]]) + 1e-6
-        for idx in order:
-            if vals[idx] > threshold:
-                break
-            mask = int(masks[idx])
-            side = frozenset(v for v in range(1, n) if mask & (1 << (v - 1)))
-            exact = sum(
-                (
-                    values[e]
-                    for e, edge in enumerate(support.edges)
-                    if (edge.u in side) != (edge.v in side)
-                ),
-                Fraction(0),
-            )
-            if exact < minimum:
-                minimum = exact
-                witness = side
+    odd = odd_vertices(support, tree_edges)
+    scale = lcm(*(x.denominator for x in values))
+    found = min_odd_cut(
+        support.n,
+        ((e.u, e.v, int(x * scale)) for e, x in zip(support.edges, values)),
+        odd,
+    )
+    minimum, witness = Fraction(10**9), None
+    if found is not None:
+        minimum, witness = Fraction(found[0], scale), found[1]
     feasible = minimum >= 1
     min_value = min(values)
     floor_ok = True if floor is None else min_value >= floor

@@ -148,17 +148,14 @@ def test_run_rejects_bad_charging_params(flag, value, message, capsys):
     assert message in err
 
 
-def test_run_check_vectors_over_the_cap_exits_4(monkeypatch, capsys):
-    import hitsp.cli
-
-    def no_sampling(*args, **kwargs):
-        raise AssertionError("sampled before checking the feasibility cap")
-
-    monkeypatch.setattr(hitsp.cli, "_run_chunk", no_sampling)
-    code = main(["run", "--gen", "random_half_integral:26", "--samples", "2",
-                 "--check-vectors"])
-    assert code == 4
-    assert "--check-vectors needs support n <= 26, got n = 27" in capsys.readouterr().err
+def test_run_check_vectors_on_a_large_random_instance(tmp_path):
+    # Support n = 27: every odd cut is checked exactly at any size.
+    out = tmp_path / "r.json"
+    assert main(["run", "--gen", "random_half_integral:26", "--samples", "4",
+                 "--check-vectors", "--out", str(out)]) == 0
+    data = read_json(str(out))
+    assert data["results"]["feasible_checked"] == 4
+    assert data["results"]["feasible_failures"] == 0
 
 
 def test_chunk_ranges_never_exceed_the_cpu_count(monkeypatch):

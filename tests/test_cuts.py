@@ -3,10 +3,14 @@
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 
+from hitsp._flow import small_edge_cut_witness
+from hitsp.cli import HIERARCHY_CORPUS
 from hitsp.cuts import (
     InternalHierarchyError,
+    _assert_cut_free,
     boundary_edges,
     build_hierarchy,
     canonical_side,
@@ -15,10 +19,25 @@ from hitsp.cuts import (
 )
 from hitsp.instance import (
     GADGET_BUILDERS,
+    HALF,
     build_support_graph,
     generate_instance,
+    make_instance,
     split_vertex_for_eplus,
 )
+
+REFERENCE_SPECS = [label for label, _ in HIERARCHY_CORPUS] + [
+    "cycle_chain:10",
+    "cycle_chain:18",
+    "random_half_integral:10",
+    "random_half_integral:14",
+    "random_half_integral:18",
+]
+
+
+def reference_instance(spec):
+    family, _, size = spec.partition(":")
+    return generate_instance(family, int(size)) if size else GADGET_BUILDERS[spec]()
 
 
 def support_for(inst):
@@ -36,6 +55,59 @@ def brute_force_min_cut_sides(support):
             if len(boundary_edges(support, side_set)) == 4:
                 out.add(side_set)
     return out
+
+
+def exhaustive_min_cut_sides(support):
+    """Reference: scan all 2^(n-1) sides without vertex 0 for 4-edge boundaries."""
+    n = support.n
+    masks = np.arange(1, 1 << (n - 1), dtype=np.uint32)
+    counts = np.zeros(masks.shape, dtype=np.int16)
+    for e in support.edges:
+        bu = (masks >> (e.u - 1)) & 1 if e.u > 0 else np.zeros_like(masks)
+        bv = (masks >> (e.v - 1)) & 1 if e.v > 0 else np.zeros_like(masks)
+        counts += (bu ^ bv).astype(np.int16)
+    hits = masks[counts == 4]
+    out = []
+    for mask in hits.tolist():
+        out.append(frozenset(i + 1 for i in range(n - 1) if (mask >> i) & 1))
+    return out
+
+
+@pytest.mark.parametrize("spec", REFERENCE_SPECS)
+def test_min_cut_enumeration_matches_exhaustive_scan(spec):
+    support = support_for(reference_instance(spec))
+    cuts = enumerate_min_cuts(support)
+    want = sorted(exhaustive_min_cut_sides(support), key=lambda s: (min(s), len(s), sorted(s)))
+    assert [c.vertices for c in cuts] == want
+
+
+def circulant_blob(offset, size=9):
+    """Edges of the 4-regular circulant C_size(1, 2) on vertices offset, offset + 1, ..."""
+    return [
+        (offset + i, offset + (i + step) % size) for i in range(size) for step in (1, 2)
+    ]
+
+
+def test_small_edge_cut_witness_finds_a_planted_three_edge_cut():
+    edges = circulant_blob(0) + circulant_blob(9) + [(0, 9), (3, 12), (6, 15)]
+    assert small_edge_cut_witness(18, edges, 4) == frozenset(range(9, 18))
+    assert small_edge_cut_witness(18, edges, 3) is None
+
+
+def test_cut_free_check_rejects_a_proper_cut_above_sixteen_children():
+    # Two 9-vertex blobs joined by a 4-edge cut, at 17 children plus the outside.
+    edges = set(circulant_blob(0) + circulant_blob(9))
+    edges -= {(0, 1), (2, 3), (9, 10), (11, 12)}
+    edges |= {(0, 9), (1, 10), (2, 11), (3, 12)}
+    support = build_support_graph(
+        make_instance("two_blobs", 18, [(u, v, HALF, Fraction(1)) for u, v in sorted(edges)])
+    )
+    children = list(range(1, 18))
+    parts = {v: frozenset([v]) for v in children}
+    with pytest.raises(InternalHierarchyError):
+        _assert_cut_free(support, children, parts)
+    # The same contracted graph around one blob alone has no proper cut.
+    _assert_cut_free(support, children[:8], parts)
 
 
 @pytest.mark.parametrize("name", ["doubled_triangle", "four_blob", "split_k5"])

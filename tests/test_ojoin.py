@@ -12,6 +12,8 @@ from hitsp.cli import HIERARCHY_CORPUS, corpus_instance
 from hitsp.cuts import boundary_edges, build_hierarchy, canonical_side
 from hitsp.instance import (
     GADGET_BUILDERS,
+    SupportEdge,
+    SupportGraph,
     build_support_graph,
     generate_instance,
     metric_closure,
@@ -41,6 +43,18 @@ from hitsp.ojoin import (
 from hitsp.maxent import count_weighted_trees
 
 HALF = Fraction(1, 2)
+REFERENCE_SPECS = [label for label, _ in HIERARCHY_CORPUS] + [
+    "cycle_chain:10",
+    "cycle_chain:18",
+    "random_half_integral:10",
+    "random_half_integral:14",
+    "random_half_integral:18",
+]
+
+
+def reference_instance(spec):
+    family, _, size = spec.partition(":")
+    return generate_instance(family, int(size)) if size else GADGET_BUILDERS[spec]()
 
 
 @pytest.fixture(scope="module")
@@ -201,6 +215,109 @@ def test_vectors_cover_all_odd_cuts(chain2):
         vector = build_join_vector(chain2, sample)
         result = check_feasible(chain2.support, sample.edges, vector.values)
         assert result.feasible, result.witness
+
+
+def _popcount_parity(values):
+    out = values.copy()
+    shift = 1
+    while shift < 32:
+        out ^= out >> shift
+        shift <<= 1
+    return out & 1
+
+
+def scan_min_odd_cut(support, tree_edges, values):
+    """Reference: the minimum odd cut by a float scan of all 2^(n-1) sides.
+
+    Sides within 1e-6 of the float minimum are re-checked exactly.  Returns
+    10^9 when no vertex is odd, as check_feasible does.
+    """
+    n = support.n
+    odd_mask = 0
+    for v in odd_vertices(support, tree_edges):
+        if v > 0:
+            odd_mask |= 1 << (v - 1)
+    masks = np.arange(1 << (n - 1), dtype=np.uint64)
+    cross_total = np.zeros(masks.shape, dtype=np.float64)
+    for e, edge in enumerate(support.edges):
+        u, v = edge.u, edge.v
+        bu = (masks >> np.uint64(u - 1)) & np.uint64(1) if u > 0 else np.zeros_like(masks)
+        bv = (masks >> np.uint64(v - 1)) & np.uint64(1) if v > 0 else np.zeros_like(masks)
+        cross_total += (bu ^ bv).astype(np.float64) * float(values[e])
+    relevant = _popcount_parity(masks & np.uint64(odd_mask)) == 1
+    minimum = Fraction(10**9)
+    if relevant.any():
+        vals = np.where(relevant, cross_total, np.inf)
+        order = np.argsort(vals)
+        threshold = float(vals[order[0]]) + 1e-6
+        for idx in order:
+            if vals[idx] > threshold:
+                break
+            mask = int(masks[idx])
+            side = frozenset(v for v in range(1, n) if mask & (1 << (v - 1)))
+            exact = sum(
+                (
+                    values[e]
+                    for e, edge in enumerate(support.edges)
+                    if (edge.u in side) != (edge.v in side)
+                ),
+                Fraction(0),
+            )
+            minimum = min(minimum, exact)
+    return minimum
+
+
+def assert_matches_scan(support, tree, values):
+    result = check_feasible(support, tree, values)
+    minimum = scan_min_odd_cut(support, tree, values)
+    assert result.minimum == minimum
+    assert result.feasible == (minimum >= 1)
+    if result.witness is not None:
+        side = result.witness
+        assert 0 not in side
+        assert len(set(odd_vertices(support, tree)) & side) % 2 == 1
+        crossing = [e for e, x in enumerate(support.edges) if (x.u in side) != (x.v in side)]
+        assert sum((values[e] for e in crossing), Fraction(0)) == minimum
+    return result.witness is not None
+
+
+@pytest.mark.parametrize("spec", REFERENCE_SPECS)
+def test_check_feasible_matches_scan_on_sampled_vectors(spec):
+    prepared = prepare_instance(reference_instance(spec))
+    rng = sample_rng(31, 0)
+    for _ in range(4):
+        sample = sample_hierarchical_tree(prepared.plan, rng)
+        vector = build_join_vector(prepared, sample)
+        assert_matches_scan(prepared.support, sample.edges, vector.values)
+
+
+def test_check_feasible_matches_scan_on_random_multigraphs():
+    rng = np.random.default_rng(2024)
+    empty_odd_sets = witnesses = 0
+    for _ in range(300):
+        n = int(rng.integers(2, 10))
+        pairs = [
+            (int(u), int(v))
+            for u, v in rng.integers(0, n, size=(int(rng.integers(1, 3 * n)), 2))
+            if u != v
+        ]
+        if not pairs:
+            continue
+        support = SupportGraph(
+            n=n,
+            edges=tuple(SupportEdge(i, u, v, i, 0) for i, (u, v) in enumerate(pairs)),
+            pair_members=tuple((i,) for i in range(len(pairs))),
+            incident=tuple(
+                tuple(i for i, p in enumerate(pairs) if w in p) for w in range(n)
+            ),
+            e_plus_pair=None,
+        )
+        # Quarters put many minima below 1, where the witness is returned and checked.
+        values = [Fraction(int(c), 4) for c in rng.choice([0, 0, 1, 2, 3, 7], size=len(pairs))]
+        tree = tuple(i for i in range(len(pairs)) if rng.random() < 0.5)
+        empty_odd_sets += not odd_vertices(support, tree)
+        witnesses += assert_matches_scan(support, tree, values)
+    assert empty_odd_sets > 0 and witnesses > 0
 
 
 def test_check_feasible_finds_a_violation():
