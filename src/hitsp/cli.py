@@ -16,11 +16,11 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
-from importlib import metadata
 from math import sqrt
 
 import numpy as np
 
+from . import __version__
 from ._util import ResourceCapError, canonical_json, format_rational, parse_rational
 from .cuts import InternalHierarchyError, build_hierarchy
 from .degreecut import (
@@ -88,13 +88,6 @@ DEGREE_CORPUS: tuple[tuple[str, int], ...] = (
     ("k5_degree:6", 6),
     ("k5_degree:7", 7),
 )
-
-
-def library_version() -> str:
-    try:
-        return metadata.version("hitsp")
-    except metadata.PackageNotFoundError:
-        return "unknown"
 
 
 def corpus_instance(spec: object) -> HalfIntegralInstance:
@@ -230,45 +223,26 @@ def _chunk_ranges(samples: int, jobs: int) -> list[tuple[int, int]]:
     return ranges
 
 
-def _init_worker(instance_text: str, params_key: tuple) -> None:
-    inst = parse_instance(instance_text)
-    params = ChargingParams(*(Fraction(p) if p else None for p in params_key))
-    _adopt(prepare_instance(inst, params=params))
-
-
-def _adopt(prepared) -> None:
+def _init_worker(prepared) -> None:
+    """Adopt the parent's prepared instance (a worker never re-prepares it)."""
     _WORKER_STATE["prepared"] = prepared
     _WORKER_STATE["joins"] = JoinCalculator(prepared.metric)
-    # Report order of the per-cut loads, fixed once per instance.
-    _WORKER_STATE["cut_keys"] = sorted((_side_key(s), s) for s in prepared.cut_sides)
 
 
 def _run_chunk(task: tuple[int, int, int, bool]) -> list[tuple]:
+    """Integer numerators per sample: tree, join and tour cost over the cost
+    scale, vector total and per-cut loads (``cut_sides`` order) over the
+    vector scale."""
     seed, start, end, check_vectors = task
     prepared = _WORKER_STATE["prepared"]
     joins = _WORKER_STATE["joins"]
-    cut_keys = _WORKER_STATE["cut_keys"]
     records = []
     for idx in range(start, end):
-        out = run_sample(
-            prepared,
-            sample_rng(seed, idx),
-            joins,
-            build_vector=True,
-            check_vector=check_vectors,
-        )
-        records.append(
-            (
-                out.tree_cost,
-                out.join_cost,
-                out.tour_cost,
-                out.vector_total,
-                out.reduced_count,
-                out.join_exact,
-                out.feasible,
-                tuple((key, out.cut_loads[side]) for key, side in cut_keys),
-            )
-        )
+        out = run_sample(prepared, sample_rng(seed, idx), joins, check_vector=check_vectors)
+        records.append((
+            out.tree_numerator, out.join_numerator, out.tour_numerator, out.vector_numerator,
+            out.reduced_count, out.join_exact, out.feasible, out.load_numerators,
+        ))
     return records
 
 
@@ -285,27 +259,30 @@ def cmd_run(args: argparse.Namespace) -> int:
     tasks = [(args.seed, start, end, args.check_vectors) for start, end in chunks]
 
     if len(chunks) == 1:
-        _adopt(prepared)
+        _init_worker(prepared)
         chunk_results = [_run_chunk(tasks[0])]
         _WORKER_STATE.clear()
     else:
         with ProcessPoolExecutor(
             max_workers=len(chunks),
             initializer=_init_worker,
-            initargs=(serialize_instance(inst), (args.alpha, args.beta, args.tau)),
+            initargs=(prepared,),
         ) as pool:
             chunk_results = list(pool.map(_run_chunk, tasks))
 
     records = [rec for chunk in chunk_results for rec in chunk]
     exact = args.mode == "rational"
+    cost_scale, vector_scale = prepared.cost_scale, prepared.scale
+    # x / y on integers is correctly rounded, so each float below equals
+    # float() of the exact Fraction.
+    lp_num, lp_den = lp.numerator * cost_scale, lp.denominator
 
-    def agg(values: list[Fraction]) -> object:
+    def agg(numerators: list[int], scale: int) -> object:
         if exact:
-            mean = sum(values, Fraction(0)) / len(values)
-            return format_rational(mean)
-        return float(sum(float(v) for v in values) / len(values))
+            return format_rational(Fraction(sum(numerators), scale * len(numerators)))
+        return float(sum(x / scale for x in numerators) / len(numerators))
 
-    ratios = [float((rec[0] + rec[1]) / lp) for rec in records]
+    ratios = [(rec[0] + rec[1]) * lp_den / lp_num for rec in records]
     mean_ratio = sum(ratios) / len(ratios)
     if len(ratios) > 1:
         var = sum((r - mean_ratio) ** 2 for r in ratios) / (len(ratios) - 1)
@@ -314,14 +291,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         std = 0.0
     sigma_mean = std / sqrt(len(ratios))
 
-    cut_sums: dict[str, Fraction] = {}
-    for rec in records:
-        for key, value in rec[7]:
-            cut_sums[key] = cut_sums.get(key, Fraction(0)) + value
-    per_cut = {
-        key: format_rational(total / samples) if exact else float(total / samples)
-        for key, total in sorted(cut_sums.items())
-    }
+    per_cut = {}
+    for side, total in zip(prepared.cut_sides, map(sum, zip(*(rec[7] for rec in records)))):
+        mean = Fraction(total, vector_scale * samples)
+        per_cut[_side_key(side)] = format_rational(mean) if exact else float(mean)
 
     seeds = [
         np.random.SeedSequence(args.seed, spawn_key=(i,)).generate_state(2).tolist()
@@ -330,7 +303,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     feasible_known = [rec[6] for rec in records if rec[6] is not None]
     report = {
         "command": "run",
-        "version": library_version(),
+        "version": __version__,
         "config": _config_dict(
             args,
             (
@@ -353,10 +326,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         },
         "results": {
             "samples": samples,
-            "mean_tree_cost": agg([rec[0] for rec in records]),
-            "mean_join_cost": agg([rec[1] for rec in records]),
-            "mean_tour_cost": agg([rec[2] for rec in records]),
-            "mean_vector_total": agg([rec[3] for rec in records]),
+            "mean_tree_cost": agg([rec[0] for rec in records], cost_scale),
+            "mean_join_cost": agg([rec[1] for rec in records], cost_scale),
+            "mean_tour_cost": agg([rec[2] for rec in records], cost_scale),
+            "mean_vector_total": agg([rec[3] for rec in records], vector_scale),
             "mean_reduced_count": float(
                 sum(rec[4] for rec in records) / len(records)
             ),
@@ -370,7 +343,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                 mean_ratio + 3 * sigma_mean,
             ],
             "mean_tour_ratio": float(
-                sum(float(rec[2] / lp) for rec in records) / len(records)
+                sum(rec[2] * lp_den / lp_num for rec in records) / len(records)
             ),
             "per_cut_mean_load": per_cut,
             "feasible_checked": len(feasible_known),
@@ -608,7 +581,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     failed = [(label, chk) for label, chk in rows if not chk.passed]
     payload = {
         "command": "verify-lemmas",
-        "version": library_version(),
+        "version": __version__,
         "config": _config_dict(
             args, ("instance", "gen", "alpha", "beta", "tau", "feasibility_samples")
         ),
@@ -668,7 +641,7 @@ def cmd_degreecut(args: argparse.Namespace) -> int:
     )
     payload = {
         "command": "degreecut",
-        "version": library_version(),
+        "version": __version__,
         "config": _config_dict(
             args, ("instance", "gen", "samples", "seed", "check_vectors")
         ),

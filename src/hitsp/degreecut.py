@@ -37,10 +37,10 @@ from .maxent import TreeKernel, fit_lambda, sample_tree, tree_marginals
 from .ojoin import (
     JoinCalculator,
     _xor_convolve,
-    build_tour,
     check_feasible,
     odd_vertices,
     sample_rng,
+    tour_order,
 )
 
 
@@ -479,16 +479,17 @@ def sample_matching_tree(
 
 def base_correction_values(
     instance: HalfIntegralInstance, context: MatchingContext
-) -> list[Fraction]:
-    """The pre-reduction vector: 1/2 on matched, 1/4 at the root, 1/6 else."""
+) -> list[int]:
+    """The pre-reduction vector in twelfths: 1/2 on matched, 1/4 at the root,
+    1/6 else."""
     values = []
     for idx, e in enumerate(instance.edges):
         if idx in context.matching:
-            values.append(Fraction(1, 2))
+            values.append(6)
         elif context.root is not None and context.root in (e.u, e.v):
-            values.append(Fraction(1, 4))
+            values.append(3)
         else:
-            values.append(Fraction(1, 6))
+            values.append(2)
     return values
 
 
@@ -496,11 +497,12 @@ def correction_vector(
     instance: HalfIntegralInstance,
     context: MatchingContext,
     tree_edges: Iterable[int],
-) -> tuple[list[Fraction], list[int]]:
+) -> tuple[list[int], list[int]]:
     """Apply the even-degree reduction to normal matched edges.
 
-    Returns (values, reduced normal edges).  A normal matched edge drops from
-    1/2 to 1/6 when both of its endpoints have even degree in the connector.
+    Returns (values in twelfths, reduced normal edges).  A normal matched
+    edge drops from 1/2 to 1/6 when both of its endpoints have even degree in
+    the connector.
     """
     tree = set(tree_edges)
     degree = [0] * instance.n
@@ -512,7 +514,7 @@ def correction_vector(
     for e in context.normal_edges:
         u, v = instance.edges[e].u, instance.edges[e].v
         if degree[u] % 2 == 0 and degree[v] % 2 == 0:
-            values[e] = Fraction(1, 6)
+            values[e] = 2
             reduced.append(e)
     return (values, reduced)
 
@@ -638,7 +640,7 @@ def expected_edge_vector(
     instance: HalfIntegralInstance, context: MatchingContext
 ) -> list[Fraction]:
     """E[y_e] for one matching: base values minus the reduction mass."""
-    values = base_correction_values(instance, context)
+    values = [Fraction(x, 12) for x in base_correction_values(instance, context)]
     kernels: dict[int, TreeKernel] = {}
     for e in context.normal_edges:
         values[e] -= Fraction(1, 3) * _normal_even(instance, context, e, kernels)
@@ -717,30 +719,32 @@ def sample_degree_cut(
     metric,
     check_vector: bool = False,
 ) -> DegreeCutSample:
-    """One end-to-end sample: matching, connector, vector, matching-join tour."""
+    """One end-to-end sample: matching, connector, vector, matching-join tour.
+
+    Costs are integer sums: the tree over the instance's cost numerators, the
+    join and the tour over the matrix of ``joins``, which prices ``metric``.
+    """
     weights = np.array([float(w) for w, _ in decomposition.weights])
     idx = int(rng.choice(len(weights), p=weights / weights.sum()))
     matching = decomposition.weights[idx][1]
     context = contexts[matching]
     tree = sample_matching_tree(instance, context, rng)
     values, reduced = correction_vector(instance, context, tree)
-    odd = odd_vertices(support, tree)
-    pairs, _ = joins.matching(odd)
-    join_cost = sum((metric.dist[u][v] for u, v in pairs), Fraction(0))
-    _, tour = build_tour(support, tree, pairs, metric)
-    cost = sum((instance.edges[e].cost for e in tree), Fraction(0))
+    pairs, _, join_numerator = joins.join(odd_vertices(support, tree))
+    cost_scale, costs = instance.cost_numerators
     feasible = None
     if check_vector:
-        result = check_feasible(support, tree, values, floor=Fraction(1, 6))
+        exact = [Fraction(x, 12) for x in values]
+        result = check_feasible(support, tree, exact, floor=Fraction(1, 6))
         feasible = result.feasible and result.floor_ok
     return DegreeCutSample(
         matching=matching,
         tree_edges=tree,
-        tree_cost=cost,
-        join_cost=join_cost,
-        tour_cost=tour,
+        tree_cost=Fraction(sum(costs[e] for e in tree), cost_scale),
+        join_cost=Fraction(join_numerator, joins.scale),
+        tour_cost=Fraction(joins.cycle_cost(tour_order(support, tree, pairs)), joins.scale),
         reduced_normal=tuple(reduced),
-        vector_total=sum(values, Fraction(0)),
+        vector_total=Fraction(sum(values), 12),
         feasible=feasible,
     )
 

@@ -17,6 +17,8 @@ import dataclasses
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -83,6 +85,13 @@ class HalfIntegralInstance:
 
     def lp_cost(self) -> Fraction:
         return sum((e.lp_value * e.cost for e in self.edges), Fraction(0))
+
+    @cached_property
+    def cost_numerators(self) -> tuple[int, tuple[int, ...]]:
+        """(scale, per-edge cost times scale), scale the lcm of the cost
+        denominators; computed once per instance."""
+        scale = lcm(*(e.cost.denominator for e in self.edges))
+        return (scale, tuple((e.cost * scale).numerator for e in self.edges))
 
     def doubled_edges(self) -> tuple[int, ...]:
         return tuple(i for i, e in enumerate(self.edges) if e.lp_value == ONE)

@@ -14,15 +14,15 @@ for verification and end-to-end runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 from math import lcm
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from ._flow import min_odd_cut
+from ._util import euler_circuit, shortcut_order
 from .cuts import (
     CutHierarchy,
     InternalHierarchyError,
@@ -120,11 +120,15 @@ class FinalLevel:
 
 @dataclass(frozen=True)
 class SamplingPlan:
+    """Per-level samplers; ``unit_keys`` lists the Bernoulli units in their
+    fixed draw order: cycle nodes, top edges, final."""
+
     support: SupportGraph
     hierarchy: CutHierarchy
     cycle_levels: tuple[CycleLevel, ...]
     degree_levels: tuple[DegreeLevel, ...]
     final_level: FinalLevel
+    unit_keys: tuple[tuple, ...]
 
 
 @dataclass(frozen=True)
@@ -219,25 +223,23 @@ def build_sampling_plan(hierarchy: CutHierarchy) -> SamplingPlan:
     forced_edge = min(final.pair_classes[final.e_plus_class])
     if hierarchy.support.e_plus_pair is not None:
         forced_edge = min(hierarchy.support.e_plus_pair)
+    cycle_levels.sort(key=lambda c: c.node_id)
     return SamplingPlan(
         support=hierarchy.support,
         hierarchy=hierarchy,
-        cycle_levels=tuple(sorted(cycle_levels, key=lambda c: c.node_id)),
+        cycle_levels=tuple(cycle_levels),
         degree_levels=tuple(sorted(degree_levels, key=lambda d: d.node_id)),
         final_level=FinalLevel(
             classes=final.pair_classes,
             forced_class=final.e_plus_class,
             forced_edge=forced_edge,
         ),
+        unit_keys=(
+            *(("cycle", lvl.node_id) for lvl in cycle_levels),
+            *(("top", e) for e in hierarchy.top_edges()),
+            ("final",),
+        ),
     )
-
-
-def bernoulli_unit_keys(plan: SamplingPlan) -> tuple[tuple, ...]:
-    """Unit keys in the fixed draw order: cycle nodes, top edges, final."""
-    keys: list[tuple] = [("cycle", lvl.node_id) for lvl in plan.cycle_levels]
-    keys.extend(("top", e) for e in plan.hierarchy.top_edges())
-    keys.append(("final",))
-    return tuple(keys)
 
 
 def unit_key_for_edge(plan: SamplingPlan, edge_id: int) -> tuple:
@@ -270,7 +272,7 @@ def sample_hierarchical_tree(plan: SamplingPlan, rng: np.random.Generator) -> Tr
             edges.append(plan.final_level.forced_edge)
         else:
             edges.append(cls[int(rng.integers(len(cls)))])
-    uniforms = {key: float(rng.random()) for key in bernoulli_unit_keys(plan)}
+    uniforms = {key: float(rng.random()) for key in plan.unit_keys}
     return TreeSample(edges=tuple(sorted(edges)), bernoulli_uniforms=uniforms)
 
 
@@ -304,27 +306,6 @@ def _crossing_parity_bits(
     return bits
 
 
-def _enumerated_level_law(
-    outcomes: Sequence[tuple[Fraction, Sequence[int]]],
-    support: SupportGraph,
-    side_a: frozenset[int],
-    side_b: frozenset[int],
-) -> dict[tuple[int, int], Fraction]:
-    law: dict[tuple[int, int], Fraction] = {}
-    for weight, chosen in outcomes:
-        pa = 0
-        pb = 0
-        for e in chosen:
-            u, v = support.endpoints(e)
-            if (u in side_a) != (v in side_a):
-                pa ^= 1
-            if (u in side_b) != (v in side_b):
-                pb ^= 1
-        key = (pa, pb)
-        law[key] = law.get(key, Fraction(0)) + weight
-    return law
-
-
 def _level_parity_law(
     plan: SamplingPlan,
     level,
@@ -335,18 +316,10 @@ def _level_parity_law(
     """Exact joint law of the level's parity contributions to two cuts.
 
     ``kernels`` maps each cut-free level's node id to its exact kernel.
+    Chain and ring levels pick one edge per class uniformly (the ring's
+    forced class always its forced edge), so their laws convolve per class.
     """
     support = plan.support
-    if isinstance(level, CycleLevel):
-        law = {(0, 0): Fraction(1)}
-        for cls in level.classes:
-            bits = _crossing_parity_bits(support, cls, side_a, side_b)
-            class_law: dict[tuple[int, int], Fraction] = {}
-            share = Fraction(1, len(cls))
-            for b in bits:
-                class_law[b] = class_law.get(b, Fraction(0)) + share
-            law = _xor_convolve(law, class_law)
-        return law
     if isinstance(level, DegreeLevel):
         bits = _crossing_parity_bits(support, level.support_ids, side_a, side_b)
         focus_a = [i for i, b in enumerate(bits) if b[0]]
@@ -356,13 +329,13 @@ def _level_parity_law(
         return kernels[level.node_id].parity_pair(focus_a, focus_b)
     law = {(0, 0): Fraction(1)}
     for idx, cls in enumerate(level.classes):
-        if idx == level.forced_class:
-            chosen = [(Fraction(1), (level.forced_edge,))]
-        else:
-            chosen = [(Fraction(1, len(cls)), (e,)) for e in cls]
-        law = _xor_convolve(
-            law, _enumerated_level_law(chosen, support, side_a, side_b)
-        )
+        if isinstance(level, FinalLevel) and idx == level.forced_class:
+            cls = (level.forced_edge,)
+        class_law: dict[tuple[int, int], Fraction] = {}
+        share = Fraction(1, len(cls))
+        for b in _crossing_parity_bits(support, cls, side_a, side_b):
+            class_law[b] = class_law.get(b, Fraction(0)) + share
+        law = _xor_convolve(law, class_law)
     return law
 
 
@@ -449,7 +422,8 @@ class PreparedInstance:
     multiple of ``1 / scale``.  ``unit_edges`` maps each Bernoulli unit to the
     edges it may reduce (those with a positive even-at-last probability), and
     ``cut_charges[i]`` lists ``(edge, share * scale)`` for every edge charging
-    to cut ``i`` with a positive share.
+    to cut ``i`` with a positive share.  ``edge_cost[e]`` is support edge
+    ``e``'s cost times ``cost_scale``, the lcm of the cost denominators.
     """
 
     instance: HalfIntegralInstance
@@ -471,6 +445,8 @@ class PreparedInstance:
     scale: int
     unit_edges: dict
     cut_charges: tuple
+    cost_scale: int
+    edge_cost: tuple
 
 
 def prepare_instance(
@@ -510,7 +486,7 @@ def prepare_instance(
                 )
         else:
             unit_threshold[key] = thr
-    for key in bernoulli_unit_keys(plan):
+    for key in plan.unit_keys:
         unit_threshold.setdefault(key, Fraction(0))
 
     groups = hierarchy.charge_groups()
@@ -537,6 +513,7 @@ def prepare_instance(
         key: tuple(e for e in range(m) if unit_of[e] == key and probs[e] != 0)
         for key in unit_threshold
     }
+    cost_scale, costs = inst.cost_numerators
     cut_index = {side: i for i, side in enumerate(cut_sides)}
     cut_charges: list[list[tuple[int, int]]] = [[] for _ in cut_sides]
     for side, shares in edge_share.items():
@@ -564,6 +541,8 @@ def prepare_instance(
         scale=scale,
         unit_edges=unit_edges,
         cut_charges=tuple(tuple(c) for c in cut_charges),
+        cost_scale=cost_scale,
+        edge_cost=tuple(costs[e.instance_edge] for e in support.edges),
     )
 
 
@@ -581,27 +560,20 @@ def resolve_bernoulli_units(prepared: PreparedInstance, sample: TreeSample) -> d
     return out
 
 
-def build_join_vector(prepared: PreparedInstance, sample: TreeSample) -> JoinVector:
-    """The three-step construction applied to one sampled connector.
-
-    Step 1 starts every support edge at the base value.  Step 2 subtracts the
-    reduction from each edge whose two last cuts are both even and whose
-    Bernoulli unit fired.  Step 3 measures each minimum cut's shortfall below
-    1 (only where the connector crosses it an odd number of times) and adds to
-    every non-ring edge the larger of its two proportional repair shares.
-
-    All three steps run on integer numerators over ``prepared.scale``; the
-    cut parities are the bits of the XOR of the tree edges' crossing masks.
-    """
+def _vector_numerators(
+    prepared: PreparedInstance, sample: TreeSample
+) -> tuple[list[int], list[int], dict[int, int], dict[int, int]]:
+    """``build_join_vector`` on integers over ``prepared.scale``: the values,
+    the reduced edges, and the positive deficits and increases keyed by cut
+    index and edge."""
     scale = prepared.scale
-    m = len(prepared.support.edges)
     crossing = prepared.edge_cut_mask
     parity = 0
     for e in sample.edges:
         parity ^= crossing[e]
 
     base = (prepared.base_value * scale).numerator
-    values = [base] * m
+    values = [base] * len(crossing)
     last = prepared.last_cut_mask
     reduced = []
     for key, fired in resolve_bernoulli_units(prepared, sample).items():
@@ -628,7 +600,23 @@ def build_join_vector(prepared: PreparedInstance, sample: TreeSample) -> JoinVec
                 increases[f] = amount
     for f, amount in increases.items():
         values[f] += amount
+    return values, reduced, deficits, increases
 
+
+def build_join_vector(prepared: PreparedInstance, sample: TreeSample) -> JoinVector:
+    """The three-step construction applied to one sampled connector.
+
+    Step 1 starts every support edge at the base value.  Step 2 subtracts the
+    reduction from each edge whose two last cuts are both even and whose
+    Bernoulli unit fired.  Step 3 measures each minimum cut's shortfall below
+    1 (only where the connector crosses it an odd number of times) and adds to
+    every non-ring edge the larger of its two proportional repair shares.
+
+    All three steps run on integer numerators over ``prepared.scale``; the
+    cut parities are the bits of the XOR of the tree edges' crossing masks.
+    """
+    values, reduced, deficits, increases = _vector_numerators(prepared, sample)
+    scale = prepared.scale
     exact = {x: Fraction(x, scale) for x in {0, *values, *deficits.values(), *increases.values()}}
     return JoinVector(
         values=tuple(exact[x] for x in values),
@@ -636,7 +624,7 @@ def build_join_vector(prepared: PreparedInstance, sample: TreeSample) -> JoinVec
         deficits={
             side: exact[deficits.get(i, 0)] for i, side in enumerate(prepared.cut_sides)
         },
-        increases=tuple(exact[increases.get(e, 0)] for e in range(m)),
+        increases=tuple(exact[increases.get(e, 0)] for e in range(len(values))),
         numerators=tuple(values),
         scale=scale,
     )
@@ -688,126 +676,111 @@ def check_feasible(
     )
 
 
+EXACT_JOIN_LIMIT = 14
+
+
 class JoinCalculator:
     """Minimum-cost perfect matchings on odd vertex sets, memoized.
 
-    Uses bitmask dynamic programming with back-pointers up to ``exact_limit``
-    odd vertices and a greedy pairing (an upper bound) beyond it; results are
-    cached per odd set so repeated samples reuse the work.
+    Distances are integers over ``scale``, the lcm of the metric's
+    denominators.  One bitmask dynamic program pairs up to
+    ``EXACT_JOIN_LIMIT`` odd vertices optimally; a greedy pairing (an upper
+    bound) covers larger sets.  Each odd set's pairs and integer cost are
+    cached, so repeated samples reuse the work.
     """
 
-    def __init__(self, metric: Metric, exact_limit: int = 14):
-        self.metric = metric
-        self.exact_limit = exact_limit
-        self._memo: dict[tuple[int, ...], tuple[tuple[tuple[int, int], ...], bool]] = {}
-        self._exact_memo: dict[tuple[int, ...], Fraction] = {}
-        self._dist = np.array(
-            [[float(d) for d in row] for row in metric.dist], dtype=np.float64
-        )
+    def __init__(self, metric: Metric):
+        self.scale = lcm(*(d.denominator for row in metric.dist for d in row))
+        self.dist = tuple(tuple((d * self.scale).numerator for d in row) for row in metric.dist)
+        # One shared tuple per vertex pair keeps the memo small.
+        self._pair = [[(u, v) for v in range(metric.n)] for u in range(metric.n)]
+        self._memo: dict[tuple[int, ...], tuple[tuple[tuple[int, int], ...], bool, int]] = {}
+
+    def join(self, odd: Sequence[int]) -> tuple[tuple[tuple[int, int], ...], bool, int]:
+        """Pairs covering the odd set, whether they are optimal, and their
+        cost times ``scale``."""
+        odd = tuple(sorted(odd))
+        found = self._memo.get(odd)
+        if found is None:
+            if len(odd) % 2 == 1:
+                raise ValueError("odd vertex set must have even size")
+            if len(odd) <= EXACT_JOIN_LIMIT:
+                pairs, cost = self._optimal(odd)
+                found = (pairs, True, cost)
+            else:
+                pairs = self.greedy_matching(odd)
+                found = (pairs, False, sum(self.dist[u][v] for u, v in pairs))
+            self._memo[odd] = found
+        return found
 
     def matching(self, odd: Sequence[int]) -> tuple[tuple[tuple[int, int], ...], bool]:
-        """Vertex pairs covering the odd set, and whether they are DP-optimal."""
-        odd = tuple(sorted(odd))
-        if len(odd) % 2 == 1:
-            raise ValueError("odd vertex set must have even size")
-        if odd in self._memo:
-            return self._memo[odd]
-        if len(odd) <= self.exact_limit:
-            value = (tuple(self._dp_matching(odd)), True)
-        else:
-            value = (tuple(self.greedy_matching(odd)), False)
-        self._memo[odd] = value
-        return value
-
-    def cost(self, odd: Sequence[int]) -> tuple[Fraction, bool]:
-        """Exact cost of the selected matching, and whether it is optimal."""
-        pairs, exact = self.matching(odd)
-        total = sum((self.metric.dist[u][v] for u, v in pairs), Fraction(0))
-        return (total, exact)
+        """Vertex pairs covering the odd set, and whether they are optimal."""
+        return self.join(odd)[:2]
 
     def exact_cost(self, odd: Sequence[int]) -> Fraction:
-        """Optimal matching cost in exact rational arithmetic (small sets)."""
+        """Optimal matching cost, exactly, for up to 16 odd vertices."""
         odd = tuple(sorted(odd))
-        if odd in self._exact_memo:
-            return self._exact_memo[odd]
-        k = len(odd)
-        if k % 2 == 1:
-            raise ValueError("odd vertex set must have even size")
-        if k > 16:
-            raise ValueError("exact matching limited to 16 odd vertices")
-        dist = self.metric.dist
-        dp: list[Fraction | None] = [None] * (1 << k)
-        dp[0] = Fraction(0)
-        for mask in range(1 << k):
-            if dp[mask] is None:
-                continue
-            first = None
-            for i in range(k):
-                if not mask & (1 << i):
-                    first = i
-                    break
-            if first is None:
-                continue
-            for j in range(first + 1, k):
-                if mask & (1 << j):
-                    continue
-                nxt = mask | (1 << first) | (1 << j)
-                cand = dp[mask] + dist[odd[first]][odd[j]]
-                if dp[nxt] is None or cand < dp[nxt]:
-                    dp[nxt] = cand
-        result = dp[(1 << k) - 1]
-        self._exact_memo[odd] = result
-        return result
+        if len(odd) > 16 or len(odd) % 2 == 1:
+            raise ValueError("exact matching takes an even set of at most 16 vertices")
+        if len(odd) > EXACT_JOIN_LIMIT:
+            return Fraction(self._optimal(odd)[1], self.scale)
+        return Fraction(self.join(odd)[2], self.scale)
 
-    def _dp_matching(self, odd: tuple[int, ...]) -> list[tuple[int, int]]:
-        k = len(odd)
-        if k == 0:
-            return []
-        dist = self._dist
-        dp = np.full(1 << k, np.inf)
-        dp[0] = 0.0
-        choice = np.full(1 << k, -1, dtype=np.int64)
-        for mask in range(1 << k):
-            if dp[mask] == np.inf:
-                continue
-            first = None
-            for i in range(k):
-                if not mask & (1 << i):
-                    first = i
-                    break
-            if first is None:
-                continue
-            for j in range(first + 1, k):
-                if mask & (1 << j):
-                    continue
-                nxt = mask | (1 << first) | (1 << j)
-                cand = dp[mask] + dist[odd[first], odd[j]]
-                if cand < dp[nxt]:
-                    dp[nxt] = cand
-                    choice[nxt] = first * 64 + j
+    def cycle_cost(self, order: Sequence[int]) -> int:
+        """Cost of the closed tour through ``order``, times ``scale``."""
+        dist = self.dist
+        return sum(dist[u][v] for u, v in zip(order, (*order[1:], *order[:1])))
+
+    def _optimal(self, odd: tuple[int, ...]) -> tuple[tuple[tuple[int, int], ...], int]:
+        """Bitmask DP: each reached mask pairs its lowest free vertex with
+        every later free one, in increasing order.  Masks are expanded in
+        increasing order, one pair count at a time, and only a strictly
+        cheaper candidate replaces a stored one, so ties keep the first
+        pairing reached.  ``choice`` holds each mask's last pair as a mask."""
+        rows = [[self.dist[u][v] for v in odd] for u in odd]
+        full = (1 << len(odd)) - 1
+        best: list[int | None] = [None] * (full + 1)
+        best[0] = 0
+        choice = [0] * (full + 1)
+        layer = [0]
+        for _ in range(len(odd) // 2):
+            reached = []
+            for mask in layer:
+                low = mask | (mask + 1)
+                base, row = best[mask], rows[(low ^ mask).bit_length() - 1]
+                rest = full & ~low
+                while rest:
+                    bit = rest & -rest
+                    rest ^= bit
+                    nxt = low | bit
+                    cand = base + row[bit.bit_length() - 1]
+                    old = best[nxt]
+                    if old is None:
+                        reached.append(nxt)
+                    elif cand >= old:
+                        continue
+                    best[nxt] = cand
+                    choice[nxt] = low ^ mask | bit
+            layer = sorted(reached)
         pairs = []
-        mask = (1 << k) - 1
+        mask = full
         while mask:
-            packed = int(choice[mask])
-            i, j = packed // 64, packed % 64
-            pairs.append((odd[i], odd[j]))
-            mask &= ~(1 << i)
-            mask &= ~(1 << j)
-        return pairs
+            pair = choice[mask]
+            first = pair & -pair
+            u, v = odd[first.bit_length() - 1], odd[(pair ^ first).bit_length() - 1]
+            pairs.append(self._pair[u][v])
+            mask ^= pair
+        return (tuple(pairs), best[full])
 
-    def greedy_matching(self, odd: Sequence[int]) -> list[tuple[int, int]]:
-        remaining = list(sorted(odd))
+    def greedy_matching(self, odd: Sequence[int]) -> tuple[tuple[int, int], ...]:
+        remaining = sorted(odd)
         pairs = []
         while remaining:
-            u = remaining[0]
-            best_j = min(
-                range(1, len(remaining)),
-                key=lambda j: self._dist[u, remaining[j]],
-            )
-            pairs.append((u, remaining[best_j]))
-            del remaining[best_j]
+            row = self.dist[remaining[0]]
+            best_j = min(range(1, len(remaining)), key=lambda j: row[remaining[j]])
+            pairs.append(self._pair[remaining[0]][remaining.pop(best_j)])
             del remaining[0]
-        return pairs
+        return tuple(pairs)
 
 
 def tree_cost(
@@ -820,6 +793,17 @@ def tree_cost(
     )
 
 
+def tour_order(
+    support: SupportGraph,
+    tree_edges: Sequence[int],
+    matching_pairs: Sequence[tuple[int, int]],
+) -> list[int]:
+    """Shortcut order of an Euler circuit of the connector plus the matching."""
+    multi = [support.endpoints(e) for e in tree_edges]
+    multi.extend(matching_pairs)
+    return shortcut_order(euler_circuit(support.n, multi))
+
+
 def build_tour(
     support: SupportGraph,
     tree_edges: Sequence[int],
@@ -830,34 +814,62 @@ def build_tour(
 
     Returns the visiting order over all vertices and its exact metric cost.
     """
-    from ._util import euler_circuit, shortcut_order
-
-    multi = [tuple(support.endpoints(e)) for e in tree_edges]
-    multi.extend((u, v) for u, v in matching_pairs)
-    walk = euler_circuit(support.n, multi)
-    order = shortcut_order(walk)
-    cost = Fraction(0)
-    for i, u in enumerate(order):
-        v = order[(i + 1) % len(order)]
-        cost += metric.dist[u][v]
+    order = tour_order(support, tree_edges, matching_pairs)
+    cost = sum(
+        (metric.dist[u][v] for u, v in zip(order, (*order[1:], *order[:1]))),
+        Fraction(0),
+    )
     return (order, cost)
 
 
 @dataclass(frozen=True)
 class SampleOutcome:
-    """Everything measured on one end-to-end sample."""
+    """Everything measured on one end-to-end sample.
+
+    ``tree_numerator`` and ``join_numerator`` are the costs times
+    ``prepared.cost_scale``; ``vector_numerator`` and ``load_numerators``
+    (the cut loads, in ``cut_sides`` order) are over ``prepared.scale``, and
+    ``cut_loads`` builds their ``Fraction`` dict when read.  The tour is built
+    and priced on the first read of ``tour_numerator`` or ``tour_cost``.
+    """
 
     tree_edges: tuple[int, ...]
     tree_cost: Fraction
     join_cost: Fraction
     join_exact: bool
-    tour_cost: Fraction
     reduced_count: int
     vector_total: Fraction | None
     feasible: bool | None
     min_cut_value: Fraction | None
     min_edge_value: Fraction | None
-    cut_loads: dict | None
+    tree_numerator: int
+    join_numerator: int
+    vector_numerator: int | None
+    load_numerators: tuple[int, ...] | None
+    join_pairs: tuple[tuple[int, int], ...]
+    prepared: PreparedInstance = field(repr=False, compare=False)
+    joins: JoinCalculator = field(repr=False, compare=False)
+    _tour: list = field(default_factory=list, repr=False, compare=False)
+
+    @property
+    def tour_numerator(self) -> int:
+        if not self._tour:
+            order = tour_order(self.prepared.support, self.tree_edges, self.join_pairs)
+            lift = self.prepared.cost_scale // self.joins.scale
+            self._tour.append(self.joins.cycle_cost(order) * lift)
+        return self._tour[0]
+
+    @property
+    def tour_cost(self) -> Fraction:
+        return Fraction(self.tour_numerator, self.prepared.cost_scale)
+
+    @property
+    def cut_loads(self) -> dict | None:
+        if self.load_numerators is None:
+            return None
+        scale = self.prepared.scale
+        exact = {x: Fraction(x, scale) for x in set(self.load_numerators)}
+        return {side: exact[x] for side, x in zip(self.prepared.cut_sides, self.load_numerators)}
 
 
 def run_sample(
@@ -867,53 +879,53 @@ def run_sample(
     build_vector: bool = True,
     check_vector: bool = False,
 ) -> SampleOutcome:
-    """Sample a connector, price its parity matching and tour, optionally
-    build and verify the correction vector."""
+    """Sample a connector and price its parity matching; optionally build and
+    verify the correction vector.  ``joins`` must price ``prepared.metric``."""
     sample = sample_hierarchical_tree(prepared.plan, rng)
     tree = sample.edges
-    odd = odd_vertices(prepared.support, tree)
-    pairs, join_exact = joins.matching(odd)
-    join_cost = sum((prepared.metric.dist[u][v] for u, v in pairs), Fraction(0))
-    _, tour = build_tour(prepared.support, tree, pairs, prepared.metric)
-    vector_total = None
+    pairs, join_exact, join_numerator = joins.join(odd_vertices(prepared.support, tree))
+    join_numerator *= prepared.cost_scale // joins.scale
+    tree_numerator = sum(prepared.edge_cost[e] for e in tree)
+    scale = prepared.scale
     reduced_count = 0
-    feasible = None
-    min_cut_value = None
-    min_edge_value = None
-    cut_loads = None
+    vector_numerator = vector_total = min_edge = loads = feasible = min_cut_value = None
     if build_vector:
-        vector = build_join_vector(prepared, sample)
-        nums, scale = vector.numerators, vector.scale
-        vector_total = vector.total()
-        reduced_count = len(vector.reduced)
-        min_edge_value = Fraction(min(nums), scale)
-        loads = {
-            side: nums[a] + nums[b] + nums[c] + nums[d]
-            for side, (a, b, c, d) in prepared.cut_boundary.items()
-        }
-        exact = {x: Fraction(x, scale) for x in set(loads.values())}
-        cut_loads = {side: exact[x] for side, x in loads.items()}
+        values, reduced, _, _ = _vector_numerators(prepared, sample)
+        vector_numerator = sum(values)
+        vector_total = Fraction(vector_numerator, scale)
+        reduced_count = len(reduced)
+        min_edge = Fraction(min(values), scale)
+        loads = tuple([
+            values[a] + values[b] + values[c] + values[d]
+            for a, b, c, d in prepared.cut_boundary.values()
+        ])
         if check_vector:
+            exact = {x: Fraction(x, scale) for x in set(values)}
             result = check_feasible(
                 prepared.support,
                 tree,
-                vector.values,
+                [exact[x] for x in values],
                 floor=prepared.base_value - prepared.params.reduction,
             )
             feasible = result.feasible and result.floor_ok
             min_cut_value = result.minimum
     return SampleOutcome(
         tree_edges=tree,
-        tree_cost=tree_cost(prepared.instance, prepared.support, tree),
-        join_cost=join_cost,
+        tree_cost=Fraction(tree_numerator, prepared.cost_scale),
+        join_cost=Fraction(join_numerator, prepared.cost_scale),
         join_exact=join_exact,
-        tour_cost=tour,
         reduced_count=reduced_count,
         vector_total=vector_total,
         feasible=feasible,
         min_cut_value=min_cut_value,
-        min_edge_value=min_edge_value,
-        cut_loads=cut_loads,
+        min_edge_value=min_edge,
+        tree_numerator=tree_numerator,
+        join_numerator=join_numerator,
+        vector_numerator=vector_numerator,
+        load_numerators=loads,
+        join_pairs=pairs,
+        prepared=prepared,
+        joins=joins,
     )
 
 

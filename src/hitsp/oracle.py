@@ -29,7 +29,6 @@ from .ojoin import (
     PreparedInstance,
     SamplingPlan,
     TreeSample,
-    bernoulli_unit_keys,
     build_join_vector,
 )
 
@@ -115,7 +114,7 @@ def level_outcome_table(plan: SamplingPlan) -> tuple[LevelOutcomes, ...]:
 def outcome_space_size(plan: SamplingPlan) -> tuple[int, int]:
     """(number of distinct trees, number of Bernoulli units) for the plan."""
     levels = level_outcome_table(plan)
-    return (prod(len(lv.choices) for lv in levels), len(bernoulli_unit_keys(plan)))
+    return (prod(len(lv.choices) for lv in levels), len(plan.unit_keys))
 
 
 def subset_joint_distribution(
@@ -225,7 +224,7 @@ def exact_pipeline_expectations(
 
     levels = level_outcome_table(plan)
     tree_total = prod(len(lv.choices) for lv in levels)
-    units = bernoulli_unit_keys(plan)
+    units = plan.unit_keys
     if tree_total * (2 ** len(units)) > cap:
         raise ResourceCapError(
             f"outcome space {tree_total} * 2^{len(units)} exceeds cap {cap}"
@@ -419,7 +418,7 @@ def exact_expectations_by_full_enumeration(
     the per-sample vector builder directly.  Tiny instances only."""
     plan = prepared.plan
     levels = level_outcome_table(plan)
-    units = bernoulli_unit_keys(plan)
+    units = plan.unit_keys
     tree_total = prod(len(lv.choices) for lv in levels)
     if tree_total * (2 ** len(units)) > cap:
         raise ResourceCapError("full outcome enumeration over cap")

@@ -1,9 +1,12 @@
 """The command-line driver: subcommands, exit codes, determinism, reports."""
 
 import json
+import os
+import pickle
 
 import pytest
 
+import hitsp
 from hitsp.cli import main
 from hitsp.instance import parse_instance
 from hitsp.ojoin import prepare_instance
@@ -123,6 +126,44 @@ def test_run_prepares_the_instance_once_at_one_job(chain_file, tmp_path, monkeyp
     assert main(["run", "--instance", chain_file, "--samples", "12",
                  "--jobs", "1", "--out", str(tmp_path / "r.json")]) == 0
     assert len(calls) == 1
+
+
+def test_workers_adopt_the_parents_prepared_instance(chain_file, tmp_path, monkeypatch):
+    import hitsp.cli
+
+    prepared = prepare_instance(parse_instance(open(chain_file).read()))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("prepare_instance called")
+
+    monkeypatch.setattr(hitsp.cli, "prepare_instance", refuse)
+    hitsp.cli._init_worker(pickle.loads(pickle.dumps(prepared)))
+    try:
+        assert len(hitsp.cli._run_chunk((11, 0, 4, False))) == 4
+    finally:
+        hitsp.cli._WORKER_STATE.clear()
+
+    # Forked workers inherit the patch: only the parent may prepare.
+    parent = os.getpid()
+
+    def parent_only(*args, **kwargs):
+        if os.getpid() != parent:
+            raise AssertionError("a worker re-prepared the instance")
+        return prepare_instance(*args, **kwargs)
+
+    monkeypatch.setattr(hitsp.cli, "prepare_instance", parent_only)
+    monkeypatch.setattr(hitsp.cli.os, "cpu_count", lambda: 2)
+    reports = {}
+    for jobs in ("1", "2"):
+        out = tmp_path / f"j{jobs}.json"
+        assert main(["run", "--instance", chain_file, "--samples", "30", "--seed", "5",
+                     "--jobs", jobs, "--out", str(out)]) == 0
+        data = read_json(str(out))
+        # Only the fields naming the job split may differ.
+        assert str(data["config"].pop("jobs")) == jobs
+        assert len(data["seeds"].pop("chunks")) == int(jobs)
+        reports[jobs] = data
+    assert reports["1"] == reports["2"]
 
 
 @pytest.mark.parametrize("samples", ["0", "-3"])
@@ -249,3 +290,58 @@ def test_reports_embed_version_and_config(chain_file, tmp_path):
     assert data["version"]
     assert data["config"]["subcommand"] == "run"
     assert data["seeds"]["scheme"].startswith("SeedSequence")
+
+
+def test_reports_carry_the_package_version(chain_file, tmp_path):
+    runs = [
+        ["run", "--instance", chain_file, "--samples", "5"],
+        ["verify-lemmas", "--gen", "doubled_triangle", "--feasibility-samples", "2"],
+        ["degreecut", "--gen", "k5_degree:5", "--samples", "5"],
+    ]
+    for i, argv in enumerate(runs):
+        out = tmp_path / f"r{i}.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert read_json(str(out))["version"] == hitsp.__version__
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_run_aggregates_equal_the_fraction_arithmetic(tmp_path, mode):
+    """Integer sums in ``run`` give the bytes of per-sample ``Fraction`` sums."""
+    from dataclasses import replace
+    from fractions import Fraction
+
+    from hitsp._util import format_rational
+    from hitsp.instance import generate_instance, serialize_instance
+    from hitsp.ojoin import JoinCalculator, run_sample, sample_rng
+
+    inst = generate_instance("envelope", 3)
+    costs = [Fraction(1 + i % 5, 3 + 2 * (i % 2)) for i in range(len(inst.edges))]
+    inst = replace(inst, edges=tuple(replace(e, cost=c) for e, c in zip(inst.edges, costs)))
+    path = tmp_path / "inst.json"
+    path.write_text(serialize_instance(inst))
+    out = tmp_path / "r.json"
+    assert main(["run", "--instance", str(path), "--samples", "40", "--seed", "9",
+                 "--mode", mode, "--out", str(out)]) == 0
+    results = read_json(str(out))["results"]
+
+    prepared = prepare_instance(parse_instance(path.read_text()))
+    assert prepared.cost_scale == 15
+    lp = inst.lp_cost()
+    joins = JoinCalculator(prepared.metric)
+    outs = [run_sample(prepared, sample_rng(9, i), joins) for i in range(40)]
+
+    def agg(values):
+        if mode == "rational":
+            return format_rational(sum(values, Fraction(0)) / len(values))
+        return float(sum(float(v) for v in values) / len(values))
+
+    for field, name in (("tree_cost", "mean_tree_cost"), ("join_cost", "mean_join_cost"),
+                        ("tour_cost", "mean_tour_cost"), ("vector_total", "mean_vector_total")):
+        assert results[name] == agg([getattr(o, field) for o in outs]), name
+    ratios = [float((o.tree_cost + o.join_cost) / lp) for o in outs]
+    assert results["combined_ratio_mean"] == sum(ratios) / len(ratios)
+    assert results["mean_tour_ratio"] == float(sum(float(o.tour_cost / lp) for o in outs) / 40)
+    for side in prepared.cut_sides:
+        mean = sum((o.cut_loads[side] for o in outs), Fraction(0)) / 40
+        key = ",".join(str(v) for v in sorted(side))
+        assert results["per_cut_mean_load"][key] == (format_rational(mean) if mode == "rational" else float(mean))

@@ -219,3 +219,44 @@ def test_simplex_decomposition_is_verified(monkeypatch):
     monkeypatch.setattr("hitsp.degreecut.solve_equalities_nonneg", first_matching_only)
     with pytest.raises(DegreeCutError, match="misses the matching target"):
         decompose_matching(generate_instance("k5_degree", 7))
+
+
+@pytest.mark.parametrize("spec, rational", [(("k5_degree", 7), False), (("random_half_integral", 14), True)])
+def test_degree_cut_sample_matches_fraction_composition(spec, rational):
+    """Integer costs and twelfths give the former ``Fraction`` sums exactly,
+    also on costs in thirds and fifths."""
+    from dataclasses import replace
+
+    from hitsp.degreecut import correction_vector, sample_matching_tree
+    from hitsp.instance import build_support_graph, metric_closure
+    from hitsp.ojoin import JoinCalculator, build_tour, odd_vertices
+
+    inst = generate_instance(*spec)
+    if rational:
+        costs = [Fraction(1 + i % 7, 3 + 2 * (i % 2)) for i in range(len(inst.edges))]
+        inst = replace(inst, edges=tuple(replace(e, cost=c) for e, c in zip(inst.edges, costs)))
+        assert inst.cost_numerators[0] == 15
+    dec = decompose_matching(inst)
+    contexts = contexts_for(inst, dec)
+    support = build_support_graph(inst)
+    metric = metric_closure(inst)
+    joins = JoinCalculator(metric)
+    for seed in range(200):
+        out = sample_degree_cut(
+            inst, dec, contexts, sample_rng(seed, 0), joins, support, metric,
+            check_vector=seed < 20,
+        )
+        context = contexts[out.matching]
+        rng = sample_rng(seed, 0)
+        weights = np.array([float(w) for w, _ in dec.weights])
+        rng.choice(len(weights), p=weights / weights.sum())
+        tree = sample_matching_tree(inst, context, rng)
+        assert out.tree_edges == tree
+        pairs, _ = joins.matching(odd_vertices(support, tree))
+        values = [Fraction(x, 12) for x in correction_vector(inst, context, tree)[0]]
+        assert out.tree_cost == sum((inst.edges[e].cost for e in tree), Fraction(0))
+        assert out.join_cost == sum((metric.dist[u][v] for u, v in pairs), Fraction(0))
+        assert out.tour_cost == build_tour(support, tree, pairs, metric)[1]
+        assert out.vector_total == sum(values, Fraction(0))
+        assert min(values) >= Fraction(1, 6)
+        assert out.feasible is (True if seed < 20 else None)

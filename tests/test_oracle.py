@@ -13,7 +13,6 @@ from hitsp.instance import GADGET_BUILDERS, generate_instance
 from hitsp.ojoin import (
     JoinCalculator,
     PreparedInstance,
-    bernoulli_unit_keys,
     prepare_instance,
     tree_cost,
 )
@@ -93,7 +92,7 @@ def reference_pipeline_expectations(
 
     levels = level_outcome_table(plan)
     tree_total = math.prod(len(lv.choices) for lv in levels)
-    units = bernoulli_unit_keys(plan)
+    units = plan.unit_keys
 
     cut_list = list(prepared.cut_sides)
     cut_index = {side: i for i, side in enumerate(cut_list)}
