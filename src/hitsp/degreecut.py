@@ -18,7 +18,7 @@ sampled independently of the contracted remainder.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
@@ -33,7 +33,7 @@ from .instance import (
     build_support_graph,
     metric_closure,
 )
-from .maxent import TreeKernel, fit_lambda, sample_tree, tree_marginals
+from .maxent import TreeKernel, TreeLevel, _contract, fit_level
 from .ojoin import (
     JoinCalculator,
     _xor_convolve,
@@ -60,11 +60,17 @@ class MatchingDecomposition:
     ``weights[i]`` pairs an exact weight with a matching (frozenset of edge
     ids); weights are positive and sum to 1.  ``method`` records whether
     proportional fitting ("ipf") or the exact simplex fallback ("simplex")
-    produced it.
+    produced it.  ``draw_probabilities`` are the float weights the sampler
+    draws a matching index with.
     """
 
     weights: tuple[tuple[Fraction, frozenset[int]], ...]
     method: str
+    draw_probabilities: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        floats = np.array([float(w) for w, _ in self.weights])
+        object.__setattr__(self, "draw_probabilities", floats / floats.sum())
 
     def marginals(self, m: int) -> list[Fraction]:
         out = [Fraction(0)] * m
@@ -222,23 +228,6 @@ def _verify_decomposition(
     return all(marg[e] == target[e] for e in range(m))
 
 
-@dataclass(frozen=True)
-class TreeLevel:
-    """One independent sub-sampling problem of the face decomposition.
-
-    ``edge_ids`` are original instance edge ids; ``level_edges`` their
-    endpoints relabeled to 0..vertex_count-1.  ``lam_exact`` is the weight
-    vector all exact computations use (unit weights when those already hit
-    the targets exactly, otherwise a rationalized fit).
-    """
-
-    vertex_count: int
-    level_edges: tuple[tuple[int, int], ...]
-    edge_ids: tuple[int, ...]
-    lam_float: tuple[float, ...]
-    lam_exact: tuple[Fraction, ...]
-
-
 def build_tree_levels(
     n: int,
     edges: Sequence[tuple[int, int]],
@@ -255,28 +244,13 @@ def build_tree_levels(
     """
     pinned = tuple(i for i, t in enumerate(targets) if t == 1)
     deleted = tuple(i for i, t in enumerate(targets) if t == 0)
-
-    parent = list(range(n))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i in pinned:
-        u, v = edges[i]
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            raise DegreeCutError("pinned tree edges contain a cycle")
-        parent[ru] = rv
-    roots = sorted({find(v) for v in range(n)})
-    relabel = {r: i for i, r in enumerate(roots)}
+    size, contracted, had_cycle = _contract(n, edges, [edges[i] for i in pinned])
+    if had_cycle:
+        raise DegreeCutError("pinned tree edges contain a cycle")
     live = []
-    for i in range(len(edges)):
+    for i, (u, v) in enumerate(contracted):
         if i in pinned or i in deleted:
             continue
-        u, v = relabel[find(edges[i][0])], relabel[find(edges[i][1])]
         if u == v:
             raise DegreeCutError(f"edge {i} has positive target but is a self-loop")
         live.append((i, u, v))
@@ -300,7 +274,15 @@ def build_tree_levels(
             if tight:
                 break
         if tight is None:
-            _emit_level(nq, items, tvals, levels)
+            levels.append(
+                fit_level(
+                    nq,
+                    [(u, v) for _, u, v in items],
+                    [idx for idx, _, _ in items],
+                    [tvals[idx] for idx, _, _ in items],
+                    tol=1e-10,
+                )
+            )
             return
         sset, inside = tight
         order = {v: i for i, v in enumerate(sorted(sset))}
@@ -330,38 +312,8 @@ def build_tree_levels(
         split(nxt, outside, tvals)
 
     tvals = {i: Fraction(targets[i]) for i, _, _ in live}
-    split(len(roots), live, tvals)
+    split(size, live, tvals)
     return (pinned, deleted, tuple(levels))
-
-
-def _emit_level(
-    nq: int,
-    items: list[tuple[int, int, int]],
-    tvals: dict,
-    levels: list[TreeLevel],
-) -> None:
-    level_edges = tuple((u, v) for _, u, v in items)
-    edge_ids = tuple(idx for idx, _, _ in items)
-    targets = [tvals[idx] for idx in edge_ids]
-    unit = [Fraction(1)] * len(level_edges)
-    if tree_marginals(nq, level_edges, unit).values == tuple(targets):
-        lam_float = tuple(1.0 for _ in level_edges)
-        lam_exact = tuple(Fraction(1) for _ in level_edges)
-    else:
-        fit = fit_lambda(nq, list(level_edges), [float(t) for t in targets], tol=1e-10)
-        if fit.forced or fit.deleted:
-            raise DegreeCutError("level fit pinned edges unexpectedly")
-        lam_float = fit.values
-        lam_exact = tuple(Fraction(v).limit_denominator(10**12) for v in fit.values)
-    levels.append(
-        TreeLevel(
-            vertex_count=nq,
-            level_edges=level_edges,
-            edge_ids=edge_ids,
-            lam_float=lam_float,
-            lam_exact=lam_exact,
-        )
-    )
 
 
 @dataclass(frozen=True)
@@ -469,10 +421,7 @@ def sample_matching_tree(
     the dropped matched edge added back (n edges total, one cycle)."""
     chosen = list(context.pinned)
     for level in context.levels:
-        picked = sample_tree(
-            level.vertex_count, list(level.level_edges), level.lam_float, rng
-        )
-        chosen.extend(level.edge_ids[i] for i in picked)
+        chosen.extend(level.sample(rng))
     chosen.append(context.forced_edge)
     return tuple(sorted(chosen))
 
@@ -523,14 +472,6 @@ def _always_in_tree(context: MatchingContext) -> set[int]:
     return set(context.pinned) | {context.forced_edge}
 
 
-def _level_kernel(kernels: dict[int, TreeKernel], context: MatchingContext, i: int) -> TreeKernel:
-    """The exact kernel of ``context.levels[i]``, built on first use."""
-    if i not in kernels:
-        level = context.levels[i]
-        kernels[i] = TreeKernel(level.vertex_count, level.level_edges, level.lam_exact)
-    return kernels[i]
-
-
 def normal_even_probability(
     instance: HalfIntegralInstance, context: MatchingContext, edge: int
 ) -> Fraction:
@@ -540,44 +481,24 @@ def normal_even_probability(
     when an odd number of its three other edges enter; those live in the
     independent levels, whose parity laws convolve.
     """
-    return _normal_even(instance, context, edge, {})
+    return _normal_even(instance, context, edge, [level.kernel() for level in context.levels])
 
 
 def _normal_even(
     instance: HalfIntegralInstance,
     context: MatchingContext,
     edge: int,
-    kernels: dict[int, TreeKernel],
+    kernels: list[TreeKernel],
 ) -> Fraction:
     e = instance.edges[edge]
-    certain = _always_in_tree(context)
-
-    def certain_degree(v: int) -> int:
-        return sum(
-            1
-            for i in certain
-            if v in (instance.edges[i].u, instance.edges[i].v)
-        )
-
+    at_u, at_v = (
+        {i for i, f in enumerate(instance.edges) if w in (f.u, f.v)} for w in (e.u, e.v)
+    )
     law = {(0, 0): Fraction(1)}
-    for i, level in enumerate(context.levels):
-        focus_u = [
-            pos
-            for pos, idx in enumerate(level.edge_ids)
-            if e.u in (instance.edges[idx].u, instance.edges[idx].v)
-        ]
-        focus_v = [
-            pos
-            for pos, idx in enumerate(level.edge_ids)
-            if e.v in (instance.edges[idx].u, instance.edges[idx].v)
-        ]
-        if not focus_u and not focus_v:
-            continue
-        level_law = _level_kernel(kernels, context, i).parity_pair(focus_u, focus_v)
-        law = _xor_convolve(law, level_law)
-    want_u = certain_degree(e.u) % 2
-    want_v = certain_degree(e.v) % 2
-    return law.get((want_u, want_v), Fraction(0))
+    for level, kernel in zip(context.levels, kernels):
+        law = _xor_convolve(law, level.parity_pair(kernel, at_u, at_v))
+    certain = _always_in_tree(context)
+    return law.get((len(certain & at_u) % 2, len(certain & at_v) % 2), Fraction(0))
 
 
 def exactly_one_each_probability(
@@ -603,8 +524,7 @@ def exactly_one_each_probability(
     base_u = sum(1 for i in side_u if i in certain)
     base_v = sum(1 for i in side_v if i in certain)
     law = {(base_u, base_v): Fraction(1)}
-    kernels: dict[int, TreeKernel] = {}
-    for i, level in enumerate(context.levels):
+    for level in context.levels:
         focus = [
             pos
             for pos, idx in enumerate(level.edge_ids)
@@ -612,7 +532,7 @@ def exactly_one_each_probability(
         ]
         if not focus:
             continue
-        joint = _level_kernel(kernels, context, i).joint(focus)
+        joint = level.kernel().joint(focus)
         level_law: dict[tuple[int, int], Fraction] = {}
         for pattern, prob in joint.probabilities.items():
             cu = sum(
@@ -641,7 +561,7 @@ def expected_edge_vector(
 ) -> list[Fraction]:
     """E[y_e] for one matching: base values minus the reduction mass."""
     values = [Fraction(x, 12) for x in base_correction_values(instance, context)]
-    kernels: dict[int, TreeKernel] = {}
+    kernels = [level.kernel() for level in context.levels]
     for e in context.normal_edges:
         values[e] -= Fraction(1, 3) * _normal_even(instance, context, e, kernels)
     return values
@@ -724,8 +644,8 @@ def sample_degree_cut(
     Costs are integer sums: the tree over the instance's cost numerators, the
     join and the tour over the matrix of ``joins``, which prices ``metric``.
     """
-    weights = np.array([float(w) for w, _ in decomposition.weights])
-    idx = int(rng.choice(len(weights), p=weights / weights.sum()))
+    probabilities = decomposition.draw_probabilities
+    idx = int(rng.choice(len(probabilities), p=probabilities))
     matching = decomposition.weights[idx][1]
     context = contexts[matching]
     tree = sample_matching_tree(instance, context, rng)

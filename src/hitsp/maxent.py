@@ -6,7 +6,9 @@ weights.  This module provides exact (rational-arithmetic) and float routines
 for tree counts and single-edge marginals, an exact kernel (one inverse of
 the grounded Laplacian) for marginals, small joint laws and parity laws, a
 multiplicative fixed-point fitter that finds weights realizing prescribed
-marginals, and a loop-erased random-walk sampler.
+marginals, and a loop-erased random-walk sampler.  :class:`TreeLevel` is
+the one fitted level both sampling pipelines use: its walk tables are
+built once, and its exact kernel answers the parity laws.
 
 Graphs are given as ``(n, edges)`` with ``edges`` a sequence of ``(u, v)``
 pairs over vertices ``0..n-1``; parallel edges are distinct entries and edge
@@ -15,10 +17,11 @@ identity is positional.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Container, Iterable, Sequence
 
 import numpy as np
 
@@ -433,34 +436,33 @@ def fit_lambda(
     return LambdaFit(tuple(values), forced, deleted, error, iterations)
 
 
-def sample_tree(
-    n: int,
-    edges: Sequence[tuple[int, int]],
-    lam: Sequence,
-    rng: np.random.Generator,
-) -> tuple[int, ...]:
-    """One spanning tree via loop-erased random walks, weight-proportional.
-
-    Returns the sorted edge indices of the sampled tree.  Parallel edges are
-    handled individually, so multigraph levels sample correctly.
-    """
-    if n == 1:
-        return ()
+def _walk_tables(
+    n: int, edges: Sequence[tuple[int, int]], lam: Sequence
+) -> tuple[list[list[tuple[int, int]]], list[list[float]]]:
+    """Per vertex: the (neighbor, edge index) pairs of its positive-weight
+    non-loop edges, and the running sums of their float weights."""
     incident: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for idx, (u, v) in enumerate(edges):
-        if u == v:
-            continue
-        w = float(lam[idx])
-        if w <= 0:
+        if u == v or float(lam[idx]) <= 0:
             continue
         incident[u].append((v, idx))
         incident[v].append((u, idx))
     buckets = []
-    for v in range(n):
-        if not incident[v]:
+    for v, pairs in enumerate(incident):
+        if not pairs and n > 1:
             raise ValueError(f"vertex {v} has no positive-weight edge")
-        weights = np.array([float(lam[i]) for (_, i) in incident[v]])
-        buckets.append(np.cumsum(weights))
+        buckets.append(np.cumsum([float(lam[i]) for _, i in pairs]).tolist())
+    return incident, buckets
+
+
+def _walk(
+    tables: tuple[list[list[tuple[int, int]]], list[list[float]]],
+    rng: np.random.Generator,
+) -> tuple[int, ...]:
+    """Wilson's loop-erased random walks rooted at vertex 0: one spanning
+    tree, weight-proportional, as sorted edge indices."""
+    incident, buckets = tables
+    n = len(incident)
     in_tree = [False] * n
     in_tree[0] = True
     next_hop: list[tuple[int, int] | None] = [None] * n
@@ -470,8 +472,7 @@ def sample_tree(
         while not in_tree[u]:
             cum = buckets[u]
             r = rng.random() * cum[-1]
-            choice = int(np.searchsorted(cum, r, side="right"))
-            choice = min(choice, len(incident[u]) - 1)
+            choice = min(bisect_right(cum, r), len(cum) - 1)
             v, idx = incident[u][choice]
             next_hop[u] = (idx, v)
             u = v
@@ -484,74 +485,83 @@ def sample_tree(
     return tuple(sorted(tree))
 
 
-def sample_tree_with_forced(
+def sample_tree(
     n: int,
     edges: Sequence[tuple[int, int]],
-    fit: LambdaFit,
+    lam: Sequence,
     rng: np.random.Generator,
 ) -> tuple[int, ...]:
-    """Sample from a LambdaFit: forced edges always in, deleted never."""
-    cn, cedges, had_cycle = _contract(n, edges, [edges[i] for i in fit.forced])
-    if had_cycle:
-        raise ValueError("forced edges contain a cycle")
-    keep = [
-        i
-        for i in range(len(edges))
-        if i not in fit.forced and i not in fit.deleted and cedges[i][0] != cedges[i][1]
-    ]
-    sub = sample_tree(
-        cn, [cedges[i] for i in keep], [fit.values[i] for i in keep], rng
-    )
-    chosen = sorted(set(fit.forced) | {keep[j] for j in sub})
-    return tuple(chosen)
+    """One spanning tree via loop-erased random walks, weight-proportional.
+
+    Returns the sorted edge indices of the sampled tree.  Parallel edges are
+    handled individually, so multigraph levels sample correctly.
+    """
+    return _walk(_walk_tables(n, edges, lam), rng)
 
 
-def joint_distribution(
+@dataclass(frozen=True)
+class TreeLevel:
+    """One independent weighted spanning-tree law of a sampling pipeline.
+
+    ``level_edges`` are vertex pairs over ``0..vertex_count-1``, aligned with
+    ``edge_ids`` (the caller's edge ids).  ``lam_float`` drives the sampler;
+    ``lam_exact`` is the rationalized weight vector every exact computation
+    uses.  ``walk`` holds the sampler's tables, built once at construction
+    and left out of equality and repr.
+    """
+
+    vertex_count: int
+    level_edges: tuple[tuple[int, int], ...]
+    edge_ids: tuple[int, ...]
+    lam_float: tuple[float, ...]
+    lam_exact: tuple[Fraction, ...]
+    walk: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        tables = _walk_tables(self.vertex_count, self.level_edges, self.lam_float)
+        object.__setattr__(self, "walk", tables)
+
+    def sample(self, rng: np.random.Generator) -> list[int]:
+        """The edge ids of one sampled tree, in level order."""
+        return [self.edge_ids[i] for i in _walk(self.walk, rng)]
+
+    def kernel(self) -> TreeKernel:
+        """The exact kernel of the law under ``lam_exact``."""
+        return TreeKernel(self.vertex_count, self.level_edges, self.lam_exact)
+
+    def parity_pair(
+        self, kernel: TreeKernel, edges_a: Container[int], edges_b: Container[int]
+    ) -> dict[tuple[int, int], Fraction]:
+        """Joint law of the tree's parities on two sets of edge ids, from
+        this level's ``kernel``."""
+        focus_a = [pos for pos, e in enumerate(self.edge_ids) if e in edges_a]
+        focus_b = [pos for pos, e in enumerate(self.edge_ids) if e in edges_b]
+        if not focus_a and not focus_b:
+            return {(0, 0): Fraction(1)}
+        return kernel.parity_pair(focus_a, focus_b)
+
+
+def fit_level(
     n: int,
     edges: Sequence[tuple[int, int]],
-    lam: Sequence,
-    focus: Sequence[int],
-) -> JointDistribution:
-    """Exact joint membership law over up to 10 focus edges.
+    edge_ids: Sequence[int],
+    targets: Sequence[Fraction],
+    tol: float,
+) -> TreeLevel:
+    """The level whose tree marginals hit ``targets``.
 
-    Each pattern's probability is one transfer-current determinant of
-    :class:`TreeKernel`; patterns with probability zero are omitted.
+    Unit weights when they hit the targets exactly; otherwise
+    :func:`fit_lambda` to ``tol``, rounded to denominators <= 10^12 for
+    ``lam_exact``.  Targets must lie strictly between 0 and 1.
     """
-    focus = tuple(focus)
-    if len(focus) > 10:
-        raise ValueError("joint_distribution supports at most 10 focus edges")
-    return TreeKernel(n, edges, lam).joint(focus)
-
-
-def parity_distribution(
-    n: int,
-    edges: Sequence[tuple[int, int]],
-    lam: Sequence,
-    focus: Sequence[int],
-) -> Fraction:
-    """P[|T ∩ focus| is even], exactly, via the signed-weight tree count.
-
-    Flipping the sign of the focus edges' weights turns the tree sum into the
-    expectation of (-1)^{|T ∩ focus|}, an |focus| x |focus| determinant of
-    :class:`TreeKernel`; no enumeration over patterns needed.
-    """
-    return (1 + TreeKernel(n, edges, lam).sign_expectation(focus)) / 2
-
-
-def parity_pair_distribution(
-    n: int,
-    edges: Sequence[tuple[int, int]],
-    lam: Sequence,
-    focus_a: Sequence[int],
-    focus_b: Sequence[int],
-) -> dict[tuple[int, int], Fraction]:
-    """Exact joint law of (|T∩A| mod 2, |T∩B| mod 2) via four signed counts.
-
-    The characters of Z2 x Z2 diagonalize the parity law, so four signed
-    tree counts (three small determinants of :class:`TreeKernel`) recover all
-    four probabilities.
-    """
-    return TreeKernel(n, edges, lam).parity_pair(focus_a, focus_b)
+    edges = tuple(edges)
+    lam = (1.0,) * len(edges)
+    if tree_marginals(n, edges, [Fraction(1)] * len(edges)).values != tuple(targets):
+        fit = fit_lambda(n, list(edges), [float(t) for t in targets], tol=tol)
+        if fit.forced or fit.deleted:
+            raise ValueError("level fit pinned edges unexpectedly")
+        lam = fit.values
+    return TreeLevel(n, edges, tuple(edge_ids), lam, tuple(_rationalized(lam)))
 
 
 def enumerate_spanning_trees(

@@ -26,6 +26,7 @@ from ._util import euler_circuit, shortcut_order
 from .cuts import (
     CutHierarchy,
     InternalHierarchyError,
+    boundary_edges,
     build_hierarchy,
     canonical_side,
     level_tree_problem,
@@ -38,7 +39,7 @@ from .instance import (
     metric_closure,
     split_vertex_for_eplus,
 )
-from .maxent import TreeKernel, fit_lambda, sample_tree, tree_marginals
+from .maxent import TreeKernel, TreeLevel, fit_level
 
 DEFAULT_TOP_TRUNCATION = Fraction(1_129_032, 10**7)
 DEFAULT_BOTTOM_TRUNCATION = Fraction(1, 4)
@@ -90,26 +91,6 @@ class CycleLevel:
 
 
 @dataclass(frozen=True)
-class DegreeLevel:
-    """Sampling inside one cut-free node: a weighted spanning tree.
-
-    ``level_edges`` are (child_index, child_index) pairs aligned with
-    ``support_ids``; ``lam_float`` drives the sampler while ``lam_exact`` is
-    the rationalized weight vector all exact computations use.
-    ``uniform_exact`` records that unit weights already hit the half
-    marginals, so outcomes are exactly uniform.
-    """
-
-    node_id: int
-    vertex_count: int
-    level_edges: tuple[tuple[int, int], ...]
-    support_ids: tuple[int, ...]
-    lam_float: tuple[float, ...]
-    lam_exact: tuple[Fraction, ...]
-    uniform_exact: bool
-
-
-@dataclass(frozen=True)
 class FinalLevel:
     """Sampling on the final ring: one copy per class, unit class forced."""
 
@@ -121,12 +102,14 @@ class FinalLevel:
 @dataclass(frozen=True)
 class SamplingPlan:
     """Per-level samplers; ``unit_keys`` lists the Bernoulli units in their
-    fixed draw order: cycle nodes, top edges, final."""
+    fixed draw order: cycle nodes, top edges, final.  Chain and cut-free
+    levels are in node id order; a cut-free level's vertices are its node's
+    children and its ``edge_ids`` are support edge ids."""
 
     support: SupportGraph
     hierarchy: CutHierarchy
     cycle_levels: tuple[CycleLevel, ...]
-    degree_levels: tuple[DegreeLevel, ...]
+    degree_levels: tuple[TreeLevel, ...]
     final_level: FinalLevel
     unit_keys: tuple[tuple, ...]
 
@@ -190,45 +173,20 @@ def build_sampling_plan(hierarchy: CutHierarchy) -> SamplingPlan:
             )
             continue
         k, edges, targets = level_tree_problem(hierarchy, node.id)
-        level_edges = tuple((a, b) for a, b, _ in edges)
-        support_ids = tuple(e for _, _, e in edges)
-        unit = [Fraction(1)] * len(level_edges)
-        uniform_exact = all(
-            m == Fraction(1, 2)
-            for m in tree_marginals(k, level_edges, unit).values
-        )
-        if uniform_exact:
-            lam_float = tuple(1.0 for _ in level_edges)
-            lam_exact = tuple(Fraction(1) for _ in level_edges)
-        else:
-            fit = fit_lambda(k, list(level_edges), [float(t) for t in targets], tol=1e-12)
-            if fit.forced or fit.deleted:
-                raise PlanError(f"node {node.id} level fit pinned edges unexpectedly")
-            lam_float = fit.values
-            lam_exact = tuple(
-                Fraction(v).limit_denominator(10**12) for v in fit.values
-            )
         degree_levels.append(
-            DegreeLevel(
-                node_id=node.id,
-                vertex_count=k,
-                level_edges=level_edges,
-                support_ids=support_ids,
-                lam_float=lam_float,
-                lam_exact=lam_exact,
-                uniform_exact=uniform_exact,
+            fit_level(
+                k, [(a, b) for a, b, _ in edges], [e for _, _, e in edges], targets, tol=1e-12
             )
         )
     final = hierarchy.final
     forced_edge = min(final.pair_classes[final.e_plus_class])
     if hierarchy.support.e_plus_pair is not None:
         forced_edge = min(hierarchy.support.e_plus_pair)
-    cycle_levels.sort(key=lambda c: c.node_id)
     return SamplingPlan(
         support=hierarchy.support,
         hierarchy=hierarchy,
         cycle_levels=tuple(cycle_levels),
-        degree_levels=tuple(sorted(degree_levels, key=lambda d: d.node_id)),
+        degree_levels=tuple(degree_levels),
         final_level=FinalLevel(
             classes=final.pair_classes,
             forced_class=final.e_plus_class,
@@ -263,10 +221,7 @@ def sample_hierarchical_tree(plan: SamplingPlan, rng: np.random.Generator) -> Tr
         for cls in level.classes:
             edges.append(cls[int(rng.integers(len(cls)))])
     for level in plan.degree_levels:
-        picked = sample_tree(
-            level.vertex_count, list(level.level_edges), level.lam_float, rng
-        )
-        edges.extend(level.support_ids[i] for i in picked)
+        edges.extend(level.sample(rng))
     for idx, cls in enumerate(plan.final_level.classes):
         if idx == plan.final_level.forced_class:
             edges.append(plan.final_level.forced_edge)
@@ -291,95 +246,56 @@ def _xor_convolve(
     return out
 
 
-def _crossing_parity_bits(
-    support: SupportGraph, edge_ids: Sequence[int], side_a: frozenset[int], side_b: frozenset[int]
-) -> list[tuple[int, int]]:
-    bits = []
-    for e in edge_ids:
-        u, v = support.endpoints(e)
-        bits.append(
-            (
-                1 if (u in side_a) != (v in side_a) else 0,
-                1 if (u in side_b) != (v in side_b) else 0,
-            )
-        )
-    return bits
-
-
-def _level_parity_law(
-    plan: SamplingPlan,
-    level,
-    side_a: frozenset[int],
-    side_b: frozenset[int],
-    kernels: dict[int, TreeKernel],
-) -> dict[tuple[int, int], Fraction]:
-    """Exact joint law of the level's parity contributions to two cuts.
-
-    ``kernels`` maps each cut-free level's node id to its exact kernel.
-    Chain and ring levels pick one edge per class uniformly (the ring's
-    forced class always its forced edge), so their laws convolve per class.
-    """
-    support = plan.support
-    if isinstance(level, DegreeLevel):
-        bits = _crossing_parity_bits(support, level.support_ids, side_a, side_b)
-        focus_a = [i for i, b in enumerate(bits) if b[0]]
-        focus_b = [i for i, b in enumerate(bits) if b[1]]
-        if not focus_a and not focus_b:
-            return {(0, 0): Fraction(1)}
-        return kernels[level.node_id].parity_pair(focus_a, focus_b)
-    law = {(0, 0): Fraction(1)}
-    for idx, cls in enumerate(level.classes):
-        if isinstance(level, FinalLevel) and idx == level.forced_class:
-            cls = (level.forced_edge,)
-        class_law: dict[tuple[int, int], Fraction] = {}
-        share = Fraction(1, len(cls))
-        for b in _crossing_parity_bits(support, cls, side_a, side_b):
-            class_law[b] = class_law.get(b, Fraction(0)) + share
-        law = _xor_convolve(law, class_law)
-    return law
-
-
-def _all_levels(plan: SamplingPlan):
-    return list(plan.cycle_levels) + list(plan.degree_levels) + [plan.final_level]
-
-
-def level_kernels(plan: SamplingPlan) -> dict[int, TreeKernel]:
-    """One exact kernel per cut-free level, keyed by node id."""
-    return {
-        level.node_id: TreeKernel(level.vertex_count, level.level_edges, level.lam_exact)
-        for level in plan.degree_levels
-    }
+def _uniform_classes(plan: SamplingPlan):
+    """The edge classes the sampler picks one edge of, uniformly: every
+    chain class, then every ring class (the forced one as its forced edge)."""
+    for level in plan.cycle_levels:
+        yield from level.classes
+    final = plan.final_level
+    for idx, cls in enumerate(final.classes):
+        yield (final.forced_edge,) if idx == final.forced_class else cls
 
 
 def _joint_even(
     plan: SamplingPlan,
-    side_a: frozenset[int],
-    side_b: frozenset[int],
-    kernels: dict[int, TreeKernel],
+    edges_a: frozenset[int],
+    edges_b: frozenset[int],
+    kernels: list[TreeKernel],
 ) -> Fraction:
-    """P[both cuts crossed evenly], via per-level parity laws convolved."""
+    """P[both edge sets are hit an even number of times], via independent
+    per-level parity laws convolved; ``kernels`` align with the cut-free
+    levels."""
     law = {(0, 0): Fraction(1)}
-    for level in _all_levels(plan):
-        law = _xor_convolve(law, _level_parity_law(plan, level, side_a, side_b, kernels))
+    for level, kernel in zip(plan.degree_levels, kernels):
+        law = _xor_convolve(law, level.parity_pair(kernel, edges_a, edges_b))
+    for cls in _uniform_classes(plan):
+        class_law: dict[tuple[int, int], Fraction] = {}
+        share = Fraction(1, len(cls))
+        for e in cls:
+            bits = (int(e in edges_a), int(e in edges_b))
+            class_law[bits] = class_law.get(bits, Fraction(0)) + share
+        law = _xor_convolve(law, class_law)
     return law.get((0, 0), Fraction(0))
 
 
 def compute_even_at_last_probs(plan: SamplingPlan) -> dict[int, Fraction]:
     """Per-edge probability that both last cuts are even in the sampled tree.
 
-    Multiplies independent level parity laws (chain and ring levels
+    Multiplies independent level parity laws (chain and ring classes
     enumerated, cut-free levels via signed tree counts from one exact kernel
-    per level, built once per call).
+    per level, built once per call) on the two cuts' boundary edge sets.
     """
     hierarchy = plan.hierarchy
-    kernels = level_kernels(plan)
+    kernels = [level.kernel() for level in plan.degree_levels]
     out: dict[int, Fraction] = {}
     cache: dict[tuple[frozenset[int], frozenset[int]], Fraction] = {}
     for e in range(len(plan.support.edges)):
-        left, right = hierarchy.last_cuts(e)
-        key = (left, right)
+        key = hierarchy.last_cuts(e)
         if key not in cache:
-            cache[key] = _joint_even(plan, left, right, kernels)
+            edges_a, edges_b = (
+                frozenset(boundary_edges(plan.support, side)) for side in key
+            )
+            cache[key] = _joint_even(plan, edges_a, edges_b, kernels)
         out[e] = cache[key]
     return out
 

@@ -32,6 +32,8 @@ from .ojoin import (
     build_join_vector,
 )
 
+# Caps the oracle's work: each listed level's tree count, each convolution
+# step's states x collapsed choices, and the fold's parity states x edges.
 DEFAULT_OUTCOME_CAP = 10**7
 
 
@@ -92,15 +94,15 @@ def level_outcome_table(plan: SamplingPlan) -> tuple[LevelOutcomes, ...]:
             share = Fraction(1, len(cls))
             choices = tuple(((e,), share) for e in cls)
             out.append(LevelOutcomes(("cycle", level.node_id, idx), choices))
-    for level in plan.degree_levels:
+    for idx, level in enumerate(plan.degree_levels):
         enum = enumerate_trees(
             level.vertex_count, list(level.level_edges), list(level.lam_exact)
         )
         choices = tuple(
-            (tuple(sorted(level.support_ids[i] for i in t)), p)
+            (tuple(sorted(level.edge_ids[i] for i in t)), p)
             for t, p in zip(enum.trees, enum.probabilities)
         )
-        out.append(LevelOutcomes(("degree", level.node_id), choices))
+        out.append(LevelOutcomes(("degree", idx), choices))
     final = plan.final_level
     for idx, cls in enumerate(final.classes):
         if idx == final.forced_class:
@@ -170,12 +172,14 @@ class PipelineExpectations:
 
 
 def _state_law(
-    levels: tuple[LevelOutcomes, ...], edge_state: list[int]
+    levels: tuple[LevelOutcomes, ...], edge_state: list[int], cap: int
 ) -> dict[int, Fraction]:
     """Law of the XOR of the chosen edges' state masks over all factors.
 
     Each factor's choices are collapsed onto their masks first.  XOR equals
     the parity of the union only because no edge belongs to two factors.
+    Raises ResourceCapError when a step would pair more than ``cap`` states
+    with choices.
     """
     owner: dict[int, int] = {}
     law = {0: Fraction(1)}
@@ -188,6 +192,10 @@ def _state_law(
                     raise ValueError(f"edge {e} appears in two sampling factors")
                 mask ^= edge_state[e]
             collapsed[mask] = collapsed.get(mask, Fraction(0)) + p
+        if len(law) * len(collapsed) > cap:
+            raise ResourceCapError(
+                f"convolution step {len(law)} states * {len(collapsed)} choices exceeds cap {cap}"
+            )
         nxt: dict[int, Fraction] = {}
         for state, w in law.items():
             for mask, p in collapsed.items():
@@ -212,7 +220,8 @@ def exact_pipeline_expectations(
     masks, the exact fold of the Bernoulli units (independent of the tree)
     and the optimal join cost of the odd set.  Marginals and the tree cost
     are linear, so they come from per-factor sums.  The join cost is None
-    when some odd set exceeds the exact matching range.
+    when some odd set exceeds the exact matching range.  ResourceCapError
+    is raised when a convolution step or the fold exceeds ``cap``.
     """
     plan = prepared.plan
     support = prepared.support
@@ -225,10 +234,6 @@ def exact_pipeline_expectations(
     levels = level_outcome_table(plan)
     tree_total = prod(len(lv.choices) for lv in levels)
     units = plan.unit_keys
-    if tree_total * (2 ** len(units)) > cap:
-        raise ResourceCapError(
-            f"outcome space {tree_total} * 2^{len(units)} exceeds cap {cap}"
-        )
 
     cut_list = list(prepared.cut_sides)
     cut_index = {side: i for i, side in enumerate(cut_list)}
@@ -266,7 +271,7 @@ def exact_pipeline_expectations(
         Fraction(0),
     )
 
-    state_law = _state_law(levels, edge_state)
+    state_law = _state_law(levels, edge_state, cap)
     parity_law: dict[int, Fraction] = {}
     join_total: Fraction | None = None
     if include_costs:
@@ -283,6 +288,10 @@ def exact_pipeline_expectations(
                 join_total += weight * joins.exact_cost(odd)
     else:
         parity_law = state_law
+    if len(parity_law) * m > cap:
+        raise ResourceCapError(
+            f"fold over {len(parity_law)} parity states * {m} edges exceeds cap {cap}"
+        )
 
     even_weight = [Fraction(0)] * len(cut_list)
     eal_weight = [Fraction(0)] * m

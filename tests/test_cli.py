@@ -241,6 +241,13 @@ def test_verify_single_instance_passes(tmp_path):
     assert data["summary"]["total"] > 0
 
 
+def test_verify_envelope_6_fits_the_oracle_work_cap(tmp_path):
+    # 2^20 connectors x 2^4 unit patterns, but only 4 cut-parity states.
+    out = tmp_path / "verify.json"
+    assert main(["verify-lemmas", "--gen", "envelope:6", "--out", str(out)]) == 0
+    assert read_json(str(out))["summary"]["failed"] == 0
+
+
 def test_verify_reports_broken_floor_with_exit_3(tmp_path, capsys):
     out = tmp_path / "verify.json"
     code = main(["verify-lemmas", "--gen", "doubled_triangle",

@@ -12,11 +12,8 @@ from hitsp.maxent import (
     count_weighted_trees,
     enumerate_spanning_trees,
     fit_lambda,
-    joint_distribution,
-    parity_distribution,
-    parity_pair_distribution,
+    fit_level,
     sample_tree,
-    sample_tree_with_forced,
     tree_marginals,
 )
 
@@ -146,20 +143,43 @@ def test_sampler_frequency_matches_weights():
     assert abs(hits / n_samples - 0.75) < 0.03
 
 
-def test_sample_with_forced_respects_pins():
-    fit = fit_lambda(4, K4_EDGES, [1, Fraction(1, 2), Fraction(1, 2),
-                                   Fraction(1, 2), Fraction(1, 2), 0])
-    rng = np.random.default_rng(1)
-    for _ in range(20):
-        tree = sample_tree_with_forced(4, K4_EDGES, fit, rng)
-        assert 0 in tree
-        assert 5 not in tree
-        assert len(tree) == 3
+# A degree-cut style level: 5/12 at vertex 0, 1/3 elsewhere, with a parallel
+# pair, so the fit moves every weight off 1.
+WALK_EDGES = [(u, v) for u, v in combinations(range(5), 2)] + [(2, 1)]
+WALK_TARGETS = [Fraction(5, 12) if 0 in e else Fraction(1, 3) for e in WALK_EDGES]
+WALK_TREES = [
+    (0, 5, 6, 8), (1, 3, 7, 10), (3, 4, 5, 6), (0, 3, 5, 7), (0, 7, 8, 10),
+    (3, 4, 5, 8), (2, 5, 6, 8), (0, 5, 6, 10), (2, 5, 9, 10), (0, 4, 6, 7),
+    (3, 8, 9, 10), (0, 2, 4, 8), (1, 2, 5, 8), (2, 5, 8, 10), (3, 6, 7, 9),
+    (0, 6, 7, 8), (0, 4, 6, 7), (2, 3, 4, 6), (0, 2, 6, 7), (0, 5, 8, 9),
+]
+
+
+def test_level_walk_is_pinned_draw_for_draw():
+    """The first 20 trees from seed 2026, and the generator's next uniform,
+    as the per-call sampler drew them before levels kept their walk tables."""
+    ids = [100 + i for i in range(len(WALK_EDGES))]
+    level = fit_level(5, WALK_EDGES, ids, WALK_TARGETS, tol=1e-10)
+    assert len(set(level.lam_float)) > 2 and level.lam_exact[0] == 1
+    rng = np.random.default_rng(2026)
+    assert [tuple(level.sample(rng)) for _ in range(20)] == [
+        tuple(ids[i] for i in tree) for tree in WALK_TREES
+    ]
+    assert rng.random() == 0.5582973969485474
+    rng = np.random.default_rng(2026)
+    assert [sample_tree(5, WALK_EDGES, level.lam_float, rng) for _ in range(20)] == WALK_TREES
+    assert rng.random() == 0.5582973969485474
+
+
+def test_fit_level_keeps_unit_weights_that_hit_the_targets():
+    level = fit_level(4, K4_EDGES, range(6), [Fraction(1, 2)] * 6, tol=1e-12)
+    assert level.lam_float == (1.0,) * 6 and level.lam_exact == (1,) * 6
+    assert level == fit_level(4, K4_EDGES, range(6), [Fraction(1, 2)] * 6, tol=1e-12)
 
 
 def test_joint_distribution_matches_enumeration():
     lam = [Fraction(i + 1) for i in range(6)]
-    joint = joint_distribution(4, K4_EDGES, lam, focus=(0, 3, 5))
+    joint = TreeKernel(4, K4_EDGES, lam).joint((0, 3, 5))
     trees = enumerate_spanning_trees(4, K4_EDGES)
     total = sum(lam[a] * lam[b] * lam[c] for a, b, c in trees)
     law: dict[tuple[int, ...], Fraction] = {}
@@ -181,8 +201,9 @@ def test_parity_laws_match_enumeration():
         for t in trees
         if len(set(t) & set(focus_a)) % 2 == 0
     ) / total
-    assert parity_distribution(4, K4_EDGES, lam, focus_a) == even_a
-    law = parity_pair_distribution(4, K4_EDGES, lam, focus_a, focus_b)
+    kernel = TreeKernel(4, K4_EDGES, lam)
+    assert (1 + kernel.sign_expectation(focus_a)) / 2 == even_a
+    law = kernel.parity_pair(focus_a, focus_b)
     brute: dict[tuple[int, int], Fraction] = {(0, 0): Fraction(0), (0, 1): Fraction(0),
                                               (1, 0): Fraction(0), (1, 1): Fraction(0)}
     for t in trees:
@@ -227,6 +248,7 @@ def test_kernel_queries_match_enumeration(seed):
     total = sum(w for _, w in trees)
     assert total == count_weighted_trees(n, edges, lam)
 
+    kernel = TreeKernel(n, edges, lam)
     marg = tree_marginals(n, edges, lam).values
     assert marg == tuple(sum(w for t, w in trees if e in t) / total for e in range(m))
     assert sum(marg) == n - 1
@@ -234,18 +256,18 @@ def test_kernel_queries_match_enumeration(seed):
     focus_a = [int(e) for e in rng.choice(m, size=int(rng.integers(1, 4)), replace=False)]
     focus_b = [int(e) for e in rng.choice(m, size=int(rng.integers(0, 4)), replace=False)]
     even_a = sum(w for t, w in trees if len(t & set(focus_a)) % 2 == 0) / total
-    assert parity_distribution(n, edges, lam, focus_a) == even_a
+    assert (1 + kernel.sign_expectation(focus_a)) / 2 == even_a
     signed = [-w if i in focus_a else w for i, w in enumerate(lam)]
     assert 2 * even_a - 1 == count_weighted_trees(n, edges, signed) / total
 
-    law = parity_pair_distribution(n, edges, lam, focus_a, focus_b)
+    law = kernel.parity_pair(focus_a, focus_b)
     brute = {(p, q): Fraction(0) for p in (0, 1) for q in (0, 1)}
     for t, w in trees:
         brute[(len(t & set(focus_a)) % 2, len(t & set(focus_b)) % 2)] += w / total
     assert law == brute
 
     focus = focus_a + [e for e in focus_b if e not in focus_a]
-    joint = joint_distribution(n, edges, lam, focus)
+    joint = kernel.joint(focus)
     patterns: dict[tuple[int, ...], Fraction] = {}
     for t, w in trees:
         key = tuple(1 if e in t else 0 for e in focus)

@@ -7,7 +7,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-import hitsp.ojoin
+import hitsp.maxent
 from hitsp.cli import HIERARCHY_CORPUS, corpus_instance
 from hitsp.cuts import boundary_edges, build_hierarchy, canonical_side
 from hitsp.instance import (
@@ -779,11 +779,7 @@ def test_even_at_last_table_matches_determinant_reference(spec, monkeypatch):
     else:
         inst = corpus_instance(dict(HIERARCHY_CORPUS)[spec])
     prepared = prepare_instance(inst)
-    monkeypatch.setattr(
-        hitsp.ojoin,
-        "level_kernels",
-        lambda plan: {lv.node_id: DeterminantLevel(lv) for lv in plan.degree_levels},
-    )
+    monkeypatch.setattr(hitsp.maxent.TreeLevel, "kernel", lambda level: DeterminantLevel(level))
     reference = compute_even_at_last_probs(prepared.plan)
     assert prepared.eal_probability == reference
     assert all(type(p) is Fraction for p in prepared.eal_probability.values())

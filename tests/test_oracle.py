@@ -285,6 +285,13 @@ def test_enumerate_trees_cap():
         enumerate_trees(8, edges, cap=100)
 
 
+@pytest.mark.parametrize(("cap", "step"), [(2, "convolution step"), (8, "fold over 2 parity states")])
+def test_oracle_work_cap(chain2, cap, step):
+    with pytest.raises(ResourceCapError, match=step):
+        exact_pipeline_expectations(chain2, cap=cap, include_costs=False)
+    exact_pipeline_expectations(chain2, cap=16, include_costs=False)
+
+
 def test_level_tables_are_probability_distributions(chain2):
     levels = level_outcome_table(chain2.plan)
     for level in levels:
