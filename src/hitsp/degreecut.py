@@ -38,7 +38,7 @@ from .ojoin import (
     JoinCalculator,
     _xor_convolve,
     check_feasible,
-    odd_vertices,
+    odd_mask,
     sample_rng,
     tour_order,
 )
@@ -650,7 +650,7 @@ def sample_degree_cut(
     context = contexts[matching]
     tree = sample_matching_tree(instance, context, rng)
     values, reduced = correction_vector(instance, context, tree)
-    pairs, _, join_numerator = joins.join(odd_vertices(support, tree))
+    pairs, _, join_numerator = joins.join(odd_mask(support, tree))
     cost_scale, costs = instance.cost_numerators
     feasible = None
     if check_vector:

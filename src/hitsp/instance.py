@@ -135,6 +135,12 @@ class SupportGraph:
         e = self.edges[edge_id]
         return (e.u, e.v)
 
+    @cached_property
+    def end_masks(self) -> tuple[int, ...]:
+        """Per edge, the bitmask of its two endpoints: the XOR over a set of
+        edges has bit ``v`` set exactly when vertex ``v`` has odd degree."""
+        return tuple((1 << e.u) ^ (1 << e.v) for e in self.edges)
+
 
 @dataclass(frozen=True)
 class Metric:

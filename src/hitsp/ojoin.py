@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from typing import Iterable, Sequence
 
@@ -227,7 +228,7 @@ def sample_hierarchical_tree(plan: SamplingPlan, rng: np.random.Generator) -> Tr
             edges.append(plan.final_level.forced_edge)
         else:
             edges.append(cls[int(rng.integers(len(cls)))])
-    uniforms = {key: float(rng.random()) for key in plan.unit_keys}
+    uniforms = dict(zip(plan.unit_keys, rng.random(len(plan.unit_keys)).tolist()))
     return TreeSample(edges=tuple(sorted(edges)), bernoulli_uniforms=uniforms)
 
 
@@ -546,13 +547,22 @@ def build_join_vector(prepared: PreparedInstance, sample: TreeSample) -> JoinVec
     )
 
 
-def odd_vertices(support: SupportGraph, tree_edges: Iterable[int]) -> tuple[int, ...]:
-    degree = [0] * support.n
+def odd_mask(support: SupportGraph, tree_edges: Iterable[int]) -> int:
+    """The odd-degree vertices of the edges as a bitmask (bit ``v`` for
+    vertex ``v``): the XOR of their endpoint masks."""
+    ends = support.end_masks
+    mask = 0
     for e in tree_edges:
-        u, v = support.endpoints(e)
-        degree[u] += 1
-        degree[v] += 1
-    return tuple(v for v in range(support.n) if degree[v] % 2 == 1)
+        mask ^= ends[e]
+    return mask
+
+
+def _mask_vertices(mask: int) -> tuple[int, ...]:
+    return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
+
+
+def odd_vertices(support: SupportGraph, tree_edges: Iterable[int]) -> tuple[int, ...]:
+    return _mask_vertices(odd_mask(support, tree_edges))
 
 
 def check_feasible(
@@ -595,43 +605,76 @@ def check_feasible(
 EXACT_JOIN_LIMIT = 14
 
 
+@lru_cache(maxsize=None)
+def _join_layers(k: int) -> tuple[tuple[tuple[np.ndarray, ...], ...], int]:
+    """The matching DP's reachable states on ``k`` sorted vertices, one layer
+    per pair count: a state pairs its lowest free vertex with each later free
+    one.  Per layer, for every transition: its source (an index into the
+    previous layer), its pair ``first * k + second`` and its position in its
+    target's group; then each group's start.  Targets are in increasing mask
+    order and each group's sources in increasing mask order, the order a push
+    DP over sorted masks offers them in.  Also the widest group.  Only
+    ``k <= 16`` is ever asked for, so the cache stays small."""
+    layers, states, width = [], [0], 1
+    for _ in range(k // 2):
+        moves: dict[int, list[tuple[int, int]]] = {}
+        for s, mask in enumerate(states):
+            low = mask | (mask + 1)
+            first = (low ^ mask).bit_length() - 1
+            for j in range(first + 1, k):
+                if not mask >> j & 1:
+                    moves.setdefault(low | 1 << j, []).append((s, first * k + j))
+        states = sorted(moves)
+        groups = [moves[t] for t in states]
+        width = max(width, *map(len, groups))
+        layers.append((
+            np.array([s for g in groups for s, _ in g]),
+            np.array([p for g in groups for _, p in g]),
+            np.array([i for g in groups for i in range(len(g))]),
+            np.cumsum([0] + [len(g) for g in groups[:-1]]),
+        ))
+    return tuple(layers), width
+
+
 class JoinCalculator:
     """Minimum-cost perfect matchings on odd vertex sets, memoized.
 
     Distances are integers over ``scale``, the lcm of the metric's
-    denominators.  One bitmask dynamic program pairs up to
+    denominators.  One layered dynamic program pairs up to
     ``EXACT_JOIN_LIMIT`` odd vertices optimally; a greedy pairing (an upper
     bound) covers larger sets.  Each odd set's pairs and integer cost are
-    cached, so repeated samples reuse the work.
+    cached under its vertex bitmask, so repeated samples reuse the work.
     """
 
     def __init__(self, metric: Metric):
         self.scale = lcm(*(d.denominator for row in metric.dist for d in row))
         self.dist = tuple(tuple((d * self.scale).numerator for d in row) for row in metric.dist)
+        self._top = max(max(row) for row in self.dist)
+        self._matrix = np.array(self.dist, dtype=np.int64 if self._top < 2**63 else object)
         # One shared tuple per vertex pair keeps the memo small.
         self._pair = [[(u, v) for v in range(metric.n)] for u in range(metric.n)]
-        self._memo: dict[tuple[int, ...], tuple[tuple[tuple[int, int], ...], bool, int]] = {}
+        self._memo: dict[int, tuple[tuple[tuple[int, int], ...], int]] = {}
 
-    def join(self, odd: Sequence[int]) -> tuple[tuple[tuple[int, int], ...], bool, int]:
-        """Pairs covering the odd set, whether they are optimal, and their
-        cost times ``scale``."""
-        odd = tuple(sorted(odd))
-        found = self._memo.get(odd)
+    def join(self, odd_mask: int) -> tuple[tuple[tuple[int, int], ...], bool, int]:
+        """Pairs covering the odd set (bit ``v`` of ``odd_mask`` for vertex
+        ``v``), whether they are optimal, and their cost times ``scale``."""
+        found = self._memo.get(odd_mask)
         if found is None:
+            odd = _mask_vertices(odd_mask)
             if len(odd) % 2 == 1:
                 raise ValueError("odd vertex set must have even size")
             if len(odd) <= EXACT_JOIN_LIMIT:
-                pairs, cost = self._optimal(odd)
-                found = (pairs, True, cost)
+                found = self._optimal(odd)
             else:
                 pairs = self.greedy_matching(odd)
-                found = (pairs, False, sum(self.dist[u][v] for u, v in pairs))
-            self._memo[odd] = found
-        return found
+                found = (pairs, sum(self.dist[u][v] for u, v in pairs))
+            self._memo[odd_mask] = found
+        pairs, cost = found
+        return pairs, 2 * len(pairs) <= EXACT_JOIN_LIMIT, cost
 
     def matching(self, odd: Sequence[int]) -> tuple[tuple[tuple[int, int], ...], bool]:
         """Vertex pairs covering the odd set, and whether they are optimal."""
-        return self.join(odd)[:2]
+        return self.join(sum(1 << v for v in set(odd)))[:2]
 
     def exact_cost(self, odd: Sequence[int]) -> Fraction:
         """Optimal matching cost, exactly, for up to 16 odd vertices."""
@@ -640,7 +683,7 @@ class JoinCalculator:
             raise ValueError("exact matching takes an even set of at most 16 vertices")
         if len(odd) > EXACT_JOIN_LIMIT:
             return Fraction(self._optimal(odd)[1], self.scale)
-        return Fraction(self.join(odd)[2], self.scale)
+        return Fraction(self.join(sum(1 << v for v in set(odd)))[2], self.scale)
 
     def cycle_cost(self, order: Sequence[int]) -> int:
         """Cost of the closed tour through ``order``, times ``scale``."""
@@ -648,45 +691,33 @@ class JoinCalculator:
         return sum(dist[u][v] for u, v in zip(order, (*order[1:], *order[:1])))
 
     def _optimal(self, odd: tuple[int, ...]) -> tuple[tuple[tuple[int, int], ...], int]:
-        """Bitmask DP: each reached mask pairs its lowest free vertex with
-        every later free one, in increasing order.  Masks are expanded in
-        increasing order, one pair count at a time, and only a strictly
-        cheaper candidate replaces a stored one, so ties keep the first
-        pairing reached.  ``choice`` holds each mask's last pair as a mask."""
-        rows = [[self.dist[u][v] for v in odd] for u in odd]
-        full = (1 << len(odd)) - 1
-        best: list[int | None] = [None] * (full + 1)
-        best[0] = 0
-        choice = [0] * (full + 1)
-        layer = [0]
-        for _ in range(len(odd) // 2):
-            reached = []
-            for mask in layer:
-                low = mask | (mask + 1)
-                base, row = best[mask], rows[(low ^ mask).bit_length() - 1]
-                rest = full & ~low
-                while rest:
-                    bit = rest & -rest
-                    rest ^= bit
-                    nxt = low | bit
-                    cand = base + row[bit.bit_length() - 1]
-                    old = best[nxt]
-                    if old is None:
-                        reached.append(nxt)
-                    elif cand >= old:
-                        continue
-                    best[nxt] = cand
-                    choice[nxt] = low ^ mask | bit
-            layer = sorted(reached)
-        pairs = []
-        mask = full
-        while mask:
-            pair = choice[mask]
-            first = pair & -pair
-            u, v = odd[first.bit_length() - 1], odd[(pair ^ first).bit_length() - 1]
-            pairs.append(self._pair[u][v])
-            mask ^= pair
-        return (tuple(pairs), best[full])
+        """One sweep per layer of ``_join_layers``: every target keeps its
+        cheapest transition, a tie going to the first source in push order.
+        Cost and group position share one key, ``cost * width + position``,
+        so a single ``np.minimum.reduceat`` picks both.  Keys are int64 when
+        they cannot reach 2**63 and Python integers (object dtype) otherwise.
+        Pairs come out last layer first."""
+        k = len(odd)
+        layers, width = _join_layers(k)
+        rows = np.array(odd, dtype=np.intp)
+        costs = self._matrix.take(rows, 0).take(rows, 1).ravel()
+        if self._top * (k // 2 + 1) * width + width >= 2**63:
+            costs = costs.astype(object)
+        costs = costs * width
+        best = np.zeros(1, dtype=costs.dtype)
+        kept = []
+        for src, pair, pos, starts in layers:
+            keys = np.minimum.reduceat(best[src] + costs[pair] + pos, starts)
+            position = keys % width
+            best = keys - position
+            kept.append(position)
+        pairs, state = [], 0
+        for (src, pair, _, starts), position in zip(reversed(layers), reversed(kept)):
+            t = starts[state] + position[state]
+            first, second = divmod(int(pair[t]), k)
+            pairs.append(self._pair[odd[first]][odd[second]])
+            state = src[t]
+        return (tuple(pairs), int(best[0]) // width)
 
     def greedy_matching(self, odd: Sequence[int]) -> tuple[tuple[int, int], ...]:
         remaining = sorted(odd)
@@ -799,7 +830,7 @@ def run_sample(
     verify the correction vector.  ``joins`` must price ``prepared.metric``."""
     sample = sample_hierarchical_tree(prepared.plan, rng)
     tree = sample.edges
-    pairs, join_exact, join_numerator = joins.join(odd_vertices(prepared.support, tree))
+    pairs, join_exact, join_numerator = joins.join(odd_mask(prepared.support, tree))
     join_numerator *= prepared.cost_scale // joins.scale
     tree_numerator = sum(prepared.edge_cost[e] for e in tree)
     scale = prepared.scale

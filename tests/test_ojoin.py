@@ -1,5 +1,6 @@
 """Hierarchical sampling, correction vectors, feasibility, joins, and tours."""
 
+import hashlib
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
@@ -25,6 +26,7 @@ from hitsp.ojoin import (
     DEFAULT_TOP_TRUNCATION,
     JoinCalculator,
     TreeSample,
+    _join_layers,
     build_join_vector,
     build_sampling_plan,
     build_tour,
@@ -476,7 +478,7 @@ def test_integer_dp_matches_float_reference_on_sampled_odd_sets(spec):
     for odd in sorted(odd_sets):
         if len(odd) > 14:
             continue
-        pairs, exact, numerator = joins.join(odd)
+        pairs, exact, numerator = joins.join(sum(1 << v for v in odd))
         assert exact
         assert pairs == float_dp_matching(metric, odd)
         assert Fraction(numerator, joins.scale) == pairs_cost(metric, pairs)
@@ -512,11 +514,111 @@ def test_exact_cost_matches_brute_force_and_fraction_dp_on_rational_metrics(seed
         if size <= 10:
             assert want == brute_force_matching_cost(metric, odd)
         if size <= 14:
-            pairs, exact, numerator = joins.join(odd)
+            pairs, exact, numerator = joins.join(sum(1 << v for v in odd))
             assert exact and pairs_cost(metric, pairs) == want == Fraction(numerator, 15)
             assert sorted(v for pair in pairs for v in pair) == list(odd)
     with pytest.raises(ValueError):
         joins.exact_cost(tuple(range(18)))
+
+
+def push_dp_reference(dist, odd):
+    """The former push DP, kept as the reference for the layered one: each
+    reached mask pairs its lowest free vertex with every later free one,
+    masks are expanded in increasing order one pair count at a time, and
+    only a strictly cheaper candidate replaces a stored one."""
+    rows = [[dist[u][v] for v in odd] for u in odd]
+    full = (1 << len(odd)) - 1
+    best = [None] * (full + 1)
+    best[0] = 0
+    choice = [0] * (full + 1)
+    layer = [0]
+    for _ in range(len(odd) // 2):
+        reached = []
+        for mask in layer:
+            low = mask | (mask + 1)
+            base, row = best[mask], rows[(low ^ mask).bit_length() - 1]
+            rest = full & ~low
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                nxt = low | bit
+                cand = base + row[bit.bit_length() - 1]
+                old = best[nxt]
+                if old is None:
+                    reached.append(nxt)
+                elif cand >= old:
+                    continue
+                best[nxt] = cand
+                choice[nxt] = low ^ mask | bit
+        layer = sorted(reached)
+    pairs = []
+    mask = full
+    while mask:
+        pair = choice[mask]
+        first = pair & -pair
+        pairs.append((odd[first.bit_length() - 1], odd[(pair ^ first).bit_length() - 1]))
+        mask ^= pair
+    return (tuple(pairs), best[full])
+
+
+def test_layered_dp_matches_push_dp_at_every_size():
+    """Unit costs with ties everywhere and a zero-distance split pair, three
+    rational metrics, and one metric whose keys outgrow int64."""
+    unit = prepare_instance(reference_instance("random_half_integral:26")).metric
+    zero = next(
+        (u, v) for u in range(unit.n) for v in range(u + 1, unit.n) if unit.dist[u][v] == 0
+    )
+    base = random_rational_metric(18, 7)
+    huge = Metric(n=18, dist=tuple(tuple(d * 2**54 for d in row) for row in base.dist))
+    overflows = 0
+    for metric in [unit, *(random_rational_metric(18, seed) for seed in (21, 22, 23)), huge]:
+        joins = JoinCalculator(metric)
+        rng = np.random.default_rng(metric.n)
+        for k in range(0, 17, 2):
+            draws = [rng.choice(metric.n, size=k, replace=False).tolist() for _ in range(3)]
+            if metric is unit and k:
+                rest = [v for v in range(unit.n) if v not in zero]
+                draws.append([*zero, *rng.choice(rest, size=k - 2, replace=False).tolist()])
+            for odd in sorted({tuple(sorted(d)) for d in draws}):
+                want = push_dp_reference(joins.dist, odd)
+                assert joins._optimal(odd) == want
+                overflows += want[1] * _join_layers(k)[1] >= 2**63
+                if k <= 14:
+                    pairs, exact, numerator = joins.join(sum(1 << v for v in odd))
+                    assert exact and (pairs, numerator) == want
+    # Some optimal keys of ``huge`` reach 2**63: int64 keys would wrap there.
+    assert overflows
+
+
+# sha256 of repr((edges, tuple(bernoulli_uniforms.items()), next random()))
+# for ``sample_rng(seed, 0)``, seeds 0-4, recorded with one scalar draw per
+# Bernoulli unit: the batched draw must leave the stream unchanged.
+DRAW_DIGESTS = {
+    "random_half_integral:26": (
+        "514d99b4eefe36189b4d547f9f6274bccf3b534233e616ab5166bee7ced5a4ef",
+        "795345849dfc0a49ed9bbfa7545306f6c1c2605dd70cb072b1ce85c855f21dd6",
+        "a04f9fff4a06fddb7b1f033b451adda561ce2a96e48d91317c7bef5f42e83fa9",
+        "a8a4d6c2057b878d190188836be558b2d8071f4ea74920d787b80d3d0810e31f",
+        "56c9f7180ba36bb195ecf4ac4013262d9a362eb9bf7f19f13969a26f5ae973c2",
+    ),
+    "envelope:5": (
+        "883f8ef75f94f7eee720bee2d97b82121e07fb14edbcc36f4e646cd831ff72bb",
+        "18c3e0aa8a43ad17d22be87068f7223e18fecf96bf2949f73088929d44efdef8",
+        "98daa52932789e0cf6c339c6cfd74dc7d38acd5d7d75e1017db639fe3c8750bd",
+        "57930529cb88a4324cc7b3a28813ec08237b6ae7ab7657f64315a79b0c7c89f6",
+        "c7ec9dcbd739bc9c8e33a15940ca0a5d011317fdac18590f1f3254bfa2a2d432",
+    ),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(DRAW_DIGESTS))
+def test_sample_draw_stream_is_pinned(spec):
+    prepared = prepare_instance(reference_instance(spec))
+    for seed, want in enumerate(DRAW_DIGESTS[spec]):
+        rng = sample_rng(seed, 0)
+        sample = sample_hierarchical_tree(prepared.plan, rng)
+        record = (sample.edges, tuple(sample.bernoulli_uniforms.items()), float(rng.random()))
+        assert hashlib.sha256(repr(record).encode()).hexdigest() == want
 
 
 def test_tour_is_a_cheap_hamiltonian_cycle(chain2):
