@@ -33,7 +33,7 @@ from .instance import (
     build_support_graph,
     metric_closure,
 )
-from .maxent import TreeKernel, TreeLevel, _contract, fit_level
+from .maxent import TreeLevel, _contract, fit_level
 from .ojoin import (
     JoinCalculator,
     _xor_convolve,
@@ -481,22 +481,13 @@ def normal_even_probability(
     when an odd number of its three other edges enter; those live in the
     independent levels, whose parity laws convolve.
     """
-    return _normal_even(instance, context, edge, [level.kernel() for level in context.levels])
-
-
-def _normal_even(
-    instance: HalfIntegralInstance,
-    context: MatchingContext,
-    edge: int,
-    kernels: list[TreeKernel],
-) -> Fraction:
     e = instance.edges[edge]
     at_u, at_v = (
         {i for i, f in enumerate(instance.edges) if w in (f.u, f.v)} for w in (e.u, e.v)
     )
     law = {(0, 0): Fraction(1)}
-    for level, kernel in zip(context.levels, kernels):
-        law = _xor_convolve(law, level.parity_pair(kernel, at_u, at_v))
+    for level in context.levels:
+        law = _xor_convolve(law, level.parity_pair(at_u, at_v))
     certain = _always_in_tree(context)
     return law.get((len(certain & at_u) % 2, len(certain & at_v) % 2), Fraction(0))
 
@@ -561,9 +552,8 @@ def expected_edge_vector(
 ) -> list[Fraction]:
     """E[y_e] for one matching: base values minus the reduction mass."""
     values = [Fraction(x, 12) for x in base_correction_values(instance, context)]
-    kernels = [level.kernel() for level in context.levels]
     for e in context.normal_edges:
-        values[e] -= Fraction(1, 3) * _normal_even(instance, context, e, kernels)
+        values[e] -= Fraction(1, 3) * normal_even_probability(instance, context, e)
     return values
 
 

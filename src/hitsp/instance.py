@@ -436,7 +436,7 @@ def generate_cycle_chain(k: int) -> HalfIntegralInstance:
     chain ends to both hubs.  Unit costs.
     """
     if k < 2:
-        raise ValueError("cycle_chain needs size >= 2")
+        raise InstanceError("cycle_chain needs size >= 2")
     edges: list[tuple[int, int, Fraction, Fraction]] = [(0, 1, ONE, Fraction(1))]
     for i in range(k - 1):
         edges.append((2 + i, 3 + i, ONE, Fraction(1)))
@@ -465,7 +465,7 @@ def generate_envelope(k: int) -> HalfIntegralInstance:
     The distinguished edge is the first tube-1 edge.  Unit costs.
     """
     if k < 1:
-        raise ValueError("envelope needs size >= 1")
+        raise InstanceError("envelope needs size >= 1")
     n = 3 * k + 3
     edges: list[tuple[int, int, Fraction, Fraction]] = []
     next_vertex = 6
@@ -491,7 +491,7 @@ def generate_envelope(k: int) -> HalfIntegralInstance:
 def generate_k5_degree(n: int) -> HalfIntegralInstance:
     """The circulant graph with offsets {1, 2}: all-half, no proper tight sets."""
     if n < 5:
-        raise ValueError("k5_degree needs size >= 5")
+        raise InstanceError("k5_degree needs size >= 5")
     edges: list[tuple[int, int, Fraction, Fraction]] = []
     for offset in (1, 2):
         for i in range(n):
@@ -508,7 +508,7 @@ def generate_k5_degree(n: int) -> HalfIntegralInstance:
 def generate_random_half_integral(n: int, seed: int | None) -> HalfIntegralInstance:
     """A random 4-regular simple graph with all-half values and unit costs."""
     if n < 5:
-        raise ValueError("random_half_integral needs size >= 5")
+        raise InstanceError("random_half_integral needs size >= 5")
     rng = np.random.default_rng(np.random.SeedSequence(0 if seed is None else seed))
     for _ in range(2000):
         stubs = np.repeat(np.arange(n), 4)
@@ -548,7 +548,7 @@ def generate_instance(
         return generate_k5_degree(size)
     if family == "random_half_integral":
         return generate_random_half_integral(size, seed)
-    raise ValueError(
+    raise InstanceError(
         f"unknown family {family!r}; expected one of {', '.join(GENERATOR_FAMILIES)}"
     )
 

@@ -20,7 +20,9 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
+from math import ceil, prod
 from typing import Container, Iterable, Sequence
 
 import numpy as np
@@ -184,55 +186,90 @@ def _rationalized(lam: Sequence) -> list[Fraction]:
     return [Fraction(v).limit_denominator(10**12) for v in lam]
 
 
-def _psd_inverse(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Exact inverse of a symmetric positive semidefinite matrix, via L D L^T.
+@cache
+def _prime_table() -> tuple[int, ...]:
+    """The primes in [2^31 - 2^17, 2^31), largest first (6,121 of them).
 
-    Elimination needs no pivoting: a zero pivot of a PSD matrix zeroes its
-    whole row, so the matrix is singular (ValueError).  By symmetry only the
-    upper triangle is updated; afterwards row i holds d_i on the diagonal and
-    d_i * L[k][i] at k > i, and the inverse X follows from L^T X = D^-1 L^-1
-    row by row from the bottom.
+    Residues modulo them stay below 2^31, so a product of two stays below
+    2^62 and int64 arithmetic never overflows.
     """
-    size = len(matrix)
-    zero = Fraction(0)
-    rows = [row[:] for row in matrix]
-    for c in range(size):
-        top = rows[c]
-        pivot = top[c]
-        if pivot == 0:
-            raise ValueError("matrix is singular")
-        for r in range(c + 1, size):
-            if top[r] != 0:
-                factor = top[r] / pivot
-                row = rows[r]
-                row[r:] = [a - factor * b for a, b in zip(row[r:], top[r:])]
-    inverse = [[zero] * size for _ in range(size)]
-    for i in reversed(range(size)):
-        d = rows[i][i]
-        ell = [(k, x / d) for k, x in enumerate(rows[i]) if k > i and x != 0]
-        for j in range(i + 1, size):
-            inverse[i][j] = inverse[j][i] = -sum((l * inverse[k][j] for k, l in ell), zero)
-        inverse[i][i] = 1 / d - sum((l * inverse[k][i] for k, l in ell), zero)
-    return inverse
+    low = (1 << 31) - (1 << 17)
+    small = np.ones(46341, dtype=bool)  # 46341^2 > 2^31
+    small[:2] = False
+    for q in range(2, 216):
+        if small[q]:
+            small[q * q :: q] = False
+    alive = np.ones(1 << 17, dtype=bool)
+    for q in np.flatnonzero(small).tolist():
+        alive[-low % q :: q] = False
+    return tuple((low + np.flatnonzero(alive)[::-1]).tolist())
+
+
+def _inverse_mod(a: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Elementwise inverse of ``a`` modulo ``p`` (which broadcasts); 0 stays 0."""
+    a, p = np.broadcast_arrays(a, p)
+    out = [pow(x, -1, q) if x else 0 for x, q in zip(a.ravel().tolist(), p.ravel().tolist())]
+    return np.array(out, dtype=np.int64).reshape(a.shape)
+
+
+def _eliminate(a: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Gauss-Jordan elimination with row pivoting of each (k, w >= k) residue
+    matrix in the stack ``a``, in place, over its first k columns and modulo
+    its prime in ``p``.  Returns the determinants of the leading k x k
+    blocks; where one is nonzero, that block ends diagonal.
+
+    Division-free: each step multiplies every row by the pivot p_c before
+    clearing the pivot's column, so det = sign * prod(diagonal) / prod(p_c)^k
+    and only that one scale is inverted.
+    """
+    k, at = a.shape[1], np.arange(len(a))
+    sign, pivots = np.ones(len(a), dtype=np.int64), np.ones(len(a), dtype=np.int64)
+    for c in range(k):
+        r = c + (a[:, c:, c] != 0).argmax(axis=1)
+        if (r != c).any():
+            row = a[at, r]
+            a[at, r] = a[:, c]
+            a[:, c] = row
+            sign = np.where(r == c, sign, -sign)
+        pivot, factor = a[:, c, c].copy(), a[:, :, c].copy()
+        factor[:, c] = 0
+        step = factor[:, :, None] * a[:, None, c]
+        a *= pivot[:, None, None]
+        a -= step
+        a %= p[:, None, None]
+        pivots = pivots * pivot % p
+    det, scale = sign % p, np.ones_like(sign)
+    for d in np.diagonal(a, axis1=1, axis2=2).T:
+        det, scale = det * d % p, scale * pivots % p
+    return det * _inverse_mod(scale, p) % p
 
 
 class TreeKernel:
     """Exact transfer-current kernel of one weighted multigraph's tree law.
 
-    The grounded Laplacian L (vertex 0's row and column removed) is inverted
-    once, in Fractions.  With b_e the signed incidence vector of edge e and
-    y(e, f) = b_e^T L^-1 b_f, tree membership is a determinantal process with
-    kernel K(e, f) = lam_e * y(e, f) (Burton-Pemantle), so each exact query is
-    a determinant no larger than its focus set:
+    With b_e the signed incidence vector of edge e, L the Laplacian grounded
+    at vertex 0 and y(e, f) = b_e^T L^-1 b_f, tree membership is a
+    determinantal process with kernel K(e, f) = lam_e * y(e, f)
+    (Burton-Pemantle), so each exact query is a determinant no larger than
+    its focus set:
 
     - the marginal of e is K(e, e) (Kirchhoff);
     - E[(-1)^|T & F|] = det(L - 2 B_F W_F B_F^T) / det L = det(I - 2 K_F)
       (matrix determinant lemma);
     - P[T & F = S] is det K_F with every row outside S replaced by I - K.
 
+    The kernel works on residues.  Let Pi be the product of the weights'
+    denominators over the non-loop edges and W = Pi * det L, the integer
+    sum over trees T of prod_{e in T} num(lam_e) * prod_{e not in T}
+    den(lam_e).  Every query value is sum_T +-w(T) / det L, so its product
+    with W is an integer N with |N| <= W <= B = ceil(Pi * prod_v L_vv)
+    (Hadamard, as L is positive semidefinite).  L is inverted modulo table
+    primes that divide neither Pi nor det L until their product M exceeds
+    2B; a query's N is its determinant's residues times W's, lifted by
+    Chinese remaindering into (-M/2, M/2], and its value the Fraction N / W.
+
     Float weights are rounded to denominators <= 10^12 first.  Weights must
-    be non-negative, which makes L positive semidefinite.  Raises ValueError
-    when the graph has no spanning tree.
+    be non-negative.  Raises ValueError when the graph has no spanning tree.
     """
 
     def __init__(self, n: int, edges: Sequence[tuple[int, int]], lam: Sequence):
@@ -240,58 +277,95 @@ class TreeKernel:
         self.lam = tuple(_rationalized(lam))
         if any(w < 0 for w in self.lam):
             raise ValueError("tree weights must be non-negative")
-        zero = Fraction(0)
-        lap = [[zero] * n for _ in range(n)]
-        for (u, v), w in zip(self.edges, self.lam):
-            if u != v:
-                lap[u][u] += w
-                lap[v][v] += w
-                lap[u][v] -= w
-                lap[v][u] -= w
-        try:
-            inverse = _psd_inverse([row[1:] for row in lap[1:]])
-        except ValueError:
-            raise ValueError("graph has no spanning tree") from None
-        # L^-1 padded with a zero row and column for the grounded vertex.
-        self._rows = [[zero] * n] + [[zero] + row for row in inverse]
-        self._potentials: dict[int, list[Fraction]] = {}
+        self._ends = np.array(self.edges, dtype=np.intp).reshape(-1, 2)
+        links = [(i, u, v, w) for i, ((u, v), w) in enumerate(zip(self.edges, self.lam)) if u != v]
+        incidence = np.zeros((n, len(self.edges)), dtype=np.int64)
+        degree = [Fraction(0)] * n
+        for i, u, v, w in links:
+            incidence[u, i], incidence[v, i] = 1, -1
+            degree[u], degree[v] = degree[u] + w, degree[v] + w
+        incidence, size = incidence[1:], n - 1
+        pi = prod(w.denominator for *_, w in links)
+        bound = ceil(pi * prod(degree[1:]))
+        if bound == 0:
+            raise ValueError("graph has no spanning tree")
+        candidates = (q for q in _prime_table() if pi % q)
+        modulus, kept = 1, []
+        while modulus <= 2 * bound:
+            batch, reach = [], modulus
+            for q in candidates:
+                batch.append(q)
+                reach *= q
+                if reach > 2 * bound:
+                    break
+            else:
+                raise ValueError("tree weights need more primes than the table holds")
+            p = np.array(batch, dtype=np.int64)
+            p3 = p[:, None, None]
+            lam_p = np.array(
+                [[w.numerator * pow(w.denominator, -1, q) % q if w.denominator % q else 0
+                  for w in self.lam] for q in batch],
+                dtype=np.int64,
+            )
+            lap = (incidence * lam_p[:, None, :]) @ incidence.T % p3
+            a = np.concatenate([lap, np.broadcast_to(np.eye(size, dtype=np.int64), lap.shape)], 2)
+            det = _eliminate(a, p)
+            if not kept and not det.any():
+                raise ValueError("graph has no spanning tree")
+            # L^-1 = D^-1 R from the reduced [D | R], padded with a zero row
+            # and column for the grounded vertex.
+            inverse = np.zeros((len(p), n, n), dtype=np.int64)
+            diagonal = np.diagonal(a, axis1=1, axis2=2)[:, :, None]
+            inverse[:, 1:, 1:] = a[:, :, size:] * _inverse_mod(diagonal, p3) % p3
+            total = det * np.array([pi % q for q in batch], dtype=np.int64) % p
+            keep = det != 0
+            kept.append((p[keep], inverse[keep], lam_p[keep], total[keep]))
+            modulus *= prod(batch[i] for i in np.flatnonzero(keep))
+        self._p, self._inverse, self._lam, self._total = (np.concatenate(x) for x in zip(*kept))
+        self._modulus = modulus
+        cofactors = [(modulus // q, q) for q in self._p.tolist()]
+        self._crt = np.array([c * pow(c, -1, q) for c, q in cofactors], dtype=object)
+        self._weight = self._numerators(np.ones((len(self._p), 1), dtype=np.int64))[0]
         # Cuts recur across the pairs a caller asks about, so flip sets do too.
-        self._signs: dict[frozenset[int], Fraction] = {}
+        self._signs: dict[frozenset[int], int] = {}
 
-    def _potential(self, f: int) -> list[Fraction]:
-        """L^-1 b_f: the vertex potentials of a unit current through edge f."""
-        pot = self._potentials.get(f)
-        if pot is None:
-            u, v = self.edges[f]
-            pot = [a - b for a, b in zip(self._rows[u], self._rows[v])]
-            self._potentials[f] = pot
-        return pot
+    def _numerators(self, residues: np.ndarray) -> list[int]:
+        """W times each query value whose residues are a column of ``residues``
+        (one row per prime), lifted into (-M/2, M/2]."""
+        scaled = residues * self._total[:, None] % self._p[:, None]
+        out = []
+        for value in scaled.T.astype(object).dot(self._crt):
+            value %= self._modulus
+            out.append(value - self._modulus if 2 * value > self._modulus else value)
+        return out
 
-    def transfer(self, e: int, f: int) -> Fraction:
-        """K(e, f) = lam_e * b_e^T L^-1 b_f."""
-        u, v = self.edges[e]
-        pot = self._potential(f)
-        return self.lam[e] * (pot[u] - pot[v])
+    def _transfer(self, focus: Sequence[int]) -> np.ndarray:
+        """Residues of K(e, f) over the focus edges, shape (P, k, k)."""
+        focus = list(focus)
+        u, v = self._ends[focus].T
+        x, p = self._inverse, self._p[:, None, None]
+        y = x[:, u[:, None], u] - x[:, u[:, None], v] - x[:, v[:, None], u] + x[:, v[:, None], v]
+        return self._lam[:, focus, None] * (y % p) % p
 
     def marginals(self) -> tuple[Fraction, ...]:
         """Per-edge membership probabilities lam_e * R_eff(e); loops get 0."""
-        rows = self._rows
-        return tuple(
-            w * (rows[u][u] - 2 * rows[u][v] + rows[v][v])
-            for (u, v), w in zip(self.edges, self.lam)
-        )
+        u, v = self._ends.T
+        x, p = self._inverse, self._p[:, None]
+        y = x[:, u, u] - 2 * x[:, u, v] + x[:, v, v]
+        return tuple(Fraction(a, self._weight) for a in self._numerators(self._lam * (y % p) % p))
+
+    def _sign_numerator(self, flips: Iterable[int]) -> int:
+        """W * E[(-1)^|T & flips|] = W * det(I - 2 K_F)."""
+        key = frozenset(flips)
+        if key not in self._signs:
+            transfer = self._transfer(sorted(key))
+            matrix = (np.eye(len(key), dtype=np.int64) - 2 * transfer) % self._p[:, None, None]
+            self._signs[key] = self._numerators(_eliminate(matrix, self._p)[:, None])[0]
+        return self._signs[key]
 
     def sign_expectation(self, flips: Iterable[int]) -> Fraction:
         """E[(-1)^|T & flips|] = det(I - 2 K_F)."""
-        key = frozenset(flips)
-        if key not in self._signs:
-            order = sorted(key)
-            matrix = [
-                [int(i == j) - 2 * self.transfer(e, f) for j, f in enumerate(order)]
-                for i, e in enumerate(order)
-            ]
-            self._signs[key] = _determinant(matrix, exact=True)
-        return self._signs[key]
+        return Fraction(self._sign_numerator(flips), self._weight)
 
     def parity_pair(
         self, focus_a: Iterable[int], focus_b: Iterable[int]
@@ -299,36 +373,41 @@ class TreeKernel:
         """Joint law of (|T & A| mod 2, |T & B| mod 2) from four characters."""
         set_a, set_b = set(focus_a), set(focus_b)
         char = {
-            (0, 0): Fraction(1),
-            (1, 0): self.sign_expectation(set_a),
-            (0, 1): self.sign_expectation(set_b),
-            (1, 1): self.sign_expectation(set_a ^ set_b),
+            (0, 0): self._weight,
+            (1, 0): self._sign_numerator(set_a),
+            (0, 1): self._sign_numerator(set_b),
+            (1, 1): self._sign_numerator(set_a ^ set_b),
         }
-        law: dict[tuple[int, int], Fraction] = {}
-        for p in (0, 1):
-            for q in (0, 1):
-                acc = Fraction(0)
-                for (a_bit, b_bit), value in char.items():
-                    acc += -value if (a_bit * p + b_bit * q) % 2 else value
-                law[(p, q)] = acc / 4
-        return law
+        return {
+            (p, q): Fraction(
+                sum(-value if (a * p + b * q) % 2 else value for (a, b), value in char.items()),
+                4 * self._weight,
+            )
+            for p in (0, 1)
+            for q in (0, 1)
+        }
 
     def joint(self, focus: Sequence[int]) -> JointDistribution:
         """Exact joint membership law over the focus edges, zero patterns omitted."""
         focus = tuple(focus)
-        kernel = [[self.transfer(e, f) for f in focus] for e in focus]
-        probabilities: dict[tuple[int, ...], Fraction] = {}
-        for r in range(len(focus) + 1):
-            for inside in combinations(range(len(focus)), r):
-                pattern = tuple(1 if i in inside else 0 for i in range(len(focus)))
-                matrix = [
-                    row if bit else [int(i == j) - x for j, x in enumerate(row)]
-                    for i, (row, bit) in enumerate(zip(kernel, pattern))
-                ]
-                prob = _determinant(matrix, exact=True)
-                if prob != 0:
-                    probabilities[pattern] = prob
-        return JointDistribution(edges=focus, probabilities=probabilities)
+        k = len(focus)
+        patterns = [
+            tuple(1 if i in inside else 0 for i in range(k))
+            for r in range(k + 1)
+            for inside in combinations(range(k), r)
+        ]
+        transfer = self._transfer(focus)[:, None]
+        complement = (np.eye(k, dtype=np.int64) - transfer) % self._p[:, None, None, None]
+        inside = np.array(patterns, dtype=bool).reshape(len(patterns), k, 1)
+        matrices = np.where(inside, transfer, complement).reshape(len(self._p) * len(patterns), k, k)
+        det = _eliminate(matrices, np.repeat(self._p, len(patterns)))
+        numerators = self._numerators(det.reshape(len(self._p), len(patterns)))
+        return JointDistribution(
+            edges=focus,
+            probabilities={
+                pt: Fraction(a, self._weight) for pt, a in zip(patterns, numerators) if a
+            },
+        )
 
 
 def tree_marginals(n: int, edges: Sequence[tuple[int, int]], lam: Sequence) -> MarginalVector:
@@ -506,8 +585,9 @@ class TreeLevel:
     ``level_edges`` are vertex pairs over ``0..vertex_count-1``, aligned with
     ``edge_ids`` (the caller's edge ids).  ``lam_float`` drives the sampler;
     ``lam_exact`` is the rationalized weight vector every exact computation
-    uses.  ``walk`` holds the sampler's tables, built once at construction
-    and left out of equality and repr.
+    uses.  ``walk`` holds the sampler's tables, built once at construction,
+    and ``_kernel`` the exact kernel once :meth:`kernel` has built it; both
+    are left out of equality and repr, and the kernel out of pickles.
     """
 
     vertex_count: int
@@ -516,29 +596,36 @@ class TreeLevel:
     lam_float: tuple[float, ...]
     lam_exact: tuple[Fraction, ...]
     walk: tuple = field(init=False, repr=False, compare=False)
+    _kernel: TreeKernel | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         tables = _walk_tables(self.vertex_count, self.level_edges, self.lam_float)
         object.__setattr__(self, "walk", tables)
+
+    def __getstate__(self) -> dict:
+        # Pool workers only sample, so the kernel's residues stay behind.
+        return {**self.__dict__, "_kernel": None}
 
     def sample(self, rng: np.random.Generator) -> list[int]:
         """The edge ids of one sampled tree, in level order."""
         return [self.edge_ids[i] for i in _walk(self.walk, rng)]
 
     def kernel(self) -> TreeKernel:
-        """The exact kernel of the law under ``lam_exact``."""
-        return TreeKernel(self.vertex_count, self.level_edges, self.lam_exact)
+        """The exact kernel of the law under ``lam_exact``, built on first use."""
+        if self._kernel is None:
+            kernel = TreeKernel(self.vertex_count, self.level_edges, self.lam_exact)
+            object.__setattr__(self, "_kernel", kernel)
+        return self._kernel
 
     def parity_pair(
-        self, kernel: TreeKernel, edges_a: Container[int], edges_b: Container[int]
+        self, edges_a: Container[int], edges_b: Container[int]
     ) -> dict[tuple[int, int], Fraction]:
-        """Joint law of the tree's parities on two sets of edge ids, from
-        this level's ``kernel``."""
+        """Joint law of the tree's parities on two sets of edge ids."""
         focus_a = [pos for pos, e in enumerate(self.edge_ids) if e in edges_a]
         focus_b = [pos for pos, e in enumerate(self.edge_ids) if e in edges_b]
         if not focus_a and not focus_b:
             return {(0, 0): Fraction(1)}
-        return kernel.parity_pair(focus_a, focus_b)
+        return self.kernel().parity_pair(focus_a, focus_b)
 
 
 def fit_level(
@@ -555,13 +642,13 @@ def fit_level(
     ``lam_exact``.  Targets must lie strictly between 0 and 1.
     """
     edges = tuple(edges)
-    lam = (1.0,) * len(edges)
-    if tree_marginals(n, edges, [Fraction(1)] * len(edges)).values != tuple(targets):
-        fit = fit_lambda(n, list(edges), [float(t) for t in targets], tol=tol)
-        if fit.forced or fit.deleted:
-            raise ValueError("level fit pinned edges unexpectedly")
-        lam = fit.values
-    return TreeLevel(n, edges, tuple(edge_ids), lam, tuple(_rationalized(lam)))
+    unit = TreeLevel(n, edges, tuple(edge_ids), (1.0,) * len(edges), (Fraction(1),) * len(edges))
+    if unit.kernel().marginals() == tuple(targets):
+        return unit
+    fit = fit_lambda(n, list(edges), [float(t) for t in targets], tol=tol)
+    if fit.forced or fit.deleted:
+        raise ValueError("level fit pinned edges unexpectedly")
+    return TreeLevel(n, edges, tuple(edge_ids), fit.values, tuple(_rationalized(fit.values)))
 
 
 def enumerate_spanning_trees(

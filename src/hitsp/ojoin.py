@@ -40,7 +40,7 @@ from .instance import (
     metric_closure,
     split_vertex_for_eplus,
 )
-from .maxent import TreeKernel, TreeLevel, fit_level
+from .maxent import TreeLevel, fit_level
 
 DEFAULT_TOP_TRUNCATION = Fraction(1_129_032, 10**7)
 DEFAULT_BOTTOM_TRUNCATION = Fraction(1, 4)
@@ -261,14 +261,12 @@ def _joint_even(
     plan: SamplingPlan,
     edges_a: frozenset[int],
     edges_b: frozenset[int],
-    kernels: list[TreeKernel],
 ) -> Fraction:
     """P[both edge sets are hit an even number of times], via independent
-    per-level parity laws convolved; ``kernels`` align with the cut-free
-    levels."""
+    per-level parity laws convolved."""
     law = {(0, 0): Fraction(1)}
-    for level, kernel in zip(plan.degree_levels, kernels):
-        law = _xor_convolve(law, level.parity_pair(kernel, edges_a, edges_b))
+    for level in plan.degree_levels:
+        law = _xor_convolve(law, level.parity_pair(edges_a, edges_b))
     for cls in _uniform_classes(plan):
         class_law: dict[tuple[int, int], Fraction] = {}
         share = Fraction(1, len(cls))
@@ -283,11 +281,10 @@ def compute_even_at_last_probs(plan: SamplingPlan) -> dict[int, Fraction]:
     """Per-edge probability that both last cuts are even in the sampled tree.
 
     Multiplies independent level parity laws (chain and ring classes
-    enumerated, cut-free levels via signed tree counts from one exact kernel
-    per level, built once per call) on the two cuts' boundary edge sets.
+    enumerated, cut-free levels via signed tree counts from each level's
+    exact kernel) on the two cuts' boundary edge sets.
     """
     hierarchy = plan.hierarchy
-    kernels = [level.kernel() for level in plan.degree_levels]
     out: dict[int, Fraction] = {}
     cache: dict[tuple[frozenset[int], frozenset[int]], Fraction] = {}
     for e in range(len(plan.support.edges)):
@@ -296,7 +293,7 @@ def compute_even_at_last_probs(plan: SamplingPlan) -> dict[int, Fraction]:
             edges_a, edges_b = (
                 frozenset(boundary_edges(plan.support, side)) for side in key
             )
-            cache[key] = _joint_even(plan, edges_a, edges_b, kernels)
+            cache[key] = _joint_even(plan, edges_a, edges_b)
         out[e] = cache[key]
     return out
 

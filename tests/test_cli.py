@@ -42,6 +42,21 @@ def test_gen_rejects_unknown_family(capsys):
     assert "invalid instance" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["run", "--gen", "envelope:0"], "envelope needs size >= 1"),
+        (["hierarchy", "--gen", "envelope:-1"], "envelope needs size >= 1"),
+        (["run", "--gen", "cycle_chain:1"], "cycle_chain needs size >= 2"),
+        (["degreecut", "--gen", "k5_degree:4"], "k5_degree needs size >= 5"),
+        (["run", "--gen", "random_half_integral:2"], "random_half_integral needs size >= 5"),
+    ],
+)
+def test_gen_rejects_undersized_families(argv, message, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"invalid instance: {message}\n"
+
+
 def test_validate_reports_summary(chain_file, tmp_path):
     out = tmp_path / "v.json"
     assert main(["validate", "--instance", chain_file, "--out", str(out)]) == 0

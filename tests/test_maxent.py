@@ -1,14 +1,23 @@
 """Weighted spanning-tree counting, marginal fitting, sampling, parity laws."""
 
+import pickle
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 import pytest
 
+from hitsp.cli import HIERARCHY_CORPUS, corpus_instance
+from hitsp.cuts import boundary_edges
+from hitsp.degreecut import build_matching_context, decompose_matching
+from hitsp.instance import generate_instance
 from hitsp.maxent import (
     FitConvergenceError,
+    JointDistribution,
     TreeKernel,
+    _determinant,
+    _prime_table,
+    _rationalized,
     count_weighted_trees,
     enumerate_spanning_trees,
     fit_lambda,
@@ -16,6 +25,7 @@ from hitsp.maxent import (
     sample_tree,
     tree_marginals,
 )
+from hitsp.ojoin import prepare_instance
 
 K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 K5_EDGES = [(u, v) for u, v in combinations(range(5), 2)]
@@ -171,6 +181,14 @@ def test_level_walk_is_pinned_draw_for_draw():
     assert rng.random() == 0.5582973969485474
 
 
+def test_level_builds_one_kernel_and_pickles_without_it():
+    level = fit_level(5, WALK_EDGES, range(len(WALK_EDGES)), WALK_TARGETS, tol=1e-10)
+    assert level.kernel() is level.kernel()
+    copy = pickle.loads(pickle.dumps(level))
+    assert copy == level and copy._kernel is None
+    assert copy.kernel().marginals() == level.kernel().marginals()
+
+
 def test_fit_level_keeps_unit_weights_that_hit_the_targets():
     level = fit_level(4, K4_EDGES, range(6), [Fraction(1, 2)] * 6, tol=1e-12)
     assert level.lam_float == (1.0,) * 6 and level.lam_exact == (1,) * 6
@@ -291,3 +309,227 @@ def test_kernel_handles_loops_and_disconnected_graphs():
             TreeKernel(n, edges, lam)
     with pytest.raises(ValueError, match="non-negative"):
         TreeKernel(2, [(0, 1), (0, 1)], [Fraction(2), Fraction(-1)])
+
+
+def _psd_inverse(matrix):
+    """Exact inverse of a symmetric positive semidefinite matrix, via L D L^T."""
+    size = len(matrix)
+    zero = Fraction(0)
+    rows = [row[:] for row in matrix]
+    for c in range(size):
+        top = rows[c]
+        pivot = top[c]
+        if pivot == 0:
+            raise ValueError("matrix is singular")
+        for r in range(c + 1, size):
+            if top[r] != 0:
+                factor = top[r] / pivot
+                row = rows[r]
+                row[r:] = [a - factor * b for a, b in zip(row[r:], top[r:])]
+    inverse = [[zero] * size for _ in range(size)]
+    for i in reversed(range(size)):
+        d = rows[i][i]
+        ell = [(k, x / d) for k, x in enumerate(rows[i]) if k > i and x != 0]
+        for j in range(i + 1, size):
+            inverse[i][j] = inverse[j][i] = -sum((l * inverse[k][j] for k, l in ell), zero)
+        inverse[i][i] = 1 / d - sum((l * inverse[k][i] for k, l in ell), zero)
+    return inverse
+
+
+class FractionTreeKernel:
+    """The Fraction kernel the residue kernel replaced: one L D L^T inverse
+    of the grounded Laplacian, and every query a Fraction determinant."""
+
+    def __init__(self, n, edges, lam):
+        self.edges = tuple(edges)
+        self.lam = tuple(_rationalized(lam))
+        if any(w < 0 for w in self.lam):
+            raise ValueError("tree weights must be non-negative")
+        zero = Fraction(0)
+        lap = [[zero] * n for _ in range(n)]
+        for (u, v), w in zip(self.edges, self.lam):
+            if u != v:
+                lap[u][u] += w
+                lap[v][v] += w
+                lap[u][v] -= w
+                lap[v][u] -= w
+        try:
+            inverse = _psd_inverse([row[1:] for row in lap[1:]])
+        except ValueError:
+            raise ValueError("graph has no spanning tree") from None
+        self._rows = [[zero] * n] + [[zero] + row for row in inverse]
+
+    def transfer(self, e, f):
+        u, v = self.edges[e]
+        x, y = self.edges[f]
+        pot = [a - b for a, b in zip(self._rows[x], self._rows[y])]
+        return self.lam[e] * (pot[u] - pot[v])
+
+    def marginals(self):
+        rows = self._rows
+        return tuple(
+            w * (rows[u][u] - 2 * rows[u][v] + rows[v][v])
+            for (u, v), w in zip(self.edges, self.lam)
+        )
+
+    def sign_expectation(self, flips):
+        order = sorted(set(flips))
+        matrix = [
+            [int(i == j) - 2 * self.transfer(e, f) for j, f in enumerate(order)]
+            for i, e in enumerate(order)
+        ]
+        return _determinant(matrix, exact=True)
+
+    def parity_pair(self, focus_a, focus_b):
+        set_a, set_b = set(focus_a), set(focus_b)
+        char = {
+            (0, 0): Fraction(1),
+            (1, 0): self.sign_expectation(set_a),
+            (0, 1): self.sign_expectation(set_b),
+            (1, 1): self.sign_expectation(set_a ^ set_b),
+        }
+        law = {}
+        for p in (0, 1):
+            for q in (0, 1):
+                acc = Fraction(0)
+                for (a_bit, b_bit), value in char.items():
+                    acc += -value if (a_bit * p + b_bit * q) % 2 else value
+                law[(p, q)] = acc / 4
+        return law
+
+    def joint(self, focus):
+        focus = tuple(focus)
+        kernel = [[self.transfer(e, f) for f in focus] for e in focus]
+        probabilities = {}
+        for r in range(len(focus) + 1):
+            for inside in combinations(range(len(focus)), r):
+                pattern = tuple(1 if i in inside else 0 for i in range(len(focus)))
+                matrix = [
+                    row if bit else [int(i == j) - x for j, x in enumerate(row)]
+                    for i, (row, bit) in enumerate(zip(kernel, pattern))
+                ]
+                prob = _determinant(matrix, exact=True)
+                if prob != 0:
+                    probabilities[pattern] = prob
+        return JointDistribution(edges=focus, probabilities=probabilities)
+
+
+def assert_matches_fraction_kernel(n, edges, lam, pairs, joints=()):
+    """Every query of the residue kernel equals the Fraction kernel's."""
+    kernel, reference = TreeKernel(n, edges, lam), FractionTreeKernel(n, edges, lam)
+    assert kernel.marginals() == reference.marginals()
+    for focus_a, focus_b in pairs:
+        assert kernel.sign_expectation(focus_a) == reference.sign_expectation(focus_a)
+        assert kernel.parity_pair(focus_a, focus_b) == reference.parity_pair(focus_a, focus_b)
+    for focus in joints:
+        assert kernel.joint(focus) == reference.joint(focus)
+    return kernel
+
+
+def test_prime_table_stays_below_two_to_the_31():
+    table = list(_prime_table())
+    assert len(table) > 1000 and all(q < 2**31 for q in table)
+    assert table == sorted(table, reverse=True) and table[0] == 2**31 - 1
+    assert all(pow(2, q - 1, q) == 1 and pow(3, q - 1, q) == 1 for q in table[:50])
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [label for label, _ in HIERARCHY_CORPUS] + ["random_half_integral:26", "random_half_integral:30"],
+)
+def test_kernel_matches_fraction_kernel_on_cut_free_levels(spec):
+    """The parity queries ``compute_even_at_last_probs`` makes of every
+    cut-free level, plus joints over the small boundary sets."""
+    if spec.startswith("random_half_integral"):
+        inst = generate_instance("random_half_integral", int(spec.partition(":")[2]))
+    else:
+        inst = corpus_instance(dict(HIERARCHY_CORPUS)[spec])
+    prepared = prepare_instance(inst)
+    support = prepared.plan.support
+    for level in prepared.plan.degree_levels:
+        position = {e: i for i, e in enumerate(level.edge_ids)}
+        pairs = {
+            tuple(
+                tuple(sorted(position[e] for e in boundary_edges(support, side) if e in position))
+                for side in prepared.hierarchy.last_cuts(edge)
+            )
+            for edge in range(len(support.edges))
+        }
+        joints = sorted({a for a, _ in pairs if 0 < len(a) <= 5})[:4]
+        assert_matches_fraction_kernel(
+            level.vertex_count, level.level_edges, level.lam_exact, sorted(pairs), joints
+        )
+
+
+@pytest.mark.parametrize(
+    "family, size",
+    [("k5_degree", 5), ("k5_degree", 6), ("k5_degree", 7), ("random_half_integral", 18)],
+)
+def test_kernel_matches_fraction_kernel_on_degree_cut_contexts(family, size):
+    """The endpoint parity and joint queries of every matched edge."""
+    inst = generate_instance(family, size)
+    for _, matching in decompose_matching(inst).weights:
+        context = build_matching_context(inst, matching)
+        for level in context.levels:
+            position = {e: i for i, e in enumerate(level.edge_ids)}
+            pairs, joints = [], []
+            for edge in matching:
+                ends = inst.edges[edge].u, inst.edges[edge].v
+                at = [
+                    tuple(pos for e, pos in position.items() if w in (inst.edges[e].u, inst.edges[e].v))
+                    for w in ends
+                ]
+                pairs.append(tuple(at))
+                joints.append(tuple(sorted(set(at[0] + at[1]) - {position.get(edge)})))
+            assert_matches_fraction_kernel(
+                level.vertex_count, level.level_edges, level.lam_exact, pairs, joints
+            )
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_kernel_matches_fraction_kernel_on_random_multigraphs(seed):
+    """Loops, parallel edges, zero weights and denominators up to 10^12."""
+    rng = np.random.default_rng(1000 + seed)
+    n = int(rng.integers(1, 8))
+    edges = [(int(rng.integers(v)), v) for v in range(1, n)]
+    edges += [(int(rng.integers(n)), int(rng.integers(n))) for _ in range(int(rng.integers(1, 2 * n + 2)))]
+    lam = [
+        Fraction(int(rng.integers(1, 10**12)), int(rng.integers(1, 10**12)))
+        if rng.random() < 0.8 or u == v
+        else Fraction(0)
+        for u, v in edges
+    ]
+    try:
+        FractionTreeKernel(n, edges, lam)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=str(exc)):
+            TreeKernel(n, edges, lam)
+        return
+    m = len(edges)
+    pairs = [
+        tuple(
+            tuple(int(e) for e in rng.choice(m, size=int(rng.integers(0, min(m, 5) + 1)), replace=False))
+            for _ in range(2)
+        )
+        for _ in range(6)
+    ]
+    joints = [a + tuple(e for e in b if e not in a)[: max(0, 5 - len(a))] for a, b in pairs]
+    kernel = assert_matches_fraction_kernel(n, edges, lam, pairs, joints)
+    assert sum(kernel.marginals()) == n - 1
+
+
+def test_kernel_skips_a_prime_dividing_a_denominator():
+    first = _prime_table()[0]
+    lam = [Fraction(1, first), Fraction(2), Fraction(3), Fraction(first, 7), Fraction(5, 3), Fraction(1)]
+    pairs = [((0,), (1, 2)), ((0, 3), (4,)), ((0, 1, 2, 3, 4, 5), ())]
+    assert_matches_fraction_kernel(4, K4_EDGES, lam, pairs, [(0, 1, 3), (0, 5)])
+
+
+def test_kernel_skips_a_prime_where_the_laplacian_is_singular():
+    # L = [[first]]: singular modulo the first table prime, not over Q.
+    first = _prime_table()[0]
+    lam = [Fraction(1), Fraction(first - 1), Fraction(7)]
+    kernel = assert_matches_fraction_kernel(
+        2, [(0, 1), (1, 0), (1, 1)], lam, [((0,), (1,)), ((0, 1), (0,))], [(0, 1, 2)]
+    )
+    assert kernel.marginals() == (Fraction(1, first), Fraction(first - 1, first), 0)
