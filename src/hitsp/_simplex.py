@@ -1,16 +1,18 @@
-"""Exact phase-1 simplex on an integer-preserving tableau.
+"""Exact phase-1 revised simplex over an integer-preserving basis inverse.
 
 Solves ``A w = b, w >= 0`` for integer ``A`` and rational ``b`` by minimizing
-the sum of artificial variables with Bland's rule (no cycling).  The whole
-system, artificial columns included, is scaled by L = lcm of the denominators
-of ``b``; scaling every row leaves B^-1 A and the reduced costs unchanged.
-The tableau is then kept as Python ints over one positive common denominator
-D (the previous pivot), and each pivot updates every other row by
-``(x * p - f * y) // D`` (Edmonds 1967, Bareiss 1968): by Sylvester's
-identity every entry is L times a minor of ``[A | I | b]``, whose only
-fractional column is ``b``, so the division is exact.  Every comparison reads the same rational tableau as plain
-``Fraction`` elimination would, so the pivots and the basic solution are the
-same, at a fraction of the cost.
+the sum of artificial variables with Bland's rule (no cycling), after negating
+rows with ``b_i < 0`` and scaling by L = lcm of the denominators of ``b``.  Of
+the tableau ``[A | I | b]`` it keeps D B^-1, D B^-1 b and the objective row's
+artificial part and value, as Python ints over one common denominator D (the
+previous pivot), updated by ``(x * p - f * y) // D`` (Edmonds 1967, Bareiss
+1968): by Sylvester's identity every entry is L times a minor of
+``[A | I | b]``, so the division is exact.  A column is built only when read:
+reduced cost sum_r (obj_r - D) A_rj, entering column (D B^-1) A_j.  Pricing
+runs in column order, structural before artificial, and stops at the first
+negative reduced cost, Bland's entering column.  These are the full tableau's
+own integers, so every comparison, every pivot and the basic solution are
+those of plain ``Fraction`` elimination.
 """
 
 from __future__ import annotations
@@ -35,59 +37,79 @@ def solve_equalities_nonneg(
     n = len(rows[0])
     b = [Fraction(x) for x in rhs]
     scale = lcm(*(x.denominator for x in b))
-    # Tableau columns: n structural + m artificial + rhs; artificials start basic.
-    width = n + m
-    tableau = []
-    for i in range(m):
-        sign = -scale if b[i] < 0 else scale
-        row = [sign * index(x) for x in rows[i]] + [0] * m
-        row[n + i] = scale
-        row.append(int(sign * b[i]))
-        tableau.append(row)
+    # Structural columns of the sign-flipped system, as (entry, rows) groups.
+    signs = [-1 if x < 0 else 1 for x in b]
+    columns = []
+    for j in range(n):
+        groups: dict[int, list[int]] = {}
+        for i in range(m):
+            if x := signs[i] * index(rows[i][j]):
+                groups.setdefault(x, []).append(i)
+        columns.append(tuple(groups.items()))
+    values = [int(sign * scale * x) for sign, x in zip(signs, b)]
+    inverse = [[scale if r == i else 0 for r in range(m)] for i in range(m)]
     basis = [n + i for i in range(m)]
     denom = scale
-
-    # Phase-1 objective row: minimize sum of artificials.
-    obj = [-sum(col) for col in zip(*tableau)]
-    for i in range(m):
-        obj[n + i] += scale
+    # Objective row: artificial part (zero at the start) and value.
+    obj_art = [0] * m
+    obj_value = -sum(values)
 
     while True:
-        enter = next((j for j in range(width) if obj[j] < 0), None)
+        shift = [x - denom for x in obj_art]
+        enter = column = f = None
+        for j, groups in enumerate(columns):
+            cost = 0
+            for x, nonzero in groups:
+                cost += x * sum(map(shift.__getitem__, nonzero))
+            if cost < 0:
+                enter, f = j, cost
+                column = [
+                    sum(x * sum(map(row.__getitem__, nonzero)) for x, nonzero in groups)
+                    for row in inverse
+                ]
+                break
+        else:
+            for r in range(m):
+                if obj_art[r] < 0:
+                    enter, f = n + r, obj_art[r]
+                    column = [row[r] for row in inverse]
+                    break
         if enter is None:
             break
         leave = None
         for i in range(m):
-            coef = tableau[i][enter]
+            coef = column[i]
             if coef > 0:
                 if leave is None:
                     leave = i
                     continue
                 # Ratio test rhs_i / coef_i against the best row, cross-multiplied.
-                lhs = tableau[i][width] * tableau[leave][enter]
-                rhs_best = tableau[leave][width] * coef
+                lhs = values[i] * column[leave]
+                rhs_best = values[leave] * coef
                 if lhs < rhs_best or (lhs == rhs_best and basis[i] < basis[leave]):
                     leave = i
         if leave is None:
             return None
-        pivot_row = tableau[leave]
-        pivot = pivot_row[enter]
+        pivot = column[leave]
+        pivot_row = inverse[leave]
+        pivot_value = values[leave]
         for i in range(m):
             if i != leave:
-                f = tableau[i][enter]
-                tableau[i] = [(x * pivot - f * y) // denom for x, y in zip(tableau[i], pivot_row)]
-        f = obj[enter]
-        obj = [(x * pivot - f * y) // denom for x, y in zip(obj, pivot_row)]
+                g = column[i]
+                inverse[i] = [(x * pivot - g * y) // denom for x, y in zip(inverse[i], pivot_row)]
+                values[i] = (values[i] * pivot - g * pivot_value) // denom
+        obj_art = [(x * pivot - f * y) // denom for x, y in zip(obj_art, pivot_row)]
+        obj_value = (obj_value * pivot - f * pivot_value) // denom
         denom = pivot
         basis[leave] = enter
 
-    if obj[width] != 0:
+    if obj_value != 0:
         return None
 
     solution = [Fraction(0)] * n
     for i in range(m):
         if basis[i] < n:
-            solution[basis[i]] = Fraction(tableau[i][width], denom)
-        elif tableau[i][width] != 0:
+            solution[basis[i]] = Fraction(values[i], denom)
+        elif values[i] != 0:
             return None
     return solution

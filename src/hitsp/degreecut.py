@@ -20,12 +20,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from math import lcm
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from ._simplex import solve_equalities_nonneg
+from ._util import ResourceCapError
 from .instance import (
     HALF,
     HalfIntegralInstance,
@@ -47,6 +48,11 @@ from .ojoin import (
 # Proportional fitting budget before the exact simplex takes over.
 IPF_MAX_ITERATIONS = 20_000
 IPF_TOLERANCE = 1e-12
+# The decomposition solves one system over every maximum matching; past this
+# many the instance is refused (ResourceCapError) instead of run for minutes.
+MATCHING_CAP = 10_000
+# The tight-set scan takes vertex masks in blocks of 2^16.
+TIGHT_SCAN_BITS = 16
 
 
 class DegreeCutError(ValueError):
@@ -120,7 +126,10 @@ def fractional_matching_target(instance: HalfIntegralInstance) -> list[Fraction]
 
 
 def enumerate_maximum_matchings(instance: HalfIntegralInstance) -> list[frozenset[int]]:
-    """All matchings of maximum size (perfect, or near-perfect for odd n)."""
+    """All matchings of maximum size (perfect, or near-perfect for odd n).
+
+    Raises ``ResourceCapError`` past ``MATCHING_CAP`` matchings.
+    """
     n = instance.n
     target = matching_size(n)
     incident: list[list[int]] = [[] for _ in range(n)]
@@ -133,6 +142,8 @@ def enumerate_maximum_matchings(instance: HalfIntegralInstance) -> list[frozense
 
     def extend(vertex: int, chosen: list[int], skipped: int) -> None:
         if len(chosen) == target:
+            if len(out) == MATCHING_CAP:
+                raise ResourceCapError(f"more than {MATCHING_CAP} maximum matchings")
             out.append(frozenset(chosen))
             return
         if vertex == n:
@@ -262,17 +273,7 @@ def build_tree_levels(
             if items:
                 raise DegreeCutError("leftover edges on a single vertex")
             return
-        tight = None
-        for size in range(2, nq):
-            for subset in combinations(range(nq), size):
-                sset = set(subset)
-                inside = [it for it in items if it[1] in sset and it[2] in sset]
-                mass = sum((tvals[it[0]] for it in inside), Fraction(0))
-                if mass == size - 1:
-                    tight = (sset, inside)
-                    break
-            if tight:
-                break
+        tight = _first_tight_set(nq, items, tvals)
         if tight is None:
             levels.append(
                 fit_level(
@@ -314,6 +315,55 @@ def build_tree_levels(
     tvals = {i: Fraction(targets[i]) for i, _, _ in live}
     split(size, live, tvals)
     return (pinned, deleted, tuple(levels))
+
+
+def _first_tight_set(
+    nq: int, items: Sequence[tuple[int, int, int]], tvals: dict
+) -> tuple[set[int], list[tuple[int, int, int]]] | None:
+    """The first tight set S (2 <= |S| < nq, internal target mass |S| - 1)
+    that ``combinations`` would meet, smallest size first, and its items.
+
+    Masses are integers over L = lcm of the target denominators.  Vertex v is
+    bit nq - 1 - v, so among sets of one size the lexicographically first is
+    the largest mask.  Each block of masks fixes the bits past the low ones.
+    """
+    scale = lcm(*(tvals[idx].denominator for idx, _, _ in items))
+    weights = [(*sorted((nq - 1 - u, nq - 1 - v)), int(tvals[idx] * scale)) for idx, u, v in items]
+    fits = sum(abs(w) for _, _, w in weights) + scale * (nq + 1) < 2**62
+    low = min(nq, TIGHT_SCAN_BITS)
+    counts = np.zeros(1 << low, dtype=np.int64 if fits else object)
+    counts[[1 << i for i in range(low)]] = 1
+    counts = _subset_sums(counts)
+    best = None
+    for high in range(1 << (nq - low)):
+        # An edge inside the low bits sits at its pair, one from a low vertex
+        # to the block's high set at that vertex, one inside the high set at 0.
+        mass = np.zeros_like(counts)
+        for a, b, w in weights:
+            if b < low:
+                mass[1 << a | 1 << b] += w
+            elif high >> (b - low) & 1 and (a < low or high >> (a - low) & 1):
+                mass[1 << a if a < low else 0] += w
+        size = counts + high.bit_count()
+        found = np.flatnonzero((_subset_sums(mass) == scale * (size - 1)) & (size >= 2) & (size < nq))
+        if found.size:
+            smallest = int(size[found].min())
+            key = (smallest, -(high << low | int(found[size[found] == smallest][-1])))
+            best = key if best is None else min(best, key)
+    if best is None:
+        return None
+    sset = {v for v in range(nq) if -best[1] >> (nq - 1 - v) & 1}
+    return sset, [it for it in items if it[1] in sset and it[2] in sset]
+
+
+def _subset_sums(values: np.ndarray) -> np.ndarray:
+    """In place: entry S becomes the sum of ``values[T]`` over subsets T of S."""
+    half = 1
+    while half < len(values):
+        view = values.reshape(-1, 2, half)
+        view[:, 1] += view[:, 0]
+        half *= 2
+    return values
 
 
 @dataclass(frozen=True)

@@ -84,70 +84,8 @@ class LambdaFit:
     iterations: int
 
 
-def _determinant(matrix: list[list], exact: bool):
-    """Determinant by Gaussian elimination; exact path keeps Fractions."""
-    size = len(matrix)
-    if size == 0:
-        return Fraction(1) if exact else 1.0
-    m = [row[:] for row in matrix]
-    det = Fraction(1) if exact else 1.0
-    for col in range(size):
-        pivot_row = None
-        if exact:
-            for r in range(col, size):
-                if m[r][col] != 0:
-                    pivot_row = r
-                    break
-        else:
-            best = 0.0
-            for r in range(col, size):
-                if abs(m[r][col]) > best:
-                    best = abs(m[r][col])
-                    pivot_row = r
-        if pivot_row is None or m[pivot_row][col] == 0:
-            return Fraction(0) if exact else 0.0
-        if pivot_row != col:
-            m[col], m[pivot_row] = m[pivot_row], m[col]
-            det = -det
-        pivot = m[col][col]
-        det *= pivot
-        inv = (Fraction(1) / pivot) if exact else (1.0 / pivot)
-        for r in range(col + 1, size):
-            factor = m[r][col] * inv
-            if factor == 0:
-                continue
-            row_r = m[r]
-            row_c = m[col]
-            for c in range(col, size):
-                row_r[c] -= factor * row_c[c]
-    return det
-
-
 def _is_exact(lam: Sequence) -> bool:
     return all(isinstance(v, (int, Fraction)) for v in lam)
-
-
-def count_weighted_trees(n: int, edges: Sequence[tuple[int, int]], lam: Sequence):
-    """Total tree weight: sum over spanning trees of the product of weights.
-
-    Exact when all weights are ints/Fractions (they may be negative, which is
-    what the parity identities exploit); float otherwise.
-    """
-    exact = _is_exact(lam)
-    if n == 1:
-        return Fraction(1) if exact else 1.0
-    zero = Fraction(0) if exact else 0.0
-    lap = [[zero for _ in range(n)] for _ in range(n)]
-    for (u, v), w in zip(edges, lam):
-        if u == v:
-            continue
-        w = Fraction(w) if exact else float(w)
-        lap[u][u] += w
-        lap[v][v] += w
-        lap[u][v] -= w
-        lap[v][u] -= w
-    minor = [row[1:] for row in lap[1:]]
-    return _determinant(minor, exact)
 
 
 def _contract(

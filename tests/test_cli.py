@@ -3,6 +3,7 @@
 import json
 import os
 import pickle
+import time
 
 import pytest
 
@@ -294,6 +295,14 @@ def test_degreecut_report_and_rejection(tmp_path, capsys):
     assert main(["degreecut", "--gen", "doubled_triangle",
                  "--samples", "5"]) == 2
     assert "not a degree-cut instance" in capsys.readouterr().err
+
+
+def test_degreecut_refuses_too_many_matchings(capsys):
+    """random_half_integral:25 has 12,034 maximum matchings, past the cap."""
+    start = time.perf_counter()
+    assert main(["degreecut", "--gen", "random_half_integral:25", "--samples", "20"]) == 4
+    assert time.perf_counter() - start < 5
+    assert capsys.readouterr().err == "resource cap: more than 10000 maximum matchings\n"
 
 
 def test_degreecut_repeat_is_byte_identical(tmp_path):

@@ -1,5 +1,6 @@
 """The vertex-cut-only variant: matching decomposition and its pipeline."""
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -9,7 +10,9 @@ from test_simplex import reference_solve_equalities_nonneg
 
 from hitsp.degreecut import (
     DegreeCutError,
+    _first_tight_set,
     build_matching_context,
+    build_tree_levels,
     decompose_matching,
     degree_cut_witness,
     enumerate_maximum_matchings,
@@ -22,6 +25,7 @@ from hitsp.degreecut import (
     require_degree_cut,
     run_degree_cut,
     sample_degree_cut,
+    tree_target_vector,
 )
 from hitsp.instance import GADGET_BUILDERS, generate_instance, make_instance
 from hitsp.ojoin import sample_rng
@@ -260,3 +264,85 @@ def test_degree_cut_sample_matches_fraction_composition(spec, rational):
         assert out.vector_total == sum(values, Fraction(0))
         assert min(values) >= Fraction(1, 6)
         assert out.feasible is (True if seed < 20 else None)
+
+
+def combinations_first_tight_set(nq, items, tvals):
+    """The tight-set scan as a plain reference: every vertex subset by size,
+    in ``combinations`` order, its internal mass summed in ``Fraction``s."""
+    for size in range(2, nq):
+        for subset in combinations(range(nq), size):
+            sset = set(subset)
+            inside = [it for it in items if it[1] in sset and it[2] in sset]
+            if sum((tvals[it[0]] for it in inside), Fraction(0)) == size - 1:
+                return sset, inside
+    return None
+
+
+@pytest.mark.parametrize(
+    "family,n",
+    [("k5_degree", n) for n in range(5, 10)]
+    + [("random_half_integral", 18), ("random_half_integral", 26)],
+)
+def test_tree_levels_equal_the_combinations_scan(family, n, monkeypatch):
+    """Every k5_degree maximum matching, and every matching the random
+    instances' decompositions draw."""
+    inst = generate_instance(family, n)
+    if family == "k5_degree":
+        matchings = enumerate_maximum_matchings(inst)
+    else:
+        matchings = [m for _, m in decompose_matching(inst).weights]
+    edges = [(e.u, e.v) for e in inst.edges]
+    targets = [tree_target_vector(inst, m)[0] for m in matchings]
+    bitmask = [build_tree_levels(inst.n, edges, t) for t in targets]
+    monkeypatch.setattr("hitsp.degreecut._first_tight_set", combinations_first_tight_set)
+    assert [build_tree_levels(inst.n, edges, t) for t in targets] == bitmask
+    # Tight sets split every context from n = 6 on; K5's stay one level.
+    assert all((len(levels) > 1) == (n > 5) for _, _, levels in bitmask)
+
+
+def planted_targets(rng, nq, planted, denominators):
+    """Random edge targets in (0, 1) on ``nq`` vertices, then one more edge
+    inside each planted set tops its internal mass up to its size minus one."""
+    items, tvals = [], {}
+
+    def add(u, v, t):
+        tvals[len(items)] = t
+        items.append((len(items), u, v))
+
+    for _ in range(rng.randint(nq, 3 * nq)):
+        den = rng.choice(denominators)
+        add(*rng.sample(range(nq), 2), Fraction(rng.randint(1, den - 1), den))
+    for sset in planted:
+        mass = sum((tvals[i] for i, u, v in items if u in sset and v in sset), Fraction(0))
+        add(*rng.sample(sorted(sset), 2), len(sset) - 1 - mass)
+    return items, tvals
+
+
+@pytest.mark.parametrize(
+    "block_bits, denominators",
+    [(16, (3, 4, 7, 12)), (2, (3, 4, 7, 12)), (16, (3, 2**31 - 1, 2**61 - 1))],
+)
+def test_first_tight_set_on_planted_targets(block_bits, denominators, monkeypatch):
+    """Two tight sets of one size go to the lexicographically first, as in
+    ``combinations``; a set of size nq - 1 is found; 2-bit blocks run the
+    scan over many blocks of fixed high vertices, and masses past int64
+    range are summed as Python ints."""
+    monkeypatch.setattr("hitsp.degreecut.TIGHT_SCAN_BITS", block_bits)
+    rng = random.Random(6203)
+    planted_first = 0
+    for trial in range(240):
+        nq = rng.randint(5, 9)
+        order = rng.sample(range(nq), nq)
+        if trial % 3 == 0:
+            size = rng.randint(2, nq // 2)
+            planted = [set(order[:size]), set(order[size : 2 * size])]
+        elif trial % 3 == 1:
+            planted = [set(order[: nq - 1])]
+        else:
+            planted = [set(order[: rng.randint(2, nq - 1)])]
+        items, tvals = planted_targets(rng, nq, planted, denominators)
+        expected = combinations_first_tight_set(nq, items, tvals)
+        assert _first_tight_set(nq, items, tvals) == expected
+        planted_first += expected[0] == min(planted, key=sorted)
+    assert planted_first > 150
+    assert _first_tight_set(4, [], {}) is None

@@ -15,10 +15,8 @@ from hitsp.maxent import (
     FitConvergenceError,
     JointDistribution,
     TreeKernel,
-    _determinant,
     _prime_table,
     _rationalized,
-    count_weighted_trees,
     enumerate_spanning_trees,
     fit_lambda,
     fit_level,
@@ -29,6 +27,39 @@ from hitsp.ojoin import prepare_instance
 
 K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 K5_EDGES = [(u, v) for u, v in combinations(range(5), 2)]
+
+
+def determinant(matrix):
+    """Exact determinant by ``Fraction`` Gaussian elimination."""
+    m = [[Fraction(x) for x in row] for row in matrix]
+    det = Fraction(1)
+    for col in range(len(m)):
+        pivot_row = next((r for r in range(col, len(m)) if m[r][col] != 0), None)
+        if pivot_row is None:
+            return Fraction(0)
+        if pivot_row != col:
+            m[col], m[pivot_row] = m[pivot_row], m[col]
+            det = -det
+        det *= m[col][col]
+        for r in range(col + 1, len(m)):
+            factor = m[r][col] / m[col][col]
+            if factor != 0:
+                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
+    return det
+
+
+def count_weighted_trees(n, edges, lam):
+    """Total tree weight (the sum over spanning trees of the product of
+    weights), exactly, as one Laplacian minor; weights may be negative,
+    which is what the parity identities exploit."""
+    lap = [[Fraction(0)] * n for _ in range(n)]
+    for (u, v), w in zip(edges, lam):
+        if u != v:
+            lap[u][u] += w
+            lap[v][v] += w
+            lap[u][v] -= w
+            lap[v][u] -= w
+    return determinant([row[1:] for row in lap[1:]])
 
 
 def test_unweighted_counts_match_cayley():
@@ -378,7 +409,7 @@ class FractionTreeKernel:
             [int(i == j) - 2 * self.transfer(e, f) for j, f in enumerate(order)]
             for i, e in enumerate(order)
         ]
-        return _determinant(matrix, exact=True)
+        return determinant(matrix)
 
     def parity_pair(self, focus_a, focus_b):
         set_a, set_b = set(focus_a), set(focus_b)
@@ -408,7 +439,7 @@ class FractionTreeKernel:
                     row if bit else [int(i == j) - x for j, x in enumerate(row)]
                     for i, (row, bit) in enumerate(zip(kernel, pattern))
                 ]
-                prob = _determinant(matrix, exact=True)
+                prob = determinant(matrix)
                 if prob != 0:
                     probabilities[pattern] = prob
         return JointDistribution(edges=focus, probabilities=probabilities)

@@ -7,6 +7,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from test_maxent import count_weighted_trees
 
 import hitsp.maxent
 from hitsp.cli import HIERARCHY_CORPUS, corpus_instance
@@ -42,7 +43,6 @@ from hitsp.ojoin import (
     tree_cost,
     unit_key_for_edge,
 )
-from hitsp.maxent import count_weighted_trees
 
 HALF = Fraction(1, 2)
 REFERENCE_SPECS = [label for label, _ in HIERARCHY_CORPUS] + [

@@ -1,7 +1,8 @@
-"""The integer-preserving phase-1 simplex against a plain Fraction tableau."""
+"""The revised integer-preserving phase-1 simplex against full tableaux."""
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -76,6 +77,72 @@ def reference_solve_equalities_nonneg(rows, rhs):
     return solution
 
 
+def tableau_solve_equalities_nonneg(rows, rhs):
+    """Phase-1 simplex with Bland's rule on the full integer-preserving tableau.
+
+    Every row, artificial columns included, is scaled by the lcm of the
+    right-hand side denominators and kept over the previous pivot; each pivot
+    rewrites all m x (n + m) entries by ``(x * p - f * y) // D``.
+    """
+    m = len(rows)
+    if m == 0:
+        return []
+    n = len(rows[0])
+    b = [Fraction(x) for x in rhs]
+    scale = lcm(*(x.denominator for x in b))
+    width = n + m
+    tableau = []
+    for i in range(m):
+        sign = -scale if b[i] < 0 else scale
+        row = [sign * x for x in rows[i]] + [0] * m
+        row[n + i] = scale
+        row.append(int(sign * b[i]))
+        tableau.append(row)
+    basis = [n + i for i in range(m)]
+    denom = scale
+    obj = [-sum(col) for col in zip(*tableau)]
+    for i in range(m):
+        obj[n + i] += scale
+
+    while True:
+        enter = next((j for j in range(width) if obj[j] < 0), None)
+        if enter is None:
+            break
+        leave = None
+        for i in range(m):
+            coef = tableau[i][enter]
+            if coef > 0:
+                if leave is None:
+                    leave = i
+                    continue
+                lhs = tableau[i][width] * tableau[leave][enter]
+                rhs_best = tableau[leave][width] * coef
+                if lhs < rhs_best or (lhs == rhs_best and basis[i] < basis[leave]):
+                    leave = i
+        if leave is None:
+            return None
+        pivot_row = tableau[leave]
+        pivot = pivot_row[enter]
+        for i in range(m):
+            if i != leave:
+                f = tableau[i][enter]
+                tableau[i] = [(x * pivot - f * y) // denom for x, y in zip(tableau[i], pivot_row)]
+        f = obj[enter]
+        obj = [(x * pivot - f * y) // denom for x, y in zip(obj, pivot_row)]
+        denom = pivot
+        basis[leave] = enter
+
+    if obj[width] != 0:
+        return None
+    solution = [Fraction(0)] * n
+    for i in range(m):
+        if basis[i] < n:
+            solution[basis[i]] = Fraction(tableau[i][width], denom)
+        elif tableau[i][width] != 0:
+            return None
+    return solution
+
+
 def random_system(rng, entries, feasible):
     m = rng.randint(1, 6)
     n = rng.randint(1, 8)
@@ -89,8 +156,34 @@ def random_system(rng, entries, feasible):
     return rows, rhs
 
 
+def wide_system(rng):
+    """Up to 8 rows and 80 columns, with repeated and zero columns and a
+    right-hand side that is often degenerate (zero rows, sparse points)."""
+    m = rng.randint(1, 8)
+    n = rng.randint(1, 80)
+    entries = rng.choice([(0, 1), (0, 0, 1, 2), (-1, 0, 0, 1, 3)])
+    columns = []
+    for _ in range(n):
+        roll = rng.random()
+        if columns and roll < 0.2:
+            columns.append(list(rng.choice(columns)))
+        elif roll < 0.3:
+            columns.append([0] * m)
+        else:
+            columns.append([rng.choice(entries) for _ in range(m)])
+    rows = [list(row) for row in zip(*columns)]
+    if rng.random() < 0.75:
+        point = [Fraction(rng.randint(1, 5), rng.randint(1, 4)) if rng.random() < 0.15 else Fraction(0)
+                 for _ in range(n)]
+        rhs = [sum((x * w for x, w in zip(row, point)), Fraction(0)) for row in rows]
+    else:
+        rhs = [Fraction(rng.randint(-3, 3), rng.randint(1, 6)) * rng.randint(0, 1) for _ in range(m)]
+    return rows, rhs
+
+
 def assert_same(rows, rhs):
     expected = reference_solve_equalities_nonneg(rows, rhs)
+    assert tableau_solve_equalities_nonneg(rows, rhs) == expected
     assert solve_equalities_nonneg(rows, rhs) == expected
     return expected
 
@@ -134,6 +227,37 @@ def test_duplicate_rows_leave_an_artificial_basic_at_zero():
     assert solution is not None
 
 
+def test_wide_systems_match_the_fraction_tableau():
+    """Lazy pricing has to reach columns far from the first one."""
+    rng = random.Random(4111)
+    outcomes = {"solved": 0, "none": 0}
+    far = 0
+    for _ in range(300):
+        rows, rhs = wide_system(rng)
+        result = assert_same(rows, rhs)
+        outcomes["solved" if result is not None else "none"] += 1
+        if result is not None:
+            far += any(w and j >= max(20, len(result) // 2) for j, w in enumerate(result))
+    assert outcomes["solved"] > 150 and outcomes["none"] > 20
+    assert far > 15
+
+
+def test_ratio_test_ties_leave_the_lowest_basis_index():
+    """A degenerate system whose ratio-test ties decide the basic solution:
+    letting the first tied row leave instead ends at another vertex."""
+    rows = [
+        [0, 1, 1, 1, -1, -1, -1, -1],
+        [0, 0, 1, 0, -1, -1, 0, 0],
+        [0, -1, 0, 0, -1, 1, 1, -1],
+        [1, 0, 1, 1, 0, 1, -1, 0],
+        [-1, 1, 0, 0, 1, 0, 1, 0],
+    ]
+    rhs = [Fraction(-1, 5), Fraction(-1), Fraction(-1, 5), Fraction(43, 30), Fraction(11, 30)]
+    assert assert_same(rows, rhs) == [
+        Fraction(19, 30), Fraction(4, 5), 0, 0, Fraction(1, 5), Fraction(4, 5), 0, 0
+    ]
+
+
 def test_infeasible_systems():
     assert assert_same([[1, 1]], [Fraction(-1)]) is None
     assert assert_same([[1, 0], [1, 0]], [Fraction(1), Fraction(2)]) is None
@@ -166,4 +290,12 @@ def decomposition_system(inst):
 def test_matching_decomposition_systems(family, n):
     rows, rhs = decomposition_system(generate_instance(family, n))
     solution = assert_same(rows, rhs)
+    assert solution is not None and sum(solution) == 1
+
+
+@pytest.mark.parametrize("n", [16, 18, 20])
+def test_matching_decomposition_systems_match_the_integer_tableau(n):
+    rows, rhs = decomposition_system(generate_instance("random_half_integral", n))
+    solution = solve_equalities_nonneg(rows, rhs)
+    assert solution == tableau_solve_equalities_nonneg(rows, rhs)
     assert solution is not None and sum(solution) == 1
