@@ -4,8 +4,8 @@ Solves ``A w = b, w >= 0`` for integer ``A`` and rational ``b`` by minimizing
 the sum of artificial variables with Bland's rule (no cycling), after negating
 rows with ``b_i < 0`` and scaling by L = lcm of the denominators of ``b``.  Of
 the tableau ``[A | I | b]`` it keeps D B^-1, D B^-1 b and the objective row's
-artificial part and value, as Python ints over one common denominator D (the
-previous pivot), updated by ``(x * p - f * y) // D`` (Edmonds 1967, Bareiss
+artificial part, as Python ints over one common denominator D (the previous
+pivot), updated by ``(x * p - f * y) // D`` (Edmonds 1967, Bareiss
 1968): by Sylvester's identity every entry is L times a minor of
 ``[A | I | b]``, so the division is exact.  A column is built only when read:
 reduced cost sum_r (obj_r - D) A_rj, entering column (D B^-1) A_j.  Pricing
@@ -50,9 +50,8 @@ def solve_equalities_nonneg(
     inverse = [[scale if r == i else 0 for r in range(m)] for i in range(m)]
     basis = [n + i for i in range(m)]
     denom = scale
-    # Objective row: artificial part (zero at the start) and value.
+    # Objective row: artificial part (zero at the start).
     obj_art = [0] * m
-    obj_value = -sum(values)
 
     while True:
         shift = [x - denom for x in obj_art]
@@ -99,14 +98,12 @@ def solve_equalities_nonneg(
                 inverse[i] = [(x * pivot - g * y) // denom for x, y in zip(inverse[i], pivot_row)]
                 values[i] = (values[i] * pivot - g * pivot_value) // denom
         obj_art = [(x * pivot - f * y) // denom for x, y in zip(obj_art, pivot_row)]
-        obj_value = (obj_value * pivot - f * pivot_value) // denom
         denom = pivot
         basis[leave] = enter
 
-    if obj_value != 0:
-        return None
-
     solution = [Fraction(0)] * n
+    # The phase-1 optimum is -D times the basic artificials' sum, so the
+    # system is infeasible exactly when some basic artificial is nonzero.
     for i in range(m):
         if basis[i] < n:
             solution[basis[i]] = Fraction(values[i], denom)

@@ -9,8 +9,10 @@ Monte-Carlo estimates.
 from __future__ import annotations
 
 import json
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 
 class ResourceCapError(RuntimeError):
@@ -41,17 +43,37 @@ def parse_rational(value: object) -> Fraction:
     raise ValueError(f"not a rational: {value!r}")
 
 
+@contextmanager
+def _unlimited_int_digits() -> Iterator[None]:
+    """Lift the interpreter's int-to-str digit limit inside the block, where
+    it has one (Python 3.11, 3.10.7 and later), and restore it afterwards."""
+    limit = getattr(sys, "get_int_max_str_digits", None)
+    if limit is None:
+        yield
+        return
+    saved = limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
 def format_rational(value: Fraction) -> object:
-    """Render a Fraction as an int when integral, else as a ``"p/q"`` string."""
+    """Render a Fraction as an int when integral, else as a ``"p/q"`` string
+    (exact at any size)."""
     value = Fraction(value)
     if value.denominator == 1:
         return int(value)
-    return f"{value.numerator}/{value.denominator}"
+    with _unlimited_int_digits():
+        return f"{value.numerator}/{value.denominator}"
 
 
 def canonical_json(payload: object) -> str:
-    """Serialize to a canonical JSON text: sorted keys, 2-space indent, newline."""
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """Serialize to a canonical JSON text: sorted keys, 2-space indent,
+    newline; integers are written in full at any size."""
+    with _unlimited_int_digits():
+        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def euler_circuit(n: int, edges: Sequence[tuple[int, int]]) -> list[int]:

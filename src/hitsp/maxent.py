@@ -205,6 +205,8 @@ class TreeKernel:
     primes that divide neither Pi nor det L until their product M exceeds
     2B; a query's N is its determinant's residues times W's, lifted by
     Chinese remaindering into (-M/2, M/2], and its value the Fraction N / W.
+    ``weight`` is W; with unit weights it is det L, the number of spanning
+    trees (Kirchhoff's Matrix-Tree theorem).
 
     Float weights are rounded to denominators <= 10^12 first.  Weights must
     be non-negative.  Raises ValueError when the graph has no spanning tree.
@@ -263,7 +265,7 @@ class TreeKernel:
         self._modulus = modulus
         cofactors = [(modulus // q, q) for q in self._p.tolist()]
         self._crt = np.array([c * pow(c, -1, q) for c, q in cofactors], dtype=object)
-        self._weight = self._numerators(np.ones((len(self._p), 1), dtype=np.int64))[0]
+        self.weight = self._numerators(np.ones((len(self._p), 1), dtype=np.int64))[0]
         # Cuts recur across the pairs a caller asks about, so flip sets do too.
         self._signs: dict[frozenset[int], int] = {}
 
@@ -290,7 +292,7 @@ class TreeKernel:
         u, v = self._ends.T
         x, p = self._inverse, self._p[:, None]
         y = x[:, u, u] - 2 * x[:, u, v] + x[:, v, v]
-        return tuple(Fraction(a, self._weight) for a in self._numerators(self._lam * (y % p) % p))
+        return tuple(Fraction(a, self.weight) for a in self._numerators(self._lam * (y % p) % p))
 
     def _sign_numerator(self, flips: Iterable[int]) -> int:
         """W * E[(-1)^|T & flips|] = W * det(I - 2 K_F)."""
@@ -303,7 +305,7 @@ class TreeKernel:
 
     def sign_expectation(self, flips: Iterable[int]) -> Fraction:
         """E[(-1)^|T & flips|] = det(I - 2 K_F)."""
-        return Fraction(self._sign_numerator(flips), self._weight)
+        return Fraction(self._sign_numerator(flips), self.weight)
 
     def parity_pair(
         self, focus_a: Iterable[int], focus_b: Iterable[int]
@@ -311,7 +313,7 @@ class TreeKernel:
         """Joint law of (|T & A| mod 2, |T & B| mod 2) from four characters."""
         set_a, set_b = set(focus_a), set(focus_b)
         char = {
-            (0, 0): self._weight,
+            (0, 0): self.weight,
             (1, 0): self._sign_numerator(set_a),
             (0, 1): self._sign_numerator(set_b),
             (1, 1): self._sign_numerator(set_a ^ set_b),
@@ -319,7 +321,7 @@ class TreeKernel:
         return {
             (p, q): Fraction(
                 sum(-value if (a * p + b * q) % 2 else value for (a, b), value in char.items()),
-                4 * self._weight,
+                4 * self.weight,
             )
             for p in (0, 1)
             for q in (0, 1)
@@ -343,7 +345,7 @@ class TreeKernel:
         return JointDistribution(
             edges=focus,
             probabilities={
-                pt: Fraction(a, self._weight) for pt, a in zip(patterns, numerators) if a
+                pt: Fraction(a, self.weight) for pt, a in zip(patterns, numerators) if a
             },
         )
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import inf, lcm, nextafter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -105,7 +105,15 @@ class SamplingPlan:
     """Per-level samplers; ``unit_keys`` lists the Bernoulli units in their
     fixed draw order: cycle nodes, top edges, final.  Chain and cut-free
     levels are in node id order; a cut-free level's vertices are its node's
-    children and its ``edge_ids`` are support edge ids."""
+    children and its ``edge_ids`` are support edge ids.
+
+    ``draw_runs``, built once at construction, is the class-pick stream cut
+    into runs: each cut-free level is a run of its own, drawn by its walk,
+    and each maximal stretch of uniform class picks between them (the chain
+    classes, then the unforced ring classes) is one ``(sizes, classes)``
+    run, drawn by one ``rng.integers`` call.  An array of bounds draws the
+    same bounded integers, in order, as one scalar call per class.
+    """
 
     support: SupportGraph
     hierarchy: CutHierarchy
@@ -113,6 +121,20 @@ class SamplingPlan:
     degree_levels: tuple[TreeLevel, ...]
     final_level: FinalLevel
     unit_keys: tuple[tuple, ...]
+    draw_runs: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        final = self.final_level
+        chain = [cls for level in self.cycle_levels for cls in level.classes]
+        ring = [cls for idx, cls in enumerate(final.classes) if idx != final.forced_class]
+        # Every cut-free level is drawn between the chain and the ring picks.
+        runs = [chain, *self.degree_levels, ring] if self.degree_levels else [chain + ring]
+        object.__setattr__(self, "draw_runs", tuple(
+            run if isinstance(run, TreeLevel)
+            else (np.array([len(cls) for cls in run], dtype=np.int64), tuple(run))
+            for run in runs
+            if run
+        ))
 
 
 @dataclass(frozen=True)
@@ -215,19 +237,16 @@ def sample_hierarchical_tree(plan: SamplingPlan, rng: np.random.Generator) -> Tr
 
     Draw order is fixed (chain levels by node id, then cut-free levels by node
     id, then ring classes in order, then unit uniforms in key order) so a
-    seeded generator reproduces samples exactly.
+    seeded generator reproduces samples exactly.  The picks come run by run
+    from ``plan.draw_runs``; the forced ring edge takes no draw.
     """
-    edges: list[int] = []
-    for level in plan.cycle_levels:
-        for cls in level.classes:
-            edges.append(cls[int(rng.integers(len(cls)))])
-    for level in plan.degree_levels:
-        edges.extend(level.sample(rng))
-    for idx, cls in enumerate(plan.final_level.classes):
-        if idx == plan.final_level.forced_class:
-            edges.append(plan.final_level.forced_edge)
+    edges = [plan.final_level.forced_edge]
+    for run in plan.draw_runs:
+        if isinstance(run, TreeLevel):
+            edges.extend(run.sample(rng))
         else:
-            edges.append(cls[int(rng.integers(len(cls)))])
+            sizes, classes = run
+            edges.extend([cls[i] for cls, i in zip(classes, rng.integers(0, sizes).tolist())])
     uniforms = dict(zip(plan.unit_keys, rng.random(len(plan.unit_keys)).tolist()))
     return TreeSample(edges=tuple(sorted(edges)), bernoulli_uniforms=uniforms)
 
@@ -338,6 +357,14 @@ class PreparedInstance:
     ``cut_charges[i]`` lists ``(edge, share * scale)`` for every edge charging
     to cut ``i`` with a positive share.  ``edge_cost[e]`` is support edge
     ``e``'s cost times ``cost_scale``, the lcm of the cost denominators.
+
+    The fields after ``edge_cost`` are derived at construction, so
+    ``dataclasses.replace`` rebuilds them: the base value and the reduction
+    over ``scale``, each cut's boundary in ``cut_sides`` order, and
+    ``unit_table[key] = (lo, inclusive, edges)``, where ``lo`` is the largest
+    double <= the unit's threshold t and ``inclusive`` says t is not itself
+    a double.  A double u is below t exactly when ``u < lo``, or ``u == lo``
+    and ``inclusive``, so no sample needs a ``Fraction``.
     """
 
     instance: HalfIntegralInstance
@@ -361,6 +388,32 @@ class PreparedInstance:
     cut_charges: tuple
     cost_scale: int
     edge_cost: tuple
+    base_numerator: int = field(init=False, repr=False, compare=False)
+    reduction_numerator: int = field(init=False, repr=False, compare=False)
+    boundaries: tuple = field(init=False, repr=False, compare=False)
+    unit_table: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        derived = {
+            "base_numerator": (self.base_value * self.scale).numerator,
+            "reduction_numerator": (self.params.reduction * self.scale).numerator,
+            "boundaries": tuple(self.cut_boundary[side] for side in self.cut_sides),
+            "unit_table": {
+                key: (*_double_floor(t), self.unit_edges[key])
+                for key, t in self.unit_threshold.items()
+            },
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
+
+
+def _double_floor(t: Fraction) -> tuple[float, bool]:
+    """The largest double <= ``t``, and whether it falls short of ``t``.
+    ``float`` rounds a ``Fraction`` correctly, so one step down suffices."""
+    lo = float(t)
+    if Fraction(lo) > t:
+        lo = nextafter(lo, -inf)
+    return lo, Fraction(lo) != t
 
 
 def prepare_instance(
@@ -461,16 +514,13 @@ def prepare_instance(
 
 
 def resolve_bernoulli_units(prepared: PreparedInstance, sample: TreeSample) -> dict:
-    """Each unit fires when its uniform falls below the truncation ratio.
-
-    ``u.as_integer_ratio()`` is exact, so cross-multiplying decides
-    ``Fraction(u) < threshold`` without building a ``Fraction``.
-    """
+    """Each unit fires (1) when its uniform falls below its threshold, read
+    exactly off ``prepared.unit_table``; otherwise 0."""
+    table = prepared.unit_table
     out = {}
     for key, u in sample.bernoulli_uniforms.items():
-        a, b = u.as_integer_ratio()
-        t = prepared.unit_threshold[key]
-        out[key] = 1 if a * t.denominator < t.numerator * b else 0
+        lo, inclusive, _ = table[key]
+        out[key] = 1 if u < lo or (inclusive and u == lo) else 0
     return out
 
 
@@ -479,39 +529,44 @@ def _vector_numerators(
 ) -> tuple[list[int], list[int], dict[int, int], dict[int, int]]:
     """``build_join_vector`` on integers over ``prepared.scale``: the values,
     the reduced edges, and the positive deficits and increases keyed by cut
-    index and edge."""
+    index and edge.  Only fired units and odd cuts (the set bits of the
+    parity mask, lowest first) are visited."""
     scale = prepared.scale
     crossing = prepared.edge_cut_mask
     parity = 0
     for e in sample.edges:
         parity ^= crossing[e]
 
-    base = (prepared.base_value * scale).numerator
-    values = [base] * len(crossing)
+    values = [prepared.base_numerator] * len(crossing)
     last = prepared.last_cut_mask
+    table = prepared.unit_table
     reduced = []
     for key, fired in resolve_bernoulli_units(prepared, sample).items():
         if fired:
-            reduced.extend(e for e in prepared.unit_edges[key] if not parity & last[e])
-    reduction = (prepared.params.reduction * scale).numerator
+            reduced.extend(e for e in table[key][2] if not parity & last[e])
+    reduction = prepared.reduction_numerator
     for e in reduced:
         values[e] -= reduction
 
+    # Deficits read the reduced values; increases are applied after all of
+    # them.  Every minimum cut has exactly four boundary edges.
+    boundaries = prepared.boundaries
+    charges = prepared.cut_charges
     deficits: dict[int, int] = {}
-    # ``cut_boundary`` is in ``cut_sides`` order; every minimum cut has
-    # exactly four boundary edges.
-    for i, (a, b, c, d) in enumerate(prepared.cut_boundary.values()):
-        if parity >> i & 1:
-            shortfall = scale - values[a] - values[b] - values[c] - values[d]
-            if shortfall > 0:
-                deficits[i] = shortfall
-
     increases: dict[int, int] = {}
-    for i, deficit in deficits.items():
-        for f, share in prepared.cut_charges[i]:
-            amount = share * deficit // scale
-            if amount > increases.get(f, 0):
-                increases[f] = amount
+    rest = parity
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        i = low.bit_length() - 1
+        a, b, c, d = boundaries[i]
+        shortfall = scale - values[a] - values[b] - values[c] - values[d]
+        if shortfall > 0:
+            deficits[i] = shortfall
+            for f, share in charges[i]:
+                amount = share * shortfall // scale
+                if amount > increases.get(f, 0):
+                    increases[f] = amount
     for f, amount in increases.items():
         values[f] += amount
     return values, reduced, deficits, increases
@@ -841,7 +896,7 @@ def run_sample(
         min_edge = Fraction(min(values), scale)
         loads = tuple([
             values[a] + values[b] + values[c] + values[d]
-            for a, b, c, d in prepared.cut_boundary.values()
+            for a, b, c, d in prepared.boundaries
         ])
         if check_vector:
             exact = {x: Fraction(x, scale) for x in set(values)}

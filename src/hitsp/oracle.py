@@ -23,7 +23,7 @@ import numpy as np
 from ._util import ResourceCapError
 from .cuts import boundary_edges, canonical_side, level_tree_problem
 from .instance import HalfIntegralInstance, metric_closure
-from .maxent import enumerate_spanning_trees
+from .maxent import TreeKernel, enumerate_spanning_trees
 from .ojoin import (
     JoinCalculator,
     PreparedInstance,
@@ -86,7 +86,9 @@ def level_outcome_table(plan: SamplingPlan) -> tuple[LevelOutcomes, ...]:
     Each chain class is one uniform pick, each cut-free level lists its
     spanning trees weighted by the level's exact weights, and each ring class
     is one uniform pick (the forced class has the single forced edge).  The
-    sampled connector is the union of one choice per factor.
+    sampled connector is the union of one choice per factor.  A level with
+    more than ``DEFAULT_OUTCOME_CAP`` trees, counted first by the
+    Matrix-Tree theorem, raises ResourceCapError before any is listed.
     """
     out: list[LevelOutcomes] = []
     for level in plan.cycle_levels:
@@ -95,6 +97,9 @@ def level_outcome_table(plan: SamplingPlan) -> tuple[LevelOutcomes, ...]:
             choices = tuple(((e,), share) for e in cls)
             out.append(LevelOutcomes(("cycle", level.node_id, idx), choices))
     for idx, level in enumerate(plan.degree_levels):
+        unit = (Fraction(1),) * len(level.level_edges)
+        if TreeKernel(level.vertex_count, level.level_edges, unit).weight > DEFAULT_OUTCOME_CAP:
+            raise ResourceCapError(f"spanning tree count exceeds cap {DEFAULT_OUTCOME_CAP}")
         enum = enumerate_trees(
             level.vertex_count, list(level.level_edges), list(level.lam_exact)
         )

@@ -3,11 +3,14 @@
 import json
 import os
 import pickle
+import sys
 import time
+from fractions import Fraction
 
 import pytest
 
 import hitsp
+from hitsp._util import canonical_json, format_rational
 from hitsp.cli import main
 from hitsp.instance import parse_instance
 from hitsp.ojoin import prepare_instance
@@ -339,9 +342,7 @@ def test_reports_carry_the_package_version(chain_file, tmp_path):
 def test_run_aggregates_equal_the_fraction_arithmetic(tmp_path, mode):
     """Integer sums in ``run`` give the bytes of per-sample ``Fraction`` sums."""
     from dataclasses import replace
-    from fractions import Fraction
 
-    from hitsp._util import format_rational
     from hitsp.instance import generate_instance, serialize_instance
     from hitsp.ojoin import JoinCalculator, run_sample, sample_rng
 
@@ -376,3 +377,14 @@ def test_run_aggregates_equal_the_fraction_arithmetic(tmp_path, mode):
         mean = sum((o.cut_loads[side] for o in outs), Fraction(0)) / 40
         key = ",".join(str(v) for v in sorted(side))
         assert results["per_cut_mean_load"][key] == (format_rational(mean) if mode == "rational" else float(mean))
+
+
+def test_reports_write_rationals_past_the_digit_limit():
+    # 5,000 sevens over 3 (coprime: the digit sum is 35,000) and 10^5000.
+    sevens = 7 * (10**5000 - 1) // 9
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    assert format_rational(Fraction(sevens, 3)) == "7" * 5000 + "/3"
+    text = canonical_json({"load": format_rational(Fraction(10**5000))})
+    assert text == '{\n  "load": 1' + "0" * 5000 + "\n}\n"
+    if limit is not None:
+        assert sys.get_int_max_str_digits() == limit

@@ -22,12 +22,14 @@ from hitsp.instance import (
     metric_closure,
     split_vertex_for_eplus,
 )
+from hitsp.maxent import TreeLevel
 from hitsp.ojoin import (
     ChargingParams,
     DEFAULT_TOP_TRUNCATION,
     JoinCalculator,
     TreeSample,
     _join_layers,
+    _vector_numerators,
     build_join_vector,
     build_sampling_plan,
     build_tour,
@@ -814,18 +816,30 @@ def test_run_sample_matches_fraction_composition(spec):
 
 
 def test_unit_fires_exactly_below_its_threshold(chain2):
-    key = chain2.plan.unit_keys[0]
-    for threshold in (Fraction(1, 2), Fraction(3, 8), Fraction(1, 3), DEFAULT_TOP_TRUNCATION):
+    key = next(k for k in chain2.plan.unit_keys if chain2.unit_edges[k])
+    thresholds = (
+        Fraction(0), Fraction(1), Fraction(1, 2), Fraction(3, 8), Fraction(1, 3),
+        DEFAULT_TOP_TRUNCATION,
+    )
+    for threshold in thresholds:
+        # ``replace`` rebuilds the unit table: lo is the largest double <=
+        # the new threshold, and ``inclusive`` says the threshold is not one.
         prepared = replace(chain2, unit_threshold={**chain2.unit_threshold, key: threshold})
-        at = float(threshold)
-        for u in (at, np.nextafter(at, 0.0), np.nextafter(at, 1.0)):
-            sample = TreeSample(edges=(), bernoulli_uniforms={key: float(u)})
-            fired = resolve_bernoulli_units(prepared, sample)[key]
-            assert fired == (Fraction(float(u)) < threshold)
-        if threshold.denominator & (threshold.denominator - 1) == 0:
-            # a dyadic threshold is a float: equality must not fire
-            sample = TreeSample(edges=(), bernoulli_uniforms={key: at})
-            assert resolve_bernoulli_units(prepared, sample)[key] == 0
+        lo, inclusive, edges = prepared.unit_table[key]
+        assert Fraction(lo) <= threshold < Fraction(float(np.nextafter(lo, 2.0)))
+        assert inclusive == (Fraction(lo) != threshold)
+        for u in (lo, np.nextafter(lo, 0.0), np.nextafter(lo, 1.0)):
+            fires = Fraction(float(u)) < threshold
+            # Every other unit gets 1.0, which never fires.
+            uniforms = {k: 1.0 for k in prepared.plan.unit_keys}
+            uniforms[key] = float(u)
+            sample = TreeSample(edges=(), bernoulli_uniforms=uniforms)
+            assert resolve_bernoulli_units(prepared, sample) == {
+                k: int(fires and k == key) for k in uniforms
+            }
+            # With no edges every cut is even, so a fired unit reduces all of
+            # its edges.
+            assert _vector_numerators(prepared, sample)[1] == (list(edges) if fires else [])
 
 
 def reference_parity_pair(n, edges, lam, focus_a, focus_b):
@@ -885,3 +899,91 @@ def test_even_at_last_table_matches_determinant_reference(spec, monkeypatch):
     reference = compute_even_at_last_probs(prepared.plan)
     assert prepared.eal_probability == reference
     assert all(type(p) is Fraction for p in prepared.eal_probability.values())
+
+
+def scalar_draw_sample(plan, rng):
+    """The former sampler, kept as the reference for the draw runs: one
+    scalar ``rng.integers`` call per class pick, level by level."""
+    edges = []
+    for level in plan.cycle_levels:
+        for cls in level.classes:
+            edges.append(cls[int(rng.integers(len(cls)))])
+    for level in plan.degree_levels:
+        edges.extend(level.sample(rng))
+    for idx, cls in enumerate(plan.final_level.classes):
+        if idx == plan.final_level.forced_class:
+            edges.append(plan.final_level.forced_edge)
+        else:
+            edges.append(cls[int(rng.integers(len(cls)))])
+    uniforms = dict(zip(plan.unit_keys, rng.random(len(plan.unit_keys)).tolist()))
+    return TreeSample(edges=tuple(sorted(edges)), bernoulli_uniforms=uniforms)
+
+
+def all_cuts_vector_numerators(prepared, sample):
+    """The former ``_vector_numerators``, kept as the reference for the
+    odd-cut walk: every cut's parity bit is tested, and a unit fires by
+    cross-multiplying its uniform's exact ratio with its threshold."""
+    scale = prepared.scale
+    crossing = prepared.edge_cut_mask
+    parity = 0
+    for e in sample.edges:
+        parity ^= crossing[e]
+    values = [(prepared.base_value * scale).numerator] * len(crossing)
+    last = prepared.last_cut_mask
+    reduced = []
+    for key, u in sample.bernoulli_uniforms.items():
+        a, b = u.as_integer_ratio()
+        t = prepared.unit_threshold[key]
+        if a * t.denominator < t.numerator * b:
+            reduced.extend(e for e in prepared.unit_edges[key] if not parity & last[e])
+    for e in reduced:
+        values[e] -= (prepared.params.reduction * scale).numerator
+    deficits = {}
+    for i, side in enumerate(prepared.cut_sides):
+        if parity >> i & 1:
+            shortfall = scale - sum(values[e] for e in prepared.cut_boundary[side])
+            if shortfall > 0:
+                deficits[i] = shortfall
+    increases = {}
+    for i, deficit in deficits.items():
+        for f, share in prepared.cut_charges[i]:
+            amount = share * deficit // scale
+            if amount > increases.get(f, 0):
+                increases[f] = amount
+    for f, amount in increases.items():
+        values[f] += amount
+    return values, reduced, deficits, increases
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [label for label, _ in HIERARCHY_CORPUS]
+    + ["cycle_chain:18", "envelope:10", "random_half_integral:26"],
+)
+def test_sample_path_matches_scalar_draws_and_all_cuts_scan(spec):
+    prepared = prepare_instance(reference_instance(spec))
+    for seed in range(200):
+        rng, ref_rng = sample_rng(seed, 0), sample_rng(seed, 0)
+        sample = sample_hierarchical_tree(prepared.plan, rng)
+        want = scalar_draw_sample(prepared.plan, ref_rng)
+        assert sample.edges == want.edges, seed
+        assert list(sample.bernoulli_uniforms.items()) == list(want.bernoulli_uniforms.items())
+        assert rng.random() == ref_rng.random(), seed
+        got = _vector_numerators(prepared, sample)
+        expected = all_cuts_vector_numerators(prepared, sample)
+        assert got[:2] == expected[:2], seed
+        assert [list(d.items()) for d in got[2:]] == [list(d.items()) for d in expected[2:]]
+
+
+def test_draw_runs_merge_uniform_picks_between_walks():
+    chains = prepare_instance(reference_instance("envelope:10")).plan
+    sizes, classes = chains.draw_runs[0]
+    assert len(chains.draw_runs) == 1 and not chains.degree_levels
+    assert len(classes) == sum(len(lv.classes) for lv in chains.cycle_levels) + len(
+        chains.final_level.classes
+    ) - 1
+    assert sizes.tolist() == [len(cls) for cls in classes]
+    random = prepare_instance(reference_instance("random_half_integral:26")).plan
+    level, (sizes, classes) = random.draw_runs
+    assert isinstance(level, TreeLevel) and level is random.degree_levels[0]
+    assert len(classes) == len(random.final_level.classes) - 1

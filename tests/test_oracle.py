@@ -1,6 +1,7 @@
 """Exhaustive enumeration oracles and the probability-bound battery."""
 
 import math
+import time
 from fractions import Fraction
 from itertools import product
 from typing import Iterator
@@ -277,6 +278,16 @@ def test_enumerate_trees_weighted():
         for e in tree:
             weight *= lam[e]
         assert p == weight / enum.total_weight
+
+
+def test_oversize_cut_free_level_is_refused_before_listing():
+    # random_half_integral:26's 25-vertex level has about 3.9e11 trees;
+    # listing them up to the cap took minutes.
+    prepared = prepare_instance(generate_instance("random_half_integral", 26))
+    start = time.perf_counter()
+    with pytest.raises(ResourceCapError, match="spanning tree count exceeds cap 10000000"):
+        exact_pipeline_expectations(prepared)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_enumerate_trees_cap():
