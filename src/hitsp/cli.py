@@ -27,6 +27,7 @@ from .degreecut import (
     DegreeCutError,
     decompose_matching,
     build_matching_context,
+    degree_cut_witness,
     enumerate_maximum_matchings,
     exactly_one_each_probability,
     expected_edge_values,
@@ -362,41 +363,26 @@ def cmd_run(args: argparse.Namespace) -> int:
 # verify-lemmas
 
 
+def degree_vertex_bound(n: int) -> Fraction:
+    """The bound on a degree-cut instance's expected per-vertex load."""
+    return DEGREE_VERTEX_BOUND + (DEGREE_VERTEX_SLACK / n if n % 2 == 1 else 0)
+
+
 def _feasibility_rows(
     prepared, label: str, samples: int, seed: int
 ) -> list[LemmaCheck]:
-    """Sampled end-to-end vectors: odd-cut coverage and the 1/6 edge floor."""
-    from .ojoin import check_feasible, build_join_vector, sample_hierarchical_tree
-
-    failures = 0
-    min_edge = None
-    for idx in range(samples):
-        rng = sample_rng(seed, idx)
-        sample = sample_hierarchical_tree(prepared.plan, rng)
-        vector = build_join_vector(prepared, sample)
-        result = check_feasible(prepared.support, sample.edges, vector.values)
-        if not result.feasible:
-            failures += 1
-        low = min(vector.values)
-        if min_edge is None or low < min_edge:
-            min_edge = low
+    """Sampled end-to-end vectors, checked as ``run --check-vectors`` checks
+    them: odd-cut coverage and the 1/6 edge floor."""
+    joins = JoinCalculator(prepared.metric)
+    outs = [
+        run_sample(prepared, sample_rng(seed, idx), joins, check_vector=True)
+        for idx in range(samples)
+    ]
+    failures = Fraction(sum(1 for out in outs if not out.feasible))
+    min_edge = min(out.min_edge_value for out in outs)
     return [
-        LemmaCheck(
-            name="sampled-vectors-feasible",
-            subject=label,
-            value=Fraction(failures),
-            bound=Fraction(0),
-            relation="==",
-            passed=failures == 0,
-        ),
-        LemmaCheck(
-            name="edge-floor-1-6",
-            subject=label,
-            value=min_edge,
-            bound=Fraction(1, 6),
-            relation=">=",
-            passed=min_edge >= Fraction(1, 6),
-        ),
+        LemmaCheck("sampled-vectors-feasible", label, failures, Fraction(0), "=="),
+        LemmaCheck("edge-floor-1-6", label, min_edge, Fraction(1, 6), ">="),
     ]
 
 
@@ -411,147 +397,57 @@ def _hierarchy_instance_rows(
         for cut in prepared.hierarchy.min_cuts
     }
     for side in sorted(expectations.cut_load, key=sorted):
-        if kind_of[side] == "arc":
-            continue
-        load = expectations.cut_load[side]
-        rows.append(
-            LemmaCheck(
-                name="cut-load-main",
-                subject=f"cut {sorted(side)}",
-                value=load,
-                bound=MAIN_CUT_BOUND,
-                relation="<=",
-                passed=load <= MAIN_CUT_BOUND,
+        if kind_of[side] != "arc":
+            load = expectations.cut_load[side]
+            rows.append(
+                LemmaCheck("cut-load-main", f"cut {sorted(side)}", load, MAIN_CUT_BOUND, "<=")
             )
-        )
     floor_total = 6 * (prepared.base_value - params.reduction)
-    rows.append(
-        LemmaCheck(
-            name="six-edge-floor",
-            subject="params",
-            value=floor_total,
-            bound=Fraction(1),
-            relation=">=",
-            passed=floor_total >= 1,
-        )
-    )
+    rows.append(LemmaCheck("six-edge-floor", "params", floor_total, Fraction(1), ">="))
     rows.extend(_feasibility_rows(prepared, inst.name, feas_samples, seed=0))
     return rows
 
 
 def _degree_instance_rows(inst: HalfIntegralInstance) -> list[LemmaCheck]:
-    rows: list[LemmaCheck] = []
+    name = inst.name
     decomposition = decompose_matching(inst)
     m = len(inst.edges)
     target = fractional_matching_target(inst)
     marginals = decomposition.marginals(m)
-    rows.append(
-        LemmaCheck(
-            name="matching-marginals-exact",
-            subject=inst.name,
-            value=Fraction(sum(1 for i in range(m) if marginals[i] == target[i])),
-            bound=Fraction(m),
-            relation="==",
-            passed=marginals == target,
-        )
-    )
+    exact = Fraction(sum(1 for i in range(m) if marginals[i] == target[i]))
     z_values = expected_edge_values(inst, decomposition)
     z_off = [v for v in z_values if v != Fraction(1, 2)]
-    rows.append(
-        LemmaCheck(
-            name="z-expected-half",
-            subject=inst.name,
-            value=z_off[0] if z_off else Fraction(1, 2),
-            bound=Fraction(1, 2),
-            relation="==",
-            passed=not z_off,
-        )
-    )
-    expected_tree = sum(
-        (inst.edges[i].cost * z_values[i] for i in range(m)), Fraction(0)
-    )
-    rows.append(
-        LemmaCheck(
-            name="tree-cost-matches-lp",
-            subject=inst.name,
-            value=expected_tree,
-            bound=inst.lp_cost(),
-            relation="==",
-            passed=expected_tree == inst.lp_cost(),
-        )
-    )
+    z_first_off = z_off[0] if z_off else Fraction(1, 2)
+    expected_tree = sum((inst.edges[i].cost * z_values[i] for i in range(m)), Fraction(0))
+    rows = [
+        LemmaCheck("matching-marginals-exact", name, exact, Fraction(m), "=="),
+        LemmaCheck("z-expected-half", name, z_first_off, Fraction(1, 2), "=="),
+        LemmaCheck("tree-cost-matches-lp", name, expected_tree, inst.lp_cost(), "=="),
+    ]
     contexts = {
         matching: build_matching_context(inst, matching)
         for _, matching in decomposition.weights
     }
-    normal_minimum = None
-    for _, matching in decomposition.weights:
-        context = contexts[matching]
-        for edge in context.normal_edges:
-            value = exactly_one_each_probability(inst, context, edge)
-            if normal_minimum is None or value < normal_minimum:
-                normal_minimum = value
-    if normal_minimum is not None:
-        rows.append(
-            LemmaCheck(
-                name="normal-even-16-81",
-                subject=inst.name,
-                value=normal_minimum,
-                bound=SIXTEEN_81,
-                relation=">=",
-                passed=normal_minimum >= SIXTEEN_81,
-            )
-        )
-    vertex_values = expected_vertex_values(inst, decomposition, contexts)
-    bound = DEGREE_VERTEX_BOUND
-    if inst.n % 2 == 1:
-        bound = bound + DEGREE_VERTEX_SLACK / inst.n
-    worst = max(vertex_values)
-    rows.append(
-        LemmaCheck(
-            name="vertex-load-degree",
-            subject=inst.name,
-            value=worst,
-            bound=bound,
-            relation="<=",
-            passed=worst <= bound,
-        )
-    )
+    normal = [
+        exactly_one_each_probability(inst, contexts[matching], edge)
+        for _, matching in decomposition.weights
+        for edge in contexts[matching].normal_edges
+    ]
+    if normal:
+        rows.append(LemmaCheck("normal-even-16-81", name, min(normal), SIXTEEN_81, ">="))
+    worst = max(expected_vertex_values(inst, decomposition, contexts))
+    rows.append(LemmaCheck("vertex-load-degree", name, worst, degree_vertex_bound(inst.n), "<="))
     if inst.n == 5:
-        matchings = enumerate_maximum_matchings(inst)
-        rows.append(
-            LemmaCheck(
-                name="k5-matching-count",
-                subject=inst.name,
-                value=Fraction(len(matchings)),
-                bound=Fraction(15),
-                relation="==",
-                passed=len(matchings) == 15,
-            )
-        )
+        # K5 has at most 15 maximum matchings and the weights sum to 1, so the
+        # largest weight is 1/15 exactly when all 15 are; the 10 marginals sum
+        # to 2, so the smallest is 1/5 exactly when all are.
+        count = Fraction(len(enumerate_maximum_matchings(inst)))
         weights = [w for w, _ in decomposition.weights]
-        uniform = all(w == Fraction(1, 15) for w in weights) and len(weights) == 15
-        rows.append(
-            LemmaCheck(
-                name="k5-weights-uniform",
-                subject=inst.name,
-                value=min(weights),
-                bound=Fraction(1, 15),
-                relation="==",
-                passed=uniform,
-            )
-        )
-        marginal_ok = all(v == Fraction(1, 5) for v in marginals)
-        rows.append(
-            LemmaCheck(
-                name="k5-edge-marginal",
-                subject=inst.name,
-                value=min(marginals),
-                bound=Fraction(1, 5),
-                relation="==",
-                passed=marginal_ok,
-            )
-        )
+        rows += [
+            LemmaCheck("k5-matching-count", name, count, Fraction(15), "=="),
+            LemmaCheck("k5-weights-uniform", name, max(weights), Fraction(1, 15), "=="),
+            LemmaCheck("k5-edge-marginal", name, min(marginals), Fraction(1, 5), "=="),
+        ]
     return rows
 
 
@@ -560,8 +456,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     jobs: list[tuple[str, HalfIntegralInstance, str]] = []
     if args.instance or args.gen:
         inst = load_instance(args)
-        from .degreecut import degree_cut_witness
-
         kind = "degree" if degree_cut_witness(inst) is None else "hierarchy"
         jobs.append((inst.name, inst, kind))
     else:
@@ -620,22 +514,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_degreecut(args: argparse.Namespace) -> int:
     inst = load_instance(args)
-    from .degreecut import degree_cut_witness
-
-    witness = degree_cut_witness(inst)
-    if witness is not None:
-        kind, detail = witness
-        sys.stderr.write(
-            f"instance {inst.name!r} is not a degree-cut instance: "
-            f"{kind} {detail}\n"
-        )
-        return EXIT_INVALID
     report = run_degree_cut(
         inst, samples=args.samples, seed=args.seed, check_vectors=args.check_vectors
     )
-    bound = DEGREE_VERTEX_BOUND
-    if inst.n % 2 == 1:
-        bound = bound + DEGREE_VERTEX_SLACK / inst.n
+    bound = degree_vertex_bound(inst.n)
     sigma_mean = (
         report.tour_ratio_std / sqrt(report.samples) if report.samples > 1 else 0.0
     )

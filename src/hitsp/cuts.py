@@ -162,9 +162,6 @@ class CutHierarchy:
     edge_level: tuple[tuple[str, int], ...]
     edge_last_cuts: tuple[tuple[frozenset[int], frozenset[int]], ...]
 
-    def node_vertices(self, node_id: int) -> frozenset[int]:
-        return self.nodes[node_id].vertices
-
     def internal_nodes(self) -> tuple[CutNode, ...]:
         return tuple(nd for nd in self.nodes if nd.children)
 

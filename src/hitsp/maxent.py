@@ -27,6 +27,8 @@ from typing import Container, Iterable, Sequence
 
 import numpy as np
 
+from ._util import ResourceCapError
+
 
 @dataclass(frozen=True)
 class MarginalVector:
@@ -239,7 +241,7 @@ class TreeKernel:
                 if reach > 2 * bound:
                     break
             else:
-                raise ValueError("tree weights need more primes than the table holds")
+                raise ResourceCapError("tree weights need more primes than the table holds")
             p = np.array(batch, dtype=np.int64)
             p3 = p[:, None, None]
             lam_p = np.array(

@@ -13,6 +13,8 @@ solver.
 
 from __future__ import annotations
 
+from collections import defaultdict
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
@@ -127,26 +129,17 @@ def outcome_space_size(plan: SamplingPlan) -> tuple[int, int]:
 def subset_joint_distribution(
     levels: tuple[LevelOutcomes, ...], edge_ids: tuple[int, ...]
 ) -> dict[tuple[int, ...], Fraction]:
-    """Exact joint membership law of a few edges, by per-factor convolution."""
-    law: dict[tuple[int, ...], Fraction] = {(0,) * len(edge_ids): Fraction(1)}
-    positions = {e: i for i, e in enumerate(edge_ids)}
-    for level in levels:
-        collapsed: dict[tuple[int, ...], Fraction] = {}
-        for chosen, p in level.choices:
-            pos = tuple(sorted(positions[e] for e in chosen if e in positions))
-            collapsed[pos] = collapsed.get(pos, Fraction(0)) + p
-        if set(collapsed) == {()}:
-            continue
-        nxt: dict[tuple[int, ...], Fraction] = {}
-        for pattern, w in law.items():
-            for pos, p in collapsed.items():
-                key = list(pattern)
-                for i in pos:
-                    key[i] = 1
-                k = tuple(key)
-                nxt[k] = nxt.get(k, Fraction(0)) + w * p
-        law = nxt
-    return law
+    """Exact joint membership law of a few edges, by per-factor convolution.
+
+    Focus edge ``pos`` carries state bit ``pos`` and every other edge none;
+    factors share no edge, so the XOR of the chosen masks is their union.
+    """
+    edge_state = defaultdict(int, {e: 1 << pos for pos, e in enumerate(edge_ids)})
+    law = _state_law(levels, edge_state, DEFAULT_OUTCOME_CAP)
+    return {
+        tuple((mask >> pos) & 1 for pos in range(len(edge_ids))): w
+        for mask, w in law.items()
+    }
 
 
 def subset_count_distribution(
@@ -177,7 +170,7 @@ class PipelineExpectations:
 
 
 def _state_law(
-    levels: tuple[LevelOutcomes, ...], edge_state: list[int], cap: int
+    levels: tuple[LevelOutcomes, ...], edge_state: Sequence[int] | Mapping[int, int], cap: int
 ) -> dict[int, Fraction]:
     """Law of the XOR of the chosen edges' state masks over all factors.
 
@@ -467,28 +460,29 @@ def exact_expectations_by_full_enumeration(
 
 @dataclass(frozen=True)
 class LemmaCheck:
-    """One verified probability bound: value `relation` bound on `subject`."""
+    """One verified probability bound: value `relation` bound on `subject`.
+
+    The verdict is derived from the row's own numbers, so a row can never
+    print a relation that its value and bound contradict.
+    """
 
     name: str
     subject: str
     value: Fraction
     bound: Fraction
     relation: str
-    passed: bool
 
+    def __post_init__(self) -> None:
+        if self.relation not in ("<=", ">=", "=="):
+            raise ValueError(f"unknown relation {self.relation!r}")
 
-def _check(
-    name: str, subject: str, value: Fraction, bound: Fraction, relation: str
-) -> LemmaCheck:
-    if relation == ">=":
-        ok = value >= bound
-    elif relation == "==":
-        ok = value == bound
-    elif relation == "<=":
-        ok = value <= bound
-    else:
-        raise ValueError(f"unknown relation {relation!r}")
-    return LemmaCheck(name, subject, value, bound, relation, ok)
+    @property
+    def passed(self) -> bool:
+        if self.relation == "<=":
+            return self.value <= self.bound
+        if self.relation == ">=":
+            return self.value >= self.bound
+        return self.value == self.bound
 
 
 def run_lemma_battery(
@@ -517,7 +511,7 @@ def run_lemma_battery(
     # Parity floor on every 4-edge tight cut.
     for side, even in expectations.cut_even.items():
         checks.append(
-            _check("cut-even-13-27", f"cut {sorted(side)}", even, Fraction(13, 27), ">=")
+            LemmaCheck("cut-even-13-27", f"cut {sorted(side)}", even, Fraction(13, 27), ">=")
         )
 
     # Cuts that are nobody's last cut never go odd.
@@ -528,18 +522,18 @@ def run_lemma_battery(
     for side, even in expectations.cut_even.items():
         if side not in last_sides:
             checks.append(
-                _check(
+                LemmaCheck(
                     "spectator-cut-even", f"cut {sorted(side)}", even, Fraction(1), "=="
                 )
             )
 
     # Ring-level edges are always even at last.
     for e in hierarchy.final_edges():
-        checks.append(_check("ring-edge-even", f"edge {e}", p[e], Fraction(1), "=="))
+        checks.append(LemmaCheck("ring-edge-even", f"edge {e}", p[e], Fraction(1), "=="))
 
     # Edges inside chain-structured nodes clear 1/4.
     for e in hierarchy.bottom_edges():
-        checks.append(_check("bottom-edge-1-4", f"edge {e}", p[e], Fraction(1, 4), ">="))
+        checks.append(LemmaCheck("bottom-edge-1-4", f"edge {e}", p[e], Fraction(1, 4), ">="))
 
     for node in hierarchy.degree_nodes():
         k, level_edges, _ = level_tree_problem(hierarchy, node.id)
@@ -565,13 +559,13 @@ def run_lemma_battery(
             label = f"node {node.id} child {child_id}"
             if not ups:
                 total = sum((p[f] for f in boundary), Fraction(0))
-                checks.append(_check("top-cut-4-27", label, total, Fraction(4, 27), ">="))
+                checks.append(LemmaCheck("top-cut-4-27", label, total, Fraction(4, 27), ">="))
                 worst = min(
                     sum((p[f] for f in w), Fraction(0))
                     for w in combinations(boundary, 3)
                 )
                 checks.append(
-                    _check("top-cut-triple-1-27", label, worst, Fraction(1, 27), ">=")
+                    LemmaCheck("top-cut-triple-1-27", label, worst, Fraction(1, 27), ">=")
                 )
             else:
                 if len(ups) != 1:
@@ -583,11 +577,11 @@ def run_lemma_battery(
                     for w in combinations(inward, 2)
                 )
                 checks.append(
-                    _check("top-pair-7-32", label, worst_pair, Fraction(7, 32), ">=")
+                    LemmaCheck("top-pair-7-32", label, worst_pair, Fraction(7, 32), ">=")
                 )
                 gain = sum((trunc(f) for f in boundary), Fraction(0))
                 checks.append(
-                    _check(
+                    LemmaCheck(
                         "top-cut-min-gain",
                         label,
                         gain,
@@ -601,7 +595,7 @@ def run_lemma_battery(
                 covered = sum((w for c, w in law.items() if c >= 1), Fraction(0))
                 if covered == 1:
                     checks.append(
-                        _check(
+                        LemmaCheck(
                             "three-edge-exactly-one",
                             label,
                             law.get(1, Fraction(0)),
@@ -610,7 +604,7 @@ def run_lemma_battery(
                         )
                     )
                     checks.append(
-                        _check(
+                        LemmaCheck(
                             "three-edge-exactly-two",
                             label,
                             law.get(2, Fraction(0)),
@@ -621,7 +615,7 @@ def run_lemma_battery(
         if k5_shape:
             for f in node.internal_edges:
                 checks.append(
-                    _check("k5-level-edge-1-4", f"edge {f}", p[f], Fraction(1, 4), ">=")
+                    LemmaCheck("k5-level-edge-1-4", f"edge {f}", p[f], Fraction(1, 4), ">=")
                 )
 
     # Level edges whose endpoint cuts split one-and-zero on outward edges.
@@ -637,7 +631,7 @@ def run_lemma_battery(
             up_counts.append(len(ups))
         if sorted(up_counts) == [0, 1]:
             checks.append(
-                _check("top-edge-13-54", f"edge {e}", p[e], Fraction(13, 54), ">=")
+                LemmaCheck("top-edge-13-54", f"edge {e}", p[e], Fraction(13, 54), ">=")
             )
 
     # End-window law for chain-structured nodes: an interior doubled edge is
@@ -662,11 +656,11 @@ def run_lemma_battery(
             Fraction(0),
         )
         checks.append(
-            _check("bottom-window-quarter", f"node {node.id}", hit, Fraction(1, 4), ">=")
+            LemmaCheck("bottom-window-quarter", f"node {node.id}", hit, Fraction(1, 4), ">=")
         )
         if _matches_window_gadget(joint):
             checks.append(
-                _check("bottom-gadget-tight", f"node {node.id}", hit, Fraction(1, 4), "==")
+                LemmaCheck("bottom-gadget-tight", f"node {node.id}", hit, Fraction(1, 4), "==")
             )
     return tuple(checks)
 

@@ -1,6 +1,7 @@
 """The command-line driver: subcommands, exit codes, determinism, reports."""
 
 import json
+import operator
 import os
 import pickle
 import sys
@@ -10,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 import hitsp
+import hitsp.cuts
 from hitsp._util import canonical_json, format_rational
 from hitsp.cli import main
 from hitsp.instance import parse_instance
@@ -285,6 +287,32 @@ def test_verify_degree_instance_routes_to_degree_rows(tmp_path):
     names = {r["name"] for r in data["rows"]}
     assert "k5-matching-count" in names
     assert "z-expected-half" in names
+
+
+@pytest.mark.parametrize("spec", ["k5_degree:5", "envelope:2"])
+def test_verify_rows_pass_exactly_when_their_numbers_say_so(spec, tmp_path):
+    relations = {"<=": operator.le, ">=": operator.ge, "==": operator.eq}
+    out = tmp_path / "verify.json"
+    assert main(["verify-lemmas", "--gen", spec, "--out", str(out)]) == 0
+    rows = read_json(str(out))["rows"]
+    assert rows
+    for row in rows:
+        holds = relations[row["relation"]](Fraction(row["value"]), Fraction(row["bound"]))
+        assert row["passed"] is holds, row
+
+
+def test_degreecut_finds_the_degree_cut_witness_once(monkeypatch, tmp_path):
+    calls = []
+    enumerate_min_cuts = hitsp.cuts.enumerate_min_cuts
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return enumerate_min_cuts(*args, **kwargs)
+
+    monkeypatch.setattr(hitsp.cuts, "enumerate_min_cuts", counting)
+    assert main(["degreecut", "--gen", "k5_degree:6", "--samples", "5",
+                 "--out", str(tmp_path / "dc.json")]) == 0
+    assert len(calls) == 1
 
 
 def test_degreecut_report_and_rejection(tmp_path, capsys):

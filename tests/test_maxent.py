@@ -7,6 +7,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from hitsp._util import ResourceCapError
 from hitsp.cli import HIERARCHY_CORPUS, corpus_instance
 from hitsp.cuts import boundary_edges
 from hitsp.degreecut import build_matching_context, decompose_matching
@@ -340,6 +341,13 @@ def test_kernel_handles_loops_and_disconnected_graphs():
             TreeKernel(n, edges, lam)
     with pytest.raises(ValueError, match="non-negative"):
         TreeKernel(2, [(0, 1), (0, 1)], [Fraction(2), Fraction(-1)])
+
+
+def test_kernel_past_the_prime_table_is_a_resource_cap():
+    # The bound on W for one edge of weight 10^60000 has about 199,000 bits;
+    # the product of the whole prime table has about 190,000.
+    with pytest.raises(ResourceCapError, match="more primes than the table holds"):
+        TreeKernel(2, [(0, 1)], [Fraction(10**60000)])
 
 
 def _psd_inverse(matrix):

@@ -20,6 +20,7 @@ from hitsp.ojoin import (
 from hitsp.oracle import (
     BernoulliConfig,
     HOEFFDING_FUNCTIONALS,
+    LemmaCheck,
     LevelOutcomes,
     PipelineExpectations,
     ResourceCapError,
@@ -396,6 +397,22 @@ def test_battery_passes_on_small_instances(triangle, chain2):
 def test_battery_rows_include_expected_kinds(chain2):
     names = {c.name for c in run_lemma_battery(chain2)}
     assert {"cut-even-13-27", "bottom-edge-1-4", "ring-edge-even"} <= names
+
+
+@pytest.mark.parametrize(
+    "relation, below, equal, above",
+    [("<=", True, True, False), (">=", False, True, True), ("==", False, True, False)],
+)
+def test_lemma_check_derives_its_verdict(relation, below, equal, above):
+    bound = Fraction(13, 27)
+    for value, expected in ((bound - Fraction(1, 10**9), below), (bound, equal),
+                            (bound + Fraction(1, 10**9), above)):
+        assert LemmaCheck("row", "subject", value, bound, relation).passed is expected
+
+
+def test_lemma_check_refuses_an_unknown_relation():
+    with pytest.raises(ValueError, match="unknown relation '<'"):
+        LemmaCheck("row", "subject", Fraction(0), Fraction(1), "<")
 
 
 def test_k4_census():
