@@ -2,10 +2,10 @@
 
 :func:`_max_flow` (Edmonds-Karp) returns the flow value and the residual
 graph.  On top of it: every minimum cut, as the closed sets of residual
-graphs (Picard-Queyranne 1980); the minimum odd cut, as a fundamental cut of
-a Gomory-Hu tree built by Gusfield's method (Padberg-Rao 1982); and a witness
-side for a cut below k edges.  Capacities are summed per vertex pair and
-kept as dict rows.
+graphs (Picard-Queyranne 1980); the minimum odd cut for an odd set T, from
+|T| - 1 flows, as a fundamental cut of a cut tree on T alone (Padberg-Rao
+1982); and a witness side for a cut below k edges.  Capacities are summed
+per vertex pair and kept as dict rows.
 """
 
 from __future__ import annotations
@@ -108,37 +108,50 @@ def min_odd_cut(
     """A cheapest cut with an odd number of ``odd`` vertices on each side.
 
     Returns (capacity, side without vertex 0), or None when ``odd`` is empty;
-    ``odd`` must have even size.  In Gusfield's tree the edge from s to
-    ``parent[s]`` carries the minimum s-parent cut, and the vertices below s
-    are a minimizing side of it.
+    ``odd`` must have even size.  This builds a Gomory-Hu tree on the odd
+    vertices alone, with |odd| - 1 flows.  Its nodes are groups of vertices,
+    each holding one odd vertex already cut off; the next one, s, is cut from
+    its group's t.  The flow side Y takes every branch F of the tree beyond
+    the group whole: F hangs on a tree edge that was a minimum x-y cut with x
+    in F, and Y | F (x in Y) or Y - F (x not in Y) is still a minimum s-t
+    cut.  So no two cuts cross, each tree edge keeps its fundamental cut, and
+    the cheapest one with an odd number of odd vertices on each side is a
+    minimum odd cut (Padberg-Rao 1982).
     """
-    odd = set(odd)
-    if not odd:
+    terminals = sorted(set(odd))
+    if not terminals:
         return None
     capacity = _rows(n, edges)
-    parent = [0] * n
-    weight = [0] * n
-    for s in range(1, n):
-        t = parent[s]
+    everything = frozenset(range(n))
+    members = [set(everything)]
+    taken = [terminals[0]]
+    # Tree edges: (group a, group b, value, a's side, the pair it was cut for:
+    # the odd vertex on a's side, the one on b's side).
+    links: list[tuple[int, int, int, frozenset[int], int, int]] = []
+    for s in terminals[1:]:
+        g = next(i for i, group in enumerate(members) if s in group)
+        t = taken[g]
         value, residual = _max_flow(capacity, (s,), t)
-        side = _closure(residual, (s,))
-        weight[s] = value
-        for i in side - {s}:
-            if parent[i] == t:
-                parent[i] = s
-        if parent[t] in side:
-            parent[s], parent[t] = parent[t], s
-            weight[s], weight[t] = weight[t], value
-    below = [{s} for s in range(n)]
-    for v in range(1, n):
-        u = parent[v]
-        while u != 0:
-            below[u].add(v)
-            u = parent[u]
-    best = min(
-        (s for s in range(1, n) if len(below[s] & odd) % 2), key=weight.__getitem__
+        reach = _closure(residual, (s,))
+        split = len(members)
+        inside = members[g] & reach
+        side = set(inside)
+        for k, (a, b, c, cut, x, y) in enumerate(links):
+            if g in (a, b):
+                far, anchor = (everything - cut, y) if a == g else (cut, x)
+                if anchor in reach:
+                    side |= far
+                    links[k] = (split if a == g else a, split if b == g else b, c, cut, x, y)
+        members[g] -= inside
+        members.append(inside)
+        taken.append(s)
+        links.append((split, g, value, frozenset(side), s, t))
+    odd_set = set(terminals)
+    value, side = min(
+        ((c, cut) for _, _, c, cut, _, _ in links if len(cut & odd_set) % 2),
+        key=lambda link: link[0],
     )
-    return weight[best], frozenset(below[best])
+    return value, side if 0 not in side else everything - side
 
 
 def small_edge_cut_witness(

@@ -452,6 +452,12 @@ def _degree_instance_rows(inst: HalfIntegralInstance) -> list[LemmaCheck]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.feasibility_samples <= 0:
+        sys.stderr.write(
+            "invalid arguments: --feasibility-samples must be positive, "
+            f"got {args.feasibility_samples}\n"
+        )
+        return EXIT_INVALID
     params = charging_params(args)
     jobs: list[tuple[str, HalfIntegralInstance, str]] = []
     if args.instance or args.gen:

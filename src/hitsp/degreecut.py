@@ -37,8 +37,8 @@ from .instance import (
 from .maxent import TreeLevel, _contract, fit_level
 from .ojoin import (
     JoinCalculator,
+    _check_numerators,
     _xor_convolve,
-    check_feasible,
     odd_mask,
     sample_rng,
     tour_order,
@@ -690,12 +690,12 @@ def sample_degree_cut(
     context = contexts[matching]
     tree = sample_matching_tree(instance, context, rng)
     values, reduced = correction_vector(instance, context, tree)
-    pairs, _, join_numerator = joins.join(odd_mask(support, tree))
+    odd = odd_mask(support, tree)
+    pairs, _, join_numerator = joins.join(odd)
     cost_scale, costs = instance.cost_numerators
     feasible = None
     if check_vector:
-        exact = [Fraction(x, 12) for x in values]
-        result = check_feasible(support, tree, exact, floor=Fraction(1, 6))
+        result = _check_numerators(support, odd, values, 12, 2)
         feasible = result.feasible and result.floor_ok
     return DegreeCutSample(
         matching=matching,

@@ -617,6 +617,31 @@ def odd_vertices(support: SupportGraph, tree_edges: Iterable[int]) -> tuple[int,
     return _mask_vertices(odd_mask(support, tree_edges))
 
 
+def _check_numerators(
+    support: SupportGraph, odd: int, values: Sequence[int], scale: int, floor: int | None
+) -> FeasibilityResult:
+    """``check_feasible`` on the integer numerators of the values over
+    ``scale``, with the odd vertices as a bitmask and the floor as a
+    numerator over the same scale."""
+    found = min_odd_cut(
+        support.n,
+        ((e.u, e.v, x) for e, x in zip(support.edges, values)),
+        _mask_vertices(odd),
+    )
+    minimum, witness = Fraction(10**9), None
+    if found is not None:
+        minimum, witness = Fraction(found[0], scale), found[1]
+    feasible = minimum >= 1
+    low = min(values)
+    return FeasibilityResult(
+        feasible=feasible,
+        minimum=minimum,
+        witness=None if feasible else witness,
+        floor_ok=floor is None or low >= floor,
+        minimum_value=Fraction(low, scale),
+    )
+
+
 def check_feasible(
     support: SupportGraph,
     tree_edges: Iterable[int],
@@ -625,32 +650,24 @@ def check_feasible(
 ) -> FeasibilityResult:
     """Verify the vector covers every cut with odd tree-degree, exactly, at any n.
 
-    The values are scaled to integers by the lcm of their denominators, and
-    the minimum odd cut comes from a Gomory-Hu tree of the support weighted by
-    them (Padberg-Rao).  ``minimum`` is that cut's exact value (10^9 when no
+    The values (and the floor) are scaled to integers by the lcm of their
+    denominators, and the minimum odd cut comes from a Gomory-Hu tree on the
+    odd vertices of the support weighted by them (Padberg-Rao), |T| - 1 flows
+    for the odd set T.  ``minimum`` is that cut's exact value (10^9 when no
     vertex is odd) and ``witness`` a minimizing side without vertex 0, given
     only when the vector is infeasible.  Also reports whether every entry
     clears ``floor`` (componentwise).
     """
-    odd = odd_vertices(support, tree_edges)
-    scale = lcm(*(x.denominator for x in values))
-    found = min_odd_cut(
-        support.n,
-        ((e.u, e.v, int(x * scale)) for e, x in zip(support.edges, values)),
-        odd,
-    )
-    minimum, witness = Fraction(10**9), None
-    if found is not None:
-        minimum, witness = Fraction(found[0], scale), found[1]
-    feasible = minimum >= 1
-    min_value = min(values)
-    floor_ok = True if floor is None else min_value >= floor
-    return FeasibilityResult(
-        feasible=bool(feasible),
-        minimum=minimum,
-        witness=None if feasible else witness,
-        floor_ok=bool(floor_ok),
-        minimum_value=min_value,
+    denominators = [x.denominator for x in values]
+    if floor is not None:
+        denominators.append(floor.denominator)
+    scale = lcm(*denominators)
+    return _check_numerators(
+        support,
+        odd_mask(support, tree_edges),
+        [x.numerator * (scale // x.denominator) for x in values],
+        scale,
+        None if floor is None else floor.numerator * (scale // floor.denominator),
     )
 
 
@@ -882,7 +899,8 @@ def run_sample(
     verify the correction vector.  ``joins`` must price ``prepared.metric``."""
     sample = sample_hierarchical_tree(prepared.plan, rng)
     tree = sample.edges
-    pairs, join_exact, join_numerator = joins.join(odd_mask(prepared.support, tree))
+    odd = odd_mask(prepared.support, tree)
+    pairs, join_exact, join_numerator = joins.join(odd)
     join_numerator *= prepared.cost_scale // joins.scale
     tree_numerator = sum(prepared.edge_cost[e] for e in tree)
     scale = prepared.scale
@@ -899,12 +917,12 @@ def run_sample(
             for a, b, c, d in prepared.boundaries
         ])
         if check_vector:
-            exact = {x: Fraction(x, scale) for x in set(values)}
-            result = check_feasible(
+            result = _check_numerators(
                 prepared.support,
-                tree,
-                [exact[x] for x in values],
-                floor=prepared.base_value - prepared.params.reduction,
+                odd,
+                values,
+                scale,
+                prepared.base_numerator - prepared.reduction_numerator,
             )
             feasible = result.feasible and result.floor_ok
             min_cut_value = result.minimum

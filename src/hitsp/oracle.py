@@ -20,19 +20,10 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import prod
 
-import numpy as np
-
 from ._util import ResourceCapError
 from .cuts import boundary_edges, canonical_side, level_tree_problem
-from .instance import HalfIntegralInstance, metric_closure
 from .maxent import TreeKernel, enumerate_spanning_trees
-from .ojoin import (
-    JoinCalculator,
-    PreparedInstance,
-    SamplingPlan,
-    TreeSample,
-    build_join_vector,
-)
+from .ojoin import JoinCalculator, PreparedInstance, SamplingPlan
 
 # Caps the oracle's work: each listed level's tree count, each convolution
 # step's states x collapsed choices, and the fold's parity states x edges.
@@ -118,12 +109,6 @@ def level_outcome_table(plan: SamplingPlan) -> tuple[LevelOutcomes, ...]:
             choices = tuple(((e,), Fraction(1, len(cls))) for e in cls)
         out.append(LevelOutcomes(("final", idx), choices))
     return tuple(out)
-
-
-def outcome_space_size(plan: SamplingPlan) -> tuple[int, int]:
-    """(number of distinct trees, number of Bernoulli units) for the plan."""
-    levels = level_outcome_table(plan)
-    return (prod(len(lv.choices) for lv in levels), len(plan.unit_keys))
 
 
 def subset_joint_distribution(
@@ -416,46 +401,6 @@ def exact_pipeline_expectations(
         expected_tree_cost=tree_cost_total,
         expected_join_cost=join_total,
     )
-
-
-def exact_expectations_by_full_enumeration(
-    prepared: PreparedInstance, cap: int = 2 * 10**5
-) -> tuple[tuple[Fraction, ...], dict[frozenset, Fraction]]:
-    """The dumbest possible route: every (tree, unit pattern) outcome drives
-    the per-sample vector builder directly.  Tiny instances only."""
-    plan = prepared.plan
-    levels = level_outcome_table(plan)
-    units = plan.unit_keys
-    tree_total = prod(len(lv.choices) for lv in levels)
-    if tree_total * (2 ** len(units)) > cap:
-        raise ResourceCapError("full outcome enumeration over cap")
-    m = len(prepared.support.edges)
-    totals = [Fraction(0)] * m
-    loads = {side: Fraction(0) for side in prepared.cut_sides}
-    for combo in product(*(lv.choices for lv in levels)):
-        tree_weight = prod((p for _, p in combo), start=Fraction(1))
-        tree = tuple(sorted(e for chosen, _ in combo for e in chosen))
-        for pattern in product((0, 1), repeat=len(units)):
-            unit_weight = Fraction(1)
-            uniforms = {}
-            for key, bit in zip(units, pattern):
-                th = prepared.unit_threshold.get(key, Fraction(0))
-                unit_weight *= th if bit else 1 - th
-                uniforms[key] = 0.0 if bit else 1.0
-            if unit_weight == 0:
-                continue
-            weight = tree_weight * unit_weight
-            vector = build_join_vector(
-                prepared, TreeSample(edges=tree, bernoulli_uniforms=uniforms)
-            )
-            for e in range(m):
-                totals[e] += weight * vector.values[e]
-            for side in prepared.cut_sides:
-                loads[side] += weight * sum(
-                    (vector.values[e] for e in prepared.cut_boundary[side]),
-                    Fraction(0),
-                )
-    return (tuple(totals), loads)
 
 
 @dataclass(frozen=True)
@@ -783,73 +728,3 @@ def hoeffding_extremal(
     if best is None:
         raise ValueError("no feasible configuration")
     return best
-
-
-def hoeffding_random_minimum(
-    m: int, q: Fraction, functional: str, count: int, seed: int
-) -> Fraction:
-    """Minimum functional value over random admissible configurations.
-
-    Each configuration pins one probability to 1 (the count is a tree degree,
-    never zero) and spreads the remaining mass q - 1 in random proportions,
-    rejecting draws that push any entry above 1.  Arithmetic is exact, so
-    every sampled configuration has success mass q precisely.
-    """
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    q = Fraction(q)
-    if not 1 <= q <= m:
-        raise ValueError("total success mass must lie in [1, m]")
-    rest = q - 1
-    best: Fraction | None = None
-    produced = 0
-    while produced < count:
-        raw = [Fraction(float(v)) for v in rng.random(m - 1)]
-        total = sum(raw, Fraction(0))
-        if total == 0:
-            continue
-        probs = [v * rest / total for v in raw]
-        if any(v > 1 for v in probs):
-            continue
-        config = BernoulliConfig(tuple([Fraction(1)] + probs))
-        value = evaluate_functional(functional, config)
-        if best is None or value < best:
-            best = value
-        produced += 1
-    assert best is not None
-    return best
-
-
-def optimal_tour_cost(instance: HalfIntegralInstance, cap: int = 13) -> Fraction:
-    """Exact optimal metric tour cost by subset dynamic programming."""
-    n = instance.n
-    if n > cap:
-        raise ResourceCapError(f"tour solver limited to {cap} vertices")
-    dist = metric_closure(instance).dist
-    full = 1 << (n - 1)
-    best: list[list[Fraction | None]] = [[None] * (n - 1) for _ in range(full)]
-    for v in range(n - 1):
-        best[1 << v][v] = dist[n - 1][v]
-    for mask in range(full):
-        row = best[mask]
-        for v in range(n - 1):
-            cur = row[v]
-            if cur is None or not (mask >> v) & 1:
-                continue
-            for w in range(n - 1):
-                if (mask >> w) & 1:
-                    continue
-                nxt = mask | (1 << w)
-                cand = cur + dist[v][w]
-                if best[nxt][w] is None or cand < best[nxt][w]:
-                    best[nxt][w] = cand
-    answer = None
-    for v in range(n - 1):
-        value = best[full - 1][v]
-        if value is None:
-            continue
-        total = value + dist[v][n - 1]
-        if answer is None or total < answer:
-            answer = total
-    if answer is None:
-        raise ValueError("no tour found")
-    return answer

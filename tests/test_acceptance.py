@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from test_oracle import hoeffding_random_minimum
 
 from hitsp.cli import HIERARCHY_CORPUS, corpus_instance, main
 from hitsp.degreecut import (
@@ -36,7 +37,6 @@ from hitsp.oracle import (
     HOEFFDING_FUNCTIONALS,
     exact_pipeline_expectations,
     hoeffding_extremal,
-    hoeffding_random_minimum,
     k5_parity_census,
     run_lemma_battery,
 )

@@ -199,6 +199,13 @@ def test_run_rejects_non_positive_samples(samples, monkeypatch, capsys):
     assert "--samples must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_verify_rejects_non_positive_feasibility_samples(samples, capsys):
+    argv = ["verify-lemmas", "--gen", "envelope:2", "--feasibility-samples", samples]
+    assert main(argv) == 2
+    assert "--feasibility-samples must be positive" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     ("flag", "value", "message"),
     [("--tau", "0.1", "not a rational"), ("--alpha", "3/2", "must lie in [0, 1]")],

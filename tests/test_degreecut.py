@@ -266,6 +266,31 @@ def test_degree_cut_sample_matches_fraction_composition(spec, rational):
         assert out.feasible is (True if seed < 20 else None)
 
 
+@pytest.mark.parametrize("size", [5, 6, 7, 8, 9])
+def test_sample_check_matches_check_feasible(size):
+    """The integer check on twelfths gives ``check_feasible``'s result."""
+    from hitsp.degreecut import correction_vector
+    from hitsp.instance import build_support_graph, metric_closure
+    from hitsp.ojoin import JoinCalculator, _check_numerators, check_feasible, odd_mask
+
+    inst = generate_instance("k5_degree", size)
+    dec = decompose_matching(inst)
+    contexts = contexts_for(inst, dec)
+    support = build_support_graph(inst)
+    metric = metric_closure(inst)
+    joins = JoinCalculator(metric)
+    for seed in range(12):
+        out = sample_degree_cut(
+            inst, dec, contexts, sample_rng(seed, 0), joins, support, metric, check_vector=True
+        )
+        tree = out.tree_edges
+        values = correction_vector(inst, contexts[out.matching], tree)[0]
+        exact = [Fraction(x, 12) for x in values]
+        result = check_feasible(support, tree, exact, floor=Fraction(1, 6))
+        assert out.feasible == (result.feasible and result.floor_ok)
+        assert _check_numerators(support, odd_mask(support, tree), values, 12, 2) == result
+
+
 def combinations_first_tight_set(nq, items, tvals):
     """The tight-set scan as a plain reference: every vertex subset by size,
     in ``combinations`` order, its internal mass summed in ``Fraction``s."""

@@ -324,6 +324,23 @@ def test_check_feasible_matches_scan_on_random_multigraphs():
     assert empty_odd_sets > 0 and witnesses > 0
 
 
+@pytest.mark.parametrize("spec", REFERENCE_SPECS + ["random_half_integral:26"])
+def test_run_sample_check_matches_check_feasible(spec):
+    """The integer check ``run_sample`` makes gives the verdict and minimum of
+    ``check_feasible`` on the ``Fraction`` vector."""
+    prepared = prepare_instance(reference_instance(spec))
+    joins = JoinCalculator(prepared.metric)
+    floor = prepared.base_value - prepared.params.reduction
+    for idx in range(12):
+        out = run_sample(prepared, sample_rng(17, idx), joins, check_vector=True)
+        sample = sample_hierarchical_tree(prepared.plan, sample_rng(17, idx))
+        assert sample.edges == out.tree_edges
+        vector = build_join_vector(prepared, sample)
+        result = check_feasible(prepared.support, sample.edges, vector.values, floor=floor)
+        assert out.feasible == (result.feasible and result.floor_ok)
+        assert out.min_cut_value == result.minimum
+
+
 def test_check_feasible_finds_a_violation():
     support = build_support_graph(
         split_vertex_for_eplus(GADGET_BUILDERS["doubled_triangle"]())

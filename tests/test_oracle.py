@@ -4,16 +4,26 @@ import math
 import time
 from fractions import Fraction
 from itertools import product
+from math import prod
 from typing import Iterator
 
+import numpy as np
 import pytest
 
 from hitsp.cli import HIERARCHY_CORPUS, corpus_instance
 from hitsp.cuts import canonical_side
-from hitsp.instance import GADGET_BUILDERS, generate_instance
+from hitsp.instance import (
+    GADGET_BUILDERS,
+    HalfIntegralInstance,
+    generate_instance,
+    metric_closure,
+)
 from hitsp.ojoin import (
     JoinCalculator,
     PreparedInstance,
+    SamplingPlan,
+    TreeSample,
+    build_join_vector,
     prepare_instance,
     tree_cost,
 )
@@ -26,20 +36,133 @@ from hitsp.oracle import (
     ResourceCapError,
     enumerate_trees,
     evaluate_functional,
-    exact_expectations_by_full_enumeration,
     exact_pipeline_expectations,
     hoeffding_extremal,
-    hoeffding_random_minimum,
     k5_parity_census,
     level_outcome_table,
-    optimal_tour_cost,
-    outcome_space_size,
     run_lemma_battery,
     subset_count_distribution,
     subset_joint_distribution,
 )
 
 K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+
+
+# Reference routines the tests compare against; the pipeline never runs them.
+def outcome_space_size(plan: SamplingPlan) -> tuple[int, int]:
+    """(number of distinct trees, number of Bernoulli units) for the plan."""
+    levels = level_outcome_table(plan)
+    return (prod(len(lv.choices) for lv in levels), len(plan.unit_keys))
+
+
+def exact_expectations_by_full_enumeration(
+    prepared: PreparedInstance, cap: int = 2 * 10**5
+) -> tuple[tuple[Fraction, ...], dict[frozenset, Fraction]]:
+    """The dumbest possible route: every (tree, unit pattern) outcome drives
+    the per-sample vector builder directly.  Tiny instances only."""
+    plan = prepared.plan
+    levels = level_outcome_table(plan)
+    units = plan.unit_keys
+    tree_total = prod(len(lv.choices) for lv in levels)
+    if tree_total * (2 ** len(units)) > cap:
+        raise ResourceCapError("full outcome enumeration over cap")
+    m = len(prepared.support.edges)
+    totals = [Fraction(0)] * m
+    loads = {side: Fraction(0) for side in prepared.cut_sides}
+    for combo in product(*(lv.choices for lv in levels)):
+        tree_weight = prod((p for _, p in combo), start=Fraction(1))
+        tree = tuple(sorted(e for chosen, _ in combo for e in chosen))
+        for pattern in product((0, 1), repeat=len(units)):
+            unit_weight = Fraction(1)
+            uniforms = {}
+            for key, bit in zip(units, pattern):
+                th = prepared.unit_threshold.get(key, Fraction(0))
+                unit_weight *= th if bit else 1 - th
+                uniforms[key] = 0.0 if bit else 1.0
+            if unit_weight == 0:
+                continue
+            weight = tree_weight * unit_weight
+            vector = build_join_vector(
+                prepared, TreeSample(edges=tree, bernoulli_uniforms=uniforms)
+            )
+            for e in range(m):
+                totals[e] += weight * vector.values[e]
+            for side in prepared.cut_sides:
+                loads[side] += weight * sum(
+                    (vector.values[e] for e in prepared.cut_boundary[side]),
+                    Fraction(0),
+                )
+    return (tuple(totals), loads)
+
+
+def hoeffding_random_minimum(
+    m: int, q: Fraction, functional: str, count: int, seed: int
+) -> Fraction:
+    """Minimum functional value over random admissible configurations.
+
+    Each configuration pins one probability to 1 (the count is a tree degree,
+    never zero) and spreads the remaining mass q - 1 in random proportions,
+    rejecting draws that push any entry above 1.  Arithmetic is exact, so
+    every sampled configuration has success mass q precisely.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    q = Fraction(q)
+    if not 1 <= q <= m:
+        raise ValueError("total success mass must lie in [1, m]")
+    rest = q - 1
+    best: Fraction | None = None
+    produced = 0
+    while produced < count:
+        raw = [Fraction(float(v)) for v in rng.random(m - 1)]
+        total = sum(raw, Fraction(0))
+        if total == 0:
+            continue
+        probs = [v * rest / total for v in raw]
+        if any(v > 1 for v in probs):
+            continue
+        config = BernoulliConfig(tuple([Fraction(1)] + probs))
+        value = evaluate_functional(functional, config)
+        if best is None or value < best:
+            best = value
+        produced += 1
+    assert best is not None
+    return best
+
+
+def optimal_tour_cost(instance: HalfIntegralInstance, cap: int = 13) -> Fraction:
+    """Exact optimal metric tour cost by subset dynamic programming."""
+    n = instance.n
+    if n > cap:
+        raise ResourceCapError(f"tour solver limited to {cap} vertices")
+    dist = metric_closure(instance).dist
+    full = 1 << (n - 1)
+    best: list[list[Fraction | None]] = [[None] * (n - 1) for _ in range(full)]
+    for v in range(n - 1):
+        best[1 << v][v] = dist[n - 1][v]
+    for mask in range(full):
+        row = best[mask]
+        for v in range(n - 1):
+            cur = row[v]
+            if cur is None or not (mask >> v) & 1:
+                continue
+            for w in range(n - 1):
+                if (mask >> w) & 1:
+                    continue
+                nxt = mask | (1 << w)
+                cand = cur + dist[v][w]
+                if best[nxt][w] is None or cand < best[nxt][w]:
+                    best[nxt][w] = cand
+    answer = None
+    for v in range(n - 1):
+        value = best[full - 1][v]
+        if value is None:
+            continue
+        total = value + dist[v][n - 1]
+        if answer is None or total < answer:
+            answer = total
+    if answer is None:
+        raise ValueError("no tour found")
+    return answer
 
 # Every corpus instance below envelope:4 (whose tree-by-tree reference takes
 # seconds), plus a long chain.
