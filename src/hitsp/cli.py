@@ -248,9 +248,6 @@ def _run_chunk(task: tuple[int, int, int, bool]) -> list[tuple]:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    if args.samples <= 0:
-        sys.stderr.write(f"invalid arguments: --samples must be positive, got {args.samples}\n")
-        return EXIT_INVALID
     inst = load_instance(args)
     params = charging_params(args)
     prepared = prepare_instance(inst, params=params)
@@ -452,12 +449,6 @@ def _degree_instance_rows(inst: HalfIntegralInstance) -> list[LemmaCheck]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.feasibility_samples <= 0:
-        sys.stderr.write(
-            "invalid arguments: --feasibility-samples must be positive, "
-            f"got {args.feasibility_samples}\n"
-        )
-        return EXIT_INVALID
     params = charging_params(args)
     jobs: list[tuple[str, HalfIntegralInstance, str]] = []
     if args.instance or args.gen:
@@ -661,10 +652,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_ranges(args: argparse.Namespace) -> None:
+    """Reject a negative ``--seed`` and a non-positive ``--samples`` or
+    ``--feasibility-samples``, whichever subcommand takes them."""
+    seed = getattr(args, "seed", None)
+    if seed is not None and seed < 0:
+        raise ArgumentError(f"--seed must be non-negative, got {seed}")
+    for name in ("samples", "feasibility_samples"):
+        value = getattr(args, name, None)
+        if value is not None and value <= 0:
+            raise ArgumentError(f"--{name.replace('_', '-')} must be positive, got {value}")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_ranges(args)
         return args.func(args)
     except (InstanceError, DegreeCutError, FileNotFoundError) as exc:
         sys.stderr.write(f"invalid instance: {exc}\n")

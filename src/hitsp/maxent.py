@@ -458,52 +458,74 @@ def fit_lambda(
 
 
 def _walk_tables(
-    n: int, edges: Sequence[tuple[int, int]], lam: Sequence
-) -> tuple[list[list[tuple[int, int]]], list[list[float]]]:
-    """Per vertex: the (neighbor, edge index) pairs of its positive-weight
-    non-loop edges, and the running sums of their float weights."""
-    incident: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    n: int, edges: Sequence[tuple[int, int]], lam: Sequence, ids: Sequence[int]
+) -> tuple[list, ...]:
+    """The walk's flat per-vertex tables over each vertex's positive-weight
+    non-loop edges: the running sums of their float weights, the total, the
+    last index, the neighbours and the edge ids (from ``ids``)."""
+    neighbours: list[list[int]] = [[] for _ in range(n)]
+    edge_ids: list[list[int]] = [[] for _ in range(n)]
+    weights: list[list[float]] = [[] for _ in range(n)]
     for idx, (u, v) in enumerate(edges):
-        if u == v or float(lam[idx]) <= 0:
+        w = float(lam[idx])
+        if u == v or w <= 0:
             continue
-        incident[u].append((v, idx))
-        incident[v].append((u, idx))
-    buckets = []
-    for v, pairs in enumerate(incident):
-        if not pairs and n > 1:
-            raise ValueError(f"vertex {v} has no positive-weight edge")
-        buckets.append(np.cumsum([float(lam[i]) for _, i in pairs]).tolist())
-    return incident, buckets
+        for a, b in ((u, v), (v, u)):
+            neighbours[a].append(b)
+            edge_ids[a].append(ids[idx])
+            weights[a].append(w)
+    if n > 1 and not all(weights):
+        raise ValueError(f"vertex {weights.index([])} has no positive-weight edge")
+    sums = [np.cumsum(w).tolist() for w in weights]
+    totals = [cum[-1] if cum else 0.0 for cum in sums]
+    return (sums, totals, [len(cum) - 1 for cum in sums], neighbours, edge_ids)
 
 
-def _walk(
-    tables: tuple[list[list[tuple[int, int]]], list[list[float]]],
-    rng: np.random.Generator,
-) -> tuple[int, ...]:
+def _walk(tables: tuple[list, ...], rng: np.random.Generator) -> list[int]:
     """Wilson's loop-erased random walks rooted at vertex 0: one spanning
-    tree, weight-proportional, as sorted edge indices."""
-    incident, buckets = tables
-    n = len(incident)
+    tree, weight-proportional, as the ids of its edges in walk order.
+
+    Each step draws one uniform x, scales it by the vertex's total and takes
+    the first edge whose running sum exceeds it (the last edge when rounding
+    lifts the product to the total).  The uniforms come in blocks that never
+    outrun the step-by-step draws: when a block runs out at vertex u, each
+    vertex outside the tree that this walk has not reached must still step
+    once before it joins the tree, so at least 1 + (their count) more steps
+    are certain, and that is the next block's size.  The stream, the tree and
+    the generator's final state are those of one ``rng.random()`` per step.
+    """
+    sums, totals, lasts, neighbours, ids = tables
+    n = len(sums)
     in_tree = [False] * n
     in_tree[0] = True
-    next_hop: list[tuple[int, int] | None] = [None] * n
+    reached = [0] * n  # the start of the last walk that reached each vertex
+    hop = [0] * n  # each vertex's last choice, as an index into its tables
     tree: list[int] = []
+    block: list[float] = []
+    pos = 0
+    outside = n - 1
     for start in range(1, n):
+        unreached = outside
         u = start
         while not in_tree[u]:
-            cum = buckets[u]
-            r = rng.random() * cum[-1]
-            choice = min(bisect_right(cum, r), len(cum) - 1)
-            v, idx = incident[u][choice]
-            next_hop[u] = (idx, v)
-            u = v
+            if reached[u] != start:
+                reached[u] = start
+                unreached -= 1
+            if pos == len(block):
+                block, pos = rng.random(1 + unreached).tolist(), 0
+            choice = bisect_right(sums[u], block[pos] * totals[u])
+            pos += 1
+            if choice > lasts[u]:
+                choice = lasts[u]
+            hop[u] = choice
+            u = neighbours[u][choice]
         u = start
         while not in_tree[u]:
             in_tree[u] = True
-            idx, v = next_hop[u]
-            tree.append(idx)
-            u = v
-    return tuple(sorted(tree))
+            outside -= 1
+            tree.append(ids[u][hop[u]])
+            u = neighbours[u][hop[u]]
+    return tree
 
 
 def sample_tree(
@@ -517,7 +539,7 @@ def sample_tree(
     Returns the sorted edge indices of the sampled tree.  Parallel edges are
     handled individually, so multigraph levels sample correctly.
     """
-    return _walk(_walk_tables(n, edges, lam), rng)
+    return tuple(sorted(_walk(_walk_tables(n, edges, lam, range(len(edges))), rng)))
 
 
 @dataclass(frozen=True)
@@ -541,7 +563,7 @@ class TreeLevel:
     _kernel: TreeKernel | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        tables = _walk_tables(self.vertex_count, self.level_edges, self.lam_float)
+        tables = _walk_tables(self.vertex_count, self.level_edges, self.lam_float, self.edge_ids)
         object.__setattr__(self, "walk", tables)
 
     def __getstate__(self) -> dict:
@@ -549,8 +571,8 @@ class TreeLevel:
         return {**self.__dict__, "_kernel": None}
 
     def sample(self, rng: np.random.Generator) -> list[int]:
-        """The edge ids of one sampled tree, in level order."""
-        return [self.edge_ids[i] for i in _walk(self.walk, rng)]
+        """The edge ids of one sampled tree, ascending."""
+        return sorted(_walk(self.walk, rng))
 
     def kernel(self) -> TreeKernel:
         """The exact kernel of the law under ``lam_exact``, built on first use."""

@@ -110,9 +110,10 @@ class SamplingPlan:
     ``draw_runs``, built once at construction, is the class-pick stream cut
     into runs: each cut-free level is a run of its own, drawn by its walk,
     and each maximal stretch of uniform class picks between them (the chain
-    classes, then the unforced ring classes) is one ``(sizes, classes)``
-    run, drawn by one ``rng.integers`` call.  An array of bounds draws the
-    same bounded integers, in order, as one scalar call per class.
+    classes, then the unforced ring classes) is one tuple of classes.  The
+    hierarchy doubles every such class, so one ``rng.integers(0, 2,
+    size=len(run))`` call draws a run: the same bounded integers, in order,
+    as one scalar call per class.
     """
 
     support: SupportGraph
@@ -127,13 +128,12 @@ class SamplingPlan:
         final = self.final_level
         chain = [cls for level in self.cycle_levels for cls in level.classes]
         ring = [cls for idx, cls in enumerate(final.classes) if idx != final.forced_class]
+        if any(len(cls) != 2 for cls in chain + ring):
+            raise InternalHierarchyError("chain and ring classes are not all doubled")
         # Every cut-free level is drawn between the chain and the ring picks.
         runs = [chain, *self.degree_levels, ring] if self.degree_levels else [chain + ring]
         object.__setattr__(self, "draw_runs", tuple(
-            run if isinstance(run, TreeLevel)
-            else (np.array([len(cls) for cls in run], dtype=np.int64), tuple(run))
-            for run in runs
-            if run
+            run if isinstance(run, TreeLevel) else tuple(run) for run in runs if run
         ))
 
 
@@ -245,8 +245,8 @@ def sample_hierarchical_tree(plan: SamplingPlan, rng: np.random.Generator) -> Tr
         if isinstance(run, TreeLevel):
             edges.extend(run.sample(rng))
         else:
-            sizes, classes = run
-            edges.extend([cls[i] for cls, i in zip(classes, rng.integers(0, sizes).tolist())])
+            picks = rng.integers(0, 2, size=len(run)).tolist()
+            edges.extend([cls[i] for cls, i in zip(run, picks)])
     uniforms = dict(zip(plan.unit_keys, rng.random(len(plan.unit_keys)).tolist()))
     return TreeSample(edges=tuple(sorted(edges)), bernoulli_uniforms=uniforms)
 

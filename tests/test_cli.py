@@ -124,14 +124,17 @@ def test_run_parallel_repeat_is_byte_identical(chain_file, tmp_path):
 
 
 def test_run_results_do_not_depend_on_chunking(chain_file, tmp_path):
-    reports = []
-    for jobs in ("1", "3"):
-        out = tmp_path / f"j{jobs}.json"
-        assert main(["run", "--instance", chain_file, "--samples", "45",
-                     "--seed", "11", "--jobs", jobs, "--out", str(out)]) == 0
-        data = read_json(str(out))
-        reports.append((data["results"], data["seeds"]["sample_states"]))
-    assert reports[0] == reports[1]
+    # random_half_integral:10 has a cut-free level, whose walk tables are
+    # pickled into the workers.
+    for instance in (["--instance", chain_file], ["--gen", "random_half_integral:10"]):
+        reports = []
+        for jobs in ("1", "3"):
+            out = tmp_path / f"j{jobs}.json"
+            assert main(["run", *instance, "--samples", "45",
+                         "--seed", "11", "--jobs", jobs, "--out", str(out)]) == 0
+            data = read_json(str(out))
+            reports.append((data["results"], data["seeds"]["sample_states"]))
+        assert reports[0] == reports[1], instance
 
 
 def test_run_prepares_the_instance_once_at_one_job(chain_file, tmp_path, monkeypatch):
@@ -204,6 +207,28 @@ def test_verify_rejects_non_positive_feasibility_samples(samples, capsys):
     argv = ["verify-lemmas", "--gen", "envelope:2", "--feasibility-samples", samples]
     assert main(argv) == 2
     assert "--feasibility-samples must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_degreecut_rejects_non_positive_samples(samples, capsys):
+    assert main(["degreecut", "--gen", "k5_degree:5", "--samples", samples]) == 2
+    assert "--samples must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--gen", "random_half_integral:8"],
+        ["validate", "--gen", "random_half_integral:8"],
+        ["hierarchy", "--gen", "random_half_integral:8"],
+        ["run", "--gen", "envelope:2"],
+        ["verify-lemmas", "--gen", "random_half_integral:8"],
+        ["degreecut", "--gen", "k5_degree:5"],
+    ],
+)
+def test_negative_seed_exits_2(argv, capsys):
+    assert main([*argv, "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "invalid arguments: --seed must be non-negative, got -1\n"
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Weighted spanning-tree counting, marginal fitting, sampling, parity laws."""
 
 import pickle
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import combinations
 
@@ -16,6 +17,7 @@ from hitsp.maxent import (
     FitConvergenceError,
     JointDistribution,
     TreeKernel,
+    TreeLevel,
     _prime_table,
     _rationalized,
     enumerate_spanning_trees,
@@ -211,6 +213,79 @@ def test_level_walk_is_pinned_draw_for_draw():
     rng = np.random.default_rng(2026)
     assert [sample_tree(5, WALK_EDGES, level.lam_float, rng) for _ in range(20)] == WALK_TREES
     assert rng.random() == 0.5582973969485474
+
+
+def scalar_walk(level, rng):
+    """The former sampler, kept as the reference for the block walk:
+    Wilson's loop-erased walks rooted at vertex 0, one scalar
+    ``rng.random()`` per step.  Returns the tree's edge ids, ascending."""
+    n, edges, lam = level.vertex_count, level.level_edges, level.lam_float
+    incident = [[] for _ in range(n)]
+    for idx, (u, v) in enumerate(edges):
+        if u != v and float(lam[idx]) > 0:
+            incident[u].append((v, idx))
+            incident[v].append((u, idx))
+    buckets = [np.cumsum([float(lam[i]) for _, i in pairs]).tolist() for pairs in incident]
+    in_tree = [False] * n
+    in_tree[0] = True
+    next_hop = [None] * n
+    tree = []
+    for start in range(1, n):
+        u = start
+        while not in_tree[u]:
+            cum = buckets[u]
+            r = rng.random() * cum[-1]
+            choice = min(bisect_right(cum, r), len(cum) - 1)
+            v, idx = incident[u][choice]
+            next_hop[u] = (idx, v)
+            u = v
+        u = start
+        while not in_tree[u]:
+            in_tree[u] = True
+            idx, v = next_hop[u]
+            tree.append(idx)
+            u = v
+    return sorted(level.edge_ids[i] for i in tree)
+
+
+def random_walk_level(seed):
+    """A weighted multigraph level on 2..30 vertices: a positive spanning
+    tree, then extra edges that include loops, parallel copies and zero
+    weights, under shuffled edge ids."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 31))
+    edges = [(int(rng.integers(v)), v) for v in range(1, n)]
+    lam = rng.uniform(0.05, 3.0, size=n - 1).tolist()
+    for _ in range(int(rng.integers(0, 3 * n))):
+        u, v = int(rng.integers(n)), int(rng.integers(n))
+        copies = int(rng.integers(1, 3))
+        edges += [(u, v)] * copies
+        lam += [0.0 if rng.random() < 0.15 else float(rng.uniform(0.05, 3.0)) for _ in range(copies)]
+    ids = (1000 + rng.permutation(len(edges))).tolist()
+    return TreeLevel(n, tuple(edges), tuple(ids), tuple(lam), tuple(_rationalized(lam)))
+
+
+def stream_identity_levels():
+    yield from (random_walk_level(seed) for seed in range(120))
+    yield prepare_instance(generate_instance("random_half_integral", 26)).plan.degree_levels[0]
+    for family, size in [("k5_degree", 9), ("random_half_integral", 18)]:
+        inst = generate_instance(family, size)
+        for _, matching in decompose_matching(inst).weights:
+            yield from build_matching_context(inst, matching).levels
+
+
+def test_block_walk_is_stream_identical_to_the_scalar_walk():
+    """Same trees and the same generator state as one ``rng.random()`` per
+    step, also when PCG64's 32-bit half is buffered."""
+    for case, level in enumerate(stream_identity_levels()):
+        rng, ref_rng = np.random.default_rng(case), np.random.default_rng(case)
+        if case % 2:
+            rng.integers(0, 2, size=2 * (case % 5) + 1)
+            ref_rng.integers(0, 2, size=2 * (case % 5) + 1)
+            assert rng.bit_generator.state["has_uint32"] == 1
+        for _ in range(10):
+            assert level.sample(rng) == scalar_walk(level, ref_rng), case
+            assert rng.bit_generator.state == ref_rng.bit_generator.state, case
 
 
 def test_level_builds_one_kernel_and_pickles_without_it():

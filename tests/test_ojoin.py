@@ -11,7 +11,7 @@ from test_maxent import count_weighted_trees
 
 import hitsp.maxent
 from hitsp.cli import HIERARCHY_CORPUS, corpus_instance
-from hitsp.cuts import boundary_edges, build_hierarchy, canonical_side
+from hitsp.cuts import InternalHierarchyError, boundary_edges, build_hierarchy, canonical_side
 from hitsp.instance import (
     GADGET_BUILDERS,
     Metric,
@@ -994,13 +994,31 @@ def test_sample_path_matches_scalar_draws_and_all_cuts_scan(spec):
 
 def test_draw_runs_merge_uniform_picks_between_walks():
     chains = prepare_instance(reference_instance("envelope:10")).plan
-    sizes, classes = chains.draw_runs[0]
-    assert len(chains.draw_runs) == 1 and not chains.degree_levels
+    (classes,) = chains.draw_runs
+    assert not chains.degree_levels
     assert len(classes) == sum(len(lv.classes) for lv in chains.cycle_levels) + len(
         chains.final_level.classes
     ) - 1
-    assert sizes.tolist() == [len(cls) for cls in classes]
+    assert {len(cls) for cls in classes} == {2}
+    tripled = replace(chains.cycle_levels[0], classes=((0, 1, 2),))
+    with pytest.raises(InternalHierarchyError, match="not all doubled"):
+        replace(chains, cycle_levels=(tripled, *chains.cycle_levels[1:]))
     random = prepare_instance(reference_instance("random_half_integral:26")).plan
-    level, (sizes, classes) = random.draw_runs
+    level, classes = random.draw_runs
     assert isinstance(level, TreeLevel) and level is random.degree_levels[0]
     assert len(classes) == len(random.final_level.classes) - 1
+
+
+def test_uniform_run_draws_as_one_scalar_call_per_class():
+    """One ``rng.integers(0, 2, size=k)`` call draws the picks of k scalar
+    calls and leaves the same generator state, also with PCG64's 32-bit half
+    buffered."""
+    for case in range(200):
+        length = 1 + case % 40
+        rng, ref_rng = np.random.default_rng(case), np.random.default_rng(case)
+        if case % 2:
+            rng.integers(0, 2, size=3)
+            ref_rng.integers(0, 2, size=3)
+        picks = rng.integers(0, 2, size=length).tolist()
+        assert picks == [int(ref_rng.integers(2)) for _ in range(length)], case
+        assert rng.bit_generator.state == ref_rng.bit_generator.state, case
