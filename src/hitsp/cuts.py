@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from ._flow import all_min_cuts
@@ -199,56 +200,53 @@ class CutHierarchy:
             e for e in range(len(self.support.edges)) if self.edge_level[e][0] == "final"
         )
 
-    def cycle_intervals(self, node_id: int) -> dict[tuple[int, int], frozenset[int]]:
-        """Vertex sets of all contiguous child runs [i..j] of a cycle node.
+    @cached_property
+    def _shapes(self) -> dict[frozenset[int], tuple[int, str, object]]:
+        """Each shape's vertex set -> (rank, kind, label), ranked in scan order.
 
-        Includes the full run (the node itself) under key (0, k-1).
+        The scan lists critical nodes, then each cycle node's contiguous child
+        runs [i..j] short of the full run, then the final ring's runs of
+        ``length`` members from ``start``; a set keeps its first label.
         """
-        node = self.nodes[node_id]
-        if node.kind != "cycle" or node.child_order is None:
-            raise ValueError(f"node {node_id} is not a cycle node")
-        order = node.child_order
-        out: dict[tuple[int, int], frozenset[int]] = {}
-        for i in range(len(order)):
-            acc: frozenset[int] = frozenset()
-            for j in range(i, len(order)):
-                acc = acc | self.nodes[order[j]].vertices
-                out[(i, j)] = acc
-        return out
+        def scan() -> Iterable[tuple[str, object, frozenset[int]]]:
+            for nd in self.nodes:
+                yield ("critical", nd.id, nd.vertices)
+            for nd in self.cycle_nodes():
+                order = nd.child_order
+                for i in range(len(order)):
+                    acc: frozenset[int] = frozenset()
+                    for j in range(i, len(order)):
+                        acc = acc | self.nodes[order[j]].vertices
+                        if (i, j) != (0, len(order) - 1):
+                            yield ("interval", (nd.id, i, j), acc)
+            members = self.final.member_nodes
+            r = len(members)
+            for start in range(r):
+                acc = frozenset()
+                for length in range(1, r):
+                    acc = acc | self.nodes[members[(start + length - 1) % r]].vertices
+                    yield ("arc", (start, length), acc)
 
-    def final_arcs(self) -> dict[tuple[int, int], frozenset[int]]:
-        """Vertex sets of contiguous member runs of the final ring (not full)."""
-        members = self.final.member_nodes
-        r = len(members)
-        out: dict[tuple[int, int], frozenset[int]] = {}
-        for start in range(r):
-            acc: frozenset[int] = frozenset()
-            for length in range(1, r):
-                acc = acc | self.nodes[members[(start + length - 1) % r]].vertices
-                out[(start, length)] = acc
-        return out
+        index: dict[frozenset[int], tuple[int, str, object]] = {}
+        for rank, (kind, label, vertices) in enumerate(scan()):
+            index.setdefault(vertices, (rank, kind, label))
+        return index
 
     def classify_min_cut(self, cut: MinCut) -> tuple[str, object]:
         """Label a minimum cut as critical / interval / arc (the only shapes).
 
         Returns ("critical", node_id), ("interval", (node_id, i, j)) or
-        ("arc", (start, length)).  Raises InternalHierarchyError when a cut
-        matches none of these, which would contradict the structure theory.
+        ("arc", (start, length)): the side found first in the scan order of
+        ``_shapes``.  Raises InternalHierarchyError when a cut matches none
+        of these, which would contradict the structure theory.
         """
-        sides = set(cut.sides())
-        for nd in self.nodes:
-            if nd.vertices in sides:
-                return ("critical", nd.id)
-        for nd in self.cycle_nodes():
-            for (i, j), vs in self.cycle_intervals(nd.id).items():
-                if vs in sides and (i, j) != (0, len(nd.child_order) - 1):
-                    return ("interval", (nd.id, i, j))
-        for (start, length), vs in self.final_arcs().items():
-            if vs in sides:
-                return ("arc", (start, length))
-        raise InternalHierarchyError(
-            f"minimum cut {sorted(cut.vertices)} is neither critical, interval, nor arc"
-        )
+        found = [self._shapes[side] for side in cut.sides() if side in self._shapes]
+        if not found:
+            raise InternalHierarchyError(
+                f"minimum cut {sorted(cut.vertices)} is neither critical, interval, nor arc"
+            )
+        _, kind, label = min(found)
+        return (kind, label)
 
     def to_json_dict(self) -> dict:
         """A JSON-ready description (used by the CLI hierarchy command)."""

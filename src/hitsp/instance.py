@@ -18,6 +18,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from math import lcm
 from typing import Callable, Mapping, Sequence
 
@@ -394,34 +395,32 @@ def split_vertex_for_eplus(inst: HalfIntegralInstance) -> HalfIntegralInstance:
 
 
 def metric_closure(inst: HalfIntegralInstance) -> Metric:
-    """Exact all-pairs shortest-path distances over the instance's cost graph."""
+    """Exact all-pairs shortest-path distances over the instance's cost graph.
+
+    Floyd–Warshall runs on the integer cost numerators, one vectorized
+    relaxation per pivot.  sum(costs) + 1 marks an unreached pair, so no sum
+    exceeds 2 * (sum(costs) + 1): int64 while that is under 2**63, Python
+    integers (object dtype) beyond.  Costs are non-negative, so no pivot
+    changes its own row or column and each relaxation equals the in-place
+    loop.  Each distinct distance becomes a ``Fraction`` once.
+    """
     n = inst.n
-    infinity = None
-    dist: list[list[Fraction | None]] = [[infinity] * n for _ in range(n)]
-    for v in range(n):
-        dist[v][v] = Fraction(0)
-    for e in inst.edges:
-        if dist[e.u][e.v] is None or e.cost < dist[e.u][e.v]:
-            dist[e.u][e.v] = e.cost
-            dist[e.v][e.u] = e.cost
+    scale, costs = inst.cost_numerators
+    unreached = sum(costs) + 1
+    dist = np.full((n, n), unreached, dtype=np.int64 if 2 * unreached < 2**63 else object)
+    np.fill_diagonal(dist, 0)
+    for e, c in zip(inst.edges, costs):
+        if c < dist[e.u, e.v]:
+            dist[e.u, e.v] = dist[e.v, e.u] = c
     for k in range(n):
-        dk = dist[k]
-        for i in range(n):
-            dik = dist[i][k]
-            if dik is None:
-                continue
-            di = dist[i]
-            for j in range(n):
-                if dk[j] is None:
-                    continue
-                through = dik + dk[j]
-                if di[j] is None or through < di[j]:
-                    di[j] = through
-    for i in range(n):
-        for j in range(n):
-            if dist[i][j] is None:
-                raise CutError(f"vertices {i} and {j} are disconnected")
-    return Metric(n=n, dist=tuple(tuple(row) for row in dist))
+        np.minimum(dist, dist[:, k, None] + dist[None, k, :], out=dist)
+    cut_off = np.flatnonzero(dist == unreached)
+    if cut_off.size:
+        i, j = divmod(int(cut_off[0]), n)
+        raise CutError(f"vertices {i} and {j} are disconnected")
+    rows = dist.tolist()
+    exact = {x: Fraction(x, scale) for x in set(chain.from_iterable(rows))}
+    return Metric(n=n, dist=tuple(tuple(exact[x] for x in row) for row in rows))
 
 
 def _unit_singleton_duals(n: int) -> tuple[Fraction, ...]:

@@ -10,6 +10,7 @@ from hitsp._flow import small_edge_cut_witness
 from hitsp.cli import HIERARCHY_CORPUS
 from hitsp.cuts import (
     InternalHierarchyError,
+    MinCut,
     _assert_cut_free,
     boundary_edges,
     build_hierarchy,
@@ -249,6 +250,69 @@ def test_classification_covers_all_min_cuts():
         # rings with >= 4 members contribute arc cuts distinct from members
         if len(h.final.member_nodes) >= 4:
             assert "arc" in kinds
+
+
+def scan_classify(h, sides):
+    """Reference: scan critical nodes, then every cycle node's non-full child
+    runs, then the final ring's arcs, for the first set among ``sides``."""
+    for nd in h.nodes:
+        if nd.vertices in sides:
+            return ("critical", nd.id)
+    for nd in h.cycle_nodes():
+        order = nd.child_order
+        for i in range(len(order)):
+            acc = frozenset()
+            for j in range(i, len(order)):
+                acc = acc | h.nodes[order[j]].vertices
+                if acc in sides and (i, j) != (0, len(order) - 1):
+                    return ("interval", (nd.id, i, j))
+    members = h.final.member_nodes
+    r = len(members)
+    for start in range(r):
+        acc = frozenset()
+        for length in range(1, r):
+            acc = acc | h.nodes[members[(start + length - 1) % r]].vertices
+            if acc in sides:
+                return ("arc", (start, length))
+    return None
+
+
+CLASSIFY_SPECS = (
+    [label for label, _ in HIERARCHY_CORPUS]
+    + [f"envelope:{k}" for k in range(6, 11)]
+    + [f"cycle_chain:{k}" for k in range(5, 31)]
+    + [f"random_half_integral:{k}" for k in range(8, 42)]
+    + [f"k5_degree:{k}" for k in range(5, 18)]
+)
+
+
+def test_indexed_classification_equals_the_per_cut_scan():
+    cuts = two_kinds = 0
+    for spec in CLASSIFY_SPECS:
+        h = build_hierarchy(support_for(reference_instance(spec)))
+        for cut in h.min_cuts:
+            assert h.classify_min_cut(cut) == scan_classify(h, set(cut.sides())), (spec, cut)
+            kinds = {scan_classify(h, {side}) for side in cut.sides()} - {None}
+            two_kinds += len({kind for kind, _ in kinds}) == 2
+            cuts += 1
+    assert cuts == 6973
+    # Some cuts have both sides indexed with different kinds (critical vs
+    # arc on envelope:1), so only the lower scan rank gives the scan's label.
+    assert two_kinds > 0
+
+
+def test_a_side_in_no_shape_raises():
+    h = build_hierarchy(support_for(generate_instance("envelope", 3)))
+    n = h.support.n
+    strays = [
+        MinCut(vertices=frozenset(pair), boundary=(0, 1, 2, 3), n=n)
+        for pair in combinations(range(1, n), 2)
+    ]
+    strays = [cut for cut in strays if scan_classify(h, set(cut.sides())) is None]
+    assert strays
+    for cut in strays:
+        with pytest.raises(InternalHierarchyError):
+            h.classify_min_cut(cut)
 
 
 def test_edge_levels_partition_support():

@@ -1,14 +1,19 @@
 """Instance parsing, validation, serialization, generators, and metrics."""
 
+import dataclasses
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hitsp.instance import (
     CostError,
+    CutError,
     EdgeValueError,
     GADGET_BUILDERS,
     GENERATOR_FAMILIES,
+    HalfIntegralInstance,
+    InstanceEdge,
     InstanceError,
     MalformedInstanceError,
     build_support_graph,
@@ -122,6 +127,98 @@ def test_metric_closure_triangle_inequality():
             assert metric.dist[u][v] == metric.dist[v][u]
             for w in range(n):
                 assert metric.dist[u][w] <= metric.dist[u][v] + metric.dist[v][w]
+
+
+def fraction_closure(inst):
+    """Reference: Floyd–Warshall as a triple loop over ``Fraction`` costs."""
+    n = inst.n
+    infinity = None
+    dist = [[infinity] * n for _ in range(n)]
+    for v in range(n):
+        dist[v][v] = Fraction(0)
+    for e in inst.edges:
+        if dist[e.u][e.v] is None or e.cost < dist[e.u][e.v]:
+            dist[e.u][e.v] = e.cost
+            dist[e.v][e.u] = e.cost
+    for k in range(n):
+        dk = dist[k]
+        for i in range(n):
+            dik = dist[i][k]
+            if dik is None:
+                continue
+            di = dist[i]
+            for j in range(n):
+                if dk[j] is None:
+                    continue
+                through = dik + dk[j]
+                if di[j] is None or through < di[j]:
+                    di[j] = through
+    for i in range(n):
+        for j in range(n):
+            if dist[i][j] is None:
+                raise CutError(f"vertices {i} and {j} are disconnected")
+    return tuple(tuple(row) for row in dist)
+
+
+def assert_closure_matches_reference(inst):
+    got = metric_closure(inst).dist
+    assert got == fraction_closure(inst)
+    assert all(type(d) is Fraction for row in got for d in row)
+
+
+def with_costs(inst, costs):
+    edges = tuple(dataclasses.replace(e, cost=Fraction(c)) for e, c in zip(inst.edges, costs))
+    return dataclasses.replace(inst, edges=edges)
+
+
+@pytest.mark.parametrize("family,sizes", [
+    ("envelope", range(1, 11)),
+    ("cycle_chain", range(2, 31)),
+    ("random_half_integral", range(8, 42)),
+    ("k5_degree", range(5, 18)),
+])
+def test_integer_closure_equals_the_fraction_loop_on_generators(family, sizes):
+    for size in sizes:
+        assert_closure_matches_reference(generate_instance(family, size))
+
+
+@pytest.mark.parametrize("name", sorted(GADGET_BUILDERS))
+def test_integer_closure_equals_the_fraction_loop_on_gadgets(name):
+    assert_closure_matches_reference(GADGET_BUILDERS[name]())
+
+
+@pytest.mark.parametrize("spec", ["envelope:4", "cycle_chain:9", "random_half_integral:14", "k5_degree:8"])
+def test_integer_closure_equals_the_fraction_loop_on_rational_and_huge_costs(spec):
+    family, _, size = spec.partition(":")
+    inst = generate_instance(family, int(size))
+    rng = np.random.default_rng(20261018)
+    m = len(inst.edges)
+    for _ in range(6):
+        dens = rng.choice([2, 3, 5, 7, 12], size=m).tolist()
+        nums = rng.integers(0, 40, size=m).tolist()
+        nums[: m // 5] = [0] * (m // 5)
+        rng.shuffle(nums)
+        assert_closure_matches_reference(with_costs(inst, [Fraction(a, d) for a, d in zip(nums, dens)]))
+    huge = [10**25 + int(x) for x in rng.integers(0, 10**6, size=m)]
+    huge[0] = 0
+    _, numerators = with_costs(inst, huge).cost_numerators
+    assert 2 * (sum(numerators) + 1) >= 2**63  # the object-dtype path
+    assert_closure_matches_reference(with_costs(inst, huge))
+    assert_closure_matches_reference(with_costs(inst, [Fraction(c, 12) for c in huge]))
+
+
+def test_disconnected_closure_raises_the_reference_error():
+    # two triangles, unvalidated: vertices 0-2 never reach 3-5
+    edges = tuple(
+        InstanceEdge(u, v, Fraction(1), Fraction(c))
+        for u, v, c in [(0, 1, 1), (1, 2, 2), (2, 0, 3), (3, 4, 1), (4, 5, 1), (5, 3, 1)]
+    )
+    inst = HalfIntegralInstance(name="apart", n=6, edges=edges)
+    with pytest.raises(CutError) as want:
+        fraction_closure(inst)
+    with pytest.raises(CutError) as got:
+        metric_closure(inst)
+    assert str(got.value) == str(want.value) == "vertices 0 and 3 are disconnected"
 
 
 @pytest.mark.parametrize("family,size", [
