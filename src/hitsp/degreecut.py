@@ -38,7 +38,7 @@ from .maxent import TreeLevel, _contract, fit_level
 from .ojoin import (
     JoinCalculator,
     _check_numerators,
-    _xor_convolve,
+    even_pair_probability,
     odd_mask,
     sample_rng,
     tour_order,
@@ -79,11 +79,18 @@ class MatchingDecomposition:
         object.__setattr__(self, "draw_probabilities", floats / floats.sum())
 
     def marginals(self, m: int) -> list[Fraction]:
-        out = [Fraction(0)] * m
-        for w, matching in self.weights:
-            for e in matching:
-                out[e] += w
-        return out
+        return _matching_marginals(self.weights, m)
+
+
+def _matching_marginals(
+    weights: Iterable[tuple[Fraction, frozenset[int]]], m: int
+) -> list[Fraction]:
+    """Per-edge total weight of the matchings that contain the edge."""
+    out = [Fraction(0)] * m
+    for w, matching in weights:
+        for e in matching:
+            out[e] += w
+    return out
 
 
 def degree_cut_witness(instance: HalfIntegralInstance):
@@ -132,10 +139,7 @@ def enumerate_maximum_matchings(instance: HalfIntegralInstance) -> list[frozense
     """
     n = instance.n
     target = matching_size(n)
-    incident: list[list[int]] = [[] for _ in range(n)]
-    for idx, e in enumerate(instance.edges):
-        incident[e.u].append(idx)
-        incident[e.v].append(idx)
+    incident = [sorted(at) for at in instance.incident_edges]
     out: list[frozenset[int]] = []
     covered = [False] * n
     budget = n - 2 * target  # how many vertices may stay uncovered
@@ -232,11 +236,7 @@ def _verify_decomposition(
         return False
     if sum(weights, Fraction(0)) != 1:
         return False
-    marg = [Fraction(0)] * m
-    for w, matching in zip(weights, matchings):
-        for e in matching:
-            marg[e] += w
-    return all(marg[e] == target[e] for e in range(m))
+    return _matching_marginals(zip(weights, matchings), m) == list(target)
 
 
 def build_tree_levels(
@@ -385,7 +385,6 @@ class MatchingContext:
     forced_edge: int
     pinned: tuple[int, ...]
     levels: tuple[TreeLevel, ...]
-    tree_values: tuple[Fraction, ...]
 
 
 def tree_target_vector(
@@ -460,7 +459,6 @@ def build_matching_context(
         forced_edge=forced,
         pinned=pinned,
         levels=levels,
-        tree_values=values,
     )
 
 
@@ -522,24 +520,33 @@ def _always_in_tree(context: MatchingContext) -> set[int]:
     return set(context.pinned) | {context.forced_edge}
 
 
+def _endpoint_edges(
+    instance: HalfIntegralInstance, edge: int
+) -> tuple[frozenset[int], frozenset[int]]:
+    """The edge sets at the two endpoints of ``edge``, itself included."""
+    e = instance.edges[edge]
+    return (instance.incident_edges[e.u], instance.incident_edges[e.v])
+
+
 def normal_even_probability(
     instance: HalfIntegralInstance, context: MatchingContext, edge: int
 ) -> Fraction:
     """P[both endpoints of a matched edge get even connector degree], exactly.
 
-    The matched edge itself is always present, so an endpoint is even exactly
-    when an odd number of its three other edges enter; those live in the
-    independent levels, whose parity laws convolve.
+    An endpoint's degree is the size of the connector's meet with the edges
+    there, so this is ``even_pair_probability`` of the connector's
+    character: the product of the independent levels' characters, times one
+    sign for the pinned and forced matched edges, which every connector has.
     """
-    e = instance.edges[edge]
-    at_u, at_v = (
-        {i for i, f in enumerate(instance.edges) if w in (f.u, f.v)} for w in (e.u, e.v)
-    )
-    law = {(0, 0): Fraction(1)}
-    for level in context.levels:
-        law = _xor_convolve(law, level.parity_pair(at_u, at_v))
     certain = _always_in_tree(context)
-    return law.get((len(certain & at_u) % 2, len(certain & at_v) % 2), Fraction(0))
+
+    def character(flips: frozenset[int]) -> Fraction:
+        value = Fraction(-1 if len(certain & flips) % 2 else 1)
+        for level in context.levels:
+            value *= level.sign_expectation(flips)
+        return value
+
+    return even_pair_probability(character, *_endpoint_edges(instance, edge))
 
 
 def exactly_one_each_probability(
@@ -550,43 +557,19 @@ def exactly_one_each_probability(
     Counts (not parities): the joint law of how many of the three non-matched
     edges at each endpoint enter the tree, convolved across levels.
     """
-    e = instance.edges[edge]
-    side_u = [
-        i
-        for i, f in enumerate(instance.edges)
-        if i != edge and e.u in (f.u, f.v)
-    ]
-    side_v = [
-        i
-        for i, f in enumerate(instance.edges)
-        if i != edge and e.v in (f.u, f.v)
-    ]
-    certain = _always_in_tree(context)
-    base_u = sum(1 for i in side_u if i in certain)
-    base_v = sum(1 for i in side_v if i in certain)
-    law = {(base_u, base_v): Fraction(1)}
+    side_u, side_v = (side - {edge} for side in _endpoint_edges(instance, edge))
+
+    def counts(edges: set[int]) -> tuple[int, int]:
+        return (len(side_u & edges), len(side_v & edges))
+
+    law = {counts(_always_in_tree(context)): Fraction(1)}
     for level in context.levels:
-        focus = [
-            pos
-            for pos, idx in enumerate(level.edge_ids)
-            if idx in side_u or idx in side_v
-        ]
+        focus = [pos for pos, idx in enumerate(level.edge_ids) if idx in side_u or idx in side_v]
         if not focus:
             continue
-        joint = level.kernel().joint(focus)
         level_law: dict[tuple[int, int], Fraction] = {}
-        for pattern, prob in joint.probabilities.items():
-            cu = sum(
-                1
-                for pos, bit in zip(focus, pattern)
-                if bit and level.edge_ids[pos] in side_u
-            )
-            cv = sum(
-                1
-                for pos, bit in zip(focus, pattern)
-                if bit and level.edge_ids[pos] in side_v
-            )
-            key = (cu, cv)
+        for pattern, prob in level.kernel().joint(focus).probabilities.items():
+            key = counts({level.edge_ids[pos] for pos, bit in zip(focus, pattern) if bit})
             level_law[key] = level_law.get(key, Fraction(0)) + prob
         nxt: dict[tuple[int, int], Fraction] = {}
         for (a1, b1), w1 in law.items():

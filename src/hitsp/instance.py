@@ -94,6 +94,15 @@ class HalfIntegralInstance:
         scale = lcm(*(e.cost.denominator for e in self.edges))
         return (scale, tuple((e.cost * scale).numerator for e in self.edges))
 
+    @cached_property
+    def incident_edges(self) -> tuple[frozenset[int], ...]:
+        """Per vertex, the ids of the edges at it; computed once per instance."""
+        out: list[set[int]] = [set() for _ in range(self.n)]
+        for idx, e in enumerate(self.edges):
+            out[e.u].add(idx)
+            out[e.v].add(idx)
+        return tuple(map(frozenset, out))
+
     def doubled_edges(self) -> tuple[int, ...]:
         return tuple(i for i, e in enumerate(self.edges) if e.lp_value == ONE)
 

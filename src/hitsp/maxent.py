@@ -4,11 +4,13 @@ A distribution over spanning trees of a multigraph is described by one weight
 per edge; a tree's probability is proportional to the product of its edge
 weights.  This module provides exact (rational-arithmetic) and float routines
 for tree counts and single-edge marginals, an exact kernel (one inverse of
-the grounded Laplacian) for marginals, small joint laws and parity laws, a
-multiplicative fixed-point fitter that finds weights realizing prescribed
-marginals, and a loop-erased random-walk sampler.  :class:`TreeLevel` is
-the one fitted level both sampling pipelines use: its walk tables are
-built once, and its exact kernel answers the parity laws.
+the grounded Laplacian) for marginals, parity characters E[(-1)^|T & F|]
+and small joint laws, a multiplicative fixed-point fitter that finds
+weights realizing prescribed marginals, and a loop-erased random-walk
+sampler.  :class:`TreeLevel` is the one fitted level both sampling
+pipelines use: its walk tables are built once, and its exact kernel answers
+the character of a set of the caller's edge ids; callers multiply the
+characters of independent levels.
 
 Graphs are given as ``(n, edges)`` with ``edges`` a sequence of ``(u, v)``
 pairs over vertices ``0..n-1``; parallel edges are distinct entries and edge
@@ -50,9 +52,6 @@ class JointDistribution:
 
     edges: tuple[int, ...]
     probabilities: dict
-
-    def probability(self, pattern: Sequence[int]) -> Fraction:
-        return self.probabilities.get(tuple(pattern), Fraction(0))
 
     def marginal(self, position: int):
         total = None
@@ -269,7 +268,7 @@ class TreeKernel:
         self._crt = np.array([c * pow(c, -1, q) for c, q in cofactors], dtype=object)
         self.weight = self._numerators(np.ones((len(self._p), 1), dtype=np.int64))[0]
         # Cuts recur across the pairs a caller asks about, so flip sets do too.
-        self._signs: dict[frozenset[int], int] = {}
+        self._signs: dict[frozenset[int], Fraction] = {}
 
     def _numerators(self, residues: np.ndarray) -> list[int]:
         """W times each query value whose residues are a column of ``residues``
@@ -296,38 +295,15 @@ class TreeKernel:
         y = x[:, u, u] - 2 * x[:, u, v] + x[:, v, v]
         return tuple(Fraction(a, self.weight) for a in self._numerators(self._lam * (y % p) % p))
 
-    def _sign_numerator(self, flips: Iterable[int]) -> int:
-        """W * E[(-1)^|T & flips|] = W * det(I - 2 K_F)."""
+    def sign_expectation(self, flips: Iterable[int]) -> Fraction:
+        """E[(-1)^|T & flips|] = det(I - 2 K_F), memoized per flip set."""
         key = frozenset(flips)
         if key not in self._signs:
             transfer = self._transfer(sorted(key))
             matrix = (np.eye(len(key), dtype=np.int64) - 2 * transfer) % self._p[:, None, None]
-            self._signs[key] = self._numerators(_eliminate(matrix, self._p)[:, None])[0]
+            numerator = self._numerators(_eliminate(matrix, self._p)[:, None])[0]
+            self._signs[key] = Fraction(numerator, self.weight)
         return self._signs[key]
-
-    def sign_expectation(self, flips: Iterable[int]) -> Fraction:
-        """E[(-1)^|T & flips|] = det(I - 2 K_F)."""
-        return Fraction(self._sign_numerator(flips), self.weight)
-
-    def parity_pair(
-        self, focus_a: Iterable[int], focus_b: Iterable[int]
-    ) -> dict[tuple[int, int], Fraction]:
-        """Joint law of (|T & A| mod 2, |T & B| mod 2) from four characters."""
-        set_a, set_b = set(focus_a), set(focus_b)
-        char = {
-            (0, 0): self.weight,
-            (1, 0): self._sign_numerator(set_a),
-            (0, 1): self._sign_numerator(set_b),
-            (1, 1): self._sign_numerator(set_a ^ set_b),
-        }
-        return {
-            (p, q): Fraction(
-                sum(-value if (a * p + b * q) % 2 else value for (a, b), value in char.items()),
-                4 * self.weight,
-            )
-            for p in (0, 1)
-            for q in (0, 1)
-        }
 
     def joint(self, focus: Sequence[int]) -> JointDistribution:
         """Exact joint membership law over the focus edges, zero patterns omitted."""
@@ -581,15 +557,11 @@ class TreeLevel:
             object.__setattr__(self, "_kernel", kernel)
         return self._kernel
 
-    def parity_pair(
-        self, edges_a: Container[int], edges_b: Container[int]
-    ) -> dict[tuple[int, int], Fraction]:
-        """Joint law of the tree's parities on two sets of edge ids."""
-        focus_a = [pos for pos, e in enumerate(self.edge_ids) if e in edges_a]
-        focus_b = [pos for pos, e in enumerate(self.edge_ids) if e in edges_b]
-        if not focus_a and not focus_b:
-            return {(0, 0): Fraction(1)}
-        return self.kernel().parity_pair(focus_a, focus_b)
+    def sign_expectation(self, flips: Container[int]) -> Fraction:
+        """E[(-1)^|T & flips|] over a set of edge ids; 1, with no kernel
+        query, when the set misses the level."""
+        focus = [pos for pos, e in enumerate(self.edge_ids) if e in flips]
+        return self.kernel().sign_expectation(focus) if focus else Fraction(1)
 
 
 def fit_level(

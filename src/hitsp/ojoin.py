@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from math import inf, lcm, nextafter
-from typing import Iterable, Sequence
+from functools import lru_cache, partial
+from math import inf, lcm, nextafter, prod
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -178,7 +178,6 @@ class FeasibilityResult:
     minimum: Fraction
     witness: frozenset[int] | None
     floor_ok: bool
-    minimum_value: Fraction
 
 
 class PlanError(RuntimeError):
@@ -251,68 +250,52 @@ def sample_hierarchical_tree(plan: SamplingPlan, rng: np.random.Generator) -> Tr
     return TreeSample(edges=tuple(sorted(edges)), bernoulli_uniforms=uniforms)
 
 
-def _xor_convolve(
-    law_a: dict[tuple[int, int], Fraction], law_b: dict[tuple[int, int], Fraction]
-) -> dict[tuple[int, int], Fraction]:
-    out: dict[tuple[int, int], Fraction] = {}
-    for (p1, q1), w1 in law_a.items():
-        if w1 == 0:
-            continue
-        for (p2, q2), w2 in law_b.items():
-            if w2 == 0:
-                continue
-            key = (p1 ^ p2, q1 ^ q2)
-            out[key] = out.get(key, Fraction(0)) + w1 * w2
-    return out
-
-
-def _uniform_classes(plan: SamplingPlan):
-    """The edge classes the sampler picks one edge of, uniformly: every
-    chain class, then every ring class (the forced one as its forced edge)."""
-    for level in plan.cycle_levels:
-        yield from level.classes
-    final = plan.final_level
-    for idx, cls in enumerate(final.classes):
-        yield (final.forced_edge,) if idx == final.forced_class else cls
-
-
-def _joint_even(
-    plan: SamplingPlan,
-    edges_a: frozenset[int],
-    edges_b: frozenset[int],
+def even_pair_probability(
+    character: Callable[[frozenset[int]], Fraction], set_a: frozenset[int], set_b: frozenset[int]
 ) -> Fraction:
-    """P[both edge sets are hit an even number of times], via independent
-    per-level parity laws convolved."""
-    law = {(0, 0): Fraction(1)}
-    for level in plan.degree_levels:
-        law = _xor_convolve(law, level.parity_pair(edges_a, edges_b))
-    for cls in _uniform_classes(plan):
-        class_law: dict[tuple[int, int], Fraction] = {}
-        share = Fraction(1, len(cls))
-        for e in cls:
-            bits = (int(e in edges_a), int(e in edges_b))
-            class_law[bits] = class_law.get(bits, Fraction(0)) + share
-        law = _xor_convolve(law, class_law)
-    return law.get((0, 0), Fraction(0))
+    """P[|T & A| and |T & B| both even] = (1 + chi(A) + chi(B) + chi(A ^ B)) / 4,
+    with chi(F) = E[(-1)^|T & F|] given by ``character``."""
+    return (1 + character(set_a) + character(set_b) + character(set_a ^ set_b)) / 4
+
+
+def connector_character(plan: SamplingPlan, flips: frozenset[int]) -> Fraction:
+    """E[(-1)^|T & flips|] for the sampled connector T: the product of its
+    independent factors' characters, read off ``plan.draw_runs``.
+
+    A doubled class gives 1 - |class & flips| (1, 0 or -1), a cut-free level
+    its kernel's sign expectation, and the forced ring edge -1 when flipped.
+    """
+    value = Fraction(-1 if plan.final_level.forced_edge in flips else 1)
+    for run in plan.draw_runs:
+        if isinstance(run, TreeLevel):
+            value *= run.sign_expectation(flips)
+        else:
+            value *= prod(1 - (a in flips) - (b in flips) for a, b in run)
+        if not value:
+            break
+    return value
 
 
 def compute_even_at_last_probs(plan: SamplingPlan) -> dict[int, Fraction]:
     """Per-edge probability that both last cuts are even in the sampled tree.
 
-    Multiplies independent level parity laws (chain and ring classes
-    enumerated, cut-free levels via signed tree counts from each level's
-    exact kernel) on the two cuts' boundary edge sets.
+    With A and B the two cuts' boundary edge sets, it is
+    ``even_pair_probability`` of the connector's character: a product over
+    the independent factors the sampler draws (doubled chain and ring
+    classes, cut-free levels through each level's exact kernel, the forced
+    ring edge).
     """
     hierarchy = plan.hierarchy
     out: dict[int, Fraction] = {}
     cache: dict[tuple[frozenset[int], frozenset[int]], Fraction] = {}
+    character = partial(connector_character, plan)
     for e in range(len(plan.support.edges)):
         key = hierarchy.last_cuts(e)
         if key not in cache:
             edges_a, edges_b = (
                 frozenset(boundary_edges(plan.support, side)) for side in key
             )
-            cache[key] = _joint_even(plan, edges_a, edges_b)
+            cache[key] = even_pair_probability(character, edges_a, edges_b)
         out[e] = cache[key]
     return out
 
@@ -632,13 +615,11 @@ def _check_numerators(
     if found is not None:
         minimum, witness = Fraction(found[0], scale), found[1]
     feasible = minimum >= 1
-    low = min(values)
     return FeasibilityResult(
         feasible=feasible,
         minimum=minimum,
         witness=None if feasible else witness,
-        floor_ok=floor is None or low >= floor,
-        minimum_value=Fraction(low, scale),
+        floor_ok=floor is None or min(values) >= floor,
     )
 
 

@@ -2,7 +2,8 @@
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
+from math import prod
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from hitsp.degreecut import (
 )
 from hitsp.instance import GADGET_BUILDERS, generate_instance, make_instance
 from hitsp.ojoin import sample_rng
+from hitsp.oracle import enumerate_trees
 
 HALF = Fraction(1, 2)
 
@@ -134,6 +136,45 @@ def test_normal_edge_even_probability_floor(n):
             assert normal_even_probability(inst, context, edge) >= value
     if n >= 7:
         assert found > 0
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_normal_even_probability_matches_tree_enumeration(n):
+    """Each normal edge's law equals the brute-force sum over every choice of
+    one listed tree per context level (under ``lam_exact``), with the pinned
+    and forced edges added, of P[both endpoints have even degree]."""
+    inst = generate_instance("k5_degree", n)
+    checked = 0
+    for _, matching in decompose_matching(inst).weights:
+        context = build_matching_context(inst, matching)
+        tables = []
+        for level in context.levels:
+            listed = enumerate_trees(level.vertex_count, list(level.level_edges), list(level.lam_exact))
+            tables.append([
+                ([level.edge_ids[pos] for pos in tree], p)
+                for tree, p in zip(listed.trees, listed.probabilities)
+            ])
+        outcomes = [
+            (
+                [*context.pinned, context.forced_edge, *(e for tree, _ in combo for e in tree)],
+                prod((p for _, p in combo), start=Fraction(1)),
+            )
+            for combo in product(*tables)
+        ]
+        assert sum(p for _, p in outcomes) == 1
+        for edge in context.normal_edges:
+            ends = (inst.edges[edge].u, inst.edges[edge].v)
+            brute = sum(
+                (
+                    p
+                    for edges, p in outcomes
+                    if all(sum(w in (inst.edges[e].u, inst.edges[e].v) for e in edges) % 2 == 0 for w in ends)
+                ),
+                Fraction(0),
+            )
+            assert normal_even_probability(inst, context, edge) == brute
+            checked += 1
+    assert checked > 0
 
 
 @pytest.mark.parametrize("n", [5, 6, 7])

@@ -1,4 +1,4 @@
-"""Weighted spanning-tree counting, marginal fitting, sampling, parity laws."""
+"""Weighted spanning-tree counting, marginal fitting, sampling, parity characters."""
 
 import pickle
 from bisect import bisect_right
@@ -26,7 +26,7 @@ from hitsp.maxent import (
     sample_tree,
     tree_marginals,
 )
-from hitsp.ojoin import prepare_instance
+from hitsp.ojoin import even_pair_probability, prepare_instance
 
 K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 K5_EDGES = [(u, v) for u, v in combinations(range(5), 2)]
@@ -328,14 +328,20 @@ def test_parity_laws_match_enumeration():
     ) / total
     kernel = TreeKernel(4, K4_EDGES, lam)
     assert (1 + kernel.sign_expectation(focus_a)) / 2 == even_a
-    law = kernel.parity_pair(focus_a, focus_b)
-    brute: dict[tuple[int, int], Fraction] = {(0, 0): Fraction(0), (0, 1): Fraction(0),
-                                              (1, 0): Fraction(0), (1, 1): Fraction(0)}
-    for t in trees:
-        w = lam[t[0]] * lam[t[1]] * lam[t[2]]
-        key = (len(set(t) & set(focus_a)) % 2, len(set(t) & set(focus_b)) % 2)
-        brute[key] += w / total
-    assert law == brute
+    weighted = [(set(t), lam[t[0]] * lam[t[1]] * lam[t[2]]) for t in trees]
+    assert_characters_match(kernel, weighted, focus_a, focus_b)
+
+
+def assert_characters_match(kernel, trees, focus_a, focus_b):
+    """The kernel's characters on A, B and A ^ B equal the signed tree sums,
+    and the four-character identity gives P[both parities even]."""
+    total = sum(w for _, w in trees)
+    set_a, set_b = set(focus_a), set(focus_b)
+    for flips in (set_a, set_b, set_a ^ set_b):
+        brute = sum(-w if len(t & flips) % 2 else w for t, w in trees) / total
+        assert kernel.sign_expectation(flips) == brute
+    both_even = sum(w for t, w in trees if not len(t & set_a) % 2 and not len(t & set_b) % 2)
+    assert even_pair_probability(kernel.sign_expectation, set_a, set_b) == both_even / total
 
 
 def random_multigraph(rng):
@@ -385,11 +391,7 @@ def test_kernel_queries_match_enumeration(seed):
     signed = [-w if i in focus_a else w for i, w in enumerate(lam)]
     assert 2 * even_a - 1 == count_weighted_trees(n, edges, signed) / total
 
-    law = kernel.parity_pair(focus_a, focus_b)
-    brute = {(p, q): Fraction(0) for p in (0, 1) for q in (0, 1)}
-    for t, w in trees:
-        brute[(len(t & set(focus_a)) % 2, len(t & set(focus_b)) % 2)] += w / total
-    assert law == brute
+    assert_characters_match(kernel, trees, focus_a, focus_b)
 
     focus = focus_a + [e for e in focus_b if e not in focus_a]
     joint = kernel.joint(focus)
@@ -494,23 +496,6 @@ class FractionTreeKernel:
         ]
         return determinant(matrix)
 
-    def parity_pair(self, focus_a, focus_b):
-        set_a, set_b = set(focus_a), set(focus_b)
-        char = {
-            (0, 0): Fraction(1),
-            (1, 0): self.sign_expectation(set_a),
-            (0, 1): self.sign_expectation(set_b),
-            (1, 1): self.sign_expectation(set_a ^ set_b),
-        }
-        law = {}
-        for p in (0, 1):
-            for q in (0, 1):
-                acc = Fraction(0)
-                for (a_bit, b_bit), value in char.items():
-                    acc += -value if (a_bit * p + b_bit * q) % 2 else value
-                law[(p, q)] = acc / 4
-        return law
-
     def joint(self, focus):
         focus = tuple(focus)
         kernel = [[self.transfer(e, f) for f in focus] for e in focus]
@@ -533,8 +518,8 @@ def assert_matches_fraction_kernel(n, edges, lam, pairs, joints=()):
     kernel, reference = TreeKernel(n, edges, lam), FractionTreeKernel(n, edges, lam)
     assert kernel.marginals() == reference.marginals()
     for focus_a, focus_b in pairs:
-        assert kernel.sign_expectation(focus_a) == reference.sign_expectation(focus_a)
-        assert kernel.parity_pair(focus_a, focus_b) == reference.parity_pair(focus_a, focus_b)
+        for flips in (set(focus_a), set(focus_b), set(focus_a) ^ set(focus_b)):
+            assert kernel.sign_expectation(flips) == reference.sign_expectation(flips)
     for focus in joints:
         assert kernel.joint(focus) == reference.joint(focus)
     return kernel

@@ -45,6 +45,7 @@ from hitsp.ojoin import (
     tree_cost,
     unit_key_for_edge,
 )
+from hitsp.oracle import exact_pipeline_expectations
 
 HALF = Fraction(1, 2)
 REFERENCE_SPECS = [label for label, _ in HIERARCHY_CORPUS] + [
@@ -859,33 +860,12 @@ def test_unit_fires_exactly_below_its_threshold(chain2):
             assert _vector_numerators(prepared, sample)[1] == (list(edges) if fires else [])
 
 
-def reference_parity_pair(n, edges, lam, focus_a, focus_b):
-    """The law of (|T∩A| mod 2, |T∩B| mod 2) from four full signed tree
-    counts, one Laplacian determinant each (the pre-kernel routine)."""
-    total = count_weighted_trees(n, edges, lam)
-    set_a, set_b = set(focus_a), set(focus_b)
-    char = {}
-    for a_bit in (0, 1):
-        for b_bit in (0, 1):
-            signed = []
-            for i, v in enumerate(lam):
-                sign = 1
-                if a_bit and i in set_a:
-                    sign = -sign
-                if b_bit and i in set_b:
-                    sign = -sign
-                signed.append(sign * Fraction(v))
-            char[(a_bit, b_bit)] = count_weighted_trees(n, edges, signed) / total
-    law = {}
-    for p in (0, 1):
-        for q in (0, 1):
-            acc = Fraction(0)
-            for a_bit in (0, 1):
-                for b_bit in (0, 1):
-                    sign = -1 if (a_bit * p + b_bit * q) % 2 else 1
-                    acc += sign * char[(a_bit, b_bit)]
-            law[(p, q)] = acc / 4
-    return law
+def reference_sign_expectation(n, edges, lam, flips):
+    """E[(-1)^|T∩F|] as the signed tree count over the plain one, one full
+    Laplacian determinant each (the pre-kernel routine)."""
+    flips = set(flips)
+    signed = [-Fraction(v) if i in flips else Fraction(v) for i, v in enumerate(lam)]
+    return count_weighted_trees(n, edges, signed) / count_weighted_trees(n, edges, lam)
 
 
 class DeterminantLevel:
@@ -894,10 +874,10 @@ class DeterminantLevel:
     def __init__(self, level):
         self.level = level
 
-    def parity_pair(self, focus_a, focus_b):
+    def sign_expectation(self, flips):
         lv = self.level
-        return reference_parity_pair(
-            lv.vertex_count, list(lv.level_edges), list(lv.lam_exact), focus_a, focus_b
+        return reference_sign_expectation(
+            lv.vertex_count, list(lv.level_edges), list(lv.lam_exact), flips
         )
 
 
@@ -916,6 +896,23 @@ def test_even_at_last_table_matches_determinant_reference(spec, monkeypatch):
     reference = compute_even_at_last_probs(prepared.plan)
     assert prepared.eal_probability == reference
     assert all(type(p) is Fraction for p in prepared.eal_probability.values())
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [label for label, _ in HIERARCHY_CORPUS]
+    + [f"random_half_integral:{size}" for size in range(8, 12)],
+)
+def test_even_at_last_table_matches_the_oracle(spec):
+    """The characters' table equals the oracle's enumeration of the
+    sampler's outcomes, edge for edge."""
+    if spec.startswith("random_half_integral"):
+        inst = generate_instance("random_half_integral", int(spec.partition(":")[2]))
+    else:
+        inst = corpus_instance(dict(HIERARCHY_CORPUS)[spec])
+    prepared = prepare_instance(inst)
+    expected = exact_pipeline_expectations(prepared, include_costs=False).per_edge_even
+    assert prepared.eal_probability == dict(enumerate(expected))
 
 
 def scalar_draw_sample(plan, rng):
