@@ -653,12 +653,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_ranges(args: argparse.Namespace) -> None:
-    """Reject a negative ``--seed`` and a non-positive ``--samples`` or
-    ``--feasibility-samples``, whichever subcommand takes them."""
+    """Reject a negative ``--seed`` and a non-positive ``--samples``,
+    ``--feasibility-samples`` or ``--jobs``, whichever subcommand takes them."""
     seed = getattr(args, "seed", None)
     if seed is not None and seed < 0:
         raise ArgumentError(f"--seed must be non-negative, got {seed}")
-    for name in ("samples", "feasibility_samples"):
+    for name in ("samples", "feasibility_samples", "jobs"):
         value = getattr(args, name, None)
         if value is not None and value <= 0:
             raise ArgumentError(f"--{name.replace('_', '-')} must be positive, got {value}")

@@ -36,6 +36,7 @@ from .instance import (
 )
 from .maxent import TreeLevel, _contract, fit_level
 from .ojoin import (
+    ConnectorLaw,
     JoinCalculator,
     _check_numerators,
     even_pair_probability,
@@ -45,9 +46,6 @@ from .ojoin import (
 )
 
 
-# Proportional fitting budget before the exact simplex takes over.
-IPF_MAX_ITERATIONS = 20_000
-IPF_TOLERANCE = 1e-12
 # The decomposition solves one system over every maximum matching; past this
 # many the instance is refused (ResourceCapError) instead of run for minutes.
 MATCHING_CAP = 10_000
@@ -64,10 +62,10 @@ class MatchingDecomposition:
     """A convex combination of maximum matchings hitting the target exactly.
 
     ``weights[i]`` pairs an exact weight with a matching (frozenset of edge
-    ids); weights are positive and sum to 1.  ``method`` records whether
-    proportional fitting ("ipf") or the exact simplex fallback ("simplex")
-    produced it.  ``draw_probabilities`` are the float weights the sampler
-    draws a matching index with.
+    ids); weights are positive and sum to 1.  ``method`` records whether the
+    uniform law over all maximum matchings ("uniform") or the exact simplex
+    ("simplex") produced it.  ``draw_probabilities`` are the float weights
+    the sampler draws a matching index with.
     """
 
     weights: tuple[tuple[Fraction, frozenset[int]], ...]
@@ -175,12 +173,12 @@ def enumerate_maximum_matchings(instance: HalfIntegralInstance) -> list[frozense
 def decompose_matching(instance: HalfIntegralInstance) -> MatchingDecomposition:
     """Write the fractional matching target as an exact convex matching combination.
 
-    Proportional fitting over all maximum matchings, snapped to small exact
-    rationals; if the snap misses, the integer-preserving exact simplex of
-    ``_simplex`` solves the same system over the same matchings.  Either
-    result is verified in ``Fraction`` arithmetic (nonnegative weights summing
-    to 1 whose marginals equal the target), and ``DegreeCutError`` is raised
-    if it fails.
+    The uniform law, 1/k on each of the k maximum matchings, is tried first;
+    if it misses the target, the integer-preserving exact simplex of
+    ``_simplex`` solves the system over the same matchings.  Either result is
+    verified in ``Fraction`` arithmetic (nonnegative weights summing to 1
+    whose marginals equal the target), and ``DegreeCutError`` is raised if
+    the simplex one fails.
     """
     target = fractional_matching_target(instance)
     matchings = enumerate_maximum_matchings(instance)
@@ -188,31 +186,9 @@ def decompose_matching(instance: HalfIntegralInstance) -> MatchingDecomposition:
         raise DegreeCutError("instance has no maximum matching of expected size")
     m = len(instance.edges)
     k = len(matchings)
-    member = np.zeros((m, k))
-    for j, matching in enumerate(matchings):
-        for e in matching:
-            member[e, j] = 1.0
-    weights = np.full(k, 1.0 / k)
-    target_f = np.array([float(t) for t in target])
-    for _ in range(IPF_MAX_ITERATIONS):
-        marg = member @ weights
-        if np.max(np.abs(marg - target_f)) < IPF_TOLERANCE:
-            break
-        for e in range(m):
-            if marg[e] <= 0:
-                continue
-            factor = target_f[e] / marg[e]
-            sel = member[e] > 0
-            weights[sel] *= factor
-            weights /= weights.sum()
-            marg = member @ weights
-
-    snapped = [Fraction(float(w)).limit_denominator(10**6) for w in weights]
-    if _verify_decomposition(snapped, matchings, target, m):
-        pairs = tuple(
-            (w, matching) for w, matching in zip(snapped, matchings) if w > 0
-        )
-        return MatchingDecomposition(weights=pairs, method="ipf")
+    uniform = [Fraction(1, k)] * k
+    if _verify_decomposition(uniform, matchings, target, m):
+        return MatchingDecomposition(weights=tuple(zip(uniform, matchings)), method="uniform")
 
     rows = [[int(e in matching) for matching in matchings] for e in range(m)]
     rows.append([1] * k)
@@ -375,7 +351,9 @@ class MatchingContext:
     terminal endpoint.  ``forced_edge`` (the lowest-id matched edge) has tree
     target 0 but is appended to every sampled tree, so the whole matching is
     always present; ``pinned`` are the other matched edges.  ``levels`` is
-    the face decomposition of the remaining marginals.
+    the face decomposition of the remaining marginals.  ``connector``, built
+    at construction, is the connector's law: those matched edges fixed, one
+    independent run per level.
     """
 
     matching: frozenset[int]
@@ -385,6 +363,11 @@ class MatchingContext:
     forced_edge: int
     pinned: tuple[int, ...]
     levels: tuple[TreeLevel, ...]
+    connector: ConnectorLaw = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        law = ConnectorLaw((*self.pinned, self.forced_edge), self.levels)
+        object.__setattr__(self, "connector", law)
 
 
 def tree_target_vector(
@@ -428,22 +411,11 @@ def build_matching_context(
     total = sum(values, Fraction(0))
     if total != instance.n - 1:
         raise DegreeCutError(f"tree targets sum to {total}, expected {instance.n - 1}")
+    edges = [(e.u, e.v) for e in instance.edges]
     terminals = frozenset()
     if root is not None:
-        terminals = frozenset(
-            e.v if e.u == root else e.u
-            for e in instance.edges
-            if root in (e.u, e.v)
-        )
-    normal = tuple(
-        sorted(
-            e
-            for e in matching
-            if instance.edges[e].u not in terminals
-            and instance.edges[e].v not in terminals
-        )
-    )
-    edges = [(e.u, e.v) for e in instance.edges]
+        terminals = frozenset(v for i in instance.incident_edges[root] for v in edges[i] if v != root)
+    normal = tuple(sorted(e for e in matching if terminals.isdisjoint(edges[e])))
     pinned, deleted, levels = build_tree_levels(instance.n, edges, values)
     if set(deleted) != {forced}:
         raise DegreeCutError("expected exactly the dropped matched edge at target 0")
@@ -460,18 +432,6 @@ def build_matching_context(
         pinned=pinned,
         levels=levels,
     )
-
-
-def sample_matching_tree(
-    instance: HalfIntegralInstance, context: MatchingContext, rng: np.random.Generator
-) -> tuple[int, ...]:
-    """One connector: pinned matching edges, independent level trees, plus
-    the dropped matched edge added back (n edges total, one cycle)."""
-    chosen = list(context.pinned)
-    for level in context.levels:
-        chosen.extend(level.sample(rng))
-    chosen.append(context.forced_edge)
-    return tuple(sorted(chosen))
 
 
 def base_correction_values(
@@ -516,10 +476,6 @@ def correction_vector(
     return (values, reduced)
 
 
-def _always_in_tree(context: MatchingContext) -> set[int]:
-    return set(context.pinned) | {context.forced_edge}
-
-
 def _endpoint_edges(
     instance: HalfIntegralInstance, edge: int
 ) -> tuple[frozenset[int], frozenset[int]]:
@@ -535,18 +491,9 @@ def normal_even_probability(
 
     An endpoint's degree is the size of the connector's meet with the edges
     there, so this is ``even_pair_probability`` of the connector's
-    character: the product of the independent levels' characters, times one
-    sign for the pinned and forced matched edges, which every connector has.
+    character.
     """
-    certain = _always_in_tree(context)
-
-    def character(flips: frozenset[int]) -> Fraction:
-        value = Fraction(-1 if len(certain & flips) % 2 else 1)
-        for level in context.levels:
-            value *= level.sign_expectation(flips)
-        return value
-
-    return even_pair_probability(character, *_endpoint_edges(instance, edge))
+    return even_pair_probability(context.connector.character, *_endpoint_edges(instance, edge))
 
 
 def exactly_one_each_probability(
@@ -562,8 +509,9 @@ def exactly_one_each_probability(
     def counts(edges: set[int]) -> tuple[int, int]:
         return (len(side_u & edges), len(side_v & edges))
 
-    law = {counts(_always_in_tree(context)): Fraction(1)}
-    for level in context.levels:
+    connector = context.connector
+    law = {counts(set(connector.fixed)): Fraction(1)}
+    for level in connector.runs:
         focus = [pos for pos, idx in enumerate(level.edge_ids) if idx in side_u or idx in side_v]
         if not focus:
             continue
@@ -671,7 +619,7 @@ def sample_degree_cut(
     idx = int(rng.choice(len(probabilities), p=probabilities))
     matching = decomposition.weights[idx][1]
     context = contexts[matching]
-    tree = sample_matching_tree(instance, context, rng)
+    tree = context.connector.sample(rng)
     values, reduced = correction_vector(instance, context, tree)
     odd = odd_mask(support, tree)
     pairs, _, join_numerator = joins.join(odd)

@@ -154,10 +154,21 @@ class SupportGraph:
 
 @dataclass(frozen=True)
 class Metric:
-    """Exact shortest-path closure of an instance's cost graph."""
+    """Exact shortest-path closure of an instance's cost graph.
+
+    ``numerators[u][v]`` is the distance times ``scale``, the lcm of the cost
+    denominators; ``dist`` gives the same distances as ``Fraction`` rows,
+    built on first read.
+    """
 
     n: int
-    dist: tuple[tuple[Fraction, ...], ...]
+    scale: int
+    numerators: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def dist(self) -> tuple[tuple[Fraction, ...], ...]:
+        exact = {x: Fraction(x, self.scale) for x in set(chain.from_iterable(self.numerators))}
+        return tuple(tuple(exact[x] for x in row) for row in self.numerators)
 
 
 def _validate(
@@ -183,6 +194,10 @@ def _validate(
             raise EdgeValueError(f"edge {i} has value {e.lp_value}, expected 1/2 or 1")
         if e.cost < 0:
             raise CostError(f"edge {i} has negative cost {e.cost}")
+    # The incident values sum to 2n and to twice the total edge value, which
+    # is at most the edge count: more vertices than edges cannot all reach 2.
+    if n > len(edges):
+        raise DegreeError(f"{len(edges)} edges cannot give {n} vertices incident value 2")
     degree_value = [Fraction(0)] * n
     for e in edges:
         degree_value[e.u] += e.lp_value
@@ -411,7 +426,7 @@ def metric_closure(inst: HalfIntegralInstance) -> Metric:
     exceeds 2 * (sum(costs) + 1): int64 while that is under 2**63, Python
     integers (object dtype) beyond.  Costs are non-negative, so no pivot
     changes its own row or column and each relaxation equals the in-place
-    loop.  Each distinct distance becomes a ``Fraction`` once.
+    loop.  The distances stay integers over the cost scale.
     """
     n = inst.n
     scale, costs = inst.cost_numerators
@@ -427,9 +442,7 @@ def metric_closure(inst: HalfIntegralInstance) -> Metric:
     if cut_off.size:
         i, j = divmod(int(cut_off[0]), n)
         raise CutError(f"vertices {i} and {j} are disconnected")
-    rows = dist.tolist()
-    exact = {x: Fraction(x, scale) for x in set(chain.from_iterable(rows))}
-    return Metric(n=n, dist=tuple(tuple(exact[x] for x in row) for row in rows))
+    return Metric(n=n, scale=scale, numerators=tuple(map(tuple, dist.tolist())))
 
 
 def _unit_singleton_duals(n: int) -> tuple[Fraction, ...]:

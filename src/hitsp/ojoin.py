@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import inf, lcm, nextafter, prod
 from typing import Callable, Iterable, Sequence
 
@@ -101,6 +101,43 @@ class FinalLevel:
 
 
 @dataclass(frozen=True)
+class ConnectorLaw:
+    """``fixed`` edges in every connector plus independent ``runs``, drawn in
+    order: a ``TreeLevel`` by its walk, a tuple of doubled classes by one
+    ``rng.integers(0, 2, size=len(run))`` call, which gives the same picks
+    and generator state as one scalar call per class."""
+
+    fixed: tuple[int, ...]
+    runs: tuple
+
+    def sample(self, rng: np.random.Generator) -> tuple[int, ...]:
+        """One connector, as sorted edge ids."""
+        edges = list(self.fixed)
+        for run in self.runs:
+            if isinstance(run, TreeLevel):
+                edges.extend(run.sample(rng))
+            else:
+                picks = rng.integers(0, 2, size=len(run)).tolist()
+                edges.extend([cls[i] for cls, i in zip(run, picks)])
+        return tuple(sorted(edges))
+
+    def character(self, flips: frozenset[int]) -> Fraction:
+        """E[(-1)^|T & flips|] for the sampled connector T: the product of its
+        independent factors' characters.  The fixed edges give one sign, a
+        doubled class 1 - |class & flips| (1, 0 or -1), a cut-free level its
+        kernel's sign expectation."""
+        value = Fraction(-1 if sum(e in flips for e in self.fixed) % 2 else 1)
+        for run in self.runs:
+            if isinstance(run, TreeLevel):
+                value *= run.sign_expectation(flips)
+            else:
+                value *= prod(1 - (a in flips) - (b in flips) for a, b in run)
+            if not value:
+                break
+        return value
+
+
+@dataclass(frozen=True)
 class SamplingPlan:
     """Per-level samplers; ``unit_keys`` lists the Bernoulli units in their
     fixed draw order: cycle nodes, top edges, final.  Chain and cut-free
@@ -108,12 +145,11 @@ class SamplingPlan:
     children and its ``edge_ids`` are support edge ids.
 
     ``draw_runs``, built once at construction, is the class-pick stream cut
-    into runs: each cut-free level is a run of its own, drawn by its walk,
-    and each maximal stretch of uniform class picks between them (the chain
-    classes, then the unforced ring classes) is one tuple of classes.  The
-    hierarchy doubles every such class, so one ``rng.integers(0, 2,
-    size=len(run))`` call draws a run: the same bounded integers, in order,
-    as one scalar call per class.
+    into runs: each cut-free level is a run of its own and each maximal
+    stretch of uniform class picks between them (the chain classes, then the
+    unforced ring classes) is one tuple of classes, which the hierarchy
+    doubles.  ``connector`` is the law of the forced ring edge plus those
+    runs.
     """
 
     support: SupportGraph
@@ -123,6 +159,7 @@ class SamplingPlan:
     final_level: FinalLevel
     unit_keys: tuple[tuple, ...]
     draw_runs: tuple = field(init=False, repr=False, compare=False)
+    connector: ConnectorLaw = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         final = self.final_level
@@ -135,6 +172,7 @@ class SamplingPlan:
         object.__setattr__(self, "draw_runs", tuple(
             run if isinstance(run, TreeLevel) else tuple(run) for run in runs if run
         ))
+        object.__setattr__(self, "connector", ConnectorLaw((final.forced_edge,), self.draw_runs))
 
 
 @dataclass(frozen=True)
@@ -236,18 +274,12 @@ def sample_hierarchical_tree(plan: SamplingPlan, rng: np.random.Generator) -> Tr
 
     Draw order is fixed (chain levels by node id, then cut-free levels by node
     id, then ring classes in order, then unit uniforms in key order) so a
-    seeded generator reproduces samples exactly.  The picks come run by run
-    from ``plan.draw_runs``; the forced ring edge takes no draw.
+    seeded generator reproduces samples exactly.  The picks come from
+    ``plan.connector``; the forced ring edge takes no draw.
     """
-    edges = [plan.final_level.forced_edge]
-    for run in plan.draw_runs:
-        if isinstance(run, TreeLevel):
-            edges.extend(run.sample(rng))
-        else:
-            picks = rng.integers(0, 2, size=len(run)).tolist()
-            edges.extend([cls[i] for cls, i in zip(run, picks)])
+    edges = plan.connector.sample(rng)
     uniforms = dict(zip(plan.unit_keys, rng.random(len(plan.unit_keys)).tolist()))
-    return TreeSample(edges=tuple(sorted(edges)), bernoulli_uniforms=uniforms)
+    return TreeSample(edges=edges, bernoulli_uniforms=uniforms)
 
 
 def even_pair_probability(
@@ -256,24 +288,6 @@ def even_pair_probability(
     """P[|T & A| and |T & B| both even] = (1 + chi(A) + chi(B) + chi(A ^ B)) / 4,
     with chi(F) = E[(-1)^|T & F|] given by ``character``."""
     return (1 + character(set_a) + character(set_b) + character(set_a ^ set_b)) / 4
-
-
-def connector_character(plan: SamplingPlan, flips: frozenset[int]) -> Fraction:
-    """E[(-1)^|T & flips|] for the sampled connector T: the product of its
-    independent factors' characters, read off ``plan.draw_runs``.
-
-    A doubled class gives 1 - |class & flips| (1, 0 or -1), a cut-free level
-    its kernel's sign expectation, and the forced ring edge -1 when flipped.
-    """
-    value = Fraction(-1 if plan.final_level.forced_edge in flips else 1)
-    for run in plan.draw_runs:
-        if isinstance(run, TreeLevel):
-            value *= run.sign_expectation(flips)
-        else:
-            value *= prod(1 - (a in flips) - (b in flips) for a, b in run)
-        if not value:
-            break
-    return value
 
 
 def compute_even_at_last_probs(plan: SamplingPlan) -> dict[int, Fraction]:
@@ -288,14 +302,13 @@ def compute_even_at_last_probs(plan: SamplingPlan) -> dict[int, Fraction]:
     hierarchy = plan.hierarchy
     out: dict[int, Fraction] = {}
     cache: dict[tuple[frozenset[int], frozenset[int]], Fraction] = {}
-    character = partial(connector_character, plan)
     for e in range(len(plan.support.edges)):
         key = hierarchy.last_cuts(e)
         if key not in cache:
             edges_a, edges_b = (
                 frozenset(boundary_edges(plan.support, side)) for side in key
             )
-            cache[key] = even_pair_probability(character, edges_a, edges_b)
+            cache[key] = even_pair_probability(plan.connector.character, edges_a, edges_b)
         out[e] = cache[key]
     return out
 
@@ -689,16 +702,15 @@ def _join_layers(k: int) -> tuple[tuple[tuple[np.ndarray, ...], ...], int]:
 class JoinCalculator:
     """Minimum-cost perfect matchings on odd vertex sets, memoized.
 
-    Distances are integers over ``scale``, the lcm of the metric's
-    denominators.  One layered dynamic program pairs up to
+    Distances are the metric's integer numerators over its ``scale``.  One layered dynamic program pairs up to
     ``EXACT_JOIN_LIMIT`` odd vertices optimally; a greedy pairing (an upper
     bound) covers larger sets.  Each odd set's pairs and integer cost are
     cached under its vertex bitmask, so repeated samples reuse the work.
     """
 
     def __init__(self, metric: Metric):
-        self.scale = lcm(*(d.denominator for row in metric.dist for d in row))
-        self.dist = tuple(tuple((d * self.scale).numerator for d in row) for row in metric.dist)
+        self.scale = metric.scale
+        self.dist = metric.numerators
         self._top = max(max(row) for row in self.dist)
         self._matrix = np.array(self.dist, dtype=np.int64 if self._top < 2**63 else object)
         # One shared tuple per vertex pair keeps the memo small.
@@ -852,8 +864,7 @@ class SampleOutcome:
     def tour_numerator(self) -> int:
         if not self._tour:
             order = tour_order(self.prepared.support, self.tree_edges, self.join_pairs)
-            lift = self.prepared.cost_scale // self.joins.scale
-            self._tour.append(self.joins.cycle_cost(order) * lift)
+            self._tour.append(self.joins.cycle_cost(order))
         return self._tour[0]
 
     @property
@@ -882,7 +893,6 @@ def run_sample(
     tree = sample.edges
     odd = odd_mask(prepared.support, tree)
     pairs, join_exact, join_numerator = joins.join(odd)
-    join_numerator *= prepared.cost_scale // joins.scale
     tree_numerator = sum(prepared.edge_cost[e] for e in tree)
     scale = prepared.scale
     reduced_count = 0

@@ -80,6 +80,14 @@ def test_validate_rejects_malformed(tmp_path, capsys):
     assert main(["validate", "--instance", str(bad)]) == 2
 
 
+def test_validate_rejects_more_vertices_than_edges_before_allocating(tmp_path, capsys):
+    edges = [{"u": u, "v": v, "x": "1", "cost": 1} for u, v in ((0, 1), (1, 2), (0, 2))]
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({"name": "big", "n": 10**15, "edges": edges}))
+    assert main(["validate", "--instance", str(big)]) == 2
+    assert "3 edges cannot give" in capsys.readouterr().err
+
+
 def test_hierarchy_json_and_dot(chain_file, tmp_path):
     out = tmp_path / "h.json"
     assert main(["hierarchy", "--instance", chain_file, "--out", str(out)]) == 0
@@ -200,6 +208,12 @@ def test_run_rejects_non_positive_samples(samples, monkeypatch, capsys):
     monkeypatch.setattr(hitsp.cli, "prepare_instance", no_prepare)
     assert main(["run", "--gen", "envelope:2", "--samples", samples]) == 2
     assert "--samples must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_run_rejects_non_positive_jobs(jobs, capsys):
+    assert main(["run", "--gen", "envelope:2", "--samples", "5", "--jobs", jobs]) == 2
+    assert f"--jobs must be positive, got {jobs}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("samples", ["0", "-3"])

@@ -12,6 +12,7 @@ from test_simplex import reference_solve_equalities_nonneg
 from hitsp.degreecut import (
     DegreeCutError,
     _first_tight_set,
+    _matching_marginals,
     build_matching_context,
     build_tree_levels,
     decompose_matching,
@@ -220,7 +221,7 @@ def test_run_degree_cut_report():
     assert report.feasible_failures == 0
     assert report.mean_tour_ratio <= 1.4671 + 3 * report.tour_ratio_std
     assert report.matching_count >= 8
-    assert report.decomposition_method in ("ipf", "simplex")
+    assert report.decomposition_method in ("uniform", "simplex")
 
 
 def test_run_degree_cut_rejects_bad_instances():
@@ -243,7 +244,24 @@ def test_degree_cut_samples_use_the_shared_seeding_scheme():
 
 
 @pytest.mark.parametrize(
-    "family,n", [("k5_degree", 7), ("k5_degree", 9), ("random_half_integral", 14)]
+    "family,n",
+    [("k5_degree", 5), ("k5_degree", 6), ("k5_degree", 7), ("random_half_integral", 5), ("random_half_integral", 6)],
+)
+def test_uniform_law_is_taken_exactly_when_it_hits_the_target(family, n):
+    inst = generate_instance(family, n)
+    matchings = enumerate_maximum_matchings(inst)
+    uniform = [Fraction(1, len(matchings))] * len(matchings)
+    hits = _matching_marginals(zip(uniform, matchings), len(inst.edges)) == fractional_matching_target(inst)
+    assert hits == (n < 7)
+    dec = decompose_matching(inst)
+    assert dec.method == ("uniform" if hits else "simplex")
+    if hits:
+        assert dec.weights == tuple(zip(uniform, matchings))
+
+
+@pytest.mark.parametrize(
+    "family,n",
+    [("k5_degree", 7), ("k5_degree", 9), ("random_half_integral", 8), ("random_half_integral", 14)],
 )
 def test_decomposition_equals_the_fraction_tableau_route(family, n, monkeypatch):
     inst = generate_instance(family, n)
@@ -266,13 +284,25 @@ def test_simplex_decomposition_is_verified(monkeypatch):
         decompose_matching(generate_instance("k5_degree", 7))
 
 
+def reference_matching_tree(context, rng):
+    """The former per-context sampler, kept as the reference for the shared
+    connector law: pinned matching edges, independent level trees, plus the
+    dropped matched edge added back."""
+    chosen = list(context.pinned)
+    for level in context.levels:
+        chosen.extend(level.sample(rng))
+    chosen.append(context.forced_edge)
+    return tuple(sorted(chosen))
+
+
 @pytest.mark.parametrize("spec, rational", [(("k5_degree", 7), False), (("random_half_integral", 14), True)])
 def test_degree_cut_sample_matches_fraction_composition(spec, rational):
     """Integer costs and twelfths give the former ``Fraction`` sums exactly,
-    also on costs in thirds and fifths."""
+    also on costs in thirds and fifths, and the shared connector law draws
+    the former sampler's trees and leaves its generator state."""
     from dataclasses import replace
 
-    from hitsp.degreecut import correction_vector, sample_matching_tree
+    from hitsp.degreecut import correction_vector
     from hitsp.instance import build_support_graph, metric_closure
     from hitsp.ojoin import JoinCalculator, build_tour, odd_vertices
 
@@ -287,16 +317,18 @@ def test_degree_cut_sample_matches_fraction_composition(spec, rational):
     metric = metric_closure(inst)
     joins = JoinCalculator(metric)
     for seed in range(200):
+        got_rng = sample_rng(seed, 0)
         out = sample_degree_cut(
-            inst, dec, contexts, sample_rng(seed, 0), joins, support, metric,
+            inst, dec, contexts, got_rng, joins, support, metric,
             check_vector=seed < 20,
         )
         context = contexts[out.matching]
         rng = sample_rng(seed, 0)
         weights = np.array([float(w) for w, _ in dec.weights])
         rng.choice(len(weights), p=weights / weights.sum())
-        tree = sample_matching_tree(inst, context, rng)
+        tree = reference_matching_tree(context, rng)
         assert out.tree_edges == tree
+        assert got_rng.bit_generator.state == rng.bit_generator.state
         pairs, _ = joins.matching(odd_vertices(support, tree))
         values = [Fraction(x, 12) for x in correction_vector(inst, context, tree)[0]]
         assert out.tree_cost == sum((inst.edges[e].cost for e in tree), Fraction(0))

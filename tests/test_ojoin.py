@@ -518,7 +518,7 @@ def random_rational_metric(n, seed):
         for i in range(n):
             for j in range(n):
                 dist[i][j] = min(dist[i][j], dist[i][k] + dist[k][j])
-    return Metric(n=n, dist=tuple(tuple(row) for row in dist))
+    return Metric(n=n, scale=15, numerators=tuple(tuple(int(d * 15) for d in row) for row in dist))
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -589,7 +589,7 @@ def test_layered_dp_matches_push_dp_at_every_size():
         (u, v) for u in range(unit.n) for v in range(u + 1, unit.n) if unit.dist[u][v] == 0
     )
     base = random_rational_metric(18, 7)
-    huge = Metric(n=18, dist=tuple(tuple(d * 2**54 for d in row) for row in base.dist))
+    huge = Metric(n=18, scale=15, numerators=tuple(tuple(d * 2**54 for d in row) for row in base.numerators))
     overflows = 0
     for metric in [unit, *(random_rational_metric(18, seed) for seed in (21, 22, 23)), huge]:
         joins = JoinCalculator(metric)
