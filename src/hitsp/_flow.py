@@ -4,14 +4,18 @@
 graph.  On top of it: every minimum cut, as the closed sets of residual
 graphs (Picard-Queyranne 1980); the minimum odd cut for an odd set T, from
 |T| - 1 flows, as a fundamental cut of a cut tree on T alone (Padberg-Rao
-1982); and a witness side for a cut below k edges.  Capacities are summed
-per vertex pair and kept as dict rows.
+1982); a witness side for a cut below k edges; and the first tight set of a
+spanning-tree polytope point, from one flow per edge pair (Picard-Queyranne
+1980; Cunningham 1984).  Capacities are summed per vertex pair and kept as
+dict rows.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable
+from fractions import Fraction
+from math import lcm
+from typing import Iterable, Sequence
 
 Rows = list[dict[int, int]]
 
@@ -164,3 +168,36 @@ def small_edge_cut_witness(
         if value < k:
             return frozenset(range(n)) - _closure(residual, (0,))
     return None
+
+
+def first_tight_set(n: int, edges: Sequence[tuple[int, int, Fraction]]) -> frozenset[int] | None:
+    """The first tight set S (2 <= |S| < n, x(E(S)) = |S| - 1) of a point x of
+    the spanning-tree polytope: smallest first, then as ``combinations``
+    orders them.  None if there is none; ValueError if x is outside.
+
+    Over L, the lcm of the denominators, edge e gets capacity L x_e and
+    vertex v the excess c_v = 2L - L x(delta(v)): an arc to the sink if
+    positive, from the source if negative.  The cut of {source} | S is
+    2L (|S| - x(E(S))) - (sum of negative c_v), and |S| - x(E(S)) >= 1 on the
+    polytope, so the flow from {source, a, b} meets that bound at 1 exactly
+    when a tight set holds a and b; the sources' closure is the least one.  A
+    tight set is connected, so these least sets include every minimal one.
+    """
+    scale = lcm(*(x.denominator for _, _, x in edges))
+    arcs = [(u, v, x.numerator * (scale // x.denominator)) for u, v, x in edges]
+    excess = [2 * scale - sum(w for a, b, w in arcs if v in (a, b)) for v in range(n)]
+    source, sink = n, n + 1
+    # _rows adds the reverse arcs too; no cut counts them, as the source is
+    # always on the source side and the sink never is.
+    arcs += [(v, sink, c) if c > 0 else (source, v, -c) for v, c in enumerate(excess) if c]
+    capacity = _rows(n + 2, arcs)
+    bound = 2 * scale - sum(c for c in excess if c < 0)
+    best = None
+    for pair in sorted({(min(u, v), max(u, v)) for u, v, _ in edges}):
+        value, residual = _max_flow(capacity, (source, *pair), sink)
+        if value < bound:
+            raise ValueError(f"targets leave the spanning-tree polytope at {pair}")
+        side = sorted(_closure(residual, (source, *pair)) - {source})
+        if value == bound and len(side) < n and (best is None or (len(side), side) < best):
+            best = (len(side), side)
+    return None if best is None else frozenset(best[1])

@@ -40,6 +40,7 @@ from .instance import (
     GENERATOR_FAMILIES,
     HalfIntegralInstance,
     InstanceError,
+    MalformedInstanceError,
     build_support_graph,
     generate_instance,
     parse_instance,
@@ -113,8 +114,14 @@ def _parse_gen_spec(text: str) -> tuple[str, int]:
 
 def load_instance(args: argparse.Namespace) -> HalfIntegralInstance:
     if getattr(args, "instance", None):
-        with open(args.instance, "r", encoding="utf-8") as fh:
-            return parse_instance(fh.read())
+        try:
+            with open(args.instance, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise MalformedInstanceError(f"{args.instance} is not UTF-8: {exc}") from exc
+        except OSError as exc:
+            raise ArgumentError(f"cannot read --instance {args.instance}: {exc.strerror}") from exc
+        return parse_instance(text)
     if getattr(args, "gen", None):
         if args.gen in GADGET_BUILDERS:
             return GADGET_BUILDERS[args.gen]()
@@ -145,16 +152,24 @@ def _config_dict(args: argparse.Namespace, fields: tuple[str, ...]) -> dict:
     return out
 
 
+def _open_output(path: str, newline: str | None = None):
+    """``path`` opened for writing; a path that cannot be written is a bad argument."""
+    try:
+        return open(path, "w", encoding="utf-8", newline=newline)
+    except OSError as exc:
+        raise ArgumentError(f"cannot write {path}: {exc.strerror}") from exc
+
+
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
+        with _open_output(out_path) as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
 def _write_csv(path: str, rows: list[tuple[str, object]]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _open_output(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["metric", "value"])
         writer.writerows(rows)
@@ -670,7 +685,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _check_ranges(args)
         return args.func(args)
-    except (InstanceError, DegreeCutError, FileNotFoundError) as exc:
+    except (InstanceError, DegreeCutError) as exc:
         sys.stderr.write(f"invalid instance: {exc}\n")
         return EXIT_INVALID
     except (PlanError, InternalHierarchyError) as exc:

@@ -20,11 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from ._flow import first_tight_set
 from ._simplex import solve_equalities_nonneg
 from ._util import ResourceCapError
 from .instance import (
@@ -49,8 +49,6 @@ from .ojoin import (
 # The decomposition solves one system over every maximum matching; past this
 # many the instance is refused (ResourceCapError) instead of run for minutes.
 MATCHING_CAP = 10_000
-# The tight-set scan takes vertex masks in blocks of 2^16.
-TIGHT_SCAN_BITS = 16
 
 
 class DegreeCutError(ValueError):
@@ -226,8 +224,10 @@ def build_tree_levels(
     vertex set whose internal target mass equals its size minus one confines
     exactly that many tree edges, so the tree law factorizes: the set's
     interior and its contraction are independent problems.  Recursing on
-    inclusion-minimal tight sets yields levels with targets strictly inside
-    their spanning-tree polytopes, where a weight fit converges.
+    inclusion-minimal tight sets, each found by ``_flow.first_tight_set`` in
+    polynomial time, yields levels with targets strictly inside their
+    spanning-tree polytopes, where a weight fit converges.  Targets outside
+    the polytope raise ``DegreeCutError``.
     """
     pinned = tuple(i for i, t in enumerate(targets) if t == 1)
     deleted = tuple(i for i, t in enumerate(targets) if t == 0)
@@ -246,47 +246,20 @@ def build_tree_levels(
 
     def split(nq: int, items: list[tuple[int, int, int]], tvals: dict) -> None:
         if nq <= 1:
-            if items:
-                raise DegreeCutError("leftover edges on a single vertex")
             return
         tight = _first_tight_set(nq, items, tvals)
         if tight is None:
-            levels.append(
-                fit_level(
-                    nq,
-                    [(u, v) for _, u, v in items],
-                    [idx for idx, _, _ in items],
-                    [tvals[idx] for idx, _, _ in items],
-                    tol=1e-10,
-                )
-            )
+            ids, pairs = [idx for idx, _, _ in items], [(u, v) for _, u, v in items]
+            levels.append(fit_level(nq, pairs, ids, [tvals[idx] for idx in ids], tol=1e-10))
             return
         sset, inside = tight
         order = {v: i for i, v in enumerate(sorted(sset))}
-        split(
-            len(sset),
-            [(idx, order[u], order[v]) for idx, u, v in inside],
-            tvals,
-        )
-        merged = min(sset)
-        outer_order = {}
-        nxt = 0
-        for v in range(nq):
-            if v in sset and v != merged:
-                continue
-            outer_order[v] = nxt
-            nxt += 1
-        inside_ids = {it[0] for it in inside}
-        outside = []
-        for idx, u, v in items:
-            if idx in inside_ids:
-                continue
-            uu = merged if u in sset else u
-            vv = merged if v in sset else v
-            if uu == vv:
-                raise DegreeCutError(f"edge {idx} trapped inside a tight set")
-            outside.append((idx, outer_order[uu], outer_order[vv]))
-        split(nxt, outside, tvals)
+        split(len(sset), [(idx, order[u], order[v]) for idx, u, v in inside], tvals)
+        # Contract S onto its least vertex, which keeps the order of the rest;
+        # the inside items become the loops.
+        root = min(sset)
+        outer, pairs, _ = _contract(nq, [(u, v) for _, u, v in items], [(v, root) for v in sset])
+        split(outer, [(it[0], *p) for it, p in zip(items, pairs) if p[0] != p[1]], tvals)
 
     tvals = {i: Fraction(targets[i]) for i, _, _ in live}
     split(size, live, tvals)
@@ -295,51 +268,15 @@ def build_tree_levels(
 
 def _first_tight_set(
     nq: int, items: Sequence[tuple[int, int, int]], tvals: dict
-) -> tuple[set[int], list[tuple[int, int, int]]] | None:
-    """The first tight set S (2 <= |S| < nq, internal target mass |S| - 1)
-    that ``combinations`` would meet, smallest size first, and its items.
-
-    Masses are integers over L = lcm of the target denominators.  Vertex v is
-    bit nq - 1 - v, so among sets of one size the lexicographically first is
-    the largest mask.  Each block of masks fixes the bits past the low ones.
-    """
-    scale = lcm(*(tvals[idx].denominator for idx, _, _ in items))
-    weights = [(*sorted((nq - 1 - u, nq - 1 - v)), int(tvals[idx] * scale)) for idx, u, v in items]
-    fits = sum(abs(w) for _, _, w in weights) + scale * (nq + 1) < 2**62
-    low = min(nq, TIGHT_SCAN_BITS)
-    counts = np.zeros(1 << low, dtype=np.int64 if fits else object)
-    counts[[1 << i for i in range(low)]] = 1
-    counts = _subset_sums(counts)
-    best = None
-    for high in range(1 << (nq - low)):
-        # An edge inside the low bits sits at its pair, one from a low vertex
-        # to the block's high set at that vertex, one inside the high set at 0.
-        mass = np.zeros_like(counts)
-        for a, b, w in weights:
-            if b < low:
-                mass[1 << a | 1 << b] += w
-            elif high >> (b - low) & 1 and (a < low or high >> (a - low) & 1):
-                mass[1 << a if a < low else 0] += w
-        size = counts + high.bit_count()
-        found = np.flatnonzero((_subset_sums(mass) == scale * (size - 1)) & (size >= 2) & (size < nq))
-        if found.size:
-            smallest = int(size[found].min())
-            key = (smallest, -(high << low | int(found[size[found] == smallest][-1])))
-            best = key if best is None else min(best, key)
-    if best is None:
+) -> tuple[frozenset[int], list[tuple[int, int, int]]] | None:
+    """``_flow.first_tight_set`` over ``(id, u, v)`` items, and its items."""
+    try:
+        sset = first_tight_set(nq, [(u, v, tvals[idx]) for idx, u, v in items])
+    except ValueError as exc:
+        raise DegreeCutError(str(exc)) from None
+    if sset is None:
         return None
-    sset = {v for v in range(nq) if -best[1] >> (nq - 1 - v) & 1}
     return sset, [it for it in items if it[1] in sset and it[2] in sset]
-
-
-def _subset_sums(values: np.ndarray) -> np.ndarray:
-    """In place: entry S becomes the sum of ``values[T]`` over subsets T of S."""
-    half = 1
-    while half < len(values):
-        view = values.reshape(-1, 2, half)
-        view[:, 1] += view[:, 0]
-        half *= 2
-    return values
 
 
 @dataclass(frozen=True)

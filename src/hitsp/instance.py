@@ -25,7 +25,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from ._flow import small_edge_cut_witness
-from ._util import canonical_json, format_rational, parse_rational
+from ._util import _unlimited_int_digits, canonical_json, format_rational, parse_rational
 
 HALF = Fraction(1, 2)
 ONE = Fraction(1)
@@ -258,11 +258,21 @@ def parse_instance(text: str) -> HalfIntegralInstance:
          "edges": [{"u": int, "v": int, "x": "1/2"|"1", "cost": int|"p/q"}, ...],
          "e_plus": int?          # optional, index of a value-1 edge
          "duals": [int|"p/q"]?}  # optional, one value per vertex
+
+    Integers are read in full at any length, as ``serialize_instance``
+    writes them.
     """
+    with _unlimited_int_digits():
+        return _parse_payload(text)
+
+
+def _parse_payload(text: str) -> HalfIntegralInstance:
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MalformedInstanceError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise MalformedInstanceError("invalid JSON: nested too deeply") from exc
     if not isinstance(payload, dict):
         raise MalformedInstanceError("top-level value must be an object")
     unknown = set(payload) - {"name", "n", "edges", "e_plus", "duals"}

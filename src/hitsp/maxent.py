@@ -53,13 +53,6 @@ class JointDistribution:
     edges: tuple[int, ...]
     probabilities: dict
 
-    def marginal(self, position: int):
-        total = None
-        for pattern, prob in self.probabilities.items():
-            if pattern[position]:
-                total = prob if total is None else total + prob
-        return Fraction(0) if total is None else total
-
 
 class FitConvergenceError(RuntimeError):
     """The marginal fitter did not reach tolerance; carries the best error."""
@@ -502,20 +495,6 @@ def _walk(tables: tuple[list, ...], rng: np.random.Generator) -> list[int]:
             tree.append(ids[u][hop[u]])
             u = neighbours[u][hop[u]]
     return tree
-
-
-def sample_tree(
-    n: int,
-    edges: Sequence[tuple[int, int]],
-    lam: Sequence,
-    rng: np.random.Generator,
-) -> tuple[int, ...]:
-    """One spanning tree via loop-erased random walks, weight-proportional.
-
-    Returns the sorted edge indices of the sampled tree.  Parallel edges are
-    handled individually, so multigraph levels sample correctly.
-    """
-    return tuple(sorted(_walk(_walk_tables(n, edges, lam, range(len(edges))), rng)))
 
 
 @dataclass(frozen=True)

@@ -632,26 +632,6 @@ def _matches_window_gadget(joint: dict[tuple[int, ...], Fraction]) -> bool:
     return False
 
 
-def k5_parity_census() -> dict[tuple[int, int], int]:
-    """Parity census of the 16 uniform trees of the complete 4-vertex graph.
-
-    For the fixed edge (0, 1): counts of (degree parity of 0, parity of 1),
-    with 0 meaning even.
-    """
-    edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-    trees = enumerate_spanning_trees(4, edges)
-    census: dict[tuple[int, int], int] = {}
-    for t in trees:
-        deg = [0, 0, 0, 0]
-        for i in t:
-            u, v = edges[i]
-            deg[u] += 1
-            deg[v] += 1
-        key = (deg[0] % 2, deg[1] % 2)
-        census[key] = census.get(key, 0) + 1
-    return census
-
-
 @dataclass(frozen=True)
 class BernoulliConfig:
     """Success probabilities of independent Bernoulli variables."""

@@ -12,7 +12,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from test_oracle import hoeffding_random_minimum
+from test_maxent import sample_tree
+from test_oracle import hoeffding_random_minimum, k5_parity_census
 
 from hitsp.cli import HIERARCHY_CORPUS, corpus_instance, main
 from hitsp.degreecut import (
@@ -29,7 +30,6 @@ from hitsp.instance import generate_instance
 from hitsp.maxent import (
     enumerate_spanning_trees,
     fit_lambda,
-    sample_tree,
     tree_marginals,
 )
 from hitsp.ojoin import JoinCalculator, prepare_instance, run_sample, sample_rng
@@ -37,7 +37,6 @@ from hitsp.oracle import (
     HOEFFDING_FUNCTIONALS,
     exact_pipeline_expectations,
     hoeffding_extremal,
-    k5_parity_census,
     run_lemma_battery,
 )
 

@@ -12,7 +12,7 @@ import pytest
 
 import hitsp
 import hitsp.cuts
-from hitsp._util import canonical_json, format_rational
+from hitsp._util import _unlimited_int_digits, canonical_json, format_rational
 from hitsp.cli import main
 from hitsp.instance import parse_instance
 from hitsp.ojoin import prepare_instance
@@ -72,6 +72,58 @@ def test_validate_reports_summary(chain_file, tmp_path):
 
 def test_validate_missing_file_exits_2():
     assert main(["validate", "--instance", "/nonexistent/x.json"]) == 2
+
+
+@pytest.mark.parametrize("command", ["validate", "run", "verify-lemmas", "degreecut"])
+def test_unreadable_or_unwritable_paths_exit_2(command, tmp_path, capsys):
+    """A directory or a missing directory, given as a file, is a bad
+    argument named in the message, not a traceback."""
+    gen = ["--gen", "k5_degree:5" if command == "degreecut" else "envelope:1"]
+    fast = {"run": ["--samples", "2"], "degreecut": ["--samples", "2"]}.get(command, [])
+    cases = [
+        (["--instance", str(tmp_path)], f"cannot read --instance {tmp_path}: Is a directory"),
+        ([*gen, "--out", str(tmp_path)], f"cannot write {tmp_path}: Is a directory"),
+        ([*gen, "--out", str(tmp_path / "no" / "r.json")], "No such file or directory"),
+    ]
+    if command in ("run", "degreecut"):
+        cases.append(([*gen, "--csv", str(tmp_path)], f"cannot write {tmp_path}: Is a directory"))
+    for flags, message in cases:
+        assert main([command, *fast, *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid arguments: ") and message in err
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b'{"name": "\xff"}', "is not UTF-8"),
+        (b"[" * 100_000, "nested too deeply"),
+    ],
+    ids=["not-utf8", "deep-nesting"],
+)
+def test_malformed_files_exit_2(content, message, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    assert main(["validate", "--instance", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid instance: ") and message in err
+
+
+def test_integer_literals_past_the_digit_limit_are_read(tmp_path, capsys):
+    """A 5,001-digit integer cost parses; the instance then fails only
+    because the cost is negative."""
+    path = tmp_path / "big.json"
+    assert main(["gen", "--gen", "envelope:1", "--out", str(path)]) == 0
+    data = read_json(path)
+    data["edges"][0]["cost"] = -(10**5000)
+    with _unlimited_int_digits():
+        path.write_text(json.dumps(data))
+    assert main(["validate", "--instance", str(path)]) == 2
+    assert "has negative cost -1" + "0" * 5000 in capsys.readouterr().err
+    data["edges"][0]["cost"] = 10**5000
+    with _unlimited_int_digits():
+        path.write_text(json.dumps(data))
+    assert main(["validate", "--instance", str(path)]) == 0
 
 
 def test_validate_rejects_malformed(tmp_path, capsys):

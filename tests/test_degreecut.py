@@ -378,12 +378,14 @@ def combinations_first_tight_set(nq, items, tvals):
 
 @pytest.mark.parametrize(
     "family,n",
-    [("k5_degree", n) for n in range(5, 10)]
-    + [("random_half_integral", 18), ("random_half_integral", 26)],
+    [("k5_degree", n) for n in (5, 6, 7, 8, 9, 11, 13)]
+    + [("random_half_integral", n) for n in (13, 18, 26)],
 )
 def test_tree_levels_equal_the_combinations_scan(family, n, monkeypatch):
     """Every k5_degree maximum matching, and every matching the random
-    instances' decompositions draw."""
+    instances' decompositions draw.  A level is compared by the arguments
+    its (deterministic) weight fit gets."""
+    monkeypatch.setattr("hitsp.degreecut.fit_level", lambda *args, **kwargs: args)
     inst = generate_instance(family, n)
     if family == "k5_degree":
         matchings = enumerate_maximum_matchings(inst)
@@ -391,43 +393,60 @@ def test_tree_levels_equal_the_combinations_scan(family, n, monkeypatch):
         matchings = [m for _, m in decompose_matching(inst).weights]
     edges = [(e.u, e.v) for e in inst.edges]
     targets = [tree_target_vector(inst, m)[0] for m in matchings]
-    bitmask = [build_tree_levels(inst.n, edges, t) for t in targets]
+    flows = [build_tree_levels(inst.n, edges, t) for t in targets]
     monkeypatch.setattr("hitsp.degreecut._first_tight_set", combinations_first_tight_set)
-    assert [build_tree_levels(inst.n, edges, t) for t in targets] == bitmask
+    assert [build_tree_levels(inst.n, edges, t) for t in targets] == flows
     # Tight sets split every context from n = 6 on; K5's stay one level.
-    assert all((len(levels) > 1) == (n > 5) for _, _, levels in bitmask)
+    assert all((len(levels) > 1) == (n > 5) for _, _, levels in flows)
+
+
+def random_tree(rng, nq, planted):
+    """A random spanning tree on ``nq`` vertices that spans each of the
+    disjoint ``planted`` sets: a random tree inside each, then random edges
+    joining the parts."""
+    edges, parts = [], []
+    for sset in planted:
+        order = rng.sample(sorted(sset), len(sset))
+        edges += [(v, rng.choice(order[:i])) for i, v in enumerate(order) if i]
+        parts.append(order)
+    covered = set().union(*planted)
+    parts += [[v] for v in range(nq) if v not in covered]
+    rng.shuffle(parts)
+    for i, part in enumerate(parts[1:], start=1):
+        edges.append((rng.choice(part), rng.choice(rng.choice(parts[:i]))))
+    return edges
 
 
 def planted_targets(rng, nq, planted, denominators):
-    """Random edge targets in (0, 1) on ``nq`` vertices, then one more edge
-    inside each planted set tops its internal mass up to its size minus one."""
-    items, tvals = [], {}
-
-    def add(u, v, t):
-        tvals[len(items)] = t
-        items.append((len(items), u, v))
-
-    for _ in range(rng.randint(nq, 3 * nq)):
+    """A point of the spanning-tree polytope on which every planted set is
+    tight: a convex combination of random trees that each span every planted
+    set, its weights broken off the rest by fractions over ``denominators``.
+    Some pairs are split into two parallel items."""
+    rest, weights = Fraction(1), []
+    for _ in range(rng.randint(4, 7)):
         den = rng.choice(denominators)
-        add(*rng.sample(range(nq), 2), Fraction(rng.randint(1, den - 1), den))
-    for sset in planted:
-        mass = sum((tvals[i] for i, u, v in items if u in sset and v in sset), Fraction(0))
-        add(*rng.sample(sorted(sset), 2), len(sset) - 1 - mass)
+        weights.append(rest * Fraction(rng.randint(1, den - 1), den))
+        rest -= weights[-1]
+    mass = {}
+    for w in [*weights, rest]:
+        for u, v in random_tree(rng, nq, planted):
+            mass[min(u, v), max(u, v)] = mass.get((min(u, v), max(u, v)), 0) + w
+    items, tvals = [], {}
+    for (u, v), t in sorted(mass.items()):
+        parts = [t / 3, t * 2 / 3] if rng.random() < 0.25 else [t]
+        for part in parts:
+            tvals[len(items)] = part
+            items.append((len(items), *rng.sample((u, v), 2)))
     return items, tvals
 
 
-@pytest.mark.parametrize(
-    "block_bits, denominators",
-    [(16, (3, 4, 7, 12)), (2, (3, 4, 7, 12)), (16, (3, 2**31 - 1, 2**61 - 1))],
-)
-def test_first_tight_set_on_planted_targets(block_bits, denominators, monkeypatch):
+@pytest.mark.parametrize("denominators", [(3, 4, 7, 12), (3, 2**31 - 1, 2**61 - 1)])
+def test_first_tight_set_on_planted_targets(denominators):
     """Two tight sets of one size go to the lexicographically first, as in
-    ``combinations``; a set of size nq - 1 is found; 2-bit blocks run the
-    scan over many blocks of fixed high vertices, and masses past int64
-    range are summed as Python ints."""
-    monkeypatch.setattr("hitsp.degreecut.TIGHT_SCAN_BITS", block_bits)
+    ``combinations``; a set of size nq - 1 is found; targets over
+    denominators past the int64 range are exact."""
     rng = random.Random(6203)
-    planted_first = 0
+    planted_first = largest = 0
     for trial in range(240):
         nq = rng.randint(5, 9)
         order = rng.sample(range(nq), nq)
@@ -442,5 +461,19 @@ def test_first_tight_set_on_planted_targets(block_bits, denominators, monkeypatc
         expected = combinations_first_tight_set(nq, items, tvals)
         assert _first_tight_set(nq, items, tvals) == expected
         planted_first += expected[0] == min(planted, key=sorted)
-    assert planted_first > 150
+        largest += len(expected[0]) == nq - 1
+    assert planted_first > 150 and largest > 0
     assert _first_tight_set(4, [], {}) is None
+    # 1/2 on each edge of K4: only the whole vertex set is tight.
+    k4 = [(i, u, v) for i, (u, v) in enumerate(combinations(range(4), 2))]
+    assert _first_tight_set(4, k4, dict.fromkeys(range(6), HALF)) is None
+
+
+def test_targets_outside_the_tree_polytope_raise():
+    """A triangle at 3/4 per edge holds 9/4 > 2: alone, and inside a point
+    whose total is still n - 1."""
+    triangle = [(0, 1), (1, 2), (0, 2)]
+    with pytest.raises(DegreeCutError, match="leave the spanning-tree polytope"):
+        build_tree_levels(3, triangle, [Fraction(3, 4)] * 3)
+    with pytest.raises(DegreeCutError, match="leave the spanning-tree polytope"):
+        build_tree_levels(4, [*triangle, (2, 3)], [Fraction(3, 4)] * 4)

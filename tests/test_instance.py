@@ -41,6 +41,23 @@ def test_make_instance_roundtrip_bytes():
     assert again == inst
 
 
+def test_roundtrip_past_the_int_digit_limit():
+    """Costs of 10**5000 and of a 5,000-digit "p/q" are read back in full."""
+    sevens = 7 * (10**5000 - 1) // 9
+    for cost in (Fraction(10**5000), Fraction(sevens, 3)):
+        edges = [(0, 1, "1", cost)] + square_edges()[1:]
+        inst = make_instance("square", 4, edges, e_plus=0)
+        text = serialize_instance(inst)
+        assert parse_instance(text) == inst
+        assert serialize_instance(parse_instance(text)) == text
+    assert '"7777' in text and '/3"' in text
+
+
+def test_parse_maps_deep_nesting_to_malformed():
+    with pytest.raises(MalformedInstanceError, match="nested too deeply"):
+        parse_instance("[" * 100_000 + "]" * 100_000)
+
+
 def test_parse_rejects_float_values():
     inst = make_instance("square", 4, square_edges())
     text = serialize_instance(inst).replace('"1/2"', "0.5")

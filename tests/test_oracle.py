@@ -18,6 +18,7 @@ from hitsp.instance import (
     generate_instance,
     metric_closure,
 )
+from hitsp.maxent import enumerate_spanning_trees
 from hitsp.ojoin import (
     JoinCalculator,
     PreparedInstance,
@@ -38,7 +39,6 @@ from hitsp.oracle import (
     evaluate_functional,
     exact_pipeline_expectations,
     hoeffding_extremal,
-    k5_parity_census,
     level_outcome_table,
     run_lemma_battery,
     subset_count_distribution,
@@ -46,6 +46,24 @@ from hitsp.oracle import (
 )
 
 K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+
+
+def k5_parity_census() -> dict[tuple[int, int], int]:
+    """Parity census of the 16 uniform trees of the complete 4-vertex graph.
+
+    For the fixed edge (0, 1): counts of (degree parity of 0, parity of 1),
+    with 0 meaning even.
+    """
+    census: dict[tuple[int, int], int] = {}
+    for tree in enumerate_spanning_trees(4, K4_EDGES):
+        deg = [0, 0, 0, 0]
+        for i in tree:
+            u, v = K4_EDGES[i]
+            deg[u] += 1
+            deg[v] += 1
+        key = (deg[0] % 2, deg[1] % 2)
+        census[key] = census.get(key, 0) + 1
+    return census
 
 
 # Reference routines the tests compare against; the pipeline never runs them.
