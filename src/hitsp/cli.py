@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -158,6 +159,26 @@ def _open_output(path: str, newline: str | None = None):
         return open(path, "w", encoding="utf-8", newline=newline)
     except OSError as exc:
         raise ArgumentError(f"cannot write {path}: {exc.strerror}") from exc
+
+
+def _check_writable(path: str | None) -> None:
+    """Refuse an output path that cannot be written, as ``_open_output``
+    would, but before any work and without creating or truncating it."""
+    if not path:
+        return
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif os.path.exists(path):
+        code = 0 if os.access(path, os.W_OK) else errno.EACCES
+    elif not os.path.exists(parent):
+        code = errno.ENOENT
+    elif not os.path.isdir(parent):
+        code = errno.ENOTDIR
+    else:
+        code = 0 if os.access(parent, os.W_OK | os.X_OK) else errno.EACCES
+    if code:
+        raise ArgumentError(f"cannot write {path}: {os.strerror(code)}")
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -684,6 +705,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_ranges(args)
+        for path in (getattr(args, "out", None), getattr(args, "csv", None)):
+            _check_writable(path)
         return args.func(args)
     except (InstanceError, DegreeCutError) as exc:
         sys.stderr.write(f"invalid instance: {exc}\n")

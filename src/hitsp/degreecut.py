@@ -39,7 +39,7 @@ from .ojoin import (
     ConnectorLaw,
     JoinCalculator,
     _check_numerators,
-    even_pair_probability,
+    even_pair_probabilities,
     odd_mask,
     sample_rng,
     tour_order,
@@ -421,16 +421,18 @@ def _endpoint_edges(
     return (instance.incident_edges[e.u], instance.incident_edges[e.v])
 
 
-def normal_even_probability(
-    instance: HalfIntegralInstance, context: MatchingContext, edge: int
-) -> Fraction:
-    """P[both endpoints of a matched edge get even connector degree], exactly.
+def normal_even_probabilities(
+    instance: HalfIntegralInstance, context: MatchingContext, edges: Sequence[int]
+) -> list[Fraction]:
+    """P[both endpoints of a matched edge get even connector degree], exactly,
+    for each of ``edges``.
 
     An endpoint's degree is the size of the connector's meet with the edges
-    there, so this is ``even_pair_probability`` of the connector's
-    character.
+    there, so this is ``even_pair_probabilities`` of the connector's
+    characters, all edges in one batch.
     """
-    return even_pair_probability(context.connector.character, *_endpoint_edges(instance, edge))
+    pairs = [_endpoint_edges(instance, edge) for edge in edges]
+    return even_pair_probabilities(context.connector.characters, pairs)
 
 
 def exactly_one_each_probability(
@@ -470,8 +472,9 @@ def expected_edge_vector(
 ) -> list[Fraction]:
     """E[y_e] for one matching: base values minus the reduction mass."""
     values = [Fraction(x, 12) for x in base_correction_values(instance, context)]
-    for e in context.normal_edges:
-        values[e] -= Fraction(1, 3) * normal_even_probability(instance, context, e)
+    normal = context.normal_edges
+    for e, even in zip(normal, normal_even_probabilities(instance, context, normal)):
+        values[e] -= Fraction(1, 3) * even
     return values
 
 

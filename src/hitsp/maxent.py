@@ -9,8 +9,8 @@ and small joint laws, a multiplicative fixed-point fitter that finds
 weights realizing prescribed marginals, and a loop-erased random-walk
 sampler.  :class:`TreeLevel` is the one fitted level both sampling
 pipelines use: its walk tables are built once, and its exact kernel answers
-the character of a set of the caller's edge ids; callers multiply the
-characters of independent levels.
+the characters of a batch of sets of the caller's edge ids; callers multiply
+the characters of independent levels.
 
 Graphs are given as ``(n, edges)`` with ``edges`` a sequence of ``(u, v)``
 pairs over vertices ``0..n-1``; parallel edges are distinct entries and edge
@@ -273,13 +273,19 @@ class TreeKernel:
             out.append(value - self._modulus if 2 * value > self._modulus else value)
         return out
 
-    def _transfer(self, focus: Sequence[int]) -> np.ndarray:
-        """Residues of K(e, f) over the focus edges, shape (P, k, k)."""
-        focus = list(focus)
-        u, v = self._ends[focus].T
-        x, p = self._inverse, self._p[:, None, None]
-        y = x[:, u[:, None], u] - x[:, u[:, None], v] - x[:, v[:, None], u] + x[:, v[:, None], v]
-        return self._lam[:, focus, None] * (y % p) % p
+    def _transfer(self, focus: np.ndarray) -> np.ndarray:
+        """Residues of K(e, f) over each row of focus edges: shape (P, k, k)
+        for k edges, (P, B, k, k) for a (B, k) stack of rows."""
+        u, v = np.moveaxis(self._ends[focus], -1, 0)
+        x, p = self._inverse, self._p.reshape(-1, *(1,) * (focus.ndim + 1))
+        y = x[:, u[..., None], u[..., None, :]]
+        y -= x[:, u[..., None], v[..., None, :]]
+        y -= x[:, v[..., None], u[..., None, :]]
+        y += x[:, v[..., None], v[..., None, :]]
+        y %= p
+        y *= self._lam[:, focus, None]
+        y %= p
+        return y
 
     def marginals(self) -> tuple[Fraction, ...]:
         """Per-edge membership probabilities lam_e * R_eff(e); loops get 0."""
@@ -289,14 +295,37 @@ class TreeKernel:
         return tuple(Fraction(a, self.weight) for a in self._numerators(self._lam * (y % p) % p))
 
     def sign_expectation(self, flips: Iterable[int]) -> Fraction:
-        """E[(-1)^|T & flips|] = det(I - 2 K_F), memoized per flip set."""
-        key = frozenset(flips)
-        if key not in self._signs:
-            transfer = self._transfer(sorted(key))
-            matrix = (np.eye(len(key), dtype=np.int64) - 2 * transfer) % self._p[:, None, None]
-            numerator = self._numerators(_eliminate(matrix, self._p)[:, None])[0]
-            self._signs[key] = Fraction(numerator, self.weight)
-        return self._signs[key]
+        """E[(-1)^|T & flips|] = det(I - 2 K_F): a batch of one."""
+        return self.sign_expectations([flips])[0]
+
+    def sign_expectations(self, flip_sets: Iterable[Iterable[int]]) -> list[Fraction]:
+        """E[(-1)^|T & F|] = det(I - 2 K_F) for each flip set F, memoized per set.
+
+        The sets not yet asked are answered by one stacked elimination per
+        set size |F| = k, with no padding.  A stack holds at most (n / k)^2
+        sets, so its P * B * k^2 residues never outgrow the inverse table's
+        P * n^2.
+        """
+        keys = [frozenset(flips) for flips in flip_sets]
+        by_size: dict[int, list[frozenset[int]]] = {}
+        for key in dict.fromkeys(keys):
+            if key not in self._signs:
+                by_size.setdefault(len(key), []).append(key)
+        n = self._inverse.shape[1]
+        for k, group in by_size.items():
+            chunk = max(1, n * n // max(1, k * k))
+            for start in range(0, len(group), chunk):
+                part = group[start : start + chunk]
+                focus = np.array([sorted(key) for key in part], dtype=np.intp).reshape(len(part), k)
+                matrices = self._transfer(focus)
+                matrices *= -2
+                matrices += np.eye(k, dtype=np.int64)
+                matrices %= self._p[:, None, None, None]
+                stack = matrices.reshape(len(self._p) * len(part), k, k)
+                det = _eliminate(stack, np.repeat(self._p, len(part))).reshape(len(self._p), len(part))
+                for key, a in zip(part, self._numerators(det)):
+                    self._signs[key] = Fraction(a, self.weight)
+        return [self._signs[key] for key in keys]
 
     def joint(self, focus: Sequence[int]) -> JointDistribution:
         """Exact joint membership law over the focus edges, zero patterns omitted."""
@@ -307,7 +336,7 @@ class TreeKernel:
             for r in range(k + 1)
             for inside in combinations(range(k), r)
         ]
-        transfer = self._transfer(focus)[:, None]
+        transfer = self._transfer(np.array(focus, dtype=np.intp))[:, None]
         complement = (np.eye(k, dtype=np.int64) - transfer) % self._p[:, None, None, None]
         inside = np.array(patterns, dtype=bool).reshape(len(patterns), k, 1)
         matrices = np.where(inside, transfer, complement).reshape(len(self._p) * len(patterns), k, k)
@@ -329,35 +358,43 @@ def tree_marginals(n: int, edges: Sequence[tuple[int, int]], lam: Sequence) -> M
     """
     if _is_exact(lam):
         return MarginalVector(values=TreeKernel(n, edges, lam).marginals())
-    return MarginalVector(values=tuple(_float_marginals(n, edges, [float(v) for v in lam])))
+    marginals = _FloatLaplacian(n, edges).marginals(np.array(lam, dtype=float))
+    return MarginalVector(values=tuple(marginals.tolist()))
 
 
-def _float_marginals(n: int, edges: Sequence[tuple[int, int]], lam: Sequence[float]) -> list[float]:
-    """Fast float marginals via effective resistances on the grounded Laplacian."""
-    lap = np.zeros((n, n))
-    for (u, v), w in zip(edges, lam):
-        if u == v:
-            continue
-        lap[u, u] += w
-        lap[v, v] += w
-        lap[u, v] -= w
-        lap[v, u] -= w
-    grounded = lap[1:, 1:]
-    inv = np.linalg.inv(grounded)
-    out = []
-    for (u, v), w in zip(edges, lam):
-        if u == v:
-            out.append(0.0)
-            continue
-        resistance = 0.0
-        if u > 0:
-            resistance += inv[u - 1, u - 1]
-        if v > 0:
-            resistance += inv[v - 1, v - 1]
-        if u > 0 and v > 0:
-            resistance -= 2.0 * inv[u - 1, v - 1]
-        out.append(w * resistance)
-    return out
+class _FloatLaplacian:
+    """Float tree marginals lam_e * R_eff(e) of one multigraph, from index
+    arrays built once.
+
+    Each call assembles the Laplacian with one ``np.bincount``, whose flat
+    indices run per non-loop edge as uu, vv, uv, vu with weights +w, +w, -w,
+    -w, so every entry sums its terms in edge order, as a loop of ``+=`` and
+    ``-=`` would.  The grounded block is inverted by ``np.linalg.inv`` and
+    padded with a zero row and column at vertex 0; one ``take`` reads
+    a = L+[u, u], b = L+[v, v], c = L+[u, v] per edge, and
+    R_eff = (a + b) - 2c, where a zero term drops out exactly.  Loops get 0.
+    """
+
+    def __init__(self, n: int, edges: Sequence[tuple[int, int]]):
+        u, v = np.array(edges, dtype=np.intp).reshape(-1, 2).T
+        self._n = n
+        self._links = np.flatnonzero(u != v)
+        lu, lv = u[self._links], v[self._links]
+        self._flat = np.stack([lu * n + lu, lv * n + lv, lu * n + lv, lv * n + lu], 1).ravel()
+        self._signs = np.tile([1.0, 1.0, -1.0, -1.0], len(self._links))
+        self._reads = np.stack([u * n + u, v * n + v, u * n + v])
+        self._loops = u == v
+
+    def marginals(self, lam: np.ndarray) -> np.ndarray:
+        n = self._n
+        weights = np.repeat(lam[self._links], 4) * self._signs
+        lap = np.bincount(self._flat, weights=weights, minlength=n * n).reshape(n, n)
+        padded = np.zeros((n, n))
+        padded[1:, 1:] = np.linalg.inv(lap[1:, 1:])
+        a, b, c = padded.take(self._reads)
+        out = lam * ((a + b) - 2.0 * c)
+        out[self._loops] = 0.0
+        return out
 
 
 def fit_lambda(
@@ -374,6 +411,12 @@ def fit_lambda(
     are fitted by the update ``weight *= target / marginal`` with halving
     damping when the error oscillates.  Weights are normalized so the first
     free edge has weight 1.  Raises FitConvergenceError on failure.
+
+    Each iteration is array arithmetic over :class:`_FloatLaplacian`, with
+    the same float operations in the same order as a scalar loop over the
+    edges, so the weights, error and iteration count are those of that loop
+    bit for bit.  A damped step raises each ratio by Python's ``**`` (libm's
+    ``pow``): numpy's vectorized ``power`` need not round the same way.
     """
     targets = [float(t) for t in targets]
     if len(targets) != len(edges):
@@ -390,39 +433,38 @@ def fit_lambda(
     cn, cedges, had_cycle = _contract(n, edges, [edges[i] for i in forced])
     if had_cycle:
         raise ValueError("target-1 edges contain a cycle")
-    sub_edges = [cedges[i] for i in free]
-    sub_targets = [targets[i] for i in free]
     values = [1.0] * len(edges)
     for i in deleted:
         values[i] = 0.0
     if not free:
         return LambdaFit(tuple(values), forced, deleted, 0.0, 0)
 
-    lam = [1.0] * len(sub_edges)
+    laplacian = _FloatLaplacian(cn, [cedges[i] for i in free])
+    goal = np.array([targets[i] for i in free])
+    lam = np.ones(len(free))
     error = float("inf")
     previous_error = float("inf")
     damping = 1.0
     iterations = 0
     for iterations in range(1, max_iterations + 1):
-        marg = _float_marginals(cn, sub_edges, lam)
-        error = max(abs(m - t) for m, t in zip(marg, sub_targets))
+        marg = laplacian.marginals(lam)
+        error = float(np.abs(marg - goal).max())
         if error <= tol:
             break
         if error > previous_error:
             damping = max(0.5 * damping, 1e-3)
         previous_error = error
-        for j in range(len(lam)):
-            ratio = sub_targets[j] / max(marg[j], 1e-300)
-            lam[j] *= ratio**damping
+        ratio = goal / np.maximum(marg, 1e-300)
+        if damping != 1.0:
+            ratio = np.array([r**damping for r in ratio.tolist()])
+        lam = lam * ratio
     else:
         raise FitConvergenceError(
             f"marginal fit stalled at error {error:.3e} after {max_iterations} iterations",
             error,
         )
-    scale = lam[0]
-    lam = [v / scale for v in lam]
-    for j, i in enumerate(free):
-        values[i] = lam[j]
+    for i, value in zip(free, (lam / lam[0]).tolist()):
+        values[i] = value
     return LambdaFit(tuple(values), forced, deleted, error, iterations)
 
 
@@ -536,11 +578,12 @@ class TreeLevel:
             object.__setattr__(self, "_kernel", kernel)
         return self._kernel
 
-    def sign_expectation(self, flips: Container[int]) -> Fraction:
-        """E[(-1)^|T & flips|] over a set of edge ids; 1, with no kernel
-        query, when the set misses the level."""
-        focus = [pos for pos, e in enumerate(self.edge_ids) if e in flips]
-        return self.kernel().sign_expectation(focus) if focus else Fraction(1)
+    def sign_expectations(self, flip_sets: Sequence[Container[int]]) -> list[Fraction]:
+        """E[(-1)^|T & F|] for each set F of edge ids, in one kernel batch;
+        1, with no kernel query, for a set that misses the level."""
+        focus = [[pos for pos, e in enumerate(self.edge_ids) if e in flips] for flips in flip_sets]
+        asked = iter(self.kernel().sign_expectations([f for f in focus if f]) if any(focus) else ())
+        return [next(asked) if f else Fraction(1) for f in focus]
 
 
 def fit_level(

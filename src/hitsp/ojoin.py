@@ -121,20 +121,24 @@ class ConnectorLaw:
                 edges.extend([cls[i] for cls, i in zip(run, picks)])
         return tuple(sorted(edges))
 
-    def character(self, flips: frozenset[int]) -> Fraction:
-        """E[(-1)^|T & flips|] for the sampled connector T: the product of its
-        independent factors' characters.  The fixed edges give one sign, a
-        doubled class 1 - |class & flips| (1, 0 or -1), a cut-free level its
-        kernel's sign expectation."""
-        value = Fraction(-1 if sum(e in flips for e in self.fixed) % 2 else 1)
+    def characters(self, flip_sets: Sequence[frozenset[int]]) -> list[Fraction]:
+        """E[(-1)^|T & F|] for each set F, for the sampled connector T: the
+        product of its independent factors' characters.  The fixed edges give
+        one sign, a doubled class 1 - |class & F| (1, 0 or -1), a cut-free
+        level its kernel's sign expectation.  Each factor is asked once, for
+        the sets whose product is not yet 0."""
+        values = [Fraction(-1 if sum(e in F for e in self.fixed) % 2 else 1) for F in flip_sets]
         for run in self.runs:
+            live = [i for i, value in enumerate(values) if value]
             if isinstance(run, TreeLevel):
-                value *= run.sign_expectation(flips)
+                factors = run.sign_expectations([flip_sets[i] for i in live])
             else:
-                value *= prod(1 - (a in flips) - (b in flips) for a, b in run)
-            if not value:
-                break
-        return value
+                factors = [
+                    prod(1 - (a in flip_sets[i]) - (b in flip_sets[i]) for a, b in run) for i in live
+                ]
+            for i, factor in zip(live, factors):
+                values[i] *= factor
+        return values
 
 
 @dataclass(frozen=True)
@@ -282,35 +286,34 @@ def sample_hierarchical_tree(plan: SamplingPlan, rng: np.random.Generator) -> Tr
     return TreeSample(edges=edges, bernoulli_uniforms=uniforms)
 
 
-def even_pair_probability(
-    character: Callable[[frozenset[int]], Fraction], set_a: frozenset[int], set_b: frozenset[int]
-) -> Fraction:
-    """P[|T & A| and |T & B| both even] = (1 + chi(A) + chi(B) + chi(A ^ B)) / 4,
-    with chi(F) = E[(-1)^|T & F|] given by ``character``."""
-    return (1 + character(set_a) + character(set_b) + character(set_a ^ set_b)) / 4
+def even_pair_probabilities(
+    characters: Callable[[list[frozenset[int]]], list[Fraction]],
+    pairs: Sequence[tuple[frozenset[int], frozenset[int]]],
+) -> list[Fraction]:
+    """P[|T & A| and |T & B| both even] = (1 + chi(A) + chi(B) + chi(A ^ B)) / 4
+    for each pair (A, B), with chi(F) = E[(-1)^|T & F|] given by
+    ``characters`` for all the pairs' sets in one batch."""
+    chi = characters([flips for a, b in pairs for flips in (a, b, a ^ b)])
+    return [(1 + chi[i] + chi[i + 1] + chi[i + 2]) / 4 for i in range(0, len(chi), 3)]
 
 
 def compute_even_at_last_probs(plan: SamplingPlan) -> dict[int, Fraction]:
     """Per-edge probability that both last cuts are even in the sampled tree.
 
     With A and B the two cuts' boundary edge sets, it is
-    ``even_pair_probability`` of the connector's character: a product over
-    the independent factors the sampler draws (doubled chain and ring
+    ``even_pair_probabilities`` of the connector's characters: a product
+    over the independent factors the sampler draws (doubled chain and ring
     classes, cut-free levels through each level's exact kernel, the forced
-    ring edge).
+    ring edge), all pairs in one batch.
     """
     hierarchy = plan.hierarchy
-    out: dict[int, Fraction] = {}
-    cache: dict[tuple[frozenset[int], frozenset[int]], Fraction] = {}
-    for e in range(len(plan.support.edges)):
-        key = hierarchy.last_cuts(e)
-        if key not in cache:
-            edges_a, edges_b = (
-                frozenset(boundary_edges(plan.support, side)) for side in key
-            )
-            cache[key] = even_pair_probability(plan.connector.character, edges_a, edges_b)
-        out[e] = cache[key]
-    return out
+    keys = [hierarchy.last_cuts(e) for e in range(len(plan.support.edges))]
+    distinct = list(dict.fromkeys(keys))
+    pairs = [
+        tuple(frozenset(boundary_edges(plan.support, side)) for side in key) for key in distinct
+    ]
+    probs = dict(zip(distinct, even_pair_probabilities(plan.connector.characters, pairs)))
+    return {e: probs[key] for e, key in enumerate(keys)}
 
 
 def cut_masks(hierarchy: CutHierarchy) -> tuple[tuple[int, ...], tuple[int, ...]]:

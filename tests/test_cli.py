@@ -75,22 +75,36 @@ def test_validate_missing_file_exits_2():
 
 
 @pytest.mark.parametrize("command", ["validate", "run", "verify-lemmas", "degreecut"])
-def test_unreadable_or_unwritable_paths_exit_2(command, tmp_path, capsys):
+def test_unreadable_or_unwritable_paths_exit_2(command, tmp_path, capsys, monkeypatch):
     """A directory or a missing directory, given as a file, is a bad
-    argument named in the message, not a traceback."""
+    argument named in the message, not a traceback.  An output path is
+    refused before the instance is even loaded, and no report is written."""
     gen = ["--gen", "k5_degree:5" if command == "degreecut" else "envelope:1"]
     fast = {"run": ["--samples", "2"], "degreecut": ["--samples", "2"]}.get(command, [])
+    assert main([command, *fast, "--instance", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid arguments: ") and f"cannot read --instance {tmp_path}: Is a directory" in err
+
+    def no_set_up(args):
+        raise AssertionError("set-up ran before the output paths were checked")
+
+    monkeypatch.setattr("hitsp.cli.load_instance", no_set_up)
+    report = tmp_path / "report.json"
     cases = [
-        (["--instance", str(tmp_path)], f"cannot read --instance {tmp_path}: Is a directory"),
         ([*gen, "--out", str(tmp_path)], f"cannot write {tmp_path}: Is a directory"),
         ([*gen, "--out", str(tmp_path / "no" / "r.json")], "No such file or directory"),
+        ([*gen, "--out", str(report / "r.json")], f"cannot write {report / 'r.json'}: Not a directory"),
     ]
     if command in ("run", "degreecut"):
         cases.append(([*gen, "--csv", str(tmp_path)], f"cannot write {tmp_path}: Is a directory"))
+        cases.append(([*gen, "--out", str(report), "--csv", str(tmp_path)], "Is a directory"))
+    report.write_text("earlier report")
     for flags, message in cases:
         assert main([command, *fast, *flags]) == 2
         err = capsys.readouterr().err
         assert err.startswith("invalid arguments: ") and message in err
+    assert report.read_text() == "earlier report"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
 
 
 @pytest.mark.parametrize(

@@ -23,7 +23,7 @@ from hitsp.degreecut import (
     expected_vertex_values,
     fractional_matching_target,
     matching_size,
-    normal_even_probability,
+    normal_even_probabilities,
     require_degree_cut,
     run_degree_cut,
     sample_degree_cut,
@@ -129,12 +129,13 @@ def test_normal_edge_even_probability_floor(n):
     found = 0
     for _, matching in dec.weights:
         context = build_matching_context(inst, matching)
-        for edge in context.normal_edges:
+        evens = normal_even_probabilities(inst, context, context.normal_edges)
+        for edge, even in zip(context.normal_edges, evens):
             found += 1
             value = exactly_one_each_probability(inst, context, edge)
             assert value >= Fraction(16, 81)
             # "exactly one per endpoint" is one of the even patterns
-            assert normal_even_probability(inst, context, edge) >= value
+            assert even >= value
     if n >= 7:
         assert found > 0
 
@@ -163,7 +164,8 @@ def test_normal_even_probability_matches_tree_enumeration(n):
             for combo in product(*tables)
         ]
         assert sum(p for _, p in outcomes) == 1
-        for edge in context.normal_edges:
+        evens = normal_even_probabilities(inst, context, context.normal_edges)
+        for edge, even in zip(context.normal_edges, evens):
             ends = (inst.edges[edge].u, inst.edges[edge].v)
             brute = sum(
                 (
@@ -173,7 +175,7 @@ def test_normal_even_probability_matches_tree_enumeration(n):
                 ),
                 Fraction(0),
             )
-            assert normal_even_probability(inst, context, edge) == brute
+            assert even == brute
             checked += 1
     assert checked > 0
 

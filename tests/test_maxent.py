@@ -8,16 +8,19 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+import hitsp.maxent
 from hitsp._util import ResourceCapError
-from hitsp.cli import HIERARCHY_CORPUS, corpus_instance
+from hitsp.cli import DEGREE_CORPUS, HIERARCHY_CORPUS, corpus_instance
 from hitsp.cuts import boundary_edges
 from hitsp.degreecut import build_matching_context, decompose_matching
 from hitsp.instance import generate_instance
 from hitsp.maxent import (
     FitConvergenceError,
     JointDistribution,
+    LambdaFit,
     TreeKernel,
     TreeLevel,
+    _contract,
     _walk,
     _walk_tables,
     _prime_table,
@@ -27,7 +30,7 @@ from hitsp.maxent import (
     fit_level,
     tree_marginals,
 )
-from hitsp.ojoin import even_pair_probability, prepare_instance
+from hitsp.ojoin import even_pair_probabilities, prepare_instance
 
 K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 K5_EDGES = [(u, v) for u, v in combinations(range(5), 2)]
@@ -123,6 +126,75 @@ def test_marginals_match_enumeration():
         assert marg.values[e] == direct / total
 
 
+def scalar_float_marginals(n, edges, lam):
+    """The former float marginals, kept as the reference for the array fit:
+    the Laplacian summed by ``+=`` and ``-=`` edge by edge, and each
+    effective resistance read off the grounded inverse term by term."""
+    lap = np.zeros((n, n))
+    for (u, v), w in zip(edges, lam):
+        if u == v:
+            continue
+        lap[u, u] += w
+        lap[v, v] += w
+        lap[u, v] -= w
+        lap[v, u] -= w
+    grounded = lap[1:, 1:]
+    inv = np.linalg.inv(grounded)
+    out = []
+    for (u, v), w in zip(edges, lam):
+        if u == v:
+            out.append(0.0)
+            continue
+        resistance = 0.0
+        if u > 0:
+            resistance += inv[u - 1, u - 1]
+        if v > 0:
+            resistance += inv[v - 1, v - 1]
+        if u > 0 and v > 0:
+            resistance -= 2.0 * inv[u - 1, v - 1]
+        out.append(w * resistance)
+    return out
+
+
+def scalar_fit_lambda(n, edges, targets, tol=1e-8, max_iterations=100_000):
+    """The former ``fit_lambda``, one edge at a time, kept as the reference
+    the array fit must equal bit for bit.  Returns the fit and the final
+    damping factor (1.0 when no step was damped)."""
+    targets = [float(t) for t in targets]
+    forced = tuple(i for i, t in enumerate(targets) if t >= 1 - 1e-12)
+    deleted = tuple(i for i, t in enumerate(targets) if t <= 1e-12)
+    free = [i for i in range(len(edges)) if i not in forced and i not in deleted]
+    cn, cedges, _ = _contract(n, edges, [edges[i] for i in forced])
+    sub_edges = [cedges[i] for i in free]
+    sub_targets = [targets[i] for i in free]
+    values = [1.0] * len(edges)
+    for i in deleted:
+        values[i] = 0.0
+    if not free:
+        return LambdaFit(tuple(values), forced, deleted, 0.0, 0), 1.0
+    lam = [1.0] * len(sub_edges)
+    previous_error = float("inf")
+    damping = 1.0
+    for iterations in range(1, max_iterations + 1):
+        marg = scalar_float_marginals(cn, sub_edges, lam)
+        error = max(abs(m - t) for m, t in zip(marg, sub_targets))
+        if error <= tol:
+            break
+        if error > previous_error:
+            damping = max(0.5 * damping, 1e-3)
+        previous_error = error
+        for j in range(len(lam)):
+            ratio = sub_targets[j] / max(marg[j], 1e-300)
+            lam[j] *= ratio**damping
+    else:
+        raise FitConvergenceError("reference fit stalled", error)
+    scale = lam[0]
+    lam = [v / scale for v in lam]
+    for j, i in enumerate(free):
+        values[i] = lam[j]
+    return LambdaFit(tuple(values), forced, deleted, error, iterations), damping
+
+
 def test_fit_uniform_half_on_k4_gives_constant_weights():
     fit = fit_lambda(4, K4_EDGES, [Fraction(1, 2)] * 6)
     marg = tree_marginals(4, K4_EDGES, fit.values)
@@ -172,6 +244,73 @@ def test_refit_is_a_fixed_point():
         scale = float(lam[0]) / fit.values[0]
         for a, b in zip(fit.values, lam):
             assert abs(a * scale - float(b)) <= 1e-6 * float(b)
+
+
+def recorded_fits(monkeypatch, set_up):
+    """The arguments and result of every ``fit_lambda`` call ``set_up`` makes."""
+    calls = []
+    real = hitsp.maxent.fit_lambda
+
+    def record(n, edges, targets, **options):
+        fit = real(n, edges, targets, **options)
+        calls.append(((n, list(edges), list(targets)), options, fit))
+        return fit
+
+    monkeypatch.setattr(hitsp.maxent, "fit_lambda", record)
+    set_up()
+    return calls
+
+
+def degree_cut_set_up(inst):
+    for _, matching in decompose_matching(inst).weights:
+        build_matching_context(inst, matching)
+
+
+FIT_SET_UPS = (
+    [(label, lambda spec=spec: prepare_instance(corpus_instance(spec))) for label, spec in HIERARCHY_CORPUS]
+    + [(label, lambda size=size: degree_cut_set_up(generate_instance("k5_degree", size)))
+       for label, size in DEGREE_CORPUS]
+    + [(f"random_half_integral:{size}",
+        lambda size=size: prepare_instance(generate_instance("random_half_integral", size)))
+       for size in range(8, 41)]
+    + [(f"k5_degree:{size}", lambda size=size: degree_cut_set_up(generate_instance("k5_degree", size)))
+       for size in range(8, 14)]
+)
+
+
+@pytest.mark.parametrize("set_up", [s for _, s in FIT_SET_UPS], ids=[label for label, _ in FIT_SET_UPS])
+def test_fit_equals_the_scalar_reference_on_every_set_up_fit(set_up, monkeypatch):
+    """Weights, error and iteration count of every fit a set-up makes are
+    those of the edge-by-edge loop, bit for bit."""
+    for args, options, fit in recorded_fits(monkeypatch, set_up):
+        reference, damping = scalar_fit_lambda(*args, **options)
+        assert fit == reference
+        assert damping == 1.0  # no generated level damps; see the test below
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_fit_equals_the_scalar_reference_on_random_multigraphs(seed):
+    """Loops, parallel edges, a bridge to a new vertex (target 1, contracted)
+    and a zero-weight edge (target 0, deleted)."""
+    rng = np.random.default_rng(2000 + seed)
+    n, edges, lam = random_multigraph(rng)
+    edges = [*edges, (int(rng.integers(n)), n), (int(rng.integers(n)), int(rng.integers(n)))]
+    lam = [*lam, Fraction(1), Fraction(0)]
+    targets = [float(t) for t in tree_marginals(n + 1, edges, lam).values]
+    fit = fit_lambda(n + 1, edges, targets, tol=1e-10)
+    assert len(edges) - 2 in fit.forced and len(edges) - 1 in fit.deleted
+    assert fit == scalar_fit_lambda(n + 1, edges, targets, tol=1e-10)[0]
+
+
+def test_fit_equals_the_scalar_reference_through_damped_steps():
+    """The error rises once on this triangle with a doubled edge, so every
+    later step raises its ratios to the power 1/2."""
+    edges = [(0, 1), (0, 2), (0, 1), (1, 2)]
+    lam = [Fraction(29, 45), Fraction(5, 38), Fraction(77, 64), Fraction(8, 13)]
+    targets = [float(t) for t in tree_marginals(3, edges, lam).values]
+    reference, damping = scalar_fit_lambda(3, edges, targets, tol=1e-10)
+    assert damping == 0.5
+    assert fit_lambda(3, edges, targets, tol=1e-10) == reference
 
 
 def test_sampled_trees_are_spanning_trees():
@@ -354,7 +493,7 @@ def assert_characters_match(kernel, trees, focus_a, focus_b):
         brute = sum(-w if len(t & flips) % 2 else w for t, w in trees) / total
         assert kernel.sign_expectation(flips) == brute
     both_even = sum(w for t, w in trees if not len(t & set_a) % 2 and not len(t & set_b) % 2)
-    assert even_pair_probability(kernel.sign_expectation, set_a, set_b) == both_even / total
+    assert even_pair_probabilities(kernel.sign_expectations, [(set_a, set_b)]) == [both_even / total]
 
 
 def random_multigraph(rng):
@@ -630,11 +769,58 @@ def test_kernel_matches_fraction_kernel_on_random_multigraphs(seed):
     assert sum(kernel.marginals()) == n - 1
 
 
+def assert_batch_matches(n, edges, lam, flip_sets):
+    """One batch equals one query at a time on a fresh kernel, and the
+    Fraction kernel."""
+    batched = TreeKernel(n, edges, lam).sign_expectations(flip_sets)
+    single = TreeKernel(n, edges, lam)
+    reference = FractionTreeKernel(n, edges, lam)
+    assert batched == [single.sign_expectation(flips) for flips in flip_sets]
+    assert batched == [reference.sign_expectation(flips) for flips in flip_sets]
+    return batched
+
+
+def every_flip_set(m):
+    """All subsets of range(m) by size, each of the first three twice."""
+    sets = [list(c) for r in range(m + 1) for c in combinations(range(m), r)]
+    return sets + sets[:3]
+
+
+def test_batched_signs_equal_single_queries_on_k4():
+    """Every size from 0 to 6 in one batch, with duplicates and the empty
+    set.  A stack holds at most (4 / k)^2 sets, so the 15 pairs take four
+    stacks and each of the 20 triples its own.  Under unit weights every
+    marginal is 1/2, so each single edge's character is exactly 0."""
+    flip_sets = every_flip_set(6)
+    assert sum(len(f) == 2 for f in flip_sets) > 4**2 // 2**2
+    signs = assert_batch_matches(4, K4_EDGES, [Fraction(1)] * 6, flip_sets)
+    assert signs[0] == 1 and signs[1:7] == [0] * 6
+    assert_batch_matches(4, K4_EDGES, [Fraction(i + 1, 7 - i) for i in range(6)], flip_sets)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_batched_signs_equal_single_queries_on_random_multigraphs(seed):
+    """Loops and parallel edges; sets of mixed sizes in random order."""
+    rng = np.random.default_rng(3000 + seed)
+    n, edges, lam = random_multigraph(rng)
+    m = len(edges)
+    flip_sets = [list(rng.choice(m, size=int(rng.integers(0, m + 1)), replace=False)) for _ in range(30)]
+    assert_batch_matches(n, edges, lam, [*flip_sets, *flip_sets[:5]])
+
+
+def test_level_batch_skips_the_kernel_for_sets_missing_the_level():
+    level = TreeLevel(4, tuple(K4_EDGES), (10, 11, 12, 13, 14, 15), (1.0,) * 6, (Fraction(1),) * 6)
+    assert level.sign_expectations([{1, 2}, {99}]) == [1, 1]
+    assert level._kernel is None
+    assert level.sign_expectations([{10, 99}, {99}, {10, 11}]) == [0, 1, level.kernel().sign_expectation([0, 1])]
+
+
 def test_kernel_skips_a_prime_dividing_a_denominator():
     first = _prime_table()[0]
     lam = [Fraction(1, first), Fraction(2), Fraction(3), Fraction(first, 7), Fraction(5, 3), Fraction(1)]
     pairs = [((0,), (1, 2)), ((0, 3), (4,)), ((0, 1, 2, 3, 4, 5), ())]
     assert_matches_fraction_kernel(4, K4_EDGES, lam, pairs, [(0, 1, 3), (0, 5)])
+    assert_batch_matches(4, K4_EDGES, lam, every_flip_set(6))
 
 
 def test_kernel_skips_a_prime_where_the_laplacian_is_singular():
@@ -644,4 +830,5 @@ def test_kernel_skips_a_prime_where_the_laplacian_is_singular():
     kernel = assert_matches_fraction_kernel(
         2, [(0, 1), (1, 0), (1, 1)], lam, [((0,), (1,)), ((0, 1), (0,))], [(0, 1, 2)]
     )
+    assert_batch_matches(2, [(0, 1), (1, 0), (1, 1)], lam, every_flip_set(3))
     assert kernel.marginals() == (Fraction(1, first), Fraction(first - 1, first), 0)

@@ -874,11 +874,12 @@ class DeterminantLevel:
     def __init__(self, level):
         self.level = level
 
-    def sign_expectation(self, flips):
+    def sign_expectations(self, flip_sets):
         lv = self.level
-        return reference_sign_expectation(
-            lv.vertex_count, list(lv.level_edges), list(lv.lam_exact), flips
-        )
+        return [
+            reference_sign_expectation(lv.vertex_count, list(lv.level_edges), list(lv.lam_exact), flips)
+            for flips in flip_sets
+        ]
 
 
 @pytest.mark.parametrize(
