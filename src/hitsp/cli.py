@@ -24,18 +24,7 @@ import numpy as np
 from . import __version__
 from ._util import ResourceCapError, canonical_json, format_rational, parse_rational
 from .cuts import InternalHierarchyError, build_hierarchy
-from .degreecut import (
-    DegreeCutError,
-    decompose_matching,
-    build_matching_context,
-    degree_cut_witness,
-    enumerate_maximum_matchings,
-    exactly_one_each_probability,
-    expected_edge_values,
-    expected_vertex_values,
-    fractional_matching_target,
-    run_degree_cut,
-)
+from .degreecut import DegreeCutError, degree_cut_witness, run_degree_cut
 from .instance import (
     GADGET_BUILDERS,
     GENERATOR_FAMILIES,
@@ -57,20 +46,23 @@ from .ojoin import (
     sample_rng,
 )
 from .oracle import (
+    # perfbench/workloads.py reads the two bounds from here.
+    DEGREE_VERTEX_BOUND,  # noqa: F401
+    DEGREE_VERTEX_SLACK,  # noqa: F401
     LemmaCheck,
+    cut_load_rows,
+    degree_cut_rows,
+    degree_vertex_bound,
     exact_pipeline_expectations,
     run_lemma_battery,
+    sampled_feasibility_rows,
+    six_edge_floor_row,
 )
 
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_BOUND_FAILED = 3
 EXIT_RESOURCE_CAP = 4
-
-MAIN_CUT_BOUND = Fraction(99552, 100000)
-DEGREE_VERTEX_BOUND = Fraction(227, 243)
-DEGREE_VERTEX_SLACK = Fraction(353, 243)
-SIXTEEN_81 = Fraction(16, 81)
 
 HIERARCHY_CORPUS: tuple[tuple[str, object], ...] = (
     ("cycle_chain:2", ("cycle_chain", 2)),
@@ -396,94 +388,6 @@ def cmd_run(args: argparse.Namespace) -> int:
 # verify-lemmas
 
 
-def degree_vertex_bound(n: int) -> Fraction:
-    """The bound on a degree-cut instance's expected per-vertex load."""
-    return DEGREE_VERTEX_BOUND + (DEGREE_VERTEX_SLACK / n if n % 2 == 1 else 0)
-
-
-def _feasibility_rows(
-    prepared, label: str, samples: int, seed: int
-) -> list[LemmaCheck]:
-    """Sampled end-to-end vectors, checked as ``run --check-vectors`` checks
-    them: odd-cut coverage and the 1/6 edge floor."""
-    joins = JoinCalculator(prepared.metric)
-    outs = [
-        run_sample(prepared, sample_rng(seed, idx), joins, check_vector=True)
-        for idx in range(samples)
-    ]
-    failures = Fraction(sum(1 for out in outs if not out.feasible))
-    min_edge = min(out.min_edge_value for out in outs)
-    return [
-        LemmaCheck("sampled-vectors-feasible", label, failures, Fraction(0), "=="),
-        LemmaCheck("edge-floor-1-6", label, min_edge, Fraction(1, 6), ">="),
-    ]
-
-
-def _hierarchy_instance_rows(
-    inst: HalfIntegralInstance, params: ChargingParams, feas_samples: int
-) -> list[LemmaCheck]:
-    prepared = prepare_instance(inst, params=params)
-    expectations = exact_pipeline_expectations(prepared, include_costs=False)
-    rows = list(run_lemma_battery(prepared, expectations))
-    kind_of = {
-        cut.vertices: prepared.hierarchy.classify_min_cut(cut)[0]
-        for cut in prepared.hierarchy.min_cuts
-    }
-    for side in sorted(expectations.cut_load, key=sorted):
-        if kind_of[side] != "arc":
-            load = expectations.cut_load[side]
-            rows.append(
-                LemmaCheck("cut-load-main", f"cut {sorted(side)}", load, MAIN_CUT_BOUND, "<=")
-            )
-    floor_total = 6 * (prepared.base_value - params.reduction)
-    rows.append(LemmaCheck("six-edge-floor", "params", floor_total, Fraction(1), ">="))
-    rows.extend(_feasibility_rows(prepared, inst.name, feas_samples, seed=0))
-    return rows
-
-
-def _degree_instance_rows(inst: HalfIntegralInstance) -> list[LemmaCheck]:
-    name = inst.name
-    decomposition = decompose_matching(inst)
-    m = len(inst.edges)
-    target = fractional_matching_target(inst)
-    marginals = decomposition.marginals(m)
-    exact = Fraction(sum(1 for i in range(m) if marginals[i] == target[i]))
-    z_values = expected_edge_values(inst, decomposition)
-    z_off = [v for v in z_values if v != Fraction(1, 2)]
-    z_first_off = z_off[0] if z_off else Fraction(1, 2)
-    expected_tree = sum((inst.edges[i].cost * z_values[i] for i in range(m)), Fraction(0))
-    rows = [
-        LemmaCheck("matching-marginals-exact", name, exact, Fraction(m), "=="),
-        LemmaCheck("z-expected-half", name, z_first_off, Fraction(1, 2), "=="),
-        LemmaCheck("tree-cost-matches-lp", name, expected_tree, inst.lp_cost(), "=="),
-    ]
-    contexts = {
-        matching: build_matching_context(inst, matching)
-        for _, matching in decomposition.weights
-    }
-    normal = [
-        exactly_one_each_probability(inst, contexts[matching], edge)
-        for _, matching in decomposition.weights
-        for edge in contexts[matching].normal_edges
-    ]
-    if normal:
-        rows.append(LemmaCheck("normal-even-16-81", name, min(normal), SIXTEEN_81, ">="))
-    worst = max(expected_vertex_values(inst, decomposition, contexts))
-    rows.append(LemmaCheck("vertex-load-degree", name, worst, degree_vertex_bound(inst.n), "<="))
-    if inst.n == 5:
-        # K5 has at most 15 maximum matchings and the weights sum to 1, so the
-        # largest weight is 1/15 exactly when all 15 are; the 10 marginals sum
-        # to 2, so the smallest is 1/5 exactly when all are.
-        count = Fraction(len(enumerate_maximum_matchings(inst)))
-        weights = [w for w, _ in decomposition.weights]
-        rows += [
-            LemmaCheck("k5-matching-count", name, count, Fraction(15), "=="),
-            LemmaCheck("k5-weights-uniform", name, max(weights), Fraction(1, 15), "=="),
-            LemmaCheck("k5-edge-marginal", name, min(marginals), Fraction(1, 5), "=="),
-        ]
-    return rows
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     params = charging_params(args)
     jobs: list[tuple[str, HalfIntegralInstance, str]] = []
@@ -500,9 +404,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
     rows: list[tuple[str, LemmaCheck]] = []
     for label, inst, kind in jobs:
         if kind == "degree":
-            checks = _degree_instance_rows(inst)
+            checks = degree_cut_rows(inst)
         else:
-            checks = _hierarchy_instance_rows(inst, params, args.feasibility_samples)
+            prepared = prepare_instance(inst, params=params)
+            expectations = exact_pipeline_expectations(prepared, include_costs=False)
+            checks = [
+                *run_lemma_battery(prepared, expectations),
+                *cut_load_rows(prepared, expectations),
+                six_edge_floor_row(prepared),
+                *sampled_feasibility_rows(prepared, inst.name, args.feasibility_samples, seed=0),
+            ]
         rows.extend((label, chk) for chk in checks)
 
     failed = [(label, chk) for label, chk in rows if not chk.passed]

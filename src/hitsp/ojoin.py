@@ -669,6 +669,7 @@ def check_feasible(
 
 
 EXACT_JOIN_LIMIT = 14
+EXACT_COST_LIMIT = 16  # the most odd vertices exact_cost prices: the oracle's join range
 
 
 @lru_cache(maxsize=None)
@@ -680,7 +681,7 @@ def _join_layers(k: int) -> tuple[tuple[tuple[np.ndarray, ...], ...], int]:
     target's group; then each group's start.  Targets are in increasing mask
     order and each group's sources in increasing mask order, the order a push
     DP over sorted masks offers them in.  Also the widest group.  Only
-    ``k <= 16`` is ever asked for, so the cache stays small."""
+    ``k <= EXACT_COST_LIMIT`` is ever asked for, so the cache stays small."""
     layers, states, width = [], [0], 1
     for _ in range(k // 2):
         moves: dict[int, list[tuple[int, int]]] = {}
@@ -742,10 +743,10 @@ class JoinCalculator:
         return self.join(sum(1 << v for v in set(odd)))[:2]
 
     def exact_cost(self, odd: Sequence[int]) -> Fraction:
-        """Optimal matching cost, exactly, for up to 16 odd vertices."""
+        """Optimal matching cost, exactly, for up to ``EXACT_COST_LIMIT`` odd vertices."""
         odd = tuple(sorted(odd))
-        if len(odd) > 16 or len(odd) % 2 == 1:
-            raise ValueError("exact matching takes an even set of at most 16 vertices")
+        if len(odd) > EXACT_COST_LIMIT or len(odd) % 2 == 1:
+            raise ValueError(f"exact matching needs an even set of ≤ {EXACT_COST_LIMIT} vertices")
         if len(odd) > EXACT_JOIN_LIMIT:
             return Fraction(self._optimal(odd)[1], self.scale)
         return Fraction(self.join(sum(1 << v for v in set(odd)))[2], self.scale)

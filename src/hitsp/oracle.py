@@ -1,14 +1,17 @@
-"""Exhaustive ground truth for the sampling pipeline.
+"""Exhaustive ground truth for the sampling pipeline, and the bound battery.
 
-Everything here recomputes pipeline quantities from the sampler's explicit
+The enumeration recomputes pipeline quantities from the sampler's explicit
 outcome lists — each independent factor's choices (chain class picks,
 listed spanning trees, ring class picks) collapsed onto cut-parity and
 odd-vertex masks and XOR-convolved, Bernoulli units folded exactly per
 state — with no determinant identities or analytic parity laws, so the
-fast paths can be compared against these numbers at zero tolerance.  The
-module also houses the probability-bound battery, the extremal
-Bernoulli-configuration search, and a small dynamic-programming tour
-solver.
+fast paths can be compared against these numbers at zero tolerance.
+
+The module is also the one home of the probability-bound battery that
+``verify-lemmas`` reports: every bound constant, every ``LemmaCheck`` row
+(the enumerated rows, the cut-load and six-edge-floor rows, the sampled
+feasibility rows and the degree-cut rows) and the extremal
+Bernoulli-configuration search.
 """
 
 from __future__ import annotations
@@ -22,12 +25,59 @@ from math import prod
 
 from ._util import ResourceCapError
 from .cuts import boundary_edges, canonical_side, level_tree_problem
+from .degreecut import (
+    build_matching_context,
+    decompose_matching,
+    enumerate_maximum_matchings,
+    exactly_one_each_probability,
+    expected_edge_values,
+    expected_vertex_values,
+    fractional_matching_target,
+)
+from .instance import HalfIntegralInstance
 from .maxent import TreeKernel, enumerate_spanning_trees
-from .ojoin import JoinCalculator, PreparedInstance, SamplingPlan
+from .ojoin import (
+    EXACT_COST_LIMIT,
+    JoinCalculator,
+    PreparedInstance,
+    SamplingPlan,
+    run_sample,
+    sample_rng,
+)
 
 # Caps the oracle's work: each listed level's tree count, each convolution
 # step's states x collapsed choices, and the fold's parity states x edges.
 DEFAULT_OUTCOME_CAP = 10**7
+
+# The battery's bounds, each with its claim; probabilities are over the sampled connector.
+# The 1.49776 ratio rests on MAIN_CUT_BOUND, the 1.4671 ratio on DEGREE_VERTEX_BOUND.
+MAIN_CUT_BOUND = Fraction(99552, 100000)  # E[y(δ(S))] on a proper minimum cut S
+DEGREE_VERTEX_BOUND = Fraction(227, 243)  # E[y(δ(v))] per vertex, degree-cut, even n
+DEGREE_VERTEX_SLACK = Fraction(353, 243)  # what odd n adds, over n, to DEGREE_VERTEX_BOUND
+NORMAL_EVEN_BOUND = Fraction(16, 81)  # P[one tree edge enters each end of a normal edge]
+EDGE_HALF = Fraction(1, 2)  # E[z_e], each degree-cut edge's connector membership
+K5_MATCHINGS = Fraction(15)  # K5's maximum matchings, all listed
+K5_WEIGHT = Fraction(1, 15)  # the largest of 15 weights summing to 1 is 1/15 iff all are
+K5_MARGINAL = Fraction(1, 5)  # the smallest of K5's 10 marginals (sum 2) is 1/5 iff all are
+CUT_EVEN_BOUND = Fraction(13, 27)  # P[a tight 4-edge cut is even]
+CERTAIN = Fraction(1)  # P[even] of a cut that is no edge's last cut, and of a ring edge
+BOTTOM_EDGE_BOUND = Fraction(1, 4)  # P[even at last], an edge inside a chain node
+TOP_CUT_BOUND = Fraction(4, 27)  # Σ P[even at last] round a cut-free child with no outward edge
+TOP_TRIPLE_BOUND = Fraction(1, 27)  # the same sum over its worst three boundary edges
+TOP_PAIR_BOUND = Fraction(7, 32)  # the same over the worst two inward edges, one outward edge
+EXACTLY_ONE_BOUND = Fraction(1, 2)  # P[the tree holds exactly one of that child's 3 inward edges]
+EXACTLY_TWO_BOUND = Fraction(3, 8)  # P[the tree holds exactly two of them]
+K5_LEVEL_EDGE_BOUND = Fraction(1, 4)  # P[even at last], an edge of a K5-shaped cut-free level
+TOP_EDGE_BOUND = Fraction(13, 54)  # P[even at last], a level edge whose end cuts split 1-0 outward
+WINDOW_BOUND = Fraction(1, 4)  # P[each end window of a chain node holds one tree edge]
+SIX_EDGE_FLOOR = Fraction(1)  # 6·(base value − τ): a reduced edge keeps at least 1/6
+EDGE_FLOOR = Fraction(1, 6)  # the smallest entry of every sampled correction vector
+NO_FAILURES = Fraction(0)  # sampled vectors that miss an odd cut (run --check-vectors)
+
+
+def degree_vertex_bound(n: int) -> Fraction:
+    """The bound on a degree-cut instance's expected per-vertex load."""
+    return DEGREE_VERTEX_BOUND + (DEGREE_VERTEX_SLACK / n if n % 2 == 1 else 0)
 
 
 @dataclass(frozen=True)
@@ -141,8 +191,11 @@ def subset_count_distribution(
 
 @dataclass(frozen=True)
 class PipelineExpectations:
-    """Exact enumeration results for one prepared instance."""
+    """Exact enumeration results for one prepared instance, with the factor
+    table and the per-edge truncations they were computed from."""
 
+    levels: tuple[LevelOutcomes, ...]
+    truncation: tuple[Fraction, ...]
     tree_outcomes: int
     unit_count: int
     per_edge_marginal: tuple[Fraction, ...]
@@ -265,7 +318,7 @@ def exact_pipeline_expectations(
             parity = state & parity_bits
             parity_law[parity] = parity_law.get(parity, Fraction(0)) + weight
             odd = tuple(v for v in range(n) if (state >> (shift + v)) & 1)
-            if len(odd) > 16:
+            if len(odd) > EXACT_COST_LIMIT:
                 join_total = None
             if join_total is not None:
                 join_total += weight * joins.exact_cost(odd)
@@ -391,6 +444,8 @@ def exact_pipeline_expectations(
         for i, side in enumerate(cut_list)
     }
     return PipelineExpectations(
+        levels=levels,
+        truncation=tuple(trunc),
         tree_outcomes=tree_total,
         unit_count=len(units),
         per_edge_marginal=tuple(marginal),
@@ -445,52 +500,40 @@ def run_lemma_battery(
     params = prepared.params
     n = support.n
     p = expectations.per_edge_even
-    levels = level_outcome_table(prepared.plan)
+    trunc = expectations.truncation
+    levels = expectations.levels
     checks: list[LemmaCheck] = []
-
-    def trunc(e: int) -> Fraction:
-        kind = hierarchy.edge_level[e][0]
-        hi = params.top_truncation if kind == "top" else params.bottom_truncation
-        return min(hi, p[e])
 
     # Parity floor on every 4-edge tight cut.
     for side, even in expectations.cut_even.items():
-        checks.append(
-            LemmaCheck("cut-even-13-27", f"cut {sorted(side)}", even, Fraction(13, 27), ">=")
-        )
+        label = f"cut {sorted(side)}"
+        checks.append(LemmaCheck("cut-even-13-27", label, even, CUT_EVEN_BOUND, ">="))
 
     # Cuts that are nobody's last cut never go odd.
-    last_sides = set()
-    for e in range(len(support.edges)):
-        for raw in hierarchy.last_cuts(e):
-            last_sides.add(canonical_side(raw, n))
+    last_sides = {
+        canonical_side(raw, n) for e in range(len(support.edges)) for raw in hierarchy.last_cuts(e)
+    }
     for side, even in expectations.cut_even.items():
         if side not in last_sides:
-            checks.append(
-                LemmaCheck(
-                    "spectator-cut-even", f"cut {sorted(side)}", even, Fraction(1), "=="
-                )
-            )
+            label = f"cut {sorted(side)}"
+            checks.append(LemmaCheck("spectator-cut-even", label, even, CERTAIN, "=="))
 
     # Ring-level edges are always even at last.
     for e in hierarchy.final_edges():
-        checks.append(LemmaCheck("ring-edge-even", f"edge {e}", p[e], Fraction(1), "=="))
+        checks.append(LemmaCheck("ring-edge-even", f"edge {e}", p[e], CERTAIN, "=="))
 
     # Edges inside chain-structured nodes clear 1/4.
     for e in hierarchy.bottom_edges():
-        checks.append(LemmaCheck("bottom-edge-1-4", f"edge {e}", p[e], Fraction(1, 4), ">="))
+        checks.append(LemmaCheck("bottom-edge-1-4", f"edge {e}", p[e], BOTTOM_EDGE_BOUND, ">="))
 
     for node in hierarchy.degree_nodes():
         k, level_edges, _ = level_tree_problem(hierarchy, node.id)
         level_edge_set = set(node.internal_edges)
-        child_sides = [
-            (c, hierarchy.nodes[c].vertices) for c in node.children
-        ]
-        ups_by_child = {}
-        for child_id, side in child_sides:
-            ups_by_child[child_id] = tuple(
-                f for f in boundary_edges(support, side) if f not in level_edge_set
-            )
+        child_sides = [(c, hierarchy.nodes[c].vertices) for c in node.children]
+        ups_by_child = {
+            c: tuple(f for f in boundary_edges(support, side) if f not in level_edge_set)
+            for c, side in child_sides
+        }
         k5_shape = (
             k == 4
             and len(level_edges) == 6
@@ -504,13 +547,13 @@ def run_lemma_battery(
             label = f"node {node.id} child {child_id}"
             if not ups:
                 total = sum((p[f] for f in boundary), Fraction(0))
-                checks.append(LemmaCheck("top-cut-4-27", label, total, Fraction(4, 27), ">="))
+                checks.append(LemmaCheck("top-cut-4-27", label, total, TOP_CUT_BOUND, ">="))
                 worst = min(
                     sum((p[f] for f in w), Fraction(0))
                     for w in combinations(boundary, 3)
                 )
                 checks.append(
-                    LemmaCheck("top-cut-triple-1-27", label, worst, Fraction(1, 27), ">=")
+                    LemmaCheck("top-cut-triple-1-27", label, worst, TOP_TRIPLE_BOUND, ">=")
                 )
             else:
                 if len(ups) != 1:
@@ -521,63 +564,36 @@ def run_lemma_battery(
                     sum((p[f] for f in w), Fraction(0))
                     for w in combinations(inward, 2)
                 )
+                checks.append(LemmaCheck("top-pair-7-32", label, worst_pair, TOP_PAIR_BOUND, ">="))
+                gain = sum((trunc[f] for f in boundary), Fraction(0))
                 checks.append(
-                    LemmaCheck("top-pair-7-32", label, worst_pair, Fraction(7, 32), ">=")
-                )
-                gain = sum((trunc(f) for f in boundary), Fraction(0))
-                checks.append(
-                    LemmaCheck(
-                        "top-cut-min-gain",
-                        label,
-                        gain,
-                        2 * params.top_truncation,
-                        ">=",
-                    )
+                    LemmaCheck("top-cut-min-gain", label, gain, 2 * params.top_truncation, ">=")
                 )
                 # The child must be reached through its level, so its three
                 # inward edges always intersect the tree.
                 law = subset_count_distribution(levels, inward)
                 covered = sum((w for c, w in law.items() if c >= 1), Fraction(0))
                 if covered == 1:
-                    checks.append(
-                        LemmaCheck(
-                            "three-edge-exactly-one",
-                            label,
-                            law.get(1, Fraction(0)),
-                            Fraction(1, 2),
-                            ">=",
-                        )
-                    )
-                    checks.append(
-                        LemmaCheck(
-                            "three-edge-exactly-two",
-                            label,
-                            law.get(2, Fraction(0)),
-                            Fraction(3, 8),
-                            ">=",
-                        )
-                    )
+                    one, two = law.get(1, Fraction(0)), law.get(2, Fraction(0))
+                    checks += [
+                        LemmaCheck("three-edge-exactly-one", label, one, EXACTLY_ONE_BOUND, ">="),
+                        LemmaCheck("three-edge-exactly-two", label, two, EXACTLY_TWO_BOUND, ">="),
+                    ]
         if k5_shape:
             for f in node.internal_edges:
                 checks.append(
-                    LemmaCheck("k5-level-edge-1-4", f"edge {f}", p[f], Fraction(1, 4), ">=")
+                    LemmaCheck("k5-level-edge-1-4", f"edge {f}", p[f], K5_LEVEL_EDGE_BOUND, ">=")
                 )
 
     # Level edges whose endpoint cuts split one-and-zero on outward edges.
     for e in hierarchy.top_edges():
-        _, node_id = hierarchy.edge_level[e]
-        node = hierarchy.nodes[node_id]
-        level_edge_set = set(node.internal_edges)
-        up_counts = []
-        for side in hierarchy.last_cuts(e):
-            ups = tuple(
-                f for f in boundary_edges(support, side) if f not in level_edge_set
-            )
-            up_counts.append(len(ups))
-        if sorted(up_counts) == [0, 1]:
-            checks.append(
-                LemmaCheck("top-edge-13-54", f"edge {e}", p[e], Fraction(13, 54), ">=")
-            )
+        level_edge_set = set(hierarchy.nodes[hierarchy.edge_level[e][1]].internal_edges)
+        up_counts = sorted(
+            sum(1 for f in boundary_edges(support, side) if f not in level_edge_set)
+            for side in hierarchy.last_cuts(e)
+        )
+        if up_counts == [0, 1]:
+            checks.append(LemmaCheck("top-edge-13-54", f"edge {e}", p[e], TOP_EDGE_BOUND, ">="))
 
     # End-window law for chain-structured nodes: an interior doubled edge is
     # even at last exactly when each end window contributes one tree edge.
@@ -600,13 +616,10 @@ def run_lemma_battery(
             ),
             Fraction(0),
         )
-        checks.append(
-            LemmaCheck("bottom-window-quarter", f"node {node.id}", hit, Fraction(1, 4), ">=")
-        )
+        label = f"node {node.id}"
+        checks.append(LemmaCheck("bottom-window-quarter", label, hit, WINDOW_BOUND, ">="))
         if _matches_window_gadget(joint):
-            checks.append(
-                LemmaCheck("bottom-gadget-tight", f"node {node.id}", hit, Fraction(1, 4), "==")
-            )
+            checks.append(LemmaCheck("bottom-gadget-tight", label, hit, WINDOW_BOUND, "=="))
     return tuple(checks)
 
 
@@ -619,17 +632,91 @@ def _matches_window_gadget(joint: dict[tuple[int, ...], Fraction]) -> bool:
     probability 1/8.
     """
     eighth = Fraction(1, 8)
-    for a in (0, 1):
-        for c in (2, 3):
-            ok = True
-            for pattern, w in joint.items():
-                expected = eighth if pattern[a] + pattern[c] == 1 else Fraction(0)
-                if w != expected:
-                    ok = False
-                    break
-            if ok:
-                return True
-    return False
+    return any(
+        all(w == (eighth if pattern[a] + pattern[c] == 1 else 0) for pattern, w in joint.items())
+        for a in (0, 1)
+        for c in (2, 3)
+    )
+
+
+def cut_load_rows(
+    prepared: PreparedInstance, expectations: PipelineExpectations
+) -> list[LemmaCheck]:
+    """Each minimum cut's exact expected load, arc cuts of chain nodes left out."""
+    kind_of = {
+        cut.vertices: prepared.hierarchy.classify_min_cut(cut)[0]
+        for cut in prepared.hierarchy.min_cuts
+    }
+    loads = expectations.cut_load
+    return [
+        LemmaCheck("cut-load-main", f"cut {sorted(side)}", loads[side], MAIN_CUT_BOUND, "<=")
+        for side in sorted(loads, key=sorted)
+        if kind_of[side] != "arc"
+    ]
+
+
+def six_edge_floor_row(prepared: PreparedInstance) -> LemmaCheck:
+    """The charging parameters' floor on a reduced edge's base value."""
+    floor_total = 6 * (prepared.base_value - prepared.params.reduction)
+    return LemmaCheck("six-edge-floor", "params", floor_total, SIX_EDGE_FLOOR, ">=")
+
+
+def sampled_feasibility_rows(
+    prepared: PreparedInstance, label: str, samples: int, seed: int
+) -> list[LemmaCheck]:
+    """Sampled end-to-end vectors, checked as ``run --check-vectors`` checks
+    them: odd-cut coverage and the 1/6 edge floor."""
+    joins = JoinCalculator(prepared.metric)
+    outs = [
+        run_sample(prepared, sample_rng(seed, idx), joins, check_vector=True)
+        for idx in range(samples)
+    ]
+    failures = Fraction(sum(1 for out in outs if not out.feasible))
+    min_edge = min(out.min_edge_value for out in outs)
+    return [
+        LemmaCheck("sampled-vectors-feasible", label, failures, NO_FAILURES, "=="),
+        LemmaCheck("edge-floor-1-6", label, min_edge, EDGE_FLOOR, ">="),
+    ]
+
+
+def degree_cut_rows(inst: HalfIntegralInstance) -> list[LemmaCheck]:
+    """Every exact bound of the degree-cut pipeline on one instance."""
+    name = inst.name
+    decomposition = decompose_matching(inst)
+    m = len(inst.edges)
+    target = fractional_matching_target(inst)
+    marginals = decomposition.marginals(m)
+    exact = Fraction(sum(1 for i in range(m) if marginals[i] == target[i]))
+    z_values = expected_edge_values(inst, decomposition)
+    z_first_off = next((v for v in z_values if v != EDGE_HALF), EDGE_HALF)
+    expected_tree = sum((inst.edges[i].cost * z_values[i] for i in range(m)), Fraction(0))
+    rows = [
+        LemmaCheck("matching-marginals-exact", name, exact, Fraction(m), "=="),
+        LemmaCheck("z-expected-half", name, z_first_off, EDGE_HALF, "=="),
+        LemmaCheck("tree-cost-matches-lp", name, expected_tree, inst.lp_cost(), "=="),
+    ]
+    contexts = {
+        matching: build_matching_context(inst, matching)
+        for _, matching in decomposition.weights
+    }
+    normal = [
+        exactly_one_each_probability(inst, contexts[matching], edge)
+        for _, matching in decomposition.weights
+        for edge in contexts[matching].normal_edges
+    ]
+    if normal:
+        rows.append(LemmaCheck("normal-even-16-81", name, min(normal), NORMAL_EVEN_BOUND, ">="))
+    worst = max(expected_vertex_values(inst, decomposition, contexts))
+    rows.append(LemmaCheck("vertex-load-degree", name, worst, degree_vertex_bound(inst.n), "<="))
+    if inst.n == 5:
+        count = Fraction(len(enumerate_maximum_matchings(inst)))
+        weights = [w for w, _ in decomposition.weights]
+        rows += [
+            LemmaCheck("k5-matching-count", name, count, K5_MATCHINGS, "=="),
+            LemmaCheck("k5-weights-uniform", name, max(weights), K5_WEIGHT, "=="),
+            LemmaCheck("k5-edge-marginal", name, min(marginals), K5_MARGINAL, "=="),
+        ]
+    return rows
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """The command-line driver: subcommands, exit codes, determinism, reports."""
 
+import hashlib
 import json
 import operator
 import os
@@ -379,6 +380,17 @@ def test_verify_envelope_6_fits_the_oracle_work_cap(tmp_path):
     out = tmp_path / "verify.json"
     assert main(["verify-lemmas", "--gen", "envelope:6", "--out", str(out)]) == 0
     assert read_json(str(out))["summary"]["failed"] == 0
+
+
+def test_default_verify_report_rows_are_pinned(tmp_path, capsys):
+    # Every row of the built-in corpus, envelope:5 and the k5_degree rows
+    # included, which the benchmark's golden digests leave out.
+    out = tmp_path / "verify.json"
+    assert main(["verify-lemmas", "--out", str(out)]) == 0
+    rows = read_json(str(out))["rows"]
+    assert len(rows) == 816
+    digest = hashlib.sha256(canonical_json(rows).encode()).hexdigest()
+    assert digest == "9c41bc6f53fb8d60c84652353fc3ce0e51d649cf0108d8441bc50fd4e5a40427"
 
 
 def test_verify_reports_broken_floor_with_exit_3(tmp_path, capsys):

@@ -382,6 +382,8 @@ def reference_pipeline_expectations(
         for i, side in enumerate(cut_list)
     }
     return PipelineExpectations(
+        levels=levels,
+        truncation=tuple(trunc),
         tree_outcomes=tree_total,
         unit_count=len(units),
         per_edge_marginal=tuple(marginal),
