@@ -12,7 +12,8 @@ else is an internal error, not a user error.
 
 The hierarchy then annotates every support edge with its sampling level and
 its two *last cuts* (the innermost minimum cuts separating its endpoints),
-which drive the parity-correction charging downstream.
+which drive the parity-correction charging downstream.  A cut is named by
+its index into ``CutHierarchy.min_cuts`` everywhere outside this module.
 """
 
 from __future__ import annotations
@@ -151,9 +152,9 @@ class CutHierarchy:
     """The full annotated hierarchy over a support graph.
 
     ``edge_level[e]`` is ("bottom", node), ("top", node) or ("final", class
-    index); ``edge_last_cuts[e]`` holds the two last cuts as vertex sets; and
-    ``charge_groups`` inverts that map: for every vertex set that occurs as a
-    last cut, the edges that charge to it.
+    index); ``edge_last_cuts[e]`` holds the two last cuts as indices into
+    ``min_cuts``; and ``charge_groups`` inverts that map: for every cut index
+    that occurs as a last cut, the edges that charge to it.
     """
 
     support: SupportGraph
@@ -161,7 +162,7 @@ class CutHierarchy:
     final: FinalCycle
     min_cuts: tuple[MinCut, ...]
     edge_level: tuple[tuple[str, int], ...]
-    edge_last_cuts: tuple[tuple[frozenset[int], frozenset[int]], ...]
+    edge_last_cuts: tuple[tuple[int, int], ...]
 
     def internal_nodes(self) -> tuple[CutNode, ...]:
         return tuple(nd for nd in self.nodes if nd.children)
@@ -172,18 +173,17 @@ class CutHierarchy:
     def degree_nodes(self) -> tuple[CutNode, ...]:
         return tuple(nd for nd in self.nodes if nd.kind == "degree" and nd.children)
 
-    def last_cuts(self, edge_id: int) -> tuple[frozenset[int], frozenset[int]]:
+    def last_cuts(self, edge_id: int) -> tuple[int, int]:
         return self.edge_last_cuts[edge_id]
 
-    def charge_groups(self) -> dict[frozenset[int], tuple[int, ...]]:
-        """For each vertex set appearing as a last cut: the edges charging to it."""
-        groups: dict[frozenset[int], list[int]] = {}
-        for e, (left, right) in enumerate(self.edge_last_cuts):
-            if self.edge_level[e][0] == "final":
-                continue
-            for side in (left, right):
-                groups.setdefault(side, []).append(e)
-        return {k: tuple(sorted(v)) for k, v in groups.items()}
+    def charge_groups(self) -> dict[int, tuple[int, ...]]:
+        """For each cut index appearing as a last cut: the edges charging to it."""
+        groups: dict[int, list[int]] = {}
+        for e, pair in enumerate(self.edge_last_cuts):
+            if self.edge_level[e][0] != "final":
+                for i in pair:
+                    groups.setdefault(i, []).append(e)
+        return {i: tuple(edges) for i, edges in groups.items()}
 
     def top_edges(self) -> tuple[int, ...]:
         return tuple(
@@ -373,6 +373,16 @@ def build_hierarchy(support: SupportGraph) -> CutHierarchy:
         raise ValueError("hierarchy requires an instance with a distinguished doubled edge")
     n = support.n
     min_cuts = enumerate_min_cuts(support)
+    index_of = {cut.vertices: i for i, cut in enumerate(min_cuts)}
+
+    def cut_index(side: frozenset[int]) -> int:
+        i = index_of.get(canonical_side(side, n))
+        if i is None:
+            raise InternalHierarchyError(f"vertex set {sorted(side)} is not a minimum cut")
+        return i
+
+    # Every node is a minimum cut: a vertex, or a chosen tight set.
+    node_cut = [cut_index(frozenset([v])) for v in range(n)]
     e_plus_edge = support.edges[support.e_plus_pair[0]]
     ep_u, ep_v = e_plus_edge.u, e_plus_edge.v
 
@@ -383,7 +393,7 @@ def build_hierarchy(support: SupportGraph) -> CutHierarchy:
             kind="degree",
             parent=None,
             children=(),
-            boundary=boundary_edges(support, frozenset([v])),
+            boundary=min_cuts[node_cut[v]].boundary,
             internal_edges=(),
             up_edges=(),
             across_edges=(),
@@ -397,7 +407,7 @@ def build_hierarchy(support: SupportGraph) -> CutHierarchy:
         return [nodes[i].vertices for i in sorted(alive_nodes)]
 
     edge_level: list[tuple[str, int] | None] = [None] * len(support.edges)
-    edge_last: list[tuple[frozenset[int], frozenset[int]] | None] = [None] * len(support.edges)
+    edge_last: list[tuple[int, int] | None] = [None] * len(support.edges)
 
     while True:
         current_parts = parts()
@@ -434,29 +444,16 @@ def build_hierarchy(support: SupportGraph) -> CutHierarchy:
         anchor = {c: min(nodes[c].vertices) for c in child_ids}
         order = _detect_doubled_path(child_ids, classes, anchor)
         new_id = len(nodes)
-        boundary = boundary_edges(support, canonical_side(chosen, n))
-        part_vertices = {c: nodes[c].vertices for c in child_ids}
+        node_cut.append(cut_index(chosen))
+        boundary = min_cuts[node_cut[-1]].boundary
         if order is not None:
             kind = "cycle"
             companion_classes = tuple(
                 tuple(sorted(classes[(min(a, b), max(a, b))]))
                 for a, b in zip(order, order[1:])
             )
-            first_set = nodes[order[0]].vertices
-            last_set = nodes[order[-1]].vertices
-            end_first = tuple(
-                sorted(
-                    e
-                    for e in boundary
-                    if support.edges[e].u in first_set or support.edges[e].v in first_set
-                )
-            )
-            end_last = tuple(
-                sorted(
-                    e
-                    for e in boundary
-                    if support.edges[e].u in last_set or support.edges[e].v in last_set
-                )
+            end_first, end_last = (
+                tuple(e for e in boundary if e in nodes[c].boundary) for c in (order[0], order[-1])
             )
             if len(end_first) != 2 or len(end_last) != 2 or set(end_first) & set(end_last):
                 raise InternalHierarchyError(
@@ -466,7 +463,7 @@ def build_hierarchy(support: SupportGraph) -> CutHierarchy:
             child_order = tuple(order)
         else:
             kind = "degree"
-            _assert_cut_free(support, child_ids, part_vertices)
+            _assert_cut_free(support, child_ids, {c: nodes[c].vertices for c in child_ids})
             companion_classes = None
             end_pairs = None
             child_order = None
@@ -499,18 +496,15 @@ def build_hierarchy(support: SupportGraph) -> CutHierarchy:
             edge_level[e] = (level, new_id)
         if kind == "cycle":
             prefix: frozenset[int] = frozenset()
-            prefix_sets = []
-            for c in child_order:
-                prefix = prefix | nodes[c].vertices
-                prefix_sets.append(prefix)
-            full = prefix_sets[-1]
-            for pos, (a, b) in enumerate(zip(child_order, child_order[1:])):
+            for a, b in zip(child_order, child_order[1:]):
+                prefix |= nodes[a].vertices
+                pair = (cut_index(prefix), cut_index(chosen - prefix))
                 for e in classes[(min(a, b), max(a, b))]:
-                    edge_last[e] = (prefix_sets[pos], full - prefix_sets[pos])
+                    edge_last[e] = pair
         else:
             for e in internal:
                 u, v = support.endpoints(e)
-                edge_last[e] = (part_vertices[part_of[u]], part_vertices[part_of[v]])
+                edge_last[e] = (node_cut[part_of[u]], node_cut[part_of[v]])
 
     # Final ring verification and annotation.
     final_ids = sorted(alive_nodes)
@@ -550,13 +544,12 @@ def build_hierarchy(support: SupportGraph) -> CutHierarchy:
             e_plus_class = i
     if e_plus_class is None:
         raise InternalHierarchyError("distinguished doubled edge is not on the final ring")
-    full_vertices = frozenset(range(n))
     for i, cls in enumerate(pair_classes):
-        left_member = nodes[ring_order[i]].vertices
-        right_member = nodes[ring_order[(i + 1) % len(ring_order)]].vertices
+        # A ring edge's last cuts are its end members' complements: the same cuts.
+        pair = (node_cut[ring_order[i]], node_cut[ring_order[(i + 1) % len(ring_order)]])
         for e in cls:
             edge_level[e] = ("final", i)
-            edge_last[e] = (full_vertices - left_member, full_vertices - right_member)
+            edge_last[e] = pair
 
     if any(level is None for level in edge_level):
         raise InternalHierarchyError("some support edge was never assigned a level")
@@ -564,12 +557,7 @@ def build_hierarchy(support: SupportGraph) -> CutHierarchy:
     # Fill per-node up/across edges from parent boundaries.
     finished: list[CutNode] = []
     for nd in nodes:
-        if nd.parent is not None:
-            parent_boundary = set(
-                boundary_edges(support, nodes[nd.parent].vertices)
-            )
-        else:
-            parent_boundary = set()
+        parent_boundary = set(nodes[nd.parent].boundary) if nd.parent is not None else set()
         up = tuple(sorted(set(nd.boundary) & parent_boundary))
         across = tuple(sorted(set(nd.boundary) - parent_boundary))
         parent_kind = nodes[nd.parent].kind if nd.parent is not None else None

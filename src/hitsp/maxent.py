@@ -294,10 +294,6 @@ class TreeKernel:
         y = x[:, u, u] - 2 * x[:, u, v] + x[:, v, v]
         return tuple(Fraction(a, self.weight) for a in self._numerators(self._lam * (y % p) % p))
 
-    def sign_expectation(self, flips: Iterable[int]) -> Fraction:
-        """E[(-1)^|T & flips|] = det(I - 2 K_F): a batch of one."""
-        return self.sign_expectations([flips])[0]
-
     def sign_expectations(self, flip_sets: Iterable[Iterable[int]]) -> list[Fraction]:
         """E[(-1)^|T & F|] = det(I - 2 K_F) for each flip set F, memoized per set.
 

@@ -24,14 +24,7 @@ import numpy as np
 
 from ._flow import min_odd_cut
 from ._util import euler_circuit, shortcut_order
-from .cuts import (
-    CutHierarchy,
-    InternalHierarchyError,
-    boundary_edges,
-    build_hierarchy,
-    canonical_side,
-    level_tree_problem,
-)
+from .cuts import CutHierarchy, InternalHierarchyError, build_hierarchy, level_tree_problem
 from .instance import (
     HalfIntegralInstance,
     Metric,
@@ -307,11 +300,9 @@ def compute_even_at_last_probs(plan: SamplingPlan) -> dict[int, Fraction]:
     ring edge), all pairs in one batch.
     """
     hierarchy = plan.hierarchy
-    keys = [hierarchy.last_cuts(e) for e in range(len(plan.support.edges))]
+    keys = hierarchy.edge_last_cuts
     distinct = list(dict.fromkeys(keys))
-    pairs = [
-        tuple(frozenset(boundary_edges(plan.support, side)) for side in key) for key in distinct
-    ]
+    pairs = [tuple(frozenset(hierarchy.min_cuts[i].boundary) for i in key) for key in distinct]
     probs = dict(zip(distinct, even_pair_probabilities(plan.connector.characters, pairs)))
     return {e: probs[key] for e, key in enumerate(keys)}
 
@@ -320,27 +311,17 @@ def cut_masks(hierarchy: CutHierarchy) -> tuple[tuple[int, ...], tuple[int, ...]
     """Per support edge: the bitmask of minimum cuts it crosses, and the
     bitmask of its two last cuts.
 
-    Bit ``i`` stands for ``hierarchy.min_cuts[i]``, so the XOR of a
-    connector's crossing masks has bit ``i`` set exactly when the connector
-    crosses that cut an odd number of times.
+    Bit ``i`` stands for ``hierarchy.min_cuts[i]``, the cut that
+    ``hierarchy.last_cuts`` names by index ``i``, so the XOR of a connector's
+    crossing masks has bit ``i`` set exactly when the connector crosses that
+    cut an odd number of times.
     """
-    n = hierarchy.support.n
-    m = len(hierarchy.support.edges)
-    index = {cut.vertices: i for i, cut in enumerate(hierarchy.min_cuts)}
-    crossing = [0] * m
+    crossing = [0] * len(hierarchy.support.edges)
     for i, cut in enumerate(hierarchy.min_cuts):
         for e in cut.boundary:
             crossing[e] |= 1 << i
-    last = []
-    for e in range(m):
-        mask = 0
-        for side in hierarchy.last_cuts(e):
-            i = index.get(canonical_side(side, n))
-            if i is None:
-                raise PlanError(f"last cut {sorted(side)} of edge {e} is not a minimum cut")
-            mask |= 1 << i
-        last.append(mask)
-    return tuple(crossing), tuple(last)
+    last = tuple((1 << a) | (1 << b) for a, b in hierarchy.edge_last_cuts)
+    return tuple(crossing), last
 
 
 @dataclass(frozen=True)
@@ -348,14 +329,17 @@ class PreparedInstance:
     """Everything the per-sample pipeline needs, precomputed once.
 
     The last five fields are the integer tables of ``build_join_vector``.
-    Cut ``i`` is ``cut_sides[i]``; ``edge_cut_mask[e]`` has bit ``i`` set when
-    edge ``e`` crosses cut ``i`` and ``last_cut_mask[e]`` marks the edge's two
-    last cuts.  Every vector entry, deficit and increase is an integer
-    multiple of ``1 / scale``.  ``unit_edges`` maps each Bernoulli unit to the
-    edges it may reduce (those with a positive even-at-last probability), and
-    ``cut_charges[i]`` lists ``(edge, share * scale)`` for every edge charging
-    to cut ``i`` with a positive share.  ``edge_cost[e]`` is support edge
-    ``e``'s cost times ``cost_scale``, the lcm of the cost denominators.
+    Cut ``i`` is ``hierarchy.min_cuts[i]``, with side ``cut_sides[i]``.
+    ``edge_share[i][f]`` is edge ``f``'s share of cut ``i``'s charge, for
+    every non-ring edge ``f`` with cut ``i`` among its last cuts.
+    ``edge_cut_mask[e]`` has bit ``i`` set when edge ``e`` crosses cut ``i``
+    and ``last_cut_mask[e]`` marks the edge's two last cuts.  Every vector
+    entry, deficit and increase is an integer multiple of ``1 / scale``.
+    ``unit_edges`` maps each Bernoulli unit to the edges it may reduce (those
+    with a positive even-at-last probability), and ``cut_charges[i]`` lists
+    ``(edge, share * scale)`` for every edge charging to cut ``i`` with a
+    positive share.  ``edge_cost[e]`` is support edge ``e``'s cost times
+    ``cost_scale``, the lcm of the cost denominators.
 
     The fields after ``edge_cost`` are derived at construction, so
     ``dataclasses.replace`` rebuilds them: the base value and the reduction
@@ -455,14 +439,13 @@ def prepare_instance(
     for key in plan.unit_keys:
         unit_threshold.setdefault(key, Fraction(0))
 
-    groups = hierarchy.charge_groups()
-    edge_share: dict[frozenset[int], dict[int, Fraction]] = {}
-    for side, members in groups.items():
+    edge_share: dict[int, dict[int, Fraction]] = {}
+    for i, members in hierarchy.charge_groups().items():
         denom = sum((truncated[f] for f in members), Fraction(0))
         if denom > 0:
-            edge_share[side] = {f: truncated[f] / denom for f in members}
+            edge_share[i] = {f: truncated[f] / denom for f in members}
         else:
-            edge_share[side] = {f: Fraction(0) for f in members}
+            edge_share[i] = {f: Fraction(0) for f in members}
 
     cut_sides = tuple(cut.vertices for cut in hierarchy.min_cuts)
     cut_boundary = {cut.vertices: cut.boundary for cut in hierarchy.min_cuts}
@@ -480,12 +463,9 @@ def prepare_instance(
         for key in unit_threshold
     }
     cost_scale, costs = inst.cost_numerators
-    cut_index = {side: i for i, side in enumerate(cut_sides)}
-    cut_charges: list[list[tuple[int, int]]] = [[] for _ in cut_sides]
-    for side, shares in edge_share.items():
-        cut_charges[cut_index[canonical_side(side, support.n)]].extend(
-            (f, (share * scale).numerator) for f, share in shares.items() if share
-        )
+    cut_charges: list[tuple[tuple[int, int], ...]] = [()] * len(cut_sides)
+    for i, shares in edge_share.items():
+        cut_charges[i] = tuple((f, (share * scale).numerator) for f, share in shares.items() if share)
 
     return PreparedInstance(
         instance=inst,
@@ -506,7 +486,7 @@ def prepare_instance(
         last_cut_mask=last_cut_mask,
         scale=scale,
         unit_edges=unit_edges,
-        cut_charges=tuple(tuple(c) for c in cut_charges),
+        cut_charges=tuple(cut_charges),
         cost_scale=cost_scale,
         edge_cost=tuple(costs[e.instance_edge] for e in support.edges),
     )

@@ -24,7 +24,7 @@ from itertools import combinations, product
 from math import prod
 
 from ._util import ResourceCapError
-from .cuts import boundary_edges, canonical_side, level_tree_problem
+from .cuts import level_tree_problem
 from .degreecut import (
     build_matching_context,
     decompose_matching,
@@ -271,9 +271,8 @@ def exact_pipeline_expectations(
     tree_total = prod(len(lv.choices) for lv in levels)
     units = plan.unit_keys
 
-    cut_list = list(prepared.cut_sides)
-    cut_index = {side: i for i, side in enumerate(cut_list)}
-    cut_bound = [prepared.cut_boundary[side] for side in cut_list]
+    cut_list = prepared.cut_sides
+    cut_bound = prepared.boundaries
     # Bit i of a state is the parity of cut i; with costs, bit shift + v is
     # the degree parity of vertex v.
     shift = len(cut_list)
@@ -285,14 +284,7 @@ def exact_pipeline_expectations(
         for e in range(m):
             u, v = support.endpoints(e)
             edge_state[e] ^= ((1 << u) ^ (1 << v)) << shift
-    edge_sides = []
-    last_mask = []
-    for e in range(m):
-        raw = hierarchy.last_cuts(e)
-        pairs = tuple((side, cut_index[canonical_side(side, n)]) for side in raw)
-        edge_sides.append(pairs)
-        last_mask.append(sum({1 << idx for _, idx in pairs}))
-    groups = hierarchy.charge_groups()
+    last_mask = [(1 << a) | (1 << b) for a, b in hierarchy.edge_last_cuts]
 
     marginal = [Fraction(0)] * m
     for level in levels:
@@ -354,13 +346,13 @@ def exact_pipeline_expectations(
         Fraction(0) if eal_weight[e] == 0 else trunc[e] / eal_weight[e]
         for e in range(m)
     ]
-    share: dict[frozenset, dict[int, Fraction]] = {}
-    for side, members in groups.items():
+    share: dict[int, dict[int, Fraction]] = {}
+    for idx, members in hierarchy.charge_groups().items():
         denom = sum((trunc[f] for f in members), Fraction(0))
         if denom > 0:
-            share[side] = {f: trunc[f] / denom for f in members}
+            share[idx] = {f: trunc[f] / denom for f in members}
         else:
-            share[side] = {f: Fraction(0) for f in members}
+            share[idx] = {f: Fraction(0) for f in members}
 
     unit_theta: dict[tuple, Fraction] = {}
     for e in range(m):
@@ -416,8 +408,8 @@ def exact_pipeline_expectations(
             if e in final_set:
                 continue
             parts = []
-            for side, idx in edge_sides[e]:
-                my_share = share.get(side, {}).get(e, Fraction(0))
+            for idx in hierarchy.last_cuts(e):
+                my_share = share[idx][e]
                 odd = (parity_mask >> idx) & 1
                 items: tuple[tuple[tuple, int], ...] = ()
                 if odd and my_share > 0:
@@ -496,9 +488,7 @@ def run_lemma_battery(
             prepared, cap=cap, include_costs=False
         )
     hierarchy = prepared.hierarchy
-    support = prepared.support
     params = prepared.params
-    n = support.n
     p = expectations.per_edge_even
     trunc = expectations.truncation
     levels = expectations.levels
@@ -510,12 +500,11 @@ def run_lemma_battery(
         checks.append(LemmaCheck("cut-even-13-27", label, even, CUT_EVEN_BOUND, ">="))
 
     # Cuts that are nobody's last cut never go odd.
-    last_sides = {
-        canonical_side(raw, n) for e in range(len(support.edges)) for raw in hierarchy.last_cuts(e)
-    }
-    for side, even in expectations.cut_even.items():
-        if side not in last_sides:
-            label = f"cut {sorted(side)}"
+    last = {i for pair in hierarchy.edge_last_cuts for i in pair}
+    for i, cut in enumerate(hierarchy.min_cuts):
+        if i not in last:
+            label = f"cut {sorted(cut.vertices)}"
+            even = expectations.cut_even[cut.vertices]
             checks.append(LemmaCheck("spectator-cut-even", label, even, CERTAIN, "=="))
 
     # Ring-level edges are always even at last.
@@ -529,10 +518,9 @@ def run_lemma_battery(
     for node in hierarchy.degree_nodes():
         k, level_edges, _ = level_tree_problem(hierarchy, node.id)
         level_edge_set = set(node.internal_edges)
-        child_sides = [(c, hierarchy.nodes[c].vertices) for c in node.children]
         ups_by_child = {
-            c: tuple(f for f in boundary_edges(support, side) if f not in level_edge_set)
-            for c, side in child_sides
+            c: tuple(f for f in hierarchy.nodes[c].boundary if f not in level_edge_set)
+            for c in node.children
         }
         k5_shape = (
             k == 4
@@ -540,8 +528,8 @@ def run_lemma_battery(
             and len({frozenset((a, b)) for a, b, _ in level_edges}) == 6
             and all(len(ups) == 1 for ups in ups_by_child.values())
         )
-        for child_id, side in child_sides:
-            boundary = boundary_edges(support, side)
+        for child_id in node.children:
+            boundary = hierarchy.nodes[child_id].boundary
             ups = ups_by_child[child_id]
             inward = tuple(f for f in boundary if f not in ups)
             label = f"node {node.id} child {child_id}"
@@ -589,8 +577,8 @@ def run_lemma_battery(
     for e in hierarchy.top_edges():
         level_edge_set = set(hierarchy.nodes[hierarchy.edge_level[e][1]].internal_edges)
         up_counts = sorted(
-            sum(1 for f in boundary_edges(support, side) if f not in level_edge_set)
-            for side in hierarchy.last_cuts(e)
+            sum(1 for f in hierarchy.min_cuts[i].boundary if f not in level_edge_set)
+            for i in hierarchy.last_cuts(e)
         )
         if up_counts == [0, 1]:
             checks.append(LemmaCheck("top-edge-13-54", f"edge {e}", p[e], TOP_EDGE_BOUND, ">="))
@@ -598,15 +586,7 @@ def run_lemma_battery(
     # End-window law for chain-structured nodes: an interior doubled edge is
     # even at last exactly when each end window contributes one tree edge.
     for node in hierarchy.cycle_nodes():
-        if node.child_order is None or not node.children:
-            continue
-        outer = set(node.boundary)
-        first = hierarchy.nodes[node.child_order[0]].vertices
-        last = hierarchy.nodes[node.child_order[-1]].vertices
-        window_a = tuple(f for f in boundary_edges(support, first) if f in outer)
-        window_b = tuple(f for f in boundary_edges(support, last) if f in outer)
-        if len(window_a) != 2 or len(window_b) != 2:
-            raise ValueError(f"chain node {node.id} has malformed end windows")
+        window_a, window_b = node.end_pairs
         joint = subset_joint_distribution(levels, window_a + window_b)
         hit = sum(
             (

@@ -439,6 +439,32 @@ def test_degreecut_finds_the_degree_cut_witness_once(monkeypatch, tmp_path):
     assert len(calls) == 1
 
 
+def test_run_maps_a_missing_min_cut_to_a_structure_error(monkeypatch, capsys):
+    # Cut 0 of split_octahedron is the vertex {1}, which names a leaf.
+    enumerate_min_cuts = hitsp.cuts.enumerate_min_cuts
+    monkeypatch.setattr(hitsp.cuts, "enumerate_min_cuts", lambda support: enumerate_min_cuts(support)[1:])
+    assert main(["run", "--gen", "split_octahedron", "--samples", "3"]) == 2
+    assert capsys.readouterr().err == "structure error: vertex set [1] is not a minimum cut\n"
+
+
+# sha256 of the hierarchy reports, which no RNG or float reaches.
+@pytest.mark.parametrize(
+    "spec, flags, digest",
+    [
+        ("envelope:10", [], "5cca6a44b0f511dc08da4e52958e933995e678649d734bf4353b3d0586b5b9f6"),
+        ("envelope:10", ["--dot"], "e446d0eda63d2ee25bb1b63f2feb60dbecf6379b095884988e9e0141e341f979"),
+        ("four_blob", [], "a5a1b9f6e396b8eb4e620ec671c129bcbfc11c1e3e88eb861fd1664d6163aa67"),
+        ("four_blob", ["--dot"], "049b66fa0ba47e5fbd44e413f77b807bdd632d7928e89a2f85ab335204d69c25"),
+        ("split_octahedron", [], "a6990bc214f6333904eb0ce052712e44e6164570ad9bbbc54856e8ccd82a0f9a"),
+        ("split_octahedron", ["--dot"], "2aaa75bcf3470e0af280fac7a792ae156232643ca88d5a8162628bb318092863"),
+    ],
+)
+def test_hierarchy_reports_are_pinned(tmp_path, spec, flags, digest):
+    out = tmp_path / "hierarchy"
+    assert main(["hierarchy", "--gen", spec, *flags, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_degreecut_report_and_rejection(tmp_path, capsys):
     out = tmp_path / "dc.json"
     assert main(["degreecut", "--gen", "k5_degree:6", "--samples", "50",

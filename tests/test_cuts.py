@@ -6,6 +6,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+import hitsp.cuts
 from hitsp._flow import small_edge_cut_witness
 from hitsp.cli import HIERARCHY_CORPUS
 from hitsp.cuts import (
@@ -158,11 +159,10 @@ def test_every_edge_has_two_last_cuts_in_its_boundary():
         for e in range(len(support.edges)):
             left, right = h.edge_last_cuts[e]
             assert left != right
-            for side in (left, right):
-                bnd = boundary_edges(support, side)
+            for i in (left, right):
+                bnd = boundary_edges(support, h.min_cuts[i].vertices)
                 assert e in bnd
-                if h.edge_level[e][0] != "final":
-                    assert len(bnd) == 4
+                assert len(bnd) == 4
 
 
 def test_final_edge_last_cuts_are_endpoint_complements():
@@ -170,12 +170,12 @@ def test_final_edge_last_cuts_are_endpoint_complements():
     h = build_hierarchy(support)
     for e in h.final_edges():
         u, v = support.endpoints(e)
-        sides = set(h.edge_last_cuts[e])
+        sides = {h.min_cuts[i].vertices for i in h.edge_last_cuts[e]}
         member_sets = {m: h.nodes[m].vertices for m in h.final.member_nodes}
         want = set()
         for vertex in (u, v):
             owner = next(vs for vs in member_sets.values() if vertex in vs)
-            want.add(frozenset(range(support.n)) - owner)
+            want.add(canonical_side(frozenset(range(support.n)) - owner, support.n))
         assert sides == want
 
 
@@ -185,11 +185,28 @@ def test_charge_groups_cover_exactly_non_final_edges():
     groups = h.charge_groups()
     final = set(h.final_edges())
     seen = set()
-    for side, edges in groups.items():
+    for i, edges in groups.items():
         for e in edges:
-            assert side in h.edge_last_cuts[e]
+            assert i in h.edge_last_cuts[e]
             seen.add(e)
     assert seen == set(range(len(support.edges))) - final
+
+
+def test_every_split_octahedron_cut_is_needed(monkeypatch):
+    """Each of split_octahedron's 8 minimum cuts names a node or a last cut;
+    without it the hierarchy cannot be built."""
+    support = support_for(GADGET_BUILDERS["split_octahedron"]())
+    cuts = enumerate_min_cuts(support)
+    h = build_hierarchy(support)
+    assert {i for pair in h.edge_last_cuts for i in pair} == set(range(len(cuts))) == set(range(8))
+    messages = []
+    for i in range(len(cuts)):
+        monkeypatch.setattr(hitsp.cuts, "enumerate_min_cuts", lambda s, i=i: cuts[:i] + cuts[i + 1:])
+        with pytest.raises(InternalHierarchyError) as info:
+            build_hierarchy(support)
+        messages.append(str(info.value))
+    # Cut 0 is the vertex {1}: its leaf has no minimum cut left to name it.
+    assert messages[0] == "vertex set [1] is not a minimum cut"
 
 
 def test_cycle_node_structure_envelope():

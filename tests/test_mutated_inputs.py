@@ -1,0 +1,67 @@
+"""Seeded corruptions of valid instance files: every subcommand must end in
+exit 0 or 2, never in an escaped exception."""
+
+import copy
+import json
+import random
+
+import pytest
+
+from hitsp.cli import main
+from hitsp.instance import GADGET_BUILDERS, generate_instance, serialize_instance
+
+COMMANDS = (
+    ["validate"],
+    ["hierarchy"],
+    ["run", "--samples", "3"],
+    ["verify-lemmas", "--feasibility-samples", "2"],
+    ["degreecut", "--samples", "3"],
+)
+KINDS = ("drop-edge", "duplicate-edge", "x", "cost", "vertex", "missing-key", "truncate")
+MUTATIONS = 24
+
+
+def mutate(payload: dict, rng: random.Random) -> tuple[str, str]:
+    """One corruption of an instance payload, returned as (kind, file text)."""
+    data = copy.deepcopy(payload)
+    edges = data["edges"]
+    i = rng.randrange(len(edges))
+    kind = rng.choice(KINDS)
+    if kind == "drop-edge":
+        del edges[i]
+    elif kind == "duplicate-edge":
+        edges.insert(i, dict(edges[i]))
+    elif kind == "x":
+        edges[i]["x"] = rng.choice(["0", "2", "1/3"])
+    elif kind == "cost":
+        edges[i]["cost"] = rng.choice([-1, "-1/2", "abc", "1/0", None])
+    elif kind == "vertex":
+        edges[i][rng.choice("uv")] = rng.choice([-1, data["n"], data["n"] + 7])
+    elif kind == "missing-key":
+        owner = data if rng.random() < 0.5 else edges[i]
+        del owner[rng.choice(sorted(owner))]
+    text = json.dumps(data)
+    if kind == "truncate":
+        text = text[: rng.randrange(len(text))]
+    return kind, text
+
+
+@pytest.mark.parametrize(
+    "label, instance",
+    [
+        ("cycle_chain:3", lambda: generate_instance("cycle_chain", 3)),
+        ("four_blob", GADGET_BUILDERS["four_blob"]),
+        ("k5_degree:5", lambda: generate_instance("k5_degree", 5)),
+    ],
+)
+def test_mutated_instances_exit_0_or_2(label, instance, tmp_path, capsys):
+    payload = json.loads(serialize_instance(instance()))
+    rng = random.Random(sum(map(ord, label)))
+    path = tmp_path / "mutated.json"
+    for _ in range(MUTATIONS):
+        kind, text = mutate(payload, rng)
+        path.write_text(text, encoding="utf-8")
+        for command in COMMANDS:
+            code = main([*command, "--instance", str(path), "--out", str(tmp_path / "out")])
+            assert code in (0, 2), (label, kind, command, capsys.readouterr().err)
+    capsys.readouterr()

@@ -11,7 +11,7 @@ from test_maxent import count_weighted_trees
 
 import hitsp.maxent
 from hitsp.cli import HIERARCHY_CORPUS, corpus_instance
-from hitsp.cuts import InternalHierarchyError, boundary_edges, build_hierarchy, canonical_side
+from hitsp.cuts import InternalHierarchyError, boundary_edges, build_hierarchy
 from hitsp.instance import (
     GADGET_BUILDERS,
     Metric,
@@ -168,8 +168,8 @@ def test_exact_even_probabilities_match_monte_carlo(chain2):
 
 def test_edge_share_sums_to_one_over_charge_groups(envelope2):
     groups = envelope2.hierarchy.charge_groups()
-    for side, edges in groups.items():
-        total = sum((envelope2.edge_share[side][e] for e in edges), Fraction(0))
+    for i, edges in groups.items():
+        total = sum((envelope2.edge_share[i][e] for e in edges), Fraction(0))
         mass = sum((envelope2.truncated[e] for e in edges), Fraction(0))
         if mass:
             assert total == 1
@@ -208,7 +208,8 @@ def test_vector_reductions_require_even_last_cuts(chain2):
         vector = build_join_vector(chain2, sample)
         in_tree = set(sample.edges)
         for e in vector.reduced:
-            for side in h.edge_last_cuts[e]:
+            for i in h.edge_last_cuts[e]:
+                side = h.min_cuts[i].vertices
                 crossing = len(set(boundary_edges(support, side)) & in_tree)
                 assert crossing % 2 == 0
 
@@ -701,10 +702,9 @@ def test_run_sample_populates_cut_loads(chain2):
 def reference_join_vector(prepared, sample):
     """The all-``Fraction`` construction, kept as the reference for the
     integer kernel: per-cut parities from boundary counts, per-cut sums."""
-    support = prepared.support
     hierarchy = prepared.hierarchy
-    n = support.n
-    m = len(support.edges)
+    sides = prepared.cut_sides
+    m = len(prepared.support.edges)
     tree = set(sample.edges)
     units = {
         key: Fraction(u) < prepared.unit_threshold[key]
@@ -720,11 +720,7 @@ def reference_join_vector(prepared, sample):
         if prepared.eal_probability[e] == 0:
             continue
         left, right = hierarchy.last_cuts(e)
-        if (
-            parity[canonical_side(left, n)] == 0
-            and parity[canonical_side(right, n)] == 0
-            and units[prepared.unit_of[e]]
-        ):
+        if parity[sides[left]] == 0 and parity[sides[right]] == 0 and units[prepared.unit_of[e]]:
             values[e] -= prepared.params.reduction
             reduced.add(e)
     deficits = {}
@@ -740,10 +736,8 @@ def reference_join_vector(prepared, sample):
         if e in final_edges:
             continue
         best = Fraction(0)
-        for side in hierarchy.last_cuts(e):
-            deficit = deficits[canonical_side(side, n)]
-            share = prepared.edge_share.get(side, {}).get(e, Fraction(0))
-            best = max(best, share * deficit)
+        for i in hierarchy.last_cuts(e):
+            best = max(best, prepared.edge_share[i][e] * deficits[sides[i]])
         values[e] += best
         increases[e] = best
     return values, frozenset(reduced), deficits, increases

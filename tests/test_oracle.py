@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from hitsp.cli import HIERARCHY_CORPUS, corpus_instance
-from hitsp.cuts import canonical_side
 from hitsp.instance import (
     GADGET_BUILDERS,
     HalfIntegralInstance,
@@ -238,15 +237,8 @@ def reference_pipeline_expectations(
     units = plan.unit_keys
 
     cut_list = list(prepared.cut_sides)
-    cut_index = {side: i for i, side in enumerate(cut_list)}
     cut_bound = [prepared.cut_boundary[side] for side in cut_list]
-    edge_sides = []
-    edge_cut_indices = []
-    for e in range(m):
-        raw = hierarchy.last_cuts(e)
-        pairs = tuple((side, cut_index[canonical_side(side, n)]) for side in raw)
-        edge_sides.append(pairs)
-        edge_cut_indices.append(tuple(idx for _, idx in pairs))
+    edge_cut_indices = hierarchy.edge_last_cuts
     groups = hierarchy.charge_groups()
 
     even_weight = [Fraction(0)] * len(cut_list)
@@ -291,13 +283,13 @@ def reference_pipeline_expectations(
         Fraction(0) if eal_weight[e] == 0 else trunc[e] / eal_weight[e]
         for e in range(m)
     ]
-    share: dict[frozenset, dict[int, Fraction]] = {}
-    for side, members in groups.items():
+    share: dict[int, dict[int, Fraction]] = {}
+    for idx, members in groups.items():
         denom = sum((trunc[f] for f in members), Fraction(0))
         if denom > 0:
-            share[side] = {f: trunc[f] / denom for f in members}
+            share[idx] = {f: trunc[f] / denom for f in members}
         else:
-            share[side] = {f: Fraction(0) for f in members}
+            share[idx] = {f: Fraction(0) for f in members}
 
     unit_theta: dict[tuple, Fraction] = {}
     for e in range(m):
@@ -354,8 +346,8 @@ def reference_pipeline_expectations(
             if e in final_set:
                 continue
             parts = []
-            for side, idx in edge_sides[e]:
-                my_share = share.get(side, {}).get(e, Fraction(0))
+            for idx in edge_cut_indices[e]:
+                my_share = share.get(idx, {}).get(e, Fraction(0))
                 odd = (parity_mask >> idx) & 1
                 items: tuple[tuple[tuple, int], ...] = ()
                 if odd and my_share > 0:
