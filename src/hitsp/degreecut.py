@@ -34,7 +34,7 @@ from .instance import (
     build_support_graph,
     metric_closure,
 )
-from .maxent import TreeLevel, _contract, fit_level
+from .maxent import TreeLevel, fit_level
 from .ojoin import (
     ConnectorLaw,
     JoinCalculator,
@@ -220,10 +220,12 @@ def build_tree_levels(
 ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[TreeLevel, ...]]:
     """Decompose a tree-polytope point into independently samplable levels.
 
-    Edges with target 1 are pinned (in every tree), target 0 deleted.  Any
-    vertex set whose internal target mass equals its size minus one confines
-    exactly that many tree edges, so the tree law factorizes: the set's
-    interior and its contraction are independent problems.  Recursing on
+    Edges with target 1 are pinned (in every tree), target 0 deleted; this
+    is the one place edges are pinned, as ``maxent.fit_lambda`` fits
+    interior targets only.  Any vertex set whose internal target mass
+    equals its size minus one confines exactly that many tree edges, so the
+    tree law factorizes: the set's interior and its contraction are
+    independent problems.  Recursing on
     inclusion-minimal tight sets, each found by ``_flow.first_tight_set`` in
     polynomial time, yields levels with targets strictly inside their
     spanning-tree polytopes, where a weight fit converges.  Targets outside
@@ -266,6 +268,35 @@ def build_tree_levels(
     return (pinned, deleted, tuple(levels))
 
 
+def _contract(
+    n: int, edges: Sequence[tuple[int, int]], merge: Sequence[tuple[int, int]]
+) -> tuple[int, list[tuple[int, int]], bool]:
+    """Merge vertex pairs; returns (new n, remapped edges, had_cycle).
+
+    ``had_cycle`` reports that some requested merge was already identified,
+    i.e. the contracted edge set contained a cycle.
+    """
+    parent = list(range(n))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    had_cycle = False
+    for u, v in merge:
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            had_cycle = True
+        else:
+            parent[ru] = rv
+    roots = sorted({find(v) for v in range(n)})
+    index = {r: i for i, r in enumerate(roots)}
+    remapped = [(index[find(u)], index[find(v)]) for u, v in edges]
+    return (len(roots), remapped, had_cycle)
+
+
 def _first_tight_set(
     nq: int, items: Sequence[tuple[int, int, int]], tvals: dict
 ) -> tuple[frozenset[int], list[tuple[int, int, int]]] | None:
@@ -285,26 +316,17 @@ class MatchingContext:
 
     ``root`` is the unmatched vertex (None for even orders), ``terminals``
     its matched neighbors, ``normal_edges`` the matched edges with no
-    terminal endpoint.  ``forced_edge`` (the lowest-id matched edge) has tree
-    target 0 but is appended to every sampled tree, so the whole matching is
-    always present; ``pinned`` are the other matched edges.  ``levels`` is
-    the face decomposition of the remaining marginals.  ``connector``, built
-    at construction, is the connector's law: those matched edges fixed, one
-    independent run per level.
+    terminal endpoint.  ``connector`` is the connector's law: every matched
+    edge fixed, one independent run per level of the face decomposition of
+    the remaining marginals.  The lowest-id matched edge has tree target 0
+    but is fixed all the same, so the whole matching is always present.
     """
 
     matching: frozenset[int]
     root: int | None
     terminals: frozenset[int]
     normal_edges: tuple[int, ...]
-    forced_edge: int
-    pinned: tuple[int, ...]
-    levels: tuple[TreeLevel, ...]
-    connector: ConnectorLaw = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        law = ConnectorLaw((*self.pinned, self.forced_edge), self.levels)
-        object.__setattr__(self, "connector", law)
+    connector: ConnectorLaw
 
 
 def tree_target_vector(
@@ -365,9 +387,7 @@ def build_matching_context(
         root=root,
         terminals=terminals,
         normal_edges=normal,
-        forced_edge=forced,
-        pinned=pinned,
-        levels=levels,
+        connector=ConnectorLaw((*pinned, forced), levels),
     )
 
 

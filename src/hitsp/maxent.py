@@ -66,49 +66,17 @@ class FitConvergenceError(RuntimeError):
 class LambdaFit:
     """Result of fitting weights to target marginals.
 
-    ``values`` has one float per edge (placeholders for pinned edges);
-    ``forced`` lists edges with target 1 (in every tree), ``deleted`` edges
-    with target 0 (in no tree).  ``error`` is the final max marginal error.
+    ``values`` has one float per edge; ``error`` is the final max marginal
+    error.
     """
 
     values: tuple[float, ...]
-    forced: tuple[int, ...]
-    deleted: tuple[int, ...]
     error: float
     iterations: int
 
 
 def _is_exact(lam: Sequence) -> bool:
     return all(isinstance(v, (int, Fraction)) for v in lam)
-
-
-def _contract(
-    n: int, edges: Sequence[tuple[int, int]], merge: Sequence[tuple[int, int]]
-) -> tuple[int, list[tuple[int, int]], bool]:
-    """Merge vertex pairs; returns (new n, remapped edges, had_cycle).
-
-    ``had_cycle`` reports that some requested merge was already identified,
-    i.e. the contracted edge set contained a cycle.
-    """
-    parent = list(range(n))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    had_cycle = False
-    for u, v in merge:
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            had_cycle = True
-        else:
-            parent[ru] = rv
-    roots = sorted({find(v) for v in range(n)})
-    index = {r: i for i, r in enumerate(roots)}
-    remapped = [(index[find(u)], index[find(v)]) for u, v in edges]
-    return (len(roots), remapped, had_cycle)
 
 
 def _rationalized(lam: Sequence) -> list[Fraction]:
@@ -402,11 +370,12 @@ def fit_lambda(
 ) -> LambdaFit:
     """Find weights whose tree marginals match the targets (multiplicatively).
 
-    Targets must lie in [0, 1] and sum to n-1 (a spanning-tree polytope
-    point).  Edges with target 1 are contracted, target 0 deleted; the rest
-    are fitted by the update ``weight *= target / marginal`` with halving
-    damping when the error oscillates.  Weights are normalized so the first
-    free edge has weight 1.  Raises FitConvergenceError on failure.
+    Targets must lie strictly between 0 and 1 and sum to n-1 (a
+    spanning-tree polytope point with no edge pinned); pinning an edge in or
+    out of every tree is the caller's work (``degreecut.build_tree_levels``).
+    The weights follow the update ``weight *= target / marginal`` with
+    halving damping when the error oscillates, and are normalized so the
+    first edge has weight 1.  Raises FitConvergenceError on failure.
 
     Each iteration is array arithmetic over :class:`_FloatLaplacian`, with
     the same float operations in the same order as a scalar loop over the
@@ -417,27 +386,17 @@ def fit_lambda(
     targets = [float(t) for t in targets]
     if len(targets) != len(edges):
         raise ValueError("one target per edge required")
-    if any(t < -1e-12 or t > 1 + 1e-12 for t in targets):
-        raise ValueError("targets must lie in [0, 1]")
+    if any(t <= 0 or t >= 1 for t in targets):
+        raise ValueError("targets must lie strictly between 0 and 1")
     total = sum(targets)
     if abs(total - (n - 1)) > 1e-9:
         raise ValueError(f"targets sum to {total}, expected n-1 = {n - 1}")
-    forced = tuple(i for i, t in enumerate(targets) if t >= 1 - 1e-12)
-    deleted = tuple(i for i, t in enumerate(targets) if t <= 1e-12)
-    free = [i for i in range(len(edges)) if i not in forced and i not in deleted]
+    if not edges:
+        return LambdaFit((), 0.0, 0)
 
-    cn, cedges, had_cycle = _contract(n, edges, [edges[i] for i in forced])
-    if had_cycle:
-        raise ValueError("target-1 edges contain a cycle")
-    values = [1.0] * len(edges)
-    for i in deleted:
-        values[i] = 0.0
-    if not free:
-        return LambdaFit(tuple(values), forced, deleted, 0.0, 0)
-
-    laplacian = _FloatLaplacian(cn, [cedges[i] for i in free])
-    goal = np.array([targets[i] for i in free])
-    lam = np.ones(len(free))
+    laplacian = _FloatLaplacian(n, edges)
+    goal = np.array(targets)
+    lam = np.ones(len(edges))
     error = float("inf")
     previous_error = float("inf")
     damping = 1.0
@@ -459,9 +418,7 @@ def fit_lambda(
             f"marginal fit stalled at error {error:.3e} after {max_iterations} iterations",
             error,
         )
-    for i, value in zip(free, (lam / lam[0]).tolist()):
-        values[i] = value
-    return LambdaFit(tuple(values), forced, deleted, error, iterations)
+    return LambdaFit(tuple((lam / lam[0]).tolist()), error, iterations)
 
 
 def _walk_tables(
@@ -600,46 +557,4 @@ def fit_level(
     if unit.kernel().marginals() == tuple(targets):
         return unit
     fit = fit_lambda(n, list(edges), [float(t) for t in targets], tol=tol)
-    if fit.forced or fit.deleted:
-        raise ValueError("level fit pinned edges unexpectedly")
     return TreeLevel(n, edges, tuple(edge_ids), fit.values, tuple(_rationalized(fit.values)))
-
-
-def enumerate_spanning_trees(
-    n: int, edges: Sequence[tuple[int, int]], cap: int = 10_000_000
-) -> list[tuple[int, ...]]:
-    """All spanning trees as sorted edge-index tuples (backtracking search).
-
-    Raises ValueError when the count would exceed ``cap``.
-    """
-    m = len(edges)
-    out: list[tuple[int, ...]] = []
-
-    def extend(start: int, chosen: list[int], parent: list[int], count: int) -> None:
-        if count == n - 1:
-            out.append(tuple(chosen))
-            if len(out) > cap:
-                raise ValueError(f"spanning tree count exceeds cap {cap}")
-            return
-        if m - start < (n - 1) - count:
-            return
-        for idx in range(start, m):
-            u, v = edges[idx]
-
-            def find(a: int) -> int:
-                while parent[a] != a:
-                    a = parent[a]
-                return a
-
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                continue
-            snapshot = parent[:]
-            parent[ru] = rv
-            chosen.append(idx)
-            extend(idx + 1, chosen, parent, count + 1)
-            chosen.pop()
-            parent[:] = snapshot
-
-    extend(0, [], list(range(n)), 0)
-    return out

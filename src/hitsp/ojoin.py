@@ -1,15 +1,16 @@
 """Tree sampling and the parity-correction (join) vector construction.
 
-Given a validated instance this module: builds a per-level sampling plan from
-the cut hierarchy (uniform companion choices inside chain-structured nodes,
-weighted-tree sampling inside cut-free nodes, one copy per doubled class on
-the final ring with the distinguished unit edge forced); computes, exactly,
-each edge's probability that both of its recorded last cuts are crossed an
-even number of times by the sampled connector; and turns one sampled
-connector into a fractional parity-correction vector via truncated Bernoulli
-reductions and deficit-sharing increases.  Feasibility of that vector against
-every odd cut, minimum-cost parity matchings, and shortcut tours are provided
-for verification and end-to-end runs.
+Given a validated instance this module: describes the sampled connector by
+one law, ``ConnectorLaw``, built from the cut hierarchy (uniform companion
+choices inside chain-structured nodes, weighted-tree sampling inside cut-free
+nodes, one copy per doubled class on the final ring with the distinguished
+unit edge forced); computes, exactly, each edge's probability that both of
+its recorded last cuts are crossed an even number of times by the sampled
+connector; and turns one sampled connector into a fractional
+parity-correction vector via truncated Bernoulli reductions and
+deficit-sharing increases.  Feasibility of that vector against every odd
+cut, minimum-cost parity matchings, and shortcut tours are provided for
+verification and end-to-end runs.
 """
 
 from __future__ import annotations
@@ -77,31 +78,21 @@ class ChargingParams:
 
 
 @dataclass(frozen=True)
-class CycleLevel:
-    """Sampling inside one chain-structured node: one uniform pick per class."""
-
-    node_id: int
-    classes: tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
-class FinalLevel:
-    """Sampling on the final ring: one copy per class, unit class forced."""
-
-    classes: tuple[tuple[int, ...], ...]
-    forced_class: int
-    forced_edge: int
-
-
-@dataclass(frozen=True)
 class ConnectorLaw:
-    """``fixed`` edges in every connector plus independent ``runs``, drawn in
-    order: a ``TreeLevel`` by its walk, a tuple of doubled classes by one
+    """The one description of a sampled connector: ``fixed`` edges in every
+    connector plus independent ``runs``, drawn in order: a ``TreeLevel`` by
+    its walk, a tuple of doubled classes by one
     ``rng.integers(0, 2, size=len(run))`` call, which gives the same picks
-    and generator state as one scalar call per class."""
+    and generator state as one scalar call per class.  Raises
+    ``InternalHierarchyError`` when some class is not doubled."""
 
     fixed: tuple[int, ...]
     runs: tuple
+
+    def __post_init__(self) -> None:
+        classes = [cls for run in self.runs if not isinstance(run, TreeLevel) for cls in run]
+        if any(len(cls) != 2 for cls in classes):
+            raise InternalHierarchyError("uniform-pick classes are not all doubled")
 
     def sample(self, rng: np.random.Generator) -> tuple[int, ...]:
         """One connector, as sorted edge ids."""
@@ -136,40 +127,24 @@ class ConnectorLaw:
 
 @dataclass(frozen=True)
 class SamplingPlan:
-    """Per-level samplers; ``unit_keys`` lists the Bernoulli units in their
-    fixed draw order: cycle nodes, top edges, final.  Chain and cut-free
-    levels are in node id order; a cut-free level's vertices are its node's
-    children and its ``edge_ids`` are support edge ids.
+    """The hierarchy's connector law and its Bernoulli units.
 
-    ``draw_runs``, built once at construction, is the class-pick stream cut
-    into runs: each cut-free level is a run of its own and each maximal
-    stretch of uniform class picks between them (the chain classes, then the
-    unforced ring classes) is one tuple of classes, which the hierarchy
-    doubles.  ``connector`` is the law of the forced ring edge plus those
-    runs.
+    ``connector`` fixes the forced ring edge and draws its runs in a fixed
+    order: the chain classes (node id order), then each cut-free level (node
+    id order; its vertices are its node's children and its ``edge_ids`` are
+    support edge ids), then the unforced ring classes.  With no cut-free
+    level the chain and ring classes are one run.  ``unit_keys`` lists the
+    Bernoulli units in their fixed draw order: cycle nodes, top edges, final.
     """
 
-    support: SupportGraph
     hierarchy: CutHierarchy
-    cycle_levels: tuple[CycleLevel, ...]
-    degree_levels: tuple[TreeLevel, ...]
-    final_level: FinalLevel
+    connector: ConnectorLaw
     unit_keys: tuple[tuple, ...]
-    draw_runs: tuple = field(init=False, repr=False, compare=False)
-    connector: ConnectorLaw = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        final = self.final_level
-        chain = [cls for level in self.cycle_levels for cls in level.classes]
-        ring = [cls for idx, cls in enumerate(final.classes) if idx != final.forced_class]
-        if any(len(cls) != 2 for cls in chain + ring):
-            raise InternalHierarchyError("chain and ring classes are not all doubled")
-        # Every cut-free level is drawn between the chain and the ring picks.
-        runs = [chain, *self.degree_levels, ring] if self.degree_levels else [chain + ring]
-        object.__setattr__(self, "draw_runs", tuple(
-            run if isinstance(run, TreeLevel) else tuple(run) for run in runs if run
-        ))
-        object.__setattr__(self, "connector", ConnectorLaw((final.forced_edge,), self.draw_runs))
+    @property
+    def degree_levels(self) -> tuple[TreeLevel, ...]:
+        """The cut-free levels, in draw order."""
+        return tuple(run for run in self.connector.runs if isinstance(run, TreeLevel))
 
 
 @dataclass(frozen=True)
@@ -220,37 +195,29 @@ class PlanError(RuntimeError):
 
 
 def build_sampling_plan(hierarchy: CutHierarchy) -> SamplingPlan:
-    """Per-level samplers for the hierarchical tree distribution."""
-    cycle_levels = []
-    degree_levels = []
-    for node in hierarchy.internal_nodes():
-        if node.kind == "cycle":
-            cycle_levels.append(
-                CycleLevel(node_id=node.id, classes=node.companion_classes)
-            )
-            continue
+    """The connector law of the hierarchical tree distribution: one weight
+    fit per cut-free level, one uniform pick per doubled chain or ring class,
+    and the lower copy of the distinguished doubled edge forced."""
+    cycle_nodes = hierarchy.cycle_nodes()
+    chain = [cls for node in cycle_nodes for cls in node.companion_classes]
+    levels = []
+    for node in hierarchy.degree_nodes():
         k, edges, targets = level_tree_problem(hierarchy, node.id)
-        degree_levels.append(
+        levels.append(
             fit_level(
                 k, [(a, b) for a, b, _ in edges], [e for _, _, e in edges], targets, tol=1e-12
             )
         )
     final = hierarchy.final
-    forced_edge = min(final.pair_classes[final.e_plus_class])
-    if hierarchy.support.e_plus_pair is not None:
-        forced_edge = min(hierarchy.support.e_plus_pair)
+    ring = [cls for idx, cls in enumerate(final.pair_classes) if idx != final.e_plus_class]
+    # Every cut-free level is drawn between the chain and the ring picks.
+    runs = [tuple(chain), *levels, tuple(ring)] if levels else [tuple(chain + ring)]
+    forced = min(hierarchy.support.e_plus_pair)
     return SamplingPlan(
-        support=hierarchy.support,
         hierarchy=hierarchy,
-        cycle_levels=tuple(cycle_levels),
-        degree_levels=tuple(degree_levels),
-        final_level=FinalLevel(
-            classes=final.pair_classes,
-            forced_class=final.e_plus_class,
-            forced_edge=forced_edge,
-        ),
+        connector=ConnectorLaw((forced,), tuple(run for run in runs if run)),
         unit_keys=(
-            *(("cycle", lvl.node_id) for lvl in cycle_levels),
+            *(("cycle", node.id) for node in cycle_nodes),
             *(("top", e) for e in hierarchy.top_edges()),
             ("final",),
         ),

@@ -1,8 +1,8 @@
 """Exhaustive ground truth for the sampling pipeline, and the bound battery.
 
 The enumeration recomputes pipeline quantities from the sampler's explicit
-outcome lists — each independent factor's choices (chain class picks,
-listed spanning trees, ring class picks) collapsed onto cut-parity and
+outcome lists — each independent factor's choices (the fixed edges, doubled
+class picks, listed spanning trees) collapsed onto cut-parity and
 odd-vertex masks and XOR-convolved, Bernoulli units folded exactly per
 state — with no determinant identities or analytic parity laws, so the
 fast paths can be compared against these numbers at zero tolerance.
@@ -35,12 +35,12 @@ from .degreecut import (
     fractional_matching_target,
 )
 from .instance import HalfIntegralInstance
-from .maxent import TreeKernel, enumerate_spanning_trees
+from .maxent import TreeKernel, TreeLevel
 from .ojoin import (
     EXACT_COST_LIMIT,
+    ConnectorLaw,
     JoinCalculator,
     PreparedInstance,
-    SamplingPlan,
     run_sample,
     sample_rng,
 )
@@ -80,6 +80,46 @@ def degree_vertex_bound(n: int) -> Fraction:
     return DEGREE_VERTEX_BOUND + (DEGREE_VERTEX_SLACK / n if n % 2 == 1 else 0)
 
 
+def enumerate_spanning_trees(
+    n: int, edges: Sequence[tuple[int, int]], cap: int = DEFAULT_OUTCOME_CAP
+) -> list[tuple[int, ...]]:
+    """All spanning trees as sorted edge-index tuples (backtracking search).
+
+    Raises ResourceCapError when the count would exceed ``cap``.
+    """
+    m = len(edges)
+    out: list[tuple[int, ...]] = []
+
+    def extend(start: int, chosen: list[int], parent: list[int], count: int) -> None:
+        if count == n - 1:
+            out.append(tuple(chosen))
+            if len(out) > cap:
+                raise ResourceCapError(f"spanning tree count exceeds cap {cap}")
+            return
+        if m - start < (n - 1) - count:
+            return
+        for idx in range(start, m):
+            u, v = edges[idx]
+
+            def find(a: int) -> int:
+                while parent[a] != a:
+                    a = parent[a]
+                return a
+
+            ru, rv = find(u), find(v)
+            if ru == rv:
+                continue
+            snapshot = parent[:]
+            parent[ru] = rv
+            chosen.append(idx)
+            extend(idx + 1, chosen, parent, count + 1)
+            chosen.pop()
+            parent[:] = snapshot
+
+    extend(0, [], list(range(n)), 0)
+    return out
+
+
 @dataclass(frozen=True)
 class TreeEnumeration:
     """All spanning trees of a weighted multigraph with their probabilities."""
@@ -97,10 +137,7 @@ def enumerate_trees(
 ) -> TreeEnumeration:
     """List every spanning tree with probability proportional to its weight."""
     weights = [Fraction(w) for w in lam] if lam is not None else None
-    try:
-        trees = enumerate_spanning_trees(n, edges, cap=cap)
-    except ValueError as exc:
-        raise ResourceCapError(str(exc)) from exc
+    trees = enumerate_spanning_trees(n, edges, cap=cap)
     if weights is None:
         tree_weights = [Fraction(1)] * len(trees)
     else:
@@ -119,45 +156,33 @@ def enumerate_trees(
 class LevelOutcomes:
     """One independent sampling factor flattened into explicit choices."""
 
-    label: tuple
     choices: tuple[tuple[tuple[int, ...], Fraction], ...]
 
 
-def level_outcome_table(plan: SamplingPlan) -> tuple[LevelOutcomes, ...]:
-    """Flatten the sampler into independent (edge set, probability) factors.
+def level_outcome_table(law: ConnectorLaw) -> tuple[LevelOutcomes, ...]:
+    """Flatten a connector law into independent (edge set, probability) factors.
 
-    Each chain class is one uniform pick, each cut-free level lists its
-    spanning trees weighted by the level's exact weights, and each ring class
-    is one uniform pick (the forced class has the single forced edge).  The
-    sampled connector is the union of one choice per factor.  A level with
-    more than ``DEFAULT_OUTCOME_CAP`` trees, counted first by the
-    Matrix-Tree theorem, raises ResourceCapError before any is listed.
+    The fixed edges are one certain choice, each doubled class is one uniform
+    pick, and each cut-free level lists its spanning trees weighted by the
+    level's exact weights, in the law's draw order.  The sampled connector is
+    the union of one choice per factor.  A level with more than
+    ``DEFAULT_OUTCOME_CAP`` trees, counted first by the Matrix-Tree theorem,
+    raises ResourceCapError before any is listed.
     """
-    out: list[LevelOutcomes] = []
-    for level in plan.cycle_levels:
-        for idx, cls in enumerate(level.classes):
-            share = Fraction(1, len(cls))
-            choices = tuple(((e,), share) for e in cls)
-            out.append(LevelOutcomes(("cycle", level.node_id, idx), choices))
-    for idx, level in enumerate(plan.degree_levels):
-        unit = (Fraction(1),) * len(level.level_edges)
-        if TreeKernel(level.vertex_count, level.level_edges, unit).weight > DEFAULT_OUTCOME_CAP:
+    out = [LevelOutcomes(((law.fixed, Fraction(1)),))]
+    for run in law.runs:
+        if not isinstance(run, TreeLevel):
+            out.extend(LevelOutcomes(tuple(((e,), Fraction(1, 2)) for e in cls)) for cls in run)
+            continue
+        unit = (Fraction(1),) * len(run.level_edges)
+        if TreeKernel(run.vertex_count, run.level_edges, unit).weight > DEFAULT_OUTCOME_CAP:
             raise ResourceCapError(f"spanning tree count exceeds cap {DEFAULT_OUTCOME_CAP}")
-        enum = enumerate_trees(
-            level.vertex_count, list(level.level_edges), list(level.lam_exact)
-        )
+        enum = enumerate_trees(run.vertex_count, list(run.level_edges), list(run.lam_exact))
         choices = tuple(
-            (tuple(sorted(level.edge_ids[i] for i in t)), p)
+            (tuple(sorted(run.edge_ids[i] for i in t)), p)
             for t, p in zip(enum.trees, enum.probabilities)
         )
-        out.append(LevelOutcomes(("degree", idx), choices))
-    final = plan.final_level
-    for idx, cls in enumerate(final.classes):
-        if idx == final.forced_class:
-            choices = (((final.forced_edge,), Fraction(1)),)
-        else:
-            choices = tuple(((e,), Fraction(1, len(cls))) for e in cls)
-        out.append(LevelOutcomes(("final", idx), choices))
+        out.append(LevelOutcomes(choices))
     return tuple(out)
 
 
@@ -267,7 +292,7 @@ def exact_pipeline_expectations(
     m = len(support.edges)
     n = support.n
 
-    levels = level_outcome_table(plan)
+    levels = level_outcome_table(plan.connector)
     tree_total = prod(len(lv.choices) for lv in levels)
     units = plan.unit_keys
 

@@ -27,14 +27,11 @@ from hitsp.degreecut import (
     run_degree_cut,
 )
 from hitsp.instance import generate_instance
-from hitsp.maxent import (
-    enumerate_spanning_trees,
-    fit_lambda,
-    tree_marginals,
-)
+from hitsp.maxent import fit_lambda, tree_marginals
 from hitsp.ojoin import JoinCalculator, prepare_instance, run_sample, sample_rng
 from hitsp.oracle import (
     HOEFFDING_FUNCTIONALS,
+    enumerate_spanning_trees,
     exact_pipeline_expectations,
     hoeffding_extremal,
     run_lemma_battery,

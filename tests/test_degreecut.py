@@ -2,8 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import combinations, product
-from math import prod
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -31,7 +30,7 @@ from hitsp.degreecut import (
 )
 from hitsp.instance import GADGET_BUILDERS, generate_instance, make_instance
 from hitsp.ojoin import sample_rng
-from hitsp.oracle import enumerate_trees
+from hitsp.oracle import level_outcome_table, subset_joint_distribution
 
 HALF = Fraction(1, 2)
 
@@ -140,42 +139,38 @@ def test_normal_edge_even_probability_floor(n):
         assert found > 0
 
 
-@pytest.mark.parametrize("n", [6, 7])
-def test_normal_even_probability_matches_tree_enumeration(n):
-    """Each normal edge's law equals the brute-force sum over every choice of
-    one listed tree per context level (under ``lam_exact``), with the pinned
-    and forced edges added, of P[both endpoints have even degree]."""
-    inst = generate_instance("k5_degree", n)
+@pytest.mark.parametrize(
+    "family, size",
+    [("k5_degree", 6), ("k5_degree", 7), ("k5_degree", 9), ("random_half_integral", 8)],
+    ids=["6", "7", "9", "random_half_integral:8"],
+)
+def test_normal_even_probability_matches_tree_enumeration(family, size):
+    """Each normal edge's even-degree and exactly-one-each probabilities
+    equal the oracle's joint law of the edges at its endpoints, convolved
+    from every listed choice of ``level_outcome_table(context.connector)``."""
+    inst = generate_instance(family, size)
     checked = 0
     for _, matching in decompose_matching(inst).weights:
         context = build_matching_context(inst, matching)
-        tables = []
-        for level in context.levels:
-            listed = enumerate_trees(level.vertex_count, list(level.level_edges), list(level.lam_exact))
-            tables.append([
-                ([level.edge_ids[pos] for pos in tree], p)
-                for tree, p in zip(listed.trees, listed.probabilities)
-            ])
-        outcomes = [
-            (
-                [*context.pinned, context.forced_edge, *(e for tree, _ in combo for e in tree)],
-                prod((p for _, p in combo), start=Fraction(1)),
-            )
-            for combo in product(*tables)
-        ]
-        assert sum(p for _, p in outcomes) == 1
+        assert set(context.connector.fixed) == matching
+        table = level_outcome_table(context.connector)
         evens = normal_even_probabilities(inst, context, context.normal_edges)
         for edge, even in zip(context.normal_edges, evens):
-            ends = (inst.edges[edge].u, inst.edges[edge].v)
-            brute = sum(
-                (
-                    p
-                    for edges, p in outcomes
-                    if all(sum(w in (inst.edges[e].u, inst.edges[e].v) for e in edges) % 2 == 0 for w in ends)
-                ),
-                Fraction(0),
+            u, v = inst.edges[edge].u, inst.edges[edge].v
+            focus = tuple(sorted(inst.incident_edges[u] | inst.incident_edges[v]))
+            joint = subset_joint_distribution(table, focus)
+            at_u, at_v = (
+                [pos for pos, e in enumerate(focus) if e in inst.incident_edges[w]] for w in (u, v)
             )
-            assert even == brute
+            degrees = [(sum(p[i] for i in at_u), sum(p[i] for i in at_v), p) for p in joint]
+            assert even == sum(
+                (joint[p] for du, dv, p in degrees if du % 2 == 0 and dv % 2 == 0), Fraction(0)
+            )
+            # The matched edge is in every connector, so one other edge at
+            # each endpoint means degree 2 there.
+            assert exactly_one_each_probability(inst, context, edge) == sum(
+                (joint[p] for du, dv, p in degrees if du == dv == 2), Fraction(0)
+            )
             checked += 1
     assert checked > 0
 
@@ -288,12 +283,11 @@ def test_simplex_decomposition_is_verified(monkeypatch):
 
 def reference_matching_tree(context, rng):
     """The former per-context sampler, kept as the reference for the shared
-    connector law: pinned matching edges, independent level trees, plus the
-    dropped matched edge added back."""
-    chosen = list(context.pinned)
-    for level in context.levels:
+    connector law: the whole matching (the pinned edges and the dropped
+    matched edge added back), plus independent level trees."""
+    chosen = list(context.matching)
+    for level in context.connector.runs:
         chosen.extend(level.sample(rng))
-    chosen.append(context.forced_edge)
     return tuple(sorted(chosen))
 
 

@@ -20,17 +20,16 @@ from hitsp.maxent import (
     LambdaFit,
     TreeKernel,
     TreeLevel,
-    _contract,
     _walk,
     _walk_tables,
     _prime_table,
     _rationalized,
-    enumerate_spanning_trees,
     fit_lambda,
     fit_level,
     tree_marginals,
 )
 from hitsp.ojoin import even_pair_probabilities, prepare_instance
+from hitsp.oracle import enumerate_spanning_trees
 
 K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 K5_EDGES = [(u, v) for u, v in combinations(range(5), 2)]
@@ -104,7 +103,7 @@ def test_enumeration_matches_determinant():
     assert len(set(trees)) == 16
     for tree in trees:
         assert len(tree) == 3
-    with pytest.raises(ValueError):
+    with pytest.raises(ResourceCapError):
         enumerate_spanning_trees(5, K5_EDGES, cap=100)
 
 
@@ -161,38 +160,24 @@ def scalar_fit_lambda(n, edges, targets, tol=1e-8, max_iterations=100_000):
     the array fit must equal bit for bit.  Returns the fit and the final
     damping factor (1.0 when no step was damped)."""
     targets = [float(t) for t in targets]
-    forced = tuple(i for i, t in enumerate(targets) if t >= 1 - 1e-12)
-    deleted = tuple(i for i, t in enumerate(targets) if t <= 1e-12)
-    free = [i for i in range(len(edges)) if i not in forced and i not in deleted]
-    cn, cedges, _ = _contract(n, edges, [edges[i] for i in forced])
-    sub_edges = [cedges[i] for i in free]
-    sub_targets = [targets[i] for i in free]
-    values = [1.0] * len(edges)
-    for i in deleted:
-        values[i] = 0.0
-    if not free:
-        return LambdaFit(tuple(values), forced, deleted, 0.0, 0), 1.0
-    lam = [1.0] * len(sub_edges)
+    lam = [1.0] * len(edges)
     previous_error = float("inf")
     damping = 1.0
     for iterations in range(1, max_iterations + 1):
-        marg = scalar_float_marginals(cn, sub_edges, lam)
-        error = max(abs(m - t) for m, t in zip(marg, sub_targets))
+        marg = scalar_float_marginals(n, edges, lam)
+        error = max(abs(m - t) for m, t in zip(marg, targets))
         if error <= tol:
             break
         if error > previous_error:
             damping = max(0.5 * damping, 1e-3)
         previous_error = error
         for j in range(len(lam)):
-            ratio = sub_targets[j] / max(marg[j], 1e-300)
+            ratio = targets[j] / max(marg[j], 1e-300)
             lam[j] *= ratio**damping
     else:
         raise FitConvergenceError("reference fit stalled", error)
     scale = lam[0]
-    lam = [v / scale for v in lam]
-    for j, i in enumerate(free):
-        values[i] = lam[j]
-    return LambdaFit(tuple(values), forced, deleted, error, iterations), damping
+    return LambdaFit(tuple(v / scale for v in lam), error, iterations), damping
 
 
 def test_fit_uniform_half_on_k4_gives_constant_weights():
@@ -202,20 +187,19 @@ def test_fit_uniform_half_on_k4_gives_constant_weights():
     assert max(abs(v - 1.0) for v in fit.values) <= 1e-6
 
 
-def test_fit_handles_forced_and_deleted_targets():
-    # pin (0,1) in and (2,3) out; the four cross edges split evenly
-    targets = [1, Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), 0]
-    fit = fit_lambda(4, K4_EDGES, targets)
-    assert fit.forced == (0,)
-    assert fit.deleted == (5,)
-    assert fit.error <= 1e-8
-    for i in (1, 2, 3, 4):
-        assert abs(fit.values[i] - 1.0) <= 1e-6
+def test_fit_rejects_targets_at_zero_and_one():
+    """Pinning is ``build_tree_levels``' work: the fit takes interior targets
+    only, even when they sum to n - 1."""
+    half = Fraction(1, 2)
+    with pytest.raises(ValueError, match="strictly between"):
+        fit_lambda(4, K4_EDGES, [1, half, half, half, half, 0])
+    with pytest.raises(ValueError, match="strictly between"):
+        fit_lambda(4, K4_EDGES, [1, half, half, half, Fraction(1, 4), Fraction(1, 4)])
 
 
 def test_fit_rejects_bad_target_sums():
-    with pytest.raises(ValueError):
-        fit_lambda(4, K4_EDGES, [Fraction(1, 2)] * 5 + [1])
+    with pytest.raises(ValueError, match="sum to"):
+        fit_lambda(4, K4_EDGES, [Fraction(1, 2)] * 5 + [Fraction(3, 4)])
     with pytest.raises(ValueError):
         fit_lambda(4, K4_EDGES, [2] + [Fraction(1, 4)] * 5)
 
@@ -290,16 +274,17 @@ def test_fit_equals_the_scalar_reference_on_every_set_up_fit(set_up, monkeypatch
 
 @pytest.mark.parametrize("seed", range(20))
 def test_fit_equals_the_scalar_reference_on_random_multigraphs(seed):
-    """Loops, parallel edges, a bridge to a new vertex (target 1, contracted)
-    and a zero-weight edge (target 0, deleted)."""
+    """Parallel edges.  The fit takes interior targets only, so the
+    self-loop (target 0) is dropped and every bridge (target 1) doubled."""
     rng = np.random.default_rng(2000 + seed)
     n, edges, lam = random_multigraph(rng)
-    edges = [*edges, (int(rng.integers(n)), n), (int(rng.integers(n)), int(rng.integers(n)))]
-    lam = [*lam, Fraction(1), Fraction(0)]
-    targets = [float(t) for t in tree_marginals(n + 1, edges, lam).values]
-    fit = fit_lambda(n + 1, edges, targets, tol=1e-10)
-    assert len(edges) - 2 in fit.forced and len(edges) - 1 in fit.deleted
-    assert fit == scalar_fit_lambda(n + 1, edges, targets, tol=1e-10)[0]
+    keep = [i for i, (u, v) in enumerate(edges) if u != v]
+    edges, lam = [edges[i] for i in keep], [lam[i] for i in keep]
+    bridges = [i for i, t in enumerate(tree_marginals(n, edges, lam).values) if t == 1]
+    edges, lam = edges + [edges[i] for i in bridges], lam + [lam[i] for i in bridges]
+    targets = [float(t) for t in tree_marginals(n, edges, lam).values]
+    fit = fit_lambda(n, edges, targets, tol=1e-10)
+    assert fit == scalar_fit_lambda(n, edges, targets, tol=1e-10)[0]
 
 
 def test_fit_equals_the_scalar_reference_through_damped_steps():
@@ -423,7 +408,7 @@ def stream_identity_levels():
     for family, size in [("k5_degree", 9), ("random_half_integral", 18)]:
         inst = generate_instance(family, size)
         for _, matching in decompose_matching(inst).weights:
-            yield from build_matching_context(inst, matching).levels
+            yield from build_matching_context(inst, matching).connector.runs
 
 
 def test_block_walk_is_stream_identical_to_the_scalar_walk():
@@ -696,7 +681,7 @@ def test_kernel_matches_fraction_kernel_on_cut_free_levels(spec):
     else:
         inst = corpus_instance(dict(HIERARCHY_CORPUS)[spec])
     prepared = prepare_instance(inst)
-    support = prepared.plan.support
+    support = prepared.support
     sides = prepared.cut_sides
     for level in prepared.plan.degree_levels:
         position = {e: i for i, e in enumerate(level.edge_ids)}
@@ -722,7 +707,7 @@ def test_kernel_matches_fraction_kernel_on_degree_cut_contexts(family, size):
     inst = generate_instance(family, size)
     for _, matching in decompose_matching(inst).weights:
         context = build_matching_context(inst, matching)
-        for level in context.levels:
+        for level in context.connector.runs:
             position = {e: i for i, e in enumerate(level.edge_ids)}
             pairs, joints = [], []
             for edge in matching:

@@ -1,5 +1,10 @@
 """Seeded corruptions of valid instance files: every subcommand must end in
-exit 0 or 2, never in an escaped exception."""
+exit 0 or 2, never in an escaped exception.  Half the mutations are of two
+kinds that keep the file valid but change its support, so the hierarchy,
+plan and degree-cut checks run on it: a 2-switch of two same-valued edges'
+endpoints (which keeps every vertex's x-degree) and ``e_plus`` moved to
+another doubled edge.  Either leaves the file as it is when it has no such
+pair or edge."""
 
 import copy
 import json
@@ -17,16 +22,17 @@ COMMANDS = (
     ["verify-lemmas", "--feasibility-samples", "2"],
     ["degreecut", "--samples", "3"],
 )
-KINDS = ("drop-edge", "duplicate-edge", "x", "cost", "vertex", "missing-key", "truncate")
+BREAKING = ("drop-edge", "duplicate-edge", "x", "cost", "vertex", "missing-key", "truncate")
+KEEPING = ("switch", "e-plus")
 MUTATIONS = 24
 
 
 def mutate(payload: dict, rng: random.Random) -> tuple[str, str]:
-    """One corruption of an instance payload, returned as (kind, file text)."""
+    """One mutation of an instance payload, returned as (kind, file text)."""
     data = copy.deepcopy(payload)
     edges = data["edges"]
     i = rng.randrange(len(edges))
-    kind = rng.choice(KINDS)
+    kind = rng.choice(KEEPING if rng.random() < 0.5 else BREAKING)
     if kind == "drop-edge":
         del edges[i]
     elif kind == "duplicate-edge":
@@ -40,6 +46,19 @@ def mutate(payload: dict, rng: random.Random) -> tuple[str, str]:
     elif kind == "missing-key":
         owner = data if rng.random() < 0.5 else edges[i]
         del owner[rng.choice(sorted(owner))]
+    elif kind == "switch":
+        # (a, b), (c, d) become (a, d), (c, b), or (a, c), (b, d): no loops.
+        twins = [j for j, e in enumerate(edges) if j != i and e["x"] == edges[i]["x"]]
+        j = rng.choice(twins) if twins else i
+        a, b, c, d = edges[i]["u"], edges[i]["v"], edges[j]["u"], edges[j]["v"]
+        if j != i and a != d and c != b:
+            edges[i]["v"], edges[j]["v"] = d, b
+        elif j != i and a != c and b != d:
+            edges[i]["v"], edges[j]["u"] = c, b
+    elif kind == "e-plus":
+        doubled = [j for j, e in enumerate(edges) if e["x"] == "1" and j != data.get("e_plus")]
+        if doubled:
+            data["e_plus"] = rng.choice(doubled)
     text = json.dumps(data)
     if kind == "truncate":
         text = text[: rng.randrange(len(text))]

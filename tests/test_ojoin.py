@@ -25,6 +25,7 @@ from hitsp.instance import (
 from hitsp.maxent import TreeLevel
 from hitsp.ojoin import (
     ChargingParams,
+    ConnectorLaw,
     DEFAULT_TOP_TRUNCATION,
     JoinCalculator,
     TreeSample,
@@ -147,7 +148,7 @@ def test_truncation_caps_the_probability(envelope2):
 def monte_carlo_even_at_last_probs(plan, samples, seed):
     """Estimate each edge's even-at-last probability from sampled trees."""
     crossing, last = cut_masks(plan.hierarchy)
-    m = len(plan.support.edges)
+    m = len(plan.hierarchy.support.edges)
     hits = [0] * m
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     for _ in range(samples):
@@ -912,16 +913,18 @@ def test_even_at_last_table_matches_the_oracle(spec):
 
 def scalar_draw_sample(plan, rng):
     """The former sampler, kept as the reference for the draw runs: one
-    scalar ``rng.integers`` call per class pick, level by level."""
+    scalar ``rng.integers`` call per class pick, level by level, read off
+    the hierarchy itself."""
+    hierarchy, final = plan.hierarchy, plan.hierarchy.final
     edges = []
-    for level in plan.cycle_levels:
-        for cls in level.classes:
+    for node in hierarchy.cycle_nodes():
+        for cls in node.companion_classes:
             edges.append(cls[int(rng.integers(len(cls)))])
     for level in plan.degree_levels:
         edges.extend(level.sample(rng))
-    for idx, cls in enumerate(plan.final_level.classes):
-        if idx == plan.final_level.forced_class:
-            edges.append(plan.final_level.forced_edge)
+    for idx, cls in enumerate(final.pair_classes):
+        if idx == final.e_plus_class:
+            edges.append(min(hierarchy.support.e_plus_pair))
         else:
             edges.append(cls[int(rng.integers(len(cls)))])
     uniforms = dict(zip(plan.unit_keys, rng.random(len(plan.unit_keys)).tolist()))
@@ -986,19 +989,19 @@ def test_sample_path_matches_scalar_draws_and_all_cuts_scan(spec):
 
 def test_draw_runs_merge_uniform_picks_between_walks():
     chains = prepare_instance(reference_instance("envelope:10")).plan
-    (classes,) = chains.draw_runs
+    (classes,) = chains.connector.runs
     assert not chains.degree_levels
-    assert len(classes) == sum(len(lv.classes) for lv in chains.cycle_levels) + len(
-        chains.final_level.classes
-    ) - 1
+    hierarchy = chains.hierarchy
+    assert len(classes) == sum(
+        len(node.companion_classes) for node in hierarchy.cycle_nodes()
+    ) + len(hierarchy.final.pair_classes) - 1
     assert {len(cls) for cls in classes} == {2}
-    tripled = replace(chains.cycle_levels[0], classes=((0, 1, 2),))
     with pytest.raises(InternalHierarchyError, match="not all doubled"):
-        replace(chains, cycle_levels=(tripled, *chains.cycle_levels[1:]))
+        ConnectorLaw(chains.connector.fixed, (((0, 1, 2), *classes[1:]),))
     random = prepare_instance(reference_instance("random_half_integral:26")).plan
-    level, classes = random.draw_runs
+    level, classes = random.connector.runs
     assert isinstance(level, TreeLevel) and level is random.degree_levels[0]
-    assert len(classes) == len(random.final_level.classes) - 1
+    assert len(classes) == len(random.hierarchy.final.pair_classes) - 1
 
 
 def test_uniform_run_draws_as_one_scalar_call_per_class():

@@ -17,7 +17,6 @@ from hitsp.instance import (
     generate_instance,
     metric_closure,
 )
-from hitsp.maxent import enumerate_spanning_trees
 from hitsp.ojoin import (
     JoinCalculator,
     PreparedInstance,
@@ -34,6 +33,7 @@ from hitsp.oracle import (
     LevelOutcomes,
     PipelineExpectations,
     ResourceCapError,
+    enumerate_spanning_trees,
     enumerate_trees,
     evaluate_functional,
     exact_pipeline_expectations,
@@ -68,7 +68,7 @@ def k5_parity_census() -> dict[tuple[int, int], int]:
 # Reference routines the tests compare against; the pipeline never runs them.
 def outcome_space_size(plan: SamplingPlan) -> tuple[int, int]:
     """(number of distinct trees, number of Bernoulli units) for the plan."""
-    levels = level_outcome_table(plan)
+    levels = level_outcome_table(plan.connector)
     return (prod(len(lv.choices) for lv in levels), len(plan.unit_keys))
 
 
@@ -78,7 +78,7 @@ def exact_expectations_by_full_enumeration(
     """The dumbest possible route: every (tree, unit pattern) outcome drives
     the per-sample vector builder directly.  Tiny instances only."""
     plan = prepared.plan
-    levels = level_outcome_table(plan)
+    levels = level_outcome_table(plan.connector)
     units = plan.unit_keys
     tree_total = prod(len(lv.choices) for lv in levels)
     if tree_total * (2 ** len(units)) > cap:
@@ -232,7 +232,7 @@ def reference_pipeline_expectations(
     m = len(support.edges)
     n = support.n
 
-    levels = level_outcome_table(plan)
+    levels = level_outcome_table(plan.connector)
     tree_total = math.prod(len(lv.choices) for lv in levels)
     units = plan.unit_keys
 
@@ -440,7 +440,7 @@ def test_oracle_work_cap(chain2, cap, step):
 
 
 def test_level_tables_are_probability_distributions(chain2):
-    levels = level_outcome_table(chain2.plan)
+    levels = level_outcome_table(chain2.plan.connector)
     for level in levels:
         total = sum((p for _, p in level.choices), Fraction(0))
         assert total == 1
@@ -450,7 +450,7 @@ def test_level_tables_are_probability_distributions(chain2):
 
 
 def test_subset_laws_are_consistent(chain2):
-    levels = level_outcome_table(chain2.plan)
+    levels = level_outcome_table(chain2.plan.connector)
     edges = tuple(range(3))
     joint = subset_joint_distribution(levels, edges)
     counts = subset_count_distribution(levels, edges)
@@ -498,9 +498,9 @@ def test_state_collapse_matches_tree_by_tree_reference(spec, include_costs):
 def test_state_collapse_rejects_an_edge_in_two_factors(chain2, monkeypatch):
     import hitsp.oracle
 
-    levels = level_outcome_table(chain2.plan)
+    levels = level_outcome_table(chain2.plan.connector)
     monkeypatch.setattr(
-        hitsp.oracle, "level_outcome_table", lambda plan: levels + levels[:1]
+        hitsp.oracle, "level_outcome_table", lambda law: levels + levels[:1]
     )
     with pytest.raises(ValueError, match="two sampling factors"):
         exact_pipeline_expectations(chain2)
