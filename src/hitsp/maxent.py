@@ -106,30 +106,49 @@ def _prime_table() -> tuple[int, ...]:
 
 
 def _inverse_mod(a: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Elementwise inverse of ``a`` modulo ``p`` (which broadcasts); 0 stays 0."""
-    a, p = np.broadcast_arrays(a, p)
-    out = [pow(x, -1, q) if x else 0 for x, q in zip(a.ravel().tolist(), p.ravel().tolist())]
-    return np.array(out, dtype=np.int64).reshape(a.shape)
+    """Inverse of each entry of the (P, C) residue array ``a`` modulo its
+    row's prime in ``p``; 0 stays 0.  One ``pow`` each up to 32 entries;
+    past that, Montgomery's trick on a product tree along each row: one
+    ``pow`` per row, and each node's inverse is its parent's times its
+    sibling."""
+    if a.size <= 32 or a.shape[1] == 1:
+        q = np.repeat(p, a.shape[1]).tolist()
+        out = [pow(x, -1, y) if x else 0 for x, y in zip(a.ravel().tolist(), q)]
+        return np.array(out, dtype=np.int64).reshape(a.shape)
+    p = p[:, None]
+    ones = np.ones((len(a), (1 << (a.shape[1] - 1).bit_length()) - a.shape[1]), dtype=np.int64)
+    tree = [np.concatenate([np.where(a == 0, 1, a), ones], 1)]
+    while tree[-1].shape[1] > 1:
+        tree.append(tree[-1][:, ::2] * tree[-1][:, 1::2] % p)
+    inverse = _inverse_mod(tree[-1], p[:, 0])
+    for x in reversed(tree[:-1]):
+        inverse = np.repeat(inverse, 2, axis=1) * x.reshape(len(x), -1, 2)[:, :, ::-1].reshape(x.shape) % p
+    return np.where(a == 0, 0, inverse[:, : a.shape[1]])
 
 
-def _eliminate(a: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Gauss-Jordan elimination with row pivoting of each (k, w >= k) residue
-    matrix in the stack ``a``, in place, over its first k columns and modulo
-    its prime in ``p``.  Returns the determinants of the leading k x k
-    blocks; where one is nonzero, that block ends diagonal.
+def _product(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """a @ b modulo p (P,) for (P, i, k) and (P, k, j) residue stacks, exact
+    in int64: b splits into 15- and 16-bit halves, so with residues below
+    2^31 every partial sum stays below k * 2^47 <= 2^63 for k <= 2^16."""
+    if a.shape[-1] > 1 << 16:
+        raise ResourceCapError(f"inner dimension {a.shape[-1]} exceeds the int64 product's 2^16")
+    p = p[:, None, None]
+    return ((a @ (b >> 16) % p << 16) + a @ (b & 0xFFFF) % p) % p
 
-    Division-free: each step multiplies every row by the pivot p_c before
-    clearing the pivot's column, so det = sign * prod(diagonal) / prod(p_c)^k
-    and only that one scale is inverted.
-    """
-    k, at = a.shape[1], np.arange(len(a))
-    sign, pivots = np.ones(len(a), dtype=np.int64), np.ones(len(a), dtype=np.int64)
-    for c in range(k):
+
+def _small_inverse(a: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(A^-1, det A) of each (s, s) residue matrix in the stack ``a`` modulo
+    its prime in ``p``, by division-free Gauss-Jordan elimination of [A | I]
+    with row pivoting: each step multiplies every row by the pivot p_c, so
+    [A | I] ends [D | R], A^-1 = D^-1 R and det A = sign * prod(D) /
+    prod(p_c)^s."""
+    s = a.shape[1]
+    a = np.concatenate([a, np.broadcast_to(np.eye(s, dtype=np.int64), a.shape)], 2)
+    at, sign, pivots = np.arange(len(a)), np.ones_like(p), np.ones_like(p)
+    for c in range(s):
         r = c + (a[:, c:, c] != 0).argmax(axis=1)
         if (r != c).any():
-            row = a[at, r]
-            a[at, r] = a[:, c]
-            a[:, c] = row
+            a[at, r], a[:, c] = a[:, c].copy(), a[at, r]
             sign = np.where(r == c, sign, -sign)
         pivot, factor = a[:, c, c].copy(), a[:, :, c].copy()
         factor[:, c] = 0
@@ -138,10 +157,57 @@ def _eliminate(a: np.ndarray, p: np.ndarray) -> np.ndarray:
         a -= step
         a %= p[:, None, None]
         pivots = pivots * pivot % p
-    det, scale = sign % p, np.ones_like(sign)
-    for d in np.diagonal(a, axis1=1, axis2=2).T:
-        det, scale = det * d % p, scale * pivots % p
-    return det * _inverse_mod(scale, p) % p
+    diagonal = np.diagonal(a, axis1=1, axis2=2)
+    inverse = _inverse_mod(np.concatenate([diagonal, pivots[:, None]], 1), p)
+    det = sign % p
+    for d in diagonal.T:
+        det = det * d % p * inverse[:, s] % p
+    return a[:, :, s:] * inverse[:, :s, None] % p[:, None, None], det
+
+
+def _block_inverse(a: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(A^-1, det A) of each symmetric (s, s) residue matrix in the stack
+    ``a`` modulo its prime in ``p``, by 2 x 2 blocks [[A, B], [B^T, D]] down
+    to 8 rows: with X = A^-1, T = X B, Y = S^-1 for S = D - B^T T and
+    V = Y T^T, A^-1 = [[X + T V, -V^T], [-V, Y]] and det = det A * det S.
+    det is 0 where a leading block is singular (A^-1 is then meaningless)."""
+    s = a.shape[1]
+    if s <= 8:
+        return _small_inverse(a, p)
+    h, p3 = s // 2, p[:, None, None]
+    x, det_x = _block_inverse(a[:, :h, :h], p)
+    t = _product(x, a[:, :h, h:], p)
+    y, det_y = _block_inverse((a[:, h:, h:] - _product(a[:, h:, :h], t, p)) % p3, p)
+    v = _product(y, t.transpose(0, 2, 1), p)
+    w = -v % p3
+    return np.block([[(x + _product(t, v, p)) % p3, w.transpose(0, 2, 1)], [w, y]]), det_x * det_y % p
+
+
+def _determinants(a: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Determinant of each (k, k) residue matrix in the (P, B, k, k) stack
+    ``a`` (overwritten) modulo its row's prime in ``p``, by division-free
+    forward elimination with row pivoting: step c multiplies the rows below
+    by pivot_c, so det = prod(pivots) / scale, scale = sign * prod_c
+    pivot_c^(k-c-1)."""
+    shape, k = a.shape[:2], a.shape[-1]
+    a = a.reshape(shape[0] * shape[1], k, k)
+    at, q = np.arange(len(a)), np.repeat(p, shape[1])
+    det, scale = np.ones(len(a), dtype=np.int64), np.ones(len(a), dtype=np.int64)
+    for c in range(k):
+        r = c + (a[:, c:, c] != 0).argmax(axis=1)
+        if (r != c).any():
+            a[at, r, c:], a[:, c, c:] = a[:, c, c:].copy(), a[at, r, c:]
+            scale = np.where(r == c, scale, -scale % q)
+        pivot = a[:, c, c]
+        scale, det = scale * det % q, det * pivot % q
+        step = a[:, c + 1 :, c, None] * a[:, None, c, c + 1 :]
+        below = a[:, c + 1 :, c + 1 :]
+        below *= pivot[:, None, None]
+        below -= step
+        below %= q[:, None, None]
+    if k > 1:
+        det = det * _inverse_mod(scale.reshape(shape), p).ravel() % q
+    return det.reshape(shape)
 
 
 class TreeKernel:
@@ -163,12 +229,14 @@ class TreeKernel:
     sum over trees T of prod_{e in T} num(lam_e) * prod_{e not in T}
     den(lam_e).  Every query value is sum_T +-w(T) / det L, so its product
     with W is an integer N with |N| <= W <= B = ceil(Pi * prod_v L_vv)
-    (Hadamard, as L is positive semidefinite).  L is inverted modulo table
-    primes that divide neither Pi nor det L until their product M exceeds
-    2B; a query's N is its determinant's residues times W's, lifted by
-    Chinese remaindering into (-M/2, M/2], and its value the Fraction N / W.
-    ``weight`` is W; with unit weights it is det L, the number of spanning
-    trees (Kirchhoff's Matrix-Tree theorem).
+    (Hadamard, as L is positive semidefinite).  L is inverted by 2 x 2
+    Schur blocks (:func:`_block_inverse`) modulo table primes that do not
+    divide Pi, until the product M of the kept ones exceeds 2B; a prime is
+    dropped where det L or a leading block is 0 modulo it, which is sound as
+    the kept primes fix each value by Chinese remaindering.  A query's N is
+    its determinant's residues times W's, lifted into (-M/2, M/2], and its
+    value the Fraction N / W.  ``weight`` is W; with unit weights it is
+    det L, the number of spanning trees (Kirchhoff's Matrix-Tree theorem).
 
     Float weights are rounded to denominators <= 10^12 first.  Weights must
     be non-negative.  Raises ValueError when the graph has no spanning tree.
@@ -186,11 +254,16 @@ class TreeKernel:
         for i, u, v, w in links:
             incidence[u, i], incidence[v, i] = 1, -1
             degree[u], degree[v] = degree[u] + w, degree[v] + w
-        incidence, size = incidence[1:], n - 1
+        positive, reached, size = [(u, v) for _, u, v, w in links if w], {0}, 0
+        while size < len(reached):
+            size = len(reached)
+            reached.update(x for u, v in positive if u in reached or v in reached for x in (u, v))
+        if len(reached) < n:
+            raise ValueError("graph has no spanning tree")
+        incidence = incidence[1:]
         pi = prod(w.denominator for *_, w in links)
         bound = ceil(pi * prod(degree[1:]))
-        if bound == 0:
-            raise ValueError("graph has no spanning tree")
+        fractions = np.array([(w.numerator, w.denominator) for w in self.lam], dtype=object).reshape(-1, 2).T
         candidates = (q for q in _prime_table() if pi % q)
         modulus, kept = 1, []
         while modulus <= 2 * bound:
@@ -203,22 +276,12 @@ class TreeKernel:
             else:
                 raise ResourceCapError("tree weights need more primes than the table holds")
             p = np.array(batch, dtype=np.int64)
-            p3 = p[:, None, None]
-            lam_p = np.array(
-                [[w.numerator * pow(w.denominator, -1, q) % q if w.denominator % q else 0
-                  for w in self.lam] for q in batch],
-                dtype=np.int64,
-            )
-            lap = (incidence * lam_p[:, None, :]) @ incidence.T % p3
-            a = np.concatenate([lap, np.broadcast_to(np.eye(size, dtype=np.int64), lap.shape)], 2)
-            det = _eliminate(a, p)
-            if not kept and not det.any():
-                raise ValueError("graph has no spanning tree")
-            # L^-1 = D^-1 R from the reduced [D | R], padded with a zero row
-            # and column for the grounded vertex.
+            num, den = (fractions[:, None] % p.astype(object)[:, None]).astype(np.int64)
+            lam_p = num * _inverse_mod(den, p) % p[:, None]
+            lap = (incidence * lam_p[:, None, :]) @ incidence.T % p[:, None, None]
+            # L^-1, padded with a zero row and column for the grounded vertex.
             inverse = np.zeros((len(p), n, n), dtype=np.int64)
-            diagonal = np.diagonal(a, axis1=1, axis2=2)[:, :, None]
-            inverse[:, 1:, 1:] = a[:, :, size:] * _inverse_mod(diagonal, p3) % p3
+            inverse[:, 1:, 1:], det = _block_inverse(lap, p)
             total = det * np.array([pi % q for q in batch], dtype=np.int64) % p
             keep = det != 0
             kept.append((p[keep], inverse[keep], lam_p[keep], total[keep]))
@@ -285,9 +348,7 @@ class TreeKernel:
                 matrices *= -2
                 matrices += np.eye(k, dtype=np.int64)
                 matrices %= self._p[:, None, None, None]
-                stack = matrices.reshape(len(self._p) * len(part), k, k)
-                det = _eliminate(stack, np.repeat(self._p, len(part))).reshape(len(self._p), len(part))
-                for key, a in zip(part, self._numerators(det)):
+                for key, a in zip(part, self._numerators(_determinants(matrices, self._p))):
                     self._signs[key] = Fraction(a, self.weight)
         return [self._signs[key] for key in keys]
 
@@ -303,9 +364,8 @@ class TreeKernel:
         transfer = self._transfer(np.array(focus, dtype=np.intp))[:, None]
         complement = (np.eye(k, dtype=np.int64) - transfer) % self._p[:, None, None, None]
         inside = np.array(patterns, dtype=bool).reshape(len(patterns), k, 1)
-        matrices = np.where(inside, transfer, complement).reshape(len(self._p) * len(patterns), k, k)
-        det = _eliminate(matrices, np.repeat(self._p, len(patterns)))
-        numerators = self._numerators(det.reshape(len(self._p), len(patterns)))
+        matrices = np.where(inside, transfer, complement)
+        numerators = self._numerators(_determinants(matrices, self._p))
         return JointDistribution(
             edges=focus,
             probabilities={

@@ -20,10 +20,13 @@ from hitsp.maxent import (
     LambdaFit,
     TreeKernel,
     TreeLevel,
+    _block_inverse,
+    _determinants,
+    _prime_table,
+    _product,
+    _rationalized,
     _walk,
     _walk_tables,
-    _prime_table,
-    _rationalized,
     fit_lambda,
     fit_level,
     tree_marginals,
@@ -818,3 +821,114 @@ def test_kernel_skips_a_prime_where_the_laplacian_is_singular():
     )
     assert_batch_matches(2, [(0, 1), (1, 0), (1, 1)], lam, every_flip_set(3))
     assert kernel.marginals() == (Fraction(1, first), Fraction(first - 1, first), 0)
+
+
+def test_kernel_skips_a_prime_dividing_a_leading_block_minor():
+    """L has n - 1 = 25 rows, so it splits into blocks of 12 and 13 and
+    those into blocks of 6 and 7.  Vertex 1 meets only vertex 0 (weight
+    q - 1) and vertex 14 (weight 1), so row 1 of L is (q, 0, ..., 0) inside
+    its leading blocks: they are singular modulo the first table prime q,
+    while det L is not.  The kernel drops q and still gets every value."""
+    q = _prime_table()[0]
+    rng = np.random.default_rng(7)
+    n, others = 26, [0, *range(2, 26)]
+    edges = [(0, 1), (1, 14)] + [(others[int(rng.integers(i))], others[i]) for i in range(1, 25)]
+    edges += [tuple(int(v) for v in rng.choice(others, 2, replace=False)) for _ in range(20)]
+    lam = [Fraction(q - 1), Fraction(1)]
+    lam += [Fraction(int(rng.integers(1, 10)), int(rng.integers(1, 10))) for _ in edges[2:]]
+    assert all(1 not in edge for edge in edges[2:])
+    assert count_weighted_trees(n, edges, lam).numerator % q != 0
+    m = len(edges)
+    pairs = [((0,), (1,)), ((0, 1, 5), (2, 30))]
+    pairs += [tuple(tuple(map(int, rng.choice(m, size=3, replace=False))) for _ in range(2)) for _ in range(4)]
+    kernel = assert_matches_fraction_kernel(n, edges, lam, pairs, [(0, 1, 2), (0, 3, 4, 14)])
+    assert q not in kernel._p.tolist() and len(kernel._p) > 1
+    flip_sets = [list(rng.choice(m, size=int(rng.integers(1, 7)), replace=False)) for _ in range(20)]
+    assert_batch_matches(n, edges, lam, flip_sets)
+
+
+@pytest.mark.parametrize("size", [1, 8, 9, 17, 25])
+def test_block_inverse_inverts_symmetric_residue_matrices(size):
+    """Base case alone (up to 8 rows) and one, two or three levels of 2 x 2
+    blocks, with odd splits at 9, 17 and 25.  A zero first entry makes the
+    base case swap rows (for size 1, A is singular and det is 0)."""
+    rng = np.random.default_rng(size)
+    p = np.array(_prime_table()[:2] + _prime_table()[-2:], dtype=np.int64)
+    a = rng.integers(0, 2**31, size=(4, size, size)) % p[:, None, None]
+    a = (a + a.transpose(0, 2, 1)) % p[:, None, None]
+    a[:2, 0, 0] = 0
+    inverse, det = _block_inverse(a, p)
+    for i, q in enumerate(p.tolist()):
+        assert det[i] == determinant(a[i].tolist()) % q
+        if det[i]:
+            product = a[i].astype(object) @ inverse[i].astype(object) % q
+            assert (product == np.eye(size, dtype=np.int64)).all()
+    assert det[2:].all() and (det[:2] != 0).all() == (size > 1)
+
+
+def gauss_jordan_determinants(a, p):
+    """The determinants the kernel's queries took before forward
+    elimination: division-free Gauss-Jordan elimination with row pivoting of
+    each (k, k) residue matrix in the stack ``a``, in place, modulo its prime
+    in ``p``, with one ``pow`` per matrix for the scale."""
+    k, at = a.shape[1], np.arange(len(a))
+    sign, pivots = np.ones(len(a), dtype=np.int64), np.ones(len(a), dtype=np.int64)
+    for c in range(k):
+        r = c + (a[:, c:, c] != 0).argmax(axis=1)
+        if (r != c).any():
+            row = a[at, r]
+            a[at, r] = a[:, c]
+            a[:, c] = row
+            sign = np.where(r == c, sign, -sign)
+        pivot, factor = a[:, c, c].copy(), a[:, :, c].copy()
+        factor[:, c] = 0
+        step = factor[:, :, None] * a[:, None, c]
+        a *= pivot[:, None, None]
+        a -= step
+        a %= p[:, None, None]
+        pivots = pivots * pivot % p
+    det, scale = sign % p, np.ones_like(sign)
+    for d in np.diagonal(a, axis1=1, axis2=2).T:
+        det, scale = det * d % p, scale * pivots % p
+    inverse = [pow(x, -1, q) if x else 0 for x, q in zip(scale.tolist(), p.tolist())]
+    return det * np.array(inverse, dtype=np.int64) % p
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 5, 8])
+def test_forward_determinants_equal_gauss_jordan(k):
+    """Random residues; 0/1 entries, so that pivots vanish and rows swap;
+    a zero column; a repeated row and a column that is a multiple of
+    another (singular for k >= 2)."""
+    rng = np.random.default_rng(k)
+    p = np.array(_prime_table()[:2] + _prime_table()[-1:], dtype=np.int64)
+    a = rng.integers(0, 2**31, size=(3, 40, k, k)) % p[:, None, None, None]
+    a[:, :10] = rng.integers(0, 2, size=(3, 10, k, k))
+    if k:
+        a[:, 10:15, :, int(rng.integers(k))] = 0
+        a[:, 15:20, -1] = a[:, 15:20, 0]
+        a[:, 20:25, :, 0] = a[:, 20:25, :, -1] * 3 % p[:, None, None]
+    expected = gauss_jordan_determinants(a.reshape(120, k, k).copy(), np.repeat(p, 40)).reshape(3, 40)
+    assert (_determinants(a.copy(), p) == expected).all()
+    assert (expected[:, 10:15] == 0).all() if k else (expected == 1).all()
+    if k > 1:
+        assert (expected[:, 15:25] == 0).all()
+    for i, q in enumerate(p.tolist()):
+        assert [determinant(m.tolist()) % q for m in a[i, ::3]] == expected[i, ::3].tolist()
+
+
+def test_split_product_is_exact_at_extreme_residues():
+    """Every entry p - 1 at the largest inner dimension the product accepts,
+    and random residues, against Python ints; one more is a resource cap."""
+    p = np.array([_prime_table()[0], _prime_table()[-1]], dtype=np.int64)
+    k = 1 << 16
+    a = np.ascontiguousarray(np.broadcast_to((p - 1)[:, None, None], (2, 2, k)))
+    b = np.ascontiguousarray(a.transpose(0, 2, 1))
+    exact = [a[i].astype(object) @ b[i].astype(object) % q for i, q in enumerate(p.tolist())]
+    assert (_product(a, b, p) == np.array(exact, dtype=np.int64)).all()
+    rng = np.random.default_rng(0)
+    a = rng.integers(0, 2**31, size=(2, 5, 300)) % p[:, None, None]
+    b = rng.integers(0, 2**31, size=(2, 300, 4)) % p[:, None, None]
+    exact = [a[i].astype(object) @ b[i].astype(object) % q for i, q in enumerate(p.tolist())]
+    assert (_product(a, b, p) == np.array(exact, dtype=np.int64)).all()
+    with pytest.raises(ResourceCapError, match="inner dimension"):
+        _product(np.ones((2, 1, k + 1), dtype=np.int64), np.ones((2, k + 1, 1), dtype=np.int64), p)
