@@ -407,7 +407,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             checks = degree_cut_rows(inst)
         else:
             prepared = prepare_instance(inst, params=params)
-            expectations = exact_pipeline_expectations(prepared, include_costs=False)
+            expectations = exact_pipeline_expectations(prepared)
             checks = [
                 *run_lemma_battery(prepared, expectations),
                 *cut_load_rows(prepared, expectations),

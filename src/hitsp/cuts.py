@@ -164,9 +164,6 @@ class CutHierarchy:
     edge_level: tuple[tuple[str, int], ...]
     edge_last_cuts: tuple[tuple[int, int], ...]
 
-    def internal_nodes(self) -> tuple[CutNode, ...]:
-        return tuple(nd for nd in self.nodes if nd.children)
-
     def cycle_nodes(self) -> tuple[CutNode, ...]:
         return tuple(nd for nd in self.nodes if nd.kind == "cycle" and nd.children)
 

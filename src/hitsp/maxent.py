@@ -291,8 +291,6 @@ class TreeKernel:
         cofactors = [(modulus // q, q) for q in self._p.tolist()]
         self._crt = np.array([c * pow(c, -1, q) for c, q in cofactors], dtype=object)
         self.weight = self._numerators(np.ones((len(self._p), 1), dtype=np.int64))[0]
-        # Cuts recur across the pairs a caller asks about, so flip sets do too.
-        self._signs: dict[frozenset[int], Fraction] = {}
 
     def _numerators(self, residues: np.ndarray) -> list[int]:
         """W times each query value whose residues are a column of ``residues``
@@ -326,18 +324,18 @@ class TreeKernel:
         return tuple(Fraction(a, self.weight) for a in self._numerators(self._lam * (y % p) % p))
 
     def sign_expectations(self, flip_sets: Iterable[Iterable[int]]) -> list[Fraction]:
-        """E[(-1)^|T & F|] = det(I - 2 K_F) for each flip set F, memoized per set.
+        """E[(-1)^|T & F|] = det(I - 2 K_F) for each flip set F.
 
-        The sets not yet asked are answered by one stacked elimination per
-        set size |F| = k, with no padding.  A stack holds at most (n / k)^2
+        The distinct sets are answered by one stacked elimination per set
+        size |F| = k, with no padding.  A stack holds at most (n / k)^2
         sets, so its P * B * k^2 residues never outgrow the inverse table's
         P * n^2.
         """
         keys = [frozenset(flips) for flips in flip_sets]
         by_size: dict[int, list[frozenset[int]]] = {}
         for key in dict.fromkeys(keys):
-            if key not in self._signs:
-                by_size.setdefault(len(key), []).append(key)
+            by_size.setdefault(len(key), []).append(key)
+        signs: dict[frozenset[int], Fraction] = {}
         n = self._inverse.shape[1]
         for k, group in by_size.items():
             chunk = max(1, n * n // max(1, k * k))
@@ -349,8 +347,8 @@ class TreeKernel:
                 matrices += np.eye(k, dtype=np.int64)
                 matrices %= self._p[:, None, None, None]
                 for key, a in zip(part, self._numerators(_determinants(matrices, self._p))):
-                    self._signs[key] = Fraction(a, self.weight)
-        return [self._signs[key] for key in keys]
+                    signs[key] = Fraction(a, self.weight)
+        return [signs[key] for key in keys]
 
     def joint(self, focus: Sequence[int]) -> JointDistribution:
         """Exact joint membership law over the focus edges, zero patterns omitted."""

@@ -120,74 +120,43 @@ def enumerate_spanning_trees(
     return out
 
 
-@dataclass(frozen=True)
-class TreeEnumeration:
-    """All spanning trees of a weighted multigraph with their probabilities."""
-
-    trees: tuple[tuple[int, ...], ...]
-    probabilities: tuple[Fraction, ...]
-    total_weight: Fraction
+# One independent sampling factor: its explicit (edge set, probability) choices.
+Factor = tuple[tuple[tuple[int, ...], Fraction], ...]
 
 
-def enumerate_trees(
-    n: int,
-    edges: list[tuple[int, int]],
-    lam: list[Fraction] | None = None,
-    cap: int = DEFAULT_OUTCOME_CAP,
-) -> TreeEnumeration:
-    """List every spanning tree with probability proportional to its weight."""
-    weights = [Fraction(w) for w in lam] if lam is not None else None
-    trees = enumerate_spanning_trees(n, edges, cap=cap)
-    if weights is None:
-        tree_weights = [Fraction(1)] * len(trees)
-    else:
-        tree_weights = [prod((weights[i] for i in t), start=Fraction(1)) for t in trees]
-    total = sum(tree_weights, Fraction(0))
-    if total == 0:
-        raise ValueError("graph has no spanning tree of positive weight")
-    return TreeEnumeration(
-        trees=tuple(tuple(t) for t in trees),
-        probabilities=tuple(w / total for w in tree_weights),
-        total_weight=total,
-    )
+def level_outcome_table(law: ConnectorLaw) -> tuple[Factor, ...]:
+    """Flatten a connector law into independent factors, in its draw order.
 
-
-@dataclass(frozen=True)
-class LevelOutcomes:
-    """One independent sampling factor flattened into explicit choices."""
-
-    choices: tuple[tuple[tuple[int, ...], Fraction], ...]
-
-
-def level_outcome_table(law: ConnectorLaw) -> tuple[LevelOutcomes, ...]:
-    """Flatten a connector law into independent (edge set, probability) factors.
-
-    The fixed edges are one certain choice, each doubled class is one uniform
-    pick, and each cut-free level lists its spanning trees weighted by the
-    level's exact weights, in the law's draw order.  The sampled connector is
-    the union of one choice per factor.  A level with more than
-    ``DEFAULT_OUTCOME_CAP`` trees, counted first by the Matrix-Tree theorem,
-    raises ResourceCapError before any is listed.
+    The fixed edges are one certain choice and each doubled class one
+    uniform pick.  Each cut-free level lists its spanning trees, each with
+    probability proportional to the product of the level's exact weights
+    ``lam_exact``; a level whose tree weights sum to 0 raises ValueError.
+    The sampled connector is the union of one choice per factor.  A level
+    with more than ``DEFAULT_OUTCOME_CAP`` trees, counted first by the
+    Matrix-Tree theorem, raises ResourceCapError before any is listed.
     """
-    out = [LevelOutcomes(((law.fixed, Fraction(1)),))]
+    out: list[Factor] = [((law.fixed, Fraction(1)),)]
     for run in law.runs:
         if not isinstance(run, TreeLevel):
-            out.extend(LevelOutcomes(tuple(((e,), Fraction(1, 2)) for e in cls)) for cls in run)
+            out.extend(tuple(((e,), Fraction(1, 2)) for e in cls) for cls in run)
             continue
         unit = (Fraction(1),) * len(run.level_edges)
         if TreeKernel(run.vertex_count, run.level_edges, unit).weight > DEFAULT_OUTCOME_CAP:
             raise ResourceCapError(f"spanning tree count exceeds cap {DEFAULT_OUTCOME_CAP}")
-        enum = enumerate_trees(run.vertex_count, list(run.level_edges), list(run.lam_exact))
-        choices = tuple(
-            (tuple(sorted(run.edge_ids[i] for i in t)), p)
-            for t, p in zip(enum.trees, enum.probabilities)
-        )
-        out.append(LevelOutcomes(choices))
+        trees = enumerate_spanning_trees(run.vertex_count, run.level_edges)
+        weights = [prod((run.lam_exact[i] for i in t), start=Fraction(1)) for t in trees]
+        total = sum(weights, Fraction(0))
+        if total == 0:
+            raise ValueError("cut-free level has no spanning tree of positive weight")
+        out.append(tuple(
+            (tuple(sorted(run.edge_ids[i] for i in t)), w / total)
+            for t, w in zip(trees, weights)
+        ))
     return tuple(out)
 
 
 def subset_joint_distribution(
-    levels: tuple[LevelOutcomes, ...], edge_ids: tuple[int, ...]
+    levels: tuple[Factor, ...], edge_ids: tuple[int, ...]
 ) -> dict[tuple[int, ...], Fraction]:
     """Exact joint membership law of a few edges, by per-factor convolution.
 
@@ -203,7 +172,7 @@ def subset_joint_distribution(
 
 
 def subset_count_distribution(
-    levels: tuple[LevelOutcomes, ...], edge_ids: tuple[int, ...]
+    levels: tuple[Factor, ...], edge_ids: tuple[int, ...]
 ) -> dict[int, Fraction]:
     """Exact law of how many of the given edges the sampled tree contains."""
     joint = subset_joint_distribution(levels, edge_ids)
@@ -219,7 +188,7 @@ class PipelineExpectations:
     """Exact enumeration results for one prepared instance, with the factor
     table and the per-edge truncations they were computed from."""
 
-    levels: tuple[LevelOutcomes, ...]
+    levels: tuple[Factor, ...]
     truncation: tuple[Fraction, ...]
     tree_outcomes: int
     unit_count: int
@@ -233,7 +202,7 @@ class PipelineExpectations:
 
 
 def _state_law(
-    levels: tuple[LevelOutcomes, ...], edge_state: Sequence[int] | Mapping[int, int], cap: int
+    levels: tuple[Factor, ...], edge_state: Sequence[int] | Mapping[int, int], cap: int
 ) -> dict[int, Fraction]:
     """Law of the XOR of the chosen edges' state masks over all factors.
 
@@ -244,9 +213,9 @@ def _state_law(
     """
     owner: dict[int, int] = {}
     law = {0: Fraction(1)}
-    for idx, level in enumerate(levels):
+    for idx, factor in enumerate(levels):
         collapsed: dict[int, Fraction] = {}
-        for chosen, p in level.choices:
+        for chosen, p in factor:
             mask = 0
             for e in chosen:
                 if owner.setdefault(e, idx) != idx:
@@ -267,22 +236,21 @@ def _state_law(
 
 
 def exact_pipeline_expectations(
-    prepared: PreparedInstance,
-    cap: int = DEFAULT_OUTCOME_CAP,
-    include_costs: bool = True,
+    prepared: PreparedInstance, cap: int = DEFAULT_OUTCOME_CAP
 ) -> PipelineExpectations:
     """Average the construction over the sampler's outcome space, exactly.
 
     The factors of ``level_outcome_table`` are independent and share no
     edge, so the connector's cut parities and odd vertex set are the XOR of
     one choice's masks per factor.  The oracle XOR-convolves the factors'
-    explicit choice lists into the law of (cut-parity mask, odd-vertex mask)
-    and does all non-linear work once per distinct state: even-at-last
-    masks, the exact fold of the Bernoulli units (independent of the tree)
-    and the optimal join cost of the odd set.  Marginals and the tree cost
-    are linear, so they come from per-factor sums.  The join cost is None
-    when some odd set exceeds the exact matching range.  ResourceCapError
-    is raised when a convolution step or the fold exceeds ``cap``.
+    choice tuples into the law of (cut-parity mask, odd-vertex mask), prices
+    each distinct odd set's optimal join once, and then does the remaining
+    non-linear work once per distinct cut-parity mask: even-at-last masks
+    and the exact fold of the Bernoulli units (independent of the tree).
+    Marginals and the tree cost are linear, so they come from per-factor
+    sums.  The join cost is None when some odd set exceeds the exact
+    matching range (``EXACT_COST_LIMIT`` vertices).  ResourceCapError is
+    raised when a convolution step or the fold exceeds ``cap``.
     """
     plan = prepared.plan
     support = prepared.support
@@ -293,27 +261,26 @@ def exact_pipeline_expectations(
     n = support.n
 
     levels = level_outcome_table(plan.connector)
-    tree_total = prod(len(lv.choices) for lv in levels)
+    tree_total = prod(map(len, levels))
     units = plan.unit_keys
 
     cut_list = prepared.cut_sides
     cut_bound = prepared.boundaries
-    # Bit i of a state is the parity of cut i; with costs, bit shift + v is
-    # the degree parity of vertex v.
+    # Bit i of a state is the parity of cut i, bit shift + v the degree
+    # parity of vertex v.
     shift = len(cut_list)
     edge_state = [0] * m
     for i, bound in enumerate(cut_bound):
         for f in bound:
             edge_state[f] ^= 1 << i
-    if include_costs:
-        for e in range(m):
-            u, v = support.endpoints(e)
-            edge_state[e] ^= ((1 << u) ^ (1 << v)) << shift
+    for e in range(m):
+        u, v = support.endpoints(e)
+        edge_state[e] ^= ((1 << u) ^ (1 << v)) << shift
     last_mask = [(1 << a) | (1 << b) for a, b in hierarchy.edge_last_cuts]
 
     marginal = [Fraction(0)] * m
-    for level in levels:
-        for chosen, p in level.choices:
+    for factor in levels:
+        for chosen, p in factor:
             for e in chosen:
                 marginal[e] += p
     tree_cost_total = sum(
@@ -324,23 +291,18 @@ def exact_pipeline_expectations(
         Fraction(0),
     )
 
-    state_law = _state_law(levels, edge_state, cap)
+    joins = JoinCalculator(prepared.metric)
+    parity_bits = (1 << shift) - 1
     parity_law: dict[int, Fraction] = {}
-    join_total: Fraction | None = None
-    if include_costs:
-        joins = JoinCalculator(prepared.metric)
-        parity_bits = (1 << shift) - 1
-        join_total = Fraction(0)
-        for state, weight in state_law.items():
-            parity = state & parity_bits
-            parity_law[parity] = parity_law.get(parity, Fraction(0)) + weight
-            odd = tuple(v for v in range(n) if (state >> (shift + v)) & 1)
-            if len(odd) > EXACT_COST_LIMIT:
-                join_total = None
-            if join_total is not None:
-                join_total += weight * joins.exact_cost(odd)
-    else:
-        parity_law = state_law
+    join_total: Fraction | None = Fraction(0)
+    for state, weight in _state_law(levels, edge_state, cap).items():
+        parity = state & parity_bits
+        parity_law[parity] = parity_law.get(parity, Fraction(0)) + weight
+        odd = tuple(v for v in range(n) if (state >> (shift + v)) & 1)
+        if len(odd) > EXACT_COST_LIMIT:
+            join_total = None
+        if join_total is not None:
+            join_total += weight * joins.exact_cost(odd)
     if len(parity_law) * m > cap:
         raise ResourceCapError(
             f"fold over {len(parity_law)} parity states * {m} edges exceeds cap {cap}"
@@ -503,15 +465,9 @@ class LemmaCheck:
 
 
 def run_lemma_battery(
-    prepared: PreparedInstance,
-    expectations: PipelineExpectations | None = None,
-    cap: int = DEFAULT_OUTCOME_CAP,
+    prepared: PreparedInstance, expectations: PipelineExpectations
 ) -> tuple[LemmaCheck, ...]:
     """Every verified probability bound on one instance, from enumeration."""
-    if expectations is None:
-        expectations = exact_pipeline_expectations(
-            prepared, cap=cap, include_costs=False
-        )
     hierarchy = prepared.hierarchy
     params = prepared.params
     p = expectations.per_edge_even
@@ -540,25 +496,21 @@ def run_lemma_battery(
     for e in hierarchy.bottom_edges():
         checks.append(LemmaCheck("bottom-edge-1-4", f"edge {e}", p[e], BOTTOM_EDGE_BOUND, ">="))
 
+    # A degree node's child has at most one rising edge (build_hierarchy
+    # refuses more); its other boundary edges lie in the node's level.
     for node in hierarchy.degree_nodes():
         k, level_edges, _ = level_tree_problem(hierarchy, node.id)
-        level_edge_set = set(node.internal_edges)
-        ups_by_child = {
-            c: tuple(f for f in hierarchy.nodes[c].boundary if f not in level_edge_set)
-            for c in node.children
-        }
+        children = [hierarchy.nodes[c] for c in node.children]
         k5_shape = (
             k == 4
             and len(level_edges) == 6
             and len({frozenset((a, b)) for a, b, _ in level_edges}) == 6
-            and all(len(ups) == 1 for ups in ups_by_child.values())
+            and all(child.up_edges for child in children)
         )
-        for child_id in node.children:
-            boundary = hierarchy.nodes[child_id].boundary
-            ups = ups_by_child[child_id]
-            inward = tuple(f for f in boundary if f not in ups)
-            label = f"node {node.id} child {child_id}"
-            if not ups:
+        for child in children:
+            boundary, inward = child.boundary, child.across_edges
+            label = f"node {node.id} child {child.id}"
+            if not child.up_edges:
                 total = sum((p[f] for f in boundary), Fraction(0))
                 checks.append(LemmaCheck("top-cut-4-27", label, total, TOP_CUT_BOUND, ">="))
                 worst = min(
@@ -569,10 +521,6 @@ def run_lemma_battery(
                     LemmaCheck("top-cut-triple-1-27", label, worst, TOP_TRIPLE_BOUND, ">=")
                 )
             else:
-                if len(ups) != 1:
-                    raise ValueError(
-                        f"degree-node child {child_id} has {len(ups)} outward edges"
-                    )
                 worst_pair = min(
                     sum((p[f] for f in w), Fraction(0))
                     for w in combinations(inward, 2)
@@ -598,12 +546,14 @@ def run_lemma_battery(
                     LemmaCheck("k5-level-edge-1-4", f"edge {f}", p[f], K5_LEVEL_EDGE_BOUND, ">=")
                 )
 
-    # Level edges whose endpoint cuts split one-and-zero on outward edges.
+    # Level edges whose endpoint cuts (the two children they join) split
+    # one-and-zero on outward edges.
     for e in hierarchy.top_edges():
-        level_edge_set = set(hierarchy.nodes[hierarchy.edge_level[e][1]].internal_edges)
+        ends = set(hierarchy.support.endpoints(e))
         up_counts = sorted(
-            sum(1 for f in hierarchy.min_cuts[i].boundary if f not in level_edge_set)
-            for i in hierarchy.last_cuts(e)
+            len(hierarchy.nodes[c].up_edges)
+            for c in hierarchy.nodes[hierarchy.edge_level[e][1]].children
+            if not ends.isdisjoint(hierarchy.nodes[c].vertices)
         )
         if up_counts == [0, 1]:
             checks.append(LemmaCheck("top-edge-13-54", f"edge {e}", p[e], TOP_EDGE_BOUND, ">="))

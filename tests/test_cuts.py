@@ -137,7 +137,7 @@ def test_canonical_side_excludes_vertex_zero():
 def test_doubled_triangle_hierarchy_is_pure_ring():
     support = support_for(GADGET_BUILDERS["doubled_triangle"]())
     h = build_hierarchy(support)
-    assert not h.internal_nodes()  # only singleton leaves
+    assert not [nd for nd in h.nodes if nd.children]  # only singleton leaves
     assert len(h.final.member_nodes) == 3
     assert len(h.final_edges()) == len(support.edges) == 6
     # every pair class joins consecutive members with two parallel copies
@@ -378,3 +378,16 @@ def test_interval_cuts_are_cycle_child_runs():
         for idx in range(i, j + 1):
             run = run | h.nodes[node.child_order[idx]].vertices
         assert run in cut.sides()
+
+
+@pytest.mark.parametrize("spec", REFERENCE_SPECS)
+def test_degree_node_children_split_boundary_into_level_and_rising_edges(spec):
+    """A degree node's child crosses the node's level on ``across_edges``
+    and rises on ``up_edges``, at most one edge, the rest of its boundary."""
+    h = build_hierarchy(support_for(reference_instance(spec)))
+    for nd in h.degree_nodes():
+        level = set(nd.internal_edges)
+        for child in (h.nodes[c] for c in nd.children):
+            assert child.across_edges == tuple(f for f in child.boundary if f in level)
+            assert child.up_edges == tuple(f for f in child.boundary if f not in level)
+            assert len(child.up_edges) <= 1

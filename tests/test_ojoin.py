@@ -907,7 +907,7 @@ def test_even_at_last_table_matches_the_oracle(spec):
     else:
         inst = corpus_instance(dict(HIERARCHY_CORPUS)[spec])
     prepared = prepare_instance(inst)
-    expected = exact_pipeline_expectations(prepared, include_costs=False).per_edge_even
+    expected = exact_pipeline_expectations(prepared).per_edge_even
     assert prepared.eal_probability == dict(enumerate(expected))
 
 

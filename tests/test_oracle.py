@@ -17,7 +17,9 @@ from hitsp.instance import (
     generate_instance,
     metric_closure,
 )
+from hitsp.maxent import TreeLevel
 from hitsp.ojoin import (
+    ConnectorLaw,
     JoinCalculator,
     PreparedInstance,
     SamplingPlan,
@@ -29,12 +31,11 @@ from hitsp.ojoin import (
 from hitsp.oracle import (
     BernoulliConfig,
     HOEFFDING_FUNCTIONALS,
+    Factor,
     LemmaCheck,
-    LevelOutcomes,
     PipelineExpectations,
     ResourceCapError,
     enumerate_spanning_trees,
-    enumerate_trees,
     evaluate_functional,
     exact_pipeline_expectations,
     hoeffding_extremal,
@@ -69,7 +70,7 @@ def k5_parity_census() -> dict[tuple[int, int], int]:
 def outcome_space_size(plan: SamplingPlan) -> tuple[int, int]:
     """(number of distinct trees, number of Bernoulli units) for the plan."""
     levels = level_outcome_table(plan.connector)
-    return (prod(len(lv.choices) for lv in levels), len(plan.unit_keys))
+    return (prod(map(len, levels)), len(plan.unit_keys))
 
 
 def exact_expectations_by_full_enumeration(
@@ -80,13 +81,13 @@ def exact_expectations_by_full_enumeration(
     plan = prepared.plan
     levels = level_outcome_table(plan.connector)
     units = plan.unit_keys
-    tree_total = prod(len(lv.choices) for lv in levels)
+    tree_total = prod(map(len, levels))
     if tree_total * (2 ** len(units)) > cap:
         raise ResourceCapError("full outcome enumeration over cap")
     m = len(prepared.support.edges)
     totals = [Fraction(0)] * m
     loads = {side: Fraction(0) for side in prepared.cut_sides}
-    for combo in product(*(lv.choices for lv in levels)):
+    for combo in product(*levels):
         tree_weight = prod((p for _, p in combo), start=Fraction(1))
         tree = tuple(sorted(e for chosen, _ in combo for e in chosen))
         for pattern in product((0, 1), repeat=len(units)):
@@ -189,13 +190,13 @@ COLLAPSE_SPECS = [
 
 
 def _iterate_outcomes(
-    levels: tuple[LevelOutcomes, ...],
+    levels: tuple[Factor, ...],
     cut_bound: list[tuple[int, ...]],
     edge_count: int,
     edge_cut_indices: list[tuple[int, ...]],
 ) -> Iterator[tuple[Fraction, tuple[int, ...], int, int]]:
     """Yield (weight, tree, cut-parity bitmask, even-at-last bitmask)."""
-    for combo in product(*(lv.choices for lv in levels)):
+    for combo in product(*levels):
         weight = math.prod((p for _, p in combo), start=Fraction(1))
         tree = tuple(sorted(e for chosen, _ in combo for e in chosen))
         in_tree = set(tree)
@@ -213,10 +214,7 @@ def _iterate_outcomes(
         yield (weight, tree, parity_mask, eal_mask)
 
 
-def reference_pipeline_expectations(
-    prepared: PreparedInstance,
-    include_costs: bool = True,
-) -> PipelineExpectations:
+def reference_pipeline_expectations(prepared: PreparedInstance) -> PipelineExpectations:
     """The oracle's tree-by-tree route, kept as a reference.
 
     Trees come from the product of the factors' choice lists, one outcome at
@@ -233,7 +231,7 @@ def reference_pipeline_expectations(
     n = support.n
 
     levels = level_outcome_table(plan.connector)
-    tree_total = math.prod(len(lv.choices) for lv in levels)
+    tree_total = math.prod(map(len, levels))
     units = plan.unit_keys
 
     cut_list = list(prepared.cut_sides)
@@ -245,8 +243,8 @@ def reference_pipeline_expectations(
     eal_weight = [Fraction(0)] * m
     marginal = [Fraction(0)] * m
     tree_cost_total = Fraction(0)
-    joins = JoinCalculator(prepared.metric) if include_costs else None
-    join_total: Fraction | None = Fraction(0) if include_costs else None
+    joins = JoinCalculator(prepared.metric)
+    join_total: Fraction | None = Fraction(0)
 
     for weight, tree, parity_mask, eal_mask in _iterate_outcomes(
         levels, cut_bound, m, edge_cut_indices
@@ -399,21 +397,39 @@ def chain2():
     return prepare_instance(generate_instance("cycle_chain", 2))
 
 
+def k4_law(lam: tuple[Fraction, ...]) -> ConnectorLaw:
+    """A connector law of one cut-free K4 level with exact weights ``lam``."""
+    level = TreeLevel(4, tuple(K4_EDGES), tuple(range(6)), (1.0,) * 6, lam)
+    return ConnectorLaw((), (level,))
+
+
 def test_enumerate_trees_uniform_k4():
-    enum = enumerate_trees(4, K4_EDGES)
-    assert len(enum.trees) == 16
-    assert sum(enum.probabilities, Fraction(0)) == 1
-    assert all(p == Fraction(1, 16) for p in enum.probabilities)
+    fixed, trees = level_outcome_table(k4_law((Fraction(1),) * 6))
+    assert fixed == (((), Fraction(1)),)
+    assert len(trees) == 16
+    assert sorted(chosen for chosen, _ in trees) == sorted(enumerate_spanning_trees(4, K4_EDGES))
+    assert all(p == Fraction(1, 16) for _, p in trees)
 
 
 def test_enumerate_trees_weighted():
-    lam = [Fraction(2), Fraction(1), Fraction(1), Fraction(1), Fraction(1), Fraction(1)]
-    enum = enumerate_trees(4, K4_EDGES, lam=lam)
-    for tree, p in zip(enum.trees, enum.probabilities):
-        weight = Fraction(1)
-        for e in tree:
-            weight *= lam[e]
-        assert p == weight / enum.total_weight
+    """On a fitted level each tree's probability is the product of its
+    edges' ``lam_exact``, normalized over the level's trees."""
+    law = prepare_instance(GADGET_BUILDERS["split_octahedron"]()).plan.connector
+    fitted = [run for run in law.runs if isinstance(run, TreeLevel) and set(run.lam_exact) != {1}]
+    assert fitted
+    for level in fitted:
+        _, trees = level_outcome_table(ConnectorLaw((), (level,)))
+        assert sum((p for _, p in trees), Fraction(0)) == 1
+        assert len({p for _, p in trees}) > 1
+        lam = dict(zip(level.edge_ids, level.lam_exact))
+        weights = [prod((lam[e] for e in chosen), start=Fraction(1)) for chosen, _ in trees]
+        total = sum(weights, Fraction(0))
+        assert [p for _, p in trees] == [w / total for w in weights]
+
+
+def test_level_with_no_positive_tree_weight_is_refused():
+    with pytest.raises(ValueError, match="no spanning tree of positive weight"):
+        level_outcome_table(k4_law((Fraction(0),) * 6))
 
 
 def test_oversize_cut_free_level_is_refused_before_listing():
@@ -429,23 +445,23 @@ def test_oversize_cut_free_level_is_refused_before_listing():
 def test_enumerate_trees_cap():
     edges = [(u, v) for u in range(8) for v in range(u + 1, 8)]
     with pytest.raises(ResourceCapError):
-        enumerate_trees(8, edges, cap=100)
+        enumerate_spanning_trees(8, edges, cap=100)
 
 
 @pytest.mark.parametrize(("cap", "step"), [(2, "convolution step"), (8, "fold over 2 parity states")])
 def test_oracle_work_cap(chain2, cap, step):
     with pytest.raises(ResourceCapError, match=step):
-        exact_pipeline_expectations(chain2, cap=cap, include_costs=False)
-    exact_pipeline_expectations(chain2, cap=16, include_costs=False)
+        exact_pipeline_expectations(chain2, cap=cap)
+    exact_pipeline_expectations(chain2, cap=16)
 
 
 def test_level_tables_are_probability_distributions(chain2):
     levels = level_outcome_table(chain2.plan.connector)
-    for level in levels:
-        total = sum((p for _, p in level.choices), Fraction(0))
+    for factor in levels:
+        total = sum((p for _, p in factor), Fraction(0))
         assert total == 1
     count, units = outcome_space_size(chain2.plan)
-    assert count == math.prod(len(level.choices) for level in levels)
+    assert count == math.prod(map(len, levels))
     assert units >= 1
 
 
@@ -486,13 +502,11 @@ def test_expectations_match_full_enumeration_chain(chain2):
     assert exp.cut_load == loads
 
 
-@pytest.mark.parametrize("include_costs", [False, True])
-@pytest.mark.parametrize("spec", COLLAPSE_SPECS, ids=str)
-def test_state_collapse_matches_tree_by_tree_reference(spec, include_costs):
+# Ids end in "-True": every case prices the join.
+@pytest.mark.parametrize("spec", COLLAPSE_SPECS, ids=lambda spec: f"{spec}-True")
+def test_state_collapse_matches_tree_by_tree_reference(spec):
     prepared = prepare_instance(corpus_instance(spec))
-    got = exact_pipeline_expectations(prepared, include_costs=include_costs)
-    want = reference_pipeline_expectations(prepared, include_costs=include_costs)
-    assert got == want
+    assert exact_pipeline_expectations(prepared) == reference_pipeline_expectations(prepared)
 
 
 def test_state_collapse_rejects_an_edge_in_two_factors(chain2, monkeypatch):
@@ -521,16 +535,26 @@ def test_expected_costs_triangle(triangle):
     assert exp.expected_join_cost is not None
 
 
+@pytest.mark.parametrize("k", range(1, 11))
+def test_envelope_tour_ratio_family_law(k):
+    """(E[tree] + E[join]) / LP on envelope:k is exactly 1 + (2k+1)/(6k+6),
+    tending to 4/3."""
+    prepared = prepare_instance(generate_instance("envelope", k))
+    exp = exact_pipeline_expectations(prepared)
+    ratio = (exp.expected_tree_cost + exp.expected_join_cost) / prepared.instance.lp_cost()
+    assert ratio == 1 + Fraction(2 * k + 1, 6 * k + 6)
+
+
 def test_battery_passes_on_small_instances(triangle, chain2):
     for prepared in (triangle, chain2):
-        checks = run_lemma_battery(prepared)
+        checks = run_lemma_battery(prepared, exact_pipeline_expectations(prepared))
         assert checks
         failed = [c for c in checks if not c.passed]
         assert not failed, failed
 
 
 def test_battery_rows_include_expected_kinds(chain2):
-    names = {c.name for c in run_lemma_battery(chain2)}
+    names = {c.name for c in run_lemma_battery(chain2, exact_pipeline_expectations(chain2))}
     assert {"cut-even-13-27", "bottom-edge-1-4", "ring-edge-even"} <= names
 
 
