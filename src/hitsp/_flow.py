@@ -7,13 +7,16 @@ graphs (Picard-Queyranne 1980); the minimum odd cut for an odd set T, from
 1982); a witness side for a cut below k edges; and the first tight set of a
 spanning-tree polytope point, from one flow per edge pair (Picard-Queyranne
 1980; Cunningham 1984).  Capacities are summed per vertex pair and kept as
-dict rows.
+dict rows.  Vertex sets are int bitmasks (bit v for vertex v): a residual's
+positive arcs become one mask per vertex, and every closure is a frontier
+expansion over those masks.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
+from itertools import compress
 from math import lcm
 from typing import Iterable, Sequence
 
@@ -31,28 +34,37 @@ def _rows(n: int, edges: Iterable[tuple[int, int, int]]) -> Rows:
 
 
 def _max_flow(capacity: Rows, sources: Iterable[int], sink: int) -> tuple[int, Rows]:
-    """Maximum flow from a source set to ``sink``, and its residual rows."""
+    """Maximum flow from a source set to ``sink``, and its residual rows.
+
+    Each augmenting path is a shortest one, searched back from the sink, so
+    a search stops at the first source it meets however many there are.
+    """
     residual = [dict(row) for row in capacity]
-    sources = tuple(sources)
+    is_source = [False] * len(residual)
+    for s in sources:
+        is_source[s] = True
     flow = 0
     while True:
-        parent = [-1] * len(residual)
-        for s in sources:
-            parent[s] = s
-        queue = deque(sources)
-        while queue and parent[sink] < 0:
-            u = queue.popleft()
-            for v, r in residual[u].items():
-                if r > 0 and parent[v] < 0:
-                    parent[v] = u
-                    queue.append(v)
-        if parent[sink] < 0:
+        toward = [-1] * len(residual)  # the next vertex on a path to the sink
+        toward[sink] = sink
+        queue = deque((sink,))
+        start = -1
+        while queue and start < 0:
+            v = queue.popleft()
+            for u in residual[v]:
+                if toward[u] < 0 and residual[u][v] > 0:
+                    toward[u] = v
+                    if is_source[u]:
+                        start = u
+                        break
+                    queue.append(u)
+        if start < 0:
             return flow, residual
         path = []
-        v = sink
-        while parent[v] != v:
-            path.append((parent[v], v))
-            v = parent[v]
+        u = start
+        while u != sink:
+            path.append((u, toward[u]))
+            u = toward[u]
         bottleneck = min(residual[u][v] for u, v in path)
         for u, v in path:
             residual[u][v] -= bottleneck
@@ -60,49 +72,77 @@ def _max_flow(capacity: Rows, sources: Iterable[int], sink: int) -> tuple[int, R
         flow += bottleneck
 
 
-def _closure(residual: Rows, start: Iterable[int], forward: bool = True) -> set[int]:
-    """Vertices that ``start`` reaches along positive residual arcs.
+def _arc_masks(residual: Rows) -> tuple[list[int], list[int]]:
+    """Per vertex: the mask of the heads of its positive residual arcs, and
+    the mask of the tails of the positive arcs into it."""
+    forward = [0] * len(residual)
+    backward = [0] * len(residual)
+    for u, row in enumerate(residual):
+        for v, r in row.items():
+            if r > 0:
+                forward[u] |= 1 << v
+                backward[v] |= 1 << u
+    return forward, backward
 
-    With ``forward`` false the arcs are followed backwards: the vertices that
-    reach ``start``.
+
+def _closure(arcs: Sequence[int], frontier: int, seen: int = 0) -> int:
+    """``seen`` with every vertex that ``frontier`` reaches along ``arcs``.
+
+    ``arcs[u]`` masks the vertices one arc away from u: the ``forward``
+    masks of :func:`_arc_masks`, or its ``backward`` masks for the vertices
+    that reach ``frontier``.  ``seen`` must be closed already; the expansion
+    stops at it.
     """
-    seen = set(start)
-    stack = list(seen)
-    while stack:
-        u = stack.pop()
-        for v, r in residual[u].items():
-            if v not in seen and (r if forward else residual[v][u]) > 0:
-                seen.add(v)
-                stack.append(v)
+    seen |= frontier
+    while frontier:
+        step = 0
+        while frontier:
+            low = frontier & -frontier
+            step |= arcs[low.bit_length() - 1]
+            frontier ^= low
+        frontier = step & ~seen
+        seen |= frontier
     return seen
 
 
-def all_min_cuts(n: int, edges: Iterable[tuple[int, int]]) -> tuple[int, list[frozenset[int]]]:
+_DIGITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def members(mask: int) -> list[int]:
+    """The vertices of a mask, ascending."""
+    digits = bin(mask)[:1:-1].encode().translate(_DIGITS)
+    return list(compress(range(len(digits)), digits))
+
+
+def all_min_cuts(n: int, edges: Iterable[tuple[int, int]]) -> tuple[int, list[int]]:
     """The edge connectivity λ of a unit-capacity multigraph and its minimum cuts.
 
-    Each cut is listed once, by its side without vertex 0, in no fixed order.
-    A side whose least vertex is i separates {0..i-1} from i, so it is a sink
-    side of the ({0..i-1}, i)-flow when that flow equals λ.  The branching
-    puts each free vertex on the source side with all it reaches, or on the
-    sink side with all that reaches it; both choices stay closed, so every
-    leaf is a distinct minimum cut.
+    Each cut is listed once, as the mask of its side without vertex 0, in no
+    fixed order.  A side whose least vertex is i separates {0..i-1} from i,
+    so it is a sink side of the ({0..i-1}, i)-flow when that flow equals λ.
+    Each branch puts the least free vertex on the source side with all it
+    reaches, or on the sink side with all that reaches it; both choices stay
+    closed, so every leaf is a distinct minimum cut.
     """
     capacity = _rows(n, ((u, v, 1) for u, v in edges))
     flows = [_max_flow(capacity, range(i), i) for i in range(1, n)]
     lam = min(value for value, _ in flows)
-    sides: list[frozenset[int]] = []
-
-    def branch(residual: Rows, inside: set[int], outside: set[int]) -> None:
-        free = next((v for v in range(n) if v not in inside and v not in outside), None)
-        if free is None:
-            sides.append(frozenset(outside))
-            return
-        branch(residual, inside | _closure(residual, (free,)), outside)
-        branch(residual, inside, outside | _closure(residual, (free,), False))
-
+    everything = (1 << n) - 1
+    sides: list[int] = []
     for i, (value, residual) in enumerate(flows, start=1):
-        if value == lam:
-            branch(residual, _closure(residual, range(i)), _closure(residual, (i,), False))
+        if value != lam:
+            continue
+        forward, backward = _arc_masks(residual)
+        stack = [(_closure(forward, (1 << i) - 1), _closure(backward, 1 << i))]
+        while stack:
+            inside, outside = stack.pop()
+            free = everything & ~(inside | outside)
+            if not free:
+                sides.append(outside)
+                continue
+            low = free & -free
+            stack.append((inside, _closure(backward, low, outside)))
+            stack.append((_closure(forward, low, inside), outside))
     return lam, sides
 
 
@@ -126,36 +166,36 @@ def min_odd_cut(
     if not terminals:
         return None
     capacity = _rows(n, edges)
-    everything = frozenset(range(n))
-    members = [set(everything)]
+    everything = (1 << n) - 1
+    groups = [everything]
     taken = [terminals[0]]
-    # Tree edges: (group a, group b, value, a's side, the pair it was cut for:
-    # the odd vertex on a's side, the one on b's side).
-    links: list[tuple[int, int, int, frozenset[int], int, int]] = []
+    # Tree edges: (group a, group b, value, a's side mask, the pair it was
+    # cut for: the odd vertex on a's side, the one on b's side).
+    links: list[tuple[int, int, int, int, int, int]] = []
     for s in terminals[1:]:
-        g = next(i for i, group in enumerate(members) if s in group)
+        g = next(i for i, group in enumerate(groups) if group >> s & 1)
         t = taken[g]
         value, residual = _max_flow(capacity, (s,), t)
-        reach = _closure(residual, (s,))
-        split = len(members)
-        inside = members[g] & reach
-        side = set(inside)
+        reach = _closure(_arc_masks(residual)[0], 1 << s)
+        split = len(groups)
+        inside = groups[g] & reach
+        side = inside
         for k, (a, b, c, cut, x, y) in enumerate(links):
             if g in (a, b):
-                far, anchor = (everything - cut, y) if a == g else (cut, x)
-                if anchor in reach:
+                far, anchor = (everything ^ cut, y) if a == g else (cut, x)
+                if reach >> anchor & 1:
                     side |= far
                     links[k] = (split if a == g else a, split if b == g else b, c, cut, x, y)
-        members[g] -= inside
-        members.append(inside)
+        groups[g] ^= inside
+        groups.append(inside)
         taken.append(s)
-        links.append((split, g, value, frozenset(side), s, t))
-    odd_set = set(terminals)
+        links.append((split, g, value, side, s, t))
+    odd_mask = sum(1 << v for v in terminals)
     value, side = min(
-        ((c, cut) for _, _, c, cut, _, _ in links if len(cut & odd_set) % 2),
+        ((c, cut) for _, _, c, cut, _, _ in links if (cut & odd_mask).bit_count() % 2),
         key=lambda link: link[0],
     )
-    return value, side if 0 not in side else everything - side
+    return value, frozenset(members(everything ^ side if side & 1 else side))
 
 
 def small_edge_cut_witness(
@@ -166,7 +206,8 @@ def small_edge_cut_witness(
     for t in range(1, n):
         value, residual = _max_flow(capacity, (0,), t)
         if value < k:
-            return frozenset(range(n)) - _closure(residual, (0,))
+            reach = _closure(_arc_masks(residual)[0], 1)
+            return frozenset(members(((1 << n) - 1) ^ reach))
     return None
 
 
@@ -197,7 +238,8 @@ def first_tight_set(n: int, edges: Sequence[tuple[int, int, Fraction]]) -> froze
         value, residual = _max_flow(capacity, (source, *pair), sink)
         if value < bound:
             raise ValueError(f"targets leave the spanning-tree polytope at {pair}")
-        side = sorted(_closure(residual, (source, *pair)) - {source})
+        start = (1 << source) | (1 << pair[0]) | (1 << pair[1])
+        side = members(_closure(_arc_masks(residual)[0], start) ^ (1 << source))
         if value == bound and len(side) < n and (best is None or (len(side), side) < best):
             best = (len(side), side)
     return None if best is None else frozenset(best[1])

@@ -20,10 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_, xor
 from typing import Iterable, Mapping, Sequence
 
-from ._flow import all_min_cuts
+from ._flow import all_min_cuts, members
 from .instance import SupportGraph
 
 # Unused by the library: perfbench/tracing.py imports it to count "Karger"
@@ -68,11 +69,30 @@ def canonical_side(vertices: Iterable[int], n: int) -> frozenset[int]:
     return side
 
 
+def _edge_masks(support: SupportGraph) -> list[int]:
+    """Per vertex, the mask of its incident support edge ids (bit e for edge
+    e).  The XOR over a vertex set masks its boundary: an edge with both
+    ends inside cancels."""
+    masks = [0] * support.n
+    for e in support.edges:
+        masks[e.u] ^= 1 << e.id
+        masks[e.v] ^= 1 << e.id
+    return masks
+
+
+def _vertex_mask(vertices: Iterable[int]) -> int:
+    return sum(1 << v for v in vertices)
+
+
+def _side_key(side: int) -> tuple[int, int, list[int]]:
+    """(min vertex, size, vertex list): the order of cuts and of tied choices."""
+    vertices = members(side)
+    return (vertices[0], len(vertices), vertices)
+
+
 def boundary_edges(support: SupportGraph, vertices: frozenset[int]) -> tuple[int, ...]:
     """Sorted support edge ids with exactly one endpoint inside ``vertices``."""
-    return tuple(
-        e.id for e in support.edges if (e.u in vertices) != (e.v in vertices)
-    )
+    return tuple(members(reduce(xor, map(_edge_masks(support).__getitem__, vertices), 0)))
 
 
 def enumerate_min_cuts(support: SupportGraph) -> tuple[MinCut, ...]:
@@ -82,24 +102,15 @@ def enumerate_min_cuts(support: SupportGraph) -> tuple[MinCut, ...]:
     side.
     """
     _, sides = all_min_cuts(support.n, ((e.u, e.v) for e in support.edges))
-    cuts = [
-        MinCut(vertices=s, boundary=boundary_edges(support, s), n=support.n)
-        for s in sides
-    ]
-    return tuple(sorted(cuts, key=lambda c: (min(c.vertices), len(c.vertices), sorted(c.vertices))))
-
-
-def crossing(a: MinCut, b: MinCut) -> bool:
-    """Whether the two cuts cross: all four intersection regions non-empty.
-
-    Crossing is invariant under flipping either cut to its other side, so it
-    is well-defined on canonical sides (both of which exclude vertex 0, making
-    the fourth region automatically non-empty).
-    """
-    if a.n != b.n:
-        raise ValueError("cuts from different graphs")
-    sa, sb = a.vertices, b.vertices
-    return bool(sa & sb) and bool(sa - sb) and bool(sb - sa)
+    incident = _edge_masks(support).__getitem__
+    return tuple(
+        MinCut(
+            vertices=frozenset(vertices),
+            boundary=tuple(members(reduce(xor, map(incident, vertices)))),
+            n=support.n,
+        )
+        for _, _, vertices in sorted(map(_side_key, sides))
+    )
 
 
 @dataclass(frozen=True)
@@ -198,36 +209,53 @@ class CutHierarchy:
         )
 
     @cached_property
-    def _shapes(self) -> dict[frozenset[int], tuple[int, str, object]]:
-        """Each shape's vertex set -> (rank, kind, label), ranked in scan order.
+    def _shapes(self) -> dict[int, tuple[int, str, object]]:
+        """Each shape's vertex mask -> (rank, kind, label), ranked in scan order.
 
         The scan lists critical nodes, then each cycle node's contiguous child
         runs [i..j] short of the full run, then the final ring's runs of
         ``length`` members from ``start``; a set keeps its first label.
         """
-        def scan() -> Iterable[tuple[str, object, frozenset[int]]]:
+        masks: list[int] = []
+        for nd in self.nodes:
+            children = (masks[c] for c in nd.children)
+            masks.append(reduce(or_, children) if nd.children else _vertex_mask(nd.vertices))
+
+        def scan() -> Iterable[tuple[str, object, int]]:
             for nd in self.nodes:
-                yield ("critical", nd.id, nd.vertices)
+                yield ("critical", nd.id, masks[nd.id])
             for nd in self.cycle_nodes():
                 order = nd.child_order
                 for i in range(len(order)):
-                    acc: frozenset[int] = frozenset()
+                    acc = 0
                     for j in range(i, len(order)):
-                        acc = acc | self.nodes[order[j]].vertices
+                        acc |= masks[order[j]]
                         if (i, j) != (0, len(order) - 1):
                             yield ("interval", (nd.id, i, j), acc)
-            members = self.final.member_nodes
-            r = len(members)
+            ring = self.final.member_nodes
+            r = len(ring)
             for start in range(r):
-                acc = frozenset()
+                acc = 0
                 for length in range(1, r):
-                    acc = acc | self.nodes[members[(start + length - 1) % r]].vertices
+                    acc |= masks[ring[(start + length - 1) % r]]
                     yield ("arc", (start, length), acc)
 
-        index: dict[frozenset[int], tuple[int, str, object]] = {}
-        for rank, (kind, label, vertices) in enumerate(scan()):
-            index.setdefault(vertices, (rank, kind, label))
+        index: dict[int, tuple[int, str, object]] = {}
+        for rank, (kind, label, mask) in enumerate(scan()):
+            index.setdefault(mask, (rank, kind, label))
         return index
+
+    def _classify(self, side: int) -> tuple[str, object]:
+        """``classify_min_cut`` of the cut whose side without vertex 0 is the
+        mask ``side``."""
+        shapes = self._shapes
+        found = [shapes[s] for s in (side, side ^ ((1 << self.support.n) - 1)) if s in shapes]
+        if not found:
+            raise InternalHierarchyError(
+                f"minimum cut {members(side)} is neither critical, interval, nor arc"
+            )
+        _, kind, label = min(found)
+        return (kind, label)
 
     def classify_min_cut(self, cut: MinCut) -> tuple[str, object]:
         """Label a minimum cut as critical / interval / arc (the only shapes).
@@ -237,13 +265,7 @@ class CutHierarchy:
         ``_shapes``.  Raises InternalHierarchyError when a cut matches none
         of these, which would contradict the structure theory.
         """
-        found = [self._shapes[side] for side in cut.sides() if side in self._shapes]
-        if not found:
-            raise InternalHierarchyError(
-                f"minimum cut {sorted(cut.vertices)} is neither critical, interval, nor arc"
-            )
-        _, kind, label = min(found)
-        return (kind, label)
+        return self._classify(_vertex_mask(cut.vertices))
 
     def to_json_dict(self) -> dict:
         """A JSON-ready description (used by the CLI hierarchy command)."""
@@ -287,10 +309,6 @@ class CutHierarchy:
         lines.append(f"  {ring} -> n{first} [style=dashed, constraint=false];")
         lines.append("}")
         return "\n".join(lines) + "\n"
-
-
-def _partition_alive(parts: Sequence[frozenset[int]], side: frozenset[int]) -> bool:
-    return all(p <= side or not (p & side) for p in parts)
 
 
 def _parallel_classes(
@@ -358,30 +376,40 @@ def _assert_cut_free(
     outside = k - 1
     pairs = [(index.get(e.u, outside), index.get(e.v, outside)) for e in support.edges]
     lam, sides = all_min_cuts(k, pairs)
-    if lam < 4 or any(2 <= len(side) <= k - 2 for side in sides):
+    if lam < 4 or any(2 <= side.bit_count() <= k - 2 for side in sides):
         raise InternalHierarchyError(
             "degree node's contracted graph has a proper minimum cut"
         )
 
 
 def build_hierarchy(support: SupportGraph) -> CutHierarchy:
-    """Replay the contraction loop and annotate every edge with its last cuts."""
+    """Replay the contraction loop and annotate every edge with its last cuts.
+
+    Vertex and edge sets are int masks.  A cut stays alive while no part
+    straddles it; parts only grow, so after each contraction the cuts that
+    the new part meets partly are dropped for good.  So are the cuts with a
+    single part on a side: counts only fall, and such a cut is never chosen
+    and crosses no alive cut.  Each part is counted by one representative
+    vertex, so a side holds ``(side & reps).bit_count()`` parts.
+    """
     if support.e_plus_pair is None:
         raise ValueError("hierarchy requires an instance with a distinguished doubled edge")
     n = support.n
+    everything = (1 << n) - 1
     min_cuts = enumerate_min_cuts(support)
-    index_of = {cut.vertices: i for i, cut in enumerate(min_cuts)}
+    side_masks = [_vertex_mask(cut.vertices) for cut in min_cuts]
+    index_of = {side: i for i, side in enumerate(side_masks)}
 
-    def cut_index(side: frozenset[int]) -> int:
-        i = index_of.get(canonical_side(side, n))
+    def cut_index(side: int) -> int:
+        i = index_of.get(everything ^ side if side & 1 else side)
         if i is None:
-            raise InternalHierarchyError(f"vertex set {sorted(side)} is not a minimum cut")
+            raise InternalHierarchyError(f"vertex set {members(side)} is not a minimum cut")
         return i
 
     # Every node is a minimum cut: a vertex, or a chosen tight set.
-    node_cut = [cut_index(frozenset([v])) for v in range(n)]
+    node_cut = [cut_index(1 << v) for v in range(n)]
     e_plus_edge = support.edges[support.e_plus_pair[0]]
-    ep_u, ep_v = e_plus_edge.u, e_plus_edge.v
+    e_plus_ends = (1 << e_plus_edge.u) | (1 << e_plus_edge.v)
 
     nodes: list[CutNode] = [
         CutNode(
@@ -397,50 +425,61 @@ def build_hierarchy(support: SupportGraph) -> CutHierarchy:
         )
         for v in range(n)
     ]
+    # Per node: its vertex mask and its boundary's edge mask.
+    node_mask = [1 << v for v in range(n)]
+    node_boundary = _edge_masks(support)
     node_of_vertex = list(range(n))
-    alive_nodes: set[int] = set(range(n))
-
-    def parts() -> list[frozenset[int]]:
-        return [nodes[i].vertices for i in sorted(alive_nodes)]
+    reps, parts = everything, n
+    alive = [i for i, side in enumerate(side_masks) if 2 <= side.bit_count() <= n - 2]
 
     edge_level: list[tuple[str, int] | None] = [None] * len(support.edges)
     edge_last: list[tuple[int, int] | None] = [None] * len(support.edges)
 
+    # Alive cuts only die, so a cut crossed by none stays so, and one crossed
+    # by an alive cut needs no new scan while that cut lives.
+    uncrossed: set[int] = set()
+    crosser: dict[int, int] = {}
+
+    def crossed(i: int, live: set[int]) -> bool:
+        """Whether an alive cut crosses cut i: all four regions non-empty,
+        the fourth being the one that holds vertex 0."""
+        if i in uncrossed:
+            return False
+        if crosser.get(i) in live:
+            return True
+        a = side_masks[i]
+        for j in alive:
+            b = side_masks[j]
+            if a & b and a & ~b and b & ~a:
+                crosser[i] = j
+                return True
+        uncrossed.add(i)
+        return False
+
     while True:
-        current_parts = parts()
-        alive_cuts = [c for c in min_cuts if _partition_alive(current_parts, c.vertices)]
-        candidates: list[frozenset[int]] = []
-        for cut in alive_cuts:
-            inside = sum(1 for p in current_parts if p <= cut.vertices)
-            outside = len(current_parts) - inside
-            if inside < 2 or outside < 2:
+        candidates: list[int] = []
+        live = set(alive)
+        for i in alive:
+            if crossed(i, live):
                 continue
-            if any(crossing(cut, other) for other in alive_cuts if other is not cut):
-                continue
-            for side in cut.sides():
-                if not (ep_u in side and ep_v in side):
+            a = side_masks[i]
+            for side in (a, everything ^ a):
+                if side & e_plus_ends != e_plus_ends:
                     candidates.append(side)
         if not candidates:
             break
-        minimal = [
-            s for s in candidates if not any(o < s for o in candidates)
-        ]
-        minimal.sort(key=lambda s: (min(s), len(s), sorted(s)))
-        chosen = minimal[0]
+        minimal = [s for s in candidates if not any(o != s and not o & ~s for o in candidates)]
+        chosen = min(minimal, key=_side_key)
 
-        child_ids = sorted({node_of_vertex[v] for v in chosen})
-        part_of = {v: node_of_vertex[v] for v in range(n)}
-        internal = [
-            e.id
-            for e in support.edges
-            if e.u in chosen
-            and e.v in chosen
-            and part_of[e.u] != part_of[e.v]
-        ]
-        classes = _parallel_classes(support, internal, part_of)
-        anchor = {c: min(nodes[c].vertices) for c in child_ids}
-        order = _detect_doubled_path(child_ids, classes, anchor)
+        child_ids = sorted(node_of_vertex[v] for v in members(chosen & reps))
         new_id = len(nodes)
+        # An edge inside the new part crosses two children's boundaries and
+        # not the part's own, which is their XOR.
+        node_boundary.append(reduce(xor, (node_boundary[c] for c in child_ids)))
+        internal = tuple(members(reduce(or_, (node_boundary[c] for c in child_ids)) & ~node_boundary[-1]))
+        classes = _parallel_classes(support, internal, node_of_vertex)
+        anchor = {c: (node_mask[c] & -node_mask[c]).bit_length() - 1 for c in child_ids}
+        order = _detect_doubled_path(child_ids, classes, anchor)
         node_cut.append(cut_index(chosen))
         boundary = min_cuts[node_cut[-1]].boundary
         if order is not None:
@@ -465,17 +504,33 @@ def build_hierarchy(support: SupportGraph) -> CutHierarchy:
             end_pairs = None
             child_order = None
 
+        level = "bottom" if kind == "cycle" else "top"
+        for e in internal:
+            edge_level[e] = (level, new_id)
+        if kind == "cycle":
+            prefix = 0
+            for a, b in zip(child_order, child_order[1:]):
+                prefix |= node_mask[a]
+                pair = (cut_index(prefix), cut_index(chosen ^ prefix))
+                for e in classes[(min(a, b), max(a, b))]:
+                    edge_last[e] = pair
+        else:
+            for e in internal:
+                u, v = support.endpoints(e)
+                edge_last[e] = (node_cut[node_of_vertex[u]], node_cut[node_of_vertex[v]])
+
         for c in child_ids:
             nodes[c] = replace(nodes[c], parent=new_id)
+        vertices = frozenset().union(*(nodes[c].vertices for c in child_ids))
         nodes.append(
             CutNode(
                 id=new_id,
-                vertices=frozenset(chosen),
+                vertices=vertices,
                 kind=kind,
                 parent=None,
                 children=tuple(child_ids),
                 boundary=boundary,
-                internal_edges=tuple(sorted(internal)),
+                internal_edges=internal,
                 up_edges=(),
                 across_edges=(),
                 child_order=child_order,
@@ -483,33 +538,25 @@ def build_hierarchy(support: SupportGraph) -> CutHierarchy:
                 end_pairs=end_pairs,
             )
         )
-        for v in chosen:
+        node_mask.append(chosen)
+        for v in vertices:
             node_of_vertex[v] = new_id
-        alive_nodes -= set(child_ids)
-        alive_nodes.add(new_id)
-
-        level = "bottom" if kind == "cycle" else "top"
-        for e in internal:
-            edge_level[e] = (level, new_id)
-        if kind == "cycle":
-            prefix: frozenset[int] = frozenset()
-            for a, b in zip(child_order, child_order[1:]):
-                prefix |= nodes[a].vertices
-                pair = (cut_index(prefix), cut_index(chosen - prefix))
-                for e in classes[(min(a, b), max(a, b))]:
-                    edge_last[e] = pair
-        else:
-            for e in internal:
-                u, v = support.endpoints(e)
-                edge_last[e] = (node_cut[part_of[u]], node_cut[part_of[v]])
+        reps = reps & ~chosen | chosen & -chosen
+        parts -= len(child_ids) - 1
+        alive = [
+            i
+            for i in alive
+            if (side_masks[i] & chosen) in (0, chosen)
+            and 2 <= (side_masks[i] & reps).bit_count() <= parts - 2
+        ]
 
     # Final ring verification and annotation.
-    final_ids = sorted(alive_nodes)
+    final_ids = sorted(node_of_vertex[v] for v in members(reps))
     if len(final_ids) < 3:
         raise InternalHierarchyError(
             f"contraction stopped with {len(final_ids)} supernodes, expected a ring of >= 3"
         )
-    part_of = {v: node_of_vertex[v] for v in range(n)}
+    part_of = node_of_vertex
     remaining = [e.id for e in support.edges if part_of[e.u] != part_of[e.v]]
     ring_classes = _parallel_classes(support, remaining, part_of)
     if any(len(v) != 2 for v in ring_classes.values()):
@@ -580,8 +627,8 @@ def build_hierarchy(support: SupportGraph) -> CutHierarchy:
         edge_level=tuple(edge_level),
         edge_last_cuts=tuple(edge_last),
     )
-    for cut in min_cuts:
-        hierarchy.classify_min_cut(cut)
+    for side in side_masks:
+        hierarchy._classify(side)
     return hierarchy
 
 

@@ -105,6 +105,32 @@ def _prime_table() -> tuple[int, ...]:
     return tuple((low + np.flatnonzero(alive)[::-1]).tolist())
 
 
+def _laplacian_entries(n: int, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where a weighted Laplacian's entries go: the non-loop edges' indices,
+    and per such edge, in edge order, the flat n x n cells uu, vv, uv, vu
+    and their signs +1, +1, -1, -1."""
+    u, v = ends.T
+    links = np.flatnonzero(u != v)
+    lu, lv = u[links], v[links]
+    cells = np.stack([lu * n + lu, lv * n + lv, lu * n + lv, lv * n + lu], 1).ravel()
+    return links, cells, np.tile([1, 1, -1, -1], len(links))
+
+
+def _laplacian(n: int, ends: np.ndarray, lam_p: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Each prime's Laplacian residues, grounded at vertex 0: shape (P, n-1, n-1).
+
+    ``ends`` holds each edge's (u, v) and ``lam_p`` its weight residues, one
+    row per prime in ``p``.  Every prime's 4m entries go through one
+    ``np.bincount``, each prime offset by n^2 cells.  A cell sums at most
+    deg(v) residues below 2^31, so its float64 sum is exact.
+    """
+    links, cells, signs = _laplacian_entries(n, ends)
+    weights = np.repeat(lam_p[:, links], 4, axis=1) * signs
+    cells = cells + np.arange(len(p))[:, None] * (n * n)
+    lap = np.bincount(cells.ravel(), weights=weights.ravel(), minlength=len(p) * n * n)
+    return lap.reshape(len(p), n, n)[:, 1:, 1:].astype(np.int64) % p[:, None, None]
+
+
 def _inverse_mod(a: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Inverse of each entry of the (P, C) residue array ``a`` modulo its
     row's prime in ``p``; 0 stays 0.  One ``pow`` each up to 32 entries;
@@ -248,19 +274,16 @@ class TreeKernel:
         if any(w < 0 for w in self.lam):
             raise ValueError("tree weights must be non-negative")
         self._ends = np.array(self.edges, dtype=np.intp).reshape(-1, 2)
-        links = [(i, u, v, w) for i, ((u, v), w) in enumerate(zip(self.edges, self.lam)) if u != v]
-        incidence = np.zeros((n, len(self.edges)), dtype=np.int64)
+        links = [(u, v, w) for (u, v), w in zip(self.edges, self.lam) if u != v]
         degree = [Fraction(0)] * n
-        for i, u, v, w in links:
-            incidence[u, i], incidence[v, i] = 1, -1
+        for u, v, w in links:
             degree[u], degree[v] = degree[u] + w, degree[v] + w
-        positive, reached, size = [(u, v) for _, u, v, w in links if w], {0}, 0
+        positive, reached, size = [(u, v) for u, v, w in links if w], {0}, 0
         while size < len(reached):
             size = len(reached)
             reached.update(x for u, v in positive if u in reached or v in reached for x in (u, v))
         if len(reached) < n:
             raise ValueError("graph has no spanning tree")
-        incidence = incidence[1:]
         pi = prod(w.denominator for *_, w in links)
         bound = ceil(pi * prod(degree[1:]))
         fractions = np.array([(w.numerator, w.denominator) for w in self.lam], dtype=object).reshape(-1, 2).T
@@ -278,7 +301,7 @@ class TreeKernel:
             p = np.array(batch, dtype=np.int64)
             num, den = (fractions[:, None] % p.astype(object)[:, None]).astype(np.int64)
             lam_p = num * _inverse_mod(den, p) % p[:, None]
-            lap = (incidence * lam_p[:, None, :]) @ incidence.T % p[:, None, None]
+            lap = _laplacian(n, self._ends, lam_p, p)
             # L^-1, padded with a zero row and column for the grounded vertex.
             inverse = np.zeros((len(p), n, n), dtype=np.int64)
             inverse[:, 1:, 1:], det = _block_inverse(lap, p)
@@ -398,12 +421,10 @@ class _FloatLaplacian:
     """
 
     def __init__(self, n: int, edges: Sequence[tuple[int, int]]):
-        u, v = np.array(edges, dtype=np.intp).reshape(-1, 2).T
+        ends = np.array(edges, dtype=np.intp).reshape(-1, 2)
+        u, v = ends.T
         self._n = n
-        self._links = np.flatnonzero(u != v)
-        lu, lv = u[self._links], v[self._links]
-        self._flat = np.stack([lu * n + lu, lv * n + lv, lu * n + lv, lv * n + lu], 1).ravel()
-        self._signs = np.tile([1.0, 1.0, -1.0, -1.0], len(self._links))
+        self._links, self._flat, self._signs = _laplacian_entries(n, ends)
         self._reads = np.stack([u * n + u, v * n + v, u * n + v])
         self._loops = u == v
 

@@ -1,5 +1,6 @@
 """Minimum-cut enumeration and the laminar contraction hierarchy."""
 
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -7,12 +8,17 @@ import numpy as np
 import pytest
 
 import hitsp.cuts
-from hitsp._flow import small_edge_cut_witness
+from hitsp._flow import _max_flow, _rows, all_min_cuts, members, small_edge_cut_witness
 from hitsp.cli import HIERARCHY_CORPUS
 from hitsp.cuts import (
+    CutHierarchy,
+    CutNode,
+    FinalCycle,
     InternalHierarchyError,
     MinCut,
     _assert_cut_free,
+    _detect_doubled_path,
+    _parallel_classes,
     boundary_edges,
     build_hierarchy,
     canonical_side,
@@ -391,3 +397,347 @@ def test_degree_node_children_split_boundary_into_level_and_rising_edges(spec):
             assert child.across_edges == tuple(f for f in child.boundary if f in level)
             assert child.up_edges == tuple(f for f in child.boundary if f not in level)
             assert len(child.up_edges) <= 1
+
+
+# The set-based cut engine and contraction replay, kept as references for
+# the bitmask ones in hitsp._flow and hitsp.cuts.
+
+
+def set_closure(residual, start, forward=True):
+    """Vertices that ``start`` reaches along positive residual arcs (with
+    ``forward`` false: the vertices that reach ``start``)."""
+    seen = set(start)
+    stack = list(seen)
+    while stack:
+        u = stack.pop()
+        for v, r in residual[u].items():
+            if v not in seen and (r if forward else residual[v][u]) > 0:
+                seen.add(v)
+                stack.append(v)
+    return seen
+
+
+def reference_all_min_cuts(n, edges):
+    """λ and every minimum cut's side without vertex 0, by recursive
+    branching over the residual graphs' closures (Picard-Queyranne)."""
+    capacity = _rows(n, ((u, v, 1) for u, v in edges))
+    flows = [_max_flow(capacity, range(i), i) for i in range(1, n)]
+    lam = min(value for value, _ in flows)
+    sides = []
+
+    def branch(residual, inside, outside):
+        free = next((v for v in range(n) if v not in inside and v not in outside), None)
+        if free is None:
+            sides.append(frozenset(outside))
+            return
+        branch(residual, inside | set_closure(residual, (free,)), outside)
+        branch(residual, inside, outside | set_closure(residual, (free,), False))
+
+    for i, (value, residual) in enumerate(flows, start=1):
+        if value == lam:
+            branch(residual, set_closure(residual, range(i)), set_closure(residual, (i,), False))
+    return lam, sides
+
+
+def reference_min_cuts(support):
+    _, sides = reference_all_min_cuts(support.n, ((e.u, e.v) for e in support.edges))
+    cuts = [
+        MinCut(
+            vertices=side,
+            boundary=tuple(e.id for e in support.edges if (e.u in side) != (e.v in side)),
+            n=support.n,
+        )
+        for side in sides
+    ]
+    return tuple(sorted(cuts, key=lambda c: (min(c.vertices), len(c.vertices), sorted(c.vertices))))
+
+
+def crossing(a, b):
+    """All four regions non-empty; the fourth holds vertex 0."""
+    sa, sb = a.vertices, b.vertices
+    return bool(sa & sb) and bool(sa - sb) and bool(sb - sa)
+
+
+def partition_alive(parts, side):
+    return all(p <= side or not (p & side) for p in parts)
+
+
+def reference_hierarchy(support):
+    """The contraction replay as it was on frozensets: every round lists the
+    alive cuts by ``partition_alive`` and tests each eligible one against
+    all of them by ``crossing``."""
+    if support.e_plus_pair is None:
+        raise ValueError("hierarchy requires an instance with a distinguished doubled edge")
+    n = support.n
+    min_cuts = reference_min_cuts(support)
+    index_of = {cut.vertices: i for i, cut in enumerate(min_cuts)}
+
+    def cut_index(side):
+        i = index_of.get(canonical_side(side, n))
+        if i is None:
+            raise InternalHierarchyError(f"vertex set {sorted(side)} is not a minimum cut")
+        return i
+
+    # Every node is a minimum cut: a vertex, or a chosen tight set.
+    node_cut = [cut_index(frozenset([v])) for v in range(n)]
+    e_plus_edge = support.edges[support.e_plus_pair[0]]
+    ep_u, ep_v = e_plus_edge.u, e_plus_edge.v
+
+    nodes = [
+        CutNode(
+            id=v,
+            vertices=frozenset([v]),
+            kind="degree",
+            parent=None,
+            children=(),
+            boundary=min_cuts[node_cut[v]].boundary,
+            internal_edges=(),
+            up_edges=(),
+            across_edges=(),
+        )
+        for v in range(n)
+    ]
+    node_of_vertex = list(range(n))
+    alive_nodes = set(range(n))
+
+    def parts():
+        return [nodes[i].vertices for i in sorted(alive_nodes)]
+
+    edge_level = [None] * len(support.edges)
+    edge_last = [None] * len(support.edges)
+
+    while True:
+        current_parts = parts()
+        alive_cuts = [c for c in min_cuts if partition_alive(current_parts, c.vertices)]
+        candidates = []
+        for cut in alive_cuts:
+            inside = sum(1 for p in current_parts if p <= cut.vertices)
+            outside = len(current_parts) - inside
+            if inside < 2 or outside < 2:
+                continue
+            if any(crossing(cut, other) for other in alive_cuts if other is not cut):
+                continue
+            for side in cut.sides():
+                if not (ep_u in side and ep_v in side):
+                    candidates.append(side)
+        if not candidates:
+            break
+        minimal = [
+            s for s in candidates if not any(o < s for o in candidates)
+        ]
+        minimal.sort(key=lambda s: (min(s), len(s), sorted(s)))
+        chosen = minimal[0]
+
+        child_ids = sorted({node_of_vertex[v] for v in chosen})
+        part_of = {v: node_of_vertex[v] for v in range(n)}
+        internal = [
+            e.id
+            for e in support.edges
+            if e.u in chosen
+            and e.v in chosen
+            and part_of[e.u] != part_of[e.v]
+        ]
+        classes = _parallel_classes(support, internal, part_of)
+        anchor = {c: min(nodes[c].vertices) for c in child_ids}
+        order = _detect_doubled_path(child_ids, classes, anchor)
+        new_id = len(nodes)
+        node_cut.append(cut_index(chosen))
+        boundary = min_cuts[node_cut[-1]].boundary
+        if order is not None:
+            kind = "cycle"
+            companion_classes = tuple(
+                tuple(sorted(classes[(min(a, b), max(a, b))]))
+                for a, b in zip(order, order[1:])
+            )
+            end_first, end_last = (
+                tuple(e for e in boundary if e in nodes[c].boundary) for c in (order[0], order[-1])
+            )
+            if len(end_first) != 2 or len(end_last) != 2 or set(end_first) & set(end_last):
+                raise InternalHierarchyError(
+                    "cycle node boundary does not split into two end pairs"
+                )
+            end_pairs = (end_first, end_last)
+            child_order = tuple(order)
+        else:
+            kind = "degree"
+            _assert_cut_free(support, child_ids, {c: nodes[c].vertices for c in child_ids})
+            companion_classes = None
+            end_pairs = None
+            child_order = None
+
+        for c in child_ids:
+            nodes[c] = replace(nodes[c], parent=new_id)
+        nodes.append(
+            CutNode(
+                id=new_id,
+                vertices=frozenset(chosen),
+                kind=kind,
+                parent=None,
+                children=tuple(child_ids),
+                boundary=boundary,
+                internal_edges=tuple(sorted(internal)),
+                up_edges=(),
+                across_edges=(),
+                child_order=child_order,
+                companion_classes=companion_classes,
+                end_pairs=end_pairs,
+            )
+        )
+        for v in chosen:
+            node_of_vertex[v] = new_id
+        alive_nodes -= set(child_ids)
+        alive_nodes.add(new_id)
+
+        level = "bottom" if kind == "cycle" else "top"
+        for e in internal:
+            edge_level[e] = (level, new_id)
+        if kind == "cycle":
+            prefix = frozenset()
+            for a, b in zip(child_order, child_order[1:]):
+                prefix |= nodes[a].vertices
+                pair = (cut_index(prefix), cut_index(chosen - prefix))
+                for e in classes[(min(a, b), max(a, b))]:
+                    edge_last[e] = pair
+        else:
+            for e in internal:
+                u, v = support.endpoints(e)
+                edge_last[e] = (node_cut[part_of[u]], node_cut[part_of[v]])
+
+    # Final ring verification and annotation.
+    final_ids = sorted(alive_nodes)
+    if len(final_ids) < 3:
+        raise InternalHierarchyError(
+            f"contraction stopped with {len(final_ids)} supernodes, expected a ring of >= 3"
+        )
+    part_of = {v: node_of_vertex[v] for v in range(n)}
+    remaining = [e.id for e in support.edges if part_of[e.u] != part_of[e.v]]
+    ring_classes = _parallel_classes(support, remaining, part_of)
+    if any(len(v) != 2 for v in ring_classes.values()):
+        raise InternalHierarchyError("final parallel classes are not all doubled")
+    neighbors = {c: [] for c in final_ids}
+    for a, b in ring_classes:
+        neighbors[a].append(b)
+        neighbors[b].append(a)
+    if any(len(v) != 2 for v in neighbors.values()):
+        raise InternalHierarchyError("final contracted graph is not a single ring")
+    start = min(final_ids, key=lambda c: min(nodes[c].vertices))
+    second = min(neighbors[start], key=lambda c: min(nodes[c].vertices))
+    ring_order = [start, second]
+    while len(ring_order) < len(final_ids):
+        nxt = [c for c in neighbors[ring_order[-1]] if c != ring_order[-2]]
+        if len(nxt) != 1:
+            raise InternalHierarchyError("final contracted graph is not a single ring")
+        ring_order.append(nxt[0])
+    if ring_order[0] not in neighbors[ring_order[-1]]:
+        raise InternalHierarchyError("final contracted graph is not a single ring")
+
+    pair_classes = []
+    e_plus_class = None
+    for i, a in enumerate(ring_order):
+        b = ring_order[(i + 1) % len(ring_order)]
+        cls = tuple(sorted(ring_classes[(min(a, b), max(a, b))]))
+        pair_classes.append(cls)
+        if support.e_plus_pair[0] in cls:
+            e_plus_class = i
+    if e_plus_class is None:
+        raise InternalHierarchyError("distinguished doubled edge is not on the final ring")
+    for i, cls in enumerate(pair_classes):
+        # A ring edge's last cuts are its end members' complements: the same cuts.
+        pair = (node_cut[ring_order[i]], node_cut[ring_order[(i + 1) % len(ring_order)]])
+        for e in cls:
+            edge_level[e] = ("final", i)
+            edge_last[e] = pair
+
+    if any(level is None for level in edge_level):
+        raise InternalHierarchyError("some support edge was never assigned a level")
+
+    # Fill per-node up/across edges from parent boundaries.
+    finished = []
+    for nd in nodes:
+        parent_boundary = set(nodes[nd.parent].boundary) if nd.parent is not None else set()
+        up = tuple(sorted(set(nd.boundary) & parent_boundary))
+        across = tuple(sorted(set(nd.boundary) - parent_boundary))
+        parent_kind = nodes[nd.parent].kind if nd.parent is not None else None
+        if parent_kind == "degree" and len(up) > 1:
+            raise InternalHierarchyError(
+                f"child {nd.id} of a degree node has {len(up)} rising boundary edges"
+            )
+        if parent_kind == "cycle" and len(up) not in (0, 2):
+            raise InternalHierarchyError(
+                f"child {nd.id} of a cycle node has {len(up)} rising boundary edges"
+            )
+        finished.append(replace(nd, up_edges=up, across_edges=across))
+
+    hierarchy = CutHierarchy(
+        support=support,
+        nodes=tuple(finished),
+        final=FinalCycle(
+            member_nodes=tuple(ring_order),
+            pair_classes=tuple(pair_classes),
+            e_plus_class=e_plus_class,
+        ),
+        min_cuts=min_cuts,
+        edge_level=tuple(edge_level),
+        edge_last_cuts=tuple(edge_last),
+    )
+    for cut in min_cuts:
+        hierarchy.classify_min_cut(cut)
+    return hierarchy
+
+
+
+REPLAY_SPECS = REFERENCE_SPECS + [
+    *(f"envelope:{k}" for k in range(6, 11)),
+    "cycle_chain:30",
+    "cycle_chain:60",
+    "random_half_integral:26",
+    "random_half_integral:40",
+]
+
+
+@pytest.mark.parametrize("spec", REPLAY_SPECS)
+def test_mask_replay_equals_the_set_replay(spec):
+    support = support_for(reference_instance(spec))
+    built, reference = build_hierarchy(support), reference_hierarchy(support)
+    for field in ("min_cuts", "nodes", "final", "edge_level", "edge_last_cuts"):
+        assert getattr(built, field) == getattr(reference, field), field
+
+
+def random_connected_multigraph(rng, n):
+    """Unit edges of one or two random Hamiltonian cycles on n vertices, at
+    times a random matching, a few random chords and a doubled edge: parallel
+    edges, and λ from 2 to 4 and beyond."""
+    edges = []
+    for _ in range(int(rng.integers(1, 3))):
+        order = [int(v) for v in rng.permutation(n)]
+        edges += zip(order, order[1:] + order[:1])
+    if rng.random() < 0.5:
+        order = [int(v) for v in rng.permutation(n)]
+        edges += zip(order[::2], order[1::2])
+    edges += [tuple(int(v) for v in rng.choice(n, size=2, replace=False)) for _ in range(int(rng.integers(0, n // 3 + 1)))]
+    edges.append(edges[int(rng.integers(len(edges)))])
+    return edges
+
+
+def scanned_min_cuts(n, edges):
+    """λ and the minimum cuts' side masks without vertex 0, by scanning all
+    2^(n-1) - 1 such sides."""
+    sides = np.arange(1, 1 << (n - 1), dtype=np.int64) << 1
+    counts = sum(((sides >> u) ^ (sides >> v)) & 1 for u, v in edges)
+    lam = int(counts.min())
+    return lam, sorted(sides[counts == lam].tolist())
+
+
+def test_cut_engine_equals_the_side_scan_for_connectivity_two_to_four():
+    """λ and the side set are what ``_assert_cut_free`` reads of any
+    contracted graph; here both come out as the scan's on seeded multigraphs."""
+    rng = np.random.default_rng(1980)
+    seen = {}
+    for _ in range(240):
+        n = int(rng.integers(3, 12))
+        edges = random_connected_multigraph(rng, n)
+        lam, sides = all_min_cuts(n, edges)
+        assert (lam, sorted(sides)) == scanned_min_cuts(n, edges)
+        assert len(set(sides)) == len(sides)
+        seen[lam] = seen.get(lam, 0) + 1
+    assert all(seen.get(lam, 0) >= 20 for lam in (2, 3, 4)), seen

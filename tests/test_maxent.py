@@ -22,6 +22,7 @@ from hitsp.maxent import (
     TreeLevel,
     _block_inverse,
     _determinants,
+    _laplacian,
     _prime_table,
     _product,
     _rationalized,
@@ -845,6 +846,52 @@ def test_kernel_skips_a_prime_dividing_a_leading_block_minor():
     assert q not in kernel._p.tolist() and len(kernel._p) > 1
     flip_sets = [list(rng.choice(m, size=int(rng.integers(1, 7)), replace=False)) for _ in range(20)]
     assert_batch_matches(n, edges, lam, flip_sets)
+
+
+def matmul_laplacian(n, edges, lam_p, p):
+    """The kernel's former Laplacian assembly, kept as the reference: the
+    grounded incidence matrix times the weights times its transpose."""
+    incidence = np.zeros((n, len(edges)), dtype=np.int64)
+    for i, (u, v) in enumerate(edges):
+        if u != v:
+            incidence[u, i], incidence[v, i] = 1, -1
+    incidence = incidence[1:]
+    return (incidence * lam_p[:, None, :]) @ incidence.T % p[:, None, None]
+
+
+def seeded_rational_graph(seed):
+    """A connected multigraph on 30 vertices with loops, parallel edges, a
+    zero weight and denominators up to 10^12."""
+    rng = np.random.default_rng(seed)
+    n = 30
+    edges = [(int(rng.integers(v)), v) for v in range(1, n)]
+    edges += [(int(rng.integers(n)), int(rng.integers(n))) for _ in range(60)]
+    edges += edges[-5:] + [(7, 7), (0, 0)]
+    lam = [Fraction(int(rng.integers(1, 10**12)), int(rng.integers(1, 10**12))) for _ in edges]
+    lam[-8] = Fraction(0)
+    return n, edges, lam
+
+
+@pytest.mark.parametrize("source", ["random_half_integral:26", "random_half_integral:40", "seeded"])
+def test_scattered_laplacian_equals_the_incidence_product(source):
+    """Every prime's Laplacian residues from one bincount equal the int64
+    incidence product's, on the fitted cut-free levels and on a seeded
+    graph with rational weights; the kernel's inverse inverts them."""
+    if source == "seeded":
+        graphs = [seeded_rational_graph(2024)]
+    else:
+        prepared = prepare_instance(generate_instance("random_half_integral", int(source.partition(":")[2])))
+        graphs = [(lv.vertex_count, lv.level_edges, lv.lam_exact) for lv in prepared.plan.degree_levels]
+    assert graphs
+    for n, edges, lam in graphs:
+        kernel = TreeKernel(n, edges, lam)
+        p = kernel._p
+        lap = _laplacian(n, kernel._ends, kernel._lam, p)
+        assert (lap == matmul_laplacian(n, kernel.edges, kernel._lam, p)).all()
+        for i in (0, len(p) - 1):
+            inverse = kernel._inverse[i, 1:, 1:].astype(object)
+            product = lap[i].astype(object) @ inverse % int(p[i])
+            assert (product == np.eye(n - 1, dtype=np.int64)).all()
 
 
 @pytest.mark.parametrize("size", [1, 8, 9, 17, 25])
