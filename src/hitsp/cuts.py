@@ -41,32 +41,16 @@ class MinCut:
     """A minimum cut, stored as the side that excludes vertex 0.
 
     ``boundary`` lists the four support edge ids crossing the cut, sorted.
-    ``n`` is the total vertex count, needed to reason about the other side.
     """
 
     vertices: frozenset[int]
     boundary: tuple[int, ...]
-    n: int
 
     def __post_init__(self) -> None:
         if 0 in self.vertices:
             raise ValueError("canonical cut side must exclude vertex 0")
         if len(self.boundary) != 4:
             raise ValueError(f"minimum cut must have 4 boundary edges, got {len(self.boundary)}")
-
-    def complement(self) -> frozenset[int]:
-        return frozenset(range(self.n)) - self.vertices
-
-    def sides(self) -> tuple[frozenset[int], frozenset[int]]:
-        return (self.vertices, self.complement())
-
-
-def canonical_side(vertices: Iterable[int], n: int) -> frozenset[int]:
-    """The representation of a cut side that excludes vertex 0."""
-    side = frozenset(vertices)
-    if 0 in side:
-        side = frozenset(range(n)) - side
-    return side
 
 
 def _edge_masks(support: SupportGraph) -> list[int]:
@@ -90,11 +74,6 @@ def _side_key(side: int) -> tuple[int, int, list[int]]:
     return (vertices[0], len(vertices), vertices)
 
 
-def boundary_edges(support: SupportGraph, vertices: frozenset[int]) -> tuple[int, ...]:
-    """Sorted support edge ids with exactly one endpoint inside ``vertices``."""
-    return tuple(members(reduce(xor, map(_edge_masks(support).__getitem__, vertices), 0)))
-
-
 def enumerate_min_cuts(support: SupportGraph) -> tuple[MinCut, ...]:
     """All minimum (4-edge) cuts, exactly, from the residual graphs of n - 1 flows.
 
@@ -107,7 +86,6 @@ def enumerate_min_cuts(support: SupportGraph) -> tuple[MinCut, ...]:
         MinCut(
             vertices=frozenset(vertices),
             boundary=tuple(members(reduce(xor, map(incident, vertices)))),
-            n=support.n,
         )
         for _, _, vertices in sorted(map(_side_key, sides))
     )

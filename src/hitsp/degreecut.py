@@ -39,8 +39,8 @@ from .ojoin import (
     ConnectorLaw,
     JoinCalculator,
     _check_numerators,
-    even_pair_probabilities,
     odd_mask,
+    parity_laws,
     sample_rng,
     tour_order,
 )
@@ -448,11 +448,12 @@ def normal_even_probabilities(
     for each of ``edges``.
 
     An endpoint's degree is the size of the connector's meet with the edges
-    there, so this is ``even_pair_probabilities`` of the connector's
-    characters, all edges in one batch.
+    there, so this is pattern 0 of the ``parity_laws`` of the two endpoint
+    sets under the connector's characters, all edges in one batch.
     """
     pairs = [_endpoint_edges(instance, edge) for edge in edges]
-    return even_pair_probabilities(context.connector.characters, pairs)
+    laws = parity_laws(context.connector.characters, pairs)
+    return [Fraction(law[0], den) for law, den in laws]
 
 
 def exactly_one_each_probability(
@@ -460,31 +461,20 @@ def exactly_one_each_probability(
 ) -> Fraction:
     """P[exactly one other edge enters at each endpoint of a matched edge].
 
-    Counts (not parities): the joint law of how many of the three non-matched
-    edges at each endpoint enter the tree, convolved across levels.
+    The law of the other edges at the two endpoints, each a singleton set,
+    is their ``parity_laws`` under the connector's characters (the inverse
+    Walsh-Hadamard transform of the characters of every subset); the patterns
+    with one edge on each side are summed.
     """
     side_u, side_v = (side - {edge} for side in _endpoint_edges(instance, edge))
-
-    def counts(edges: set[int]) -> tuple[int, int]:
-        return (len(side_u & edges), len(side_v & edges))
-
-    connector = context.connector
-    law = {counts(set(connector.fixed)): Fraction(1)}
-    for level in connector.runs:
-        focus = [pos for pos, idx in enumerate(level.edge_ids) if idx in side_u or idx in side_v]
-        if not focus:
-            continue
-        level_law: dict[tuple[int, int], Fraction] = {}
-        for pattern, prob in level.kernel().joint(focus).probabilities.items():
-            key = counts({level.edge_ids[pos] for pos, bit in zip(focus, pattern) if bit})
-            level_law[key] = level_law.get(key, Fraction(0)) + prob
-        nxt: dict[tuple[int, int], Fraction] = {}
-        for (a1, b1), w1 in law.items():
-            for (a2, b2), w2 in level_law.items():
-                key = (a1 + a2, b1 + b2)
-                nxt[key] = nxt.get(key, Fraction(0)) + w1 * w2
-        law = nxt
-    return law.get((1, 1), Fraction(0))
+    focus = sorted(side_u | side_v)
+    [(law, den)] = parity_laws(context.connector.characters, [[frozenset({e}) for e in focus]])
+    u_bits = sum(1 << i for i, e in enumerate(focus) if e in side_u)
+    v_bits = sum(1 << i for i, e in enumerate(focus) if e in side_v)
+    hits = (
+        x for a, x in enumerate(law) if (a & u_bits).bit_count() == 1 == (a & v_bits).bit_count()
+    )
+    return Fraction(sum(hits), den)
 
 
 def expected_edge_vector(

@@ -4,8 +4,9 @@ A distribution over spanning trees of a multigraph is described by one weight
 per edge; a tree's probability is proportional to the product of its edge
 weights.  This module provides exact (rational-arithmetic) and float routines
 for tree counts and single-edge marginals, an exact kernel (one inverse of
-the grounded Laplacian) for marginals, parity characters E[(-1)^|T & F|]
-and small joint laws, a multiplicative fixed-point fitter that finds
+the grounded Laplacian) for parity characters E[(-1)^|T & F|], whose
+inverse Walsh-Hadamard transform gives every exact law the pipelines use
+(``ojoin.parity_laws``), a multiplicative fixed-point fitter that finds
 weights realizing prescribed marginals, and a loop-erased random-walk
 sampler.  :class:`TreeLevel` is the one fitted level both sampling
 pipelines use: its walk tables are built once, and its exact kernel answers
@@ -23,7 +24,6 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from itertools import combinations
 from math import ceil, prod
 from typing import Container, Iterable, Sequence
 
@@ -40,18 +40,6 @@ class MarginalVector:
 
     def __len__(self) -> int:
         return len(self.values)
-
-
-@dataclass(frozen=True)
-class JointDistribution:
-    """Exact joint law of tree membership over a small edge subset.
-
-    ``probabilities`` maps bit patterns (aligned with ``edges``) to their
-    probability; patterns with probability zero are omitted.
-    """
-
-    edges: tuple[int, ...]
-    probabilities: dict
 
 
 class FitConvergenceError(RuntimeError):
@@ -242,13 +230,12 @@ class TreeKernel:
     With b_e the signed incidence vector of edge e, L the Laplacian grounded
     at vertex 0 and y(e, f) = b_e^T L^-1 b_f, tree membership is a
     determinantal process with kernel K(e, f) = lam_e * y(e, f)
-    (Burton-Pemantle), so each exact query is a determinant no larger than
-    its focus set:
-
-    - the marginal of e is K(e, e) (Kirchhoff);
-    - E[(-1)^|T & F|] = det(L - 2 B_F W_F B_F^T) / det L = det(I - 2 K_F)
-      (matrix determinant lemma);
-    - P[T & F = S] is det K_F with every row outside S replaced by I - K.
+    (Burton-Pemantle).  The one exact query is the character
+    E[(-1)^|T & F|] = det(L - 2 B_F W_F B_F^T) / det L = det(I - 2 K_F)
+    (matrix determinant lemma), a determinant no larger than F; the
+    marginal of e is (1 - E[(-1)^|T & {e}|]) / 2 = K(e, e) (Kirchhoff),
+    and the law of a few edge sets is the inverse Walsh-Hadamard transform
+    of the characters of their XORs (``ojoin.parity_laws``).
 
     The kernel works on residues.  Let Pi be the product of the weights'
     denominators over the non-loop edges and W = Pi * det L, the integer
@@ -326,10 +313,10 @@ class TreeKernel:
         return out
 
     def _transfer(self, focus: np.ndarray) -> np.ndarray:
-        """Residues of K(e, f) over each row of focus edges: shape (P, k, k)
-        for k edges, (P, B, k, k) for a (B, k) stack of rows."""
+        """Residues of K(e, f) over each row of a (B, k) stack of focus
+        edges: shape (P, B, k, k)."""
         u, v = np.moveaxis(self._ends[focus], -1, 0)
-        x, p = self._inverse, self._p.reshape(-1, *(1,) * (focus.ndim + 1))
+        x, p = self._inverse, self._p[:, None, None, None]
         y = x[:, u[..., None], u[..., None, :]]
         y -= x[:, u[..., None], v[..., None, :]]
         y -= x[:, v[..., None], u[..., None, :]]
@@ -340,11 +327,10 @@ class TreeKernel:
         return y
 
     def marginals(self) -> tuple[Fraction, ...]:
-        """Per-edge membership probabilities lam_e * R_eff(e); loops get 0."""
-        u, v = self._ends.T
-        x, p = self._inverse, self._p[:, None]
-        y = x[:, u, u] - 2 * x[:, u, v] + x[:, v, v]
-        return tuple(Fraction(a, self.weight) for a in self._numerators(self._lam * (y % p) % p))
+        """Per-edge membership probabilities (1 - E[(-1)^|T & {e}|]) / 2,
+        that is lam_e * R_eff(e); loops get 0."""
+        signs = self.sign_expectations([e] for e in range(len(self.edges)))
+        return tuple(Fraction(x.denominator - x.numerator, 2 * x.denominator) for x in signs)
 
     def sign_expectations(self, flip_sets: Iterable[Iterable[int]]) -> list[Fraction]:
         """E[(-1)^|T & F|] = det(I - 2 K_F) for each flip set F.
@@ -372,27 +358,6 @@ class TreeKernel:
                 for key, a in zip(part, self._numerators(_determinants(matrices, self._p))):
                     signs[key] = Fraction(a, self.weight)
         return [signs[key] for key in keys]
-
-    def joint(self, focus: Sequence[int]) -> JointDistribution:
-        """Exact joint membership law over the focus edges, zero patterns omitted."""
-        focus = tuple(focus)
-        k = len(focus)
-        patterns = [
-            tuple(1 if i in inside else 0 for i in range(k))
-            for r in range(k + 1)
-            for inside in combinations(range(k), r)
-        ]
-        transfer = self._transfer(np.array(focus, dtype=np.intp))[:, None]
-        complement = (np.eye(k, dtype=np.int64) - transfer) % self._p[:, None, None, None]
-        inside = np.array(patterns, dtype=bool).reshape(len(patterns), k, 1)
-        matrices = np.where(inside, transfer, complement)
-        numerators = self._numerators(_determinants(matrices, self._p))
-        return JointDistribution(
-            edges=focus,
-            probabilities={
-                pt: Fraction(a, self.weight) for pt, a in zip(patterns, numerators) if a
-            },
-        )
 
 
 def tree_marginals(n: int, edges: Sequence[tuple[int, int]], lam: Sequence) -> MarginalVector:

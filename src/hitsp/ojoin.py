@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from ._flow import min_odd_cut
+from ._flow import members, min_odd_cut
 from ._util import euler_circuit, shortcut_order
 from .cuts import CutHierarchy, InternalHierarchyError, build_hierarchy, level_tree_problem
 from .instance import (
@@ -110,8 +110,9 @@ class ConnectorLaw:
         product of its independent factors' characters.  The fixed edges give
         one sign, a doubled class 1 - |class & F| (1, 0 or -1), a cut-free
         level its kernel's sign expectation.  Each factor is asked once, for
-        the sets whose product is not yet 0."""
-        values = [Fraction(-1 if sum(e in F for e in self.fixed) % 2 else 1) for F in flip_sets]
+        the sets whose product is not yet 0, and the product is reduced once."""
+        values = [-1 if sum(e in F for e in self.fixed) % 2 else 1 for F in flip_sets]
+        scales = [1] * len(flip_sets)
         for run in self.runs:
             live = [i for i, value in enumerate(values) if value]
             if isinstance(run, TreeLevel):
@@ -121,8 +122,9 @@ class ConnectorLaw:
                     prod(1 - (a in flip_sets[i]) - (b in flip_sets[i]) for a, b in run) for i in live
                 ]
             for i, factor in zip(live, factors):
-                values[i] *= factor
-        return values
+                values[i] *= factor.numerator
+                scales[i] *= factor.denominator
+        return [Fraction(value, scale) for value, scale in zip(values, scales)]
 
 
 @dataclass(frozen=True)
@@ -246,22 +248,49 @@ def sample_hierarchical_tree(plan: SamplingPlan, rng: np.random.Generator) -> Tr
     return TreeSample(edges=edges, bernoulli_uniforms=uniforms)
 
 
-def even_pair_probabilities(
+def parity_laws(
     characters: Callable[[list[frozenset[int]]], list[Fraction]],
-    pairs: Sequence[tuple[frozenset[int], frozenset[int]]],
-) -> list[Fraction]:
-    """P[|T & A| and |T & B| both even] = (1 + chi(A) + chi(B) + chi(A ^ B)) / 4
-    for each pair (A, B), with chi(F) = E[(-1)^|T & F|] given by
-    ``characters`` for all the pairs' sets in one batch."""
-    chi = characters([flips for a, b in pairs for flips in (a, b, a ^ b)])
-    return [(1 + chi[i] + chi[i + 1] + chi[i + 2]) / 4 for i in range(0, len(chi), 3)]
+    groups: Sequence[Sequence[frozenset[int]]],
+) -> list[tuple[list[int], int]]:
+    """The law of the parities (|T & F_1|, ..., |T & F_k|) mod 2 for each
+    group of k edge sets, from chi(F) = E[(-1)^|T & F|].
+
+    ``characters`` answers, in one batch for every group, the XOR of each
+    non-empty subset S of the group's sets (subset S in binary order: bit i
+    takes F_(i+1)).  The inverse Walsh-Hadamard transform
+    P[pattern a] = 2^-k * sum_S (-1)^|a & S| chi(S), with chi of the empty
+    set 1, runs on integers over the lcm D of the characters' denominators.
+    Each group's law is its 2^k numerators (pattern a at index a, bit i the
+    parity of F_(i+1)) over the common denominator 2^k * D.
+    """
+    batch, spans = [], []
+    for group in groups:
+        xors = [frozenset()]
+        for flips in group:
+            xors += [x ^ flips for x in xors]
+        spans.append((len(batch), len(xors)))
+        batch.extend(xors[1:])
+    chi = characters(batch)
+    laws = []
+    for start, size in spans:
+        values = [Fraction(1), *chi[start : start + size - 1]]
+        denominator = lcm(*(x.denominator for x in values))
+        law = [x.numerator * (denominator // x.denominator) for x in values]
+        half = 1
+        while half < size:
+            for low in range(0, size, 2 * half):
+                for i in range(low, low + half):
+                    law[i], law[i + half] = law[i] + law[i + half], law[i] - law[i + half]
+            half *= 2
+        laws.append((law, size * denominator))
+    return laws
 
 
 def compute_even_at_last_probs(plan: SamplingPlan) -> dict[int, Fraction]:
     """Per-edge probability that both last cuts are even in the sampled tree.
 
-    With A and B the two cuts' boundary edge sets, it is
-    ``even_pair_probabilities`` of the connector's characters: a product
+    With A and B the two cuts' boundary edge sets, it is pattern 0 of the
+    ``parity_laws`` of the pair under the connector's characters: a product
     over the independent factors the sampler draws (doubled chain and ring
     classes, cut-free levels through each level's exact kernel, the forced
     ring edge), all pairs in one batch.
@@ -269,8 +298,9 @@ def compute_even_at_last_probs(plan: SamplingPlan) -> dict[int, Fraction]:
     hierarchy = plan.hierarchy
     keys = hierarchy.edge_last_cuts
     distinct = list(dict.fromkeys(keys))
-    pairs = [tuple(frozenset(hierarchy.min_cuts[i].boundary) for i in key) for key in distinct]
-    probs = dict(zip(distinct, even_pair_probabilities(plan.connector.characters, pairs)))
+    pairs = [[frozenset(hierarchy.min_cuts[i].boundary) for i in key] for key in distinct]
+    laws = parity_laws(plan.connector.characters, pairs)
+    probs = {key: Fraction(law[0], den) for key, (law, den) in zip(distinct, laws)}
     return {e: probs[key] for e, key in enumerate(keys)}
 
 
@@ -555,12 +585,8 @@ def odd_mask(support: SupportGraph, tree_edges: Iterable[int]) -> int:
     return mask
 
 
-def _mask_vertices(mask: int) -> tuple[int, ...]:
-    return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
-
-
 def odd_vertices(support: SupportGraph, tree_edges: Iterable[int]) -> tuple[int, ...]:
-    return _mask_vertices(odd_mask(support, tree_edges))
+    return tuple(members(odd_mask(support, tree_edges)))
 
 
 def _check_numerators(
@@ -572,7 +598,7 @@ def _check_numerators(
     found = min_odd_cut(
         support.n,
         ((e.u, e.v, x) for e, x in zip(support.edges, values)),
-        _mask_vertices(odd),
+        members(odd),
     )
     minimum, witness = Fraction(10**9), None
     if found is not None:
@@ -673,7 +699,7 @@ class JoinCalculator:
         ``v``), whether they are optimal, and their cost times ``scale``."""
         found = self._memo.get(odd_mask)
         if found is None:
-            odd = _mask_vertices(odd_mask)
+            odd = members(odd_mask)
             if len(odd) % 2 == 1:
                 raise ValueError("odd vertex set must have even size")
             if len(odd) <= EXACT_JOIN_LIMIT:

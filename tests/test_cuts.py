@@ -19,9 +19,7 @@ from hitsp.cuts import (
     _assert_cut_free,
     _detect_doubled_path,
     _parallel_classes,
-    boundary_edges,
     build_hierarchy,
-    canonical_side,
     enumerate_min_cuts,
     level_tree_problem,
 )
@@ -50,6 +48,22 @@ def reference_instance(spec):
 
 def support_for(inst):
     return build_support_graph(split_vertex_for_eplus(inst))
+
+
+def boundary_edges(support, vertices):
+    """Reference: sorted support edge ids with exactly one endpoint inside ``vertices``."""
+    return tuple(sorted(e.id for e in support.edges if (e.u in vertices) != (e.v in vertices)))
+
+
+def canonical_side(vertices, n):
+    """Reference: the representation of a cut side that excludes vertex 0."""
+    side = frozenset(vertices)
+    return frozenset(range(n)) - side if 0 in side else side
+
+
+def cut_sides(cut, n):
+    """Both sides of a minimum cut of an ``n``-vertex graph."""
+    return (cut.vertices, frozenset(range(n)) - cut.vertices)
 
 
 def brute_force_min_cut_sides(support):
@@ -314,8 +328,9 @@ def test_indexed_classification_equals_the_per_cut_scan():
     for spec in CLASSIFY_SPECS:
         h = build_hierarchy(support_for(reference_instance(spec)))
         for cut in h.min_cuts:
-            assert h.classify_min_cut(cut) == scan_classify(h, set(cut.sides())), (spec, cut)
-            kinds = {scan_classify(h, {side}) for side in cut.sides()} - {None}
+            sides = cut_sides(cut, h.support.n)
+            assert h.classify_min_cut(cut) == scan_classify(h, set(sides)), (spec, cut)
+            kinds = {scan_classify(h, {side}) for side in sides} - {None}
             two_kinds += len({kind for kind, _ in kinds}) == 2
             cuts += 1
     assert cuts == 6973
@@ -328,10 +343,10 @@ def test_a_side_in_no_shape_raises():
     h = build_hierarchy(support_for(generate_instance("envelope", 3)))
     n = h.support.n
     strays = [
-        MinCut(vertices=frozenset(pair), boundary=(0, 1, 2, 3), n=n)
+        MinCut(vertices=frozenset(pair), boundary=(0, 1, 2, 3))
         for pair in combinations(range(1, n), 2)
     ]
-    strays = [cut for cut in strays if scan_classify(h, set(cut.sides())) is None]
+    strays = [cut for cut in strays if scan_classify(h, set(cut_sides(cut, n))) is None]
     assert strays
     for cut in strays:
         with pytest.raises(InternalHierarchyError):
@@ -383,7 +398,7 @@ def test_interval_cuts_are_cycle_child_runs():
         run = frozenset()
         for idx in range(i, j + 1):
             run = run | h.nodes[node.child_order[idx]].vertices
-        assert run in cut.sides()
+        assert run in cut_sides(cut, support.n)
 
 
 @pytest.mark.parametrize("spec", REFERENCE_SPECS)
@@ -445,7 +460,6 @@ def reference_min_cuts(support):
         MinCut(
             vertices=side,
             boundary=tuple(e.id for e in support.edges if (e.u in side) != (e.v in side)),
-            n=support.n,
         )
         for side in sides
     ]
@@ -517,7 +531,7 @@ def reference_hierarchy(support):
                 continue
             if any(crossing(cut, other) for other in alive_cuts if other is not cut):
                 continue
-            for side in cut.sides():
+            for side in cut_sides(cut, n):
                 if not (ep_u in side and ep_v in side):
                     candidates.append(side)
         if not candidates:

@@ -7,16 +7,15 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from test_cuts import boundary_edges
 
 import hitsp.maxent
 from hitsp._util import ResourceCapError
 from hitsp.cli import DEGREE_CORPUS, HIERARCHY_CORPUS, corpus_instance
-from hitsp.cuts import boundary_edges
 from hitsp.degreecut import build_matching_context, decompose_matching
 from hitsp.instance import generate_instance
 from hitsp.maxent import (
     FitConvergenceError,
-    JointDistribution,
     LambdaFit,
     TreeKernel,
     TreeLevel,
@@ -32,7 +31,7 @@ from hitsp.maxent import (
     fit_level,
     tree_marginals,
 )
-from hitsp.ojoin import even_pair_probabilities, prepare_instance
+from hitsp.ojoin import parity_laws, prepare_instance
 from hitsp.oracle import enumerate_spanning_trees
 
 K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
@@ -48,7 +47,16 @@ def sample_tree(n, edges, lam, rng):
 
 def joint_marginal(joint, position):
     """P[the edge at ``position`` of a joint law is in the tree]."""
-    return sum((p for pattern, p in joint.probabilities.items() if pattern[position]), Fraction(0))
+    return sum((p for pattern, p in joint.items() if pattern[position]), Fraction(0))
+
+
+def kernel_joint(kernel, focus):
+    """The kernel's joint membership law over the focus edges, zero patterns
+    omitted: ``parity_laws`` of the focus singletons, whose parities are the
+    memberships."""
+    [(law, den)] = parity_laws(kernel.sign_expectations, [[frozenset({e}) for e in focus]])
+    patterns = (tuple(a >> i & 1 for i in range(len(focus))) for a in range(len(law)))
+    return {pattern: Fraction(x, den) for pattern, x in zip(patterns, law) if x}
 
 
 def determinant(matrix):
@@ -445,7 +453,7 @@ def test_fit_level_keeps_unit_weights_that_hit_the_targets():
 
 def test_joint_distribution_matches_enumeration():
     lam = [Fraction(i + 1) for i in range(6)]
-    joint = TreeKernel(4, K4_EDGES, lam).joint((0, 3, 5))
+    joint = kernel_joint(TreeKernel(4, K4_EDGES, lam), (0, 3, 5))
     trees = enumerate_spanning_trees(4, K4_EDGES)
     total = sum(lam[a] * lam[b] * lam[c] for a, b, c in trees)
     law: dict[tuple[int, ...], Fraction] = {}
@@ -453,7 +461,7 @@ def test_joint_distribution_matches_enumeration():
         w = lam[tree[0]] * lam[tree[1]] * lam[tree[2]]
         pattern = tuple(1 if e in tree else 0 for e in (0, 3, 5))
         law[pattern] = law.get(pattern, Fraction(0)) + w / total
-    assert joint.probabilities == law
+    assert joint == law
     assert joint_marginal(joint, 0) == tree_marginals(4, K4_EDGES, lam).values[0]
 
 
@@ -475,14 +483,18 @@ def test_parity_laws_match_enumeration():
 
 def assert_characters_match(kernel, trees, focus_a, focus_b):
     """The kernel's characters on A, B and A ^ B equal the signed tree sums,
-    and the four-character identity gives P[both parities even]."""
+    and their inverse Walsh-Hadamard transform gives the law of the two
+    parities, P[both even] at pattern 0."""
     total = sum(w for _, w in trees)
     set_a, set_b = set(focus_a), set(focus_b)
     for flips in (set_a, set_b, set_a ^ set_b):
         brute = sum(-w if len(t & flips) % 2 else w for t, w in trees) / total
         assert kernel.sign_expectations([flips])[0] == brute
-    both_even = sum(w for t, w in trees if not len(t & set_a) % 2 and not len(t & set_b) % 2)
-    assert even_pair_probabilities(kernel.sign_expectations, [(set_a, set_b)]) == [both_even / total]
+    parities = [0] * 4
+    for t, w in trees:
+        parities[len(t & set_a) % 2 + 2 * (len(t & set_b) % 2)] += w
+    [(law, den)] = parity_laws(kernel.sign_expectations, [(frozenset(set_a), frozenset(set_b))])
+    assert [Fraction(x, den) for x in law] == [w / total for w in parities]
 
 
 def random_multigraph(rng):
@@ -535,20 +547,18 @@ def test_kernel_queries_match_enumeration(seed):
     assert_characters_match(kernel, trees, focus_a, focus_b)
 
     focus = focus_a + [e for e in focus_b if e not in focus_a]
-    joint = kernel.joint(focus)
     patterns: dict[tuple[int, ...], Fraction] = {}
     for t, w in trees:
         key = tuple(1 if e in t else 0 for e in focus)
         patterns[key] = patterns.get(key, Fraction(0)) + w / total
-    assert joint.probabilities == patterns
-    assert joint.edges == tuple(focus)
+    assert kernel_joint(kernel, focus) == patterns
 
 
 def test_kernel_handles_loops_and_disconnected_graphs():
     # A loop never enters a tree; its marginal is exactly 0.
     kernel = TreeKernel(2, [(0, 0), (0, 1), (1, 1)], [Fraction(5), Fraction(2), Fraction(3)])
     assert kernel.marginals() == (0, 1, 0)
-    assert kernel.joint([0, 1]).probabilities == {(0, 1): 1}
+    assert kernel_joint(kernel, [0, 1]) == {(0, 1): 1}
     assert TreeKernel(1, [(0, 0)], [Fraction(1)]).marginals() == (0,)
     for n, edges, lam in [
         (3, [(0, 1), (0, 1)], [Fraction(1), Fraction(1)]),  # vertex 2 is isolated
@@ -651,7 +661,7 @@ class FractionTreeKernel:
                 prob = determinant(matrix)
                 if prob != 0:
                     probabilities[pattern] = prob
-        return JointDistribution(edges=focus, probabilities=probabilities)
+        return probabilities
 
 
 def assert_matches_fraction_kernel(n, edges, lam, pairs, joints=()):
@@ -662,7 +672,7 @@ def assert_matches_fraction_kernel(n, edges, lam, pairs, joints=()):
         for flips in (set(focus_a), set(focus_b), set(focus_a) ^ set(focus_b)):
             assert kernel.sign_expectations([flips])[0] == reference.sign_expectation(flips)
     for focus in joints:
-        assert kernel.joint(focus) == reference.joint(focus)
+        assert kernel_joint(kernel, focus) == reference.joint(focus)
     return kernel
 
 

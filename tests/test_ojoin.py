@@ -7,11 +7,12 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from test_cuts import boundary_edges
 from test_maxent import count_weighted_trees
 
 import hitsp.maxent
 from hitsp.cli import HIERARCHY_CORPUS, corpus_instance
-from hitsp.cuts import InternalHierarchyError, boundary_edges, build_hierarchy
+from hitsp.cuts import InternalHierarchyError, build_hierarchy
 from hitsp.instance import (
     GADGET_BUILDERS,
     Metric,
@@ -38,6 +39,7 @@ from hitsp.ojoin import (
     compute_even_at_last_probs,
     cut_masks,
     odd_vertices,
+    parity_laws,
     prepare_instance,
     resolve_bernoulli_units,
     run_sample,
@@ -46,7 +48,7 @@ from hitsp.ojoin import (
     tree_cost,
     unit_key_for_edge,
 )
-from hitsp.oracle import exact_pipeline_expectations
+from hitsp.oracle import exact_pipeline_expectations, level_outcome_table, subset_joint_distribution
 
 HALF = Fraction(1, 2)
 REFERENCE_SPECS = [label for label, _ in HIERARCHY_CORPUS] + [
@@ -909,6 +911,32 @@ def test_even_at_last_table_matches_the_oracle(spec):
     prepared = prepare_instance(inst)
     expected = exact_pipeline_expectations(prepared).per_edge_even
     assert prepared.eal_probability == dict(enumerate(expected))
+
+
+def test_parity_laws_of_a_mixed_connector_match_the_oracle():
+    """Fixed edges, a run of doubled classes and a weighted K4 level, in one
+    batch of two groups: the singletons of six edges (a fixed one, a class
+    copy, three level edges and one in no factor, so most patterns have
+    probability 0) and three sets that mix the factors.  Each law sums to 1
+    and equals the oracle's enumeration."""
+    k4 = [(u, v) for u in range(4) for v in range(u + 1, 4)]
+    lam = tuple(Fraction(w) for w in (1, 2, 3, 1, 2, 3))
+    level = TreeLevel(4, tuple(k4), tuple(range(10, 16)), tuple(map(float, lam)), lam)
+    law = ConnectorLaw((30, 31), (((20, 21), (22, 23)), level))
+    singles = (30, 20, 10, 13, 14, 99)
+    mixed = (frozenset({10, 20, 31}), frozenset({13, 22, 23}), frozenset({11, 12, 15, 21, 30}))
+    focus = tuple(sorted(set().union(singles, *mixed)))
+    joint = subset_joint_distribution(level_outcome_table(law), focus)
+    groups = [[frozenset({e}) for e in singles], mixed]
+    laws = parity_laws(law.characters, groups)
+    for group, (numerators, den) in zip(groups, laws):
+        expected = [Fraction(0)] * (1 << len(group))
+        for pattern, p in joint.items():
+            tree = {e for e, bit in zip(focus, pattern) if bit}
+            expected[sum(len(tree & flips) % 2 << i for i, flips in enumerate(group))] += p
+        assert [Fraction(x, den) for x in numerators] == expected
+        assert sum(numerators) == den and min(numerators) >= 0
+    assert laws[0][0].count(0) > 32
 
 
 def scalar_draw_sample(plan, rng):
