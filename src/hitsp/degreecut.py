@@ -314,17 +314,18 @@ def _first_tight_set(
 class MatchingContext:
     """Everything derived from one sampled matching.
 
-    ``root`` is the unmatched vertex (None for even orders), ``terminals``
-    its matched neighbors, ``normal_edges`` the matched edges with no
-    terminal endpoint.  ``connector`` is the connector's law: every matched
-    edge fixed, one independent run per level of the face decomposition of
-    the remaining marginals.  The lowest-id matched edge has tree target 0
-    but is fixed all the same, so the whole matching is always present.
+    ``base`` is the pre-reduction correction vector in twelfths, per edge:
+    6 (1/2) on matched edges, 3 (1/4) at the unmatched root of an odd
+    order, 2 (1/6) elsewhere.  ``normal_edges`` are the matched edges with
+    no endpoint next to the root.  ``connector`` is the connector's law:
+    every matched edge fixed, one independent run per level of the face
+    decomposition of the remaining marginals.  The lowest-id matched edge
+    has tree target 0 but is fixed all the same, so the whole matching is
+    always present.
     """
 
     matching: frozenset[int]
-    root: int | None
-    terminals: frozenset[int]
+    base: tuple[int, ...]
     normal_edges: tuple[int, ...]
     connector: ConnectorLaw
 
@@ -382,54 +383,32 @@ def build_matching_context(
     covered_count = len(pinned) + sum(lv.vertex_count - 1 for lv in levels)
     if covered_count != instance.n - 1:
         raise DegreeCutError("face decomposition does not assemble a spanning tree")
+    base = tuple(
+        6 if idx in matching else 3 if root in (u, v) else 2 for idx, (u, v) in enumerate(edges)
+    )
     return MatchingContext(
         matching=matching,
-        root=root,
-        terminals=terminals,
+        base=base,
         normal_edges=normal,
         connector=ConnectorLaw((*pinned, forced), levels),
     )
 
 
-def base_correction_values(
-    instance: HalfIntegralInstance, context: MatchingContext
-) -> list[int]:
-    """The pre-reduction vector in twelfths: 1/2 on matched, 1/4 at the root,
-    1/6 else."""
-    values = []
-    for idx, e in enumerate(instance.edges):
-        if idx in context.matching:
-            values.append(6)
-        elif context.root is not None and context.root in (e.u, e.v):
-            values.append(3)
-        else:
-            values.append(2)
-    return values
-
-
 def correction_vector(
-    instance: HalfIntegralInstance,
-    context: MatchingContext,
-    tree_edges: Iterable[int],
+    support: SupportGraph, context: MatchingContext, odd: int
 ) -> tuple[list[int], list[int]]:
     """Apply the even-degree reduction to normal matched edges.
 
+    ``odd`` is the connector's odd-degree vertex mask (``ojoin.odd_mask``).
     Returns (values in twelfths, reduced normal edges).  A normal matched
-    edge drops from 1/2 to 1/6 when both of its endpoints have even degree in
-    the connector.
+    edge drops from 1/2 to 1/6 when neither of its endpoints is in ``odd``,
+    that is when both have even degree in the connector.
     """
-    tree = set(tree_edges)
-    degree = [0] * instance.n
-    for e in tree:
-        degree[instance.edges[e].u] += 1
-        degree[instance.edges[e].v] += 1
-    values = base_correction_values(instance, context)
-    reduced = []
-    for e in context.normal_edges:
-        u, v = instance.edges[e].u, instance.edges[e].v
-        if degree[u] % 2 == 0 and degree[v] % 2 == 0:
-            values[e] = 2
-            reduced.append(e)
+    values = list(context.base)
+    ends = support.end_masks
+    reduced = [e for e in context.normal_edges if not odd & ends[e]]
+    for e in reduced:
+        values[e] = 2
     return (values, reduced)
 
 
@@ -481,7 +460,7 @@ def expected_edge_vector(
     instance: HalfIntegralInstance, context: MatchingContext
 ) -> list[Fraction]:
     """E[y_e] for one matching: base values minus the reduction mass."""
-    values = [Fraction(x, 12) for x in base_correction_values(instance, context)]
+    values = [Fraction(x, 12) for x in context.base]
     normal = context.normal_edges
     for e, even in zip(normal, normal_even_probabilities(instance, context, normal)):
         values[e] -= Fraction(1, 3) * even
@@ -570,8 +549,8 @@ def sample_degree_cut(
     matching = decomposition.weights[idx][1]
     context = contexts[matching]
     tree = context.connector.sample(rng)
-    values, reduced = correction_vector(instance, context, tree)
     odd = odd_mask(support, tree)
+    values, reduced = correction_vector(support, context, odd)
     pairs, _, join_numerator = joins.join(odd)
     cost_scale, costs = instance.cost_numerators
     feasible = None

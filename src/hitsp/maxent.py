@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from math import ceil, prod
-from typing import Container, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -575,10 +575,11 @@ class TreeLevel:
             object.__setattr__(self, "_kernel", kernel)
         return self._kernel
 
-    def sign_expectations(self, flip_sets: Sequence[Container[int]]) -> list[Fraction]:
+    def sign_expectations(self, flip_sets: Sequence[Iterable[int]]) -> list[Fraction]:
         """E[(-1)^|T & F|] for each set F of edge ids, in one kernel batch;
         1, with no kernel query, for a set that misses the level."""
-        focus = [[pos for pos, e in enumerate(self.edge_ids) if e in flips] for flips in flip_sets]
+        position = {e: pos for pos, e in enumerate(self.edge_ids)}
+        focus = [[position[e] for e in flips if e in position] for flips in flip_sets]
         asked = iter(self.kernel().sign_expectations([f for f in focus if f]) if any(focus) else ())
         return [next(asked) if f else Fraction(1) for f in focus]
 
@@ -590,15 +591,11 @@ def fit_level(
     targets: Sequence[Fraction],
     tol: float,
 ) -> TreeLevel:
-    """The level whose tree marginals hit ``targets``.
-
-    Unit weights when they hit the targets exactly; otherwise
-    :func:`fit_lambda` to ``tol``, rounded to denominators <= 10^12 for
-    ``lam_exact``.  Targets must lie strictly between 0 and 1.
+    """The level whose tree marginals hit ``targets``: :func:`fit_lambda` to
+    ``tol``, rounded to denominators <= 10^12 for ``lam_exact``.  The fit
+    starts from unit weights and keeps them when they are within ``tol``.
+    No kernel is built here; :meth:`TreeLevel.kernel` builds it on the first
+    exact query.  Targets must lie strictly between 0 and 1.
     """
-    edges = tuple(edges)
-    unit = TreeLevel(n, edges, tuple(edge_ids), (1.0,) * len(edges), (Fraction(1),) * len(edges))
-    if unit.kernel().marginals() == tuple(targets):
-        return unit
     fit = fit_lambda(n, list(edges), [float(t) for t in targets], tol=tol)
-    return TreeLevel(n, edges, tuple(edge_ids), fit.values, tuple(_rationalized(fit.values)))
+    return TreeLevel(n, tuple(edges), tuple(edge_ids), fit.values, tuple(_rationalized(fit.values)))

@@ -6,6 +6,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from test_maxent import counted_kernels
 from test_simplex import reference_solve_equalities_nonneg
 
 from hitsp.degreecut import (
@@ -29,7 +30,7 @@ from hitsp.degreecut import (
     tree_target_vector,
 )
 from hitsp.instance import GADGET_BUILDERS, generate_instance, make_instance
-from hitsp.ojoin import sample_rng
+from hitsp.ojoin import odd_mask, sample_rng
 from hitsp.oracle import level_outcome_table, subset_joint_distribution
 
 HALF = Fraction(1, 2)
@@ -326,7 +327,7 @@ def test_degree_cut_sample_matches_fraction_composition(spec, rational):
         assert out.tree_edges == tree
         assert got_rng.bit_generator.state == rng.bit_generator.state
         pairs, _ = joins.matching(odd_vertices(support, tree))
-        values = [Fraction(x, 12) for x in correction_vector(inst, context, tree)[0]]
+        values = [Fraction(x, 12) for x in correction_vector(support, context, odd_mask(support, tree))[0]]
         assert out.tree_cost == sum((inst.edges[e].cost for e in tree), Fraction(0))
         assert out.join_cost == sum((metric.dist[u][v] for u, v in pairs), Fraction(0))
         assert out.tour_cost == build_tour(support, tree, pairs, metric)[1]
@@ -340,7 +341,7 @@ def test_sample_check_matches_check_feasible(size):
     """The integer check on twelfths gives ``check_feasible``'s result."""
     from hitsp.degreecut import correction_vector
     from hitsp.instance import build_support_graph, metric_closure
-    from hitsp.ojoin import JoinCalculator, _check_numerators, check_feasible, odd_mask
+    from hitsp.ojoin import JoinCalculator, _check_numerators, check_feasible
 
     inst = generate_instance("k5_degree", size)
     dec = decompose_matching(inst)
@@ -353,11 +354,95 @@ def test_sample_check_matches_check_feasible(size):
             inst, dec, contexts, sample_rng(seed, 0), joins, support, metric, check_vector=True
         )
         tree = out.tree_edges
-        values = correction_vector(inst, contexts[out.matching], tree)[0]
+        values = correction_vector(support, contexts[out.matching], odd_mask(support, tree))[0]
         exact = [Fraction(x, 12) for x in values]
         result = check_feasible(support, tree, exact, floor=Fraction(1, 6))
         assert out.feasible == (result.feasible and result.floor_ok)
         assert _check_numerators(support, odd_mask(support, tree), values, 12, 2) == result
+
+
+def reference_base_correction_values(instance, context):
+    """The former per-sample base vector in twelfths: 1/2 on matched, 1/4
+    at the root, 1/6 else."""
+    root = tree_target_vector(instance, context.matching)[2]
+    values = []
+    for idx, e in enumerate(instance.edges):
+        if idx in context.matching:
+            values.append(6)
+        elif root is not None and root in (e.u, e.v):
+            values.append(3)
+        else:
+            values.append(2)
+    return values
+
+
+def reference_correction_vector(instance, context, tree_edges):
+    """The former degree-counting reduction: a normal matched edge drops
+    from 1/2 to 1/6 when both endpoints have even connector degree."""
+    degree = [0] * instance.n
+    for e in set(tree_edges):
+        degree[instance.edges[e].u] += 1
+        degree[instance.edges[e].v] += 1
+    values = reference_base_correction_values(instance, context)
+    reduced = []
+    for e in context.normal_edges:
+        u, v = instance.edges[e].u, instance.edges[e].v
+        if degree[u] % 2 == 0 and degree[v] % 2 == 0:
+            values[e] = 2
+            reduced.append(e)
+    return (values, reduced)
+
+
+@pytest.mark.parametrize(
+    "family, size",
+    [("k5_degree", n) for n in range(5, 10)] + [("random_half_integral", 18)],
+)
+def test_correction_vector_equals_the_degree_counting_reference(family, size):
+    """The stored base and the odd-mask reduction give the former values
+    and reduced edges, sample by sample, at odd orders (with a root) and
+    even ones."""
+    from hitsp.degreecut import correction_vector
+    from hitsp.instance import build_support_graph, metric_closure
+    from hitsp.ojoin import JoinCalculator
+
+    inst = generate_instance(family, size)
+    dec = decompose_matching(inst)
+    contexts = contexts_for(inst, dec)
+    for context in contexts.values():
+        assert list(context.base) == reference_base_correction_values(inst, context)
+    support = build_support_graph(inst)
+    metric = metric_closure(inst)
+    joins = JoinCalculator(metric)
+    reduced_any = 0
+    for seed in range(200):
+        out = sample_degree_cut(inst, dec, contexts, sample_rng(seed, 0), joins, support, metric)
+        context = contexts[out.matching]
+        reference = reference_correction_vector(inst, context, out.tree_edges)
+        assert correction_vector(support, context, odd_mask(support, out.tree_edges)) == reference
+        assert out.reduced_normal == tuple(reference[1])
+        assert out.vector_total == Fraction(sum(reference[0]), 12)
+        reduced_any += bool(reference[1])
+    assert reduced_any > 0 or not any(c.normal_edges for c in contexts.values())
+
+
+@pytest.mark.parametrize(
+    "family, size", [("k5_degree", 7), ("k5_degree", 9), ("random_half_integral", 18)]
+)
+def test_contexts_build_no_kernel_and_laws_one_per_level(family, size, monkeypatch):
+    """Fitting a level builds no kernel; the exact vertex loads build at most
+    one per level, the first time a law asks about it."""
+    built = counted_kernels(monkeypatch)
+    inst = generate_instance(family, size)
+    dec = decompose_matching(inst)
+    contexts = contexts_for(inst, dec)
+    assert built == []
+    expected_vertex_values(inst, dec, contexts)
+    levels = [level for context in contexts.values() for level in context.connector.runs]
+    assert 0 < len(built) <= len(levels)
+    assert len(built) == sum(level._kernel is not None for level in levels)
+    before = len(built)
+    expected_vertex_values(inst, dec, contexts)
+    assert len(built) == before
 
 
 def combinations_first_tight_set(nq, items, tvals):

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 from test_cuts import boundary_edges
 
+import hitsp.degreecut
 import hitsp.maxent
+import hitsp.ojoin
 from hitsp._util import ResourceCapError
 from hitsp.cli import DEGREE_CORPUS, HIERARCHY_CORPUS, corpus_instance
 from hitsp.degreecut import build_matching_context, decompose_matching
@@ -258,8 +260,12 @@ def recorded_fits(monkeypatch, set_up):
 
 
 def degree_cut_set_up(inst):
-    for _, matching in decompose_matching(inst).weights:
-        build_matching_context(inst, matching)
+    """The cut-free levels of every context of the instance's decomposition."""
+    return [
+        level
+        for _, matching in decompose_matching(inst).weights
+        for level in build_matching_context(inst, matching).connector.runs
+    ]
 
 
 FIT_SET_UPS = (
@@ -448,7 +454,82 @@ def test_level_builds_one_kernel_and_pickles_without_it():
 def test_fit_level_keeps_unit_weights_that_hit_the_targets():
     level = fit_level(4, K4_EDGES, range(6), [Fraction(1, 2)] * 6, tol=1e-12)
     assert level.lam_float == (1.0,) * 6 and level.lam_exact == (1,) * 6
+    assert level._kernel is None
     assert level == fit_level(4, K4_EDGES, range(6), [Fraction(1, 2)] * 6, tol=1e-12)
+
+
+def unit_check_fit_level(n, edges, edge_ids, targets, tol):
+    """The former ``fit_level``, kept as the reference: the unit-weight
+    level when its kernel's exact marginals equal the targets, else the
+    fit."""
+    edges = tuple(edges)
+    unit = TreeLevel(n, edges, tuple(edge_ids), (1.0,) * len(edges), (Fraction(1),) * len(edges))
+    if unit.kernel().marginals() == tuple(targets):
+        return unit
+    fit = fit_lambda(n, list(edges), [float(t) for t in targets], tol=tol)
+    return TreeLevel(n, edges, tuple(edge_ids), fit.values, tuple(_rationalized(fit.values)))
+
+
+def recorded_levels(monkeypatch, set_up):
+    """The arguments and result of every ``fit_level`` call ``set_up`` makes,
+    and the cut-free levels it returns."""
+    calls = []
+
+    def record(*args, **options):
+        level = fit_level(*args, **options)
+        calls.append((args, options, level))
+        return level
+
+    monkeypatch.setattr(hitsp.ojoin, "fit_level", record)
+    monkeypatch.setattr(hitsp.degreecut, "fit_level", record)
+    return calls, set_up()
+
+
+def hierarchy_levels(inst):
+    return prepare_instance(inst).plan.degree_levels
+
+
+LEVEL_SET_UPS = (
+    [(label, lambda spec=spec: hierarchy_levels(corpus_instance(spec))) for label, spec in HIERARCHY_CORPUS]
+    + [(f"random_half_integral:{size}",
+        lambda size=size: hierarchy_levels(generate_instance("random_half_integral", size)))
+       for size in (26, 40)]
+    + [(f"{family}:{size}", lambda family=family, size=size: degree_cut_set_up(generate_instance(family, size)))
+       for family, sizes in (("k5_degree", range(5, 10)), ("random_half_integral", (12, 18)))
+       for size in sizes]
+)
+
+
+@pytest.mark.parametrize("set_up", [s for _, s in LEVEL_SET_UPS], ids=[label for label, _ in LEVEL_SET_UPS])
+def test_fit_level_equals_the_unit_check_reference(set_up, monkeypatch):
+    """Every cut-free level a set-up fits equals the former unit-check
+    route's level, weights and rationalized weights alike."""
+    calls, levels = recorded_levels(monkeypatch, set_up)
+    assert [level for *_, level in calls] == list(levels)
+    for args, options, level in calls:
+        assert level == unit_check_fit_level(*args, **options)
+
+
+def counted_kernels(monkeypatch):
+    """A list that grows by one for every ``TreeKernel`` built."""
+    built = []
+
+    class Counted(TreeKernel):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(hitsp.maxent, "TreeKernel", Counted)
+    return built
+
+
+def test_prepare_instance_builds_one_kernel_per_cut_free_level(monkeypatch):
+    """``random_half_integral:26`` has one cut-free level, asked once for
+    its even-at-last table."""
+    built = counted_kernels(monkeypatch)
+    prepared = prepare_instance(generate_instance("random_half_integral", 26))
+    assert len(prepared.plan.degree_levels) == 1
+    assert len(built) == 1
 
 
 def test_joint_distribution_matches_enumeration():
