@@ -4,15 +4,25 @@ Solves ``A w = b, w >= 0`` for integer ``A`` and rational ``b`` by minimizing
 the sum of artificial variables with Bland's rule (no cycling), after negating
 rows with ``b_i < 0`` and scaling by L = lcm of the denominators of ``b``.  Of
 the tableau ``[A | I | b]`` it keeps D B^-1, D B^-1 b and the objective row's
-artificial part, as Python ints over one common denominator D (the previous
-pivot), updated by ``(x * p - f * y) // D`` (Edmonds 1967, Bareiss
+artificial part as numpy integer arrays over one common denominator D (the
+previous pivot), updated by ``(x * p - f * y) // D`` (Edmonds 1967, Bareiss
 1968): by Sylvester's identity every entry is L times a minor of
-``[A | I | b]``, so the division is exact.  A column is built only when read:
-reduced cost sum_r (obj_r - D) A_rj, entering column (D B^-1) A_j.  Pricing
-runs in column order, structural before artificial, and stops at the first
-negative reduced cost, Bland's entering column.  These are the full tableau's
-own integers, so every comparison, every pivot and the basic solution are
-those of plain ``Fraction`` elimination.
+``[A | I | b]``, so the division is exact.  Each pivot is a few whole-array
+steps: the products ``(obj - D) @ A`` over ``PRICING_BLOCK`` structural
+columns at a time, in index order up to the first block with a negative
+reduced cost, whose first negative entry (artificials after all structural
+columns) is Bland's entering column; one matrix-vector product for that
+column ``(D B^-1) A_j``; one outer-product step for the inverse, the pivot
+row being put back.  The ratio test runs on Python ints, a tie leaving the
+lowest basis index.  These are the full tableau's own integers, so every
+comparison, every pivot and the basic solution are those of plain
+``Fraction`` elimination.
+
+The arrays are int64 while no product of a pivot can overflow and Python
+integers (object dtype) otherwise.  With B the largest |entry| of the
+inverse, the values, the objective part and D, and C the largest column
+abs-sum of A, a pivot's products stay below 4 B^2 (C + 1), so int64 is used
+when that is below ``INT64_BOUND``; the choice is made again at every pivot.
 """
 
 from __future__ import annotations
@@ -21,6 +31,15 @@ from fractions import Fraction
 from math import lcm
 from operator import index
 from typing import Sequence
+
+import numpy as np
+
+# Every pivot runs on int64 arrays while 4 B^2 (C + 1) stays below this.
+INT64_BOUND = 2**63
+# Bland's entering column tends to come early (median index 469 of 4,291 over
+# the 22,146 pivots of random_half_integral:21), so pricing in blocks stops
+# long before the last column.
+PRICING_BLOCK = 256
 
 
 def solve_equalities_nonneg(
@@ -37,76 +56,70 @@ def solve_equalities_nonneg(
     n = len(rows[0])
     b = [Fraction(x) for x in rhs]
     scale = lcm(*(x.denominator for x in b))
-    # Structural columns of the sign-flipped system, as (entry, rows) groups.
     signs = [-1 if x < 0 else 1 for x in b]
-    columns = []
-    for j in range(n):
-        groups: dict[int, list[int]] = {}
-        for i in range(m):
-            if x := signs[i] * index(rows[i][j]):
-                groups.setdefault(x, []).append(i)
-        columns.append(tuple(groups.items()))
-    values = [int(sign * scale * x) for sign, x in zip(signs, b)]
-    inverse = [[scale if r == i else 0 for r in range(m)] for i in range(m)]
+    # Structural columns of the sign-flipped system, one per row of ``columns``.
+    entries = [[sign * index(x) for x in row] for sign, row in zip(signs, rows)]
+    widest = max((sum(map(abs, column)) for column in zip(*entries)), default=0)
+    columns = np.array(entries, dtype=np.int64 if widest < 2**63 else object).T.copy()
+    values = np.array([int(sign * scale * x) for sign, x in zip(signs, b)], dtype=object)
+    inverse = np.diag(np.full(m, scale, dtype=object))
     basis = [n + i for i in range(m)]
     denom = scale
     # Objective row: artificial part (zero at the start).
-    obj_art = [0] * m
+    obj_art = np.zeros(m, dtype=object)
 
     while True:
-        shift = [x - denom for x in obj_art]
-        enter = column = f = None
-        for j, groups in enumerate(columns):
-            cost = 0
-            for x, nonzero in groups:
-                cost += x * sum(map(shift.__getitem__, nonzero))
-            if cost < 0:
-                enter, f = j, cost
-                column = [
-                    sum(x * sum(map(row.__getitem__, nonzero)) for x, nonzero in groups)
-                    for row in inverse
-                ]
+        big = max(denom, *(int(np.abs(x).max()) for x in (inverse, values, obj_art)))
+        dtype = np.int64 if 4 * big * big * (widest + 1) < INT64_BOUND else object
+        if inverse.dtype != dtype:
+            inverse, values, obj_art = (x.astype(dtype) for x in (inverse, values, obj_art))
+        shift = obj_art - denom
+        for start in range(0, n, PRICING_BLOCK):
+            costs = columns[start : start + PRICING_BLOCK].astype(dtype, copy=False) @ shift
+            negative = np.flatnonzero(costs < 0)
+            if len(negative):
+                enter = start + int(negative[0])
+                f = int(costs[negative[0]])
+                column = inverse @ columns[enter].astype(dtype, copy=False)
                 break
         else:
-            for r in range(m):
-                if obj_art[r] < 0:
-                    enter, f = n + r, obj_art[r]
-                    column = [row[r] for row in inverse]
-                    break
-        if enter is None:
-            break
+            negative = np.flatnonzero(obj_art < 0)
+            if not len(negative):
+                break
+            r = int(negative[0])
+            enter, f = n + r, int(obj_art[r])
+            column = inverse[:, r].copy()
         leave = None
-        for i in range(m):
-            coef = column[i]
-            if coef > 0:
-                if leave is None:
-                    leave = i
-                    continue
-                # Ratio test rhs_i / coef_i against the best row, cross-multiplied.
-                lhs = values[i] * column[leave]
-                rhs_best = values[leave] * coef
-                if lhs < rhs_best or (lhs == rhs_best and basis[i] < basis[leave]):
-                    leave = i
+        coefs, rights = column.tolist(), values.tolist()
+        for i in np.flatnonzero(column > 0).tolist():
+            if leave is None:
+                leave = i
+                continue
+            # Ratio test rhs_i / coef_i against the best row, cross-multiplied.
+            lhs = rights[i] * coefs[leave]
+            rhs_best = rights[leave] * coefs[i]
+            if lhs < rhs_best or (lhs == rhs_best and basis[i] < basis[leave]):
+                leave = i
         if leave is None:
             return None
-        pivot = column[leave]
-        pivot_row = inverse[leave]
-        pivot_value = values[leave]
-        for i in range(m):
-            if i != leave:
-                g = column[i]
-                inverse[i] = [(x * pivot - g * y) // denom for x, y in zip(inverse[i], pivot_row)]
-                values[i] = (values[i] * pivot - g * pivot_value) // denom
-        obj_art = [(x * pivot - f * y) // denom for x, y in zip(obj_art, pivot_row)]
+        pivot = coefs[leave]
+        pivot_row = inverse[leave].copy()
+        inverse *= pivot
+        inverse -= np.multiply.outer(column, pivot_row)
+        inverse //= denom
+        inverse[leave] = pivot_row
+        values = (values * pivot - column * rights[leave]) // denom
+        values[leave] = rights[leave]
+        obj_art = (obj_art * pivot - f * pivot_row) // denom
         denom = pivot
         basis[leave] = enter
 
     solution = [Fraction(0)] * n
     # The phase-1 optimum is -D times the basic artificials' sum, so the
     # system is infeasible exactly when some basic artificial is nonzero.
-    for i in range(m):
+    for i, value in enumerate(values.tolist()):
         if basis[i] < n:
-            solution[basis[i]] = Fraction(values[i], denom)
-        elif values[i] != 0:
+            solution[basis[i]] = Fraction(value, denom)
+        elif value != 0:
             return None
     return solution

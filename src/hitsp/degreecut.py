@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from math import lcm
+from typing import Sequence
 
 import numpy as np
 
@@ -75,18 +76,29 @@ class MatchingDecomposition:
         object.__setattr__(self, "draw_probabilities", floats / floats.sum())
 
     def marginals(self, m: int) -> list[Fraction]:
-        return _matching_marginals(self.weights, m)
+        incidence = _incidence([matching for _, matching in self.weights], m)
+        return _matching_marginals([w for w, _ in self.weights], incidence)
 
 
-def _matching_marginals(
-    weights: Iterable[tuple[Fraction, frozenset[int]]], m: int
-) -> list[Fraction]:
-    """Per-edge total weight of the matchings that contain the edge."""
-    out = [Fraction(0)] * m
-    for w, matching in weights:
-        for e in matching:
-            out[e] += w
-    return out
+def _incidence(matchings: Sequence[frozenset[int]], m: int) -> np.ndarray:
+    """The m x k 0/1 array whose entry (e, j) is 1 when matching j holds edge e."""
+    incidence = np.zeros((m, len(matchings)), dtype=np.int64)
+    edges = [e for matching in matchings for e in matching]
+    owners = [j for j, matching in enumerate(matchings) for _ in matching]
+    incidence[edges, owners] = 1
+    return incidence
+
+
+def _matching_marginals(weights: Sequence[Fraction], incidence: np.ndarray) -> list[Fraction]:
+    """``incidence @ weights`` exactly: per row, the total weight of the
+    matchings it holds.  The weights go over one common denominator, and the
+    product runs on int64 when their numerators' abs-sum fits, else on
+    Python integers."""
+    den = lcm(*(w.denominator for w in weights))
+    numerators = [w.numerator * (den // w.denominator) for w in weights]
+    dtype = np.int64 if sum(map(abs, numerators)) < 2**63 else object
+    sums = incidence.astype(dtype, copy=False) @ np.array(numerators, dtype=dtype)
+    return [Fraction(x, den) for x in sums.tolist()]
 
 
 def degree_cut_witness(instance: HalfIntegralInstance):
@@ -171,46 +183,40 @@ def enumerate_maximum_matchings(instance: HalfIntegralInstance) -> list[frozense
 def decompose_matching(instance: HalfIntegralInstance) -> MatchingDecomposition:
     """Write the fractional matching target as an exact convex matching combination.
 
-    The uniform law, 1/k on each of the k maximum matchings, is tried first;
-    if it misses the target, the integer-preserving exact simplex of
-    ``_simplex`` solves the system over the same matchings.  Either result is
-    verified in ``Fraction`` arithmetic (nonnegative weights summing to 1
-    whose marginals equal the target), and ``DegreeCutError`` is raised if
-    the simplex one fails.
+    The system has one row per edge and a last row of ones over the k
+    maximum matchings, built once as an integer incidence array.  The uniform
+    law, 1/k on each matching, is tried first; if it misses the target, the
+    integer-preserving exact simplex of ``_simplex`` (numpy integer pivots,
+    int64 while a bound rules out overflow) solves the same system.  Either
+    result is checked exactly on integers: nonnegative weights, and the
+    system times their numerators over one common denominator equals the
+    target and 1.  ``DegreeCutError`` is raised if the simplex one fails.
     """
     target = fractional_matching_target(instance)
     matchings = enumerate_maximum_matchings(instance)
     if not matchings:
         raise DegreeCutError("instance has no maximum matching of expected size")
-    m = len(instance.edges)
     k = len(matchings)
+    system = np.vstack([_incidence(matchings, len(instance.edges)), np.ones(k, dtype=np.int64)])
+    rhs = target + [Fraction(1)]
     uniform = [Fraction(1, k)] * k
-    if _verify_decomposition(uniform, matchings, target, m):
+    if _verify_decomposition(uniform, system, rhs):
         return MatchingDecomposition(weights=tuple(zip(uniform, matchings)), method="uniform")
 
-    rows = [[int(e in matching) for matching in matchings] for e in range(m)]
-    rows.append([1] * k)
-    rhs = list(target) + [Fraction(1)]
-    solution = solve_equalities_nonneg(rows, rhs)
+    solution = solve_equalities_nonneg(system.tolist(), rhs)
     if solution is None:
         raise DegreeCutError("matching decomposition infeasible")
-    if not _verify_decomposition(solution, matchings, target, m):
+    if not _verify_decomposition(solution, system, rhs):
         raise DegreeCutError("simplex decomposition misses the matching target")
     pairs = tuple((w, matching) for w, matching in zip(solution, matchings) if w > 0)
     return MatchingDecomposition(weights=pairs, method="simplex")
 
 
 def _verify_decomposition(
-    weights: Sequence[Fraction],
-    matchings: Sequence[frozenset[int]],
-    target: Sequence[Fraction],
-    m: int,
+    weights: Sequence[Fraction], system: np.ndarray, rhs: Sequence[Fraction]
 ) -> bool:
-    if any(w < 0 for w in weights):
-        return False
-    if sum(weights, Fraction(0)) != 1:
-        return False
-    return _matching_marginals(zip(weights, matchings), m) == list(target)
+    """Nonnegative weights with ``system @ weights == rhs`` exactly."""
+    return all(w >= 0 for w in weights) and _matching_marginals(weights, system) == list(rhs)
 
 
 def build_tree_levels(

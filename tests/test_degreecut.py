@@ -12,6 +12,7 @@ from test_simplex import reference_solve_equalities_nonneg
 from hitsp.degreecut import (
     DegreeCutError,
     _first_tight_set,
+    _incidence,
     _matching_marginals,
     build_matching_context,
     build_tree_levels,
@@ -249,12 +250,38 @@ def test_uniform_law_is_taken_exactly_when_it_hits_the_target(family, n):
     inst = generate_instance(family, n)
     matchings = enumerate_maximum_matchings(inst)
     uniform = [Fraction(1, len(matchings))] * len(matchings)
-    hits = _matching_marginals(zip(uniform, matchings), len(inst.edges)) == fractional_matching_target(inst)
+    incidence = _incidence(matchings, len(inst.edges))
+    hits = _matching_marginals(uniform, incidence) == fractional_matching_target(inst)
     assert hits == (n < 7)
     dec = decompose_matching(inst)
     assert dec.method == ("uniform" if hits else "simplex")
     if hits:
         assert dec.weights == tuple(zip(uniform, matchings))
+
+
+def fraction_marginals(weights, m):
+    """Per-edge total weight of the matchings holding the edge, as Fraction sums."""
+    out = [Fraction(0)] * m
+    for w, matching in weights:
+        for e in matching:
+            out[e] += w
+    return out
+
+
+@pytest.mark.parametrize(
+    "family,n", [("k5_degree", 5), ("k5_degree", 9), ("random_half_integral", 14), ("random_half_integral", 18)]
+)
+def test_marginals_equal_the_fraction_sums(family, n):
+    inst = generate_instance(family, n)
+    m = len(inst.edges)
+    dec = decompose_matching(inst)
+    assert dec.marginals(m) == fraction_marginals(dec.weights, m)
+    # Numerators past int64 take the Python-integer product.
+    rng = random.Random(n)
+    matchings = [matching for _, matching in dec.weights]
+    weights = [Fraction(rng.randint(0, 2**80), rng.randint(1, 2**70)) for _ in matchings]
+    pairs = list(zip(weights, matchings))
+    assert _matching_marginals(weights, _incidence(matchings, m)) == fraction_marginals(pairs, m)
 
 
 @pytest.mark.parametrize(

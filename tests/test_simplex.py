@@ -1,11 +1,13 @@
 """The revised integer-preserving phase-1 simplex against full tableaux."""
 
+import functools
 import random
 from fractions import Fraction
 from math import lcm
 
 import pytest
 
+from hitsp import _simplex
 from hitsp._simplex import solve_equalities_nonneg
 from hitsp.degreecut import enumerate_maximum_matchings, fractional_matching_target
 from hitsp.instance import generate_instance
@@ -188,12 +190,36 @@ def assert_same(rows, rhs):
     return expected
 
 
-@pytest.mark.parametrize("entries", [(0, 1), (-2, -1, 0, 1, 2, 3)])
-def test_random_systems_match_the_fraction_tableau(entries):
+def duplicate_row_system(rng):
+    """A feasible random system with one row repeated, scaled by 1, 2 or -1."""
+    rows, rhs = random_system(rng, (0, 1, 2), feasible=True)
+    i = rng.randrange(len(rows))
+    factor = rng.choice((1, 2, -1))
+    return rows + [[factor * x for x in rows[i]]], rhs + [factor * rhs[i]]
+
+
+RANDOM_ENTRIES = [(0, 1), (-2, -1, 0, 1, 2, 3)]
+
+
+def random_systems(entries):
     rng = random.Random(20240 + len(entries))
+    return [random_system(rng, entries, feasible=trial % 3 != 0) for trial in range(300)]
+
+
+def wide_systems():
+    rng = random.Random(4111)
+    return [wide_system(rng) for _ in range(300)]
+
+
+def duplicate_row_systems():
+    rng = random.Random(11)
+    return [duplicate_row_system(rng) for _ in range(150)]
+
+
+@pytest.mark.parametrize("entries", RANDOM_ENTRIES)
+def test_random_systems_match_the_fraction_tableau(entries):
     outcomes = {"solved": 0, "none": 0}
-    for trial in range(300):
-        rows, rhs = random_system(rng, entries, feasible=trial % 3 != 0)
+    for rows, rhs in random_systems(entries):
         result = assert_same(rows, rhs)
         outcomes["solved" if result is not None else "none"] += 1
     # Both branches must really be exercised.
@@ -215,25 +241,17 @@ def test_negative_right_hand_sides():
 
 
 def test_duplicate_rows_leave_an_artificial_basic_at_zero():
-    rng = random.Random(11)
-    for _ in range(150):
-        rows, rhs = random_system(rng, (0, 1, 2), feasible=True)
-        i = rng.randrange(len(rows))
-        factor = rng.choice((1, 2, -1))
-        rows = rows + [[factor * x for x in rows[i]]]
-        rhs = rhs + [factor * rhs[i]]
+    for rows, rhs in duplicate_row_systems():
         assert_same(rows, rhs)
     solution = assert_same([[1, 1, 0], [1, 1, 0], [0, 1, 1]], [Fraction(1, 2)] * 3)
     assert solution is not None
 
 
 def test_wide_systems_match_the_fraction_tableau():
-    """Lazy pricing has to reach columns far from the first one."""
-    rng = random.Random(4111)
+    """Pricing has to reach columns far from the first one."""
     outcomes = {"solved": 0, "none": 0}
     far = 0
-    for _ in range(300):
-        rows, rhs = wide_system(rng)
+    for rows, rhs in wide_systems():
         result = assert_same(rows, rhs)
         outcomes["solved" if result is not None else "none"] += 1
         if result is not None:
@@ -270,9 +288,36 @@ def test_empty_system():
     assert reference_solve_equalities_nonneg([], []) == []
 
 
+def test_zero_column_systems():
+    assert assert_same([[]], [Fraction(0)]) == []
+    assert assert_same([[], []], [Fraction(0), Fraction(0)]) == []
+    assert assert_same([[]], [Fraction(1)]) is None
+
+
 def test_fraction_rows_are_refused():
+    """An int64 array would truncate the entry silently; it must raise."""
     with pytest.raises(TypeError):
         solve_equalities_nonneg([[Fraction(1, 2), 1]], [Fraction(1)])
+
+
+@pytest.mark.parametrize(
+    "seed,entries", [(28, (-(2**28) - 3, 0, 1, 2**28)), (70, (-(2**70), -1, 0, 1, 3, 2**70, 2**64 + 1))]
+)
+def test_large_entries_match_the_fraction_tableau(seed, entries):
+    """2**28 entries fit int64 but their products with the inverse may not:
+    a guard on B**2 alone, without the column sum C, lets them wrap (here
+    into a wrong vertex; other draws never stop)."""
+    rng = random.Random(seed)
+    solved = 0
+    for trial in range(60):
+        rows, rhs = random_system(rng, entries, feasible=trial % 3 != 0)
+        solved += assert_same(rows, rhs) is not None
+    assert solved > 20
+
+
+def test_entries_beyond_int64_match_the_fraction_tableau():
+    rhs = [Fraction(2**70 + 1, 3), Fraction(2**71, 7)]
+    assert assert_same([[2**70, 1, 0], [1, 2**70, 2**63]], rhs) is not None
 
 
 def decomposition_system(inst):
@@ -299,3 +344,43 @@ def test_matching_decomposition_systems_match_the_integer_tableau(n):
     solution = solve_equalities_nonneg(rows, rhs)
     assert solution == tableau_solve_equalities_nonneg(rows, rhs)
     assert solution is not None and sum(solution) == 1
+
+
+class RecordingBound(int):
+    """An int64 bound that records each dtype choice of the solver: the
+    solver's ``product < bound`` tries this reflected ``__gt__`` first."""
+
+    def __gt__(self, product):
+        self.choices.append(int(self) > product)
+        return self.choices[-1]
+
+
+@functools.cache
+def dtype_cases():
+    """Each system of the random, wide and duplicate-row tests with the
+    Fraction tableau's answer, then the :16/:18/:20 decomposition systems
+    with the integer tableau's answer."""
+    systems = [system for entries in RANDOM_ENTRIES for system in random_systems(entries)]
+    systems += wide_systems() + duplicate_row_systems()
+    cases = [(rows, rhs, reference_solve_equalities_nonneg(rows, rhs)) for rows, rhs in systems]
+    decompositions = [
+        decomposition_system(generate_instance("random_half_integral", n)) for n in (16, 18, 20)
+    ]
+    return cases, [(rows, rhs, tableau_solve_equalities_nonneg(rows, rhs)) for rows, rhs in decompositions]
+
+
+@pytest.mark.parametrize("bound", [0, 2**16])
+def test_object_and_mixed_dtypes_give_the_references_answers(bound, monkeypatch):
+    """Bound 0 keeps every pivot on Python integers; 2**16 starts the
+    decomposition systems on int64 and moves them to object arrays as their
+    entries grow (their largest entries need about 8 bits at :18)."""
+    recording = RecordingBound(bound)
+    recording.choices = []
+    monkeypatch.setattr(_simplex, "INT64_BOUND", recording)
+    cases, decompositions = dtype_cases()
+    for rows, rhs, expected in cases:
+        assert solve_equalities_nonneg(rows, rhs) == expected
+    for rows, rhs, expected in decompositions:
+        recording.choices = []
+        assert solve_equalities_nonneg(rows, rhs) == expected
+        assert set(recording.choices) == ({False} if bound == 0 else {True, False})
