@@ -35,11 +35,11 @@ from .instance import (
     build_support_graph,
     metric_closure,
 )
-from .maxent import TreeLevel, fit_level
+from .maxent import LevelProblem, fit_levels
 from .ojoin import (
     ConnectorLaw,
     JoinCalculator,
-    _check_numerators,
+    _check_memo,
     odd_mask,
     parity_laws,
     sample_rng,
@@ -223,8 +223,9 @@ def build_tree_levels(
     n: int,
     edges: Sequence[tuple[int, int]],
     targets: Sequence[Fraction],
-) -> tuple[tuple[int, ...], tuple[int, ...], tuple[TreeLevel, ...]]:
-    """Decompose a tree-polytope point into independently samplable levels.
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[LevelProblem, ...]]:
+    """Decompose a tree-polytope point into independently samplable levels:
+    the pinned edges, the deleted ones and each level's fit problem.
 
     Edges with target 1 are pinned (in every tree), target 0 deleted; this
     is the one place edges are pinned, as ``maxent.fit_lambda`` fits
@@ -235,7 +236,9 @@ def build_tree_levels(
     inclusion-minimal tight sets, each found by ``_flow.first_tight_set`` in
     polynomial time, yields levels with targets strictly inside their
     spanning-tree polytopes, where a weight fit converges.  Targets outside
-    the polytope raise ``DegreeCutError``.
+    the polytope raise ``DegreeCutError``.  Nothing is fitted here:
+    ``maxent.fit_levels`` fits the problems, as one stack for every matching
+    in ``build_matching_contexts``.
     """
     pinned = tuple(i for i, t in enumerate(targets) if t == 1)
     deleted = tuple(i for i, t in enumerate(targets) if t == 0)
@@ -250,15 +253,15 @@ def build_tree_levels(
             raise DegreeCutError(f"edge {i} has positive target but is a self-loop")
         live.append((i, u, v))
 
-    levels: list[TreeLevel] = []
+    levels: list[LevelProblem] = []
 
     def split(nq: int, items: list[tuple[int, int, int]], tvals: dict) -> None:
         if nq <= 1:
             return
         tight = _first_tight_set(nq, items, tvals)
         if tight is None:
-            ids, pairs = [idx for idx, _, _ in items], [(u, v) for _, u, v in items]
-            levels.append(fit_level(nq, pairs, ids, [tvals[idx] for idx in ids], tol=1e-10))
+            ids, pairs = tuple(idx for idx, _, _ in items), tuple((u, v) for _, u, v in items)
+            levels.append(LevelProblem(nq, pairs, ids, tuple(tvals[idx] for idx in ids)))
             return
         sset, inside = tight
         order = {v: i for i, v in enumerate(sorted(sset))}
@@ -370,34 +373,49 @@ def tree_target_vector(
     return (tuple(values), forced, root)
 
 
+def build_matching_contexts(
+    instance: HalfIntegralInstance, matchings: Sequence[frozenset[int]]
+) -> dict[frozenset[int], MatchingContext]:
+    """The context of each matching: every matching is face-split first,
+    then the levels of all of them are fitted in one ``maxent.fit_levels``
+    stack (to 1e-10)."""
+    edges = [(e.u, e.v) for e in instance.edges]
+    parts = []
+    for matching in matchings:
+        values, forced, root = tree_target_vector(instance, matching)
+        total = sum(values, Fraction(0))
+        if total != instance.n - 1:
+            raise DegreeCutError(f"tree targets sum to {total}, expected {instance.n - 1}")
+        pinned, deleted, problems = build_tree_levels(instance.n, edges, values)
+        if set(deleted) != {forced}:
+            raise DegreeCutError("expected exactly the dropped matched edge at target 0")
+        # Every level together with the pinned edges must account for a spanning tree.
+        if len(pinned) + sum(p.vertex_count - 1 for p in problems) != instance.n - 1:
+            raise DegreeCutError("face decomposition does not assemble a spanning tree")
+        parts.append((matching, forced, root, pinned, problems))
+    levels = iter(fit_levels([p for *_, problems in parts for p in problems], tol=1e-10))
+    contexts = {}
+    for matching, forced, root, pinned, problems in parts:
+        terminals = frozenset()
+        if root is not None:
+            terminals = frozenset(v for i in instance.incident_edges[root] for v in edges[i] if v != root)
+        base = tuple(
+            6 if idx in matching else 3 if root in (u, v) else 2 for idx, (u, v) in enumerate(edges)
+        )
+        contexts[matching] = MatchingContext(
+            matching=matching,
+            base=base,
+            normal_edges=tuple(sorted(e for e in matching if terminals.isdisjoint(edges[e]))),
+            connector=ConnectorLaw((*pinned, forced), tuple(next(levels) for _ in problems)),
+        )
+    return contexts
+
+
 def build_matching_context(
     instance: HalfIntegralInstance, matching: frozenset[int]
 ) -> MatchingContext:
-    values, forced, root = tree_target_vector(instance, matching)
-    total = sum(values, Fraction(0))
-    if total != instance.n - 1:
-        raise DegreeCutError(f"tree targets sum to {total}, expected {instance.n - 1}")
-    edges = [(e.u, e.v) for e in instance.edges]
-    terminals = frozenset()
-    if root is not None:
-        terminals = frozenset(v for i in instance.incident_edges[root] for v in edges[i] if v != root)
-    normal = tuple(sorted(e for e in matching if terminals.isdisjoint(edges[e])))
-    pinned, deleted, levels = build_tree_levels(instance.n, edges, values)
-    if set(deleted) != {forced}:
-        raise DegreeCutError("expected exactly the dropped matched edge at target 0")
-    # Every level together with the pinned edges must account for a spanning tree.
-    covered_count = len(pinned) + sum(lv.vertex_count - 1 for lv in levels)
-    if covered_count != instance.n - 1:
-        raise DegreeCutError("face decomposition does not assemble a spanning tree")
-    base = tuple(
-        6 if idx in matching else 3 if root in (u, v) else 2 for idx, (u, v) in enumerate(edges)
-    )
-    return MatchingContext(
-        matching=matching,
-        base=base,
-        normal_edges=normal,
-        connector=ConnectorLaw((*pinned, forced), levels),
-    )
+    """:func:`build_matching_contexts` for one matching."""
+    return build_matching_contexts(instance, [matching])[matching]
 
 
 def correction_vector(
@@ -441,25 +459,36 @@ def normal_even_probabilities(
     return [Fraction(law[0], den) for law, den in laws]
 
 
-def exactly_one_each_probability(
-    instance: HalfIntegralInstance, context: MatchingContext, edge: int
-) -> Fraction:
-    """P[exactly one other edge enters at each endpoint of a matched edge].
+def exactly_one_each_probabilities(
+    instance: HalfIntegralInstance, context: MatchingContext, edges: Sequence[int]
+) -> list[Fraction]:
+    """P[exactly one other edge enters at each endpoint of a matched edge],
+    exactly, for each of ``edges``.
 
     The law of the other edges at the two endpoints, each a singleton set,
     is their ``parity_laws`` under the connector's characters (the inverse
-    Walsh-Hadamard transform of the characters of every subset); the patterns
-    with one edge on each side are summed.
+    Walsh-Hadamard transform of the characters of every subset), all edges
+    in one batch; the patterns with one edge on each side are summed.
     """
-    side_u, side_v = (side - {edge} for side in _endpoint_edges(instance, edge))
-    focus = sorted(side_u | side_v)
-    [(law, den)] = parity_laws(context.connector.characters, [[frozenset({e}) for e in focus]])
-    u_bits = sum(1 << i for i, e in enumerate(focus) if e in side_u)
-    v_bits = sum(1 << i for i, e in enumerate(focus) if e in side_v)
-    hits = (
-        x for a, x in enumerate(law) if (a & u_bits).bit_count() == 1 == (a & v_bits).bit_count()
-    )
-    return Fraction(sum(hits), den)
+    sides = [[side - {edge} for side in _endpoint_edges(instance, edge)] for edge in edges]
+    focus = [sorted(side_u | side_v) for side_u, side_v in sides]
+    laws = parity_laws(context.connector.characters, [[frozenset({e}) for e in f] for f in focus])
+    out = []
+    for (side_u, side_v), f, (law, den) in zip(sides, focus, laws):
+        u_bits = sum(1 << i for i, e in enumerate(f) if e in side_u)
+        v_bits = sum(1 << i for i, e in enumerate(f) if e in side_v)
+        hits = (
+            x for a, x in enumerate(law) if (a & u_bits).bit_count() == 1 == (a & v_bits).bit_count()
+        )
+        out.append(Fraction(sum(hits), den))
+    return out
+
+
+def exactly_one_each_probability(
+    instance: HalfIntegralInstance, context: MatchingContext, edge: int
+) -> Fraction:
+    """:func:`exactly_one_each_probabilities` for one edge."""
+    return exactly_one_each_probabilities(instance, context, [edge])[0]
 
 
 def expected_edge_vector(
@@ -549,6 +578,8 @@ def sample_degree_cut(
 
     Costs are integer sums: the tree over the instance's cost numerators, the
     join and the tour over the matrix of ``joins``, which prices ``metric``.
+    ``joins`` also keeps each distinct checked vector's verdict
+    (``ojoin._check_memo``).
     """
     probabilities = decomposition.draw_probabilities
     idx = int(rng.choice(len(probabilities), p=probabilities))
@@ -561,7 +592,7 @@ def sample_degree_cut(
     cost_scale, costs = instance.cost_numerators
     feasible = None
     if check_vector:
-        result = _check_numerators(support, odd, values, 12, 2)
+        result = _check_memo(joins, support, odd, values, 12, 2)
         feasible = result.feasible and result.floor_ok
     return DegreeCutSample(
         matching=matching,
@@ -584,10 +615,7 @@ def run_degree_cut(
     """Decompose, build per-matching contexts, then sample end to end."""
     require_degree_cut(instance)
     decomposition = decompose_matching(instance)
-    contexts = {
-        matching: build_matching_context(instance, matching)
-        for _, matching in decomposition.weights
-    }
+    contexts = build_matching_contexts(instance, [m for _, m in decomposition.weights])
     support = build_support_graph(instance)
     metric = metric_closure(instance)
     joins = JoinCalculator(metric)

@@ -7,11 +7,11 @@ for tree counts and single-edge marginals, an exact kernel (one inverse of
 the grounded Laplacian) for parity characters E[(-1)^|T & F|], whose
 inverse Walsh-Hadamard transform gives every exact law the pipelines use
 (``ojoin.parity_laws``), a multiplicative fixed-point fitter that finds
-weights realizing prescribed marginals, and a loop-erased random-walk
-sampler.  :class:`TreeLevel` is the one fitted level both sampling
-pipelines use: its walk tables are built once, and its exact kernel answers
-the characters of a batch of sets of the caller's edge ids; callers multiply
-the characters of independent levels.
+weights realizing prescribed marginals for a stack of levels in lockstep,
+and a loop-erased random-walk sampler.  :class:`TreeLevel` is the one
+fitted level both sampling pipelines use: its walk tables are built once,
+and its exact kernel answers the characters of a batch of sets of the
+caller's edge ids; callers multiply the characters of independent levels.
 
 Graphs are given as ``(n, edges)`` with ``edges`` a sequence of ``(u, v)``
 pairs over vertices ``0..n-1``; parallel edges are distinct entries and edge
@@ -24,8 +24,9 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
+from itertools import accumulate
 from math import ceil, prod
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -42,8 +43,14 @@ class MarginalVector:
         return len(self.values)
 
 
-class FitConvergenceError(RuntimeError):
-    """The marginal fitter did not reach tolerance; carries the best error."""
+# The iterations a weight fit may take; a fit still short of tolerance then
+# raises FitConvergenceError.
+FIT_ITERATION_CAP = 100_000
+
+
+class FitConvergenceError(ResourceCapError):
+    """A marginal fit reached its iteration cap short of tolerance; carries
+    its last error.  A resource cap, so the command line exits 4."""
 
     def __init__(self, message: str, error: float):
         super().__init__(message)
@@ -368,65 +375,51 @@ def tree_marginals(n: int, edges: Sequence[tuple[int, int]], lam: Sequence) -> M
     """
     if _is_exact(lam):
         return MarginalVector(values=TreeKernel(n, edges, lam).marginals())
-    marginals = _FloatLaplacian(n, edges).marginals(np.array(lam, dtype=float))
+    ends = np.array(edges, dtype=np.intp).reshape(-1, 2)
+    laplacians = _FloatLaplacians(n, ends, np.zeros(len(ends), dtype=np.intp), 1)
+    marginals = laplacians.marginals(np.array(lam, dtype=float))
     return MarginalVector(values=tuple(marginals.tolist()))
 
 
-class _FloatLaplacian:
-    """Float tree marginals lam_e * R_eff(e) of one multigraph, from index
-    arrays built once.
+class _FloatLaplacians:
+    """Float tree marginals lam_e * R_eff(e) of a stack of multigraphs on n
+    vertices each, from index arrays built once per stack.
 
-    Each call assembles the Laplacian with one ``np.bincount``, whose flat
-    indices run per non-loop edge as uu, vv, uv, vu with weights +w, +w, -w,
-    -w, so every entry sums its terms in edge order, as a loop of ``+=`` and
-    ``-=`` would.  The grounded block is inverted by ``np.linalg.inv`` and
-    padded with a zero row and column at vertex 0; one ``take`` reads
-    a = L+[u, u], b = L+[v, v], c = L+[u, v] per edge, and
+    ``ends`` holds the graphs' edges one graph after another and ``owner``
+    each edge's slot in the stack.  Each call assembles every Laplacian with
+    one ``np.bincount`` over the cells of ``_laplacian_entries``, slot s
+    offset by s * n^2 cells, so every entry sums its terms in edge order, as
+    a loop of ``+=`` and ``-=`` would.  The grounded blocks are inverted by
+    one stacked ``np.linalg.inv``, which makes one LAPACK call per matrix,
+    as for a single one, and padded with a zero row and column at vertex 0;
+    one ``take`` reads a = L+[u, u], b = L+[v, v], c = L+[u, v] per edge, and
     R_eff = (a + b) - 2c, where a zero term drops out exactly.  Loops get 0.
     """
 
-    def __init__(self, n: int, edges: Sequence[tuple[int, int]]):
-        ends = np.array(edges, dtype=np.intp).reshape(-1, 2)
+    def __init__(self, n: int, ends: np.ndarray, owner: np.ndarray, slots: int):
         u, v = ends.T
-        self._n = n
-        self._links, self._flat, self._signs = _laplacian_entries(n, ends)
-        self._reads = np.stack([u * n + u, v * n + v, u * n + v])
+        offset = owner * (n * n)
+        self._links, cells, self._signs = _laplacian_entries(n, ends)
+        self._cells = cells + np.repeat(offset[self._links], 4)
+        self._reads = np.stack([u * n + u, v * n + v, u * n + v]) + offset
         self._loops = u == v
+        self._shape, self._size = (slots, n, n), slots * n * n
 
     def marginals(self, lam: np.ndarray) -> np.ndarray:
-        n = self._n
+        shape = self._shape
         weights = np.repeat(lam[self._links], 4) * self._signs
-        lap = np.bincount(self._flat, weights=weights, minlength=n * n).reshape(n, n)
-        padded = np.zeros((n, n))
-        padded[1:, 1:] = np.linalg.inv(lap[1:, 1:])
+        lap = np.bincount(self._cells, weights=weights, minlength=self._size).reshape(shape)
+        padded = np.zeros(shape)
+        padded[:, 1:, 1:] = np.linalg.inv(lap[:, 1:, 1:])
         a, b, c = padded.take(self._reads)
         out = lam * ((a + b) - 2.0 * c)
         out[self._loops] = 0.0
         return out
 
 
-def fit_lambda(
-    n: int,
-    edges: Sequence[tuple[int, int]],
-    targets: Sequence,
-    tol: float = 1e-8,
-    max_iterations: int = 100_000,
-) -> LambdaFit:
-    """Find weights whose tree marginals match the targets (multiplicatively).
-
-    Targets must lie strictly between 0 and 1 and sum to n-1 (a
-    spanning-tree polytope point with no edge pinned); pinning an edge in or
-    out of every tree is the caller's work (``degreecut.build_tree_levels``).
-    The weights follow the update ``weight *= target / marginal`` with
-    halving damping when the error oscillates, and are normalized so the
-    first edge has weight 1.  Raises FitConvergenceError on failure.
-
-    Each iteration is array arithmetic over :class:`_FloatLaplacian`, with
-    the same float operations in the same order as a scalar loop over the
-    edges, so the weights, error and iteration count are those of that loop
-    bit for bit.  A damped step raises each ratio by Python's ``**`` (libm's
-    ``pow``): numpy's vectorized ``power`` need not round the same way.
-    """
+def _fit_goal(n: int, edges: Sequence[tuple[int, int]], targets: Sequence) -> list[float]:
+    """The targets as floats, checked: one per edge, strictly between 0 and
+    1, summing to n - 1."""
     targets = [float(t) for t in targets]
     if len(targets) != len(edges):
         raise ValueError("one target per edge required")
@@ -435,34 +428,121 @@ def fit_lambda(
     total = sum(targets)
     if abs(total - (n - 1)) > 1e-9:
         raise ValueError(f"targets sum to {total}, expected n-1 = {n - 1}")
-    if not edges:
-        return LambdaFit((), 0.0, 0)
+    return targets
 
-    laplacian = _FloatLaplacian(n, edges)
-    goal = np.array(targets)
-    lam = np.ones(len(edges))
-    error = float("inf")
-    previous_error = float("inf")
-    damping = 1.0
-    iterations = 0
-    for iterations in range(1, max_iterations + 1):
-        marg = laplacian.marginals(lam)
-        error = float(np.abs(marg - goal).max())
-        if error <= tol:
-            break
-        if error > previous_error:
-            damping = max(0.5 * damping, 1e-3)
-        previous_error = error
+
+def _fit_stack(
+    n: int, edge_lists: Sequence[Sequence[tuple[int, int]]], goals: Sequence[list[float]],
+    tol: float,
+) -> list:
+    """The fits of one stack of non-empty problems on n vertices each, in
+    order; a problem still short of ``tol`` after ``FIT_ITERATION_CAP``
+    iterations gets its last error (a float) in place of a fit.  All
+    problems start together, a problem leaves the stack at the iteration it
+    converges, and each keeps its own error, damping and iteration count."""
+    sizes = [len(edges) for edges in edge_lists]
+    ends = np.array([e for edges in edge_lists for e in edges], dtype=np.intp).reshape(-1, 2)
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    goal = np.array([t for targets in goals for t in targets])
+    lam = np.ones(len(goal))
+    # Per slot of the stack: its problem, last error and damping.
+    live = list(range(len(sizes)))
+    previous = [float("inf")] * len(sizes)
+    damping = [1.0] * len(sizes)
+    damped: list[int] = []
+    out: list = [None] * len(sizes)
+
+    def layout() -> tuple[_FloatLaplacians, np.ndarray, list[slice]]:
+        stops = list(accumulate(sizes[p] for p in live))
+        starts = [0, *stops[:-1]]
+        spans = [slice(a, b) for a, b in zip(starts, stops)]
+        return _FloatLaplacians(n, ends, owner, len(live)), np.array(starts), spans
+
+    laplacians, starts, spans = layout()
+    for iterations in range(1, FIT_ITERATION_CAP + 1):
+        marg = laplacians.marginals(lam)
+        errors = np.maximum.reduceat(np.abs(marg - goal), starts).tolist()
+        done = [s for s, error in enumerate(errors) if error <= tol]
+        for s in done:
+            part = lam[spans[s]]
+            out[live[s]] = LambdaFit(tuple((part / part[0]).tolist()), errors[s], iterations)
+        if len(done) == len(live):
+            return out
+        if any(map(float.__gt__, errors, previous)):
+            damping = [max(0.5 * d, 1e-3) if e > p else d for e, p, d in zip(errors, previous, damping)]
+            damped = [s for s, d in enumerate(damping) if d != 1.0]
+        previous = errors
         ratio = goal / np.maximum(marg, 1e-300)
-        if damping != 1.0:
-            ratio = np.array([r**damping for r in ratio.tolist()])
+        for s in damped:
+            ratio[spans[s]] = [r ** damping[s] for r in ratio[spans[s]].tolist()]
         lam = lam * ratio
-    else:
-        raise FitConvergenceError(
-            f"marginal fit stalled at error {error:.3e} after {max_iterations} iterations",
-            error,
-        )
-    return LambdaFit(tuple((lam / lam[0]).tolist()), error, iterations)
+        if done:
+            keep = np.ones(len(live), dtype=bool)
+            keep[done] = False
+            slots = np.flatnonzero(keep).tolist()
+            live, previous, damping = ([x[s] for s in slots] for x in (live, previous, damping))
+            damped = [s for s, d in enumerate(damping) if d != 1.0]
+            rows = keep[owner]
+            owner = (np.cumsum(keep) - 1)[owner[rows]]
+            ends, goal, lam = ends[rows], goal[rows], lam[rows]
+            laplacians, starts, spans = layout()
+    for s, p in enumerate(live):
+        out[p] = previous[s]
+    return out
+
+
+def fit_lambdas(
+    problems: Sequence[tuple[int, Sequence[tuple[int, int]], Sequence]],
+    tol: float = 1e-8,
+) -> list[LambdaFit]:
+    """Weights whose tree marginals match the targets (multiplicatively), for
+    each ``(n, edges, targets)`` problem of a stack, in order.
+
+    Targets must lie strictly between 0 and 1 and sum to n-1 (a
+    spanning-tree polytope point with no edge pinned); pinning an edge in or
+    out of every tree is the caller's work (``degreecut.build_tree_levels``).
+    The weights follow the update ``weight *= target / marginal`` with
+    halving damping when the error oscillates, and are normalized so the
+    first edge has weight 1.  A problem still short of ``tol`` after
+    ``FIT_ITERATION_CAP`` iterations raises FitConvergenceError, named for
+    the first such problem in stack order.
+
+    Problems with one vertex count iterate in lockstep over one
+    :class:`_FloatLaplacians` stack, and each leaves it when it converges.
+    Every operation is per problem and in the order of a scalar loop over
+    its edges, so each problem's weights, error and iteration count are
+    those of that loop bit for bit, whatever else shares its stack.  A
+    damped step raises each ratio by Python's ``**`` (libm's ``pow``):
+    numpy's vectorized ``power`` need not round the same way.
+    """
+    goals = [_fit_goal(n, edges, targets) for n, edges, targets in problems]
+    fits: list = [LambdaFit((), 0.0, 0)] * len(problems)
+    stacks: dict[int, list[int]] = {}
+    for i, (n, edges, _) in enumerate(problems):
+        if edges:
+            stacks.setdefault(n, []).append(i)
+    for n, members in stacks.items():
+        stack = _fit_stack(n, [problems[i][1] for i in members], [goals[i] for i in members], tol)
+        for i, fit in zip(members, stack):
+            fits[i] = fit
+    for (n, edges, _), fit in zip(problems, fits):
+        if isinstance(fit, float):
+            raise FitConvergenceError(
+                f"marginal fit of a {n}-vertex, {len(edges)}-edge level stalled at error "
+                f"{fit:.3e} after {FIT_ITERATION_CAP} iterations",
+                fit,
+            )
+    return fits
+
+
+def fit_lambda(
+    n: int,
+    edges: Sequence[tuple[int, int]],
+    targets: Sequence,
+    tol: float = 1e-8,
+) -> LambdaFit:
+    """:func:`fit_lambdas` on a stack of one problem."""
+    return fit_lambdas([(n, edges, targets)], tol=tol)[0]
 
 
 def _walk_tables(
@@ -584,18 +664,26 @@ class TreeLevel:
         return [next(asked) if f else Fraction(1) for f in focus]
 
 
-def fit_level(
-    n: int,
-    edges: Sequence[tuple[int, int]],
-    edge_ids: Sequence[int],
-    targets: Sequence[Fraction],
-    tol: float,
-) -> TreeLevel:
-    """The level whose tree marginals hit ``targets``: :func:`fit_lambda` to
-    ``tol``, rounded to denominators <= 10^12 for ``lam_exact``.  The fit
-    starts from unit weights and keeps them when they are within ``tol``.
-    No kernel is built here; :meth:`TreeLevel.kernel` builds it on the first
-    exact query.  Targets must lie strictly between 0 and 1.
+class LevelProblem(NamedTuple):
+    """One cut-free level to fit: vertex pairs over ``0..vertex_count-1``,
+    aligned with the caller's ``edge_ids`` and the tree-marginal ``targets``."""
+
+    vertex_count: int
+    level_edges: tuple[tuple[int, int], ...]
+    edge_ids: tuple[int, ...]
+    targets: tuple[Fraction, ...]
+
+
+def fit_levels(problems: Sequence[LevelProblem], tol: float) -> list[TreeLevel]:
+    """The level of each problem whose tree marginals hit its targets: one
+    :func:`fit_lambdas` stack to ``tol``, each fit rounded to denominators
+    <= 10^12 for ``lam_exact``.  A fit starts from unit weights and keeps
+    them when they are within ``tol``.  No kernel is built here;
+    :meth:`TreeLevel.kernel` builds it on the first exact query.  Targets
+    must lie strictly between 0 and 1.
     """
-    fit = fit_lambda(n, list(edges), [float(t) for t in targets], tol=tol)
-    return TreeLevel(n, tuple(edges), tuple(edge_ids), fit.values, tuple(_rationalized(fit.values)))
+    fits = fit_lambdas([(p.vertex_count, p.level_edges, p.targets) for p in problems], tol=tol)
+    return [
+        TreeLevel(p.vertex_count, p.level_edges, p.edge_ids, fit.values, tuple(_rationalized(fit.values)))
+        for p, fit in zip(problems, fits)
+    ]

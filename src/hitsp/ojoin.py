@@ -34,7 +34,7 @@ from .instance import (
     metric_closure,
     split_vertex_for_eplus,
 )
-from .maxent import TreeLevel, fit_level
+from .maxent import LevelProblem, TreeLevel, fit_levels
 
 DEFAULT_TOP_TRUNCATION = Fraction(1_129_032, 10**7)
 DEFAULT_BOTTOM_TRUNCATION = Fraction(1, 4)
@@ -198,18 +198,17 @@ class PlanError(RuntimeError):
 
 def build_sampling_plan(hierarchy: CutHierarchy) -> SamplingPlan:
     """The connector law of the hierarchical tree distribution: one weight
-    fit per cut-free level, one uniform pick per doubled chain or ring class,
-    and the lower copy of the distinguished doubled edge forced."""
+    fit per cut-free level (all in one ``maxent.fit_levels`` stack), one
+    uniform pick per doubled chain or ring class, and the lower copy of the
+    distinguished doubled edge forced."""
     cycle_nodes = hierarchy.cycle_nodes()
     chain = [cls for node in cycle_nodes for cls in node.companion_classes]
-    levels = []
+    problems = []
     for node in hierarchy.degree_nodes():
         k, edges, targets = level_tree_problem(hierarchy, node.id)
-        levels.append(
-            fit_level(
-                k, [(a, b) for a, b, _ in edges], [e for _, _, e in edges], targets, tol=1e-12
-            )
-        )
+        pairs, ids = tuple((a, b) for a, b, _ in edges), tuple(e for _, _, e in edges)
+        problems.append(LevelProblem(k, pairs, ids, tuple(targets)))
+    levels = fit_levels(problems, tol=1e-12)
     final = hierarchy.final
     ring = [cls for idx, cls in enumerate(final.pair_classes) if idx != final.e_plus_class]
     # Every cut-free level is drawn between the chain and the ring picks.
@@ -612,6 +611,32 @@ def _check_numerators(
     )
 
 
+# The most verdicts one run's memo keeps: a vector that repeats often is
+# soon among those seen, and a run of distinct vectors keeps no more.
+VERDICT_MEMO_CAP = 256
+
+
+def _check_memo(
+    joins: JoinCalculator,
+    support: SupportGraph,
+    odd: int,
+    values: Sequence[int],
+    scale: int,
+    floor: int | None,
+) -> FeasibilityResult:
+    """``_check_numerators``, each distinct (odd mask, numerators, scale,
+    floor) checked once per ``joins`` while its ``verdicts`` have room: they
+    keep the first ``VERDICT_MEMO_CAP`` results, so a run's memo holds at
+    most one entry per checked sample and never more than the cap."""
+    key = (odd, tuple(values), scale, floor)
+    result = joins.verdicts.get(key)
+    if result is None:
+        result = _check_numerators(support, odd, values, scale, floor)
+        if len(joins.verdicts) < VERDICT_MEMO_CAP:
+            joins.verdicts[key] = result
+    return result
+
+
 def check_feasible(
     support: SupportGraph,
     tree_edges: Iterable[int],
@@ -693,6 +718,8 @@ class JoinCalculator:
         # One shared tuple per vertex pair keeps the memo small.
         self._pair = [[(u, v) for v in range(metric.n)] for u in range(metric.n)]
         self._memo: dict[int, tuple[tuple[tuple[int, int], ...], int]] = {}
+        # The checked vectors' verdicts, one run's worth (``_check_memo``).
+        self.verdicts: dict[tuple, FeasibilityResult] = {}
 
     def join(self, odd_mask: int) -> tuple[tuple[tuple[int, int], ...], bool, int]:
         """Pairs covering the odd set (bit ``v`` of ``odd_mask`` for vertex
@@ -865,7 +892,9 @@ def run_sample(
     check_vector: bool = False,
 ) -> SampleOutcome:
     """Sample a connector and price its parity matching; optionally build and
-    verify the correction vector.  ``joins`` must price ``prepared.metric``."""
+    verify the correction vector.  ``joins`` must price ``prepared.metric``;
+    it also keeps each distinct checked vector's verdict
+    (:func:`_check_memo`)."""
     sample = sample_hierarchical_tree(prepared.plan, rng)
     tree = sample.edges
     odd = odd_mask(prepared.support, tree)
@@ -885,7 +914,8 @@ def run_sample(
             for a, b, c, d in prepared.boundaries
         ])
         if check_vector:
-            result = _check_numerators(
+            result = _check_memo(
+                joins,
                 prepared.support,
                 odd,
                 values,

@@ -26,10 +26,10 @@ from math import prod
 from ._util import ResourceCapError
 from .cuts import level_tree_problem
 from .degreecut import (
-    build_matching_context,
+    build_matching_contexts,
     decompose_matching,
     enumerate_maximum_matchings,
-    exactly_one_each_probability,
+    exactly_one_each_probabilities,
     expected_edge_values,
     expected_vertex_values,
     fractional_matching_target,
@@ -620,7 +620,8 @@ def sampled_feasibility_rows(
     prepared: PreparedInstance, label: str, samples: int, seed: int
 ) -> list[LemmaCheck]:
     """Sampled end-to-end vectors, checked as ``run --check-vectors`` checks
-    them: odd-cut coverage and the 1/6 edge floor."""
+    them: odd-cut coverage and the 1/6 edge floor.  Each distinct vector is
+    checked once."""
     joins = JoinCalculator(prepared.metric)
     outs = [
         run_sample(prepared, sample_rng(seed, idx), joins, check_vector=True)
@@ -650,14 +651,11 @@ def degree_cut_rows(inst: HalfIntegralInstance) -> list[LemmaCheck]:
         LemmaCheck("z-expected-half", name, z_first_off, EDGE_HALF, "=="),
         LemmaCheck("tree-cost-matches-lp", name, expected_tree, inst.lp_cost(), "=="),
     ]
-    contexts = {
-        matching: build_matching_context(inst, matching)
-        for _, matching in decomposition.weights
-    }
+    contexts = build_matching_contexts(inst, [m for _, m in decomposition.weights])
     normal = [
-        exactly_one_each_probability(inst, contexts[matching], edge)
-        for _, matching in decomposition.weights
-        for edge in contexts[matching].normal_edges
+        value
+        for context in contexts.values()
+        for value in exactly_one_each_probabilities(inst, context, context.normal_edges)
     ]
     if normal:
         rows.append(LemmaCheck("normal-even-16-81", name, min(normal), NORMAL_EVEN_BOUND, ">="))

@@ -13,6 +13,7 @@ import pytest
 
 import hitsp
 import hitsp.cuts
+import hitsp.maxent
 from hitsp._util import _unlimited_int_digits, canonical_json, format_rational
 from hitsp.cli import main
 from hitsp.instance import parse_instance
@@ -484,6 +485,24 @@ def test_degreecut_refuses_too_many_matchings(capsys):
     assert main(["degreecut", "--gen", "random_half_integral:25", "--samples", "20"]) == 4
     assert time.perf_counter() - start < 5
     assert capsys.readouterr().err == "resource cap: more than 10000 maximum matchings\n"
+
+
+@pytest.mark.parametrize(
+    "argv, level",
+    [
+        (["degreecut", "--gen", "k5_degree:5"], "4-vertex, 8-edge"),
+        (["run", "--gen", "split_octahedron"], "5-vertex, 8-edge"),
+    ],
+)
+def test_a_stalled_fit_exits_4(argv, level, monkeypatch, capsys):
+    """A weight fit that reaches its iteration cap is a resource cap: one
+    line naming the stalled level, no traceback."""
+    monkeypatch.setattr(hitsp.maxent, "FIT_ITERATION_CAP", 1)
+    assert main(argv) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith(f"resource cap: marginal fit of a {level} level stalled at error ")
+    assert err.endswith(" after 1 iterations\n")
 
 
 def test_degreecut_repeat_is_byte_identical(tmp_path):

@@ -9,16 +9,19 @@ import pytest
 from test_maxent import counted_kernels
 from test_simplex import reference_solve_equalities_nonneg
 
+import hitsp.ojoin
 from hitsp.degreecut import (
     DegreeCutError,
     _first_tight_set,
     _incidence,
     _matching_marginals,
     build_matching_context,
+    build_matching_contexts,
     build_tree_levels,
     decompose_matching,
     degree_cut_witness,
     enumerate_maximum_matchings,
+    exactly_one_each_probabilities,
     exactly_one_each_probability,
     expected_edge_values,
     expected_vertex_values,
@@ -388,6 +391,93 @@ def test_sample_check_matches_check_feasible(size):
         assert _check_numerators(support, odd_mask(support, tree), values, 12, 2) == result
 
 
+STACKED_CONTEXT_SPECS = [("k5_degree", n) for n in range(5, 14)] + [
+    ("random_half_integral", n) for n in range(8, 25)
+]
+
+
+@pytest.mark.parametrize(
+    "family, size", STACKED_CONTEXT_SPECS, ids=[f"{f}:{n}" for f, n in STACKED_CONTEXT_SPECS]
+)
+def test_stacked_contexts_equal_one_matching_contexts(family, size):
+    """Every context of the decomposition, built in one stack for all
+    matchings, equals the context built for its matching alone, field by
+    field: weights to the bit, and the walk tables."""
+    inst = generate_instance(family, size)
+    matchings = [m for _, m in decompose_matching(inst).weights]
+    stacked = build_matching_contexts(inst, matchings)
+    assert list(stacked) == matchings
+    for matching in matchings:
+        alone, context = build_matching_context(inst, matching), stacked[matching]
+        assert (context.matching, context.base, context.normal_edges) == (
+            alone.matching, alone.base, alone.normal_edges
+        )
+        assert context.connector.fixed == alone.connector.fixed
+        assert len(context.connector.runs) == len(alone.connector.runs)
+        for level, single in zip(context.connector.runs, alone.connector.runs):
+            assert level == single
+            assert np.array(level.lam_float).tobytes() == np.array(single.lam_float).tobytes()
+            assert level.walk == single.walk
+
+
+def memo_samples(inst, seeds, shared):
+    """``sample_degree_cut`` with vector checks at each seed, and the number
+    of verdicts kept: one ``JoinCalculator`` (one verdict memo) for every
+    seed when ``shared``, else a fresh one per seed, whose memo starts
+    empty, so every vector is checked afresh."""
+    from hitsp.instance import build_support_graph, metric_closure
+    from hitsp.ojoin import JoinCalculator
+
+    dec = decompose_matching(inst)
+    contexts = build_matching_contexts(inst, [m for _, m in dec.weights])
+    support, metric = build_support_graph(inst), metric_closure(inst)
+    joins = JoinCalculator(metric)
+    out = []
+    for seed in seeds:
+        if not shared:
+            joins = JoinCalculator(metric)
+        out.append(sample_degree_cut(
+            inst, dec, contexts, sample_rng(seed, 0), joins, support, metric, check_vector=True,
+        ))
+    return out, len(joins.verdicts)
+
+
+@pytest.mark.parametrize(
+    "family, size", [("k5_degree", n) for n in range(5, 10)] + [("random_half_integral", 18)]
+)
+def test_verdict_memo_keeps_every_sample(family, size):
+    """A run's verdict memo changes no sample and holds at most one entry
+    per sample."""
+    inst = generate_instance(family, size)
+    kept, entries = memo_samples(inst, range(200), shared=True)
+    assert kept == memo_samples(inst, range(200), shared=False)[0]
+    assert 0 < entries <= 200
+
+
+def test_a_full_verdict_memo_still_checks_every_vector(monkeypatch):
+    """Past ``VERDICT_MEMO_CAP`` entries the memo keeps no more verdicts,
+    and each sample stays what a fresh check gives."""
+    monkeypatch.setattr(hitsp.ojoin, "VERDICT_MEMO_CAP", 5)
+    inst = generate_instance("random_half_integral", 18)
+    kept, entries = memo_samples(inst, range(60), shared=True)
+    assert kept == memo_samples(inst, range(60), shared=False)[0]
+    assert entries == 5
+
+
+@pytest.mark.parametrize("family, size", [("k5_degree", 7), ("k5_degree", 9), ("random_half_integral", 18)])
+def test_exactly_one_each_probabilities_match_one_edge_at_a_time(family, size):
+    """One ``parity_laws`` batch per context gives each edge's own law."""
+    inst = generate_instance(family, size)
+    dec = decompose_matching(inst)
+    checked = 0
+    for context in build_matching_contexts(inst, [m for _, m in dec.weights]).values():
+        edges = context.normal_edges
+        batch = exactly_one_each_probabilities(inst, context, edges)
+        assert batch == [exactly_one_each_probability(inst, context, e) for e in edges]
+        checked += len(edges)
+    assert checked > 0
+
+
 def reference_base_correction_values(instance, context):
     """The former per-sample base vector in twelfths: 1/2 on matched, 1/4
     at the root, 1/6 else."""
@@ -491,9 +581,8 @@ def combinations_first_tight_set(nq, items, tvals):
 )
 def test_tree_levels_equal_the_combinations_scan(family, n, monkeypatch):
     """Every k5_degree maximum matching, and every matching the random
-    instances' decompositions draw.  A level is compared by the arguments
-    its (deterministic) weight fit gets."""
-    monkeypatch.setattr("hitsp.degreecut.fit_level", lambda *args, **kwargs: args)
+    instances' decompositions draw.  A level is compared by its fit
+    problem."""
     inst = generate_instance(family, n)
     if family == "k5_degree":
         matchings = enumerate_maximum_matchings(inst)

@@ -19,6 +19,7 @@ from hitsp.instance import generate_instance
 from hitsp.maxent import (
     FitConvergenceError,
     LambdaFit,
+    LevelProblem,
     TreeKernel,
     TreeLevel,
     _block_inverse,
@@ -30,7 +31,8 @@ from hitsp.maxent import (
     _walk,
     _walk_tables,
     fit_lambda,
-    fit_level,
+    fit_lambdas,
+    fit_levels,
     tree_marginals,
 )
 from hitsp.ojoin import parity_laws, prepare_instance
@@ -218,11 +220,11 @@ def test_fit_rejects_bad_target_sums():
         fit_lambda(4, K4_EDGES, [2] + [Fraction(1, 4)] * 5)
 
 
-def test_fit_reports_stall_honestly():
+def test_fit_reports_stall_honestly(monkeypatch):
+    monkeypatch.setattr(hitsp.maxent, "FIT_ITERATION_CAP", 1)
     with pytest.raises(FitConvergenceError) as info:
         fit_lambda(4, K4_EDGES, [Fraction(3, 4), Fraction(3, 4), Fraction(1, 2),
-                                 Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)],
-                   max_iterations=1)
+                                 Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)])
     assert info.value.error > 0
 
 
@@ -245,17 +247,20 @@ def test_refit_is_a_fixed_point():
 
 
 def recorded_fits(monkeypatch, set_up):
-    """The arguments and result of every ``fit_lambda`` call ``set_up`` makes."""
+    """The arguments and result of every problem of every ``fit_lambdas``
+    stack ``set_up`` fits."""
     calls = []
-    real = hitsp.maxent.fit_lambda
+    real = hitsp.maxent.fit_lambdas
 
-    def record(n, edges, targets, **options):
-        fit = real(n, edges, targets, **options)
-        calls.append(((n, list(edges), list(targets)), options, fit))
-        return fit
+    def record(problems, **options):
+        fits = real(problems, **options)
+        for (n, edges, targets), fit in zip(problems, fits):
+            calls.append(((n, list(edges), list(targets)), options, fit))
+        return fits
 
-    monkeypatch.setattr(hitsp.maxent, "fit_lambda", record)
+    monkeypatch.setattr(hitsp.maxent, "fit_lambdas", record)
     set_up()
+    monkeypatch.undo()
     return calls
 
 
@@ -282,38 +287,113 @@ FIT_SET_UPS = (
 
 @pytest.mark.parametrize("set_up", [s for _, s in FIT_SET_UPS], ids=[label for label, _ in FIT_SET_UPS])
 def test_fit_equals_the_scalar_reference_on_every_set_up_fit(set_up, monkeypatch):
-    """Weights, error and iteration count of every fit a set-up makes are
-    those of the edge-by-edge loop, bit for bit."""
+    """Weights, error and iteration count of every fit a set-up's stacks
+    make are those of the edge-by-edge loop, and of the problem's own stack
+    of one, bit for bit."""
     for args, options, fit in recorded_fits(monkeypatch, set_up):
         reference, damping = scalar_fit_lambda(*args, **options)
         assert fit == reference
+        assert fit == fit_lambda(*args, **options)
         assert damping == 1.0  # no generated level damps; see the test below
 
 
-@pytest.mark.parametrize("seed", range(20))
-def test_fit_equals_the_scalar_reference_on_random_multigraphs(seed):
-    """Parallel edges.  The fit takes interior targets only, so the
-    self-loop (target 0) is dropped and every bridge (target 1) doubled."""
+def multigraph_problem(seed):
+    """A fit problem with parallel edges.  The fit takes interior targets
+    only, so the self-loop (target 0) is dropped and every bridge (target 1)
+    doubled."""
     rng = np.random.default_rng(2000 + seed)
     n, edges, lam = random_multigraph(rng)
     keep = [i for i, (u, v) in enumerate(edges) if u != v]
     edges, lam = [edges[i] for i in keep], [lam[i] for i in keep]
     bridges = [i for i, t in enumerate(tree_marginals(n, edges, lam).values) if t == 1]
     edges, lam = edges + [edges[i] for i in bridges], lam + [lam[i] for i in bridges]
-    targets = [float(t) for t in tree_marginals(n, edges, lam).values]
+    return n, edges, [float(t) for t in tree_marginals(n, edges, lam).values]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_fit_equals_the_scalar_reference_on_random_multigraphs(seed):
+    n, edges, targets = multigraph_problem(seed)
     fit = fit_lambda(n, edges, targets, tol=1e-10)
     assert fit == scalar_fit_lambda(n, edges, targets, tol=1e-10)[0]
 
 
+# The error rises once on this triangle with a doubled edge, so every later
+# step raises its ratios to the power 1/2.
+DAMPED_EDGES = [(0, 1), (0, 2), (0, 1), (1, 2)]
+DAMPED_PROBLEM = (3, DAMPED_EDGES, [float(t) for t in tree_marginals(
+    3, DAMPED_EDGES, [Fraction(29, 45), Fraction(5, 38), Fraction(77, 64), Fraction(8, 13)]
+).values])
+
+
 def test_fit_equals_the_scalar_reference_through_damped_steps():
-    """The error rises once on this triangle with a doubled edge, so every
-    later step raises its ratios to the power 1/2."""
-    edges = [(0, 1), (0, 2), (0, 1), (1, 2)]
-    lam = [Fraction(29, 45), Fraction(5, 38), Fraction(77, 64), Fraction(8, 13)]
-    targets = [float(t) for t in tree_marginals(3, edges, lam).values]
-    reference, damping = scalar_fit_lambda(3, edges, targets, tol=1e-10)
+    reference, damping = scalar_fit_lambda(*DAMPED_PROBLEM, tol=1e-10)
     assert damping == 0.5
-    assert fit_lambda(3, edges, targets, tol=1e-10) == reference
+    assert fit_lambda(*DAMPED_PROBLEM, tol=1e-10) == reference
+
+
+def set_up_problems(monkeypatch, set_up):
+    """The (n, edges, targets) of every problem a set-up fits."""
+    return [args for args, _, _ in recorded_fits(monkeypatch, set_up)]
+
+
+def test_mixed_stacks_equal_the_scalar_reference_and_stacks_of_one(monkeypatch):
+    """One stack of problems with many vertex counts: the hierarchy corpus,
+    the 25- and 39-vertex levels of random_half_integral:26/40, the
+    k5_degree:9 face levels, seeded random multigraphs and a damped problem,
+    interleaved.  Each problem's weights, error and iteration count are
+    those of the scalar loop and of its own stack of one."""
+    problems = [DAMPED_PROBLEM]
+    for _, spec in HIERARCHY_CORPUS:
+        problems += set_up_problems(monkeypatch, lambda spec=spec: prepare_instance(corpus_instance(spec)))
+    for size in (26, 40):
+        inst = generate_instance("random_half_integral", size)
+        problems += set_up_problems(monkeypatch, lambda inst=inst: prepare_instance(inst))
+    inst = generate_instance("k5_degree", 9)
+    problems += set_up_problems(monkeypatch, lambda: degree_cut_set_up(inst))
+    problems += [multigraph_problem(seed) for seed in range(12)] + [DAMPED_PROBLEM]
+    problems = [problems[i] for i in np.random.default_rng(4).permutation(len(problems))]
+    counts = np.bincount([n for n, _, _ in problems])
+    assert np.count_nonzero(counts) > 5 and counts.max() > 10
+    fits = fit_lambdas(problems, tol=1e-10)
+    damped = 0
+    for (n, edges, targets), fit in zip(problems, fits):
+        reference, damping = scalar_fit_lambda(n, edges, targets, tol=1e-10)
+        assert fit == reference == fit_lambda(n, edges, targets, tol=1e-10)
+        damped += damping != 1.0
+    assert damped >= 2
+
+
+STALLING_PROBLEM = (
+    4, K4_EDGES,
+    [Fraction(3, 4), Fraction(3, 4), Fraction(1, 2), Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)],
+)
+
+
+def test_a_stalled_stack_names_its_first_stalled_problem(monkeypatch):
+    """Problems that converge leave the stack; the error names the first
+    stalled problem in stack order, not in vertex-count order, and carries
+    that problem's last error."""
+    converging = (4, K4_EDGES, [Fraction(1, 2)] * 6)
+    monkeypatch.setattr(hitsp.maxent, "FIT_ITERATION_CAP", 2)
+    with pytest.raises(FitConvergenceError, match="3-vertex, 4-edge level .* after 2 iterations") as info:
+        fit_lambdas([converging, DAMPED_PROBLEM, STALLING_PROBLEM, converging])
+    with pytest.raises(FitConvergenceError) as reference:
+        scalar_fit_lambda(*DAMPED_PROBLEM, max_iterations=2)
+    assert info.value.error == reference.value.error
+    with pytest.raises(FitConvergenceError, match="4-vertex, 6-edge level .* after 2 iterations"):
+        fit_lambdas([converging, STALLING_PROBLEM, DAMPED_PROBLEM])
+    monkeypatch.setattr(hitsp.maxent, "FIT_ITERATION_CAP", 1)
+    assert fit_lambdas([converging, converging]) == [fit_lambda(*converging)] * 2
+
+
+def test_the_iteration_cap_is_read_at_each_call(monkeypatch):
+    """``FIT_ITERATION_CAP`` bounds every fit as it stands at the call; a
+    fit stall is a resource cap."""
+    monkeypatch.setattr(hitsp.maxent, "FIT_ITERATION_CAP", 1)
+    with pytest.raises(ResourceCapError, match="after 1 iterations"):
+        fit_lambda(*STALLING_PROBLEM)
+    monkeypatch.setattr(hitsp.maxent, "FIT_ITERATION_CAP", 100)
+    assert fit_lambda(*STALLING_PROBLEM) == scalar_fit_lambda(*STALLING_PROBLEM)[0]
 
 
 def test_sampled_trees_are_spanning_trees():
@@ -344,6 +424,11 @@ def test_sampler_frequency_matches_weights():
 
 # A degree-cut style level: 5/12 at vertex 0, 1/3 elsewhere, with a parallel
 # pair, so the fit moves every weight off 1.
+def fit_one_level(n, edges, edge_ids, targets, tol):
+    """``fit_levels`` on a stack of one problem."""
+    return fit_levels([LevelProblem(n, tuple(edges), tuple(edge_ids), tuple(targets))], tol)[0]
+
+
 WALK_EDGES = [(u, v) for u, v in combinations(range(5), 2)] + [(2, 1)]
 WALK_TARGETS = [Fraction(5, 12) if 0 in e else Fraction(1, 3) for e in WALK_EDGES]
 WALK_TREES = [
@@ -358,7 +443,7 @@ def test_level_walk_is_pinned_draw_for_draw():
     """The first 20 trees from seed 2026, and the generator's next uniform,
     as the per-call sampler drew them before levels kept their walk tables."""
     ids = [100 + i for i in range(len(WALK_EDGES))]
-    level = fit_level(5, WALK_EDGES, ids, WALK_TARGETS, tol=1e-10)
+    level = fit_one_level(5, WALK_EDGES, ids, WALK_TARGETS, tol=1e-10)
     assert len(set(level.lam_float)) > 2 and level.lam_exact[0] == 1
     rng = np.random.default_rng(2026)
     assert [tuple(level.sample(rng)) for _ in range(20)] == [
@@ -444,7 +529,7 @@ def test_block_walk_is_stream_identical_to_the_scalar_walk():
 
 
 def test_level_builds_one_kernel_and_pickles_without_it():
-    level = fit_level(5, WALK_EDGES, range(len(WALK_EDGES)), WALK_TARGETS, tol=1e-10)
+    level = fit_one_level(5, WALK_EDGES, range(len(WALK_EDGES)), WALK_TARGETS, tol=1e-10)
     assert level.kernel() is level.kernel()
     copy = pickle.loads(pickle.dumps(level))
     assert copy == level and copy._kernel is None
@@ -452,10 +537,10 @@ def test_level_builds_one_kernel_and_pickles_without_it():
 
 
 def test_fit_level_keeps_unit_weights_that_hit_the_targets():
-    level = fit_level(4, K4_EDGES, range(6), [Fraction(1, 2)] * 6, tol=1e-12)
+    level = fit_one_level(4, K4_EDGES, range(6), [Fraction(1, 2)] * 6, tol=1e-12)
     assert level.lam_float == (1.0,) * 6 and level.lam_exact == (1,) * 6
     assert level._kernel is None
-    assert level == fit_level(4, K4_EDGES, range(6), [Fraction(1, 2)] * 6, tol=1e-12)
+    assert level == fit_one_level(4, K4_EDGES, range(6), [Fraction(1, 2)] * 6, tol=1e-12)
 
 
 def unit_check_fit_level(n, edges, edge_ids, targets, tol):
@@ -471,17 +556,17 @@ def unit_check_fit_level(n, edges, edge_ids, targets, tol):
 
 
 def recorded_levels(monkeypatch, set_up):
-    """The arguments and result of every ``fit_level`` call ``set_up`` makes,
+    """The problem and level of every ``fit_levels`` stack ``set_up`` fits,
     and the cut-free levels it returns."""
     calls = []
 
-    def record(*args, **options):
-        level = fit_level(*args, **options)
-        calls.append((args, options, level))
-        return level
+    def record(problems, tol):
+        levels = fit_levels(problems, tol)
+        calls.extend((problem, tol, level) for problem, level in zip(problems, levels))
+        return levels
 
-    monkeypatch.setattr(hitsp.ojoin, "fit_level", record)
-    monkeypatch.setattr(hitsp.degreecut, "fit_level", record)
+    monkeypatch.setattr(hitsp.ojoin, "fit_levels", record)
+    monkeypatch.setattr(hitsp.degreecut, "fit_levels", record)
     return calls, set_up()
 
 
@@ -506,8 +591,8 @@ def test_fit_level_equals_the_unit_check_reference(set_up, monkeypatch):
     route's level, weights and rationalized weights alike."""
     calls, levels = recorded_levels(monkeypatch, set_up)
     assert [level for *_, level in calls] == list(levels)
-    for args, options, level in calls:
-        assert level == unit_check_fit_level(*args, **options)
+    for problem, tol, level in calls:
+        assert level == unit_check_fit_level(*problem, tol=tol)
 
 
 def counted_kernels(monkeypatch):

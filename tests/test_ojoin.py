@@ -30,6 +30,8 @@ from hitsp.ojoin import (
     DEFAULT_TOP_TRUNCATION,
     JoinCalculator,
     TreeSample,
+    _check_memo,
+    _check_numerators,
     _join_layers,
     _vector_numerators,
     build_join_vector,
@@ -38,6 +40,7 @@ from hitsp.ojoin import (
     check_feasible,
     compute_even_at_last_probs,
     cut_masks,
+    odd_mask,
     odd_vertices,
     parity_laws,
     prepare_instance,
@@ -344,6 +347,37 @@ def test_run_sample_check_matches_check_feasible(spec):
         result = check_feasible(prepared.support, sample.edges, vector.values, floor=floor)
         assert out.feasible == (result.feasible and result.floor_ok)
         assert out.min_cut_value == result.minimum
+
+
+def test_verdict_memo_keeps_every_sample():
+    """A run's verdict memo (on its ``JoinCalculator``) changes no outcome
+    (verdict and minimum cut included) on the hierarchy corpus against a
+    fresh calculator per sample, holds at most one entry per sample, and is
+    hit: distinct vectors repeat."""
+    entries = 0
+    for label, _ in HIERARCHY_CORPUS:
+        prepared = prepare_instance(reference_instance(label))
+        joins = JoinCalculator(prepared.metric)
+        for seed in range(200):
+            fresh = JoinCalculator(prepared.metric)
+            plain = run_sample(prepared, sample_rng(seed, 0), fresh, check_vector=True)
+            kept = run_sample(prepared, sample_rng(seed, 0), joins, check_vector=True)
+            assert kept == plain, (label, seed)
+        assert 0 < len(joins.verdicts) <= 200
+        entries += len(joins.verdicts)
+    assert entries < 200 * len(HIERARCHY_CORPUS)
+
+
+def test_verdict_memo_tells_vectors_of_one_odd_set_apart(chain2):
+    """Two vectors with one odd set, one covering every odd cut and one
+    covering none, each get their own verdict from one memo."""
+    support, scale = chain2.support, chain2.scale
+    odd = odd_mask(support, [0])
+    joins = JoinCalculator(chain2.metric)
+    for values in ([scale] * len(support.edges), [0] * len(support.edges), [scale] * len(support.edges)):
+        expected = _check_numerators(support, odd, values, scale, 1)
+        assert _check_memo(joins, support, odd, values, scale, 1) == expected
+    assert [result.feasible for result in joins.verdicts.values()] == [True, False]
 
 
 def test_check_feasible_finds_a_violation():
