@@ -11,7 +11,6 @@ from importlib import metadata
 from .cuts import CutHierarchy, InternalHierarchyError, MinCut, build_hierarchy
 from .degreecut import (
     DegreeCutError,
-    DegreeCutReport,
     decompose_matching,
     degree_cut_witness,
     run_degree_cut,
@@ -57,7 +56,6 @@ __all__ = [
     "ChargingParams",
     "CutHierarchy",
     "DegreeCutError",
-    "DegreeCutReport",
     "FitConvergenceError",
     "GADGET_BUILDERS",
     "GENERATOR_FAMILIES",

@@ -71,9 +71,10 @@ def format_rational(value: Fraction) -> object:
 
 def canonical_json(payload: object) -> str:
     """Serialize to a canonical JSON text: sorted keys, 2-space indent,
-    newline; integers are written in full at any size."""
+    newline; integers are written in full at any size, and ``Fraction``
+    values as ``format_rational`` renders them."""
     with _unlimited_int_digits():
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return json.dumps(payload, sort_keys=True, indent=2, default=format_rational) + "\n"
 
 
 def euler_circuit(n: int, edges: Sequence[tuple[int, int]]) -> list[int]:

@@ -19,8 +19,6 @@ from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from math import sqrt
 
-import numpy as np
-
 from . import __version__
 from ._util import ResourceCapError, canonical_json, format_rational, parse_rational
 from .cuts import InternalHierarchyError, build_hierarchy
@@ -43,7 +41,8 @@ from .ojoin import (
     PlanError,
     prepare_instance,
     run_sample,
-    sample_rng,
+    sample_records,
+    sample_seed,
 )
 from .oracle import (
     # perfbench/workloads.py reads the two bounds from here.
@@ -263,16 +262,13 @@ def _run_chunk(task: tuple[int, int, int, bool]) -> list[tuple]:
     scale, vector total and per-cut loads (``cut_sides`` order) over the
     vector scale."""
     seed, start, end, check_vectors = task
-    prepared = _WORKER_STATE["prepared"]
-    joins = _WORKER_STATE["joins"]
-    records = []
-    for idx in range(start, end):
-        out = run_sample(prepared, sample_rng(seed, idx), joins, check_vector=check_vectors)
-        records.append((
-            out.tree_numerator, out.join_numerator, out.tour_numerator, out.vector_numerator,
-            out.reduced_count, out.join_exact, out.feasible, out.load_numerators,
-        ))
-    return records
+    prepared, joins = _WORKER_STATE["prepared"], _WORKER_STATE["joins"]
+    return sample_records(
+        lambda rng: run_sample(prepared, rng, joins, check_vector=check_vectors),
+        seed, range(start, end),
+        ("tree_numerator", "join_numerator", "tour_numerator", "vector_numerator",
+         "reduced_count", "join_exact", "feasible", "load_numerators"),
+    )
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -323,7 +319,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         per_cut[_side_key(side)] = format_rational(mean) if exact else float(mean)
 
     seeds = [
-        np.random.SeedSequence(args.seed, spawn_key=(i,)).generate_state(2).tolist()
+        sample_seed(args.seed, i).generate_state(2).tolist()
         for i in range(min(samples, 100))
     ]
     feasible_known = [rec[6] for rec in records if rec[6] is not None]
@@ -462,54 +458,22 @@ def cmd_degreecut(args: argparse.Namespace) -> int:
         inst, samples=args.samples, seed=args.seed, check_vectors=args.check_vectors
     )
     bound = degree_vertex_bound(inst.n)
-    sigma_mean = (
-        report.tour_ratio_std / sqrt(report.samples) if report.samples > 1 else 0.0
-    )
+    expected = report["expected"]
+    expected.update(per_vertex_bound=bound, per_vertex_ok=expected["per_vertex_max"] <= bound)
     payload = {
         "command": "degreecut",
         "version": __version__,
         "config": _config_dict(
             args, ("instance", "gen", "samples", "seed", "check_vectors")
         ),
-        "instance": {
-            "name": report.instance_name,
-            "n": report.n,
-            "lp_cost": format_rational(report.lp_cost),
-        },
-        "decomposition": {
-            "method": report.decomposition_method,
-            "matchings": report.matching_count,
-        },
-        "expected": {
-            "edge_value": format_rational(report.expected_edge_value),
-            "tree_cost": format_rational(report.expected_tree_cost),
-            "per_vertex_max": format_rational(report.per_vertex_expected_max),
-            "per_vertex_bound": format_rational(bound),
-            "per_vertex_ok": report.per_vertex_expected_max <= bound,
-        },
-        "results": {
-            "samples": report.samples,
-            "mean_tour_ratio": report.mean_tour_ratio,
-            "tour_ratio_std": report.tour_ratio_std,
-            "tour_ratio_ci3": [
-                report.mean_tour_ratio - 3 * sigma_mean,
-                report.mean_tour_ratio + 3 * sigma_mean,
-            ],
-            "mean_vector_total": report.mean_vector_total,
-            "normal_even_rate": report.normal_even_rate,
-            "feasible_failures": report.feasible_failures,
-        },
+        **report,
     }
     _emit(canonical_json(payload), args.out)
     if args.csv:
-        flat = [
-            ("mean_tour_ratio", report.mean_tour_ratio),
-            ("tour_ratio_std", report.tour_ratio_std),
-            ("mean_vector_total", report.mean_vector_total),
-            ("normal_even_rate", report.normal_even_rate),
-            ("feasible_failures", report.feasible_failures),
-        ]
-        _write_csv(args.csv, flat)
+        results = report["results"]
+        names = ("mean_tour_ratio", "tour_ratio_std", "mean_vector_total", "normal_even_rate",
+                 "feasible_failures")
+        _write_csv(args.csv, [(name, results[name]) for name in names])
     return EXIT_OK
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import lcm, sqrt
 from typing import Sequence
 
 import numpy as np
@@ -39,11 +39,11 @@ from .maxent import LevelProblem, fit_levels
 from .ojoin import (
     ConnectorLaw,
     JoinCalculator,
-    _check_memo,
+    SampleOutcome,
+    finish_sample,
     odd_mask,
     parity_laws,
-    sample_rng,
-    tour_order,
+    sample_records,
 )
 
 
@@ -534,36 +534,6 @@ def expected_edge_values(
     return out
 
 
-@dataclass(frozen=True)
-class DegreeCutSample:
-    matching: frozenset[int]
-    tree_edges: tuple[int, ...]
-    tree_cost: Fraction
-    join_cost: Fraction
-    tour_cost: Fraction
-    reduced_normal: tuple[int, ...]
-    vector_total: Fraction
-    feasible: bool | None
-
-
-@dataclass(frozen=True)
-class DegreeCutReport:
-    instance_name: str
-    n: int
-    lp_cost: Fraction
-    decomposition_method: str
-    matching_count: int
-    expected_edge_value: Fraction
-    expected_tree_cost: Fraction
-    per_vertex_expected_max: Fraction
-    samples: int
-    mean_tour_ratio: float
-    tour_ratio_std: float
-    mean_vector_total: float
-    normal_even_rate: float | None
-    feasible_failures: int
-
-
 def sample_degree_cut(
     instance: HalfIntegralInstance,
     decomposition: MatchingDecomposition,
@@ -573,37 +543,25 @@ def sample_degree_cut(
     support: SupportGraph,
     metric,
     check_vector: bool = False,
-) -> DegreeCutSample:
-    """One end-to-end sample: matching, connector, vector, matching-join tour.
-
-    Costs are integer sums: the tree over the instance's cost numerators, the
-    join and the tour over the matrix of ``joins``, which prices ``metric``.
-    ``joins`` also keeps each distinct checked vector's verdict
-    (``ojoin._check_memo``).
-    """
+) -> SampleOutcome:
+    """One end-to-end sample: a matching, its connector and its correction
+    vector in twelfths, then ``ojoin.finish_sample`` (join, costs over the
+    instance's cost numerators, and the check against the 1/6 floor).
+    ``joins`` prices the instance's metric and keeps each distinct checked
+    vector's verdict; ``metric`` is not read."""
     probabilities = decomposition.draw_probabilities
     idx = int(rng.choice(len(probabilities), p=probabilities))
-    matching = decomposition.weights[idx][1]
-    context = contexts[matching]
+    context = contexts[decomposition.weights[idx][1]]
     tree = context.connector.sample(rng)
     odd = odd_mask(support, tree)
     values, reduced = correction_vector(support, context, odd)
-    pairs, _, join_numerator = joins.join(odd)
-    cost_scale, costs = instance.cost_numerators
-    feasible = None
-    if check_vector:
-        result = _check_memo(joins, support, odd, values, 12, 2)
-        feasible = result.feasible and result.floor_ok
-    return DegreeCutSample(
-        matching=matching,
-        tree_edges=tree,
-        tree_cost=Fraction(sum(costs[e] for e in tree), cost_scale),
-        join_cost=Fraction(join_numerator, joins.scale),
-        tour_cost=Fraction(joins.cycle_cost(tour_order(support, tree, pairs)), joins.scale),
-        reduced_normal=tuple(reduced),
-        vector_total=Fraction(sum(values), 12),
-        feasible=feasible,
+    out = finish_sample(
+        joins, support, instance.cost_numerators[1], tree, odd, (values, 12, 2), check_vector,
+        reduced_count=len(reduced),
+        normal_count=len(context.normal_edges),
     )
+    out.tour_numerator  # priced at draw time, as the benchmark's loop times it (ROADMAP item 1)
+    return out
 
 
 def run_degree_cut(
@@ -611,8 +569,11 @@ def run_degree_cut(
     samples: int,
     seed: int,
     check_vectors: bool = False,
-) -> DegreeCutReport:
-    """Decompose, build per-matching contexts, then sample end to end."""
+) -> dict:
+    """Decompose, build per-matching contexts, then sample end to end
+    through ``ojoin.sample_records``.  Returns the ``degreecut`` report's
+    instance, decomposition, expected and results parts, exact values as
+    ``Fraction``s."""
     require_degree_cut(instance)
     decomposition = decompose_matching(instance)
     contexts = build_matching_contexts(instance, [m for _, m in decomposition.weights])
@@ -621,54 +582,38 @@ def run_degree_cut(
     joins = JoinCalculator(metric)
 
     expected_edges = expected_edge_values(instance, decomposition)
-    expected_tree = sum(
-        (instance.edges[i].cost * expected_edges[i] for i in range(len(instance.edges))),
-        Fraction(0),
+    expected_tree = sum((e.cost * z for e, z in zip(instance.edges, expected_edges)), Fraction(0))
+    edge_value = expected_edges[0]
+    if any(v != edge_value for v in expected_edges):
+        edge_value = Fraction(sum(expected_edges, Fraction(0)), len(expected_edges))
+    per_vertex_max = max(expected_vertex_values(instance, decomposition, contexts))
+    records = sample_records(
+        lambda rng: sample_degree_cut(
+            instance, decomposition, contexts, rng, joins, support, metric, check_vector=check_vectors
+        ),
+        seed, range(samples),
+        ("tour_numerator", "vector_numerator", "reduced_count", "normal_count", "feasible"),
     )
-    vertex_values = expected_vertex_values(instance, decomposition, contexts)
-    per_vertex_max = max(vertex_values)
-
     lp = instance.lp_cost()
-    ratios = []
-    totals = []
-    normal_hits = 0
-    normal_draws = 0
-    failures = 0
-    for i in range(samples):
-        out = sample_degree_cut(
-            instance, decomposition, contexts, sample_rng(seed, i), joins,
-            support, metric, check_vector=check_vectors,
-        )
-        ratios.append(float(out.tour_cost / lp))
-        totals.append(float(out.vector_total))
-        context = contexts[out.matching]
-        if context.normal_edges:
-            normal_draws += len(context.normal_edges)
-            normal_hits += len(out.reduced_normal)
-        if out.feasible is False:
-            failures += 1
+    # x / y on integers is correctly rounded, so each float below equals
+    # float() of the exact Fraction.
+    lp_num, lp_den = lp.numerator * joins.scale, lp.denominator
+    ratios = [tour * lp_den / lp_num for tour, *_ in records]
     mean_ratio = float(np.mean(ratios)) if ratios else 0.0
     ratio_std = float(np.std(ratios, ddof=1)) if len(ratios) > 1 else 0.0
-    mean_total = float(np.mean(totals)) if totals else 0.0
-    rate = (normal_hits / normal_draws) if normal_draws else None
-    uniform_edge = expected_edges[0]
-    if any(v != uniform_edge for v in expected_edges):
-        uniform_edge = Fraction(
-            sum(expected_edges, Fraction(0)), len(expected_edges)
-        )
-    return DegreeCutReport(
-        instance_name=instance.name,
-        n=instance.n,
-        lp_cost=lp,
-        decomposition_method=decomposition.method,
-        matching_count=len(decomposition.weights),
-        expected_edge_value=uniform_edge,
-        expected_tree_cost=expected_tree,
-        per_vertex_expected_max=per_vertex_max,
-        samples=samples,
-        mean_tour_ratio=mean_ratio,
-        tour_ratio_std=ratio_std,
-        mean_vector_total=mean_total,
-        normal_even_rate=rate,
-        feasible_failures=failures,
-    )
+    sigma_mean = ratio_std / sqrt(samples) if samples > 1 else 0.0
+    normal_draws = sum(rec[3] for rec in records)
+    return {
+        "instance": {"name": instance.name, "n": instance.n, "lp_cost": lp},
+        "decomposition": {"method": decomposition.method, "matchings": len(decomposition.weights)},
+        "expected": {"edge_value": edge_value, "tree_cost": expected_tree, "per_vertex_max": per_vertex_max},
+        "results": {
+            "samples": samples,
+            "mean_tour_ratio": mean_ratio,
+            "tour_ratio_std": ratio_std,
+            "tour_ratio_ci3": [mean_ratio - 3 * sigma_mean, mean_ratio + 3 * sigma_mean],
+            "mean_vector_total": float(np.mean([rec[1] / 12 for rec in records])) if records else 0.0,
+            "normal_even_rate": sum(rec[2] for rec in records) / normal_draws if normal_draws else None,
+            "feasible_failures": sum(1 for rec in records if rec[4] is False),
+        },
+    }

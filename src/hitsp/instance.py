@@ -392,12 +392,8 @@ def split_vertex_for_eplus(inst: HalfIntegralInstance) -> HalfIntegralInstance:
         if inst.e_plus is not None:
             return inst
         return inst.with_e_plus(doubled[0])
-    incident: list[list[int]] = [[] for _ in range(inst.n)]
-    for idx, e in enumerate(inst.edges):
-        incident[e.u].append(idx)
-        incident[e.v].append(idx)
     for v in range(inst.n):
-        inc = sorted(incident[v])
+        inc = sorted(inst.incident_edges[v])
         assert len(inc) == 4, "all-half instance must have exactly 4 edges per vertex"
         divisions = (
             (inc[0], inc[1]),

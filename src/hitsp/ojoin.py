@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import inf, lcm, nextafter, prod
+from operator import attrgetter
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -835,53 +836,105 @@ def build_tour(
     return (order, cost)
 
 
-@dataclass(frozen=True)
+@dataclass
 class SampleOutcome:
-    """Everything measured on one end-to-end sample.
+    """Everything measured on one end-to-end sample of either pipeline.
 
     ``tree_numerator`` and ``join_numerator`` are the costs times
-    ``prepared.cost_scale``; ``vector_numerator`` and ``load_numerators``
-    (the cut loads, in ``cut_sides`` order) are over ``prepared.scale``, and
-    ``cut_loads`` builds their ``Fraction`` dict when read.  The tour is built
-    and priced on the first read of ``tour_numerator`` or ``tour_cost``.
+    ``joins.scale``, the cost scale; ``vector_numerator`` and
+    ``load_numerators`` (the cut loads, in ``cut_sides`` order) are over
+    ``vector_scale``, and ``cut_loads`` builds their ``Fraction`` dict when
+    read.  The tour is built and priced on the first read of
+    ``tour_numerator`` or ``tour_cost``.  The hierarchy path fills
+    ``min_edge_value`` and the loads; the degree-cut path fills
+    ``normal_count``, the drawn matching's normal edges, of which
+    ``reduced_count`` were reduced.  Not frozen: a frozen field costs an
+    ``object.__setattr__`` call on every sample.
     """
 
     tree_edges: tuple[int, ...]
     tree_cost: Fraction
     join_cost: Fraction
     join_exact: bool
-    reduced_count: int
     vector_total: Fraction | None
     feasible: bool | None
     min_cut_value: Fraction | None
-    min_edge_value: Fraction | None
     tree_numerator: int
     join_numerator: int
     vector_numerator: int | None
-    load_numerators: tuple[int, ...] | None
     join_pairs: tuple[tuple[int, int], ...]
-    prepared: PreparedInstance = field(repr=False, compare=False)
+    vector_scale: int | None
+    support: SupportGraph = field(repr=False, compare=False)
     joins: JoinCalculator = field(repr=False, compare=False)
-    _tour: list = field(default_factory=list, repr=False, compare=False)
+    reduced_count: int = 0
+    min_edge_value: Fraction | None = None
+    load_numerators: tuple[int, ...] | None = None
+    cut_sides: tuple | None = field(default=None, repr=False, compare=False)
+    normal_count: int | None = None
+    _tour: int | None = field(default=None, repr=False, compare=False)
 
     @property
     def tour_numerator(self) -> int:
-        if not self._tour:
-            order = tour_order(self.prepared.support, self.tree_edges, self.join_pairs)
-            self._tour.append(self.joins.cycle_cost(order))
-        return self._tour[0]
+        if self._tour is None:
+            self._tour = self.joins.cycle_cost(tour_order(self.support, self.tree_edges, self.join_pairs))
+        return self._tour
 
     @property
     def tour_cost(self) -> Fraction:
-        return Fraction(self.tour_numerator, self.prepared.cost_scale)
+        return Fraction(self.tour_numerator, self.joins.scale)
 
     @property
     def cut_loads(self) -> dict | None:
         if self.load_numerators is None:
             return None
-        scale = self.prepared.scale
-        exact = {x: Fraction(x, scale) for x in set(self.load_numerators)}
-        return {side: exact[x] for side, x in zip(self.prepared.cut_sides, self.load_numerators)}
+        exact = {x: Fraction(x, self.vector_scale) for x in set(self.load_numerators)}
+        return {side: exact[x] for side, x in zip(self.cut_sides, self.load_numerators)}
+
+
+def finish_sample(
+    joins: JoinCalculator,
+    support: SupportGraph,
+    costs: Sequence[int],
+    tree: tuple[int, ...],
+    odd: int,
+    vector: tuple[list[int], int, int] | None,
+    check_vector: bool,
+    **extras,
+) -> SampleOutcome:
+    """The steps both pipelines share once a connector ``tree``, its odd
+    mask and its vector ``(numerators, scale, floor numerator)`` are drawn:
+    price the join, sum the tree's cost numerators ``costs`` (over
+    ``joins.scale``), check the vector against its floor through
+    :func:`_check_memo` when asked, and build the outcome with the
+    pipeline's own ``extras``."""
+    pairs, join_exact, join_numerator = joins.join(odd)
+    tree_numerator = sum(costs[e] for e in tree)
+    scale = vector_numerator = vector_total = feasible = min_cut_value = None
+    if vector is not None:
+        values, scale, floor = vector
+        vector_numerator = sum(values)
+        vector_total = Fraction(vector_numerator, scale)
+        if check_vector:
+            result = _check_memo(joins, support, odd, values, scale, floor)
+            feasible = result.feasible and result.floor_ok
+            min_cut_value = result.minimum
+    return SampleOutcome(
+        tree_edges=tree,
+        tree_cost=Fraction(tree_numerator, joins.scale),
+        join_cost=Fraction(join_numerator, joins.scale),
+        join_exact=join_exact,
+        vector_total=vector_total,
+        feasible=feasible,
+        min_cut_value=min_cut_value,
+        tree_numerator=tree_numerator,
+        join_numerator=join_numerator,
+        vector_numerator=vector_numerator,
+        join_pairs=pairs,
+        vector_scale=scale,
+        support=support,
+        joins=joins,
+        **extras,
+    )
 
 
 def run_sample(
@@ -898,52 +951,40 @@ def run_sample(
     sample = sample_hierarchical_tree(prepared.plan, rng)
     tree = sample.edges
     odd = odd_mask(prepared.support, tree)
-    pairs, join_exact, join_numerator = joins.join(odd)
-    tree_numerator = sum(prepared.edge_cost[e] for e in tree)
+    if not build_vector:
+        return finish_sample(joins, prepared.support, prepared.edge_cost, tree, odd, None, False)
+    values, reduced, _, _ = _vector_numerators(prepared, sample)
     scale = prepared.scale
-    reduced_count = 0
-    vector_numerator = vector_total = min_edge = loads = feasible = min_cut_value = None
-    if build_vector:
-        values, reduced, _, _ = _vector_numerators(prepared, sample)
-        vector_numerator = sum(values)
-        vector_total = Fraction(vector_numerator, scale)
-        reduced_count = len(reduced)
-        min_edge = Fraction(min(values), scale)
-        loads = tuple([
-            values[a] + values[b] + values[c] + values[d]
-            for a, b, c, d in prepared.boundaries
-        ])
-        if check_vector:
-            result = _check_memo(
-                joins,
-                prepared.support,
-                odd,
-                values,
-                scale,
-                prepared.base_numerator - prepared.reduction_numerator,
-            )
-            feasible = result.feasible and result.floor_ok
-            min_cut_value = result.minimum
-    return SampleOutcome(
-        tree_edges=tree,
-        tree_cost=Fraction(tree_numerator, prepared.cost_scale),
-        join_cost=Fraction(join_numerator, prepared.cost_scale),
-        join_exact=join_exact,
-        reduced_count=reduced_count,
-        vector_total=vector_total,
-        feasible=feasible,
-        min_cut_value=min_cut_value,
-        min_edge_value=min_edge,
-        tree_numerator=tree_numerator,
-        join_numerator=join_numerator,
-        vector_numerator=vector_numerator,
-        load_numerators=loads,
-        join_pairs=pairs,
-        prepared=prepared,
-        joins=joins,
+    floor = prepared.base_numerator - prepared.reduction_numerator
+    return finish_sample(
+        joins, prepared.support, prepared.edge_cost, tree, odd, (values, scale, floor), check_vector,
+        reduced_count=len(reduced),
+        min_edge_value=Fraction(min(values), scale),
+        load_numerators=tuple([
+            values[a] + values[b] + values[c] + values[d] for a, b, c, d in prepared.boundaries
+        ]),
+        cut_sides=prepared.cut_sides,
     )
 
 
+def sample_records(
+    draw: Callable[[np.random.Generator], SampleOutcome],
+    seed: int,
+    indices: range,
+    fields: Sequence[str],
+) -> list[tuple]:
+    """The one sample loop of ``run``, ``degreecut`` and the sampled rows:
+    sample ``i`` of ``indices`` is ``draw(sample_rng(seed, i))``, kept as the
+    tuple of its outcome's ``fields``."""
+    record = attrgetter(*fields)
+    return [record(draw(sample_rng(seed, idx))) for idx in indices]
+
+
+def sample_seed(seed: int, index: int) -> np.random.SeedSequence:
+    """Sample ``index``'s seed: child ``index`` of the root seed."""
+    return np.random.SeedSequence(seed, spawn_key=(index,))
+
+
 def sample_rng(seed: int, index: int) -> np.random.Generator:
-    """The per-sample generator: child ``index`` of the root seed."""
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
+    """The per-sample generator, seeded by :func:`sample_seed`."""
+    return np.random.default_rng(sample_seed(seed, index))

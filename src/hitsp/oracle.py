@@ -42,7 +42,7 @@ from .ojoin import (
     JoinCalculator,
     PreparedInstance,
     run_sample,
-    sample_rng,
+    sample_records,
 )
 
 # Caps the oracle's work: each listed level's tree count, each convolution
@@ -623,12 +623,12 @@ def sampled_feasibility_rows(
     them: odd-cut coverage and the 1/6 edge floor.  Each distinct vector is
     checked once."""
     joins = JoinCalculator(prepared.metric)
-    outs = [
-        run_sample(prepared, sample_rng(seed, idx), joins, check_vector=True)
-        for idx in range(samples)
-    ]
-    failures = Fraction(sum(1 for out in outs if not out.feasible))
-    min_edge = min(out.min_edge_value for out in outs)
+    records = sample_records(
+        lambda rng: run_sample(prepared, rng, joins, check_vector=True),
+        seed, range(samples), ("feasible", "min_edge_value"),
+    )
+    failures = Fraction(sum(1 for feasible, _ in records if not feasible))
+    min_edge = min(edge for _, edge in records)
     return [
         LemmaCheck("sampled-vectors-feasible", label, failures, NO_FAILURES, "=="),
         LemmaCheck("edge-floor-1-6", label, min_edge, EDGE_FLOOR, ">="),

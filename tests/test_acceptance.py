@@ -260,21 +260,21 @@ def test_criterion_7_degree_cut_suite():
     # sampled frequencies and the even-order ratio at scale
     n_samples = 100_000
     rep = run_degree_cut(generate_instance("k5_degree", 6), samples=n_samples,
-                         seed=4, check_vectors=True)
+                         seed=4, check_vectors=True)["results"]
     sigma = math.sqrt(float(SIXTEEN_81) * (1 - float(SIXTEEN_81)) / n_samples)
-    if rep.normal_even_rate < float(SIXTEEN_81) - 3 * sigma:
-        problems.append(f"normal even rate {rep.normal_even_rate:.4f}")
-    ratio_sigma = rep.tour_ratio_std / math.sqrt(n_samples)
-    if rep.mean_tour_ratio > DEGREE_RATIO_BOUND + 3 * ratio_sigma:
-        problems.append(f"even-order ratio {rep.mean_tour_ratio:.4f}")
-    if rep.feasible_failures:
-        problems.append(f"{rep.feasible_failures} infeasible vectors")
+    if rep["normal_even_rate"] < float(SIXTEEN_81) - 3 * sigma:
+        problems.append(f"normal even rate {rep['normal_even_rate']:.4f}")
+    ratio_sigma = rep["tour_ratio_std"] / math.sqrt(n_samples)
+    if rep["mean_tour_ratio"] > DEGREE_RATIO_BOUND + 3 * ratio_sigma:
+        problems.append(f"even-order ratio {rep['mean_tour_ratio']:.4f}")
+    if rep["feasible_failures"]:
+        problems.append(f"{rep['feasible_failures']} infeasible vectors")
     report(
         "criterion-7 degree-cut suite",
         not problems,
         f"15x1/15 decomposition, membership 1/2 exact, vertex loads bounded, "
-        f"normal rate {rep.normal_even_rate:.4f} >= {float(SIXTEEN_81):.4f}-3s, "
-        f"ratio {rep.mean_tour_ratio:.4f} <= {DEGREE_RATIO_BOUND}+3s "
+        f"normal rate {rep['normal_even_rate']:.4f} >= {float(SIXTEEN_81):.4f}-3s, "
+        f"ratio {rep['mean_tour_ratio']:.4f} <= {DEGREE_RATIO_BOUND}+3s "
         f"({problems if problems else 'clean'})",
     )
 

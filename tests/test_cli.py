@@ -583,5 +583,8 @@ def test_reports_write_rationals_past_the_digit_limit():
     assert format_rational(Fraction(sevens, 3)) == "7" * 5000 + "/3"
     text = canonical_json({"load": format_rational(Fraction(10**5000))})
     assert text == '{\n  "load": 1' + "0" * 5000 + "\n}\n"
+    # A Fraction left in a report is written as format_rational writes it.
+    assert canonical_json({"load": Fraction(10**5000)}) == text
+    assert canonical_json([Fraction(sevens, 3)]) == '[\n  "' + "7" * 5000 + '/3"\n]\n'
     if limit is not None:
         assert sys.get_int_max_str_digits() == limit

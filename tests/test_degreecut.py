@@ -34,7 +34,7 @@ from hitsp.degreecut import (
     tree_target_vector,
 )
 from hitsp.instance import GADGET_BUILDERS, generate_instance, make_instance
-from hitsp.ojoin import odd_mask, sample_rng
+from hitsp.ojoin import odd_mask, sample_rng, sample_seed
 from hitsp.oracle import level_outcome_table, subset_joint_distribution
 
 HALF = Fraction(1, 2)
@@ -208,9 +208,8 @@ def test_sampled_trees_contain_matching_and_span():
             inst, dec, contexts, rng, joins, support, metric, check_vector=True
         )
         assert out.feasible
-        chosen = set(out.tree_edges)
-        for e in out.matching:
-            assert any(support.edges[c].instance_edge == e for c in chosen)
+        chosen = {support.edges[c].instance_edge for c in out.tree_edges}
+        assert any(matching <= chosen for _, matching in dec.weights)
         assert out.tour_cost <= out.tree_cost + out.join_cost
 
 
@@ -218,12 +217,48 @@ def test_run_degree_cut_report():
     report = run_degree_cut(
         generate_instance("k5_degree", 6), samples=200, seed=1, check_vectors=True
     )
-    assert report.samples == 200
-    assert report.expected_edge_value == HALF
-    assert report.feasible_failures == 0
-    assert report.mean_tour_ratio <= 1.4671 + 3 * report.tour_ratio_std
-    assert report.matching_count >= 8
-    assert report.decomposition_method in ("uniform", "simplex")
+    results = report["results"]
+    assert results["samples"] == 200
+    assert report["expected"]["edge_value"] == HALF
+    assert results["feasible_failures"] == 0
+    assert results["mean_tour_ratio"] <= 1.4671 + 3 * results["tour_ratio_std"]
+    assert report["decomposition"]["matchings"] >= 8
+    assert report["decomposition"]["method"] in ("uniform", "simplex")
+
+
+@pytest.mark.parametrize("size", [5, 6, 7])
+def test_run_degree_cut_equals_its_per_sample_outcomes(size):
+    """The report's sampled results are, float for float, those computed
+    from each sample's ``sample_degree_cut`` outcome, with ``build_tour``
+    pricing the tour and the former route giving the drawn matching."""
+    from hitsp.instance import build_support_graph, metric_closure
+    from hitsp.ojoin import JoinCalculator
+
+    inst = generate_instance("k5_degree", size)
+    samples, seed = 120, 3
+    report = run_degree_cut(inst, samples=samples, seed=seed, check_vectors=True)
+    dec = decompose_matching(inst)
+    contexts = build_matching_contexts(inst, [m for _, m in dec.weights])
+    support, metric = build_support_graph(inst), metric_closure(inst)
+    joins = JoinCalculator(metric)
+    lp = inst.lp_cost()
+    ratios, totals, hits, draws, failures = [], [], 0, 0, 0
+    for i in range(samples):
+        out = sample_degree_cut(
+            inst, dec, contexts, sample_rng(seed, i), joins, support, metric, check_vector=True
+        )
+        ref = reference_degree_cut_sample(inst, dec, contexts, sample_rng(seed, i), joins, support, metric)
+        assert out.tree_edges == ref["tree_edges"]
+        ratios.append(float(ref["tour_cost"] / lp))
+        totals.append(float(out.vector_total))
+        hits += len(ref["reduced_normal"])
+        draws += len(contexts[ref["matching"]].normal_edges)
+        failures += out.feasible is False
+    results = report["results"]
+    assert results["mean_tour_ratio"] == float(np.mean(ratios))
+    assert results["mean_vector_total"] == float(np.mean(totals))
+    assert results["normal_even_rate"] == (hits / draws if draws else None)
+    assert results["feasible_failures"] == failures
 
 
 def test_run_degree_cut_rejects_bad_instances():
@@ -234,11 +269,14 @@ def test_run_degree_cut_rejects_bad_instances():
 def test_degree_cut_samples_use_the_shared_seeding_scheme():
     # run_degree_cut draws sample i from sample_rng(seed, i); the reports
     # were made with SeedSequence(seed, spawn_key=(i,)) streams, so both must
-    # yield the same numbers.
+    # yield the same numbers, and run records sample_seed's states.
     for seed in (0, 7, 2**40 + 3):
         for i in (0, 1, 999):
             inline = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
             shared = sample_rng(seed, i)
+            assert sample_seed(seed, i).generate_state(2).tolist() == (
+                np.random.SeedSequence(seed, spawn_key=(i,)).generate_state(2).tolist()
+            )
             assert inline.random(16).tolist() == shared.random(16).tolist()
             assert inline.integers(1000, size=16).tolist() == shared.integers(
                 1000, size=16
@@ -312,6 +350,30 @@ def test_simplex_decomposition_is_verified(monkeypatch):
         decompose_matching(generate_instance("k5_degree", 7))
 
 
+def reference_degree_cut_sample(inst, dec, contexts, rng, joins, support, metric):
+    """The former ``DegreeCutSample`` route, kept as the reference for
+    ``sample_degree_cut``: the matching drawn by ``rng.choice``, the former
+    per-context sampler and the degree-counting reduction, with ``Fraction``
+    tree and join costs and the ``build_tour`` tour."""
+    from hitsp.ojoin import build_tour, odd_vertices
+
+    weights = np.array([float(w) for w, _ in dec.weights])
+    matching = dec.weights[int(rng.choice(len(weights), p=weights / weights.sum()))][1]
+    context = contexts[matching]
+    tree = reference_matching_tree(context, rng)
+    pairs, _ = joins.matching(odd_vertices(support, tree))
+    values, reduced = reference_correction_vector(inst, context, tree)
+    return {
+        "matching": matching,
+        "tree_edges": tree,
+        "tree_cost": sum((inst.edges[e].cost for e in tree), Fraction(0)),
+        "join_cost": sum((metric.dist[u][v] for u, v in pairs), Fraction(0)),
+        "tour_cost": build_tour(support, tree, pairs, metric)[1],
+        "reduced_normal": tuple(reduced),
+        "values": [Fraction(x, 12) for x in values],
+    }
+
+
 def reference_matching_tree(context, rng):
     """The former per-context sampler, kept as the reference for the shared
     connector law: the whole matching (the pinned edges and the dropped
@@ -329,9 +391,8 @@ def test_degree_cut_sample_matches_fraction_composition(spec, rational):
     the former sampler's trees and leaves its generator state."""
     from dataclasses import replace
 
-    from hitsp.degreecut import correction_vector
     from hitsp.instance import build_support_graph, metric_closure
-    from hitsp.ojoin import JoinCalculator, build_tour, odd_vertices
+    from hitsp.ojoin import JoinCalculator
 
     inst = generate_instance(*spec)
     if rational:
@@ -349,21 +410,19 @@ def test_degree_cut_sample_matches_fraction_composition(spec, rational):
             inst, dec, contexts, got_rng, joins, support, metric,
             check_vector=seed < 20,
         )
-        context = contexts[out.matching]
         rng = sample_rng(seed, 0)
-        weights = np.array([float(w) for w, _ in dec.weights])
-        rng.choice(len(weights), p=weights / weights.sum())
-        tree = reference_matching_tree(context, rng)
-        assert out.tree_edges == tree
+        ref = reference_degree_cut_sample(inst, dec, contexts, rng, joins, support, metric)
+        assert out.tree_edges == ref["tree_edges"]
         assert got_rng.bit_generator.state == rng.bit_generator.state
-        pairs, _ = joins.matching(odd_vertices(support, tree))
-        values = [Fraction(x, 12) for x in correction_vector(support, context, odd_mask(support, tree))[0]]
-        assert out.tree_cost == sum((inst.edges[e].cost for e in tree), Fraction(0))
-        assert out.join_cost == sum((metric.dist[u][v] for u, v in pairs), Fraction(0))
-        assert out.tour_cost == build_tour(support, tree, pairs, metric)[1]
+        values = ref["values"]
+        assert out.tree_cost == ref["tree_cost"]
+        assert out.join_cost == ref["join_cost"]
+        assert out.tour_cost == ref["tour_cost"]
         assert out.vector_total == sum(values, Fraction(0))
         assert min(values) >= Fraction(1, 6)
         assert out.feasible is (True if seed < 20 else None)
+        assert out.reduced_count == len(ref["reduced_normal"])
+        assert out.normal_count == len(contexts[ref["matching"]].normal_edges)
 
 
 @pytest.mark.parametrize("size", [5, 6, 7, 8, 9])
@@ -383,8 +442,10 @@ def test_sample_check_matches_check_feasible(size):
         out = sample_degree_cut(
             inst, dec, contexts, sample_rng(seed, 0), joins, support, metric, check_vector=True
         )
+        ref = reference_degree_cut_sample(inst, dec, contexts, sample_rng(seed, 0), joins, support, metric)
         tree = out.tree_edges
-        values = correction_vector(support, contexts[out.matching], odd_mask(support, tree))[0]
+        assert tree == ref["tree_edges"]
+        values = correction_vector(support, contexts[ref["matching"]], odd_mask(support, tree))[0]
         exact = [Fraction(x, 12) for x in values]
         result = check_feasible(support, tree, exact, floor=Fraction(1, 6))
         assert out.feasible == (result.feasible and result.floor_ok)
@@ -450,7 +511,9 @@ def test_verdict_memo_keeps_every_sample(family, size):
     per sample."""
     inst = generate_instance(family, size)
     kept, entries = memo_samples(inst, range(200), shared=True)
-    assert kept == memo_samples(inst, range(200), shared=False)[0]
+    fresh = memo_samples(inst, range(200), shared=False)[0]
+    assert kept == fresh
+    assert [out.tour_cost for out in kept] == [out.tour_cost for out in fresh]
     assert 0 < entries <= 200
 
 
@@ -460,7 +523,9 @@ def test_a_full_verdict_memo_still_checks_every_vector(monkeypatch):
     monkeypatch.setattr(hitsp.ojoin, "VERDICT_MEMO_CAP", 5)
     inst = generate_instance("random_half_integral", 18)
     kept, entries = memo_samples(inst, range(60), shared=True)
-    assert kept == memo_samples(inst, range(60), shared=False)[0]
+    fresh = memo_samples(inst, range(60), shared=False)[0]
+    assert kept == fresh
+    assert [out.tour_cost for out in kept] == [out.tour_cost for out in fresh]
     assert entries == 5
 
 
@@ -533,10 +598,12 @@ def test_correction_vector_equals_the_degree_counting_reference(family, size):
     reduced_any = 0
     for seed in range(200):
         out = sample_degree_cut(inst, dec, contexts, sample_rng(seed, 0), joins, support, metric)
-        context = contexts[out.matching]
+        ref = reference_degree_cut_sample(inst, dec, contexts, sample_rng(seed, 0), joins, support, metric)
+        context = contexts[ref["matching"]]
         reference = reference_correction_vector(inst, context, out.tree_edges)
         assert correction_vector(support, context, odd_mask(support, out.tree_edges)) == reference
-        assert out.reduced_normal == tuple(reference[1])
+        assert out.tree_edges == ref["tree_edges"]
+        assert out.reduced_count == len(reference[1])
         assert out.vector_total == Fraction(sum(reference[0]), 12)
         reduced_any += bool(reference[1])
     assert reduced_any > 0 or not any(c.normal_edges for c in contexts.values())
