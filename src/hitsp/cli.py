@@ -17,7 +17,6 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
-from math import sqrt
 
 from . import __version__
 from ._util import ResourceCapError, canonical_json, format_rational, parse_rational
@@ -43,6 +42,7 @@ from .ojoin import (
     run_sample,
     sample_records,
     sample_seed,
+    sample_statistics,
 )
 from .oracle import (
     # perfbench/workloads.py reads the two bounds from here.
@@ -180,11 +180,12 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _write_csv(path: str, rows: list[tuple[str, object]]) -> None:
+def _write_csv(path: str, results: dict) -> None:
+    """One ``metric,value`` row per scalar in a report's ``results``."""
     with _open_output(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["metric", "value"])
-        writer.writerows(rows)
+        writer.writerows((k, v) for k, v in results.items() if not isinstance(v, (dict, list)))
 
 
 def _side_key(side: frozenset) -> str:
@@ -293,36 +294,30 @@ def cmd_run(args: argparse.Namespace) -> int:
             chunk_results = list(pool.map(_run_chunk, tasks))
 
     records = [rec for chunk in chunk_results for rec in chunk]
+    tree, join, tour, vector, reduced, join_exact, feasible, loads = zip(*records)
     exact = args.mode == "rational"
-    cost_scale, vector_scale = prepared.cost_scale, prepared.scale
-    # x / y on integers is correctly rounded, so each float below equals
-    # float() of the exact Fraction.
-    lp_num, lp_den = lp.numerator * cost_scale, lp.denominator
+    cost_unit, vector_unit = Fraction(1, prepared.cost_scale), Fraction(1, prepared.scale)
+    ratio_unit = cost_unit / lp
 
-    def agg(numerators: list[int], scale: int) -> object:
-        if exact:
-            return format_rational(Fraction(sum(numerators), scale * len(numerators)))
-        return float(sum(x / scale for x in numerators) / len(numerators))
+    def written(mean: Fraction) -> object:
+        return format_rational(mean) if exact else float(mean)
 
-    ratios = [(rec[0] + rec[1]) * lp_den / lp_num for rec in records]
-    mean_ratio = sum(ratios) / len(ratios)
-    if len(ratios) > 1:
-        var = sum((r - mean_ratio) ** 2 for r in ratios) / (len(ratios) - 1)
-        std = sqrt(var)
-    else:
-        std = 0.0
-    sigma_mean = std / sqrt(len(ratios))
+    def agg(numerators: tuple[int, ...], unit: Fraction) -> object:
+        return written(sample_statistics(numerators, unit)[0])
 
-    per_cut = {}
-    for side, total in zip(prepared.cut_sides, map(sum, zip(*(rec[7] for rec in records)))):
-        mean = Fraction(total, vector_scale * samples)
-        per_cut[_side_key(side)] = format_rational(mean) if exact else float(mean)
+    ratio_mean, ratio_std, ratio_ci3 = sample_statistics([t + j for t, j in zip(tree, join)], ratio_unit)
+    # A cut's load reports only its mean: one exact sum, with none of
+    # sample_statistics' squares (up to 198 cuts on the chain corpus).
+    per_cut = {
+        _side_key(side): written(total * vector_unit / samples)
+        for side, total in zip(prepared.cut_sides, map(sum, zip(*loads)))
+    }
 
     seeds = [
         sample_seed(args.seed, i).generate_state(2).tolist()
         for i in range(min(samples, 100))
     ]
-    feasible_known = [rec[6] for rec in records if rec[6] is not None]
+    feasible_known = [f for f in feasible if f is not None]
     report = {
         "command": "run",
         "version": __version__,
@@ -348,25 +343,16 @@ def cmd_run(args: argparse.Namespace) -> int:
         },
         "results": {
             "samples": samples,
-            "mean_tree_cost": agg([rec[0] for rec in records], cost_scale),
-            "mean_join_cost": agg([rec[1] for rec in records], cost_scale),
-            "mean_tour_cost": agg([rec[2] for rec in records], cost_scale),
-            "mean_vector_total": agg([rec[3] for rec in records], vector_scale),
-            "mean_reduced_count": float(
-                sum(rec[4] for rec in records) / len(records)
-            ),
-            "join_exact_fraction": float(
-                sum(1 for rec in records if rec[5]) / len(records)
-            ),
-            "combined_ratio_mean": mean_ratio,
-            "combined_ratio_std": std,
-            "combined_ratio_ci3": [
-                mean_ratio - 3 * sigma_mean,
-                mean_ratio + 3 * sigma_mean,
-            ],
-            "mean_tour_ratio": float(
-                sum(rec[2] * lp_den / lp_num for rec in records) / len(records)
-            ),
+            "mean_tree_cost": agg(tree, cost_unit),
+            "mean_join_cost": agg(join, cost_unit),
+            "mean_tour_cost": agg(tour, cost_unit),
+            "mean_vector_total": agg(vector, vector_unit),
+            "mean_reduced_count": sum(reduced) / samples,
+            "join_exact_fraction": sum(join_exact) / samples,
+            "combined_ratio_mean": float(ratio_mean),
+            "combined_ratio_std": ratio_std,
+            "combined_ratio_ci3": ratio_ci3,
+            "mean_tour_ratio": float(sample_statistics(tour, ratio_unit)[0]),
             "per_cut_mean_load": per_cut,
             "feasible_checked": len(feasible_known),
             "feasible_failures": sum(1 for f in feasible_known if not f),
@@ -375,8 +361,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     text = canonical_json(report)
     _emit(text, args.out)
     if args.csv:
-        flat = [(k, v) for k, v in report["results"].items() if not isinstance(v, (dict, list))]
-        _write_csv(args.csv, flat)
+        _write_csv(args.csv, report["results"])
     return EXIT_OK
 
 
@@ -470,10 +455,7 @@ def cmd_degreecut(args: argparse.Namespace) -> int:
     }
     _emit(canonical_json(payload), args.out)
     if args.csv:
-        results = report["results"]
-        names = ("mean_tour_ratio", "tour_ratio_std", "mean_vector_total", "normal_even_rate",
-                 "feasible_failures")
-        _write_csv(args.csv, [(name, results[name]) for name in names])
+        _write_csv(args.csv, report["results"])
     return EXIT_OK
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm, sqrt
+from math import lcm
 from typing import Sequence
 
 import numpy as np
@@ -44,6 +44,7 @@ from .ojoin import (
     odd_mask,
     parity_laws,
     sample_records,
+    sample_statistics,
 )
 
 
@@ -574,6 +575,8 @@ def run_degree_cut(
     through ``ojoin.sample_records``.  Returns the ``degreecut`` report's
     instance, decomposition, expected and results parts, exact values as
     ``Fraction``s."""
+    if samples < 1:
+        raise ValueError(f"samples must be positive, got {samples}")
     require_degree_cut(instance)
     decomposition = decompose_matching(instance)
     contexts = build_matching_contexts(instance, [m for _, m in decomposition.weights])
@@ -583,9 +586,7 @@ def run_degree_cut(
 
     expected_edges = expected_edge_values(instance, decomposition)
     expected_tree = sum((e.cost * z for e, z in zip(instance.edges, expected_edges)), Fraction(0))
-    edge_value = expected_edges[0]
-    if any(v != edge_value for v in expected_edges):
-        edge_value = Fraction(sum(expected_edges, Fraction(0)), len(expected_edges))
+    edge_value = next((v for v in expected_edges if v != HALF), HALF)
     per_vertex_max = max(expected_vertex_values(instance, decomposition, contexts))
     records = sample_records(
         lambda rng: sample_degree_cut(
@@ -594,26 +595,21 @@ def run_degree_cut(
         seed, range(samples),
         ("tour_numerator", "vector_numerator", "reduced_count", "normal_count", "feasible"),
     )
+    tour, vector, reduced, normal, feasible = zip(*records)
     lp = instance.lp_cost()
-    # x / y on integers is correctly rounded, so each float below equals
-    # float() of the exact Fraction.
-    lp_num, lp_den = lp.numerator * joins.scale, lp.denominator
-    ratios = [tour * lp_den / lp_num for tour, *_ in records]
-    mean_ratio = float(np.mean(ratios)) if ratios else 0.0
-    ratio_std = float(np.std(ratios, ddof=1)) if len(ratios) > 1 else 0.0
-    sigma_mean = ratio_std / sqrt(samples) if samples > 1 else 0.0
-    normal_draws = sum(rec[3] for rec in records)
+    mean_ratio, ratio_std, ratio_ci3 = sample_statistics(tour, Fraction(1, joins.scale) / lp)
+    normal_draws = sum(normal)
     return {
         "instance": {"name": instance.name, "n": instance.n, "lp_cost": lp},
         "decomposition": {"method": decomposition.method, "matchings": len(decomposition.weights)},
         "expected": {"edge_value": edge_value, "tree_cost": expected_tree, "per_vertex_max": per_vertex_max},
         "results": {
             "samples": samples,
-            "mean_tour_ratio": mean_ratio,
+            "mean_tour_ratio": float(mean_ratio),
             "tour_ratio_std": ratio_std,
-            "tour_ratio_ci3": [mean_ratio - 3 * sigma_mean, mean_ratio + 3 * sigma_mean],
-            "mean_vector_total": float(np.mean([rec[1] / 12 for rec in records])) if records else 0.0,
-            "normal_even_rate": sum(rec[2] for rec in records) / normal_draws if normal_draws else None,
-            "feasible_failures": sum(1 for rec in records if rec[4] is False),
+            "tour_ratio_ci3": ratio_ci3,
+            "mean_vector_total": float(sample_statistics(vector, Fraction(1, 12))[0]),
+            "normal_even_rate": sum(reduced) / normal_draws if normal_draws else None,
+            "feasible_failures": sum(1 for f in feasible if f is False),
         },
     }

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import inf, lcm, nextafter, prod
+from math import inf, lcm, nextafter, prod, sqrt
 from operator import attrgetter
 from typing import Callable, Iterable, Sequence
 
@@ -978,6 +978,23 @@ def sample_records(
     tuple of its outcome's ``fields``."""
     record = attrgetter(*fields)
     return [record(draw(sample_rng(seed, idx))) for idx in indices]
+
+
+def sample_statistics(numerators: Sequence[int], unit: Fraction) -> tuple[Fraction, float, list[float]]:
+    """The samples' values are ``x * unit`` over their integer numerators
+    ``x``.  Returns their exact mean, their sample standard deviation (n - 1
+    degrees of freedom, 0.0 for one sample) and the interval mean ± 3σ/√n.
+    σ is the square root of the exact variance, which is rounded once to a
+    float, so no float here depends on the order of the samples."""
+    n = len(numerators)
+    total = sum(numerators)
+    mean = Fraction(total, n) * unit
+    std = 0.0
+    if n > 1:
+        squares = sum(x * x for x in numerators)
+        std = sqrt(Fraction(n * squares - total * total, n * (n - 1)) * unit * unit)
+    half = 3 * (std / sqrt(n))
+    return mean, std, [float(mean) - half, float(mean) + half]
 
 
 def sample_seed(seed: int, index: int) -> np.random.SeedSequence:

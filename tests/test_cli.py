@@ -10,6 +10,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from test_ojoin import reference_statistics
 
 import hitsp
 import hitsp.cuts
@@ -479,6 +480,22 @@ def test_degreecut_report_and_rejection(tmp_path, capsys):
     assert "not a degree-cut instance" in capsys.readouterr().err
 
 
+def test_degreecut_csv_holds_every_scalar_result(tmp_path):
+    out, csv_path = tmp_path / "dc.json", tmp_path / "dc.csv"
+    assert main(["degreecut", "--gen", "k5_degree:5", "--samples", "30", "--seed", "4",
+                 "--check-vectors", "--out", str(out), "--csv", str(csv_path)]) == 0
+    results = read_json(str(out))["results"]
+    lines = csv_path.read_text().splitlines()
+    assert lines[0] == "metric,value"
+    rows = [line.split(",") for line in lines[1:]]
+    scalars = {k: v for k, v in results.items() if not isinstance(v, list)}
+    assert sorted(name for name, _ in rows) == sorted(scalars) and "samples" in scalars
+    for name, text in rows:
+        value = scalars[name]
+        assert text == ("" if value is None else str(value)), name
+        assert value is None or type(value)(text) == value, name
+
+
 def test_degreecut_refuses_too_many_matchings(capsys):
     """random_half_integral:25 has 12,034 maximum matchings, past the cap."""
     start = time.perf_counter()
@@ -560,16 +577,17 @@ def test_run_aggregates_equal_the_fraction_arithmetic(tmp_path, mode):
     outs = [run_sample(prepared, sample_rng(9, i), joins) for i in range(40)]
 
     def agg(values):
-        if mode == "rational":
-            return format_rational(sum(values, Fraction(0)) / len(values))
-        return float(sum(float(v) for v in values) / len(values))
+        mean = sum(values, Fraction(0)) / len(values)
+        return format_rational(mean) if mode == "rational" else float(mean)
 
     for field, name in (("tree_cost", "mean_tree_cost"), ("join_cost", "mean_join_cost"),
                         ("tour_cost", "mean_tour_cost"), ("vector_total", "mean_vector_total")):
         assert results[name] == agg([getattr(o, field) for o in outs]), name
-    ratios = [float((o.tree_cost + o.join_cost) / lp) for o in outs]
-    assert results["combined_ratio_mean"] == sum(ratios) / len(ratios)
-    assert results["mean_tour_ratio"] == float(sum(float(o.tour_cost / lp) for o in outs) / 40)
+    mean, std, ci3 = reference_statistics([(o.tree_cost + o.join_cost) / lp for o in outs])
+    assert (results["combined_ratio_mean"], results["combined_ratio_std"], results["combined_ratio_ci3"]) == (
+        mean, std, ci3
+    )
+    assert results["mean_tour_ratio"] == reference_statistics([o.tour_cost / lp for o in outs])[0]
     for side in prepared.cut_sides:
         mean = sum((o.cut_loads[side] for o in outs), Fraction(0)) / 40
         key = ",".join(str(v) for v in sorted(side))

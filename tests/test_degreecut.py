@@ -7,8 +7,10 @@ from itertools import combinations
 import numpy as np
 import pytest
 from test_maxent import counted_kernels
+from test_ojoin import reference_statistics
 from test_simplex import reference_solve_equalities_nonneg
 
+import hitsp.degreecut
 import hitsp.ojoin
 from hitsp.degreecut import (
     DegreeCutError,
@@ -249,14 +251,15 @@ def test_run_degree_cut_equals_its_per_sample_outcomes(size):
         )
         ref = reference_degree_cut_sample(inst, dec, contexts, sample_rng(seed, i), joins, support, metric)
         assert out.tree_edges == ref["tree_edges"]
-        ratios.append(float(ref["tour_cost"] / lp))
-        totals.append(float(out.vector_total))
+        ratios.append(ref["tour_cost"] / lp)
+        totals.append(out.vector_total)
         hits += len(ref["reduced_normal"])
         draws += len(contexts[ref["matching"]].normal_edges)
         failures += out.feasible is False
     results = report["results"]
-    assert results["mean_tour_ratio"] == float(np.mean(ratios))
-    assert results["mean_vector_total"] == float(np.mean(totals))
+    mean, std, ci3 = reference_statistics(ratios)
+    assert (results["mean_tour_ratio"], results["tour_ratio_std"], results["tour_ratio_ci3"]) == (mean, std, ci3)
+    assert results["mean_vector_total"] == reference_statistics(totals)[0]
     assert results["normal_even_rate"] == (hits / draws if draws else None)
     assert results["feasible_failures"] == failures
 
@@ -264,6 +267,34 @@ def test_run_degree_cut_equals_its_per_sample_outcomes(size):
 def test_run_degree_cut_rejects_bad_instances():
     with pytest.raises(DegreeCutError):
         run_degree_cut(GADGET_BUILDERS["four_blob"](), samples=5, seed=0)
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_run_degree_cut_rejects_no_samples(samples, monkeypatch):
+    """No samples is refused before any set-up, not reported as zeros."""
+    def no_setup(*args):
+        raise AssertionError("set-up ran")
+
+    for name in ("require_degree_cut", "decompose_matching"):
+        monkeypatch.setattr(hitsp.degreecut, name, no_setup)
+    with pytest.raises(ValueError, match="samples must be positive"):
+        run_degree_cut(generate_instance("k5_degree", 5), samples=samples, seed=0)
+
+
+def test_reported_edge_value_is_the_first_off_half_value(monkeypatch):
+    """The report names the first expected edge value that is not 1/2, as
+    the z-expected-half row does, not a mean that can read 1/2 when single
+    edges do not."""
+    inst = generate_instance("k5_degree", 5)
+    real = hitsp.degreecut.expected_edge_values
+    assert set(real(inst, decompose_matching(inst))) == {HALF}
+    off = [HALF, Fraction(1, 3), Fraction(2, 3)]
+    monkeypatch.setattr(
+        hitsp.degreecut, "expected_edge_values", lambda *args: off + real(*args)[len(off):]
+    )
+    assert sum(off, Fraction(0)) / len(off) == HALF
+    report = run_degree_cut(inst, samples=1, seed=0)
+    assert report["expected"]["edge_value"] == Fraction(1, 3)
 
 
 def test_degree_cut_samples_use_the_shared_seeding_scheme():

@@ -4,6 +4,7 @@ import hashlib
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
+from math import sqrt
 
 import numpy as np
 import pytest
@@ -48,6 +49,7 @@ from hitsp.ojoin import (
     run_sample,
     sample_hierarchical_tree,
     sample_rng,
+    sample_statistics,
     tree_cost,
     unit_key_for_edge,
 )
@@ -720,6 +722,31 @@ def test_sample_rng_is_index_keyed():
     c = sample_rng(13, 3).random(4)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def reference_statistics(values):
+    """The mean, σ (n - 1 degrees of freedom) and mean ± 3σ/√n of exact
+    ``Fraction`` values: the mean and the variance are exact, each rounded
+    once to a float."""
+    n = len(values)
+    mean = sum(values, Fraction(0)) / n
+    std = sqrt(float(sum(((v - mean) ** 2 for v in values), Fraction(0)) / (n - 1))) if n > 1 else 0.0
+    half = 3 * (std / sqrt(n))
+    return float(mean), std, [float(mean) - half, float(mean) + half]
+
+
+def test_sample_statistics_are_rounded_from_exact_values():
+    unit = Fraction(2, 7)
+    numerators = [(i * 7919) % 103 - 40 for i in range(57)]
+    mean, std, ci3 = sample_statistics(numerators, unit)
+    assert mean == Fraction(sum(numerators), 57) * unit
+    assert (float(mean), std, ci3) == reference_statistics([x * unit for x in numerators])
+    # No float depends on the order the samples were summed in.
+    shuffled = numerators[::-1][1::2] + numerators[::-1][::2]
+    assert sorted(shuffled) == sorted(numerators)
+    assert sample_statistics(shuffled, unit) == (mean, std, ci3)
+    # One sample: σ is 0 and the interval is the mean.
+    assert sample_statistics([5], unit) == (Fraction(10, 7), 0.0, [10 / 7, 10 / 7])
 
 
 def test_run_sample_populates_cut_loads(chain2):
