@@ -1,4 +1,4 @@
-"""Shared low-level helpers: exact rationals, canonical JSON, small graph routines.
+"""Shared low-level helpers: exact rationals, canonical JSON and resource caps.
 
 Everything here is deliberately dependency-light.  Numeric quantities that feed
 verification paths are kept as :class:`fractions.Fraction` so that downstream
@@ -12,7 +12,7 @@ import json
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator
 
 
 class ResourceCapError(RuntimeError):
@@ -75,51 +75,3 @@ def canonical_json(payload: object) -> str:
     values as ``format_rational`` renders them."""
     with _unlimited_int_digits():
         return json.dumps(payload, sort_keys=True, indent=2, default=format_rational) + "\n"
-
-
-def euler_circuit(n: int, edges: Sequence[tuple[int, int]]) -> list[int]:
-    """Vertex sequence of an Euler circuit of a connected even-degree multigraph.
-
-    Returns a closed walk (first vertex repeated at the end) using every edge
-    exactly once.  Raises ValueError if no circuit exists.
-    """
-    if not edges:
-        raise ValueError("no edges")
-    adjacency: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for idx, (u, v) in enumerate(edges):
-        adjacency[u].append((v, idx))
-        adjacency[v].append((u, idx))
-    if any(len(inc) % 2 for inc in adjacency):
-        raise ValueError("odd-degree vertex: no Euler circuit")
-    used = [False] * len(edges)
-    cursor = [0] * n
-    start = edges[0][0]
-    stack = [start]
-    walk: list[int] = []
-    while stack:
-        u = stack[-1]
-        advanced = False
-        while cursor[u] < len(adjacency[u]):
-            v, idx = adjacency[u][cursor[u]]
-            cursor[u] += 1
-            if not used[idx]:
-                used[idx] = True
-                stack.append(v)
-                advanced = True
-                break
-        if not advanced:
-            walk.append(stack.pop())
-    if not all(used):
-        raise ValueError("graph is not connected on its edge set")
-    return walk[::-1]
-
-
-def shortcut_order(walk: Sequence[int]) -> list[int]:
-    """First-visit order of a closed walk (the classic shortcutting step)."""
-    seen: set[int] = set()
-    order: list[int] = []
-    for v in walk:
-        if v not in seen:
-            seen.add(v)
-            order.append(v)
-    return order

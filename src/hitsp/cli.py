@@ -38,11 +38,12 @@ from .ojoin import (
     ChargingParams,
     JoinCalculator,
     PlanError,
+    SEED_SCHEME,
     prepare_instance,
     run_sample,
     sample_records,
-    sample_seed,
     sample_statistics,
+    seed_words,
 )
 from .oracle import (
     # perfbench/workloads.py reads the two bounds from here.
@@ -138,10 +139,7 @@ def charging_params(args: argparse.Namespace) -> ChargingParams:
 
 
 def _config_dict(args: argparse.Namespace, fields: tuple[str, ...]) -> dict:
-    out: dict[str, object] = {"subcommand": args.command}
-    for field in fields:
-        out[field] = getattr(args, field, None)
-    return out
+    return {"subcommand": args.command, **{field: getattr(args, field, None) for field in fields}}
 
 
 def _open_output(path: str, newline: str | None = None):
@@ -239,17 +237,10 @@ _WORKER_STATE: dict = {}
 
 
 def _chunk_ranges(samples: int, jobs: int) -> list[tuple[int, int]]:
-    """Contiguous sample ranges, one per worker; never more workers than
-    samples or than the machine has CPUs."""
+    """Contiguous sample ranges, one per worker, with no more workers than samples or CPUs."""
     jobs = max(1, min(jobs, samples, os.cpu_count() or 1))
-    base, extra = divmod(samples, jobs)
-    ranges = []
-    start = 0
-    for i in range(jobs):
-        size = base + (1 if i < extra else 0)
-        ranges.append((start, start + size))
-        start += size
-    return ranges
+    base, extra = divmod(samples, jobs)  # the first ``extra`` ranges take one more
+    return [(i * base + min(i, extra), (i + 1) * base + min(i + 1, extra)) for i in range(jobs)]
 
 
 def _init_worker(prepared) -> None:
@@ -286,11 +277,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         chunk_results = [_run_chunk(tasks[0])]
         _WORKER_STATE.clear()
     else:
-        with ProcessPoolExecutor(
-            max_workers=len(chunks),
-            initializer=_init_worker,
-            initargs=(prepared,),
-        ) as pool:
+        with ProcessPoolExecutor(len(chunks), initializer=_init_worker, initargs=(prepared,)) as pool:
             chunk_results = list(pool.map(_run_chunk, tasks))
 
     records = [rec for chunk in chunk_results for rec in chunk]
@@ -313,10 +300,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         for side, total in zip(prepared.cut_sides, map(sum, zip(*loads)))
     }
 
-    seeds = [
-        sample_seed(args.seed, i).generate_state(2).tolist()
-        for i in range(min(samples, 100))
-    ]
     feasible_known = [f for f in feasible if f is not None]
     report = {
         "command": "run",
@@ -337,9 +320,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         },
         "seeds": {
             "root": args.seed,
-            "scheme": "SeedSequence(root, spawn_key=(sample_index,))",
+            "scheme": SEED_SCHEME,
             "chunks": [list(c) for c in chunks],
-            "sample_states": seeds,
+            "sample_states": seed_words(args.seed, 0, min(samples, 100))[:, :2].tolist(),
         },
         "results": {
             "samples": samples,

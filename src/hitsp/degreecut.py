@@ -51,6 +51,7 @@ from .ojoin import (
 # The decomposition solves one system over every maximum matching; past this
 # many the instance is refused (ResourceCapError) instead of run for minutes.
 MATCHING_CAP = 10_000
+VECTOR_SCALE = 12  # every correction-vector value is a whole number of twelfths
 
 
 class DegreeCutError(ValueError):
@@ -496,7 +497,7 @@ def expected_edge_vector(
     instance: HalfIntegralInstance, context: MatchingContext
 ) -> list[Fraction]:
     """E[y_e] for one matching: base values minus the reduction mass."""
-    values = [Fraction(x, 12) for x in context.base]
+    values = [Fraction(x, VECTOR_SCALE) for x in context.base]
     normal = context.normal_edges
     for e, even in zip(normal, normal_even_probabilities(instance, context, normal)):
         values[e] -= Fraction(1, 3) * even
@@ -557,7 +558,7 @@ def sample_degree_cut(
     odd = odd_mask(support, tree)
     values, reduced = correction_vector(support, context, odd)
     out = finish_sample(
-        joins, support, instance.cost_numerators[1], tree, odd, (values, 12, 2), check_vector,
+        joins, support, instance.cost_numerators[1], tree, odd, (values, VECTOR_SCALE, 2), check_vector,
         reduced_count=len(reduced),
         normal_count=len(context.normal_edges),
     )
@@ -608,7 +609,7 @@ def run_degree_cut(
             "mean_tour_ratio": float(mean_ratio),
             "tour_ratio_std": ratio_std,
             "tour_ratio_ci3": ratio_ci3,
-            "mean_vector_total": float(sample_statistics(vector, Fraction(1, 12))[0]),
+            "mean_vector_total": float(sample_statistics(vector, Fraction(1, VECTOR_SCALE))[0]),
             "normal_even_rate": sum(reduced) / normal_draws if normal_draws else None,
             "feasible_failures": sum(1 for f in feasible if f is False),
         },

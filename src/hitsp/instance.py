@@ -151,6 +151,11 @@ class SupportGraph:
         edges has bit ``v`` set exactly when vertex ``v`` has odd degree."""
         return tuple((1 << e.u) ^ (1 << e.v) for e in self.edges)
 
+    @cached_property
+    def arcs(self) -> tuple[tuple[tuple[int, tuple[int, int]], ...], ...]:
+        """Per edge ``e``, the tour walk's entry at each end: ``(u, (v, e)), (v, (u, e))``."""
+        return tuple(((e.u, (e.v, i)), (e.v, (e.u, i))) for i, e in enumerate(self.edges))
+
 
 @dataclass(frozen=True)
 class Metric:

@@ -20,12 +20,11 @@ from fractions import Fraction
 from functools import lru_cache
 from math import inf, lcm, nextafter, prod, sqrt
 from operator import attrgetter
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from ._flow import members, min_odd_cut
-from ._util import euler_circuit, shortcut_order
 from .cuts import CutHierarchy, InternalHierarchyError, build_hierarchy, level_tree_problem
 from .instance import (
     HalfIntegralInstance,
@@ -797,43 +796,57 @@ class JoinCalculator:
         return tuple(pairs)
 
 
-def tree_cost(
-    instance: HalfIntegralInstance, support: SupportGraph, tree_edges: Iterable[int]
-) -> Fraction:
+def tree_cost(instance: HalfIntegralInstance, support: SupportGraph, tree_edges: Iterable[int]) -> Fraction:
     """Cost of a connector; each support copy pays its instance edge's cost."""
-    return sum(
-        (instance.edges[support.edges[e].instance_edge].cost for e in tree_edges),
-        Fraction(0),
-    )
+    return sum((instance.edges[support.edges[e].instance_edge].cost for e in tree_edges), Fraction(0))
 
 
 def tour_order(
-    support: SupportGraph,
-    tree_edges: Sequence[int],
-    matching_pairs: Sequence[tuple[int, int]],
+    support: SupportGraph, tree_edges: Sequence[int], matching_pairs: Sequence[tuple[int, int]]
 ) -> list[int]:
-    """Shortcut order of an Euler circuit of the connector plus the matching."""
-    multi = [support.endpoints(e) for e in tree_edges]
-    multi.extend(matching_pairs)
-    return shortcut_order(euler_circuit(support.n, multi))
+    """First-visit order of an Euler circuit of the connector (distinct
+    support edges) plus the matching: Hierholzer's walk from the first
+    edge's first endpoint, each vertex leaving by its first unused edge,
+    tree edges in the given order before the pairs.  Raises ValueError
+    without edges, at an odd degree, or when the edges are not connected."""
+    if not tree_edges and not matching_pairs:
+        raise ValueError("no edges")
+    arcs, pair_id = support.arcs, len(support.edges)
+    adjacency: list[list] = [[] for _ in range(support.n)]  # (neighbour, edge id), last edge first
+    for j in range(len(matching_pairs) - 1, -1, -1):
+        u, v = matching_pairs[j]
+        adjacency[v].append((u, pair_id + j))
+        adjacency[u].append((v, pair_id + j))
+    for e in reversed(tree_edges):
+        (u, forward), (v, back) = arcs[e]
+        adjacency[v].append(back)
+        adjacency[u].append(forward)
+    for entries in adjacency:
+        if len(entries) & 1:
+            raise ValueError("odd-degree vertex: no Euler circuit")
+    used = bytearray(pair_id + len(matching_pairs))
+    stack, walk = [arcs[tree_edges[0]][0][0] if tree_edges else matching_pairs[0][0]], []
+    while stack:
+        entries = adjacency[stack[-1]]
+        while entries:
+            v, idx = entries.pop()
+            if not used[idx]:
+                used[idx] = 1
+                stack.append(v)
+                break
+        else:
+            walk.append(stack.pop())
+    if len(walk) != len(tree_edges) + len(matching_pairs) + 1:
+        raise ValueError("graph is not connected on its edge set")
+    return list(dict.fromkeys(reversed(walk)))
 
 
 def build_tour(
-    support: SupportGraph,
-    tree_edges: Sequence[int],
-    matching_pairs: Sequence[tuple[int, int]],
-    metric: Metric,
+    support: SupportGraph, tree_edges: Sequence[int], matching_pairs: Sequence[tuple[int, int]], metric: Metric
 ) -> tuple[list[int], Fraction]:
-    """Close the connector + matching into a tour by shortcutting a closed walk.
-
-    Returns the visiting order over all vertices and its exact metric cost.
-    """
+    """The connector + matching shortcut into a tour: its order and exact metric cost."""
     order = tour_order(support, tree_edges, matching_pairs)
-    cost = sum(
-        (metric.dist[u][v] for u, v in zip(order, (*order[1:], *order[:1]))),
-        Fraction(0),
-    )
-    return (order, cost)
+    return order, sum((metric.dist[u][v] for u, v in zip(order, order[1:] + order[:1])), Fraction(0))
 
 
 @dataclass
@@ -974,10 +987,11 @@ def sample_records(
     fields: Sequence[str],
 ) -> list[tuple]:
     """The one sample loop of ``run``, ``degreecut`` and the sampled rows:
-    sample ``i`` of ``indices`` is ``draw(sample_rng(seed, i))``, kept as the
-    tuple of its outcome's ``fields``."""
+    sample ``i`` of ``indices`` is ``draw(rng)``, ``rng`` on the stream of
+    ``sample_rng(seed, i)``, kept as the tuple of its outcome's ``fields``.
+    One generator serves every sample, so a draw must not keep it."""
     record = attrgetter(*fields)
-    return [record(draw(sample_rng(seed, idx))) for idx in indices]
+    return [record(draw(rng)) for rng in _streams(seed, indices)]
 
 
 def sample_statistics(numerators: Sequence[int], unit: Fraction) -> tuple[Fraction, float, list[float]]:
@@ -997,11 +1011,85 @@ def sample_statistics(numerators: Sequence[int], unit: Fraction) -> tuple[Fracti
     return mean, std, [float(mean) - half, float(mean) + half]
 
 
-def sample_seed(seed: int, index: int) -> np.random.SeedSequence:
-    """Sample ``index``'s seed: child ``index`` of the root seed."""
-    return np.random.SeedSequence(seed, spawn_key=(index,))
+# Seeding.  Sample i of root seed s draws from default_rng(SeedSequence(s, spawn_key=(i,)))'s
+# stream, whose PCG64 state is computed here: SeedSequence's hash on uint32 columns.
+SEED_SCHEME = "SeedSequence(root, spawn_key=(sample_index,))"
+SEED_BLOCK = 256  # samples hashed at once; the last two blocks stay cached
+_M32, _M128, _PCG_MULT = 0xFFFF_FFFF, (1 << 128) - 1, 0x2360ED051FC65DA44385DF649FCCF645
+_POOL_HASH, _STATE_HASH, _MIX = (0x43B0D7E5, 0x931E8875), (0x8B51F9DD, 0x58F38DED), (0xCA01F9DD, 0x4973F715)
+
+
+def _words(value: int) -> list[int]:
+    """A non-negative int's little-endian 32-bit words, at least one."""
+    if value < 0:
+        raise ValueError(f"expected non-negative integer, got {value}")
+    return [value >> k & _M32 for k in range(0, max(value.bit_length(), 1), 32)]
+
+
+def _constants(const: int, mult: int) -> Iterator[tuple[int, int]]:
+    """A SeedSequence hash's constants in turn: each step's and the next."""
+    while True:
+        yield const, (const := const * mult & _M32)
+
+
+def _hash(value, constants: Iterator[tuple[int, int]]):
+    """SeedSequence's hash step on an int or a uint32 column."""
+    const, const_next = next(constants)
+    value = (value ^ const) * const_next & _M32
+    return value ^ value >> 16
+
+
+def _mix_into(pool: list, dst: int, word, constants: Iterator[tuple[int, int]]) -> None:
+    """SeedSequence's mix of the hashed ``word`` into ``pool[dst]``."""
+    mixed = ((_MIX[0] * pool[dst] & _M32) - (_MIX[1] * _hash(word, constants) & _M32)) & _M32
+    pool[dst] = mixed ^ mixed >> 16
+
+
+def seed_words(seed: int, start: int, stop: int) -> np.ndarray:
+    """``SeedSequence(seed, spawn_key=(i,)).generate_state(8)`` for each
+    ``i`` in ``[start, stop)``, one uint32 row each.  The run words are
+    zero-padded to the pool of four (a spawn key follows); a key's words past
+    the first are fixed up to each multiple of 2**32, where a range splits."""
+    end = min(stop, ((start >> 32) + 1) << 32)
+    if end < stop:
+        return np.concatenate([seed_words(seed, start, end), seed_words(seed, end, stop)])
+    run, key = _words(seed), _words(start)
+    run += [0] * (4 - len(run))
+    key[0] = np.arange(key[0], key[0] + stop - start, dtype=np.uint32)
+    constants = _constants(*_POOL_HASH)
+    pool = [_hash(word, constants) for word in run[:4]]
+    for src, dst in [(src, dst) for src in range(4) for dst in range(4) if src != dst]:
+        _mix_into(pool, dst, pool[src], constants)
+    for word, dst in [(word, dst) for word in run[4:] + key for dst in range(4)]:
+        _mix_into(pool, dst, word, constants)
+    constants = _constants(*_STATE_HASH)
+    return np.array([_hash(pool[j % 4], constants) for j in range(8)], dtype=np.uint32).T
+
+
+@lru_cache(maxsize=2)
+def _block_states(seed: int, block: int) -> list[tuple[int, int]]:
+    """PCG64's (state, inc) for each sample from ``block * SEED_BLOCK`` on.
+    It reads the words as 64-bit little-endian a, b, c, d: seed s = a·2^64 + b
+    and sequence q = c·2^64 + d; inc = 2q + 1, and the state steps twice
+    from 0, adding s between the steps."""
+    words = seed_words(seed, block * SEED_BLOCK, (block + 1) * SEED_BLOCK).astype(np.uint64)
+    states = []
+    for a, b, c, d in (words[:, 0::2] | words[:, 1::2] << np.uint64(32)).tolist():
+        inc = (c << 65 | d << 1 | 1) & _M128
+        states.append(((((a << 64 | b) + inc) * _PCG_MULT + inc) & _M128, inc))
+    return states
+
+
+def _streams(seed: int, indices: Iterable[int]) -> Iterator[np.random.Generator]:
+    """One generator, set in turn to the stream of each sample of ``indices``."""
+    rng = np.random.Generator(np.random.PCG64(0))
+    for i in indices:
+        state, inc = _block_states(seed, i // SEED_BLOCK)[i % SEED_BLOCK]
+        rng.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                                   "has_uint32": 0, "uinteger": 0}
+        yield rng
 
 
 def sample_rng(seed: int, index: int) -> np.random.Generator:
-    """The per-sample generator, seeded by :func:`sample_seed`."""
-    return np.random.default_rng(sample_seed(seed, index))
+    """A fresh generator on sample ``index``'s stream."""
+    return next(_streams(seed, range(index, index + 1)))

@@ -28,7 +28,7 @@ from hitsp.degreecut import (
 )
 from hitsp.instance import generate_instance
 from hitsp.maxent import fit_lambda, tree_marginals
-from hitsp.ojoin import JoinCalculator, prepare_instance, run_sample, sample_rng
+from hitsp.ojoin import JoinCalculator, prepare_instance, run_sample, sample_records, sample_rng
 from hitsp.oracle import (
     HOEFFDING_FUNCTIONALS,
     enumerate_spanning_trees,
@@ -94,10 +94,12 @@ def test_criterion_2_tour_ratio_monte_carlo(corpus):
         lp = float(prepared.instance.lp_cost())
         total = 0.0
         total_sq = 0.0
-        for i in range(samples):
-            out = run_sample(prepared, sample_rng(20_000 + idx, i), joins,
-                             build_vector=False)
-            r = float(out.tree_cost + out.join_cost) / lp
+        records = sample_records(
+            lambda rng: run_sample(prepared, rng, joins, build_vector=False),
+            20_000 + idx, range(samples), ("tree_cost", "join_cost"),
+        )
+        for tree_cost, join_cost in records:
+            r = float(tree_cost + join_cost) / lp
             total += r
             total_sq += r * r
         mean = total / samples

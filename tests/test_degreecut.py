@@ -36,7 +36,7 @@ from hitsp.degreecut import (
     tree_target_vector,
 )
 from hitsp.instance import GADGET_BUILDERS, generate_instance, make_instance
-from hitsp.ojoin import odd_mask, sample_rng, sample_seed
+from hitsp.ojoin import odd_mask, sample_rng, seed_words
 from hitsp.oracle import level_outcome_table, subset_joint_distribution
 
 HALF = Fraction(1, 2)
@@ -300,12 +300,12 @@ def test_reported_edge_value_is_the_first_off_half_value(monkeypatch):
 def test_degree_cut_samples_use_the_shared_seeding_scheme():
     # run_degree_cut draws sample i from sample_rng(seed, i); the reports
     # were made with SeedSequence(seed, spawn_key=(i,)) streams, so both must
-    # yield the same numbers, and run records sample_seed's states.
+    # yield the same numbers, and run records seed_words' first two words.
     for seed in (0, 7, 2**40 + 3):
         for i in (0, 1, 999):
             inline = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
             shared = sample_rng(seed, i)
-            assert sample_seed(seed, i).generate_state(2).tolist() == (
+            assert seed_words(seed, i, i + 1)[0, :2].tolist() == (
                 np.random.SeedSequence(seed, spawn_key=(i,)).generate_state(2).tolist()
             )
             assert inline.random(16).tolist() == shared.random(16).tolist()

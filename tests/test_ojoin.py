@@ -5,6 +5,7 @@ from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 from math import sqrt
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -48,8 +49,11 @@ from hitsp.ojoin import (
     resolve_bernoulli_units,
     run_sample,
     sample_hierarchical_tree,
+    sample_records,
     sample_rng,
     sample_statistics,
+    seed_words,
+    tour_order,
     tree_cost,
     unit_key_for_edge,
 )
@@ -705,6 +709,109 @@ def test_build_tour_visits_every_vertex_once(chain2):
     assert cost == direct
 
 
+def euler_circuit(n, edges):
+    """Vertex sequence of an Euler circuit of a connected even-degree
+    multigraph: a closed walk (first vertex repeated at the end) using every
+    edge once, by Hierholzer's algorithm with a cursor per vertex.  The
+    former library routine, kept as the reference for ``tour_order``."""
+    if not edges:
+        raise ValueError("no edges")
+    adjacency = [[] for _ in range(n)]
+    for idx, (u, v) in enumerate(edges):
+        adjacency[u].append((v, idx))
+        adjacency[v].append((u, idx))
+    if any(len(inc) % 2 for inc in adjacency):
+        raise ValueError("odd-degree vertex: no Euler circuit")
+    used = [False] * len(edges)
+    cursor = [0] * n
+    stack = [edges[0][0]]
+    walk = []
+    while stack:
+        u = stack[-1]
+        advanced = False
+        while cursor[u] < len(adjacency[u]):
+            v, idx = adjacency[u][cursor[u]]
+            cursor[u] += 1
+            if not used[idx]:
+                used[idx] = True
+                stack.append(v)
+                advanced = True
+                break
+        if not advanced:
+            walk.append(stack.pop())
+    if not all(used):
+        raise ValueError("graph is not connected on its edge set")
+    return walk[::-1]
+
+
+def shortcut_order(walk):
+    """First-visit order of a closed walk (the classic shortcutting step)."""
+    seen, order = set(), []
+    for v in walk:
+        if v not in seen:
+            seen.add(v)
+            order.append(v)
+    return order
+
+
+def reference_tour_order(support, tree_edges, matching_pairs):
+    multi = [support.endpoints(e) for e in tree_edges]
+    multi.extend(matching_pairs)
+    return shortcut_order(euler_circuit(support.n, multi))
+
+
+def degree_cut_draw(spec):
+    """A degree-cut instance's support and its one-sample draw."""
+    from hitsp.degreecut import build_matching_contexts, decompose_matching, sample_degree_cut
+
+    inst = reference_instance(spec)
+    dec = decompose_matching(inst)
+    contexts = build_matching_contexts(inst, [m for _, m in dec.weights])
+    support, metric = build_support_graph(inst), metric_closure(inst)
+    joins = JoinCalculator(metric)
+    return support, lambda rng: sample_degree_cut(inst, dec, contexts, rng, joins, support, metric)
+
+
+TOUR_SPECS = [label for label, _ in HIERARCHY_CORPUS] + [
+    "random_half_integral:26", *(f"k5_degree:{k}" for k in range(5, 10)), "random_half_integral:18",
+]
+
+
+@pytest.mark.parametrize("spec", TOUR_SPECS)
+def test_tour_order_matches_the_euler_circuit_reference(spec):
+    """300 seeded samples of each pipeline: the same order as the former
+    Euler circuit and shortcut, and the outcome prices that order."""
+    if spec.startswith("k5_degree") or spec == "random_half_integral:18":
+        support, draw = degree_cut_draw(spec)
+    else:
+        prepared = prepare_instance(reference_instance(spec))
+        joins = JoinCalculator(prepared.metric)
+        support = prepared.support
+        draw = lambda rng: run_sample(prepared, rng, joins, build_vector=False)  # noqa: E731
+    records = sample_records(draw, 41, range(300), ("tree_edges", "join_pairs", "tour_numerator", "joins"))
+    for tree, pairs, tour, joins in records:
+        order = tour_order(support, tree, pairs)
+        assert order == reference_tour_order(support, tree, pairs)
+        assert sorted(order) == list(range(support.n)) and tour == joins.cycle_cost(order)
+
+
+def test_tour_order_raises_as_the_reference():
+    """No edges, an odd degree and a disconnected edge set each raise the
+    reference's ValueError."""
+    support = prepare_instance(generate_instance("cycle_chain", 2)).support
+    u, v = support.endpoints(0)
+    others = sorted(set(range(support.n)) - {u, v})[:2]
+    cases = {
+        "no edges": ((), ()),
+        "odd-degree vertex": ((0,), ()),
+        "not connected": ((), ((u, v), (u, v), tuple(others), tuple(others))),
+    }
+    for message, (tree, pairs) in cases.items():
+        for routine in (tour_order, reference_tour_order):
+            with pytest.raises(ValueError, match=message):
+                routine(support, tree, pairs)
+
+
 def test_tree_cost_charges_instance_edges_once(chain2):
     rng = sample_rng(7, 0)
     sample = sample_hierarchical_tree(chain2.plan, rng)
@@ -722,6 +829,61 @@ def test_sample_rng_is_index_keyed():
     c = sample_rng(13, 3).random(4)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+# Every stream a sample may draw from: seeds of one to five 32-bit words, and
+# spawn keys of one and two words, on both sides of 2**32.
+SEED_GRID = (0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 1)
+FAR_INDICES = (2**32 - 1, 2**32, 2**40 + 7)
+CHOICE_P = [0.2, 0.5, 0.3]
+
+
+def stream_draws(rng):
+    """A generator's PCG64 state, then a draw of each kind the samplers make."""
+    return SimpleNamespace(
+        state=rng.bit_generator.state,
+        draws=(rng.random(), rng.integers(0, 2, size=3).tolist(), int(rng.choice(3, p=CHOICE_P))),
+    )
+
+
+def attrs(outcome, fields):
+    return tuple(getattr(outcome, name) for name in fields)
+
+
+@pytest.mark.parametrize("seed", SEED_GRID)
+def test_seed_streams_equal_spawned_seed_sequences(seed):
+    """``sample_records`` (blocks of hashed states on one generator),
+    ``sample_rng`` (a fresh generator) and ``seed_words`` (the report's
+    ``sample_states``) against numpy's own ``SeedSequence`` children."""
+    def spawned(i):
+        return np.random.SeedSequence(seed, spawn_key=(i,))
+
+    fields = ("state", "draws")
+    near = sample_records(stream_draws, seed, range(5000), fields)
+    far = [rec for i in FAR_INDICES for rec in sample_records(stream_draws, seed, range(i, i + 1), fields)]
+    across = sample_records(stream_draws, seed, range(2**32 - 2, 2**32 + 2), fields)
+    cases = [*zip(range(5000), near), *zip(FAR_INDICES, far), *zip(range(2**32 - 2, 2**32 + 2), across)]
+    for i, record in cases:
+        assert record == attrs(stream_draws(np.random.default_rng(spawned(i))), fields), i
+    for i in (0, 1, 4999, *FAR_INDICES):
+        assert attrs(stream_draws(sample_rng(seed, i)), fields) == attrs(
+            stream_draws(np.random.default_rng(spawned(i))), fields
+        ), i
+    words = np.concatenate([seed_words(seed, 0, 5000), *(seed_words(seed, i, i + 1) for i in FAR_INDICES)])
+    for i, row in zip([*range(5000), *FAR_INDICES], words.tolist()):
+        assert row == spawned(i).generate_state(8).tolist(), i
+        assert row[:2] == spawned(i).generate_state(2).tolist(), i
+    assert seed_words(seed, 2**32 - 2, 2**32 + 2).tolist() == [
+        spawned(i).generate_state(8).tolist() for i in range(2**32 - 2, 2**32 + 2)
+    ]
+
+
+def test_seeding_refuses_negative_seeds_and_indices():
+    for seed, index in ((-1, 0), (0, -1)):
+        with pytest.raises(ValueError):
+            np.random.SeedSequence(seed, spawn_key=(index,))
+        with pytest.raises(ValueError):
+            sample_rng(seed, index)
 
 
 def reference_statistics(values):
