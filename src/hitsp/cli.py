@@ -17,6 +17,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
+from operator import add
 
 from . import __version__
 from ._util import ResourceCapError, canonical_json, format_rational, parse_rational
@@ -249,18 +250,27 @@ def _init_worker(prepared) -> None:
     _WORKER_STATE["joins"] = JoinCalculator(prepared.metric)
 
 
-def _run_chunk(task: tuple[int, int, int, bool]) -> list[tuple]:
+def _run_chunk(task: tuple[int, int, int, bool]) -> tuple[list[tuple], list[int]]:
     """Integer numerators per sample: tree, join and tour cost over the cost
-    scale, vector total and per-cut loads (``cut_sides`` order) over the
-    vector scale."""
+    scale and vector total over the vector scale.  Also the chunk's sum of
+    the vectors, per edge, over the vector scale: a cut's load is linear in
+    the vector, so its boundary is summed once per report."""
     seed, start, end, check_vectors = task
     prepared, joins = _WORKER_STATE["prepared"], _WORKER_STATE["joins"]
-    return sample_records(
-        lambda rng: run_sample(prepared, rng, joins, check_vector=check_vectors),
-        seed, range(start, end),
+    totals = [0] * len(prepared.support.edges)
+
+    def draw(rng):
+        nonlocal totals
+        out = run_sample(prepared, rng, joins, check_vector=check_vectors)
+        totals = list(map(add, totals, out.vector_values))
+        return out
+
+    records = sample_records(
+        draw, seed, range(start, end),
         ("tree_numerator", "join_numerator", "tour_numerator", "vector_numerator",
-         "reduced_count", "join_exact", "feasible", "load_numerators"),
+         "reduced_count", "join_exact", "feasible"),
     )
+    return records, totals
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -280,8 +290,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         with ProcessPoolExecutor(len(chunks), initializer=_init_worker, initargs=(prepared,)) as pool:
             chunk_results = list(pool.map(_run_chunk, tasks))
 
-    records = [rec for chunk in chunk_results for rec in chunk]
-    tree, join, tour, vector, reduced, join_exact, feasible, loads = zip(*records)
+    records = [rec for chunk, _ in chunk_results for rec in chunk]
+    tree, join, tour, vector, reduced, join_exact, feasible = zip(*records)
+    edge_totals = [sum(column) for column in zip(*(totals for _, totals in chunk_results))]
     exact = args.mode == "rational"
     cost_unit, vector_unit = Fraction(1, prepared.cost_scale), Fraction(1, prepared.scale)
     ratio_unit = cost_unit / lp
@@ -296,8 +307,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     # A cut's load reports only its mean: one exact sum, with none of
     # sample_statistics' squares (up to 198 cuts on the chain corpus).
     per_cut = {
-        _side_key(side): written(total * vector_unit / samples)
-        for side, total in zip(prepared.cut_sides, map(sum, zip(*loads)))
+        _side_key(side): written(sum(edge_totals[e] for e in boundary) * vector_unit / samples)
+        for side, boundary in zip(prepared.cut_sides, prepared.boundaries)
     }
 
     feasible_known = [f for f in feasible if f is not None]

@@ -123,22 +123,19 @@ class SupportEdge:
     u: int
     v: int
     instance_edge: int
-    copy: int
 
 
 @dataclass(frozen=True)
 class SupportGraph:
     """The 4-regular 4-edge-connected support multigraph of an instance.
 
-    ``pair_members`` maps each instance edge index to its support copy ids
-    (two ids for doubled edges, one for half edges).  ``e_plus_pair`` is the
-    pair of copy ids of the distinguished doubled edge, when one is named.
+    A doubled instance edge has two consecutive support copies, a half edge
+    one.  ``e_plus_pair`` is the pair of copy ids of the distinguished
+    doubled edge, when one is named.
     """
 
     n: int
     edges: tuple[SupportEdge, ...]
-    pair_members: tuple[tuple[int, ...], ...]
-    incident: tuple[tuple[int, ...], ...]
     e_plus_pair: tuple[int, int] | None
 
     def endpoints(self, edge_id: int) -> tuple[int, int]:
@@ -357,29 +354,13 @@ def serialize_instance(inst: HalfIntegralInstance) -> str:
 def build_support_graph(inst: HalfIntegralInstance) -> SupportGraph:
     """Expand value-1 edges into two parallel copies, preserving edge order."""
     support: list[SupportEdge] = []
-    pair_members: list[tuple[int, ...]] = []
-    for idx, e in enumerate(inst.edges):
-        copies = 2 if e.lp_value == ONE else 1
-        members = []
-        for c in range(copies):
-            members.append(len(support))
-            support.append(SupportEdge(len(support), e.u, e.v, idx, c))
-        pair_members.append(tuple(members))
-    incident: list[list[int]] = [[] for _ in range(inst.n)]
-    for se in support:
-        incident[se.u].append(se.id)
-        incident[se.v].append(se.id)
     e_plus_pair = None
-    if inst.e_plus is not None:
-        members = pair_members[inst.e_plus]
-        e_plus_pair = (members[0], members[1])
-    return SupportGraph(
-        n=inst.n,
-        edges=tuple(support),
-        pair_members=tuple(pair_members),
-        incident=tuple(tuple(lst) for lst in incident),
-        e_plus_pair=e_plus_pair,
-    )
+    for idx, e in enumerate(inst.edges):
+        if idx == inst.e_plus:
+            e_plus_pair = (len(support), len(support) + 1)
+        for _ in range(2 if e.lp_value == ONE else 1):
+            support.append(SupportEdge(len(support), e.u, e.v, idx))
+    return SupportGraph(n=inst.n, edges=tuple(support), e_plus_pair=e_plus_pair)
 
 
 def split_vertex_for_eplus(inst: HalfIntegralInstance) -> HalfIntegralInstance:

@@ -56,25 +56,15 @@ class ChargingParams:
     reduction: Fraction = DEFAULT_REDUCTION
 
     def __init__(self, alpha=None, beta=None, tau=None):
-        object.__setattr__(
-            self,
-            "top_truncation",
-            DEFAULT_TOP_TRUNCATION if alpha is None else Fraction(alpha),
-        )
-        object.__setattr__(
-            self,
-            "bottom_truncation",
-            DEFAULT_BOTTOM_TRUNCATION if beta is None else Fraction(beta),
-        )
-        object.__setattr__(
-            self,
-            "reduction",
-            DEFAULT_REDUCTION if tau is None else Fraction(tau),
-        )
-        for name in ("top_truncation", "bottom_truncation", "reduction"):
-            value = getattr(self, name)
+        for name, value, default in (
+            ("top_truncation", alpha, DEFAULT_TOP_TRUNCATION),
+            ("bottom_truncation", beta, DEFAULT_BOTTOM_TRUNCATION),
+            ("reduction", tau, DEFAULT_REDUCTION),
+        ):
+            value = default if value is None else Fraction(value)
             if value < 0 or value > 1:
                 raise ValueError(f"{name} must lie in [0, 1], got {value}")
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -135,8 +125,9 @@ class SamplingPlan:
     order: the chain classes (node id order), then each cut-free level (node
     id order; its vertices are its node's children and its ``edge_ids`` are
     support edge ids), then the unforced ring classes.  With no cut-free
-    level the chain and ring classes are one run.  ``unit_keys`` lists the
+    level the chain and ring classes are one run.  ``unit_keys`` labels the
     Bernoulli units in their fixed draw order: cycle nodes, top edges, final.
+    A unit is named by its index into ``unit_keys``.
     """
 
     hierarchy: CutHierarchy
@@ -154,12 +145,12 @@ class TreeSample:
     """One sampled connector plus the auxiliary uniforms for Bernoulli units.
 
     ``edges`` has exactly n entries (a spanning tree plus the one extra ring
-    edge through the forced unit edge).  ``bernoulli_uniforms`` maps unit keys
-    -- ("cycle", node_id), ("top", edge_id), ("final",) -- to floats in [0,1).
+    edge through the forced unit edge).  ``uniforms`` holds one float in
+    [0, 1) per Bernoulli unit, in ``SamplingPlan.unit_keys`` order.
     """
 
     edges: tuple[int, ...]
-    bernoulli_uniforms: dict
+    uniforms: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -225,15 +216,6 @@ def build_sampling_plan(hierarchy: CutHierarchy) -> SamplingPlan:
     )
 
 
-def unit_key_for_edge(plan: SamplingPlan, edge_id: int) -> tuple:
-    kind, detail = plan.hierarchy.edge_level[edge_id]
-    if kind == "top":
-        return ("top", edge_id)
-    if kind == "bottom":
-        return ("cycle", detail)
-    return ("final",)
-
-
 def sample_hierarchical_tree(plan: SamplingPlan, rng: np.random.Generator) -> TreeSample:
     """One connector: independent per-level choices, then the unit uniforms.
 
@@ -243,8 +225,7 @@ def sample_hierarchical_tree(plan: SamplingPlan, rng: np.random.Generator) -> Tr
     ``plan.connector``; the forced ring edge takes no draw.
     """
     edges = plan.connector.sample(rng)
-    uniforms = dict(zip(plan.unit_keys, rng.random(len(plan.unit_keys)).tolist()))
-    return TreeSample(edges=edges, bernoulli_uniforms=uniforms)
+    return TreeSample(edges=edges, uniforms=tuple(rng.random(len(plan.unit_keys)).tolist()))
 
 
 def parity_laws(
@@ -324,26 +305,26 @@ def cut_masks(hierarchy: CutHierarchy) -> tuple[tuple[int, ...], tuple[int, ...]
 class PreparedInstance:
     """Everything the per-sample pipeline needs, precomputed once.
 
-    The last five fields are the integer tables of ``build_join_vector``.
-    Cut ``i`` is ``hierarchy.min_cuts[i]``, with side ``cut_sides[i]``.
-    ``edge_share[i][f]`` is edge ``f``'s share of cut ``i``'s charge, for
-    every non-ring edge ``f`` with cut ``i`` among its last cuts.
-    ``edge_cut_mask[e]`` has bit ``i`` set when edge ``e`` crosses cut ``i``
-    and ``last_cut_mask[e]`` marks the edge's two last cuts.  Every vector
-    entry, deficit and increase is an integer multiple of ``1 / scale``.
-    ``unit_edges`` maps each Bernoulli unit to the edges it may reduce (those
-    with a positive even-at-last probability), and ``cut_charges[i]`` lists
+    Cut ``i`` is ``hierarchy.min_cuts[i]``, with side ``cut_sides[i]`` and
+    boundary ``boundaries[i]``.  ``edge_share[i][f]`` is edge ``f``'s share
+    of cut ``i``'s charge, for every non-ring edge ``f`` with cut ``i`` among
+    its last cuts.  ``edge_cut_mask[e]`` has bit ``i`` set when edge ``e``
+    crosses cut ``i`` and ``last_cut_mask[e]`` marks the edge's two last
+    cuts.  Every vector entry, deficit and increase is an integer multiple of
+    ``1 / scale``; ``base_numerator`` and ``reduction_numerator`` are the base
+    value and the reduction over it.  ``cut_charges[i]`` lists
     ``(edge, share * scale)`` for every edge charging to cut ``i`` with a
     positive share.  ``edge_cost[e]`` is support edge ``e``'s cost times
     ``cost_scale``, the lcm of the cost denominators.
 
-    The fields after ``edge_cost`` are derived at construction, so
-    ``dataclasses.replace`` rebuilds them: the base value and the reduction
-    over ``scale``, each cut's boundary in ``cut_sides`` order, and
-    ``unit_table[key] = (lo, inclusive, edges)``, where ``lo`` is the largest
-    double <= the unit's threshold t and ``inclusive`` says t is not itself
-    a double.  A double u is below t exactly when ``u < lo``, or ``u == lo``
-    and ``inclusive``, so no sample needs a ``Fraction``.
+    Bernoulli unit ``k`` is ``plan.unit_keys[k]``; ``unit_of[e]`` is edge
+    ``e``'s unit.  ``unit_threshold``, ``unit_edges`` (the edges a unit may
+    reduce: those with a positive even-at-last probability) and
+    ``unit_table`` are in unit order, with ``unit_table[k] = (lo, inclusive,
+    edges)``: ``lo`` is the largest double <= the unit's threshold t and
+    ``inclusive`` says t is not itself a double.  A double u is below t
+    exactly when ``u < lo``, or ``u == lo`` and ``inclusive``, so no sample
+    needs a ``Fraction``.
     """
 
     instance: HalfIntegralInstance
@@ -353,37 +334,24 @@ class PreparedInstance:
     params: ChargingParams
     eal_probability: dict
     truncated: dict
-    unit_threshold: dict
+    unit_threshold: tuple
     unit_of: tuple
     edge_share: dict
     cut_sides: tuple
     cut_boundary: dict
+    boundaries: tuple
     metric: Metric
     base_value: Fraction
+    base_numerator: int
+    reduction_numerator: int
     edge_cut_mask: tuple
     last_cut_mask: tuple
     scale: int
-    unit_edges: dict
+    unit_edges: tuple
+    unit_table: tuple
     cut_charges: tuple
     cost_scale: int
     edge_cost: tuple
-    base_numerator: int = field(init=False, repr=False, compare=False)
-    reduction_numerator: int = field(init=False, repr=False, compare=False)
-    boundaries: tuple = field(init=False, repr=False, compare=False)
-    unit_table: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        derived = {
-            "base_numerator": (self.base_value * self.scale).numerator,
-            "reduction_numerator": (self.params.reduction * self.scale).numerator,
-            "boundaries": tuple(self.cut_boundary[side] for side in self.cut_sides),
-            "unit_table": {
-                key: (*_double_floor(t), self.unit_edges[key])
-                for key, t in self.unit_threshold.items()
-            },
-        }
-        for name, value in derived.items():
-            object.__setattr__(self, name, value)
 
 
 def _double_floor(t: Fraction) -> tuple[float, bool]:
@@ -418,22 +386,28 @@ def prepare_instance(
         cap = params.top_truncation if kind == "top" else params.bottom_truncation
         truncated[e] = min(cap, probs[e])
 
-    unit_threshold: dict[tuple, Fraction] = {}
-    unit_of = tuple(unit_key_for_edge(plan, e) for e in range(m))
-    for e in range(m):
-        key = unit_of[e]
+    # A top edge is its own unit, a chain edge its cycle node's, a ring edge the final one.
+    unit_index = {key: k for k, key in enumerate(plan.unit_keys)}
+    unit_of = tuple(
+        unit_index[{"top": ("top", e), "bottom": ("cycle", node), "final": ("final",)}[kind]]
+        for e, (kind, node) in enumerate(hierarchy.edge_level)
+    )
+    thresholds: list[Fraction | None] = [None] * len(plan.unit_keys)
+    unit_edges: list[list[int]] = [[] for _ in plan.unit_keys]
+    for e, k in enumerate(unit_of):
         p = probs[e]
         thr = Fraction(0) if p == 0 else truncated[e] / p
-        if key in unit_threshold:
-            if unit_threshold[key] != thr:
-                raise PlanError(
-                    f"edges sharing unit {key} disagree on threshold: "
-                    f"{unit_threshold[key]} vs {thr}"
-                )
-        else:
-            unit_threshold[key] = thr
-    for key in plan.unit_keys:
-        unit_threshold.setdefault(key, Fraction(0))
+        if thresholds[k] is None:
+            thresholds[k] = thr
+        elif thresholds[k] != thr:
+            raise PlanError(
+                f"edges sharing unit {plan.unit_keys[k]} disagree on threshold: "
+                f"{thresholds[k]} vs {thr}"
+            )
+        if p != 0:
+            unit_edges[k].append(e)
+    unit_threshold = tuple(Fraction(0) if t is None else t for t in thresholds)
+    unit_edges = tuple(map(tuple, unit_edges))
 
     edge_share: dict[int, dict[int, Fraction]] = {}
     for i, members in hierarchy.charge_groups().items():
@@ -444,7 +418,7 @@ def prepare_instance(
             edge_share[i] = {f: Fraction(0) for f in members}
 
     cut_sides = tuple(cut.vertices for cut in hierarchy.min_cuts)
-    cut_boundary = {cut.vertices: cut.boundary for cut in hierarchy.min_cuts}
+    boundaries = tuple(cut.boundary for cut in hierarchy.min_cuts)
     edge_cut_mask, last_cut_mask = cut_masks(hierarchy)
 
     # Before increases every entry is base - reduction * {0, 1}, so deficits
@@ -454,10 +428,6 @@ def prepare_instance(
     scale = lcm(base_value.denominator, params.reduction.denominator) * lcm(
         *(s.denominator for shares in edge_share.values() for s in shares.values())
     )
-    unit_edges = {
-        key: tuple(e for e in range(m) if unit_of[e] == key and probs[e] != 0)
-        for key in unit_threshold
-    }
     cost_scale, costs = inst.cost_numerators
     cut_charges: list[tuple[tuple[int, int], ...]] = [()] * len(cut_sides)
     for i, shares in edge_share.items():
@@ -475,28 +445,30 @@ def prepare_instance(
         unit_of=unit_of,
         edge_share=edge_share,
         cut_sides=cut_sides,
-        cut_boundary=cut_boundary,
+        cut_boundary=dict(zip(cut_sides, boundaries)),
+        boundaries=boundaries,
         metric=metric_closure(inst),
         base_value=base_value,
+        base_numerator=(base_value * scale).numerator,
+        reduction_numerator=(params.reduction * scale).numerator,
         edge_cut_mask=edge_cut_mask,
         last_cut_mask=last_cut_mask,
         scale=scale,
         unit_edges=unit_edges,
+        unit_table=tuple((*_double_floor(t), edges) for t, edges in zip(unit_threshold, unit_edges)),
         cut_charges=tuple(cut_charges),
         cost_scale=cost_scale,
         edge_cost=tuple(costs[e.instance_edge] for e in support.edges),
     )
 
 
-def resolve_bernoulli_units(prepared: PreparedInstance, sample: TreeSample) -> dict:
+def resolve_bernoulli_units(prepared: PreparedInstance, sample: TreeSample) -> tuple[int, ...]:
     """Each unit fires (1) when its uniform falls below its threshold, read
-    exactly off ``prepared.unit_table``; otherwise 0."""
-    table = prepared.unit_table
-    out = {}
-    for key, u in sample.bernoulli_uniforms.items():
-        lo, inclusive, _ = table[key]
-        out[key] = 1 if u < lo or (inclusive and u == lo) else 0
-    return out
+    exactly off ``prepared.unit_table``; otherwise 0.  One entry per unit."""
+    return tuple(
+        1 if u < lo or (inclusive and u == lo) else 0
+        for u, (lo, inclusive, _) in zip(sample.uniforms, prepared.unit_table)
+    )
 
 
 def _vector_numerators(
@@ -514,11 +486,10 @@ def _vector_numerators(
 
     values = [prepared.base_numerator] * len(crossing)
     last = prepared.last_cut_mask
-    table = prepared.unit_table
     reduced = []
-    for key, fired in resolve_bernoulli_units(prepared, sample).items():
+    for fired, (_, _, edges) in zip(resolve_bernoulli_units(prepared, sample), prepared.unit_table):
         if fired:
-            reduced.extend(e for e in table[key][2] if not parity & last[e])
+            reduced.extend(e for e in edges if not parity & last[e])
     reduction = prepared.reduction_numerator
     for e in reduced:
         values[e] -= reduction
@@ -854,12 +825,12 @@ class SampleOutcome:
     """Everything measured on one end-to-end sample of either pipeline.
 
     ``tree_numerator`` and ``join_numerator`` are the costs times
-    ``joins.scale``, the cost scale; ``vector_numerator`` and
-    ``load_numerators`` (the cut loads, in ``cut_sides`` order) are over
-    ``vector_scale``, and ``cut_loads`` builds their ``Fraction`` dict when
-    read.  The tour is built and priced on the first read of
-    ``tour_numerator`` or ``tour_cost``.  The hierarchy path fills
-    ``min_edge_value`` and the loads; the degree-cut path fills
+    ``joins.scale``, the cost scale; ``vector_values`` (the vector's entries)
+    and their sum ``vector_numerator`` are over ``vector_scale``.  The tour
+    is built and priced on the first read of ``tour_numerator`` or
+    ``tour_cost``.  The hierarchy path fills ``min_edge_value`` and
+    ``prepared``, whose cuts ``cut_loads`` sums the vector over when read (a
+    load is linear in the vector); the degree-cut path fills
     ``normal_count``, the drawn matching's normal edges, of which
     ``reduced_count`` were reduced.  Not frozen: a frozen field costs an
     ``object.__setattr__`` call on every sample.
@@ -875,14 +846,14 @@ class SampleOutcome:
     tree_numerator: int
     join_numerator: int
     vector_numerator: int | None
+    vector_values: Sequence[int] | None
     join_pairs: tuple[tuple[int, int], ...]
     vector_scale: int | None
     support: SupportGraph = field(repr=False, compare=False)
     joins: JoinCalculator = field(repr=False, compare=False)
     reduced_count: int = 0
     min_edge_value: Fraction | None = None
-    load_numerators: tuple[int, ...] | None = None
-    cut_sides: tuple | None = field(default=None, repr=False, compare=False)
+    prepared: PreparedInstance | None = field(default=None, repr=False, compare=False)
     normal_count: int | None = None
     _tour: int | None = field(default=None, repr=False, compare=False)
 
@@ -898,10 +869,14 @@ class SampleOutcome:
 
     @property
     def cut_loads(self) -> dict | None:
-        if self.load_numerators is None:
+        """Each minimum cut's load y(δ(S)), keyed by side in ``cut_sides`` order."""
+        prepared, values = self.prepared, self.vector_values
+        if prepared is None:
             return None
-        exact = {x: Fraction(x, self.vector_scale) for x in set(self.load_numerators)}
-        return {side: exact[x] for side, x in zip(self.cut_sides, self.load_numerators)}
+        return {
+            side: Fraction(sum(values[e] for e in boundary), self.vector_scale)
+            for side, boundary in zip(prepared.cut_sides, prepared.boundaries)
+        }
 
 
 def finish_sample(
@@ -922,7 +897,7 @@ def finish_sample(
     pipeline's own ``extras``."""
     pairs, join_exact, join_numerator = joins.join(odd)
     tree_numerator = sum(costs[e] for e in tree)
-    scale = vector_numerator = vector_total = feasible = min_cut_value = None
+    values = scale = vector_numerator = vector_total = feasible = min_cut_value = None
     if vector is not None:
         values, scale, floor = vector
         vector_numerator = sum(values)
@@ -942,6 +917,7 @@ def finish_sample(
         tree_numerator=tree_numerator,
         join_numerator=join_numerator,
         vector_numerator=vector_numerator,
+        vector_values=values,
         join_pairs=pairs,
         vector_scale=scale,
         support=support,
@@ -973,10 +949,7 @@ def run_sample(
         joins, prepared.support, prepared.edge_cost, tree, odd, (values, scale, floor), check_vector,
         reduced_count=len(reduced),
         min_edge_value=Fraction(min(values), scale),
-        load_numerators=tuple([
-            values[a] + values[b] + values[c] + values[d] for a, b, c, d in prepared.boundaries
-        ]),
-        cut_sides=prepared.cut_sides,
+        prepared=prepared,
     )
 
 

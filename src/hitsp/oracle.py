@@ -341,18 +341,18 @@ def exact_pipeline_expectations(
         else:
             share[idx] = {f: Fraction(0) for f in members}
 
-    unit_theta: dict[tuple, Fraction] = {}
+    unit_theta: dict[int, Fraction] = {}
     for e in range(m):
         key = prepared.unit_of[e]
         if key in unit_theta and unit_theta[key] != theta[e]:
-            raise ValueError(f"edges sharing unit {key} disagree on threshold")
+            raise ValueError(f"edges sharing unit {units[key]} disagree on threshold")
         unit_theta[key] = theta[e]
 
     fold_memo: dict[tuple, Fraction] = {}
 
     def fold_expected_increase(
-        items_a: tuple[tuple[tuple, int], ...],
-        items_b: tuple[tuple[tuple, int], ...],
+        items_a: tuple[tuple[int, int], ...],
+        items_b: tuple[tuple[int, int], ...],
         share_a: Fraction,
         share_b: Fraction,
         odd_a: int,
@@ -390,7 +390,7 @@ def exact_pipeline_expectations(
         eal_mask = eal_masks[parity_mask]
         # A cut's shortfall counts the reduced edges across its whole
         # boundary, ring edges included.
-        cut_items: dict[int, tuple[tuple[tuple, int], ...]] = {}
+        cut_items: dict[int, tuple[tuple[int, int], ...]] = {}
         for e in range(m):
             if e in final_set:
                 continue
@@ -398,10 +398,10 @@ def exact_pipeline_expectations(
             for idx in hierarchy.last_cuts(e):
                 my_share = share[idx][e]
                 odd = (parity_mask >> idx) & 1
-                items: tuple[tuple[tuple, int], ...] = ()
+                items: tuple[tuple[int, int], ...] = ()
                 if odd and my_share > 0:
                     if idx not in cut_items:
-                        counts: dict[tuple, int] = {}
+                        counts: dict[int, int] = {}
                         for f in cut_bound[idx]:
                             if (eal_mask >> f) & 1:
                                 u = prepared.unit_of[f]

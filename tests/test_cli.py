@@ -240,7 +240,8 @@ def test_workers_adopt_the_parents_prepared_instance(chain_file, tmp_path, monke
     monkeypatch.setattr(hitsp.cli, "prepare_instance", refuse)
     hitsp.cli._init_worker(pickle.loads(pickle.dumps(prepared)))
     try:
-        assert len(hitsp.cli._run_chunk((11, 0, 4, False))) == 4
+        records, totals = hitsp.cli._run_chunk((11, 0, 4, False))
+        assert len(records) == 4 and len(totals) == len(prepared.support.edges)
     finally:
         hitsp.cli._WORKER_STATE.clear()
 
@@ -565,10 +566,16 @@ def test_run_aggregates_equal_the_fraction_arithmetic(tmp_path, mode):
     inst = replace(inst, edges=tuple(replace(e, cost=c) for e, c in zip(inst.edges, costs)))
     path = tmp_path / "inst.json"
     path.write_text(serialize_instance(inst))
-    out = tmp_path / "r.json"
-    assert main(["run", "--instance", str(path), "--samples", "40", "--seed", "9",
-                 "--mode", mode, "--out", str(out)]) == 0
-    results = read_json(str(out))["results"]
+    # Two workers merge their chunks' per-edge vector sums into the same loads.
+    reports = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"r{jobs}.json"
+        assert main(["run", "--instance", str(path), "--samples", "40", "--seed", "9",
+                     "--mode", mode, "--jobs", jobs, "--out", str(out)]) == 0
+        reports.append(read_json(str(out)))
+    assert reports[1]["seeds"]["chunks"] == ([[0, 20], [20, 40]] if (os.cpu_count() or 1) > 1 else [[0, 40]])
+    assert reports[0]["results"] == reports[1]["results"]
+    results = reports[1]["results"]
 
     prepared = prepare_instance(parse_instance(path.read_text()))
     assert prepared.cost_scale == 15

@@ -117,12 +117,19 @@ def test_support_graph_doubling_and_regularity():
     assert support.endpoints(a) == support.endpoints(b)
 
 
-def test_pair_members_sizes():
+def test_support_copies_per_instance_edge():
     inst = make_instance("square", 4, square_edges())
     support = build_support_graph(inst)
+    # Copies keep instance edge order: a doubled edge's two are consecutive.
+    copies = [e.instance_edge for e in support.edges]
+    assert copies == sorted(copies)
     for idx, edge in enumerate(inst.edges):
         want = 2 if edge.lp_value == 1 else 1
-        assert len(support.pair_members[idx]) == want
+        assert copies.count(idx) == want
+    assert support.e_plus_pair is None
+    for d in inst.doubled_edges():
+        pair = build_support_graph(inst.with_e_plus(d)).e_plus_pair
+        assert [support.edges[i].instance_edge for i in pair] == [d, d]
 
 
 def test_split_vertex_adds_one_vertex_when_needed():

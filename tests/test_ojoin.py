@@ -34,6 +34,7 @@ from hitsp.ojoin import (
     TreeSample,
     _check_memo,
     _check_numerators,
+    _double_floor,
     _join_layers,
     _vector_numerators,
     build_join_vector,
@@ -55,7 +56,6 @@ from hitsp.ojoin import (
     seed_words,
     tour_order,
     tree_cost,
-    unit_key_for_edge,
 )
 from hitsp.oracle import exact_pipeline_expectations, level_outcome_table, subset_joint_distribution
 
@@ -92,10 +92,15 @@ def test_default_params():
 
 
 def test_params_validate_range():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="top_truncation"):
         ChargingParams(alpha=Fraction(3, 2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="bottom_truncation"):
+        ChargingParams(beta=Fraction(5, 4))
+    with pytest.raises(ValueError, match="reduction"):
         ChargingParams(tau=Fraction(-1, 12))
+    # Each parameter is checked in turn: alpha's message comes first.
+    with pytest.raises(ValueError, match="top_truncation"):
+        ChargingParams(alpha=2, beta=2, tau=2)
 
 
 def test_sampled_connector_shape(chain2):
@@ -120,7 +125,7 @@ def test_sampled_connector_shape(chain2):
         # the distinguished doubled pair contributes exactly one copy, always
         a, b = support.e_plus_pair
         assert (a in sample.edges) != (b in sample.edges)
-        assert set(sample.bernoulli_uniforms) == set(chain2.plan.unit_keys)
+        assert len(sample.uniforms) == len(chain2.plan.unit_keys)
 
 
 def test_cycle_levels_pick_one_companion_per_class(envelope2):
@@ -139,7 +144,7 @@ def test_sampling_is_seed_deterministic(chain2):
     b = sample_hierarchical_tree(chain2.plan, sample_rng(9, 4))
     assert a == b
     c = sample_hierarchical_tree(chain2.plan, sample_rng(9, 5))
-    assert a != c or a.bernoulli_uniforms != c.bernoulli_uniforms
+    assert a != c or a.uniforms != c.uniforms
 
 
 def test_final_edges_have_unit_even_probability(chain2):
@@ -192,9 +197,9 @@ def test_edge_share_sums_to_one_over_charge_groups(envelope2):
 def test_unit_keys_partition_edges(envelope2):
     plan = envelope2.plan
     for e in range(len(envelope2.support.edges)):
-        key = unit_key_for_edge(plan, e)
-        kind = envelope2.hierarchy.edge_level[e][0]
-        assert key[0] == {"top": "top", "bottom": "cycle", "final": "final"}[kind]
+        key = plan.unit_keys[envelope2.unit_of[e]]
+        kind, detail = envelope2.hierarchy.edge_level[e]
+        assert key == {"top": ("top", e), "bottom": ("cycle", detail), "final": ("final",)}[kind]
 
 
 def test_vector_values_never_drop_below_reduced_base(chain2):
@@ -323,11 +328,7 @@ def test_check_feasible_matches_scan_on_random_multigraphs():
             continue
         support = SupportGraph(
             n=n,
-            edges=tuple(SupportEdge(i, u, v, i, 0) for i, (u, v) in enumerate(pairs)),
-            pair_members=tuple((i,) for i in range(len(pairs))),
-            incident=tuple(
-                tuple(i for i, p in enumerate(pairs) if w in p) for w in range(n)
-            ),
+            edges=tuple(SupportEdge(i, u, v, i) for i, (u, v) in enumerate(pairs)),
             e_plus_pair=None,
         )
         # Quarters put many minima below 1, where the witness is returned and checked.
@@ -654,7 +655,7 @@ def test_layered_dp_matches_push_dp_at_every_size():
     assert overflows
 
 
-# sha256 of repr((edges, tuple(bernoulli_uniforms.items()), next random()))
+# sha256 of repr((edges, tuple(zip(unit_keys, uniforms)), next random()))
 # for ``sample_rng(seed, 0)``, seeds 0-4, recorded with one scalar draw per
 # Bernoulli unit: the batched draw must leave the stream unchanged.
 DRAW_DIGESTS = {
@@ -681,7 +682,7 @@ def test_sample_draw_stream_is_pinned(spec):
     for seed, want in enumerate(DRAW_DIGESTS[spec]):
         rng = sample_rng(seed, 0)
         sample = sample_hierarchical_tree(prepared.plan, rng)
-        record = (sample.edges, tuple(sample.bernoulli_uniforms.items()), float(rng.random()))
+        record = (sample.edges, tuple(zip(prepared.plan.unit_keys, sample.uniforms)), float(rng.random()))
         assert hashlib.sha256(repr(record).encode()).hexdigest() == want
 
 
@@ -925,6 +926,25 @@ def test_run_sample_populates_cut_loads(chain2):
         )
 
 
+def per_sample_load_tuple(prepared, sample):
+    """The former per-sample cut loads, kept as the reference for
+    ``cut_loads``: one sum of four vector numerators per minimum cut, in
+    ``hierarchy.min_cuts`` order, over ``prepared.scale``."""
+    values = _vector_numerators(prepared, sample)[0]
+    return tuple(sum(values[e] for e in cut.boundary) for cut in prepared.hierarchy.min_cuts)
+
+
+@pytest.mark.parametrize("spec", ["envelope:10", "random_half_integral:26"])
+def test_cut_loads_equal_the_per_sample_load_tuple(spec):
+    prepared = prepare_instance(reference_instance(spec))
+    joins = JoinCalculator(prepared.metric)
+    for seed in range(200):
+        out = run_sample(prepared, sample_rng(seed, 0), joins)
+        loads = per_sample_load_tuple(prepared, sample_hierarchical_tree(prepared.plan, sample_rng(seed, 0)))
+        want = {cut.vertices: Fraction(x, prepared.scale) for cut, x in zip(prepared.hierarchy.min_cuts, loads)}
+        assert list(out.cut_loads.items()) == list(want.items()), seed
+
+
 def reference_join_vector(prepared, sample):
     """The all-``Fraction`` construction, kept as the reference for the
     integer kernel: per-cut parities from boundary counts, per-cut sums."""
@@ -932,10 +952,7 @@ def reference_join_vector(prepared, sample):
     sides = prepared.cut_sides
     m = len(prepared.support.edges)
     tree = set(sample.edges)
-    units = {
-        key: Fraction(u) < prepared.unit_threshold[key]
-        for key, u in sample.bernoulli_uniforms.items()
-    }
+    units = [Fraction(u) < t for u, t in zip(sample.uniforms, prepared.unit_threshold)]
     parity = {
         side: sum(1 for e in prepared.cut_boundary[side] if e in tree) & 1
         for side in prepared.cut_sides
@@ -1054,27 +1071,34 @@ def test_run_sample_matches_fraction_composition(spec):
 
 
 def test_unit_fires_exactly_below_its_threshold(chain2):
-    key = next(k for k in chain2.plan.unit_keys if chain2.unit_edges[k])
+    assert chain2.unit_table == tuple(
+        (*_double_floor(t), edges) for t, edges in zip(chain2.unit_threshold, chain2.unit_edges)
+    )
+    k = next(k for k, edges in enumerate(chain2.unit_edges) if edges)
+    edges = chain2.unit_edges[k]
+    units = len(chain2.plan.unit_keys)
     thresholds = (
         Fraction(0), Fraction(1), Fraction(1, 2), Fraction(3, 8), Fraction(1, 3),
         DEFAULT_TOP_TRUNCATION,
     )
     for threshold in thresholds:
-        # ``replace`` rebuilds the unit table: lo is the largest double <=
-        # the new threshold, and ``inclusive`` says the threshold is not one.
-        prepared = replace(chain2, unit_threshold={**chain2.unit_threshold, key: threshold})
-        lo, inclusive, edges = prepared.unit_table[key]
+        # Unit k's row as set-up builds it: lo is the largest double <= the
+        # new threshold, and ``inclusive`` says the threshold is not one.
+        lo, inclusive = _double_floor(threshold)
         assert Fraction(lo) <= threshold < Fraction(float(np.nextafter(lo, 2.0)))
         assert inclusive == (Fraction(lo) != threshold)
+        table = list(chain2.unit_table)
+        table[k] = (lo, inclusive, edges)
+        prepared = replace(chain2, unit_table=tuple(table))
         for u in (lo, np.nextafter(lo, 0.0), np.nextafter(lo, 1.0)):
             fires = Fraction(float(u)) < threshold
             # Every other unit gets 1.0, which never fires.
-            uniforms = {k: 1.0 for k in prepared.plan.unit_keys}
-            uniforms[key] = float(u)
-            sample = TreeSample(edges=(), bernoulli_uniforms=uniforms)
-            assert resolve_bernoulli_units(prepared, sample) == {
-                k: int(fires and k == key) for k in uniforms
-            }
+            uniforms = [1.0] * units
+            uniforms[k] = float(u)
+            sample = TreeSample(edges=(), uniforms=tuple(uniforms))
+            assert resolve_bernoulli_units(prepared, sample) == tuple(
+                int(fires and j == k) for j in range(units)
+            )
             # With no edges every cut is even, so a fired unit reduces all of
             # its edges.
             assert _vector_numerators(prepared, sample)[1] == (list(edges) if fires else [])
@@ -1178,8 +1202,8 @@ def scalar_draw_sample(plan, rng):
             edges.append(min(hierarchy.support.e_plus_pair))
         else:
             edges.append(cls[int(rng.integers(len(cls)))])
-    uniforms = dict(zip(plan.unit_keys, rng.random(len(plan.unit_keys)).tolist()))
-    return TreeSample(edges=tuple(sorted(edges)), bernoulli_uniforms=uniforms)
+    uniforms = tuple(rng.random(len(plan.unit_keys)).tolist())
+    return TreeSample(edges=tuple(sorted(edges)), uniforms=uniforms)
 
 
 def all_cuts_vector_numerators(prepared, sample):
@@ -1194,11 +1218,11 @@ def all_cuts_vector_numerators(prepared, sample):
     values = [(prepared.base_value * scale).numerator] * len(crossing)
     last = prepared.last_cut_mask
     reduced = []
-    for key, u in sample.bernoulli_uniforms.items():
+    for k, u in enumerate(sample.uniforms):
         a, b = u.as_integer_ratio()
-        t = prepared.unit_threshold[key]
+        t = prepared.unit_threshold[k]
         if a * t.denominator < t.numerator * b:
-            reduced.extend(e for e in prepared.unit_edges[key] if not parity & last[e])
+            reduced.extend(e for e in prepared.unit_edges[k] if not parity & last[e])
     for e in reduced:
         values[e] -= (prepared.params.reduction * scale).numerator
     deficits = {}
@@ -1230,7 +1254,7 @@ def test_sample_path_matches_scalar_draws_and_all_cuts_scan(spec):
         sample = sample_hierarchical_tree(prepared.plan, rng)
         want = scalar_draw_sample(prepared.plan, ref_rng)
         assert sample.edges == want.edges, seed
-        assert list(sample.bernoulli_uniforms.items()) == list(want.bernoulli_uniforms.items())
+        assert sample.uniforms == want.uniforms, seed
         assert rng.random() == ref_rng.random(), seed
         got = _vector_numerators(prepared, sample)
         expected = all_cuts_vector_numerators(prepared, sample)

@@ -92,17 +92,13 @@ def exact_expectations_by_full_enumeration(
         tree = tuple(sorted(e for chosen, _ in combo for e in chosen))
         for pattern in product((0, 1), repeat=len(units)):
             unit_weight = Fraction(1)
-            uniforms = {}
-            for key, bit in zip(units, pattern):
-                th = prepared.unit_threshold.get(key, Fraction(0))
+            for th, bit in zip(prepared.unit_threshold, pattern):
                 unit_weight *= th if bit else 1 - th
-                uniforms[key] = 0.0 if bit else 1.0
             if unit_weight == 0:
                 continue
             weight = tree_weight * unit_weight
-            vector = build_join_vector(
-                prepared, TreeSample(edges=tree, bernoulli_uniforms=uniforms)
-            )
+            uniforms = tuple(0.0 if bit else 1.0 for bit in pattern)
+            vector = build_join_vector(prepared, TreeSample(edges=tree, uniforms=uniforms))
             for e in range(m):
                 totals[e] += weight * vector.values[e]
             for side in prepared.cut_sides:
@@ -289,7 +285,7 @@ def reference_pipeline_expectations(prepared: PreparedInstance) -> PipelineExpec
         else:
             share[idx] = {f: Fraction(0) for f in members}
 
-    unit_theta: dict[tuple, Fraction] = {}
+    unit_theta: dict[int, Fraction] = {}
     for e in range(m):
         key = prepared.unit_of[e]
         if key in unit_theta and unit_theta[key] != theta[e]:
@@ -299,8 +295,8 @@ def reference_pipeline_expectations(prepared: PreparedInstance) -> PipelineExpec
     fold_memo: dict[tuple, Fraction] = {}
 
     def fold_expected_increase(
-        items_a: tuple[tuple[tuple, int], ...],
-        items_b: tuple[tuple[tuple, int], ...],
+        items_a: tuple[tuple[int, int], ...],
+        items_b: tuple[tuple[int, int], ...],
         share_a: Fraction,
         share_b: Fraction,
         odd_a: int,
@@ -339,7 +335,7 @@ def reference_pipeline_expectations(prepared: PreparedInstance) -> PipelineExpec
     ):
         # A cut's shortfall counts the reduced edges across its whole
         # boundary, ring edges included.
-        cut_items: dict[int, tuple[tuple[tuple, int], ...]] = {}
+        cut_items: dict[int, tuple[tuple[int, int], ...]] = {}
         for e in range(m):
             if e in final_set:
                 continue
@@ -347,10 +343,10 @@ def reference_pipeline_expectations(prepared: PreparedInstance) -> PipelineExpec
             for idx in edge_cut_indices[e]:
                 my_share = share.get(idx, {}).get(e, Fraction(0))
                 odd = (parity_mask >> idx) & 1
-                items: tuple[tuple[tuple, int], ...] = ()
+                items: tuple[tuple[int, int], ...] = ()
                 if odd and my_share > 0:
                     if idx not in cut_items:
-                        counts: dict[tuple, int] = {}
+                        counts: dict[int, int] = {}
                         for f in cut_bound[idx]:
                             if (eal_mask >> f) & 1:
                                 u = prepared.unit_of[f]
