@@ -294,7 +294,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     tree, join, tour, vector, reduced, join_exact, feasible = zip(*records)
     edge_totals = [sum(column) for column in zip(*(totals for _, totals in chunk_results))]
     exact = args.mode == "rational"
-    cost_unit, vector_unit = Fraction(1, prepared.cost_scale), Fraction(1, prepared.scale)
+    cost_unit, vector_unit = Fraction(1, prepared.metric.scale), Fraction(1, prepared.scale)
     ratio_unit = cost_unit / lp
 
     def written(mean: Fraction) -> object:

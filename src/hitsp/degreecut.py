@@ -547,8 +547,8 @@ def sample_degree_cut(
     check_vector: bool = False,
 ) -> SampleOutcome:
     """One end-to-end sample: a matching, its connector and its correction
-    vector in twelfths, then ``ojoin.finish_sample`` (join, costs over the
-    instance's cost numerators, and the check against the 1/6 floor).
+    vector in twelfths, then ``ojoin.finish_sample`` (join, costs off
+    ``support.costs``, and the check against the 1/6 floor).
     ``joins`` prices the instance's metric and keeps each distinct checked
     vector's verdict; ``metric`` is not read."""
     probabilities = decomposition.draw_probabilities
@@ -558,7 +558,7 @@ def sample_degree_cut(
     odd = odd_mask(support, tree)
     values, reduced = correction_vector(support, context, odd)
     out = finish_sample(
-        joins, support, instance.cost_numerators[1], tree, odd, (values, VECTOR_SCALE, 2), check_vector,
+        joins, support, tree, odd, (values, VECTOR_SCALE, 2), check_vector,
         reduced_count=len(reduced),
         normal_count=len(context.normal_edges),
     )

@@ -131,12 +131,14 @@ class SupportGraph:
 
     A doubled instance edge has two consecutive support copies, a half edge
     one.  ``e_plus_pair`` is the pair of copy ids of the distinguished
-    doubled edge, when one is named.
+    doubled edge, when one is named.  ``costs[e]`` is copy ``e``'s cost
+    numerator over the instance's cost scale (``cost_numerators``).
     """
 
     n: int
     edges: tuple[SupportEdge, ...]
     e_plus_pair: tuple[int, int] | None
+    costs: tuple[int, ...]
 
     def endpoints(self, edge_id: int) -> tuple[int, int]:
         e = self.edges[edge_id]
@@ -360,7 +362,9 @@ def build_support_graph(inst: HalfIntegralInstance) -> SupportGraph:
             e_plus_pair = (len(support), len(support) + 1)
         for _ in range(2 if e.lp_value == ONE else 1):
             support.append(SupportEdge(len(support), e.u, e.v, idx))
-    return SupportGraph(n=inst.n, edges=tuple(support), e_plus_pair=e_plus_pair)
+    costs = inst.cost_numerators[1]
+    copy_costs = tuple(costs[e.instance_edge] for e in support)
+    return SupportGraph(n=inst.n, edges=tuple(support), e_plus_pair=e_plus_pair, costs=copy_costs)
 
 
 def split_vertex_for_eplus(inst: HalfIntegralInstance) -> HalfIntegralInstance:

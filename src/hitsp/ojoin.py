@@ -39,6 +39,7 @@ from .maxent import LevelProblem, TreeLevel, fit_levels
 DEFAULT_TOP_TRUNCATION = Fraction(1_129_032, 10**7)
 DEFAULT_BOTTOM_TRUNCATION = Fraction(1, 4)
 DEFAULT_REDUCTION = Fraction(1, 12)
+BASE_VALUE = Fraction(1, 4)  # every support edge's value before reductions and increases
 
 
 @dataclass(frozen=True)
@@ -306,25 +307,23 @@ class PreparedInstance:
     """Everything the per-sample pipeline needs, precomputed once.
 
     Cut ``i`` is ``hierarchy.min_cuts[i]``, with side ``cut_sides[i]`` and
-    boundary ``boundaries[i]``.  ``edge_share[i][f]`` is edge ``f``'s share
-    of cut ``i``'s charge, for every non-ring edge ``f`` with cut ``i`` among
-    its last cuts.  ``edge_cut_mask[e]`` has bit ``i`` set when edge ``e``
-    crosses cut ``i`` and ``last_cut_mask[e]`` marks the edge's two last
-    cuts.  Every vector entry, deficit and increase is an integer multiple of
-    ``1 / scale``; ``base_numerator`` and ``reduction_numerator`` are the base
-    value and the reduction over it.  ``cut_charges[i]`` lists
-    ``(edge, share * scale)`` for every edge charging to cut ``i`` with a
-    positive share.  ``edge_cost[e]`` is support edge ``e``'s cost times
-    ``cost_scale``, the lcm of the cost denominators.
+    boundary ``boundaries[i]``.  ``edge_cut_mask[e]`` has bit ``i`` set when
+    edge ``e`` crosses cut ``i`` and ``last_cut_mask[e]`` marks the edge's
+    two last cuts.  Every vector entry, deficit and increase is an integer
+    multiple of ``1 / scale``; ``base_numerator`` and ``reduction_numerator``
+    are ``BASE_VALUE`` and the reduction over it.  ``cut_charges[i]`` lists
+    ``(edge, share * scale)`` for every non-ring edge with cut ``i`` among
+    its last cuts and a positive share of its charge.  Costs are read off
+    ``support.costs``, over ``metric.scale``.
 
     Bernoulli unit ``k`` is ``plan.unit_keys[k]``; ``unit_of[e]`` is edge
-    ``e``'s unit.  ``unit_threshold``, ``unit_edges`` (the edges a unit may
-    reduce: those with a positive even-at-last probability) and
-    ``unit_table`` are in unit order, with ``unit_table[k] = (lo, inclusive,
-    edges)``: ``lo`` is the largest double <= the unit's threshold t and
-    ``inclusive`` says t is not itself a double.  A double u is below t
-    exactly when ``u < lo``, or ``u == lo`` and ``inclusive``, so no sample
-    needs a ``Fraction``.
+    ``e``'s unit.  ``unit_threshold`` and ``unit_table`` are in unit order,
+    with ``unit_table[k] = (lo, inclusive, edges)``: ``lo`` is the largest
+    double <= the unit's threshold t, ``inclusive`` says t is not itself a
+    double, and ``edges`` are those the unit may reduce (a positive
+    even-at-last probability).  A double u is below t exactly when
+    ``u < lo``, or ``u == lo`` and ``inclusive``, so no sample needs a
+    ``Fraction``.
     """
 
     instance: HalfIntegralInstance
@@ -333,25 +332,19 @@ class PreparedInstance:
     plan: SamplingPlan
     params: ChargingParams
     eal_probability: dict
-    truncated: dict
     unit_threshold: tuple
     unit_of: tuple
-    edge_share: dict
     cut_sides: tuple
     cut_boundary: dict
     boundaries: tuple
     metric: Metric
-    base_value: Fraction
     base_numerator: int
     reduction_numerator: int
     edge_cut_mask: tuple
     last_cut_mask: tuple
     scale: int
-    unit_edges: tuple
     unit_table: tuple
     cut_charges: tuple
-    cost_scale: int
-    edge_cost: tuple
 
 
 def _double_floor(t: Fraction) -> tuple[float, bool]:
@@ -374,15 +367,13 @@ def prepare_instance(
     hierarchy = build_hierarchy(support)
     plan = build_sampling_plan(hierarchy)
     probs = compute_even_at_last_probs(plan)
-    m = len(support.edges)
 
     for e in hierarchy.final_edges():
         if probs[e] != 1:
             raise PlanError(f"final edge {e} has even-at-last probability {probs[e]} != 1")
 
     truncated: dict[int, Fraction] = {}
-    for e in range(m):
-        kind = hierarchy.edge_level[e][0]
+    for e, (kind, _) in enumerate(hierarchy.edge_level):
         cap = params.top_truncation if kind == "top" else params.bottom_truncation
         truncated[e] = min(cap, probs[e])
 
@@ -424,11 +415,9 @@ def prepare_instance(
     # Before increases every entry is base - reduction * {0, 1}, so deficits
     # are multiples of 1 / lcm(den(base), den(reduction)); one more factor of
     # every share denominator makes each share * deficit an integer over L.
-    base_value = Fraction(1, 4)
-    scale = lcm(base_value.denominator, params.reduction.denominator) * lcm(
+    scale = lcm(BASE_VALUE.denominator, params.reduction.denominator) * lcm(
         *(s.denominator for shares in edge_share.values() for s in shares.values())
     )
-    cost_scale, costs = inst.cost_numerators
     cut_charges: list[tuple[tuple[int, int], ...]] = [()] * len(cut_sides)
     for i, shares in edge_share.items():
         cut_charges[i] = tuple((f, (share * scale).numerator) for f, share in shares.items() if share)
@@ -440,25 +429,19 @@ def prepare_instance(
         plan=plan,
         params=params,
         eal_probability=dict(probs),
-        truncated=truncated,
         unit_threshold=unit_threshold,
         unit_of=unit_of,
-        edge_share=edge_share,
         cut_sides=cut_sides,
         cut_boundary=dict(zip(cut_sides, boundaries)),
         boundaries=boundaries,
         metric=metric_closure(inst),
-        base_value=base_value,
-        base_numerator=(base_value * scale).numerator,
+        base_numerator=(BASE_VALUE * scale).numerator,
         reduction_numerator=(params.reduction * scale).numerator,
         edge_cut_mask=edge_cut_mask,
         last_cut_mask=last_cut_mask,
         scale=scale,
-        unit_edges=unit_edges,
         unit_table=tuple((*_double_floor(t), edges) for t, edges in zip(unit_threshold, unit_edges)),
         cut_charges=tuple(cut_charges),
-        cost_scale=cost_scale,
-        edge_cost=tuple(costs[e.instance_edge] for e in support.edges),
     )
 
 
@@ -713,21 +696,21 @@ class JoinCalculator:
         """Vertex pairs covering the odd set, and whether they are optimal."""
         return self.join(sum(1 << v for v in set(odd)))[:2]
 
-    def exact_cost(self, odd: Sequence[int]) -> Fraction:
-        """Optimal matching cost, exactly, for up to ``EXACT_COST_LIMIT`` odd vertices."""
-        odd = tuple(sorted(odd))
-        if len(odd) > EXACT_COST_LIMIT or len(odd) % 2 == 1:
+    def exact_cost(self, odd_mask: int) -> Fraction:
+        """Optimal matching cost, exactly, on an odd-set mask of up to ``EXACT_COST_LIMIT`` vertices."""
+        k = odd_mask.bit_count()
+        if k > EXACT_COST_LIMIT or k % 2 == 1:
             raise ValueError(f"exact matching needs an even set of ≤ {EXACT_COST_LIMIT} vertices")
-        if len(odd) > EXACT_JOIN_LIMIT:
-            return Fraction(self._optimal(odd)[1], self.scale)
-        return Fraction(self.join(sum(1 << v for v in set(odd)))[2], self.scale)
+        if k > EXACT_JOIN_LIMIT:
+            return Fraction(self._optimal(members(odd_mask))[1], self.scale)
+        return Fraction(self.join(odd_mask)[2], self.scale)
 
     def cycle_cost(self, order: Sequence[int]) -> int:
         """Cost of the closed tour through ``order``, times ``scale``."""
         dist = self.dist
         return sum(dist[u][v] for u, v in zip(order, (*order[1:], *order[:1])))
 
-    def _optimal(self, odd: tuple[int, ...]) -> tuple[tuple[tuple[int, int], ...], int]:
+    def _optimal(self, odd: Sequence[int]) -> tuple[tuple[tuple[int, int], ...], int]:
         """One sweep per layer of ``_join_layers``: every target keeps its
         cheapest transition, a tie going to the first source in push order.
         Cost and group position share one key, ``cost * width + position``,
@@ -882,7 +865,6 @@ class SampleOutcome:
 def finish_sample(
     joins: JoinCalculator,
     support: SupportGraph,
-    costs: Sequence[int],
     tree: tuple[int, ...],
     odd: int,
     vector: tuple[list[int], int, int] | None,
@@ -891,12 +873,12 @@ def finish_sample(
 ) -> SampleOutcome:
     """The steps both pipelines share once a connector ``tree``, its odd
     mask and its vector ``(numerators, scale, floor numerator)`` are drawn:
-    price the join, sum the tree's cost numerators ``costs`` (over
-    ``joins.scale``), check the vector against its floor through
+    price the join, sum the tree's cost numerators off ``support.costs``
+    (over ``joins.scale``), check the vector against its floor through
     :func:`_check_memo` when asked, and build the outcome with the
     pipeline's own ``extras``."""
     pairs, join_exact, join_numerator = joins.join(odd)
-    tree_numerator = sum(costs[e] for e in tree)
+    tree_numerator = sum(support.costs[e] for e in tree)
     values = scale = vector_numerator = vector_total = feasible = min_cut_value = None
     if vector is not None:
         values, scale, floor = vector
@@ -941,12 +923,12 @@ def run_sample(
     tree = sample.edges
     odd = odd_mask(prepared.support, tree)
     if not build_vector:
-        return finish_sample(joins, prepared.support, prepared.edge_cost, tree, odd, None, False)
+        return finish_sample(joins, prepared.support, tree, odd, None, False)
     values, reduced, _, _ = _vector_numerators(prepared, sample)
     scale = prepared.scale
     floor = prepared.base_numerator - prepared.reduction_numerator
     return finish_sample(
-        joins, prepared.support, prepared.edge_cost, tree, odd, (values, scale, floor), check_vector,
+        joins, prepared.support, tree, odd, (values, scale, floor), check_vector,
         reduced_count=len(reduced),
         min_edge_value=Fraction(min(values), scale),
         prepared=prepared,

@@ -37,6 +37,7 @@ from .degreecut import (
 from .instance import HalfIntegralInstance
 from .maxent import TreeKernel, TreeLevel
 from .ojoin import (
+    BASE_VALUE,
     EXACT_COST_LIMIT,
     ConnectorLaw,
     JoinCalculator,
@@ -258,7 +259,6 @@ def exact_pipeline_expectations(
     params = prepared.params
     tau = params.reduction
     m = len(support.edges)
-    n = support.n
 
     levels = level_outcome_table(plan.connector)
     tree_total = prod(map(len, levels))
@@ -298,8 +298,8 @@ def exact_pipeline_expectations(
     for state, weight in _state_law(levels, edge_state, cap).items():
         parity = state & parity_bits
         parity_law[parity] = parity_law.get(parity, Fraction(0)) + weight
-        odd = tuple(v for v in range(n) if (state >> (shift + v)) & 1)
-        if len(odd) > EXACT_COST_LIMIT:
+        odd = state >> shift
+        if odd.bit_count() > EXACT_COST_LIMIT:
             join_total = None
         if join_total is not None:
             join_total += weight * joins.exact_cost(odd)
@@ -612,7 +612,7 @@ def cut_load_rows(
 
 def six_edge_floor_row(prepared: PreparedInstance) -> LemmaCheck:
     """The charging parameters' floor on a reduced edge's base value."""
-    floor_total = 6 * (prepared.base_value - prepared.params.reduction)
+    floor_total = 6 * (BASE_VALUE - prepared.params.reduction)
     return LemmaCheck("six-edge-floor", "params", floor_total, SIX_EDGE_FLOOR, ">=")
 
 

@@ -28,7 +28,7 @@ from hitsp.degreecut import (
 )
 from hitsp.instance import generate_instance
 from hitsp.maxent import fit_lambda, tree_marginals
-from hitsp.ojoin import JoinCalculator, prepare_instance, run_sample, sample_records, sample_rng
+from hitsp.ojoin import BASE_VALUE, JoinCalculator, prepare_instance, run_sample, sample_records, sample_rng
 from hitsp.oracle import (
     HOEFFDING_FUNCTIONALS,
     enumerate_spanning_trees,
@@ -287,7 +287,7 @@ def test_criterion_8_every_vector_feasible(corpus):
     problems = []
     for label, prepared, _ in corpus["rows"]:
         joins = JoinCalculator(prepared.metric)
-        floor = prepared.base_value - prepared.params.reduction
+        floor = BASE_VALUE - prepared.params.reduction
         if 6 * floor < 1:
             problems.append("six-edge floor arithmetic broken")
         for i in range(per_instance):

@@ -578,7 +578,7 @@ def test_run_aggregates_equal_the_fraction_arithmetic(tmp_path, mode):
     results = reports[1]["results"]
 
     prepared = prepare_instance(parse_instance(path.read_text()))
-    assert prepared.cost_scale == 15
+    assert prepared.metric.scale == 15
     lp = inst.lp_cost()
     joins = JoinCalculator(prepared.metric)
     outs = [run_sample(prepared, sample_rng(9, i), joins) for i in range(40)]

@@ -7,7 +7,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 from test_maxent import counted_kernels
-from test_ojoin import reference_statistics
+from test_ojoin import reference_statistics, with_rational_costs
 from test_simplex import reference_solve_equalities_nonneg
 
 import hitsp.degreecut
@@ -420,15 +420,12 @@ def test_degree_cut_sample_matches_fraction_composition(spec, rational):
     """Integer costs and twelfths give the former ``Fraction`` sums exactly,
     also on costs in thirds and fifths, and the shared connector law draws
     the former sampler's trees and leaves its generator state."""
-    from dataclasses import replace
-
     from hitsp.instance import build_support_graph, metric_closure
     from hitsp.ojoin import JoinCalculator
 
     inst = generate_instance(*spec)
     if rational:
-        costs = [Fraction(1 + i % 7, 3 + 2 * (i % 2)) for i in range(len(inst.edges))]
-        inst = replace(inst, edges=tuple(replace(e, cost=c) for e, c in zip(inst.edges, costs)))
+        inst = with_rational_costs(inst)
         assert inst.cost_numerators[0] == 15
     dec = decompose_matching(inst)
     contexts = contexts_for(inst, dec)

@@ -15,6 +15,7 @@ from test_maxent import count_weighted_trees
 import hitsp.maxent
 from hitsp.cli import HIERARCHY_CORPUS, corpus_instance
 from hitsp.cuts import InternalHierarchyError, build_hierarchy
+from hitsp.degreecut import build_matching_contexts, decompose_matching, sample_degree_cut
 from hitsp.instance import (
     GADGET_BUILDERS,
     Metric,
@@ -27,6 +28,7 @@ from hitsp.instance import (
 )
 from hitsp.maxent import TreeLevel
 from hitsp.ojoin import (
+    BASE_VALUE,
     ChargingParams,
     ConnectorLaw,
     DEFAULT_TOP_TRUNCATION,
@@ -154,10 +156,14 @@ def test_final_edges_have_unit_even_probability(chain2):
 
 def test_truncation_caps_the_probability(envelope2):
     params = envelope2.params
+    truncation = exact_pipeline_expectations(envelope2).truncation
     for e in range(len(envelope2.support.edges)):
         kind = envelope2.hierarchy.edge_level[e][0]
         cap = params.top_truncation if kind == "top" else params.bottom_truncation
-        assert envelope2.truncated[e] == min(cap, envelope2.eal_probability[e])
+        probability = envelope2.eal_probability[e]
+        assert truncation[e] == min(cap, probability)
+        # The unit's exact threshold is the truncation over the probability.
+        assert envelope2.unit_threshold[envelope2.unit_of[e]] * probability == truncation[e]
         assert envelope2.unit_threshold[envelope2.unit_of[e]] >= 0
 
 
@@ -184,12 +190,21 @@ def test_exact_even_probabilities_match_monte_carlo(chain2):
 
 
 def test_edge_share_sums_to_one_over_charge_groups(envelope2):
+    """Each charged cut's shares, ``cut_charges`` over ``scale``, are the
+    group's truncations over their sum; they sum to ``scale``."""
     groups = envelope2.hierarchy.charge_groups()
+    truncation = exact_pipeline_expectations(envelope2).truncation
+    scale = envelope2.scale
+    for i, charges in enumerate(envelope2.cut_charges):
+        assert {f for f, _ in charges} <= set(groups.get(i, ()))
     for i, edges in groups.items():
-        total = sum((envelope2.edge_share[i][e] for e in edges), Fraction(0))
-        mass = sum((envelope2.truncated[e] for e in edges), Fraction(0))
+        charges = dict(envelope2.cut_charges[i])
+        total = sum(charges.get(e, 0) for e in edges)
+        mass = sum((truncation[e] for e in edges), Fraction(0))
         if mass:
-            assert total == 1
+            assert total == scale
+            for e in edges:
+                assert Fraction(charges.get(e, 0), scale) == truncation[e] / mass
         else:
             assert total == 0
 
@@ -203,14 +218,14 @@ def test_unit_keys_partition_edges(envelope2):
 
 
 def test_vector_values_never_drop_below_reduced_base(chain2):
-    floor = chain2.base_value - chain2.params.reduction
+    floor = BASE_VALUE - chain2.params.reduction
     rng = sample_rng(1, 0)
     for _ in range(40):
         sample = sample_hierarchical_tree(chain2.plan, rng)
         vector = build_join_vector(chain2, sample)
         assert all(v >= floor for v in vector.values)
         assert vector.total() == (
-            chain2.base_value * len(vector.values)
+            BASE_VALUE * len(vector.values)
             - chain2.params.reduction * len(vector.reduced)
             + sum(vector.increases, Fraction(0))
         )
@@ -330,6 +345,7 @@ def test_check_feasible_matches_scan_on_random_multigraphs():
             n=n,
             edges=tuple(SupportEdge(i, u, v, i) for i, (u, v) in enumerate(pairs)),
             e_plus_pair=None,
+            costs=(1,) * len(pairs),
         )
         # Quarters put many minima below 1, where the witness is returned and checked.
         values = [Fraction(int(c), 4) for c in rng.choice([0, 0, 1, 2, 3, 7], size=len(pairs))]
@@ -345,7 +361,7 @@ def test_run_sample_check_matches_check_feasible(spec):
     ``check_feasible`` on the ``Fraction`` vector."""
     prepared = prepare_instance(reference_instance(spec))
     joins = JoinCalculator(prepared.metric)
-    floor = prepared.base_value - prepared.params.reduction
+    floor = BASE_VALUE - prepared.params.reduction
     for idx in range(12):
         out = run_sample(prepared, sample_rng(17, idx), joins, check_vector=True)
         sample = sample_hierarchical_tree(prepared.plan, sample_rng(17, idx))
@@ -547,7 +563,7 @@ def test_integer_dp_matches_float_reference_on_sampled_odd_sets(spec):
         assert exact
         assert pairs == float_dp_matching(metric, odd)
         assert Fraction(numerator, joins.scale) == pairs_cost(metric, pairs)
-        assert joins.exact_cost(odd) == pairs_cost(metric, pairs)
+        assert joins.exact_cost(sum(1 << v for v in odd)) == pairs_cost(metric, pairs)
         checked += 1
     assert checked
 
@@ -575,7 +591,7 @@ def test_exact_cost_matches_brute_force_and_fraction_dp_on_rational_metrics(seed
     for size in (0, 2, 4, 6, 8, 10, 12, 14, 16):
         odd = tuple(sorted(int(v) for v in rng.choice(18, size=size, replace=False)))
         want = fraction_dp_cost(metric, odd)
-        assert joins.exact_cost(odd) == want
+        assert joins.exact_cost(sum(1 << v for v in odd)) == want
         if size <= 10:
             assert want == brute_force_matching_cost(metric, odd)
         if size <= 14:
@@ -583,7 +599,9 @@ def test_exact_cost_matches_brute_force_and_fraction_dp_on_rational_metrics(seed
             assert exact and pairs_cost(metric, pairs) == want == Fraction(numerator, 15)
             assert sorted(v for pair in pairs for v in pair) == list(odd)
     with pytest.raises(ValueError):
-        joins.exact_cost(tuple(range(18)))
+        joins.exact_cost((1 << 18) - 1)
+    with pytest.raises(ValueError):
+        joins.exact_cost(0b111)
 
 
 def push_dp_reference(dist, odd):
@@ -824,6 +842,43 @@ def test_tree_cost_charges_instance_edges_once(chain2):
     assert cost == by_hand
 
 
+def with_rational_costs(inst):
+    """The instance with costs in thirds and fifths, differing edge to edge."""
+    costs = [Fraction(1 + i % 7, 3 + 2 * (i % 2)) for i in range(len(inst.edges))]
+    return replace(inst, edges=tuple(replace(e, cost=c) for e, c in zip(inst.edges, costs)))
+
+
+@pytest.mark.parametrize("spec", ["envelope:2", "k5_degree:6"])
+def test_copy_costs_price_both_pipelines_on_non_unit_costs(spec):
+    """``SupportGraph.costs`` holds each copy's instance-edge cost numerator,
+    and every tree cost either pipeline sums from it equals ``tree_cost``.
+    On envelope:2 copy ids and instance-edge ids differ, so a mix-up shows."""
+    inst = with_rational_costs(reference_instance(spec))
+    if spec.startswith("envelope"):
+        prepared = prepare_instance(inst)
+        inst, support = prepared.instance, prepared.support
+        assert any(e.id != e.instance_edge for e in support.edges)
+        joins = JoinCalculator(prepared.metric)
+
+        def draw(rng):
+            return run_sample(prepared, rng, joins)
+    else:
+        decomposition = decompose_matching(inst)
+        contexts = build_matching_contexts(inst, [m for _, m in decomposition.weights])
+        support, metric = build_support_graph(inst), metric_closure(inst)
+        joins = JoinCalculator(metric)
+
+        def draw(rng):
+            return sample_degree_cut(inst, decomposition, contexts, rng, joins, support, metric)
+    scale, numerators = inst.cost_numerators
+    assert joins.scale == scale == 15
+    for e in range(len(support.edges)):
+        assert support.costs[e] == numerators[support.edges[e].instance_edge]
+    for seed in range(200):
+        out = draw(sample_rng(seed, 0))
+        assert Fraction(out.tree_numerator, joins.scale) == tree_cost(inst, support, out.tree_edges)
+
+
 def test_sample_rng_is_index_keyed():
     a = sample_rng(13, 2).random(4)
     b = sample_rng(13, 2).random(4)
@@ -957,7 +1012,7 @@ def reference_join_vector(prepared, sample):
         side: sum(1 for e in prepared.cut_boundary[side] if e in tree) & 1
         for side in prepared.cut_sides
     }
-    values = [prepared.base_value] * m
+    values = [BASE_VALUE] * m
     reduced = set()
     for e in range(m):
         if prepared.eal_probability[e] == 0:
@@ -974,13 +1029,14 @@ def reference_join_vector(prepared, sample):
         total = sum((values[e] for e in prepared.cut_boundary[side]), Fraction(0))
         deficits[side] = max(Fraction(0), 1 - total)
     increases = [Fraction(0)] * m
+    shares = [dict(charges) for charges in prepared.cut_charges]
     final_edges = set(hierarchy.final_edges())
     for e in range(m):
         if e in final_edges:
             continue
         best = Fraction(0)
         for i in hierarchy.last_cuts(e):
-            best = max(best, prepared.edge_share[i][e] * deficits[sides[i]])
+            best = max(best, Fraction(shares[i].get(e, 0), prepared.scale) * deficits[sides[i]])
         values[e] += best
         increases[e] = best
     return values, frozenset(reduced), deficits, increases
@@ -1071,11 +1127,14 @@ def test_run_sample_matches_fraction_composition(spec):
 
 
 def test_unit_fires_exactly_below_its_threshold(chain2):
-    assert chain2.unit_table == tuple(
-        (*_double_floor(t), edges) for t, edges in zip(chain2.unit_threshold, chain2.unit_edges)
-    )
-    k = next(k for k, edges in enumerate(chain2.unit_edges) if edges)
-    edges = chain2.unit_edges[k]
+    assert [row[:2] for row in chain2.unit_table] == [_double_floor(t) for t in chain2.unit_threshold]
+    # A unit may reduce its edges of positive even-at-last probability.
+    assert [row[2] for row in chain2.unit_table] == [
+        tuple(e for e, unit in enumerate(chain2.unit_of) if unit == k and chain2.eal_probability[e])
+        for k in range(len(chain2.plan.unit_keys))
+    ]
+    k = next(k for k, (_, _, edges) in enumerate(chain2.unit_table) if edges)
+    edges = chain2.unit_table[k][2]
     units = len(chain2.plan.unit_keys)
     thresholds = (
         Fraction(0), Fraction(1), Fraction(1, 2), Fraction(3, 8), Fraction(1, 3),
@@ -1215,14 +1274,14 @@ def all_cuts_vector_numerators(prepared, sample):
     parity = 0
     for e in sample.edges:
         parity ^= crossing[e]
-    values = [(prepared.base_value * scale).numerator] * len(crossing)
+    values = [(BASE_VALUE * scale).numerator] * len(crossing)
     last = prepared.last_cut_mask
     reduced = []
     for k, u in enumerate(sample.uniforms):
         a, b = u.as_integer_ratio()
         t = prepared.unit_threshold[k]
         if a * t.denominator < t.numerator * b:
-            reduced.extend(e for e in prepared.unit_edges[k] if not parity & last[e])
+            reduced.extend(e for e in prepared.unit_table[k][2] if not parity & last[e])
     for e in reduced:
         values[e] -= (prepared.params.reduction * scale).numerator
     deficits = {}

@@ -264,7 +264,7 @@ def reference_pipeline_expectations(prepared: PreparedInstance) -> PipelineExpec
             if len(odd) > 16:
                 join_total = None
             else:
-                join_total += weight * joins.exact_cost(odd)
+                join_total += weight * joins.exact_cost(sum(1 << v for v in odd))
 
     # Truncations, unit thresholds, and responsibilities recomputed from the
     # enumerated probabilities, independently of the analytic pipeline.
